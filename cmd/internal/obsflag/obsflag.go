@@ -51,7 +51,7 @@ func Register(fs *flag.FlagSet, traceUsage string) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.TraceOut, "trace", "", traceUsage)
 	fs.BoolVar(&f.Metrics, "metrics", false, "print the run's metrics registry after the results")
-	fs.Func("metricsmode", "histogram mode for -metrics: scalar|bounded|full (bounded adds p50/p90/p99 columns in O(1) memory)",
+	fs.Func("metricsmode", "histogram mode for -metrics: scalar|bounded (bounded adds p50/p90/p99 columns, within 6.25% of exact, in O(1) memory)",
 		func(s string) error {
 			m, err := trace.ParseHistMode(s)
 			f.histMode = m

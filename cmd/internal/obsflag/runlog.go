@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"mobileqoe/internal/buildinfo"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
 	"mobileqoe/internal/stats"
@@ -136,9 +135,9 @@ const (
 // Returns nil (a valid no-op receiver — every RunLog method is nil-safe)
 // when neither flag was given.
 //
-// The manifest's Tool is set to tool; StartedAt, CodeVersion, and Flags are
-// filled in when the caller left them empty (Flags from the explicitly-set
-// flags of flag.CommandLine). Everything else — Experiments, Seed,
+// The manifest is stamped with tool, the code version, and the start time;
+// Flags is filled from the explicitly-set flags of flag.CommandLine when
+// the caller left it empty. Everything else — Experiments, Seed,
 // SeedSchedule, Trials, Parallel, Scenario — is the caller's knowledge.
 func (rf *RunLogFlags) Start(tool string, total int, m runlog.Manifest) (*RunLog, error) {
 	if rf == nil || (rf.Out == "" && !rf.Progress.Enabled() && rf.Telemetry == "") {
@@ -152,8 +151,6 @@ func (rf *RunLogFlags) Start(tool string, total int, m runlog.Manifest) (*RunLog
 		meter:  os.Stderr,
 		regSrc: rf.regSrc,
 		start:  time.Now(),
-		p50:    stats.NewP2Quantile(0.5),
-		p95:    stats.NewP2Quantile(0.95),
 	}
 	if rf.Telemetry != "" {
 		sink, err := telemetry.NewSink(rf.Telemetry)
@@ -170,13 +167,7 @@ func (rf *RunLogFlags) Start(tool string, total int, m runlog.Manifest) (*RunLog
 		r.file = f
 		r.bw = bufio.NewWriter(f)
 		r.w = runlog.NewWriter(r.bw)
-		m.Tool = tool
-		if m.StartedAt == "" {
-			m.StartedAt = r.start.UTC().Format(time.RFC3339)
-		}
-		if m.CodeVersion == "" {
-			m.CodeVersion = buildinfo.CodeVersion()
-		}
+		m.Stamp(tool, m.Parallel, r.start)
 		if m.Flags == nil {
 			m.Flags = visitedFlags(flag.CommandLine)
 		}
@@ -231,7 +222,9 @@ type RunLog struct {
 	// seconds would otherwise report an absurd cells/s.
 	restored int
 	alerts   int
-	p50, p95 *stats.P2Quantile
+	// wall holds the freshly executed cells' wall times; the meter and the
+	// health records read p50/p95 from it.
+	wall stats.HistSketch
 
 	lastDraw   time.Time
 	lastHealth time.Time
@@ -240,47 +233,26 @@ type RunLog struct {
 	err        error // first write error; surfaced by Close
 }
 
-// CellEvent records one completed runner cell: status and error class from
-// the event, deterministic simulation counters (virtual time, fault
-// injections/recoveries) mined from the cell's metrics registry when the
-// run carried one. Pass it as runner.Options.Stream.
+// CellEvent records one completed runner cell (see runner.Event.Cell) and,
+// when -telemetry exposes the fold of cell registries, folds the cell's
+// registry in. Pass it as runner.Options.Stream.
 func (r *RunLog) CellEvent(ev runner.Event) {
 	if r == nil {
 		return
 	}
-	c := runlog.Cell{
-		Index:   ev.Index,
-		ID:      ev.ID,
-		Trial:   ev.Trial,
-		Seed:    ev.Seed,
-		Attempt: ev.Attempt,
-		Status:  "ok",
-		WallMS:  float64(ev.Elapsed) / float64(time.Millisecond),
-	}
-	if ev.Err != nil {
-		c.Status = "error"
-		c.ErrorClass = runlog.ClassifyError(ev.Err)
-		c.Error = ev.Err.Error()
-	} else if ev.Table != nil && ev.Table.Metrics != nil {
-		// Non-creating lookups: mining must not grow the (shared, printable)
-		// cell registry with zero rows for metrics the cell never touched.
+	if r.sink != nil && r.regSrc == nil && ev.Table != nil && ev.Table.Metrics != nil {
+		// Stream order is cell order, so the fold — and the exposed
+		// quantiles, via exact sketch merges — is deterministic across
+		// -parallel.
 		m := ev.Table.Metrics
-		c.VirtualMS = m.LookupCounter("sim.virtual_ms").Value()
-		c.FaultsInjected = int64(m.LookupCounter("fault.injected").Value())
-		c.FaultsRecovered = int64(m.LookupCounter("fault.recovered").Value())
-		if r.sink != nil && r.regSrc == nil {
-			// Fold the cell into the telemetry aggregate. Stream order is
-			// cell order, so the fold — and the exposed quantiles, via exact
-			// sketch merges — is deterministic across -parallel.
-			r.mu.Lock()
-			if r.agg == nil {
-				r.agg = trace.NewMetricsMode(m.Mode())
-			}
-			r.agg.Merge(m)
-			r.mu.Unlock()
+		r.mu.Lock()
+		if r.agg == nil {
+			r.agg = trace.NewMetricsMode(m.Mode())
 		}
+		r.agg.Merge(m)
+		r.mu.Unlock()
 	}
-	r.Cell(c)
+	r.Cell(ev.Cell())
 }
 
 // Alert writes one SLO watchdog trip record into the run log (no-op when no
@@ -332,8 +304,7 @@ func (r *RunLog) Cell(c runlog.Cell) {
 	if c.Restored {
 		r.restored++
 	} else {
-		r.p50.Add(c.WallMS)
-		r.p95.Add(c.WallMS)
+		r.wall.Observe(c.WallMS)
 	}
 	now := time.Now()
 	if r.w != nil {
@@ -384,8 +355,8 @@ func (r *RunLog) writeHealth(now time.Time) {
 		Done:      r.done,
 		Total:     r.total,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		WallP50MS: r.p50.Value(),
-		WallP95MS: r.p95.Value(),
+		WallP50MS: r.wall.Quantile(0.5),
+		WallP95MS: r.wall.Quantile(0.95),
 		Runtime:   runlog.CaptureRuntime(),
 	}
 	// Rate over cells actually executed here: restored cells completed in a
@@ -416,7 +387,7 @@ func (r *RunLog) draw(now time.Time, final bool) {
 		rate := float64(fresh) / elapsed.Seconds()
 		eta := time.Duration(float64(r.total-r.done) / rate * float64(time.Second))
 		line += fmt.Sprintf(" | %.1f cells/s eta %v", rate, eta.Round(time.Second))
-		line += fmt.Sprintf(" | wall p50 %.0fms p95 %.0fms", r.p50.Value(), r.p95.Value())
+		line += fmt.Sprintf(" | wall p50 %.0fms p95 %.0fms", r.wall.Quantile(0.5), r.wall.Quantile(0.95))
 	}
 	if !r.cr {
 		// Piped stderr: plain newline-terminated lines under the same
@@ -438,40 +409,14 @@ func (r *RunLog) draw(now time.Time, final bool) {
 // crash leaves, so one reader path (runlog.ValidateTruncated, runlogcheck
 // -truncated) serves kills and crashes alike, and no one can mistake a
 // partial run's log for a complete one.
-func (r *RunLog) CloseTruncated() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := time.Now()
-	r.draw(now, true)
-	if r.show && r.cr {
-		fmt.Fprintln(r.meter)
-	}
-	if r.sink != nil {
-		r.updateTelemetry(now)
-		if err := r.sink.Close(); err != nil && r.err == nil {
-			r.err = err
-		}
-	}
-	if r.w == nil {
-		return r.err
-	}
-	r.writeHealth(now)
-	if err := r.bw.Flush(); err != nil && r.err == nil {
-		r.err = err
-	}
-	if err := r.file.Close(); err != nil && r.err == nil {
-		r.err = err
-	}
-	return r.err
-}
+func (r *RunLog) CloseTruncated() error { return r.close(false) }
 
 // Close finishes the log — a final health snapshot, the summary record
 // (status "ok" unless any cell failed), flush, file close — and terminates
 // the meter line. Returns the first error any write hit.
-func (r *RunLog) Close() error {
+func (r *RunLog) Close() error { return r.close(true) }
+
+func (r *RunLog) close(summary bool) error {
 	if r == nil {
 		return nil
 	}
@@ -492,18 +437,20 @@ func (r *RunLog) Close() error {
 		return r.err
 	}
 	r.writeHealth(now)
-	status := "ok"
-	if r.failed > 0 {
-		status = "failed"
-	}
-	if err := r.w.Summary(runlog.Summary{
-		CellsOK:       r.ok,
-		CellsFailed:   r.failed,
-		WallMS:        float64(now.Sub(r.start)) / float64(time.Millisecond),
-		Status:        status,
-		SLOViolations: r.alerts,
-	}); err != nil && r.err == nil {
-		r.err = err
+	if summary {
+		status := "ok"
+		if r.failed > 0 {
+			status = "failed"
+		}
+		if err := r.w.Summary(runlog.Summary{
+			CellsOK:       r.ok,
+			CellsFailed:   r.failed,
+			WallMS:        float64(now.Sub(r.start)) / float64(time.Millisecond),
+			Status:        status,
+			SLOViolations: r.alerts,
+		}); err != nil && r.err == nil {
+			r.err = err
+		}
 	}
 	if err := r.bw.Flush(); err != nil && r.err == nil {
 		r.err = err

@@ -2,10 +2,13 @@ package obsflag
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -368,8 +371,8 @@ func TestMeterRestoredCells(t *testing.T) {
 	if rl.restored != 3 || rl.done != 3 {
 		t.Fatalf("restored=%d done=%d, want 3/3", rl.restored, rl.done)
 	}
-	if got := rl.p50.Value(); got != 0 {
-		t.Fatalf("restored wall times leaked into the quantiles: p50=%v", got)
+	if n := rl.wall.N(); n != 0 {
+		t.Fatalf("restored wall times leaked into the quantile sketch: n=%d", n)
 	}
 	// Only the first cell beat the redraw throttle; it already carries the
 	// restored count and — crucially — no rate line.
@@ -430,5 +433,57 @@ func TestCloseTruncatedLeavesCrashShape(t *testing.T) {
 	}
 	if c.LastOK == nil || c.LastOK.Index != 0 {
 		t.Fatalf("LastOK = %+v, want cell 0", c.LastOK)
+	}
+}
+
+// TestMeterWallQuantiles feeds the meter a known sequence of cell wall
+// times and checks the p50/p95 its final health record reports against the
+// exact quantiles: both must sit within the HistSketch's documented 6.25%
+// relative error.
+func TestMeterWallQuantiles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ndjson")
+	rf := &RunLogFlags{Out: path}
+	const n = 400
+	rl, err := rf.Start("testtool", n, runlog.Manifest{Experiments: []string{"fig3a"}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walls := make([]float64, n)
+	for i := range walls {
+		// A skewed spread over three decades, fed out of order.
+		walls[i] = 2 + math.Pow(float64((i*7919)%n), 2)/80
+		rl.Cell(runlog.Cell{Index: i, ID: "fig3a", Trial: i, Status: "ok", WallMS: walls[i]})
+	}
+	if err := rl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last runlog.Health
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.Contains(line, `"type":"health"`) {
+			if err := json.Unmarshal([]byte(line), &last); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if last.Done != n {
+		t.Fatalf("final health record has done=%d, want %d", last.Done, n)
+	}
+	sort.Float64s(walls)
+	exact := func(q float64) float64 {
+		rank := q * float64(n-1)
+		lo := int(rank)
+		return walls[lo] + (rank-float64(lo))*(walls[lo+1]-walls[lo])
+	}
+	for _, c := range []struct {
+		name       string
+		got, exact float64
+	}{{"p50", last.WallP50MS, exact(0.5)}, {"p95", last.WallP95MS, exact(0.95)}} {
+		if rel := math.Abs(c.got-c.exact) / c.exact; rel > 0.0625 {
+			t.Errorf("wall %s = %.3f, exact %.3f: relative error %.4f > 6.25%%", c.name, c.got, c.exact, rel)
+		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"mobileqoe/cmd/internal/obsflag"
+	"mobileqoe/internal/engine"
 	"mobileqoe/internal/fleet"
-	"mobileqoe/internal/runlog"
 )
 
 // Exit codes for -fleet. 0 and 1 mean what they mean everywhere in qoesim;
@@ -40,20 +40,23 @@ type fleetOpts struct {
 	stdout, stderr io.Writer
 }
 
-// runFleet executes one fleet run end to end: load and (re)validate the
-// spec, create or reopen the checkpoint, supervise the shards with
-// interrupt handling, and either print the merged table (complete) or a
-// resume hint (interrupted).
+// runFleet executes one fleet run end to end: compose and (re)validate the
+// spec, create or reopen the checkpoint, run the shards through the engine's
+// fleet path with interrupt handling, and either print the merged table
+// (complete) or a resume hint (interrupted).
 func runFleet(parent context.Context, o fleetOpts) int {
 	if o.checkpoint == "" {
 		fmt.Fprintln(o.stderr, "qoesim: -fleet requires -checkpoint <dir> (every fleet run is resumable)")
 		return exitUsage
 	}
-	spec, err := fleet.Load(o.specPath)
+	// Compose loads and validates the spec and builds the run-log manifest
+	// exactly as for a served fleet job.
+	plan, err := engine.Compose(engine.Request{FleetPath: o.specPath}, engine.ComposeOptions{AllowLocalFiles: true})
 	if err != nil {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		return exitUsage
 	}
+	spec := plan.FleetSpec
 	if o.shards > 0 {
 		spec.Shards = o.shards
 	}
@@ -112,15 +115,8 @@ func runFleet(parent context.Context, o fleetOpts) int {
 		defer cancel()
 	}
 
-	manifest := runlog.Manifest{
-		Experiments:    []string{"fleet:" + spec.Name},
-		Seed:           spec.Seed,
-		SeedSchedule:   fleet.SeedScheduleDoc,
-		Trials:         1,
-		Parallel:       o.parallel,
-		Scenario:       o.specPath,
-		ScenarioSHA256: spec.SourceSHA256,
-	}
+	manifest := plan.Manifest
+	manifest.Parallel = o.parallel
 	rl, err := o.rlf.Start("qoesim", spec.Shards, manifest)
 	if err != nil {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
@@ -142,47 +138,21 @@ func runFleet(parent context.Context, o fleetOpts) int {
 				ev.Elapsed.Round(time.Millisecond), status)
 		}
 	}
-	opts := fleet.Options{
-		Parallel:     o.parallel,
-		ShardTimeout: o.shardTimeout,
-		Retries:      o.retries,
-		StopAfter:    o.stopAfter,
-		OnComplete:   cp.WriteShard,
-		Progress:     progress,
-	}
-	if rl != nil {
-		// One runlog cell per shard, delivered in shard order (Schema 2:
-		// restored cells carry Restored so readers and the ETA meter can
-		// tell replay from fresh execution).
-		opts.Stream = func(ev fleet.Event) {
-			c := runlog.Cell{
-				Index:    ev.Shard,
-				ID:       "fleet:" + spec.Name,
-				Trial:    ev.Shard,
-				Seed:     fleet.TupleSeed(spec.Seed, uint64(ev.Start)),
-				Attempt:  ev.Attempt,
-				Status:   "ok",
-				WallMS:   float64(ev.Elapsed) / float64(time.Millisecond),
-				Restored: ev.Restored,
-			}
-			if ev.Restored && ev.Result != nil {
-				c.WallMS = ev.Result.WallMS // wall time from the original process
-			}
-			if ev.Err != nil {
-				c.Status = "error"
-				c.ErrorClass = runlog.ClassifyError(ev.Err)
-				c.Error = ev.Err.Error()
-			}
-			rl.Cell(c)
-		}
-	}
 	if err := cp.WriteState(fleet.RunState{Status: "running", Restored: len(restored)}); err != nil {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		return exitFailed
 	}
 
 	start := time.Now()
-	res := fleet.Run(ctx, r, restored, opts)
+	// One run-log cell per shard, in shard order (rl is nil-safe).
+	res := engine.RunFleet(ctx, r, restored, fleet.Options{
+		Parallel:     o.parallel,
+		ShardTimeout: o.shardTimeout,
+		Retries:      o.retries,
+		StopAfter:    o.stopAfter,
+		OnComplete:   cp.WriteShard,
+		Progress:     progress,
+	}, rl.Cell)
 
 	state := fleet.RunState{
 		Completed: res.Completed, Restored: res.Restored,
@@ -228,13 +198,7 @@ func runFleet(parent context.Context, o fleetOpts) int {
 		exit = exitFailed
 	}
 
-	table := res.Merged.Table(spec)
-	if o.csv {
-		fmt.Fprint(o.stdout, table.CSV())
-	} else {
-		fmt.Fprint(o.stdout, table.String())
-		fmt.Fprintln(o.stdout)
-	}
+	o.stdout.Write(engine.RenderFleet(spec, res.Merged, o.csv))
 	fmt.Fprintf(o.stderr, "qoesim: fleet %s: %d tuples across %d shards (%d restored) in %v\n",
 		spec.Name, res.Merged.Tuples, spec.Shards, res.Restored,
 		time.Since(start).Round(time.Millisecond))

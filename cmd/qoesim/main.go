@@ -202,7 +202,7 @@ func realMain() int {
 		modeSet  bool
 	)
 	flag.Func("metricsmode",
-		"histogram mode for -metrics: scalar|bounded|full (bounded adds p50/p90/p99 columns in O(1) memory)",
+		"histogram mode for -metrics: scalar|bounded (bounded adds p50/p90/p99 columns, within 6.25% of exact, in O(1) memory)",
 		func(s string) error {
 			m, err := trace.ParseHistMode(s)
 			histMode = m

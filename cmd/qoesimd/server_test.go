@@ -197,6 +197,25 @@ func TestServeRequestErrors(t *testing.T) {
 	}
 }
 
+// TestServeHugeTimeoutClamped: a timeout_s far beyond time.Duration's range
+// is accepted and the job runs under exactly -max-timeout, not without one.
+func TestServeHugeTimeoutClamped(t *testing.T) {
+	const maxTimeout = 2 * time.Minute
+	ts, eng := newTestServer(t, engine.Config{Workers: 1, QueueDepth: 4, Parallel: 1, MaxTimeout: maxTimeout})
+	code, st := postRun(t, ts.URL, `{"experiment": "table1", "timeout_s": 1e300}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%+v), want 202", code, st)
+	}
+	j, ok := eng.Job(st.ID)
+	if !ok {
+		t.Fatalf("job %s not found", st.ID)
+	}
+	if got := j.Timeout(); got != maxTimeout {
+		t.Fatalf("job timeout = %v, want -max-timeout %v", got, maxTimeout)
+	}
+	fetchResult(t, ts.URL, st.ID) // the job completes under the clamped timeout
+}
+
 func TestServeEventsStreamValidates(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Config{Workers: 1, QueueDepth: 4, Parallel: 2, Tool: "qoesimd-test"})
 	_, st := postRun(t, ts.URL, submitBody(9))

@@ -21,11 +21,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mobileqoe/internal/buildinfo"
 	"mobileqoe/internal/cache"
 	"mobileqoe/internal/fleet"
 	"mobileqoe/internal/runlog"
@@ -199,6 +199,9 @@ func (j *Job) Output() ([]byte, error) {
 	}
 }
 
+// Timeout returns the wall-clock cap the job runs under (0: none).
+func (j *Job) Timeout() time.Duration { return j.timeout }
+
 // Err returns the job's failure (nil unless Failed).
 func (j *Job) Err() error {
 	j.mu.Lock()
@@ -332,10 +335,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 	}
 	timeout := e.cfg.DefaultTimeout
 	if req.TimeoutS > 0 {
-		timeout = time.Duration(req.TimeoutS * float64(time.Second))
-		if e.cfg.MaxTimeout > 0 && timeout > e.cfg.MaxTimeout {
-			timeout = e.cfg.MaxTimeout
-		}
+		timeout = requestTimeout(req.TimeoutS, e.cfg.MaxTimeout)
 	}
 
 	e.mu.Lock()
@@ -368,6 +368,20 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		e.dropOrderLocked(j.ID)
 		return nil, ErrBusy
 	}
+}
+
+// requestTimeout converts a request's timeout_s, capped at limit when
+// limit > 0. The cap applies in seconds, before the conversion: a float
+// beyond time.Duration's range (about 292 years) would otherwise wrap
+// negative, slip past the cap, and leave the job with no timeout at all.
+func requestTimeout(secs float64, limit time.Duration) time.Duration {
+	if limit > 0 && secs >= limit.Seconds() {
+		return limit
+	}
+	if ns := secs * float64(time.Second); ns < float64(math.MaxInt64) {
+		return time.Duration(ns)
+	}
+	return math.MaxInt64
 }
 
 // Run submits req and waits for the result — the synchronous convenience
@@ -519,10 +533,7 @@ func (e *Engine) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 	defer j.log.Close()
 	w := runlog.NewWriter(j.log)
 	m := j.plan.Manifest
-	m.Tool = e.cfg.Tool
-	m.CodeVersion = buildinfo.CodeVersion()
-	m.StartedAt = time.Now().UTC().Format(time.RFC3339)
-	m.Parallel = e.cfg.Parallel
+	m.Stamp(e.cfg.Tool, e.cfg.Parallel, time.Now())
 	if err := w.Manifest(m); err != nil {
 		return nil, err
 	}
@@ -537,7 +548,7 @@ func (e *Engine) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			} else {
 				ok++
 			}
-			w.Cell(cellFromEvent(ev))
+			w.Cell(ev.Cell())
 		},
 	})
 	status := "ok"
@@ -559,29 +570,6 @@ func (e *Engine) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 	return out, nil
 }
 
-// cellFromEvent maps a stream event to its run-log cell, mining the
-// deterministic registry fields when the cell carries a registry (mirrors
-// cmd/internal/obsflag).
-func cellFromEvent(ev runner.Event) runlog.Cell {
-	c := runlog.Cell{
-		Index: ev.Index, ID: ev.ID, Trial: ev.Trial, Seed: ev.Seed,
-		Attempt: ev.Attempt, Status: "ok",
-		WallMS: float64(ev.Elapsed) / float64(time.Millisecond),
-	}
-	if ev.Err != nil {
-		c.Status = "error"
-		c.ErrorClass = runlog.ClassifyError(ev.Err)
-		c.Error = ev.Err.Error()
-	}
-	if ev.Table != nil && ev.Table.Metrics != nil {
-		reg := ev.Table.Metrics
-		c.VirtualMS = reg.LookupCounter("sim.virtual_ms").Value()
-		c.FaultsInjected = int64(reg.LookupCounter("fault.injected").Value())
-		c.FaultsRecovered = int64(reg.LookupCounter("fault.recovered").Value())
-	}
-	return c
-}
-
 // runFleet executes a fleet plan checkpoint-free: the engine serves the
 // merged table, durability is the result cache. Interruption or shard
 // failure fails the job (and is not cached).
@@ -594,33 +582,13 @@ func (e *Engine) runFleet(ctx context.Context, j *Job) ([]byte, error) {
 	}
 	w := runlog.NewWriter(j.log)
 	m := j.plan.Manifest
-	m.Tool = e.cfg.Tool
-	m.CodeVersion = buildinfo.CodeVersion()
-	m.StartedAt = time.Now().UTC().Format(time.RFC3339)
-	m.Parallel = e.cfg.Parallel
+	m.Stamp(e.cfg.Tool, e.cfg.Parallel, time.Now())
 	if err := w.Manifest(m); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res := fleet.Run(ctx, r, nil, fleet.Options{
-		Parallel:     e.cfg.Parallel,
-		Retries:      e.cfg.Retries,
-		ShardTimeout: 0,
-		Stream: func(ev fleet.Event) {
-			c := runlog.Cell{
-				Index: ev.Shard, ID: "fleet:" + spec.Name, Trial: ev.Shard,
-				Seed:    fleet.TupleSeed(spec.Seed, uint64(ev.Start)),
-				Attempt: ev.Attempt, Status: "ok",
-				WallMS: float64(ev.Elapsed) / float64(time.Millisecond),
-			}
-			if ev.Err != nil {
-				c.Status = "error"
-				c.ErrorClass = runlog.ClassifyError(ev.Err)
-				c.Error = ev.Err.Error()
-			}
-			w.Cell(c)
-		},
-	})
+	res := RunFleet(ctx, r, nil, fleet.Options{Parallel: e.cfg.Parallel, Retries: e.cfg.Retries},
+		func(c runlog.Cell) { w.Cell(c) })
 	ok := res.Completed + res.Restored
 	status := "ok"
 	var ferr error
@@ -643,11 +611,7 @@ func (e *Engine) runFleet(ctx context.Context, j *Job) ([]byte, error) {
 	if ferr != nil {
 		return nil, ferr
 	}
-	table := res.Merged.Table(spec)
-	if j.Req.CSV {
-		return []byte(table.CSV()), nil
-	}
-	return append([]byte(table.String()), '\n'), nil
+	return RenderFleet(spec, res.Merged, j.Req.CSV), nil
 }
 
 // writeCachedLog fills a cache-served job's log: a manifest and an
@@ -656,10 +620,7 @@ func (e *Engine) writeCachedLog(j *Job) {
 	defer j.log.Close()
 	w := runlog.NewWriter(j.log)
 	m := j.plan.Manifest
-	m.Tool = e.cfg.Tool
-	m.CodeVersion = buildinfo.CodeVersion()
-	m.StartedAt = time.Now().UTC().Format(time.RFC3339)
-	m.Parallel = 0
+	m.Stamp(e.cfg.Tool, 0, time.Now())
 	if w.Manifest(m) == nil {
 		w.Summary(runlog.Summary{Status: "ok"})
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -180,6 +181,45 @@ func TestExecutePlanRejectsFleet(t *testing.T) {
 	}
 	if _, err := ExecutePlan(context.Background(), p, ExecOpts{}); err == nil {
 		t.Fatal("fleet plan accepted by ExecutePlan")
+	}
+}
+
+// TestHugeTimeoutGetsMaxTimeout: a timeout_s beyond time.Duration's range
+// must clamp to MaxTimeout (or, uncapped, to the largest duration) instead
+// of wrapping negative and running with no timeout.
+func TestHugeTimeoutGetsMaxTimeout(t *testing.T) {
+	const maxTimeout = 90 * time.Second
+	for _, c := range []struct {
+		timeoutS float64
+		limit    time.Duration
+		want     time.Duration
+	}{
+		{1e300, maxTimeout, maxTimeout},
+		{9.3e9, maxTimeout, maxTimeout},
+		{math.MaxFloat64, maxTimeout, maxTimeout},
+		{30, maxTimeout, 30 * time.Second},
+		{1e300, 0, math.MaxInt64},
+		{1.5, 0, 1500 * time.Millisecond},
+	} {
+		if got := requestTimeout(c.timeoutS, c.limit); got != c.want {
+			t.Errorf("requestTimeout(%g, %v) = %v, want %v", c.timeoutS, c.limit, got, c.want)
+		}
+	}
+
+	e := newTestEngine(t, Config{MaxTimeout: maxTimeout})
+	req, err := ParseRequest([]byte(`{"experiment": "table1", "timeout_s": 1e300}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := e.Submit(*req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Timeout(); got != maxTimeout {
+		t.Fatalf("job timeout = %v, want MaxTimeout %v", got, maxTimeout)
+	}
+	if err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -56,8 +56,7 @@ type Config struct {
 	// MetricsMode selects the histogram backing of the registries Metrics
 	// creates: the zero value (trace.HistScalar) is the historical
 	// count/sum/min/max registry, trace.HistBounded adds O(1) sketch-backed
-	// quantiles (the fleet-scale mode), trace.HistFull retains samples for
-	// exact quantiles. Ignored when Metrics is false.
+	// quantiles (the fleet-scale mode). Ignored when Metrics is false.
 	MetricsMode trace.HistMode
 
 	// Faults, when non-nil, attaches this fault plan to every system a trial

@@ -13,8 +13,8 @@ import (
 // sum/mean, exact min/max, ~3% quantiles) plus an ExactSum of squares, so
 // the standard deviation is a pure function of merged state. Every field
 // merges exactly in any grouping — the property the byte-identical
-// kill/resume invariant rests on. stats.Welford is deliberately not used
-// here: its merge is numerically excellent but not grouping-stable.
+// kill/resume invariant rests on. A streaming mean/variance accumulator
+// would not do: its merge is numerically excellent but not grouping-stable.
 type Agg struct {
 	Sketch stats.HistSketch
 	SumSq  stats.ExactSum

@@ -16,10 +16,10 @@
 //     tuple index) — a splitmix64 finalizer — so what a tuple simulates is
 //     independent of which shard ran it, when, or on which attempt;
 //   - every aggregate is an integer tally, a stats.HistSketch, or a
-//     stats.ExactSum, all of which merge exactly in any grouping (Welford
-//     is deliberately absent: its Chan-formula merge is not byte-stable
-//     across groupings — exact variance comes from an ExactSum of squares
-//     instead).
+//     stats.ExactSum, all of which merge exactly in any grouping (a
+//     streaming variance accumulator's Chan-formula merge is not
+//     byte-stable across groupings, so exact variance comes from an
+//     ExactSum of squares instead).
 package fleet
 
 import (

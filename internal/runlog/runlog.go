@@ -38,7 +38,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"time"
 
+	"mobileqoe/internal/buildinfo"
 	"mobileqoe/internal/core"
 )
 
@@ -82,6 +84,16 @@ type Manifest struct {
 	FaultPlan string `json:"fault_plan,omitempty"`
 	// Flags records every flag explicitly set on the command line.
 	Flags map[string]string `json:"flags,omitempty"`
+}
+
+// Stamp fills in the fields the executor knows and the composed plan does
+// not: the producing tool, the build's code version, the start time, and
+// the worker count.
+func (m *Manifest) Stamp(tool string, parallel int, started time.Time) {
+	m.Tool = tool
+	m.CodeVersion = buildinfo.CodeVersion()
+	m.StartedAt = started.UTC().Format(time.RFC3339)
+	m.Parallel = parallel
 }
 
 // Cell is one completed (experiment, trial) cell.
@@ -149,8 +161,9 @@ type Health struct {
 	// ETAMS estimates remaining wall time from the completion rate so far
 	// (0 when done == 0).
 	ETAMS float64 `json:"eta_ms"`
-	// WallP50MS/WallP95MS are streaming per-cell wall-time quantiles (P²
-	// estimates — see stats.P2Quantile for the accuracy contract).
+	// WallP50MS/WallP95MS are per-cell wall-time quantiles of the freshly
+	// executed cells, read from one stats.HistSketch (within its documented
+	// 6.25% relative error).
 	WallP50MS float64         `json:"wall_p50_ms"`
 	WallP95MS float64         `json:"wall_p95_ms"`
 	Runtime   RuntimeSnapshot `json:"runtime"`

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"mobileqoe/internal/experiments"
+	"mobileqoe/internal/runlog"
 )
 
 // Options tune a Run. The zero value runs on GOMAXPROCS workers with no
@@ -95,6 +96,31 @@ type Event struct {
 	// the merge path — stream consumers must treat it as read-only.
 	Table   *experiments.Table
 	Elapsed time.Duration // host wall time: the only nondeterministic field
+}
+
+// Cell maps the event to its run-log record: status and error class from
+// Err, plus the deterministic simulation counters (virtual time, fault
+// injections and recoveries) mined from the cell's registry when it has
+// one. The lookups never create: mining must not add zero rows to the
+// cell's shared, printable registry.
+func (ev Event) Cell() runlog.Cell {
+	c := runlog.Cell{
+		Index: ev.Index, ID: ev.ID, Trial: ev.Trial, Seed: ev.Seed,
+		Attempt: ev.Attempt, Status: "ok",
+		WallMS: float64(ev.Elapsed) / float64(time.Millisecond),
+	}
+	if ev.Err != nil {
+		c.Status = "error"
+		c.ErrorClass = runlog.ClassifyError(ev.Err)
+		c.Error = ev.Err.Error()
+	}
+	if ev.Table != nil && ev.Table.Metrics != nil {
+		reg := ev.Table.Metrics
+		c.VirtualMS = reg.LookupCounter("sim.virtual_ms").Value()
+		c.FaultsInjected = int64(reg.LookupCounter("fault.injected").Value())
+		c.FaultsRecovered = int64(reg.LookupCounter("fault.recovered").Value())
+	}
+	return c
 }
 
 // Result is one experiment's merged outcome. Run returns results in the

@@ -4,8 +4,12 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
+	"mobileqoe/internal/experiments"
+	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
+	"mobileqoe/internal/trace"
 )
 
 // collectStream runs ids under the given worker count and returns the Stream
@@ -105,5 +109,30 @@ func TestStreamAndProgressInterleave(t *testing.T) {
 	}
 	if streamed != 3 || len(progressed) != 3 {
 		t.Fatalf("streamed=%d progressed=%d, want 3/3", streamed, len(progressed))
+	}
+}
+
+// TestEventCell pins the one runner.Event → runlog.Cell mapping that both
+// the CLI's run log and served job logs write: identity fields, wall time,
+// the registry's deterministic counters, and the error class of a failure.
+func TestEventCell(t *testing.T) {
+	reg := trace.NewMetrics()
+	reg.Counter("sim.virtual_ms").Add(2500)
+	reg.Counter("fault.injected").Add(3)
+	reg.Counter("fault.recovered").Add(2)
+	ok := runner.Event{Index: 4, ID: "fig3a", Trial: 1, Seed: 1000001, Attempt: 1,
+		Table: &experiments.Table{Metrics: reg}, Elapsed: 2500 * time.Microsecond}
+	want := runlog.Cell{Index: 4, ID: "fig3a", Trial: 1, Seed: 1000001, Attempt: 1, Status: "ok",
+		WallMS: 2.5, VirtualMS: 2500, FaultsInjected: 3, FaultsRecovered: 2}
+	if got := ok.Cell(); got != want {
+		t.Errorf("ok cell = %+v, want %+v", got, want)
+	}
+	if names := reg.Names(); len(names) != 3 {
+		t.Errorf("mining grew the registry to %v", names)
+	}
+	err := fmt.Errorf("cell fig3a trial 0: %w", context.DeadlineExceeded)
+	failed := runner.Event{ID: "fig3a", Err: err}.Cell()
+	if failed.Status != "error" || failed.ErrorClass != runlog.ClassifyError(err) || failed.Error != err.Error() {
+		t.Errorf("failed cell = %+v, want an error record", failed)
 	}
 }

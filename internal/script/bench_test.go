@@ -2,8 +2,7 @@ package script
 
 import "testing"
 
-// Engine micro-benchmarks: tree-walking interpreter vs bytecode VM on a
-// workload-shaped program.
+// Interpreter micro-benchmarks on a workload-shaped program.
 
 const benchSrc = `
 var urls = [];
@@ -28,33 +27,10 @@ func BenchmarkTreeWalker(b *testing.B) {
 	}
 }
 
-func BenchmarkBytecodeVM(b *testing.B) {
-	code := MustCompileProgram(MustParse(benchSrc))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vm := NewVM(Config{})
-		if err := vm.Run(code); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkParse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(benchSrc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCompileProgram(b *testing.B) {
-	prog := MustParse(benchSrc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CompileProgram(prog); err != nil {
 			b.Fatal(err)
 		}
 	}

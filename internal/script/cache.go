@@ -9,9 +9,8 @@ import "mobileqoe/internal/cache"
 // builds for later seeds substantially cheaper. Parsing is a pure function
 // of the source, so cache state can never change what a caller receives.
 //
-// Programs are read-only after parsing — both the tree interpreter and the
-// bytecode VM only walk them — so sharing one *Program across concurrent
-// executions is safe.
+// Programs are read-only after parsing — the interpreter only walks them —
+// so sharing one *Program across concurrent executions is safe.
 var programCache = cache.New[string, *Program](cache.Config{
 	Name:       "script.programs",
 	MaxEntries: 4096,

@@ -1,0 +1,175 @@
+package script
+
+import (
+	"math"
+	"testing"
+)
+
+func arr(elems ...Value) *Array { return &Array{Elems: elems} }
+
+// obj builds an object from alternating key, value arguments.
+func obj(kv ...Value) *Object {
+	o := &Object{Fields: map[string]Value{}}
+	for i := 0; i < len(kv); i += 2 {
+		o.Fields[kv[i].(string)] = kv[i+1]
+	}
+	return o
+}
+
+// sameValue compares script values structurally; NaN equals NaN.
+func sameValue(a, b Value) bool {
+	switch av := a.(type) {
+	case nil:
+		return b == nil
+	case float64:
+		bv, ok := b.(float64)
+		return ok && (av == bv || math.IsNaN(av) && math.IsNaN(bv))
+	case string:
+		bv, ok := b.(string)
+		return ok && av == bv
+	case bool:
+		bv, ok := b.(bool)
+		return ok && av == bv
+	case *Array:
+		bv, ok := b.(*Array)
+		if !ok || len(av.Elems) != len(bv.Elems) {
+			return false
+		}
+		for i := range av.Elems {
+			if !sameValue(av.Elems[i], bv.Elems[i]) {
+				return false
+			}
+		}
+		return true
+	case *Object:
+		bv, ok := b.(*Object)
+		if !ok || len(av.Fields) != len(bv.Fields) {
+			return false
+		}
+		for k, v := range av.Fields {
+			if !sameValue(v, bv.Fields[k]) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// coreLanguageCases cover each statement and expression family; every
+// listed global must end with the given value.
+var coreLanguageCases = []struct {
+	name    string
+	src     string
+	globals map[string]Value
+}{
+	{"arith", `var a = 2+3*4; var b = (2+3)*4; var c = 10%3; var d = -a; var e = 7/2;`,
+		map[string]Value{"a": 14.0, "b": 20.0, "c": 1.0, "d": -14.0, "e": 3.5}},
+	{"logic", `var a = "" || "x"; var b = 1 && 2; var c = !0; var d = null == null; var e = 3 < 4 && "a" < "b";`,
+		map[string]Value{"a": "x", "b": 2.0, "c": true, "d": true, "e": true}},
+	{"strings", `var s = "hi " + 42; var n = s.length; var u = s.toUpperCase(); var i = s.indexOf("4"); var sub = s.substring(1,3);`,
+		map[string]Value{"s": "hi 42", "n": 5.0, "u": "HI 42", "i": 3.0, "sub": "i "}},
+	{"controlflow", `var t = 0; for (var i = 0; i < 20; i++) { if (i % 3 == 0) { continue; } if (i > 15) { break; } t += i; } var w = 0; var k = 4; while (k > 0) { w += k; k--; }`,
+		map[string]Value{"t": 75.0, "w": 10.0, "k": 0.0}},
+	{"functions", `function fib(n) { if (n < 2) { return n; } return fib(n-1)+fib(n-2); } var f = fib(12); function g() { var x = 1; } var nil_ = g();`,
+		map[string]Value{"f": 144.0, "nil_": nil}},
+	{"closures", `var base = 10; function add(x) { return x + base; } base = 20; var r = add(5);`,
+		map[string]Value{"r": 25.0}},
+	{"arrays", `var a = [5,1,4]; a.push(9); a[1] = 100; var j = a.join("-"); var idx = a.indexOf(4); var sl = a.slice(1,3); var popped = a.pop();`,
+		map[string]Value{"a": arr(5.0, 100.0, 4.0), "j": "5-100-4-9", "idx": 2.0, "sl": arr(100.0, 4.0), "popped": 9.0}},
+	{"objects", `var o = {x: 1, s: "v"}; o.y = o.x + 2; o["z"] = 3; o.x += 10; var ks = keys(o).join(","); var y = o.y;`,
+		map[string]Value{"o": obj("s", "v", "x", 11.0, "y", 3.0, "z", 3.0), "ks": "s,x,y,z", "y": 3.0}},
+	{"compound", `var a = [1,2,3]; a[0] += 5; a[1] *= 3; var o = {n: 10}; o.n -= 4; var x = 1; x %= 2;`,
+		map[string]Value{"a": arr(6.0, 6.0, 3.0), "o": obj("n", 6.0), "x": 1.0}},
+	{"regex", `var url = "https://x.com/ads/t.js"; var hit = url.test("/(ads|track)/"); var m = url.match("^https"); var s = url.search("ads"); var rep = url.replace("ads", "ok");`,
+		map[string]Value{"hit": true, "m": "https", "s": 14.0, "rep": "https://x.com/ok/t.js"}},
+	{"builtins", `var a = parseInt("42px"); var b = floor(3.9); var c = min(2, 9); var d = max(2, 9); var e = abs(-3); var f = str(2.5); var g = len([1,2]); var h = sqrt(16); var i = ceil(1.1);`,
+		map[string]Value{"a": 42.0, "b": 3.0, "c": 2.0, "d": 9.0, "e": 3.0, "f": "2.5", "g": 2.0, "h": 4.0, "i": 2.0}},
+	{"implicit-global", `function setIt() { undeclared = 7; } var x = setIt(); var got = undeclared;`,
+		map[string]Value{"got": 7.0}},
+	{"nested-loops", `var total = 0; for (var i = 0; i < 5; i++) { for (var j = 0; j < 5; j++) { if (j == 3) { break; } total += i*j; } }`,
+		map[string]Value{"total": 30.0}},
+	{"string-index", `var s = "abc"; var c0 = s[0]; var c2 = s[2];`,
+		map[string]Value{"c0": "a", "c2": "c"}},
+	{"division-edges", `var inf = 1/0; var nan = 0 % 0;`,
+		map[string]Value{"inf": math.Inf(1), "nan": math.NaN()}},
+	{"url-classifier", `
+		var acc = [];
+		function classify(u) {
+			if (u.test("/(ads|beacon|track)/")) { return "blocked"; }
+			if (u.search("img") >= 0) { return "image"; }
+			return "other";
+		}
+		for (var i = 0; i < 120; i++) {
+			var kind = "static";
+			if (i % 4 == 0) { kind = "ads"; }
+			if (i % 7 == 0) { kind = "img"; }
+			var u = "https://cdn" + (i % 9) + ".site.com/" + kind + "/asset" + i + ".js";
+			acc.push(classify(u));
+		}
+		var counts = {blocked: 0, image: 0, other: 0};
+		for (var i = 0; i < acc.length; i++) { counts[acc[i]] += 1; }
+		var result = str(counts.blocked) + "/" + str(counts.image) + "/" + str(counts.other);`,
+		map[string]Value{"result": "25/18/77", "counts": obj("blocked", 25.0, "image", 18.0, "other", 77.0)}},
+}
+
+func TestCoreLanguage(t *testing.T) {
+	for _, tc := range coreLanguageCases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := run(t, tc.src)
+			for name, want := range tc.globals {
+				if got := in.Global(name); !sameValue(got, want) {
+					t.Errorf("global %q = %v, want %v", name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestWorkloadTemplates runs page-workload-shaped scripts (the ad filter,
+// analytics and table-sort templates of webpage/scripts.go at fixed
+// parameters) and pins each one's result and regex call count: the calls
+// are what the simulator prices as regex CPU work.
+func TestWorkloadTemplates(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		src    string
+		result float64
+		calls  int
+	}{
+		{"ad-filter", `var hosts = ["cdn","static","ads"]; var urls = [];
+		 for (var i = 0; i < 60; i++) { urls.push("https://" + hosts[i % hosts.length] + i + ".x.com/ads/unit/item-" + i + ".js"); }
+		 var blocked = 0; var kept = [];
+		 for (var i = 0; i < urls.length; i++) {
+		   if (urls[i].test("/(ads|banner)/")) { blocked++; } else { kept.push(urls[i]); }
+		 }
+		 var manifest = kept.join(";"); var result = blocked;`, 60, 60},
+		{"analytics", `var events = [];
+		 for (var i = 0; i < 40; i++) { events.push("https://c.x.com/e?v=1&sid=s" + (i*7919%1000) + "&t=pageview&dl=https://s.com/a-" + i); }
+		 var sessions = 0;
+		 for (var i = 0; i < events.length; i++) { if (events[i].test("sid=s[0-9]+")) { sessions++; } }
+		 var result = sessions;`, 40, 40},
+		{"table-sort", `var rows = [];
+		 for (var i = 0; i < 50; i++) { rows.push({team: "FC T-" + (i%20), pts: (i*17)%97}); }
+		 for (var i = 1; i < rows.length; i++) {
+		   var key = rows[i]; var j = i - 1;
+		   while (j >= 0 && rows[j].pts < key.pts) { rows[j+1] = rows[j]; j--; }
+		   rows[j+1] = key;
+		 }
+		 var result = rows[0].pts;`, 95, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			host := NewCountingHost()
+			in := New(Config{Host: host})
+			if err := in.Run(MustParse(tc.src)); err != nil {
+				t.Fatal(err)
+			}
+			if got := in.Global("result"); !sameValue(got, tc.result) {
+				t.Errorf("result = %v, want %v", got, tc.result)
+			}
+			if len(host.Calls) != tc.calls {
+				t.Errorf("%d regex calls, want %d", len(host.Calls), tc.calls)
+			}
+		})
+	}
+}

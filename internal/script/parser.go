@@ -151,6 +151,10 @@ func MustParse(src string) *Program {
 type parser struct {
 	toks []token
 	pos  int
+	// loops is the loop nesting depth at the current statement, reset at
+	// each function body: break and continue are legal only where it is
+	// positive, so neither can escape a function into its caller's loop.
+	loops int
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -217,7 +221,7 @@ func (p *parser) statement() (stmt, error) {
 			if _, err := p.expect(tPunct, ")"); err != nil {
 				return nil, err
 			}
-			body, err := p.block()
+			body, err := p.loopBody()
 			if err != nil {
 				return nil, err
 			}
@@ -247,7 +251,10 @@ func (p *parser) statement() (stmt, error) {
 			if _, err := p.expect(tPunct, ")"); err != nil {
 				return nil, err
 			}
+			outer := p.loops
+			p.loops = 0
 			body, err := p.block()
+			p.loops = outer
 			if err != nil {
 				return nil, err
 			}
@@ -266,16 +273,16 @@ func (p *parser) statement() (stmt, error) {
 				return nil, err
 			}
 			return &returnStmt{value: v}, nil
-		case "break":
+		case "break", "continue":
+			if p.loops == 0 {
+				return nil, p.errf("%s outside a loop", t.text)
+			}
 			p.advance()
 			if _, err := p.expect(tPunct, ";"); err != nil {
 				return nil, err
 			}
-			return &breakStmt{}, nil
-		case "continue":
-			p.advance()
-			if _, err := p.expect(tPunct, ";"); err != nil {
-				return nil, err
+			if t.text == "break" {
+				return &breakStmt{}, nil
 			}
 			return &continueStmt{}, nil
 		}
@@ -410,12 +417,19 @@ func (p *parser) forStatement() (stmt, error) {
 	if _, err := p.expect(tPunct, ")"); err != nil {
 		return nil, err
 	}
-	body, err := p.block()
+	body, err := p.loopBody()
 	if err != nil {
 		return nil, err
 	}
 	f.body = body
 	return f, nil
+}
+
+// loopBody parses a while/for body one loop level deeper.
+func (p *parser) loopBody() ([]stmt, error) {
+	p.loops++
+	defer func() { p.loops-- }()
+	return p.block()
 }
 
 func (p *parser) block() ([]stmt, error) {

@@ -294,6 +294,27 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestCompileBreakOutsideLoop checks that break/continue must sit inside a
+// loop of their own function: a function body starts outside any loop, so
+// neither can end a caller's loop from inside a call. Parse rejects them.
+func TestCompileBreakOutsideLoop(t *testing.T) {
+	for _, src := range []string{
+		`break;`,
+		`continue;`,
+		`if (true) { break; }`,
+		`function f() { break; } var n = 0; for (var i = 0; i < 3; i++) { n++; f(); }`,
+		`while (true) { function g() { continue; } }`,
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "outside a loop") {
+			t.Errorf("Parse(%q) = %v, want an 'outside a loop' error", src, err)
+		}
+	}
+	if _, err := Parse(`function f() { for (;;) { break; } } while (true) { if (1) { continue; } break; }`); err != nil {
+		t.Errorf("loop-local break/continue rejected: %v", err)
+	}
+}
+
 func TestRuntimeErrors(t *testing.T) {
 	bad := []string{
 		`var x = undefined_name;`,
@@ -311,6 +332,23 @@ func TestRuntimeErrors(t *testing.T) {
 			continue
 		}
 		if err := New(Config{}).Run(p); err == nil {
+			t.Errorf("Run(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestVMRuntimeErrors runs programs that parse but must fail while running:
+// an unbound name, an index out of range, arithmetic on a string, and a
+// method called on a number.
+func TestVMRuntimeErrors(t *testing.T) {
+	bad := []string{
+		`var x = missing;`,
+		`var a = [1]; var x = a[9];`,
+		`var x = "s" - 1;`,
+		`var x = 5; var y = x.nope();`,
+	}
+	for _, src := range bad {
+		if err := New(Config{}).Run(MustParse(src)); err == nil {
 			t.Errorf("Run(%q) succeeded, want error", src)
 		}
 	}

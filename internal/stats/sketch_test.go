@@ -10,8 +10,8 @@ import (
 )
 
 // randDist draws n samples from a randomly parameterized distribution
-// family — the "300+ random distributions" fixture the sketch and P²
-// accuracy claims are pinned against.
+// family — the "300+ random distributions" fixture the sketch's accuracy
+// claim is pinned against.
 func randDist(rng *rand.Rand, n int) []float64 {
 	xs, _ := randDistKind(rng, n)
 	return xs
@@ -232,86 +232,5 @@ func TestExactSumCancellation(t *testing.T) {
 	s.Add(-1)
 	if got := s.Value(); got != 0x1p-60 {
 		t.Fatalf("cancellation: got %g, want %g", got, 0x1p-60)
-	}
-}
-
-func TestWelford(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 100; trial++ {
-		xs := randDist(rng, 50+rng.Intn(2000))
-		var w Welford
-		var exact Sample
-		for _, x := range xs {
-			w.Add(x)
-			exact.Add(x)
-		}
-		relOK := func(got, want float64) bool {
-			return math.Abs(got-want) <= 1e-9*math.Max(1e-300, math.Abs(want))
-		}
-		if !relOK(w.Mean(), exact.Mean()) || !relOK(w.Std(), exact.Std()) {
-			t.Fatalf("trial %d: welford %g±%g, exact %g±%g",
-				trial, w.Mean(), w.Std(), exact.Mean(), exact.Std())
-		}
-		// Sharded fold in index order tracks the 1-shard pass.
-		shards := 2 + rng.Intn(9)
-		parts := make([]Welford, shards)
-		for i, x := range xs {
-			parts[i%shards].Add(x)
-		}
-		var merged Welford
-		for i := range parts {
-			merged.Merge(&parts[i])
-		}
-		if merged.N() != w.N() ||
-			math.Abs(merged.Mean()-w.Mean()) > 1e-9*math.Max(1, math.Abs(w.Mean())) ||
-			math.Abs(merged.Std()-w.Std()) > 1e-6*math.Max(1, w.Std()) {
-			t.Fatalf("trial %d: %d-shard merge %g±%g, 1-shard %g±%g",
-				trial, shards, merged.Mean(), merged.Std(), w.Mean(), w.Std())
-		}
-	}
-}
-
-func TestP2QuantileAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 320; trial++ {
-		// The P² accuracy claim is scoped to the well-behaved families
-		// (see the type comment); the unscoped heavy-tail family is
-		// covered by HistSketch, whose buckets don't care about tails.
-		xs, kind := randDistKind(rng, 500+rng.Intn(3000))
-		for kind == 5 {
-			xs, kind = randDistKind(rng, 500+rng.Intn(3000))
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		for _, p := range []float64{0.5, 0.9, 0.95} {
-			e := NewP2Quantile(p)
-			for _, x := range xs {
-				e.Add(x)
-			}
-			got := e.Value()
-			// The estimate must land inside the exact [p-eps, p+eps]
-			// quantile envelope — the documented accuracy contract.
-			const eps = 0.05
-			lo := exactQuantile(sorted, math.Max(0, p-eps))
-			hi := exactQuantile(sorted, math.Min(1, p+eps))
-			span := math.Max(1e-12, (hi-lo)*1e-9)
-			if got < lo-span || got > hi+span {
-				t.Fatalf("trial %d p=%g: P² %g outside exact envelope [%g, %g]",
-					trial, p, got, lo, hi)
-			}
-		}
-	}
-}
-
-func TestP2QuantileSmallN(t *testing.T) {
-	e := NewP2Quantile(0.5)
-	if e.Value() != 0 {
-		t.Fatal("empty estimator should return 0")
-	}
-	e.Add(3)
-	e.Add(1)
-	e.Add(2)
-	if got := e.Value(); got != 2 {
-		t.Fatalf("median of {1,2,3} = %g, want 2", got)
 	}
 }

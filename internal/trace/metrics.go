@@ -24,10 +24,6 @@ const (
 	// million-sample histogram costs the same bytes as an empty one, and
 	// N-shard registry merges are byte-identical to a 1-shard run.
 	HistBounded
-	// HistFull additionally retains every observation: exact quantiles at
-	// O(n) memory. For calibration runs where the sample count is small
-	// and exactness matters more than the byte budget.
-	HistFull
 )
 
 func (m HistMode) String() string {
@@ -36,8 +32,6 @@ func (m HistMode) String() string {
 		return "scalar"
 	case HistBounded:
 		return "bounded"
-	case HistFull:
-		return "full"
 	default:
 		return fmt.Sprintf("HistMode(%d)", int(m))
 	}
@@ -50,10 +44,8 @@ func ParseHistMode(s string) (HistMode, error) {
 		return HistScalar, nil
 	case "bounded":
 		return HistBounded, nil
-	case "full":
-		return HistFull, nil
 	default:
-		return 0, fmt.Errorf("trace: unknown metrics mode %q (want scalar|bounded|full)", s)
+		return 0, fmt.Errorf("trace: unknown metrics mode %q (want scalar|bounded)", s)
 	}
 }
 
@@ -110,14 +102,12 @@ func (c *Counter) Value() float64 {
 }
 
 // Histogram summarizes observed values: count, sum, min, max, and — in
-// HistBounded/HistFull registries — quantiles (approximate via a fixed-size
-// sketch, or exact via retention, respectively).
+// HistBounded registries — approximate quantiles via a fixed-size sketch.
 type Histogram struct {
 	n        int64
 	sum      float64
 	min, max float64
 	sketch   *stats.HistSketch // HistBounded: O(1) quantiles, exact merge
-	full     *stats.Sample     // HistFull: exact quantiles, O(n) retention
 }
 
 // Observe records v (no-op on nil).
@@ -135,9 +125,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	if h.sketch != nil {
 		h.sketch.Observe(v)
-	}
-	if h.full != nil {
-		h.full.Add(v)
 	}
 }
 
@@ -210,8 +197,6 @@ func (h *Histogram) Quantile(q float64) (float64, bool) {
 		return 0, false
 	case h.sketch != nil:
 		return h.sketch.Quantile(q), true
-	case h.full != nil:
-		return h.full.Percentile(q * 100), true
 	default:
 		return 0, false
 	}
@@ -240,11 +225,8 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	h, ok := m.hists[name]
 	if !ok {
 		h = &Histogram{}
-		switch m.mode {
-		case HistBounded:
+		if m.mode == HistBounded {
 			h.sketch = &stats.HistSketch{}
-		case HistFull:
-			h.full = &stats.Sample{}
 		}
 		m.hists[name] = h
 	}
@@ -297,13 +279,10 @@ func (m *Metrics) Merge(o *Metrics) {
 		}
 		d.n += h.n
 		d.sum += h.sum
-		switch {
-		case d.sketch != nil && h.sketch != nil:
+		if d.sketch != nil && h.sketch != nil {
 			d.sketch.Merge(h.sketch)
-		case d.full != nil && h.full != nil:
-			d.full.AddAll(h.full.Values()...)
-		default:
-			d.sketch, d.full = nil, nil
+		} else {
+			d.sketch = nil
 		}
 	}
 }

@@ -10,7 +10,7 @@ func TestParseHistMode(t *testing.T) {
 	for _, c := range []struct {
 		in   string
 		want HistMode
-	}{{"", HistScalar}, {"scalar", HistScalar}, {"bounded", HistBounded}, {"full", HistFull}} {
+	}{{"", HistScalar}, {"scalar", HistScalar}, {"bounded", HistBounded}} {
 		got, err := ParseHistMode(c.in)
 		if err != nil || got != c.want {
 			t.Fatalf("ParseHistMode(%q) = %v, %v; want %v", c.in, got, err, c.want)
@@ -19,8 +19,11 @@ func TestParseHistMode(t *testing.T) {
 			t.Fatalf("HistMode round-trip: %v.String() = %q", got, got.String())
 		}
 	}
-	if _, err := ParseHistMode("bogus"); err == nil {
-		t.Fatal("ParseHistMode should reject unknown modes")
+	for _, bad := range []string{"bogus", "full"} {
+		_, err := ParseHistMode(bad)
+		if err == nil || !strings.Contains(err.Error(), "scalar|bounded") {
+			t.Fatalf("ParseHistMode(%q) = %v, want an error naming scalar|bounded", bad, err)
+		}
 	}
 }
 
@@ -58,17 +61,6 @@ func TestBoundedTableHasQuantiles(t *testing.T) {
 	}
 	if note := m.TableTitled("merged 4 trials in trial order"); !strings.Contains(note, "== metrics (merged 4 trials in trial order) ==") {
 		t.Fatalf("TableTitled note missing:\n%s", note)
-	}
-}
-
-func TestFullModeExactQuantiles(t *testing.T) {
-	m := NewMetricsMode(HistFull)
-	h := m.Histogram("x")
-	for i := 1; i <= 99; i++ {
-		h.Observe(float64(i))
-	}
-	if v, ok := h.Quantile(0.5); !ok || v != 50 {
-		t.Fatalf("full-mode p50 = %g, %v; want exactly 50", v, ok)
 	}
 }
 

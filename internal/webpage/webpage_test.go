@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mobileqoe/internal/cache"
-	"mobileqoe/internal/script"
 
 	"mobileqoe/internal/dsp"
 	"mobileqoe/internal/sim"
@@ -239,34 +238,6 @@ func TestUnknownCategoryPanics(t *testing.T) {
 		}
 	}()
 	Generate("x", Category("junk"), 1)
-}
-
-func TestGeneratedScriptsAgreeAcrossEngines(t *testing.T) {
-	// Every script the generator emits must produce the identical regex
-	// workload under the bytecode VM as under the tree-walking interpreter
-	// (the profiles the experiments price are engine-independent).
-	p := Generate("sports-vm.example", Sports, 31)
-	for _, r := range p.Resources {
-		if r.Type != JS {
-			continue
-		}
-		prog := script.MustParse(r.ScriptSrc)
-		host := script.NewCountingHost()
-		vm := script.NewVM(script.Config{Host: host})
-		if err := vm.Run(script.MustCompileProgram(prog)); err != nil {
-			t.Fatalf("vm failed on %s: %v", r.URL, err)
-		}
-		if len(host.Calls) != len(r.Profile.Calls) {
-			t.Fatalf("%s: vm made %d regex calls, interpreter profile has %d",
-				r.URL, len(host.Calls), len(r.Profile.Calls))
-		}
-		for i := range host.Calls {
-			if host.Calls[i] != r.Profile.Calls[i] {
-				t.Fatalf("%s: regex call %d diverges: %+v vs %+v",
-					r.URL, i, host.Calls[i], r.Profile.Calls[i])
-			}
-		}
-	}
 }
 
 // TestCorpusIdenticalAcrossEviction pins the cache determinism guarantee:
