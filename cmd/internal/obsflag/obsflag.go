@@ -1,19 +1,22 @@
-// Package obsflag is the shared flag-wiring helper for the simulator CLIs.
-// The -trace / -metrics / -faults conventions used to be re-implemented in
-// each binary and had started to diverge (iperfsim had no -trace or
-// -metrics at all); the flags now register, translate to options, and flush
-// through one place.
+// Package obsflag is the shared flag-wiring helper for the simulator CLIs:
+// the -trace / -metrics / -faults conventions register, translate to
+// options, and flush through one place.
+//
+// The run-observation flags (-runlog, -progress, -telemetry, -slo-exit)
+// only choose sinks: RunLogFlags.Start maps them onto an engine.Observer,
+// the one observer qoesim, pageload, iperfsim, regexdsp, and served jobs
+// all record their runs through.
 //
 // qoesim keeps its own trace wiring — its per-(experiment, trial) tracer
-// factory has no single flush point — but shares the -faults resolver, and
-// its flag spellings match the ones registered here.
+// factory has no single flush point — but shares the -faults resolver and
+// the observation flags, and its flag spellings match the ones registered
+// here.
 package obsflag
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"mobileqoe/internal/core"
 	"mobileqoe/internal/fault"
@@ -59,7 +62,7 @@ func Register(fs *flag.FlagSet, traceUsage string) *Flags {
 		})
 	f.RunLog = RegisterRunLog(fs)
 	// -telemetry on the simple CLIs exposes the shared registry live; the
-	// RunLog renders whatever this returns at snapshot time.
+	// observer renders whatever this returns at snapshot time.
 	f.RunLog.regSrc = func() *trace.Metrics { return f.reg }
 	return f
 }
@@ -137,14 +140,7 @@ func (f *Flags) Flush(w io.Writer) error {
 	if f.TraceOut == "" || f.tr == nil {
 		return nil
 	}
-	file, err := os.Create(f.TraceOut)
-	if err == nil {
-		err = f.tr.WriteJSON(file)
-		if cerr := file.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+	if err := f.tr.WriteFile(f.TraceOut); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nwrote %d trace events to %s\n", f.tr.Len(), f.TraceOut)

@@ -6,15 +6,18 @@ import (
 	"flag"
 	"io"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"mobileqoe/internal/engine"
 	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
+	"mobileqoe/internal/scenario"
 	"mobileqoe/internal/telemetry"
 	"mobileqoe/internal/trace"
 )
@@ -64,37 +67,71 @@ func swapTTY(t *testing.T, isTTY bool) {
 	t.Cleanup(func() { stderrTTY = old })
 }
 
-// startMeter opens a progress-only RunLog writing its meter into a buffer.
-func startMeter(t *testing.T, mode ProgressMode, isTTY bool, total int) (*RunLog, *bytes.Buffer) {
+// captureStderr points os.Stderr at a pipe until the returned function —
+// which restores it and returns everything written — is called. The meter
+// and alert lines an observer draws go to the os.Stderr of Start time.
+func captureStderr(t *testing.T) func() string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stderr
+	os.Stderr = w
+	t.Cleanup(func() {
+		os.Stderr = old
+		w.Close()
+		r.Close()
+	})
+	return func() string {
+		os.Stderr = old
+		w.Close()
+		b, _ := io.ReadAll(r)
+		return string(b)
+	}
+}
+
+// startMeter opens a progress-only observer whose meter draws into a
+// captured stderr; read returns the meter output.
+func startMeter(t *testing.T, mode ProgressMode, isTTY bool, total int) (rl *engine.Observer, read func() string) {
 	t.Helper()
 	swapTTY(t, isTTY)
+	read = captureStderr(t)
 	rf := &RunLogFlags{Progress: mode}
-	rl, err := rf.Start("testtool", total, runlog.Manifest{})
+	rl, err := rf.Start("testtool", total, runlog.Manifest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rl == nil {
 		t.Fatal("progress-enabled Start returned nil")
 	}
-	var buf bytes.Buffer
-	rl.meter = &buf
-	return rl, &buf
+	return rl, read
 }
+
+// cellEvent is a completed runner cell whose registry records virtual ms of
+// simulated time.
+func cellEvent(index int, virtual float64) runner.Event {
+	m := trace.NewMetricsMode(trace.HistBounded)
+	m.Counter("sim.virtual_ms").Add(virtual)
+	m.Histogram("browser.plt_ms").Observe(100 * float64(index+1))
+	return runner.Event{Index: index, ID: "fig3a", Trial: index,
+		Table: &experiments.Table{Metrics: m}}
+}
+
+// tightSLO trips on any cell that simulated 500 ms or more.
+var tightSLO = map[string]scenario.Rule{"sim.virtual_ms": {P99LtMS: func(v float64) *float64 { return &v }(500)}}
 
 // TestMeterAutoPipePlain pins satellite behavior: with stderr piped, auto mode
 // emits plain newline-terminated lines (no \r), still throttled.
 func TestMeterAutoPipePlain(t *testing.T) {
-	rl, buf := startMeter(t, ProgressAuto, false, 3)
-	if rl.cr {
-		t.Fatal("auto mode on a pipe must not use \\r redraw")
-	}
+	rl, read := startMeter(t, ProgressAuto, false, 3)
 	for i := 0; i < 3; i++ {
 		rl.Cell(runlog.Cell{Index: i, ID: "fig3a", Status: "ok", WallMS: 5})
 	}
-	if err := rl.Close(); err != nil {
+	if err := rl.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := read()
 	if strings.Contains(out, "\r") {
 		t.Fatalf("piped meter wrote a carriage return:\n%q", out)
 	}
@@ -123,15 +160,12 @@ func TestMeterTTYRedraw(t *testing.T) {
 		{"auto on tty", ProgressAuto, true},
 		{"force on pipe", ProgressForce, false},
 	} {
-		rl, buf := startMeter(t, c.mode, c.isTTY, 2)
-		if !rl.cr {
-			t.Fatalf("%s: want \\r redraw style", c.name)
-		}
+		rl, read := startMeter(t, c.mode, c.isTTY, 2)
 		rl.Cell(runlog.Cell{Index: 0, ID: "fig3a", Status: "ok", WallMS: 5})
-		if err := rl.Close(); err != nil {
+		if err := rl.Close(nil); err != nil {
 			t.Fatal(err)
 		}
-		out := buf.String()
+		out := read()
 		if !strings.HasPrefix(out, "\r") {
 			t.Fatalf("%s: redraw line missing \\r:\n%q", c.name, out)
 		}
@@ -141,43 +175,59 @@ func TestMeterTTYRedraw(t *testing.T) {
 	}
 }
 
-// TestStartGate pins the no-op path: no flags set, no RunLog.
+// TestStartGate pins the no-op path: no flags set and no slo: block, no
+// observer. An slo: block alone still gets one — its alerts print on stderr
+// without a log.
 func TestStartGate(t *testing.T) {
 	rf := &RunLogFlags{}
-	rl, err := rf.Start("testtool", 1, runlog.Manifest{})
+	rl, err := rf.Start("testtool", 1, runlog.Manifest{}, nil)
 	if err != nil || rl != nil {
 		t.Fatalf("Start with no flags = (%v, %v), want (nil, nil)", rl, err)
 	}
-	var nilRL *RunLog
+	var nilRL *engine.Observer
 	nilRL.Cell(runlog.Cell{})
-	nilRL.CellEvent(runner.Event{})
-	nilRL.Alert(runlog.Alert{})
+	nilRL.Stream(runner.Event{})
 	nilRL.Exemplar(runlog.Exemplar{})
-	if err := nilRL.Close(); err != nil {
+	if n := nilRL.Violations(); n != 0 {
+		t.Fatalf("nil observer reports %d violations", n)
+	}
+	if err := nilRL.Close(nil); err != nil {
 		t.Fatal(err)
+	}
+	if rl, err := rf.Start("testtool", 1, runlog.Manifest{}, tightSLO); err != nil || rl == nil {
+		t.Fatalf("Start with an slo: block = (%v, %v), want an observer", rl, err)
 	}
 }
 
 // TestAlertExemplarRoundTrip drives the full record set through a real log
-// file and validates it with the schema checker: alerts count into the
-// summary, exemplar ranks ascend, and the log passes runlog.Validate.
+// file and validates it with the schema checker: the slo: block's watchdog
+// trips on the first cell, the alert counts into the summary and prints on
+// stderr, exemplar ranks ascend, and the log passes runlog.Validate.
 func TestAlertExemplarRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ndjson")
+	read := captureStderr(t)
 	rf := &RunLogFlags{Out: path}
-	rl, err := rf.Start("testtool", 2, runlog.Manifest{Experiments: []string{"fig3a"}, Trials: 2})
+	rl, err := rf.Start("testtool", 2, runlog.Manifest{Experiments: []string{"fig3a"}, Trials: 2}, tightSLO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl.Cell(runlog.Cell{Index: 0, ID: "fig3a", Trial: 0, Status: "ok", WallMS: 4, VirtualMS: 900})
-	rl.Alert(runlog.Alert{Metric: "sim.virtual_ms", Rule: "p99_lt_ms",
-		Threshold: 500, Value: 900, CellIndex: 0, CellID: "fig3a", N: 1})
-	rl.Cell(runlog.Cell{Index: 1, ID: "fig3a", Trial: 1, Status: "ok", WallMS: 4, VirtualMS: 400})
+	rl.Stream(cellEvent(0, 900))
+	rl.Stream(cellEvent(1, 400))
 	for rank, idx := range []int{0, 1} {
 		rl.Exemplar(runlog.Exemplar{Rank: rank, Index: idx, ID: "fig3a", Trial: idx,
 			Metric: "sim.virtual_ms", Value: 900 - float64(rank)*500})
 	}
-	if err := rl.Close(); err != nil {
+	if n := rl.Violations(); n != 1 {
+		t.Fatalf("Violations() = %d, want 1", n)
+	}
+	if err := rl.Close(nil); err != nil {
 		t.Fatal(err)
+	}
+	stderr := read()
+	for _, want := range []string{"testtool: slo alert: sim.virtual_ms p99_lt_ms threshold 500 ", "testtool: slo: 1 rule(s) violated\n"} {
+		if !strings.Contains(stderr, want) {
+			t.Fatalf("stderr missing %q:\n%s", want, stderr)
+		}
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -204,12 +254,12 @@ func TestTelemetrySnapshotFromRegSrc(t *testing.T) {
 	reg := trace.NewMetricsMode(trace.HistBounded)
 	reg.Counter("sim.events").Add(7)
 	rf := &RunLogFlags{Telemetry: path, regSrc: func() *trace.Metrics { return reg }}
-	rl, err := rf.Start("testtool", 1, runlog.Manifest{})
+	rl, err := rf.Start("testtool", 1, runlog.Manifest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rl.Cell(runlog.Cell{Index: 0, ID: "cell", Status: "ok", WallMS: 3})
-	if err := rl.Close(); err != nil {
+	if err := rl.Close(nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := os.ReadFile(path)
@@ -226,23 +276,19 @@ func TestTelemetrySnapshotFromRegSrc(t *testing.T) {
 	}
 }
 
-// TestTelemetryAggFold pins the qoesim path: with no regSrc, CellEvent folds
+// TestTelemetryAggFold pins the qoesim path: with no regSrc, Stream folds
 // each cell's private registry into the exposed aggregate.
 func TestTelemetryAggFold(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.prom")
 	rf := &RunLogFlags{Telemetry: path}
-	rl, err := rf.Start("qoesim", 2, runlog.Manifest{})
+	rl, err := rf.Start("qoesim", 2, runlog.Manifest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, virtual := range []float64{1200, 800} {
-		m := trace.NewMetricsMode(trace.HistBounded)
-		m.Counter("sim.virtual_ms").Add(virtual)
-		m.Histogram("browser.plt_ms").Observe(100 * float64(i+1))
-		rl.CellEvent(runner.Event{Index: i, ID: "fig3a", Trial: i,
-			Table: &experiments.Table{Metrics: m}})
+		rl.Stream(cellEvent(i, virtual))
 	}
-	if err := rl.Close(); err != nil {
+	if err := rl.Close(nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := os.ReadFile(path)
@@ -261,8 +307,8 @@ func TestTelemetryAggFold(t *testing.T) {
 }
 
 // TestStdoutUntouched pins the observability contract: a run with every
-// observer enabled (-runlog, -progress=force, -telemetry) writes nothing to
-// stdout.
+// observer enabled (-runlog, -progress=force, -telemetry, an slo: block)
+// writes nothing to stdout.
 func TestStdoutUntouched(t *testing.T) {
 	dir := t.TempDir()
 	r, w, err := os.Pipe()
@@ -278,14 +324,13 @@ func TestStdoutUntouched(t *testing.T) {
 		Progress:  ProgressForce,
 		Telemetry: filepath.Join(dir, "metrics.prom"),
 	}
-	rl, err := rf.Start("testtool", 1, runlog.Manifest{})
+	captureStderr(t)
+	rl, err := rf.Start("testtool", 1, runlog.Manifest{}, tightSLO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl.meter = io.Discard
-	rl.Cell(runlog.Cell{Index: 0, ID: "cell", Status: "ok", WallMS: 2})
-	rl.Alert(runlog.Alert{Metric: "m", Rule: "max_lt_ms", Value: 1})
-	cerr := rl.Close()
+	rl.Stream(cellEvent(0, 900))
+	cerr := rl.Close(nil)
 
 	w.Close()
 	os.Stdout = oldStdout
@@ -295,25 +340,6 @@ func TestStdoutUntouched(t *testing.T) {
 	leaked, _ := io.ReadAll(r)
 	if len(leaked) != 0 {
 		t.Fatalf("observers wrote %d bytes to stdout: %q", len(leaked), leaked)
-	}
-}
-
-// TestMeterThrottleOverTime pins the redraw cadence: a second draw happens
-// only once meterEvery elapsed.
-func TestMeterThrottleOverTime(t *testing.T) {
-	rl, buf := startMeter(t, ProgressAuto, false, 3)
-	rl.Cell(runlog.Cell{Index: 0, Status: "ok"})
-	// Backdate the last draw beyond the throttle window; the next cell must
-	// draw again without real sleeping.
-	rl.mu.Lock()
-	rl.lastDraw = rl.lastDraw.Add(-2 * meterEvery)
-	rl.mu.Unlock()
-	rl.Cell(runlog.Cell{Index: 1, Status: "ok"})
-	if got := strings.Count(buf.String(), "\n"); got != 2 {
-		t.Fatalf("got %d draws after backdating, want 2:\n%q", got, buf.String())
-	}
-	if err := rl.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -359,44 +385,6 @@ func TestVisitedFlags(t *testing.T) {
 	}
 }
 
-// TestMeterRestoredCells pins resume-aware progress: restored cells advance
-// done and show a restored= count, but contribute neither to the rate/ETA
-// nor to the wall-time quantiles — a resumed run must not report an absurd
-// cells/s from instantly-replayed checkpoints.
-func TestMeterRestoredCells(t *testing.T) {
-	rl, buf := startMeter(t, ProgressAuto, false, 4)
-	for i := 0; i < 3; i++ {
-		rl.Cell(runlog.Cell{Index: i, ID: "fleet:x", Status: "ok", WallMS: 9999, Restored: true})
-	}
-	if rl.restored != 3 || rl.done != 3 {
-		t.Fatalf("restored=%d done=%d, want 3/3", rl.restored, rl.done)
-	}
-	if n := rl.wall.N(); n != 0 {
-		t.Fatalf("restored wall times leaked into the quantile sketch: n=%d", n)
-	}
-	// Only the first cell beat the redraw throttle; it already carries the
-	// restored count and — crucially — no rate line.
-	first := buf.String()
-	if !strings.Contains(first, "restored=1") {
-		t.Fatalf("meter line missing restored count:\n%q", first)
-	}
-	if strings.Contains(first, "cells/s") {
-		t.Fatalf("rate printed with zero fresh cells:\n%q", first)
-	}
-	// One fresh cell: rate now exists and is computed over fresh work only.
-	rl.Cell(runlog.Cell{Index: 3, ID: "fleet:x", Status: "ok", WallMS: 5})
-	if err := rl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fresh := rl.done - rl.restored; fresh != 1 {
-		t.Fatalf("fresh = %d, want 1", fresh)
-	}
-	final := buf.String()
-	if !strings.Contains(final, "restored=3") || !strings.Contains(final, "cells/s") {
-		t.Fatalf("final meter line missing restored count or rate:\n%q", final)
-	}
-}
-
 // TestCloseTruncatedLeavesCrashShape pins the interrupted-run contract: the
 // log ends after a final health snapshot with no summary record, so strict
 // validation refuses it and truncated validation accepts it — exactly like
@@ -404,7 +392,7 @@ func TestMeterRestoredCells(t *testing.T) {
 func TestCloseTruncatedLeavesCrashShape(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ndjson")
 	rf := &RunLogFlags{Out: path}
-	rl, err := rf.Start("testtool", 3, runlog.Manifest{Experiments: []string{"fleet:x"}, Seed: 1})
+	rl, err := rf.Start("testtool", 3, runlog.Manifest{Experiments: []string{"fleet:x"}, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +432,7 @@ func TestMeterWallQuantiles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ndjson")
 	rf := &RunLogFlags{Out: path}
 	const n = 400
-	rl, err := rf.Start("testtool", n, runlog.Manifest{Experiments: []string{"fig3a"}, Seed: 1})
+	rl, err := rf.Start("testtool", n, runlog.Manifest{Experiments: []string{"fig3a"}, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +442,7 @@ func TestMeterWallQuantiles(t *testing.T) {
 		walls[i] = 2 + math.Pow(float64((i*7919)%n), 2)/80
 		rl.Cell(runlog.Cell{Index: i, ID: "fig3a", Trial: i, Status: "ok", WallMS: walls[i]})
 	}
-	if err := rl.Close(); err != nil {
+	if err := rl.Close(nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -486,4 +474,29 @@ func TestMeterWallQuantiles(t *testing.T) {
 			t.Errorf("wall %s = %.3f, exact %.3f: relative error %.4f > 6.25%%", c.name, c.got, c.exact, rel)
 		}
 	}
+}
+
+// TestStartClosesTelemetryOnLogError pins the error path: when the -runlog
+// file cannot be created, Start must not leave the -telemetry listener it
+// already bound open — the port can be bound again right away.
+func TestStartClosesTelemetryOnLogError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	rf := &RunLogFlags{
+		Out:       filepath.Join(t.TempDir(), "missing", "run.ndjson"),
+		Telemetry: addr,
+	}
+	if rl, err := rf.Start("testtool", 1, runlog.Manifest{}, nil); err == nil {
+		rl.Close(nil)
+		t.Fatal("Start succeeded with an uncreatable -runlog path")
+	}
+	again, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("telemetry listener leaked: %v", err)
+	}
+	again.Close()
 }

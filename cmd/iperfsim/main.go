@@ -50,7 +50,7 @@ func main() {
 		Trials:       1,
 		Parallel:     1,
 		FaultPlan:    *faults,
-	})
+	}, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iperfsim:", err)
 		os.Exit(1)
@@ -88,7 +88,7 @@ func main() {
 		}
 		rl.Cell(cell)
 	}
-	if err := rl.Close(); err != nil {
+	if err := rl.Close(nil); err != nil {
 		fmt.Fprintln(os.Stderr, "iperfsim:", err)
 		os.Exit(1)
 	}

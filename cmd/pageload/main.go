@@ -88,7 +88,7 @@ func main() {
 		Trials:       1,
 		Parallel:     1,
 		FaultPlan:    *faults,
-	})
+	}, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pageload:", err)
 		os.Exit(1)
@@ -109,7 +109,7 @@ func main() {
 		cell.FaultsRecovered = int64(m.LookupCounter("fault.recovered").Value())
 	}
 	rl.Cell(cell)
-	if err := rl.Close(); err != nil {
+	if err := rl.Close(nil); err != nil {
 		fmt.Fprintln(os.Stderr, "pageload:", err)
 		os.Exit(1)
 	}

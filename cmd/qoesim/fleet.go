@@ -117,7 +117,7 @@ func runFleet(parent context.Context, o fleetOpts) int {
 
 	manifest := plan.Manifest
 	manifest.Parallel = o.parallel
-	rl, err := o.rlf.Start("qoesim", spec.Shards, manifest)
+	obs, err := o.rlf.Start("qoesim", spec.Shards, manifest, nil)
 	if err != nil {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		return exitFailed
@@ -144,7 +144,7 @@ func runFleet(parent context.Context, o fleetOpts) int {
 	}
 
 	start := time.Now()
-	// One run-log cell per shard, in shard order (rl is nil-safe).
+	// One run-log cell per shard, in shard order (obs is nil-safe).
 	res := engine.RunFleet(ctx, r, restored, fleet.Options{
 		Parallel:     o.parallel,
 		ShardTimeout: o.shardTimeout,
@@ -152,7 +152,7 @@ func runFleet(parent context.Context, o fleetOpts) int {
 		StopAfter:    o.stopAfter,
 		OnComplete:   cp.WriteShard,
 		Progress:     progress,
-	}, rl.Cell)
+	}, obs.Cell)
 
 	state := fleet.RunState{
 		Completed: res.Completed, Restored: res.Restored,
@@ -163,7 +163,7 @@ func runFleet(parent context.Context, o fleetOpts) int {
 		if err := cp.WriteState(state); err != nil {
 			fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		}
-		if cerr := rl.CloseTruncated(); cerr != nil {
+		if cerr := obs.CloseTruncated(); cerr != nil {
 			fmt.Fprintf(o.stderr, "qoesim: runlog: %v\n", cerr)
 		}
 		fmt.Fprintf(o.stderr, "qoesim: fleet %s interrupted: %d/%d shards checkpointed in %s (%v); resume with: qoesim -fleet %s -checkpoint %s -resume\n",
@@ -193,7 +193,7 @@ func runFleet(parent context.Context, o fleetOpts) int {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		exit = exitFailed
 	}
-	if cerr := rl.Close(); cerr != nil {
+	if cerr := obs.Close(nil); cerr != nil {
 		fmt.Fprintf(o.stderr, "qoesim: runlog: %v\n", cerr)
 		exit = exitFailed
 	}

@@ -40,7 +40,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -52,38 +51,22 @@ import (
 	"time"
 
 	"mobileqoe/cmd/internal/obsflag"
-	"mobileqoe/internal/atomicfile"
 	"mobileqoe/internal/engine"
 	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/profile"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
-	"mobileqoe/internal/scenario"
 	"mobileqoe/internal/trace"
 )
 
-// writeTrace flushes the tracer to a Chrome trace-event JSON file.
-func writeTrace(path string, tr *trace.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// splitOut splits an output path at its last dot into stem and extension
+// (no dot: extension ".json"), the base the per-cell trace files are named
+// from.
+func splitOut(out string) (stem, ext string) {
+	if i := strings.LastIndexByte(out, '.'); i > strings.LastIndexByte(out, '/') {
+		return out[:i], out[i:]
 	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeTraceAtomic renders the trace in memory and lands it with a tmp+
-// rename, for files a monitoring pipeline may read while the run is live
-// (exemplar dumps referenced from the run log).
-func writeTraceAtomic(path string, tr *trace.Tracer) error {
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		return err
-	}
-	return atomicfile.Write(path, buf.Bytes(), 0o644)
+	return out, ".json"
 }
 
 // traceSink hands a fresh tracer to every (experiment, trial) cell, so a
@@ -109,13 +92,10 @@ func (s *traceSink) factory(id string, trial int) *trace.Tracer {
 }
 
 // writeAll writes one file per cell. Naming: <stem>.trial<N><ext> for a
-// single experiment, <stem>.<id>.trial<N><ext> when several ran; stem/ext
-// split the -trace argument at its last dot (no dot: ext ".json").
+// single experiment, <stem>.<id>.trial<N><ext> when several ran (see
+// splitOut).
 func (s *traceSink) writeAll(out string, ids []string, trials int) error {
-	stem, ext := out, ".json"
-	if i := strings.LastIndexByte(out, '.'); i > strings.LastIndexByte(out, '/') {
-		stem, ext = out[:i], out[i:]
-	}
+	stem, ext := splitOut(out)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range ids {
@@ -128,7 +108,7 @@ func (s *traceSink) writeAll(out string, ids []string, trials int) error {
 			if len(ids) > 1 {
 				path = fmt.Sprintf("%s.%s.trial%d%s", stem, id, t, ext)
 			}
-			if err := writeTrace(path, tr); err != nil {
+			if err := tr.WriteFile(path); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "qoesim: wrote %d trace events to %s\n", tr.Len(), path)
@@ -139,20 +119,17 @@ func (s *traceSink) writeAll(out string, ids []string, trials int) error {
 
 // writeExemplars writes the top-K worst-cell traces retained by -exemplars
 // and their references: one runlog exemplar record per file (ranks ascending,
-// before the summary — rl is nil-safe) plus a stderr tail line. Naming:
-// <stem>.exemplar.<id>.trial<N><ext>, stem/ext split from out at its last dot.
-func writeExemplars(ex *runner.Exemplars, out string, rl *obsflag.RunLog) int {
-	stem, ext := out, ".json"
-	if i := strings.LastIndexByte(out, '.'); i > strings.LastIndexByte(out, '/') {
-		stem, ext = out[:i], out[i:]
-	}
+// before the summary — obs is nil-safe) plus a stderr tail line. Naming:
+// <stem>.exemplar.<id>.trial<N><ext> (see splitOut).
+func writeExemplars(ex *runner.Exemplars, out string, obs *engine.Observer) int {
+	stem, ext := splitOut(out)
 	for rank, c := range ex.Kept() {
 		path := fmt.Sprintf("%s.exemplar.%s.trial%d%s", stem, c.ID, c.Trial, ext)
-		if err := writeTraceAtomic(path, c.Tracer); err != nil {
+		if err := c.Tracer.WriteFile(path); err != nil {
 			fmt.Fprintf(os.Stderr, "qoesim: %v\n", err)
 			return 1
 		}
-		rl.Exemplar(runlog.Exemplar{Rank: rank, Index: c.Index, ID: c.ID, Trial: c.Trial,
+		obs.Exemplar(runlog.Exemplar{Rank: rank, Index: c.Index, ID: c.ID, Trial: c.Trial,
 			Seed: c.Seed, Metric: ex.Metric(), Value: c.Value, Path: path})
 		fmt.Fprintf(os.Stderr, "qoesim: exemplar %d: %s trial %d %s=%g → %s\n",
 			rank, c.ID, c.Trial, ex.Metric(), c.Value, path)
@@ -323,8 +300,14 @@ func realMain() int {
 	if *call != 0 {
 		cfg.CallDuration = *call
 	}
-	cfg.Metrics = *metrics
-	cfg.MetricsMode = histMode
+	// Compose already turned collection on, with bounded histograms, for a
+	// scenario's slo: block; an explicit -metricsmode still wins.
+	if *metrics {
+		cfg.Metrics = true
+	}
+	if modeSet {
+		cfg.MetricsMode = histMode
+	}
 	if rlf.Out != "" || rlf.Telemetry != "" {
 		// A run log mines per-cell registries for the deterministic fields
 		// (virtual time, fault counts), and -telemetry folds them into the
@@ -342,22 +325,10 @@ func realMain() int {
 		}
 		cfg.Faults = fp
 	}
-	scn := plan.Scenario // non-nil for -scenario runs: SLO rules, manifest
 	if *check {
 		// The checker cross-validates the trace against the metrics registry,
 		// so it needs both channels on.
 		cfg.Metrics = true
-	}
-	var wd *scenario.Watchdog
-	if scn != nil && len(scn.SLO) > 0 {
-		wd = scenario.NewWatchdog(scn.SLO)
-		// The watchdog reads each cell's registry; quantile rules on histogram
-		// metrics additionally need the bounded sketches, so upgrade the
-		// default scalar mode (an explicit -metricsmode wins).
-		cfg.Metrics = true
-		if !modeSet && cfg.MetricsMode == trace.HistScalar {
-			cfg.MetricsMode = trace.HistBounded
-		}
 	}
 
 	// Trace wiring. Analysis flags (-profile/-folded/-checktrace) consume the
@@ -461,7 +432,7 @@ func realMain() int {
 	if *faults != "" {
 		manifest.FaultPlan = *faults
 	}
-	rl, err := rlf.Start("qoesim", totalCells, manifest)
+	obs, err := rlf.Start("qoesim", totalCells, manifest, plan.SLO())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "qoesim: %v\n", err)
 		return 1
@@ -480,44 +451,23 @@ func realMain() int {
 			}
 		}
 	}
-	ropts := engine.ExecOpts{Parallel: *parallel, Timeout: *timeout, Retries: *retries,
+	ropts := runner.Options{Parallel: *parallel, Timeout: *timeout, Retries: *retries,
 		Progress: progress}
-	// Stream delivers cells in deterministic cell order, which is what gives
-	// the log its monotonic indexes and the watchdog its reproducible alerts.
-	if rl != nil {
-		ropts.Stream = rl.CellEvent
-	}
-	if wd != nil {
-		innerStream := ropts.Stream
-		ropts.Stream = func(ev runner.Event) {
-			if innerStream != nil {
-				innerStream(ev) // cell record lands before any alert referencing it
-			}
-			if ev.Err != nil || ev.Table == nil || ev.Table.Metrics == nil {
-				return
-			}
-			for _, a := range wd.ObserveCell(ev.Index, ev.ID, ev.Trial, ev.Table.Metrics) {
-				rl.Alert(a)
-				fmt.Fprintf(os.Stderr, "qoesim: slo alert: %s %s threshold %g observed %g (cell %s trial %d, n=%d)\n",
-					a.Metric, a.Rule, a.Threshold, a.Value, a.CellID, a.Trial, a.N)
-			}
-		}
+	if obs != nil {
+		ropts.Stream = obs.Stream
 	}
 	start := time.Now()
 	results, err := engine.ExecutePlan(context.Background(), plan, ropts)
 	exit := 0
 	if ex != nil {
-		if code := writeExemplars(ex, *exemOut, rl); code != 0 {
+		if code := writeExemplars(ex, *exemOut, obs); code != 0 {
 			exit = code
 		}
 	}
-	if wd != nil && wd.Violations() > 0 {
-		fmt.Fprintf(os.Stderr, "qoesim: slo: %d rule(s) violated\n", wd.Violations())
-		if rlf.SLOExit {
-			exit = 1
-		}
+	if rlf.SLOExit && obs.Violations() > 0 {
+		exit = 1
 	}
-	if cerr := rl.Close(); cerr != nil {
+	if cerr := obs.Close(err); cerr != nil {
 		fmt.Fprintf(os.Stderr, "qoesim: runlog: %v\n", cerr)
 		exit = 1
 	}
@@ -554,7 +504,7 @@ func realMain() int {
 		}
 	}
 	if tracer != nil && *traceOut != "" {
-		if err := writeTrace(*traceOut, tracer); err != nil {
+		if err := tracer.WriteFile(*traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "qoesim: %v\n", err)
 			return 1
 		}

@@ -60,7 +60,7 @@ func main() {
 		SeedSchedule: "one cell per suite workload; pricing is analytic (no seeded randomness)",
 		Trials:       1,
 		Parallel:     1,
-	})
+	}, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "regexdsp:", err)
 		os.Exit(1)
@@ -122,7 +122,7 @@ func main() {
 		rl.Cell(runlog.Cell{Index: i, ID: w.name, Status: "ok",
 			WallMS: float64(time.Since(cellStart)) / float64(time.Millisecond)})
 	}
-	if err := rl.Close(); err != nil {
+	if err := rl.Close(nil); err != nil {
 		fmt.Fprintln(os.Stderr, "regexdsp:", err)
 		os.Exit(1)
 	}

@@ -13,8 +13,11 @@
 //
 // The cache is trivially correct because runs are pure: a table is a
 // deterministic function of (document, normalized config, code version).
-// Anything that makes a run impure — tracing, watchdogs, metrics printing —
-// lives above ExecutePlan in the CLI, which does not use the result cache.
+// Observation never feeds back into a table: every run — qoesim, the
+// simple CLIs, and served jobs — writes its run log, meter, telemetry and
+// SLO alerts through one Observer on runner.Options.Stream. What makes a
+// run impure — tracing, metrics printing — lives above ExecutePlan in the
+// CLI, which does not use the result cache.
 package engine
 
 import (
@@ -28,35 +31,19 @@ import (
 
 	"mobileqoe/internal/cache"
 	"mobileqoe/internal/fleet"
-	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
 	"mobileqoe/internal/trace"
 )
 
-// ExecOpts tune one plan execution.
-type ExecOpts struct {
-	Parallel int           // runner workers; <= 0 means GOMAXPROCS
-	Timeout  time.Duration // wall-clock cap; 0 = none
-	Retries  int           // extra attempts per failed cell
-	Progress func(runner.Event)
-	Stream   func(runner.Event)
-}
-
-// ExecutePlan runs a composed experiment/scenario plan on the worker pool.
-// Fleet plans execute through Engine (they need the fleet supervisor);
-// passing one here is an error.
-func ExecutePlan(ctx context.Context, p *Plan, opts ExecOpts) ([]runner.Result, error) {
+// ExecutePlan runs a composed experiment/scenario plan on the worker pool;
+// opts.Resolve is the plan's. Fleet plans execute through Engine (they need
+// the fleet supervisor); passing one here is an error.
+func ExecutePlan(ctx context.Context, p *Plan, opts runner.Options) ([]runner.Result, error) {
 	if p.Kind == "fleet" {
 		return nil, errors.New("engine: fleet plans execute through Engine.Run, not ExecutePlan")
 	}
-	return runner.Run(ctx, p.IDs, p.Cfg, runner.Options{
-		Parallel: opts.Parallel,
-		Timeout:  opts.Timeout,
-		Retries:  opts.Retries,
-		Progress: opts.Progress,
-		Stream:   opts.Stream,
-		Resolve:  p.Resolve,
-	})
+	opts.Resolve = p.Resolve
+	return runner.Run(ctx, p.IDs, p.Cfg, opts)
 }
 
 // RenderResults renders merged tables exactly as qoesim prints them (ASCII
@@ -525,90 +512,63 @@ func (e *Engine) execute(j *Job) {
 	j.finish(Done, out, nil)
 }
 
-// runPlan executes the job's plan and writes its NDJSON progress log.
+// runPlan executes the job's plan, writing its run log through one
+// Observer into the job's FollowBuf.
 func (e *Engine) runPlan(ctx context.Context, j *Job) ([]byte, error) {
+	total := len(j.plan.IDs) * j.plan.Manifest.Trials
 	if j.plan.Kind == "fleet" {
-		return e.runFleet(ctx, j)
+		total = j.plan.FleetSpec.Shards
 	}
-	defer j.log.Close()
-	w := runlog.NewWriter(j.log)
-	m := j.plan.Manifest
-	m.Stamp(e.cfg.Tool, e.cfg.Parallel, time.Now())
-	if err := w.Manifest(m); err != nil {
-		return nil, err
-	}
-	ok, failed := 0, 0
-	start := time.Now()
-	results, err := ExecutePlan(ctx, j.plan, ExecOpts{
-		Parallel: e.cfg.Parallel,
-		Retries:  e.cfg.Retries,
-		Stream: func(ev runner.Event) {
-			if ev.Err != nil {
-				failed++
-			} else {
-				ok++
-			}
-			w.Cell(ev.Cell())
-		},
-	})
-	status := "ok"
-	if err != nil || failed > 0 {
-		status = "failed"
-	}
-	w.Summary(runlog.Summary{
-		CellsOK: ok, CellsFailed: failed,
-		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Status: status,
-	})
+	obs, err := e.observe(j, e.cfg.Parallel, total)
 	if err != nil {
 		return nil, err
 	}
-	out, rerr := RenderResults(results, j.Req.CSV)
-	if rerr != nil {
-		return nil, rerr
+	var out []byte
+	if j.plan.Kind == "fleet" {
+		out, err = e.runFleet(ctx, j, obs)
+	} else {
+		var results []runner.Result
+		results, err = ExecutePlan(ctx, j.plan, runner.Options{
+			Parallel: e.cfg.Parallel,
+			Retries:  e.cfg.Retries,
+			Stream:   obs.Stream,
+		})
+		if err == nil {
+			out, err = RenderResults(results, j.Req.CSV)
+		}
+	}
+	obs.Close(err) // writes into the job's FollowBuf, which cannot fail
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// observe starts the Observer writing job j's run log.
+func (e *Engine) observe(j *Job, parallel, total int) (*Observer, error) {
+	m := j.plan.Manifest
+	m.Parallel = parallel
+	return NewObserver(e.cfg.Tool, total, m, j.plan.SLO(), Sinks{Log: j.log})
 }
 
 // runFleet executes a fleet plan checkpoint-free: the engine serves the
 // merged table, durability is the result cache. Interruption or shard
 // failure fails the job (and is not cached).
-func (e *Engine) runFleet(ctx context.Context, j *Job) ([]byte, error) {
-	defer j.log.Close()
+func (e *Engine) runFleet(ctx context.Context, j *Job, obs *Observer) ([]byte, error) {
 	spec := j.plan.FleetSpec
 	r, err := spec.Compile()
 	if err != nil {
 		return nil, err
 	}
-	w := runlog.NewWriter(j.log)
-	m := j.plan.Manifest
-	m.Stamp(e.cfg.Tool, e.cfg.Parallel, time.Now())
-	if err := w.Manifest(m); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := RunFleet(ctx, r, nil, fleet.Options{Parallel: e.cfg.Parallel, Retries: e.cfg.Retries},
-		func(c runlog.Cell) { w.Cell(c) })
-	ok := res.Completed + res.Restored
-	status := "ok"
-	var ferr error
+	res := RunFleet(ctx, r, nil, fleet.Options{Parallel: e.cfg.Parallel, Retries: e.cfg.Retries}, obs.Cell)
 	switch {
 	case res.Interrupted:
-		status = "failed"
-		ferr = fmt.Errorf("engine: fleet %s interrupted: %w", spec.Name, ctx.Err())
+		return nil, fmt.Errorf("engine: fleet %s interrupted: %w", spec.Name, ctx.Err())
 	case res.Failed > 0 || res.Skipped > 0:
-		status = "failed"
-		ferr = fmt.Errorf("engine: fleet %s: %d shards failed, %d skipped", spec.Name, res.Failed, res.Skipped)
+		ferr := fmt.Errorf("engine: fleet %s: %d shards failed, %d skipped", spec.Name, res.Failed, res.Skipped)
 		if len(res.Failures) > 0 {
 			ferr = fmt.Errorf("%w (first: shard %d: %v)", ferr, res.Failures[0].Shard, res.Failures[0].Err)
 		}
-	}
-	w.Summary(runlog.Summary{
-		CellsOK: ok, CellsFailed: res.Failed + res.Skipped,
-		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Status: status,
-	})
-	if ferr != nil {
 		return nil, ferr
 	}
 	return RenderFleet(spec, res.Merged, j.Req.CSV), nil
@@ -617,12 +577,8 @@ func (e *Engine) runFleet(ctx context.Context, j *Job) ([]byte, error) {
 // writeCachedLog fills a cache-served job's log: a manifest and an
 // immediate summary, no cells (nothing executed).
 func (e *Engine) writeCachedLog(j *Job) {
-	defer j.log.Close()
-	w := runlog.NewWriter(j.log)
-	m := j.plan.Manifest
-	m.Stamp(e.cfg.Tool, 0, time.Now())
-	if w.Manifest(m) == nil {
-		w.Summary(runlog.Summary{Status: "ok"})
+	if obs, err := e.observe(j, 0, 0); err == nil {
+		obs.Close(nil)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/runner"
 	"mobileqoe/internal/telemetry"
 	"mobileqoe/internal/trace"
 )
@@ -56,7 +57,7 @@ func sequentialReference(t *testing.T, req Request) []byte {
 	if err != nil {
 		t.Fatalf("Compose: %v", err)
 	}
-	results, err := ExecutePlan(context.Background(), p, ExecOpts{Parallel: 1})
+	results, err := ExecutePlan(context.Background(), p, runner.Options{Parallel: 1})
 	if err != nil {
 		t.Fatalf("ExecutePlan: %v", err)
 	}
@@ -179,7 +180,7 @@ func TestExecutePlanRejectsFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecutePlan(context.Background(), p, ExecOpts{}); err == nil {
+	if _, err := ExecutePlan(context.Background(), p, runner.Options{}); err == nil {
 		t.Fatal("fleet plan accepted by ExecutePlan")
 	}
 }

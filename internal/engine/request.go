@@ -14,6 +14,7 @@ import (
 	"mobileqoe/internal/fleet"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/scenario"
+	"mobileqoe/internal/trace"
 )
 
 // Request is one unit of work: an experiment id, an inline scenario
@@ -70,8 +71,11 @@ type Plan struct {
 	// IDs are the registry ids to run (empty for fleet plans).
 	IDs []string
 	// Cfg is the UN-normalized config for runner.Run, which applies
-	// WithDefaults exactly once. Callers may attach observability (tracing,
-	// metrics, faults) before executing; doing so makes the output impure —
+	// WithDefaults exactly once. Compose turns metrics collection on (with
+	// bounded histograms) for a scenario with an slo: block, whose watchdog
+	// reads every cell's registry; collection never changes a rendered
+	// table. Callers may attach more observability (tracing, metrics
+	// printing, faults) before executing; doing so makes the output impure —
 	// never result-cache such a run.
 	Cfg experiments.Config
 	// Resolve maps ad-hoc ids (the scenario's) to their runners without
@@ -184,6 +188,12 @@ func Compose(req Request, opt ComposeOptions) (*Plan, error) {
 		if p.Cfg.Trials == 0 && sc.Trials > 0 {
 			p.Cfg.Trials = sc.Trials
 		}
+		if len(sc.SLO) > 0 {
+			// The SLO watchdog reads each cell's registry, and quantile
+			// rules on histogram metrics need the bounded sketches.
+			p.Cfg.Metrics = true
+			p.Cfg.MetricsMode = trace.HistBounded
+		}
 		p.Scenario = sc
 		p.DocSHA256 = sc.SourceSHA256
 		id := sc.RegistryID()
@@ -248,6 +258,14 @@ func Compose(req Request, opt ComposeOptions) (*Plan, error) {
 		p.Manifest.Scenario = req.FleetPath
 	}
 	return p, nil
+}
+
+// SLO returns the scenario's slo: block, nil for plans without one.
+func (p *Plan) SLO() map[string]scenario.Rule {
+	if p.Scenario == nil {
+		return nil
+	}
+	return p.Scenario.SLO
 }
 
 func faultPlanRef(p *Plan) string {

@@ -32,13 +32,15 @@ func (b *FollowBuf) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Close marks the log complete. Further writes are a programming error
-// (the runlog.Writer's summary-last discipline already enforces this).
-func (b *FollowBuf) Close() {
+// Close marks the log complete; it never fails and may be called again.
+// Further writes are a programming error (the runlog.Writer's
+// summary-last discipline already enforces this).
+func (b *FollowBuf) Close() error {
 	b.mu.Lock()
 	b.closed = true
 	b.wakeLocked()
 	b.mu.Unlock()
+	return nil
 }
 
 func (b *FollowBuf) wakeLocked() {

@@ -386,8 +386,9 @@ type Counts struct {
 // Validate strictly checks an NDJSON run log: one JSON object per line, a
 // schema-compatible manifest first, only known record types with only known
 // fields (json.Decoder.DisallowUnknownFields), cell indexes strictly
-// increasing, a closing summary, and nothing after it. Errors name the
-// 1-based line.
+// increasing, a closing summary whose cell and SLO counts match the log's
+// cell and alert records, and nothing after it. Errors name the 1-based
+// line.
 func Validate(r io.Reader) (Counts, error) { return validate(r, false) }
 
 // ValidateTruncated checks a log the producing process never got to close —
@@ -537,8 +538,15 @@ func validate(r io.Reader, truncated bool) (Counts, error) {
 	if torn != nil {
 		c.TornTail = true
 	}
-	if !c.HasSummary && !truncated {
+	if truncated {
+		return c, nil
+	}
+	if !c.HasSummary {
 		return c, errors.New("runlog: missing closing summary (crashed or killed run? use runlogcheck -truncated)")
+	}
+	if s := c.Summary; s.CellsOK != c.CellsOK || s.CellsFailed != c.CellsFailed || s.SLOViolations != c.Alerts {
+		return c, fmt.Errorf("runlog: summary says cells_ok=%d cells_failed=%d slo_violations=%d, the log holds %d ok cells, %d failed cells, %d alerts",
+			s.CellsOK, s.CellsFailed, s.SLOViolations, c.CellsOK, c.CellsFailed, c.Alerts)
 	}
 	return c, nil
 }

@@ -137,6 +137,11 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"alert without rule", lines[0] + "\n" + `{"type":"alert","metric":"m","rule":"","value":1,"cell_index":0,"trial":0}` + "\n", "alert without metric/rule"},
 		{"exemplar without metric", lines[0] + "\n" + `{"type":"exemplar","rank":0,"index":0,"id":"x","trial":0,"seed":1,"metric":"","value":1}` + "\n", "exemplar without metric"},
 		{"exemplar rank gap", lines[0] + "\n" + `{"type":"exemplar","rank":1,"index":0,"id":"x","trial":0,"seed":1,"metric":"m","value":1}` + "\n", "ranks ascend"},
+		// The summary must agree with the records it closes: a served fleet
+		// job once logged 12 error cells under "cells_failed":0.
+		{"summary undercounts failures", strings.Replace(good, `"cells_failed":1`, `"cells_failed":0`, 1), "summary says"},
+		{"summary overcounts ok cells", strings.Replace(good, `"cells_ok":3`, `"cells_ok":4`, 1), "summary says"},
+		{"summary omits violations", strings.Replace(good, `,"slo_violations":1`, ``, 1), "summary says"},
 	}
 	for _, c := range cases {
 		_, err := Validate(strings.NewReader(c.log))

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"mobileqoe/internal/stats"
 	"mobileqoe/internal/trace"
 )
 
@@ -38,11 +37,6 @@ type ExemplarCell struct {
 // value (sim.virtual_ms — virtual time consumed); a histogram metric ranks by
 // its per-cell Max (browser.plt_ms — slowest page in the cell). Cells that
 // failed, or never recorded the metric, are never exemplars.
-//
-// Alongside the top-K, a stats.Exemplars keyed by the metric's sketch buckets
-// maps any sketch-derived estimate (a p99 read off a merged HistSketch) to a
-// representative cell label via Nearest — the link from a tail quantile to a
-// replayable trace.
 type Exemplars struct {
 	mu      sync.Mutex
 	k       int
@@ -50,7 +44,6 @@ type Exemplars struct {
 	inner   func(id string, trial int) *trace.Tracer
 	pending map[string]*trace.Tracer
 	kept    []ExemplarCell
-	reps    stats.Exemplars
 }
 
 // NewExemplars retains the k worst cells by metric. inner, when non-nil, is
@@ -104,7 +97,6 @@ func (e *Exemplars) Observe(ev Event) {
 	if !ok {
 		return
 	}
-	e.reps.Observe(v, fmt.Sprintf("%s/trial%d", ev.ID, ev.Trial))
 	e.kept = append(e.kept, ExemplarCell{Index: ev.Index, ID: ev.ID, Trial: ev.Trial,
 		Seed: ev.Seed, Value: v, Tracer: tr})
 	sort.Slice(e.kept, func(i, j int) bool {
@@ -141,14 +133,6 @@ func (e *Exemplars) Kept() []ExemplarCell {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]ExemplarCell(nil), e.kept...)
-}
-
-// Nearest maps a sketch-derived estimate (a merged-histogram p99) to the
-// representative cell label of its value bucket — see stats.Exemplars.Nearest.
-func (e *Exemplars) Nearest(v float64) (stats.Rep, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.reps.Nearest(v)
 }
 
 // Retained reports how many tracers the collector currently references

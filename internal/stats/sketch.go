@@ -87,6 +87,22 @@ func (s *sketchSide) observe(mag float64) {
 	}
 }
 
+// posBucket maps a positive magnitude to its geometric bucket index:
+// -1 for underflow, sketchBins for overflow, else [0, sketchBins).
+func posBucket(mag float64) int {
+	b := math.Float64bits(mag)
+	e := int(b>>52&0x7ff) - 1023 // subnormals: biased 0 → -1023 → underflow
+	switch {
+	case e < sketchMinExp:
+		return -1
+	case e >= sketchMaxExp:
+		return sketchBins
+	default:
+		sub := int(b>>(52-sketchSubBits)) & (sketchSubs - 1)
+		return (e-sketchMinExp)*sketchSubs + sub
+	}
+}
+
 // N returns the observation count.
 func (h *HistSketch) N() int64 { return h.n }
 

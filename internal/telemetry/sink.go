@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -108,10 +109,16 @@ func (s *Sink) Update(snapshot []byte) error {
 	return nil
 }
 
-// Close stops the HTTP listener (no-op for file sinks and nil sinks).
+// Close stops the HTTP listener (no-op for file sinks and nil sinks). The
+// port is free when it returns: the listener is closed here too, because
+// the serving goroutine may not have registered it with the server yet.
 func (s *Sink) Close() error {
 	if s == nil || s.srv == nil {
 		return nil
 	}
-	return s.srv.Close()
+	err := s.srv.Close()
+	if cerr := s.ln.Close(); err == nil && !errors.Is(cerr, net.ErrClosed) {
+		err = cerr
+	}
+	return err
 }

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"time"
+
+	"mobileqoe/internal/atomicfile"
 )
 
 // Chrome trace-event export. The JSON is written by hand, field by field in
@@ -33,6 +36,17 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// WriteFile renders the trace (see WriteJSON) and lands it at path
+// atomically, so a reader — a monitoring pipeline following the run log's
+// exemplar references — sees either no file or the whole trace.
+func (t *Tracer) WriteFile(path string) error {
+	var buf bytes.Buffer
+	if err := t.WriteJSON(&buf); err != nil {
+		return err
+	}
+	return atomicfile.Write(path, buf.Bytes(), 0o644)
 }
 
 // usec renders a virtual timestamp in microseconds with nanosecond

@@ -176,6 +176,12 @@ func (g *Graph) NodeDuration(n *Node, opts EvalOptions) time.Duration {
 // raster thread; fetches overlap freely at their (re-scaled) measured
 // durations. It returns the emulated page load time.
 func (g *Graph) EPLT(opts EvalOptions) time.Duration {
+	return g.schedule(opts, nil)
+}
+
+// schedule runs EPLT's list schedule, calling visit (when non-nil) with
+// each node's emulated interval in node order, and returns the makespan.
+func (g *Graph) schedule(opts EvalOptions, visit func(n *Node, start, end time.Duration)) time.Duration {
 	if opts.EffectiveRate <= 0 {
 		panic("wprof: EffectiveRate must be positive")
 	}
@@ -208,6 +214,9 @@ func (g *Graph) EPLT(opts EvalOptions) time.Duration {
 		}
 		if end > eplt {
 			eplt = end
+		}
+		if visit != nil {
+			visit(n, start, end)
 		}
 	}
 	return eplt
@@ -236,48 +245,16 @@ func (b Breakdown) Total() time.Duration {
 // the trace profiler's differential view ("is the gap the network or the
 // device?") and the subject of the package's property tests.
 func (g *Graph) EPLTBreakdown(opts EvalOptions) (time.Duration, Breakdown) {
-	if opts.EffectiveRate <= 0 {
-		panic("wprof: EffectiveRate must be positive")
-	}
 	type interval struct {
 		start, end time.Duration
 		network    bool
 	}
-	finish := make([]time.Duration, len(g.Nodes))
 	intervals := make([]interval, 0, len(g.Nodes))
-	var mainAvail, rasterAvail, eplt time.Duration
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		var start time.Duration
-		for _, d := range n.Deps {
-			if finish[d] > start {
-				start = finish[d]
-			}
-		}
-		switch {
-		case n.MainThread:
-			if mainAvail > start {
-				start = mainAvail
-			}
-		case n.Kind == browser.Decode:
-			if rasterAvail > start {
-				start = rasterAvail
-			}
-		}
-		end := start + g.NodeDuration(n, opts)
-		finish[i] = end
-		if n.MainThread {
-			mainAvail = end
-		} else if n.Kind == browser.Decode {
-			rasterAvail = end
-		}
-		if end > eplt {
-			eplt = end
-		}
+	eplt := g.schedule(opts, func(n *Node, start, end time.Duration) {
 		if end > start {
 			intervals = append(intervals, interval{start, end, n.Kind == browser.Fetch})
 		}
-	}
+	})
 
 	// Boundary sweep: sort interval edges and keep running counts of active
 	// network and compute intervals between consecutive boundaries.
