@@ -7,8 +7,8 @@
 // the one observer qoesim, pageload, iperfsim, regexdsp, and served jobs
 // all record their runs through.
 //
-// qoesim keeps its own trace wiring — its per-(experiment, trial) tracer
-// factory has no single flush point — but shares the -faults resolver and
+// qoesim keeps its own trace wiring — its cells trace on private tracers
+// that the runner hands back per cell — but shares the -faults resolver and
 // the observation flags, and its flag spellings match the ones registered
 // here.
 package obsflag

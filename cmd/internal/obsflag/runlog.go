@@ -101,13 +101,16 @@ type RunLogFlags struct {
 	// own private registries), the observer folds completed cells into its
 	// own aggregate instead.
 	regSrc func() *trace.Metrics
+	// fs is the flag set RegisterRunLog installed on, whose explicitly-set
+	// flags Start snapshots into the manifest.
+	fs *flag.FlagSet
 }
 
 // RegisterRunLog installs -runlog, -progress, -telemetry, and -slo-exit on
 // fs. It is part of Register; qoesim, which owns its flag set, calls it
 // directly.
 func RegisterRunLog(fs *flag.FlagSet) *RunLogFlags {
-	rf := &RunLogFlags{}
+	rf := &RunLogFlags{fs: fs}
 	fs.StringVar(&rf.Out, "runlog", "",
 		"write an NDJSON run log (manifest, per-cell records, health snapshots) to this file")
 	fs.Var(progressValue{&rf.Progress}, "progress",
@@ -126,8 +129,8 @@ func RegisterRunLog(fs *flag.FlagSet) *RunLogFlags {
 // receiver — every Observer method is nil-safe) when no flag was given and
 // there is no slo: block.
 //
-// Flags is filled from the explicitly-set flags of flag.CommandLine when
-// the caller left it empty. Everything else in the manifest — Experiments,
+// Flags is filled from the explicitly-set flags of the flag set
+// RegisterRunLog installed on when the caller left it empty. Everything else in the manifest — Experiments,
 // Seed, SeedSchedule, Trials, Parallel, Scenario — is the caller's
 // knowledge; the observer stamps tool, code version, and start time.
 func (rf *RunLogFlags) Start(tool string, total int, m runlog.Manifest, slo map[string]scenario.Rule) (*engine.Observer, error) {
@@ -153,8 +156,8 @@ func (rf *RunLogFlags) Start(tool string, total int, m runlog.Manifest, slo map[
 			return nil, err
 		}
 		s.Log = logFile{bufio.NewWriter(f), f}
-		if m.Flags == nil {
-			m.Flags = visitedFlags(flag.CommandLine)
+		if m.Flags == nil && rf.fs != nil {
+			m.Flags = visitedFlags(rf.fs)
 		}
 	}
 	return engine.NewObserver(tool, total, m, slo, s)

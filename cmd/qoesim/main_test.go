@@ -1,0 +1,100 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// tinyArgs shrinks the run so in-process tests stay fast.
+var tinyArgs = []string{"-pages", "1", "-clip", "5s", "-call", "2s"}
+
+// runCLI drives run the way main does, capturing stdout/stderr.
+func runCLI(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := run(append(append([]string{}, tinyArgs...), args...), &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestExemplarsComposeWithCheckTrace checks -exemplars no longer refuses the
+// analysis flags: both planes read the same per-cell tracers.
+func TestExemplarsComposeWithCheckTrace(t *testing.T) {
+	dir := t.TempDir()
+	code, _, stderr := runCLI(t, "-run", "fig3d", "-trials", "2", "-exemplars", "2",
+		"-exemplar-out", filepath.Join(dir, "x.json"), "-checktrace")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "trace invariants ok") {
+		t.Errorf("no checker verdict on stderr:\n%s", stderr)
+	}
+	for _, name := range []string{"x.exemplar.fig3d.trial0.json", "x.exemplar.fig3d.trial1.json"} {
+		if len(readFile(t, filepath.Join(dir, name))) == 0 {
+			t.Errorf("%s is empty", name)
+		}
+	}
+}
+
+// TestCombinedTraceIdenticalAcrossWorkers checks the combined trace is built
+// from per-cell tracers appended in cell order: the file is the same bytes
+// whether the cells ran on one worker or on four, and tracing no longer
+// forces the run onto one worker.
+func TestCombinedTraceIdenticalAcrossWorkers(t *testing.T) {
+	dir := t.TempDir()
+	seq, par := filepath.Join(dir, "s.json"), filepath.Join(dir, "c.json")
+	if code, _, stderr := runCLI(t, "-run", "fig3a", "-trials", "3", "-parallel", "1", "-trace", seq); code != 0 {
+		t.Fatalf("-parallel 1: exit %d\n%s", code, stderr)
+	}
+	code, _, stderr := runCLI(t, "-run", "fig3a", "-trials", "3", "-parallel", "4", "-profile", "-trace", par)
+	if code != 0 {
+		t.Fatalf("-parallel 4: exit %d\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "on 4 workers") {
+		t.Errorf("traced run did not keep its 4 workers:\n%s", stderr)
+	}
+	a, b := readFile(t, seq), readFile(t, par)
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("combined traces differ: %d bytes at -parallel 1, %d at -parallel 4", len(a), len(b))
+	}
+}
+
+// TestReportUsesRunResults checks -report renders the tables the run already
+// produced: with -run fig3a it holds only fig3a, and the run executes each
+// cell once (its trace equals a run without -report).
+func TestReportUsesRunResults(t *testing.T) {
+	dir := t.TempDir()
+	report := filepath.Join(dir, "r.md")
+	withReport, plain := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	code, stdout, stderr := runCLI(t, "-run", "fig3a", "-trials", "2", "-report", report, "-trace", withReport)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	if !strings.HasPrefix(stdout, "wrote "+report+"\n") {
+		t.Errorf("stdout does not start with the report path:\n%s", stdout)
+	}
+	if n := strings.Count(stderr, "] fig3a trial "); n != 2 {
+		t.Errorf("ran %d cells, want 2:\n%s", n, stderr)
+	}
+	md := string(readFile(t, report))
+	if n := strings.Count(md, "\n## "); n != 1 || !strings.Contains(md, "\n## fig3a — ") {
+		t.Errorf("report has %d sections, want only fig3a:\n%s", n, md)
+	}
+	if code, _, stderr := runCLI(t, "-run", "fig3a", "-trials", "2", "-trace", plain); code != 0 {
+		t.Fatalf("plain run: exit %d\n%s", code, stderr)
+	}
+	if !bytes.Equal(readFile(t, withReport), readFile(t, plain)) {
+		t.Error("-report changed the run's trace: the report ran its own pass")
+	}
+}

@@ -35,18 +35,10 @@ type Config struct {
 	// Trace, when non-nil, receives spans and counters from every system a
 	// trial builds (see internal/trace). The tracer is mutex-safe, but
 	// emission order across concurrently running cells is nondeterministic,
-	// so byte-identical traces require running the cells sequentially.
+	// so byte-identical traces need one tracer per cell: internal/runner
+	// gives each cell attempt a fresh one under Options.Trace, and
+	// trace.Tracer.Append combines them in cell order.
 	Trace *trace.Tracer
-
-	// TraceFactory, when non-nil, overrides Trace with a fresh tracer per
-	// (experiment, trial) cell: RunTrial calls it once at the start of each
-	// trial and attaches the returned tracer (nil disables tracing for that
-	// cell). Because every cell writes its own tracer, parallel multi-trial
-	// runs produce the same per-trial traces as sequential ones — this is how
-	// qoesim -trace -parallel N writes byte-identical out.trial<N>.json files.
-	// The factory is called from worker goroutines and must be safe for
-	// concurrent use.
-	TraceFactory func(id string, trial int) *trace.Tracer
 
 	// Metrics enables the per-trial metrics registry: each trial accumulates
 	// counters/histograms into a fresh registry attached to its Table (see
@@ -319,9 +311,6 @@ func RunTrialAttemptFn(id string, fn Runner, cfg Config, trial, attempt int) (*T
 		c.Seed = AttemptSeed(c.Seed, attempt)
 	}
 	c.Trials = 1
-	if c.TraceFactory != nil {
-		c.Trace = c.TraceFactory(id, trial)
-	}
 	if c.Metrics {
 		c.reg = trace.NewMetricsMode(c.MetricsMode)
 	}

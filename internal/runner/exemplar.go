@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -20,10 +19,10 @@ type ExemplarCell struct {
 }
 
 // Exemplars is the tail-based trace retention plane: every cell runs with a
-// tracer (Factory plugs into experiments.Config.TraceFactory), but only the
-// top-K worst cells by one registry metric keep theirs — the rest are
-// released as soon as the cell's rank is known, so retained memory is bounded
-// by K plus the in-flight worker count, never by the cell count.
+// tracer (Options.Trace), but only the top-K worst cells by one registry
+// metric keep theirs — the rest are released as soon as the cell's rank is
+// known, so retained memory is bounded by K plus the in-flight worker count,
+// never by the cell count.
 //
 // Observe hooks into Options.Progress (completion order), NOT Stream: ranking
 // by (value desc, index asc) is a pure function of the observed set, so
@@ -38,59 +37,35 @@ type ExemplarCell struct {
 // its per-cell Max (browser.plt_ms — slowest page in the cell). Cells that
 // failed, or never recorded the metric, are never exemplars.
 type Exemplars struct {
-	mu      sync.Mutex
-	k       int
-	metric  string
-	inner   func(id string, trial int) *trace.Tracer
-	pending map[string]*trace.Tracer
-	kept    []ExemplarCell
+	mu     sync.Mutex
+	k      int
+	metric string
+	kept   []ExemplarCell
 }
 
-// NewExemplars retains the k worst cells by metric. inner, when non-nil, is
-// the downstream tracer factory (a -trace sink wanting every cell's trace
-// regardless of rank); both consumers then share each cell's tracer. k < 1
-// and an empty metric are programming errors at the flag layer, clamped to
-// useful values here (k=1, sim.virtual_ms).
-func NewExemplars(k int, metric string, inner func(id string, trial int) *trace.Tracer) *Exemplars {
+// NewExemplars retains the k worst cells by metric. k < 1 and an empty
+// metric are programming errors at the flag layer, clamped to useful values
+// here (k=1, sim.virtual_ms).
+func NewExemplars(k int, metric string) *Exemplars {
 	if k < 1 {
 		k = 1
 	}
 	if metric == "" {
 		metric = "sim.virtual_ms"
 	}
-	return &Exemplars{k: k, metric: metric, inner: inner,
-		pending: map[string]*trace.Tracer{}}
+	return &Exemplars{k: k, metric: metric}
 }
 
 // Metric returns the ranking metric name.
 func (e *Exemplars) Metric() string { return e.metric }
 
-func cellKey(id string, trial int) string { return fmt.Sprintf("%s\x00%d", id, trial) }
-
-// Factory hands the cell its tracer; plug into experiments.Config.TraceFactory.
-// Safe for concurrent use (workers call it as cells start).
-func (e *Exemplars) Factory(id string, trial int) *trace.Tracer {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var tr *trace.Tracer
-	if e.inner != nil {
-		tr = e.inner(id, trial)
-	} else {
-		tr = trace.New()
-	}
-	e.pending[cellKey(id, trial)] = tr
-	return tr
-}
-
-// Observe ranks one completed cell and keeps or releases its tracer; hook
-// into Options.Progress. Calls arrive serialized on the collector goroutine.
+// Observe ranks one completed cell and keeps or drops its tracer
+// (ev.Trace); hook into Options.Progress of a run with Options.Trace set.
+// Calls arrive serialized on the collector goroutine.
 func (e *Exemplars) Observe(ev Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key := cellKey(ev.ID, ev.Trial)
-	tr := e.pending[key]
-	delete(e.pending, key)
-	if tr == nil || ev.Err != nil || ev.Table == nil {
+	if ev.Trace == nil || ev.Err != nil || ev.Table == nil {
 		return
 	}
 	v, ok := cellMetricValue(ev.Table.Metrics, e.metric)
@@ -98,7 +73,7 @@ func (e *Exemplars) Observe(ev Event) {
 		return
 	}
 	e.kept = append(e.kept, ExemplarCell{Index: ev.Index, ID: ev.ID, Trial: ev.Trial,
-		Seed: ev.Seed, Value: v, Tracer: tr})
+		Seed: ev.Seed, Value: v, Tracer: ev.Trace})
 	sort.Slice(e.kept, func(i, j int) bool {
 		a, b := e.kept[i], e.kept[j]
 		if a.Value != b.Value {
@@ -133,13 +108,4 @@ func (e *Exemplars) Kept() []ExemplarCell {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]ExemplarCell(nil), e.kept...)
-}
-
-// Retained reports how many tracers the collector currently references
-// (kept + in-flight) — the memory-bound invariant tests pin this to ≤ K once
-// the run has drained.
-func (e *Exemplars) Retained() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.kept) + len(e.pending)
 }

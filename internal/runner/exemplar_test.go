@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mobileqoe/internal/runner"
-	"mobileqoe/internal/trace"
 )
 
 // runExemplars executes a small multi-experiment sweep with top-K trace
@@ -16,12 +15,11 @@ func runExemplars(t *testing.T, k, parallel int) *runner.Exemplars {
 	cfg := quick()
 	cfg.Trials = 2
 	cfg.Metrics = true
-	ex := runner.NewExemplars(k, "sim.virtual_ms", nil)
-	cfg.TraceFactory = ex.Factory
+	ex := runner.NewExemplars(k, "sim.virtual_ms")
 	// fig99 is unknown: its cells fail, and failed cells must never be
 	// retained as exemplars.
 	_, err := runner.Run(context.Background(), []string{"fig3d", "fig99", "abl-hwdecoder"}, cfg,
-		runner.Options{Parallel: parallel, Progress: ex.Observe})
+		runner.Options{Parallel: parallel, Trace: true, Progress: ex.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,40 +69,11 @@ func TestExemplarsDeterministicAcrossParallel(t *testing.T) {
 // traces are released, not accumulated.
 func TestExemplarsMemoryBoundedByK(t *testing.T) {
 	ex := runExemplars(t, 1, 4)
-	if got := ex.Retained(); got != 1 {
-		t.Fatalf("retained %d tracers after the run, want 1", got)
-	}
 	kept := ex.Kept()
 	if len(kept) != 1 || kept[0].Value <= 0 {
 		t.Fatalf("kept = %+v, want the single worst cell", kept)
 	}
-}
-
-// TestExemplarsComposesWithInnerFactory checks the -trace + -exemplars
-// composition: the inner sink sees every cell's tracer, the exemplar plane
-// ranks the same shared tracers.
-func TestExemplarsComposesWithInnerFactory(t *testing.T) {
-	handed := 0
-	inner := func(id string, trial int) *trace.Tracer {
-		handed++
-		return trace.New()
-	}
-	cfg := quick()
-	cfg.Trials = 2
-	cfg.Metrics = true
-	ex := runner.NewExemplars(1, "", inner) // empty metric defaults to sim.virtual_ms
-	cfg.TraceFactory = ex.Factory
-	if _, err := runner.Run(context.Background(), []string{"fig3d"}, cfg,
-		runner.Options{Parallel: 1, Progress: ex.Observe}); err != nil {
-		t.Fatal(err)
-	}
-	if handed != 2 {
-		t.Fatalf("inner factory saw %d cells, want 2", handed)
-	}
 	if ex.Metric() != "sim.virtual_ms" {
-		t.Fatalf("default metric = %q", ex.Metric())
-	}
-	if kept := ex.Kept(); len(kept) != 1 || kept[0].Tracer.Len() == 0 {
-		t.Fatalf("kept = %+v, want one cell with a populated shared tracer", kept)
+		t.Fatalf("metric = %q", ex.Metric())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"mobileqoe/internal/fault"
@@ -31,20 +30,15 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 	ids := []string{"fig3d", "fig4a", "fig5b", "fig6", "text-regex", "abl-prefetch"}
 
 	run := func(parallel int) (map[string]string, map[string]string, map[string][]byte) {
-		var mu sync.Mutex
 		tracers := map[string]*trace.Tracer{}
 		cfg := tiny()
 		cfg.Trials = 2
 		cfg.Metrics = true
 		cfg.Faults = fault.Default()
-		cfg.TraceFactory = func(id string, trial int) *trace.Tracer {
-			tr := trace.New()
-			mu.Lock()
-			tracers[fmt.Sprintf("%s/%d", id, trial)] = tr
-			mu.Unlock()
-			return tr
-		}
-		res, err := runner.Run(context.Background(), ids, cfg, runner.Options{Parallel: parallel})
+		res, err := runner.Run(context.Background(), ids, cfg, runner.Options{Parallel: parallel,
+			Trace: true, Progress: func(ev runner.Event) {
+				tracers[fmt.Sprintf("%s/%d", ev.ID, ev.Trial)] = ev.Trace
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}

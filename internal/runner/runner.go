@@ -19,10 +19,11 @@ import (
 
 	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/trace"
 )
 
 // Options tune a Run. The zero value runs on GOMAXPROCS workers with no
-// timeout and no progress reporting.
+// timeout, no progress reporting, and no tracing.
 type Options struct {
 	// Parallel is the worker-goroutine count; <= 0 means GOMAXPROCS.
 	Parallel int
@@ -41,7 +42,9 @@ type Options struct {
 	// Progress, when non-nil, is called once per completed cell. Calls are
 	// serialized on the collecting goroutine in completion order, which is
 	// nondeterministic — progress is for reporting only and never feeds
-	// back into results.
+	// back into results. Under Trace, a Progress event carries the cell's
+	// tracer; a consumer that needs the tracers in cell order re-sequences
+	// them itself (NewInorder) and can drop each one once it is used.
 	Progress func(Event)
 	// Stream, when non-nil, is called once per completed cell in cell order
 	// — experiment-major, trial-minor, exactly the order results merge in —
@@ -62,8 +65,14 @@ type Options struct {
 	//
 	// Progress and Stream are both serialized on the collecting goroutine:
 	// a cell's Progress call happens before its Stream call, and neither
-	// feeds back into results.
+	// feeds back into results. Stream events never carry a tracer, so the
+	// reorder window holds no trace memory.
 	Stream func(Event)
+	// Trace gives every cell attempt a fresh tracer (experiments.Config.Trace)
+	// and hands the reported attempt's tracer to Progress as Event.Trace.
+	// Because each cell owns its tracer, a cell's trace is byte-identical at
+	// any worker count. Cells whose id does not resolve get no tracer.
+	Trace bool
 	// Resolve, when non-nil, maps an experiment id to its runner before the
 	// global registry is consulted; ids it declines (ok == false) fall back
 	// to the registry. This is how long-lived servers (internal/engine) run
@@ -94,7 +103,11 @@ type Event struct {
 	Err     error
 	// Table is the cell's result table (nil when Err != nil). Shared with
 	// the merge path — stream consumers must treat it as read-only.
-	Table   *experiments.Table
+	Table *experiments.Table
+	// Trace is the reported attempt's tracer under Options.Trace, on
+	// Progress events only (nil on Stream events, and for cells that never
+	// ran an attempt or whose id does not resolve).
+	Trace   *trace.Tracer
 	Elapsed time.Duration // host wall time: the only nondeterministic field
 }
 
@@ -158,25 +171,31 @@ func runCellAttempt(id string, fn experiments.Runner, cfg experiments.Config, tr
 }
 
 // runCell runs one cell to success or exhaustion: up to 1+retries attempts,
-// each under its derived attempt seed. Every returned error names the cell,
-// so a timed-out run reports which trials never started instead of a bare
-// context.DeadlineExceeded.
-func runCell(ctx context.Context, id string, fn experiments.Runner, cfg experiments.Config, trial, retries int) (*experiments.Table, int, error) {
+// each under its derived attempt seed and, when traced, on a fresh tracer,
+// so the returned tracer holds the reported attempt only. Every returned
+// error names the cell, so a timed-out run reports which trials never
+// started instead of a bare context.DeadlineExceeded.
+func runCell(ctx context.Context, id string, fn experiments.Runner, cfg experiments.Config, trial, retries int, traced bool) (*experiments.Table, int, *trace.Tracer, error) {
 	var err error
+	var tr *trace.Tracer
 	for attempt := 0; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
 			if err != nil {
-				return nil, attempt - 1, err // report the real failure, not the cutoff
+				return nil, attempt - 1, tr, err // report the real failure, not the cutoff
 			}
-			return nil, attempt, fmt.Errorf("%s trial %d: not started: %w", id, trial, cerr)
+			return nil, attempt, nil, fmt.Errorf("%s trial %d: not started: %w", id, trial, cerr)
+		}
+		if traced {
+			tr = trace.New()
+			cfg.Trace = tr
 		}
 		var tab *experiments.Table
 		tab, err = runCellAttempt(id, fn, cfg, trial, attempt)
 		if err == nil {
-			return tab, attempt, nil
+			return tab, attempt, tr, nil
 		}
 		if attempt >= retries {
-			return nil, attempt, fmt.Errorf("%s trial %d: failed after %d attempt(s): %w",
+			return nil, attempt, tr, fmt.Errorf("%s trial %d: failed after %d attempt(s): %w",
 				id, trial, attempt+1, err)
 		}
 	}
@@ -237,13 +256,15 @@ func Run(ctx context.Context, ids []string, cfg experiments.Config, opts Options
 				if opts.Resolve != nil {
 					fn, _ = opts.Resolve(c.id)
 				}
+				traced := opts.Trace && (fn != nil || experiments.Describe(c.id) != "")
 				// Pass the caller's un-normalized cfg: RunTrialAttempt
 				// normalizes once, exactly like experiments.Run.
 				var attempt int
-				tables[i], attempt, errs[i] = runCell(ctx, c.id, fn, cfg, c.trial, opts.Retries)
+				var tr *trace.Tracer
+				tables[i], attempt, tr, errs[i] = runCell(ctx, c.id, fn, cfg, c.trial, opts.Retries, traced)
 				took[i] = time.Since(start)
 				events <- Event{Index: i, ID: c.id, Trial: c.trial, Seed: trialSeed(norm, c.trial),
-					Attempt: attempt, Err: errs[i], Table: tables[i], Elapsed: took[i]}
+					Attempt: attempt, Err: errs[i], Table: tables[i], Trace: tr, Elapsed: took[i]}
 			}
 		}()
 	}
@@ -272,6 +293,7 @@ func Run(ctx context.Context, ids []string, cfg experiments.Config, opts Options
 			opts.Progress(ev)
 		}
 		if seq != nil {
+			ev.Trace = nil
 			seq.Put(ev.Index, ev)
 		}
 	}

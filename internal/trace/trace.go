@@ -65,9 +65,9 @@ func (e Event) End() time.Duration { return e.Ts + e.Dur }
 // Tracer collects events. The zero value of *Tracer (nil) is the no-op
 // default. A Tracer is safe for concurrent emission (a mutex guards the
 // buffer), but concurrent emitters interleave in completion order, so a
-// deterministic byte-identical trace additionally requires running the
-// emitting cells sequentially — which is what cmd/qoesim enforces for
-// -trace.
+// deterministic byte-identical trace needs one tracer per emitting cell;
+// Append then combines the cells' tracers in cell order, which is how
+// cmd/qoesim builds one combined trace at any worker count.
 type Tracer struct {
 	mu      sync.Mutex
 	events  []Event
@@ -142,6 +142,33 @@ func (t *Tracer) Counter(cat, name string, pid int, ts time.Duration, value floa
 	t.events = append(t.events, Event{Kind: KindCounter, Cat: cat, Name: name,
 		Pid: pid, Ts: ts, Args: []Arg{{Key: "value", Val: value}}})
 	t.mu.Unlock()
+}
+
+// Append copies o's events onto the end of t, as if o's emitters had
+// written to t directly after everything t already holds: o's pids (those
+// > 0) move past t's, each keeping its tid lanes, and pid-0 events are
+// copied unchanged. Appending per-cell tracers in cell order therefore
+// reproduces the trace one shared tracer would record running the cells
+// sequentially. A nil or empty o is a no-op; o is not modified.
+func (t *Tracer) Append(o *Tracer) {
+	if t == nil || o == nil || o == t {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	base := t.nextPid
+	for _, e := range o.events {
+		if e.Pid > 0 {
+			e.Pid += base
+		}
+		t.events = append(t.events, e)
+	}
+	for pid, n := range o.nextTid {
+		t.nextTid[pid+base] = n
+	}
+	t.nextPid += o.nextPid
 }
 
 // Len returns the number of recorded events (metadata included).

@@ -137,6 +137,67 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 }
 
+// TestAppend checks Append renumbers the appended tracer's pids past the
+// receiver's, keeps each pid's tid lanes, leaves pid-0 events alone, treats
+// an empty tracer as a no-op, and equals emitting into one shared tracer.
+func TestAppend(t *testing.T) {
+	emit := func(tr *Tracer) {
+		p := tr.Process("dev")
+		a := tr.Thread(p, "a")
+		tr.Span("cpu", "work", p, a, 0, time.Millisecond)
+		q := tr.Process("peer")
+		tr.Thread(q, "b")
+		tr.Instant("sim", "global", 0, 0, 2*time.Millisecond)
+	}
+	shared := New()
+	emit(shared)
+	emit(shared)
+	// A lane allocated after both cells must not collide with an appended one.
+	shared.Thread(3, "late")
+
+	combined := New()
+	combined.Append(New()) // empty: no-op
+	first, second := New(), New()
+	emit(first)
+	emit(second)
+	combined.Append(first)
+	combined.Append(second)
+	combined.Append(New())
+	combined.Thread(3, "late")
+
+	var want, got bytes.Buffer
+	if err := shared.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := combined.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("appended trace differs from shared:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+	var pids, zero int
+	for _, e := range combined.Events() {
+		if e.Kind == KindMeta && e.Name == "process_name" {
+			pids++
+			if e.Pid != pids {
+				t.Errorf("process %q has pid %d, want %d", e.Meta, e.Pid, pids)
+			}
+		}
+		if e.Pid == 0 {
+			zero++
+		}
+		if e.Kind == KindMeta && e.Name == "thread_name" && e.Meta == "late" && e.Tid != 2 {
+			t.Errorf("late lane on pid 3 got tid %d, want 2", e.Tid)
+		}
+	}
+	if pids != 4 || zero != 2 {
+		t.Errorf("got %d processes and %d pid-0 events, want 4 and 2", pids, zero)
+	}
+	if second.Len() != 6 || second.Events()[0].Pid != 1 {
+		t.Error("Append modified its argument")
+	}
+}
+
 func TestASCIITimeline(t *testing.T) {
 	var buf bytes.Buffer
 	if err := buildScenario().WriteASCII(&buf, 40); err != nil {
