@@ -19,7 +19,8 @@
 //	GET  /v1/runs/{id}/result rendered table (202 + Retry-After while running)
 //	GET  /v1/runs/{id}/events NDJSON run log, replayed then followed live
 //	GET  /metrics             Prometheus text v0.0.4: engine, result cache,
-//	                          and shared corpus/script cache counters
+//	                          and the shared corpus, script-profile and
+//	                          regex-pricing cache counters
 //	GET  /healthz             200 ok · 503 while draining
 //
 // Identical requests hit the deterministic result cache (keyed by document

@@ -266,7 +266,7 @@ func TestServeHealthAndMetricsEndpoints(t *testing.T) {
 		"mobileqoe_engine_requests",
 		"mobileqoe_cache_engine_results_hits",
 		"mobileqoe_cache_webpage_corpus_hits",
-		"mobileqoe_cache_script_programs_hits",
+		"mobileqoe_cache_script_regex_hits",
 		"mobileqoe_run_elapsed_ms",
 	} {
 		if !strings.Contains(string(body), want) {

@@ -93,7 +93,7 @@ type Cache[K comparable, V any] struct {
 
 // New creates a cache and, when cfg.Name is non-empty, registers it for
 // Publish. Names should be unique per process; the standard ones are
-// "webpage.corpus", "webpage.profiles", and "script.programs".
+// "webpage.corpus", "webpage.profiles", and "script.regex".
 func New[K comparable, V any](cfg Config) *Cache[K, V] {
 	c := &Cache[K, V]{cfg: cfg, m: make(map[K]*entry[K, V])}
 	if cfg.Name != "" {

@@ -1,21 +1,9 @@
 package script
 
 import (
+	"mobileqoe/internal/cache"
 	"mobileqoe/internal/rex"
 )
-
-// defaultHost evaluates regexes with the Pike VM and no accounting; it keeps
-// scripts runnable when no profiling host is installed.
-type defaultHost struct{}
-
-func (defaultHost) ExecRegex(pattern, input string) (bool, int, int, error) {
-	p, err := rex.Compile(pattern)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	r := p.Run(input)
-	return r.Matched, r.Start, r.End, nil
-}
 
 // RegexCall records one regex evaluation observed during script execution,
 // priced on both engines so the offload study can replay the same workload
@@ -28,49 +16,86 @@ type RegexCall struct {
 	PikeSteps int64 // Pike-VM steps (DSP execution)
 }
 
+// regexKey identifies one priced regex evaluation.
+type regexKey struct {
+	pattern, input string
+	limit          int64
+}
+
+// regexPrice is what pricing one evaluation on both engines yields.
+type regexPrice struct {
+	matched            bool
+	start, end         int
+	pikeSteps, btSteps int64
+}
+
+// regexMemo memoizes regex pricing process-wide. Page scripts repeat the
+// same few thousand (pattern, input) pairs across hundreds of thousands of
+// calls, and both rex engines are pure functions of (pattern, input,
+// limit), so a hit returns exactly what a rerun would. Failed compiles are
+// not cached.
+var regexMemo = cache.New[regexKey, regexPrice](cache.Config{
+	Name:       "script.regex",
+	MaxEntries: 1 << 16,
+	MaxBytes:   16 << 20,
+})
+
+// SwapRegexMemo replaces the regex memo with an unregistered one holding
+// at most maxEntries, so tests can force cold re-pricing. It returns the
+// new memo's stats and a function restoring the original. Not safe while
+// scripts run.
+func SwapRegexMemo(maxEntries int) (stats func() cache.Stats, restore func()) {
+	old := regexMemo
+	regexMemo = cache.New[regexKey, regexPrice](cache.Config{MaxEntries: maxEntries})
+	return regexMemo.Stats, func() { regexMemo = old }
+}
+
+// priceRegex runs pattern over input on the Pike VM and on the
+// backtracker (bounded by limit; 0 means rex's default), through the memo.
+func priceRegex(pattern, input string, limit int64) (regexPrice, error) {
+	return regexMemo.GetOrLoad(regexKey{pattern, input, limit}, func() (regexPrice, int64, error) {
+		p, err := rex.Compile(pattern)
+		if err != nil {
+			return regexPrice{}, 0, err
+		}
+		pr := p.Run(input)
+		// On a step-limit error the result still carries the steps burned,
+		// which is the price of the call.
+		br, _ := p.RunBacktrack(input, limit)
+		price := regexPrice{matched: pr.Matched, start: pr.Start, end: pr.End, pikeSteps: pr.Steps, btSteps: br.Steps}
+		return price, int64(len(pattern) + len(input) + 64), nil // 64: entry overhead
+	})
+}
+
 // CountingHost executes regexes with both engines and records every call.
 // It returns Pike VM results to the script (the engines agree on match
 // semantics; the Pike VM never blows up). When the backtracker hits its step
-// limit, the recorded BTSteps is the limit itself — exactly the
+// limit, the recorded BTSteps is the budget it burned — exactly the
 // pathological-cost case that motivates offloading to a linear-time engine.
+// Pricing goes through a process-wide memo; every call is still recorded.
 type CountingHost struct {
 	Calls []RegexCall
-	cache map[string]*rex.Prog
 	// BacktrackLimit bounds CPU-side pricing; 0 uses rex's default.
 	BacktrackLimit int64
 }
 
 // NewCountingHost returns an empty recording host.
-func NewCountingHost() *CountingHost {
-	return &CountingHost{cache: map[string]*rex.Prog{}}
-}
+func NewCountingHost() *CountingHost { return &CountingHost{} }
 
 // ExecRegex implements RegexHost.
 func (h *CountingHost) ExecRegex(pattern, input string) (bool, int, int, error) {
-	p, ok := h.cache[pattern]
-	if !ok {
-		var err error
-		p, err = rex.Compile(pattern)
-		if err != nil {
-			return false, 0, 0, err
-		}
-		h.cache[pattern] = p
-	}
-	pr := p.Run(input)
-	br, err := p.RunBacktrack(input, h.BacktrackLimit)
-	bt := br.Steps
+	r, err := priceRegex(pattern, input, h.BacktrackLimit)
 	if err != nil {
-		// Step limit exhausted: price the call at the budget it burned.
-		bt = br.Steps
+		return false, 0, 0, err
 	}
 	h.Calls = append(h.Calls, RegexCall{
 		Pattern:   pattern,
 		InputLen:  len(input),
-		Matched:   pr.Matched,
-		BTSteps:   bt,
-		PikeSteps: pr.Steps,
+		Matched:   r.matched,
+		BTSteps:   r.btSteps,
+		PikeSteps: r.pikeSteps,
 	})
-	return pr.Matched, pr.Start, pr.End, nil
+	return r.matched, r.start, r.end, nil
 }
 
 // TotalBTSteps sums the CPU-engine steps across recorded calls.
@@ -91,5 +116,5 @@ func (h *CountingHost) TotalPikeSteps() int64 {
 	return t
 }
 
-// Reset clears recorded calls (the pattern cache is kept).
+// Reset clears recorded calls.
 func (h *CountingHost) Reset() { h.Calls = h.Calls[:0] }

@@ -72,7 +72,7 @@ func New(cfg Config) *Interp {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 200
 	}
-	in := &Interp{cfg: cfg, globals: &env{vars: map[string]Value{}}}
+	in := &Interp{cfg: cfg, globals: &env{}}
 	return in
 }
 
@@ -88,7 +88,7 @@ func (in *Interp) Global(name string) Value {
 
 // SetGlobal pre-sets a global (page scripts receive their input data this
 // way).
-func (in *Interp) SetGlobal(name string, v Value) { in.globals.vars[name] = v }
+func (in *Interp) SetGlobal(name string, v Value) { in.globals.define(name, v) }
 
 // Run executes a program to completion.
 func (in *Interp) Run(p *Program) error {
@@ -99,9 +99,19 @@ func (in *Interp) Run(p *Program) error {
 	return nil
 }
 
+// env is one scope. Most block scopes declare nothing, so vars stays nil
+// until the first define; get and set read a nil map as empty.
 type env struct {
 	vars   map[string]Value
 	parent *env
+}
+
+// define binds name in this scope itself.
+func (e *env) define(name string, v Value) {
+	if e.vars == nil {
+		e.vars = map[string]Value{}
+	}
+	e.vars[name] = v
 }
 
 func (e *env) get(name string) (Value, bool) {
@@ -165,7 +175,7 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 				return nil, err
 			}
 		}
-		e.vars[s.name] = v
+		e.define(s.name, v)
 		return nil, nil
 	case *assignStmt:
 		return nil, in.assign(s, e)
@@ -178,7 +188,7 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 		if !truthy(c) {
 			body = s.alt
 		}
-		return in.execBlock(body, &env{vars: map[string]Value{}, parent: e})
+		return in.execBlock(body, &env{parent: e})
 	case *whileStmt:
 		for {
 			c, err := in.eval(s.cond, e)
@@ -188,7 +198,7 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 			if !truthy(c) {
 				return nil, nil
 			}
-			rv, err := in.execBlock(s.body, &env{vars: map[string]Value{}, parent: e})
+			rv, err := in.execBlock(s.body, &env{parent: e})
 			if err != nil {
 				if errors.Is(err, errBreakSignal) {
 					return nil, nil
@@ -200,7 +210,7 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 			}
 		}
 	case *forStmt:
-		fe := &env{vars: map[string]Value{}, parent: e}
+		fe := &env{parent: e}
 		if s.init != nil {
 			if _, err := in.exec(s.init, fe); err != nil {
 				return nil, err
@@ -216,7 +226,7 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 					return nil, nil
 				}
 			}
-			rv, err := in.execBlock(s.body, &env{vars: map[string]Value{}, parent: fe})
+			rv, err := in.execBlock(s.body, &env{parent: fe})
 			if err != nil {
 				if errors.Is(err, errBreakSignal) {
 					return nil, nil
@@ -232,7 +242,7 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 			}
 		}
 	case *funcStmt:
-		e.vars[s.name] = &Closure{params: s.params, body: s.body, env: e, name: s.name}
+		e.define(s.name, &Closure{params: s.params, body: s.body, env: e, name: s.name})
 		return nil, nil
 	case *returnStmt:
 		var v Value
@@ -274,7 +284,7 @@ func (in *Interp) assign(s *assignStmt, e *env) error {
 	case *identExpr:
 		if !e.set(t.name, v) {
 			// Implicit global, like sloppy-mode JS.
-			in.globals.vars[t.name] = v
+			in.globals.define(t.name, v)
 		}
 		return nil
 	case *indexExpr:
@@ -490,13 +500,13 @@ func (in *Interp) call(fnv Value, args []Value) (Value, error) {
 		}
 		in.depth++
 		defer func() { in.depth-- }()
-		fe := &env{vars: map[string]Value{}, parent: fn.env}
+		fe := &env{parent: fn.env}
 		for i, p := range fn.params {
+			var v Value
 			if i < len(args) {
-				fe.vars[p] = args[i]
-			} else {
-				fe.vars[p] = nil
+				v = args[i]
 			}
+			fe.define(p, v)
 		}
 		rv, err := in.execBlock(fn.body, fe)
 		if err != nil && !errors.Is(err, errReturnSignal) {
@@ -805,14 +815,16 @@ func (in *Interp) stringMethod(s, name string, args []Value) (Value, error) {
 	return nil, fmt.Errorf("script: unknown string method %q", name)
 }
 
+// execRegex evaluates a regex on the configured host; without one it uses
+// the shared pricing memo and records nothing. Regex evaluation is charged
+// separately by the host/profile layer; the interpreter only pays the
+// dispatch.
 func (in *Interp) execRegex(pattern, input string) (bool, int, int, error) {
-	host := in.cfg.Host
-	if host == nil {
-		host = defaultHost{}
+	if in.cfg.Host != nil {
+		return in.cfg.Host.ExecRegex(pattern, input)
 	}
-	// Regex evaluation is charged separately by the host/profile layer; the
-	// interpreter only pays the dispatch.
-	return host.ExecRegex(pattern, input)
+	r, err := priceRegex(pattern, input, 0)
+	return r.matched, r.start, r.end, err
 }
 
 func (in *Interp) arrayMethod(a *Array, name string, args []Value) (Value, error) {

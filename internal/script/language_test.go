@@ -111,6 +111,34 @@ var coreLanguageCases = []struct {
 		for (var i = 0; i < acc.length; i++) { counts[acc[i]] += 1; }
 		var result = str(counts.blocked) + "/" + str(counts.image) + "/" + str(counts.other);`,
 		map[string]Value{"result": "25/18/77", "counts": obj("blocked", 25.0, "image", 18.0, "other", 77.0)}},
+	// Block scoping: every if, while and for body and every for header is
+	// its own scope, whether or not it declares anything.
+	{"var-in-if", `var got = 0; if (true) { var inner = 5; got = inner; } else { var other = 1; }`,
+		map[string]Value{"got": 5.0, "inner": nil, "other": nil}},
+	{"var-in-while", `var n = 0; var got = 0; while (n < 3) { var inner = n * 2; got += inner; n++; }`,
+		map[string]Value{"got": 6.0, "n": 3.0, "inner": nil}},
+	{"var-in-for", `var got = 0; for (var i = 0; i < 4; i++) { var inner = i + 1; got += inner; }`,
+		map[string]Value{"got": 10.0, "i": nil, "inner": nil}},
+	{"closure-per-iteration", `var fs = [];
+		for (var i = 0; i < 3; i++) { var k = i * 10; function f() { return k; } fs.push(f); }
+		var a = fs[0](); var b = fs[1](); var c = fs[2]();`,
+		map[string]Value{"a": 0.0, "b": 10.0, "c": 20.0, "k": nil, "f": nil}},
+	{"closure-sees-later-define", `var fs = [];
+		for (var i = 0; i < 2; i++) { if (true) { function f() { return late; } fs.push(f); } var late = i + 7; }
+		var a = fs[0](); var b = fs[1]();`,
+		map[string]Value{"a": 7.0, "b": 8.0}},
+	{"shadow-then-assign", `var x = 1; var got = 0;
+		if (true) { var x = 2; x = 3; got = x; }
+		function g() { var x = 10; x += 5; return x; } var fromFn = g();`,
+		map[string]Value{"x": 1.0, "got": 3.0, "fromFn": 15.0}},
+	{"assign-outer-from-block", `var x = 1; for (var i = 0; i < 3; i++) { x = x * 2; } while (x < 20) { x += 5; }`,
+		map[string]Value{"x": 23.0}},
+	{"implicit-global-from-blocks", `for (var i = 0; i < 3; i++) { if (i == 1) { fromIf = i; } fromLoop = i; }
+		function h() { while (true) { fromFn = 9; break; } } h();`,
+		map[string]Value{"fromIf": 1.0, "fromLoop": 2.0, "fromFn": 9.0}},
+	{"params-and-no-params", `function noArgs() { return 4; } function two(a, b) { return a + b; }
+		function missing(a, b) { return b; } var r = noArgs() + two(1, 2); var m = missing(1);`,
+		map[string]Value{"r": 7.0, "m": nil}},
 }
 
 func TestCoreLanguage(t *testing.T) {
@@ -171,5 +199,48 @@ func TestWorkloadTemplates(t *testing.T) {
 				t.Errorf("%d regex calls, want %d", len(host.Calls), tc.calls)
 			}
 		})
+	}
+}
+
+// wantStats is each case's Stats() as recorded before block scopes
+// allocated their variable maps lazily. Ops become simulated CPU cycles,
+// so any interpreter change must count them exactly as before.
+var wantStats = map[string]Stats{
+	"arith":                       {Ops: 23, StrBytes: 0},
+	"logic":                       {Ops: 23, StrBytes: 0},
+	"strings":                     {Ops: 22, StrBytes: 17},
+	"controlflow":                 {Ops: 331, StrBytes: 0},
+	"functions":                   {Ops: 5121, StrBytes: 0},
+	"closures":                    {Ops: 13, StrBytes: 0},
+	"arrays":                      {Ops: 39, StrBytes: 6},
+	"objects":                     {Ops: 36, StrBytes: 4},
+	"compound":                    {Ops: 32, StrBytes: 0},
+	"regex":                       {Ops: 23, StrBytes: 24},
+	"builtins":                    {Ops: 41, StrBytes: 3},
+	"implicit-global":             {Ops: 8, StrBytes: 0},
+	"nested-loops":                {Ops: 318, StrBytes: 0},
+	"string-index":                {Ops: 10, StrBytes: 2},
+	"division-edges":              {Ops: 8, StrBytes: 0},
+	"url-classifier":              {Ops: 8626, StrBytes: 20052},
+	"var-in-if":                   {Ops: 8, StrBytes: 0},
+	"var-in-while":                {Ops: 47, StrBytes: 0},
+	"var-in-for":                  {Ops: 60, StrBytes: 0},
+	"closure-per-iteration":       {Ops: 74, StrBytes: 0},
+	"closure-sees-later-define":   {Ops: 56, StrBytes: 0},
+	"shadow-then-assign":          {Ops: 23, StrBytes: 0},
+	"assign-outer-from-block":     {Ops: 60, StrBytes: 0},
+	"implicit-global-from-blocks": {Ops: 53, StrBytes: 0},
+	"params-and-no-params":        {Ops: 23, StrBytes: 0},
+}
+
+func TestStatsPinned(t *testing.T) {
+	if len(coreLanguageCases) != len(wantStats) {
+		t.Fatalf("%d cases, %d pinned stats", len(coreLanguageCases), len(wantStats))
+	}
+	for _, tc := range coreLanguageCases {
+		in := run(t, tc.src)
+		if got, want := in.Stats(), wantStats[tc.name]; got != want {
+			t.Errorf("%s: Stats() = %+v, want %+v", tc.name, got, want)
+		}
 	}
 }

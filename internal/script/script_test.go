@@ -324,6 +324,11 @@ func TestRuntimeErrors(t *testing.T) {
 		`var x = noSuchFn();`,
 		`var s = "x"; var y = s.noMethod();`,
 		`var s = "x"; var y = s.match("(");`,
+		// A block's vars are not visible after the block.
+		`if (true) { var inner = 1; } var after = inner;`,
+		`var n = 0; while (n < 1) { var inner = 1; n++; } var after = inner;`,
+		`for (var i = 0; i < 1; i++) { var inner = 1; } var after = inner;`,
+		`for (var i = 0; i < 1; i++) { } var after = i;`,
 	}
 	for _, src := range bad {
 		p, err := Parse(src)

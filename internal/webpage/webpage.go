@@ -193,8 +193,8 @@ func cachedCorpus(key corpusKey, build func() []*Page) []*Page {
 }
 
 // corpusPageBytes estimates a page's resident footprint for the cache's
-// byte cap: the HTML body plus per-resource strings. Profiles and programs
-// are shared through their own caches, so they are not charged here.
+// byte cap: the HTML body plus per-resource strings. Profiles are shared
+// through their own cache, so they are not charged here.
 func corpusPageBytes(p *Page) int64 {
 	n := int64(len(p.HTMLBody))
 	for i := range p.Resources {
@@ -447,7 +447,7 @@ var profileCache = cache.New[string, *Profile](cache.Config{
 // immutable by callers (all current consumers only read it).
 func profileScript(src string) *Profile {
 	prof, err := profileCache.GetOrLoad(src, func() (*Profile, int64, error) {
-		prog := script.MustParseShared(src)
+		prog := script.MustParse(src)
 		host := script.NewCountingHost()
 		in := script.New(script.Config{Host: host})
 		if err := in.Run(prog); err != nil {

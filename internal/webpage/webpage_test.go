@@ -1,12 +1,14 @@
 package webpage
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"mobileqoe/internal/cache"
 
 	"mobileqoe/internal/dsp"
+	"mobileqoe/internal/script"
 	"mobileqoe/internal/sim"
 	"mobileqoe/internal/units"
 )
@@ -242,21 +244,29 @@ func TestUnknownCategoryPanics(t *testing.T) {
 
 // TestCorpusIdenticalAcrossEviction pins the cache determinism guarantee:
 // a corpus rebuilt after being evicted is identical — page bytes, resource
-// plans, and script profiles — to the one originally served. Cache state
-// (hit, miss, evict-and-rebuild) can never affect simulation input.
+// plans, and script profiles down to each regex call — to the one
+// originally served. The rebuild runs with one-entry profile and
+// regex-pricing caches, so it really re-runs its scripts and regexes. Cache
+// state (hit, miss, evict-and-rebuild) can never affect simulation input.
 func TestCorpusIdenticalAcrossEviction(t *testing.T) {
-	old := corpusCache
+	oldCorpus, oldProfiles := corpusCache, profileCache
 	corpusCache = cache.New[corpusKey, []*Page](cache.Config{MaxEntries: 1})
-	defer func() { corpusCache = old }()
+	defer func() { corpusCache, profileCache = oldCorpus, oldProfiles }()
 
 	a := SportsTop20(7)
 	SportsTop20(8) // evicts seed 7 from the single-entry cache
 	if s := corpusCache.Stats(); s.Evictions == 0 {
 		t.Fatalf("expected an eviction with MaxEntries=1, stats %+v", s)
 	}
+	profileCache = cache.New[string, *Profile](cache.Config{MaxEntries: 1})
+	regexStats, restoreRegex := script.SwapRegexMemo(1)
+	defer restoreRegex()
 	b := SportsTop20(7) // cold rebuild
 	if s := corpusCache.Stats(); s.Loads != 3 {
 		t.Fatalf("expected 3 cold builds, stats %+v", s)
+	}
+	if s := regexStats(); s.Loads == 0 || s.Hits > s.Loads {
+		t.Fatalf("the rebuild did not re-price its regexes, memo stats %+v", s)
 	}
 
 	if len(a) != len(b) {
@@ -280,11 +290,39 @@ func TestCorpusIdenticalAcrossEviction(t *testing.T) {
 				t.Fatalf("page %d resource %d: profile presence differs", i, j)
 			}
 			if ra.Profile != nil {
+				if ra.Profile == rb.Profile {
+					t.Fatalf("page %d resource %d: profile served from cache, not re-run", i, j)
+				}
 				if ra.Profile.Ops != rb.Profile.Ops || ra.Profile.StrBytes != rb.Profile.StrBytes ||
-					len(ra.Profile.Calls) != len(rb.Profile.Calls) {
+					!slices.Equal(ra.Profile.Calls, rb.Profile.Calls) {
 					t.Fatalf("page %d resource %d: profile differs after eviction", i, j)
 				}
 			}
 		}
+	}
+}
+
+// TestTop50WorkPinned sums the recorded script work over a Top50 corpus
+// and compares it with the sums recorded before regex pricing was
+// memoized and block scopes allocated their maps lazily. These counts are
+// the simulated work every page load prices, so they must not move.
+func TestTop50WorkPinned(t *testing.T) {
+	var ops, strBytes, calls, steps int64
+	for _, p := range Top50(1) {
+		for _, r := range p.Resources {
+			if r.Profile == nil {
+				continue
+			}
+			ops += r.Profile.Ops
+			strBytes += r.Profile.StrBytes
+			calls += int64(len(r.Profile.Calls))
+			for _, c := range r.Profile.Calls {
+				steps += c.PikeSteps + c.BTSteps
+			}
+		}
+	}
+	if ops != 23380920 || strBytes != 67350853 || calls != 231894 || steps != 102678251 {
+		t.Fatalf("Top50(1) work: ops %d, str bytes %d, regex calls %d, regex steps %d; want 23380920, 67350853, 231894, 102678251",
+			ops, strBytes, calls, steps)
 	}
 }
