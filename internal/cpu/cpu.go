@@ -123,6 +123,7 @@ type CPU struct {
 	ticker   *sim.Ticker
 	online   int
 	taskFree []*task // recycled task objects (the per-packet Exec path is hot)
+	watts    float64 // CPU power last sent to the meter; -1 before the first
 
 	// Metrics handles, resolved once in New; nil-safe when metrics are off.
 	mGovTransitions *trace.Counter
@@ -146,9 +147,10 @@ type core struct {
 	id           int // global index
 	online       bool
 	threads      []*Thread
+	busy         bool          // online with runnable threads, as of the last re-plan
+	busySince    time.Duration // busy time is accrued up to here while busy
 	busyAccum    time.Duration
 	lastBusySnap time.Duration // snapshot at last governor sample
-	lastSettle   time.Duration
 }
 
 // Thread is a schedulable FIFO queue of tasks. Create with NewThread.
@@ -161,11 +163,12 @@ type Thread struct {
 	core       *core
 	rate       float64 // cycles/sec currently granted
 	// completion is the thread's single completion event, allocated on first
-	// use and thereafter reprogrammed in place (sim.Reset) every time the
-	// schedule changes; completeFn is its one bound callback. Queued() tells
-	// whether it is currently armed.
+	// use and thereafter reprogrammed in place (sim.Reset) only when the
+	// thread's rate or head task changes; completeFn is its one bound
+	// callback. Queued() tells whether it is currently armed.
 	completion *sim.Event
 	completeFn func()
+	rearm      bool    // head task changed since completion was last armed
 	executed   float64 // total cycles retired
 	tid        int     // trace lane, 0 when tracing is off
 }
@@ -177,18 +180,16 @@ func (t *Thread) SetWeight(w float64) {
 	if w <= 0 {
 		panic("cpu: thread weight must be positive")
 	}
-	c := t.cpu
-	c.settle()
 	t.weight = w
-	c.reschedule()
+	t.cpu.reschedule()
 }
 
 type task struct {
 	name      string
-	remaining float64
+	remaining float64 // cycles left at the anchor instant
 	cost      float64 // original reference-cycle cost
 	done      func()
-	settled   time.Duration
+	anchor    time.Duration // when remaining was last brought up to date
 	start     time.Duration // when the task reached the queue head
 }
 
@@ -201,7 +202,7 @@ func New(s *sim.Sim, cfg Config) *CPU {
 	if cfg.Big.IPC <= 0 {
 		panic("cpu: big cluster IPC must be positive")
 	}
-	c := &CPU{s: s, cfg: cfg}
+	c := &CPU{s: s, cfg: cfg, watts: -1}
 	c.addCluster(cfg.Big, 1.0)
 	if cfg.Little != nil {
 		if cfg.Little.Cores <= 0 || cfg.Little.IPC <= 0 {
@@ -311,7 +312,7 @@ func (c *CPU) startGovernor() {
 }
 
 func (c *CPU) governorSample(window time.Duration) {
-	c.settle()
+	c.syncBusy()
 	for _, cl := range c.clusters {
 		util := cl.utilizationSince(window)
 		var target units.Freq
@@ -402,7 +403,6 @@ func (c *CPU) SetUserspaceFreq(f units.Freq) {
 	if c.cfg.Governor != Userspace {
 		panic("cpu: SetUserspaceFreq requires the userspace governor")
 	}
-	c.settle()
 	c.cfg.UserspaceFreq = f
 	for _, cl := range c.clusters {
 		c.setFreq(cl, cl.snap(f))
@@ -419,7 +419,6 @@ func (c *CPU) SetOnlineCores(n int) {
 	if n > len(c.cores) {
 		n = len(c.cores)
 	}
-	c.settle()
 	if n != c.online {
 		if tr := c.cfg.Obs.Trace; tr != nil {
 			tr.Instant("cpu", "hotplug", c.cfg.Obs.Pid, 0, c.s.Now(),
@@ -465,12 +464,24 @@ func (c *CPU) EffectiveRate(foreground bool) float64 {
 
 // CoreBusy returns each core's accumulated busy time.
 func (c *CPU) CoreBusy() []time.Duration {
-	c.settle()
+	c.syncBusy()
 	out := make([]time.Duration, len(c.cores))
 	for i, co := range c.cores {
 		out[i] = co.busyAccum
 	}
 	return out
+}
+
+// syncBusy accrues the busy time of every busy core up to now. Busy time is
+// integer nanoseconds, so when it is brought up to date never changes it.
+func (c *CPU) syncBusy() {
+	now := c.s.Now()
+	for _, co := range c.cores {
+		if co.busy {
+			co.busyAccum += now - co.busySince
+			co.busySince = now
+		}
+	}
 }
 
 // ----- threads & scheduling -----
@@ -495,26 +506,28 @@ func (c *CPU) newTask(name string, cycles float64, done func(), now time.Duratio
 		c.taskFree[n-1] = nil
 		c.taskFree = c.taskFree[:n-1]
 		*tk = task{name: name, remaining: cycles, cost: cycles,
-			done: done, settled: now, start: now}
+			done: done, anchor: now, start: now}
 		return tk
 	}
 	return &task{name: name, remaining: cycles, cost: cycles,
-		done: done, settled: now, start: now}
+		done: done, anchor: now, start: now}
 }
 
 // Exec appends a task of the given reference-cycle cost to the thread's
 // queue; done (may be nil) runs when the task completes. Zero-cycle tasks
-// complete on the next event boundary.
+// complete on the next event boundary. Queuing behind existing work changes
+// no rate and no head task, so it leaves the schedule alone.
 func (t *Thread) Exec(name string, cycles float64, done func()) {
 	if cycles < 0 {
 		panic("cpu: negative task cycles")
 	}
 	c := t.cpu
-	c.settle()
 	t.queue = append(t.queue, c.newTask(name, cycles, done, c.s.Now()))
-	if t.core == nil {
-		c.place(t)
+	if len(t.queue) > 1 {
+		return
 	}
+	t.rearm = true
+	c.place(t)
 	c.reschedule()
 }
 
@@ -524,8 +537,39 @@ func (t *Thread) Idle() bool { return len(t.queue) == 0 }
 // QueueLen returns the number of queued (including running) tasks.
 func (t *Thread) QueueLen() int { return len(t.queue) }
 
-// Executed returns total cycles retired by this thread.
-func (t *Thread) Executed() float64 { return t.executed }
+// Executed returns total cycles retired by this thread, including the
+// running task's progress up to now. Reading it changes no state.
+func (t *Thread) Executed() float64 {
+	if len(t.queue) == 0 {
+		return t.executed
+	}
+	return t.executed + t.progress(t.queue[0])
+}
+
+// progress returns the cycles the head task cur has retired since its anchor,
+// at the thread's current rate, capped at what it had left.
+func (t *Thread) progress(cur *task) float64 {
+	work := t.rate * (t.cpu.s.Now() - cur.anchor).Seconds()
+	if work > cur.remaining {
+		work = cur.remaining
+	}
+	return work
+}
+
+// reanchor charges the head task's progress at the current rate and moves
+// its anchor to now. It runs only when the rate or the head task is about
+// to change, so a task's remaining work never depends on how often
+// something else happened while it ran.
+func (t *Thread) reanchor() {
+	if len(t.queue) == 0 {
+		return
+	}
+	cur := t.queue[0]
+	work := t.progress(cur)
+	cur.remaining -= work
+	t.executed += work
+	cur.anchor = t.cpu.s.Now()
+}
 
 // Name returns the thread's name.
 func (t *Thread) Name() string { return t.name }
@@ -571,38 +615,23 @@ func (c *CPU) place(t *Thread) {
 	best.threads = append(best.threads, t)
 }
 
-// settle charges elapsed work to every running task and busy time to every
-// busy core, bringing all bookkeeping up to Now. Call before any state
-// mutation.
-func (c *CPU) settle() {
-	now := c.s.Now()
-	for _, co := range c.cores {
-		if len(co.threads) > 0 && co.online {
-			co.busyAccum += now - co.lastSettle
-		}
-		co.lastSettle = now
-		for _, th := range co.threads {
-			if len(th.queue) == 0 {
-				continue
-			}
-			cur := th.queue[0]
-			work := th.rate * (now - cur.settled).Seconds()
-			if work > cur.remaining {
-				work = cur.remaining
-			}
-			cur.remaining -= work
-			th.executed += work
-			cur.settled = now
-		}
-	}
-}
-
-// reschedule recomputes rates, rebalances idle cores, reprograms completion
-// events, and refreshes the power meter. Call after any state mutation.
+// reschedule rebalances idle cores, recomputes rates, accrues busy time at
+// busy/idle transitions, re-arms the completion event of every thread whose
+// rate or head task changed, and refreshes the power meter. Call after any
+// state mutation, at the instant of the mutation.
 func (c *CPU) reschedule() {
 	c.rebalance()
+	now := c.s.Now()
 	for _, co := range c.cores {
-		n := len(co.threads)
+		busy := co.online && len(co.threads) > 0
+		if busy != co.busy {
+			if busy {
+				co.busySince = now
+			} else {
+				co.busyAccum += now - co.busySince
+			}
+			co.busy = busy
+		}
 		// Two scheduling classes: real-time threads (weight >= RTWeightThreshold)
 		// take their weighted share off the top with no multiplexing penalty;
 		// normal threads split the remainder and pay the context-switch
@@ -620,7 +649,7 @@ func (c *CPU) reschedule() {
 		cap := co.cl.freq.Hz() * co.cl.spec.IPC
 		for _, th := range co.threads {
 			rate := 0.0
-			if co.online && n > 0 {
+			if busy {
 				if th.weight >= RTWeightThreshold {
 					rate = cap * th.weight / wsum
 				} else {
@@ -628,24 +657,37 @@ func (c *CPU) reschedule() {
 					rate = leftover * eff * th.weight / wNormal
 				}
 			}
-			th.rate = rate
-			if len(th.queue) == 0 || rate <= 0 {
-				// Idle, or stalled until a core comes back: disarm without
-				// discarding the event — the next reprogramming reuses it.
-				if th.completion != nil && th.completion.Queued() {
-					c.s.Cancel(th.completion)
-				}
-				continue
+			if rate == th.rate && !th.rearm {
+				continue // the armed completion is still exact
 			}
-			d := units.DurationFor(th.queue[0].remaining, units.Freq(rate))
-			if th.completion == nil {
-				th.completion = c.s.After(d, th.completeFn)
-			} else {
-				c.s.Reset(th.completion, c.s.Now()+d)
+			if rate != th.rate {
+				th.reanchor()
+				th.rate = rate
 			}
+			th.rearm = false
+			c.arm(th)
 		}
 	}
 	c.updatePower()
+}
+
+// arm programs the thread's completion event for its head task's remaining
+// work at its current rate; the head task must be anchored at now.
+func (c *CPU) arm(th *Thread) {
+	if len(th.queue) == 0 || th.rate <= 0 {
+		// Idle, or stalled until a core comes back: disarm without
+		// discarding the event — the next reprogramming reuses it.
+		if th.completion != nil && th.completion.Queued() {
+			c.s.Cancel(th.completion)
+		}
+		return
+	}
+	d := units.DurationFor(th.queue[0].remaining, units.Freq(th.rate))
+	if th.completion == nil {
+		th.completion = c.s.After(d, th.completeFn)
+	} else {
+		c.s.Reset(th.completion, c.s.Now()+d)
+	}
 }
 
 // rebalance moves waiting threads from overloaded cores onto empty online
@@ -688,15 +730,15 @@ func (c *CPU) rebalance() {
 }
 
 func (c *CPU) onCompletion(th *Thread) {
-	c.settle()
 	if len(th.queue) == 0 {
-		c.reschedule()
 		return
 	}
+	th.reanchor()
 	cur := th.queue[0]
 	// Tolerate sub-nanosecond residue from duration rounding.
 	if cur.remaining > th.rate*2e-9+1e-6 {
-		c.reschedule() // spurious wakeup (rate changed since scheduling)
+		th.rearm = true // woke early: wait out the residue
+		c.reschedule()
 		return
 	}
 	th.executed += cur.remaining
@@ -709,8 +751,9 @@ func (c *CPU) onCompletion(th *Thread) {
 	if n == 0 {
 		c.detach(th)
 	} else {
-		th.queue[0].settled = c.s.Now()
+		th.queue[0].anchor = c.s.Now()
 		th.queue[0].start = c.s.Now()
+		th.rearm = true
 	}
 	c.mTasks.Add(1)
 	c.mTaskCycles.Observe(cur.cost)
@@ -742,6 +785,7 @@ func (c *CPU) detach(th *Thread) {
 	th.rate = 0
 }
 
+// updatePower sends the CPU's total power to the meter when it changed.
 func (c *CPU) updatePower() {
 	if c.cfg.Obs.Meter == nil {
 		return
@@ -757,5 +801,8 @@ func (c *CPU) updatePower() {
 			total += energy.DynamicPower(co.cl.ceff, co.cl.freq, v)
 		}
 	}
-	c.cfg.Obs.Meter.SetPower("cpu", total)
+	if total != c.watts {
+		c.watts = total
+		c.cfg.Obs.Meter.SetPower("cpu", total)
+	}
 }

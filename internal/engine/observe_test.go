@@ -162,7 +162,7 @@ func TestServedSLOMatchesCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cli = `{"cell_id":"scenario:web_sweep_slo","cell_index":0,"metric":"sim.virtual_ms","n":1,"rule":"p99_lt_ms","threshold":1,"trial":0,"type":"alert","value":29605.985228}`
+	const cli = `{"cell_id":"scenario:web_sweep_slo","cell_index":0,"metric":"sim.virtual_ms","n":1,"rule":"p99_lt_ms","threshold":1,"trial":0,"type":"alert","value":29605.985239}`
 	if string(got) != cli {
 		t.Fatalf("served alert differs from the CLI's:\n got %s\nwant %s", got, cli)
 	}
