@@ -10,6 +10,19 @@
 // runs on one core at a time; runnable threads assigned to the same core
 // share it equally. Everything runs inside a sim.Sim, so runs are
 // deterministic and an energy.Meter can integrate power over virtual time.
+//
+// # Incremental scheduling
+//
+// A running task's progress is a function of its anchor: the cycles it had
+// left at the instant its thread's rate or head task last changed. The task
+// is re-anchored (charged rate × elapsed time) only at such a change, and
+// the thread's completion event is reprogrammed only then, so a thread's
+// accounting never depends on how often unrelated events happen or how often
+// anyone reads the CPU. Every mutation (placement, detach, rebalance move,
+// weight, frequency or hotplug change, a new head task) marks the affected
+// cores dirty; a re-plan recomputes rates on the dirty cores alone and
+// returns at once when none is. Core busy time accrues at busy/idle
+// transitions, and CPU power reaches the meter only when the total changes.
 package cpu
 
 import (
@@ -124,6 +137,12 @@ type CPU struct {
 	online   int
 	taskFree []*task // recycled task objects (the per-packet Exec path is hot)
 	watts    float64 // CPU power last sent to the meter; -1 before the first
+	dirty    bool    // some core is dirty (see core.dirty)
+
+	// beforePlan, when non-nil, runs at the start of every re-plan; tests
+	// use it to force full re-planning as the reference for the incremental
+	// planner.
+	beforePlan func()
 
 	// Metrics handles, resolved once in New; nil-safe when metrics are off.
 	mGovTransitions *trace.Counter
@@ -140,6 +159,7 @@ type cluster struct {
 	volts energy.VoltageCurve
 	cores []*core
 	ceff  float64
+	watts float64 // dynamic power of one busy core at freq
 }
 
 type core struct {
@@ -151,6 +171,10 @@ type core struct {
 	busySince    time.Duration // busy time is accrued up to here while busy
 	busyAccum    time.Duration
 	lastBusySnap time.Duration // snapshot at last governor sample
+	load         float64       // sum of the weights of threads, for placement
+	// dirty marks a core whose thread list, weights, frequency or online
+	// state changed since its rates were last planned.
+	dirty bool
 }
 
 // Thread is a schedulable FIFO queue of tasks. Create with NewThread.
@@ -164,8 +188,9 @@ type Thread struct {
 	rate       float64 // cycles/sec currently granted
 	// completion is the thread's single completion event, allocated on first
 	// use and thereafter reprogrammed in place (sim.Reset) only when the
-	// thread's rate or head task changes; completeFn is its one bound
-	// callback. Queued() tells whether it is currently armed.
+	// thread's rate or head task changes, at which instant the head task is
+	// re-anchored; completeFn is its one bound callback. Queued() tells
+	// whether it is currently armed.
 	completion *sim.Event
 	completeFn func()
 	rearm      bool    // head task changed since completion was last armed
@@ -181,6 +206,9 @@ func (t *Thread) SetWeight(w float64) {
 		panic("cpu: thread weight must be positive")
 	}
 	t.weight = w
+	if t.core != nil {
+		t.cpu.changed(t.core)
+	}
 	t.cpu.reschedule()
 }
 
@@ -216,6 +244,7 @@ func New(s *sim.Sim, cfg Config) *CPU {
 	c.mTaskCycles = cfg.Obs.Histogram("cpu.task_cycles")
 	c.applyGovernorInitial()
 	for _, cl := range c.clusters {
+		cl.updateWatts()
 		c.traceFreq(cl)
 	}
 	c.startGovernor()
@@ -238,8 +267,18 @@ func (c *CPU) setFreq(cl *cluster, f units.Freq) {
 		return
 	}
 	cl.freq = f
+	cl.updateWatts()
+	for _, co := range cl.cores {
+		c.markDirty(co)
+	}
 	c.mGovTransitions.Add(1)
 	c.traceFreq(cl)
+}
+
+// updateWatts caches the dynamic power of one busy core at the cluster's
+// current frequency.
+func (cl *cluster) updateWatts() {
+	cl.watts = energy.DynamicPower(cl.ceff, cl.freq, cl.volts.VoltsAt(cl.freq))
 }
 
 func (c *CPU) addCluster(spec device.Cluster, ceffScale float64) {
@@ -427,7 +466,10 @@ func (c *CPU) SetOnlineCores(n int) {
 	}
 	c.online = n
 	for i, co := range c.cores {
-		co.online = i < n
+		if on := i < n; on != co.online {
+			co.online = on
+			c.markDirty(co)
+		}
 	}
 	// Migrate threads off offline cores.
 	for _, co := range c.cores {
@@ -439,6 +481,7 @@ func (c *CPU) SetOnlineCores(n int) {
 		}
 		orphans := co.threads
 		co.threads = nil
+		c.changed(co)
 		for _, th := range orphans {
 			c.place(th)
 		}
@@ -559,11 +602,8 @@ func (t *Thread) progress(cur *task) float64 {
 // reanchor charges the head task's progress at the current rate and moves
 // its anchor to now. It runs only when the rate or the head task is about
 // to change, so a task's remaining work never depends on how often
-// something else happened while it ran.
+// something else happened while it ran. The thread must have queued work.
 func (t *Thread) reanchor() {
-	if len(t.queue) == 0 {
-		return
-	}
 	cur := t.queue[0]
 	work := t.progress(cur)
 	cur.remaining -= work
@@ -596,10 +636,7 @@ func (c *CPU) place(t *Thread) {
 		if !co.online {
 			continue
 		}
-		load := 0.0
-		for _, th := range co.threads {
-			load += th.weight
-		}
+		load := co.load
 		if co.cl == pref {
 			load -= 0.5
 		}
@@ -613,16 +650,44 @@ func (c *CPU) place(t *Thread) {
 	}
 	t.core = best
 	best.threads = append(best.threads, t)
+	c.changed(best)
 }
 
-// reschedule rebalances idle cores, recomputes rates, accrues busy time at
-// busy/idle transitions, re-arms the completion event of every thread whose
-// rate or head task changed, and refreshes the power meter. Call after any
-// state mutation, at the instant of the mutation.
+// markDirty queues a core for re-planning at the next reschedule.
+func (c *CPU) markDirty(co *core) {
+	co.dirty = true
+	c.dirty = true
+}
+
+// changed records that a core's thread list or a weight on it changed:
+// its load is recomputed from the list and it is queued for re-planning.
+func (c *CPU) changed(co *core) {
+	co.load = 0
+	for _, th := range co.threads {
+		co.load += th.weight
+	}
+	c.markDirty(co)
+}
+
+// reschedule re-plans the dirty cores: it rebalances idle cores, recomputes
+// the dirty cores' rates, accrues busy time at busy/idle transitions,
+// re-arms the completion event of every thread whose rate or head task
+// changed, and refreshes the power meter. It returns at once when no core is
+// dirty. Call after any state mutation, at the instant of the mutation.
 func (c *CPU) reschedule() {
+	if c.beforePlan != nil {
+		c.beforePlan()
+	}
+	if !c.dirty {
+		return
+	}
 	c.rebalance()
 	now := c.s.Now()
 	for _, co := range c.cores {
+		if !co.dirty {
+			continue
+		}
+		co.dirty = false
 		busy := co.online && len(co.threads) > 0
 		if busy != co.busy {
 			if busy {
@@ -636,10 +701,10 @@ func (c *CPU) reschedule() {
 		// take their weighted share off the top with no multiplexing penalty;
 		// normal threads split the remainder and pay the context-switch
 		// overhead for their own multiplexing.
-		var wsum, wNormal float64
+		wsum := co.load
+		wNormal := 0.0
 		nNormal := 0
 		for _, th := range co.threads {
-			wsum += th.weight
 			if th.weight < RTWeightThreshold {
 				wNormal += th.weight
 				nNormal++
@@ -668,6 +733,7 @@ func (c *CPU) reschedule() {
 			c.arm(th)
 		}
 	}
+	c.dirty = false
 	c.updatePower()
 }
 
@@ -705,18 +771,12 @@ func (c *CPU) rebalance() {
 			return
 		}
 		var donor *core
-		donorLoad := 0.0
 		for _, co := range c.cores {
 			if !co.online || len(co.threads) < 2 {
 				continue
 			}
-			load := 0.0
-			for _, th := range co.threads {
-				load += th.weight
-			}
-			if donor == nil || load > donorLoad {
+			if donor == nil || co.load > donor.load {
 				donor = co
-				donorLoad = load
 			}
 		}
 		if donor == nil {
@@ -726,6 +786,8 @@ func (c *CPU) rebalance() {
 		donor.threads = donor.threads[:len(donor.threads)-1]
 		th.core = empty
 		empty.threads = append(empty.threads, th)
+		c.changed(donor)
+		c.changed(empty)
 	}
 }
 
@@ -738,6 +800,7 @@ func (c *CPU) onCompletion(th *Thread) {
 	// Tolerate sub-nanosecond residue from duration rounding.
 	if cur.remaining > th.rate*2e-9+1e-6 {
 		th.rearm = true // woke early: wait out the residue
+		c.markDirty(th.core)
 		c.reschedule()
 		return
 	}
@@ -754,6 +817,7 @@ func (c *CPU) onCompletion(th *Thread) {
 		th.queue[0].anchor = c.s.Now()
 		th.queue[0].start = c.s.Now()
 		th.rearm = true
+		c.markDirty(th.core)
 	}
 	c.mTasks.Add(1)
 	c.mTaskCycles.Observe(cur.cost)
@@ -781,6 +845,7 @@ func (c *CPU) detach(th *Thread) {
 			break
 		}
 	}
+	c.changed(co)
 	th.core = nil
 	th.rate = 0
 }
@@ -796,9 +861,8 @@ func (c *CPU) updatePower() {
 			continue
 		}
 		total += energy.CoreIdleWatts
-		if len(co.threads) > 0 {
-			v := co.cl.volts.VoltsAt(co.cl.freq)
-			total += energy.DynamicPower(co.cl.ceff, co.cl.freq, v)
+		if co.busy {
+			total += co.cl.watts
 		}
 	}
 	if total != c.watts {
