@@ -9,9 +9,10 @@ package script
 // ones: the language has no identity operator over primitives, and toStr,
 // valueEq, and truthy all compare by value.
 //
-// Negative zero is deliberately folded onto +0: the engines never consult
-// the sign of a zero (division checks `rn == 0` and takes the sign from the
-// numerator; formatting prints both as "0"), so the fold is unobservable.
+// Negative zero is deliberately folded onto +0: the interpreter never
+// consults the sign of a zero (division checks `rn == 0` and takes the sign
+// from the numerator; formatting prints both as "0"), so the fold is
+// unobservable.
 
 const (
 	internMin = -256
@@ -55,7 +56,7 @@ func boolv(b bool) Value {
 func charv(b byte) Value { return internedChars[b] }
 
 // Literal constructors box the literal's runtime value once at parse time;
-// both engines then reuse the same box on every evaluation.
+// the interpreter then reuses the same box on every evaluation.
 func newNumberLit(f float64) *numberLit { return &numberLit{v: f, box: num(f)} }
 func newStringLit(s string) *stringLit  { return &stringLit{v: s, box: s} }
 func newBoolLit(b bool) *boolLit        { return &boolLit{v: b, box: boolv(b)} }

@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // Value is a runtime value: float64, string, bool, nil, *Array, *Object,
-// *Closure, or builtinFn.
+// *Closure, or *builtinFn.
 type Value any
 
 // Array is a mutable array value (reference semantics, like JS).
@@ -19,12 +20,13 @@ type Array struct{ Elems []Value }
 // Object is a mutable string-keyed map value.
 type Object struct{ Fields map[string]Value }
 
-// Closure is a user-defined function.
+// Closure is a user-defined function: its definition, the frame it was
+// defined in, and the global cells of the run that defined it, so a
+// function defined by one program still works when a later one calls it.
 type Closure struct {
-	params []string
-	body   []stmt
-	env    *env
-	name   string
+	fn    *funcStmt
+	fr    *frame
+	cells []*cell
 }
 
 type builtinFn struct {
@@ -39,7 +41,7 @@ type RegexHost interface {
 	ExecRegex(pattern, input string) (matched bool, start, end int, err error)
 }
 
-// Stats summarizes an execution's cost in engine-neutral units.
+// Stats summarizes an execution's cost in device-neutral units.
 type Stats struct {
 	Ops      int64 // interpreter operations (AST evaluations)
 	StrBytes int64 // bytes touched by string/array operations
@@ -48,7 +50,7 @@ type Stats struct {
 // Config parameterizes an interpreter run.
 type Config struct {
 	Host     RegexHost // nil = regexes evaluated with the package's own default
-	MaxOps   int64     // execution budget; default 50M
+	MaxOps   int64     // execution budget, in ops and separately in string bytes; default 50M
 	MaxDepth int       // call-stack limit; default 200
 }
 
@@ -56,7 +58,8 @@ type Config struct {
 // (globals persist), which is how a page's scripts share state.
 type Interp struct {
 	cfg     Config
-	globals *env
+	globals map[string]*cell
+	cells   []*cell // the running code's global table, indexed by identExpr.global
 	stats   Stats
 	depth   int
 }
@@ -72,8 +75,7 @@ func New(cfg Config) *Interp {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 200
 	}
-	in := &Interp{cfg: cfg, globals: &env{}}
-	return in
+	return &Interp{cfg: cfg, globals: map[string]*cell{}}
 }
 
 // Stats returns cumulative execution statistics.
@@ -82,55 +84,108 @@ func (in *Interp) Stats() Stats { return in.stats }
 // Global returns a global variable's value (nil when unset), letting tests
 // and workload builders inspect script results.
 func (in *Interp) Global(name string) Value {
-	v, _ := in.globals.get(name)
-	return v
+	if c := in.globals[name]; c != nil && !isUnset(c.v) {
+		return c.v
+	}
+	return nil
 }
 
 // SetGlobal pre-sets a global (page scripts receive their input data this
 // way).
-func (in *Interp) SetGlobal(name string, v Value) { in.globals.define(name, v) }
+func (in *Interp) SetGlobal(name string, v Value) { in.cell(name).v = v }
 
 // Run executes a program to completion.
 func (in *Interp) Run(p *Program) error {
-	_, err := in.execBlock(p.stmts, in.globals)
+	in.cells = make([]*cell, len(p.globals))
+	for i, name := range p.globals {
+		in.cells[i] = in.cell(name)
+	}
+	_, err := in.execStmts(p.stmts, nil)
 	if err != nil && !errors.Is(err, errReturnSignal) {
 		return err
 	}
 	return nil
 }
 
-// env is one scope. Most block scopes declare nothing, so vars stays nil
-// until the first define; get and set read a nil map as empty.
-type env struct {
-	vars   map[string]Value
-	parent *env
-}
+// cell holds one global; v is unset until the global is first defined.
+type cell struct{ v Value }
 
-// define binds name in this scope itself.
-func (e *env) define(name string, v Value) {
-	if e.vars == nil {
-		e.vars = map[string]Value{}
+// cell returns name's global cell, creating an unset one.
+func (in *Interp) cell(name string) *cell {
+	c := in.globals[name]
+	if c == nil {
+		c = &cell{v: unset}
+		in.globals[name] = c
 	}
-	e.vars[name] = v
+	return c
 }
 
-func (e *env) get(name string) (Value, bool) {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
+// frame holds the locals of one scope activation (see resolve.go).
+type frame struct {
+	slots  []Value
+	parent *frame
+}
+
+func newFrame(parent *frame, n int) *frame {
+	f := &frame{slots: make([]Value, n), parent: parent}
+	for i := range f.slots {
+		f.slots[i] = unset
+	}
+	return f
+}
+
+// unsetT marks a slot or cell whose var, function or parameter has not
+// run yet; lookups skip it. It never escapes to script code.
+type unsetT struct{}
+
+var unset Value = unsetT{}
+
+func isUnset(v Value) bool {
+	_, ok := v.(unsetT)
+	return ok
+}
+
+// in returns l's slot, in the frame l.depth frames up from fr.
+func (l loc) in(fr *frame) *Value {
+	for d := l.depth; d > 0; d-- {
+		fr = fr.parent
+	}
+	return &fr.slots[l.slot]
+}
+
+// lookup reads x: the innermost set slot, else the set global cell.
+func (in *Interp) lookup(x *identExpr, fr *frame) (Value, bool) {
+	for _, l := range x.locs {
+		if v := *l.in(fr); !isUnset(v) {
 			return v, true
 		}
+	}
+	if v := in.cells[x.global].v; !isUnset(v) {
+		return v, true
 	}
 	return nil, false
 }
 
-func (e *env) set(name string, v Value) bool {
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return true
+// store writes x where lookup would read it; with nothing set, the global
+// cell takes it (an implicit global, like sloppy-mode JS).
+func (in *Interp) store(x *identExpr, fr *frame, v Value) {
+	for _, l := range x.locs {
+		if p := l.in(fr); !isUnset(*p) {
+			*p = v
+			return
 		}
 	}
-	return false
+	in.cells[x.global].v = v
+}
+
+// define binds a declaration's name: its slot in the current frame, which
+// the resolver puts first, or at the top level its global cell.
+func (in *Interp) define(x *identExpr, fr *frame, v Value) {
+	if len(x.locs) > 0 {
+		fr.slots[x.locs[0].slot] = v
+		return
+	}
+	in.cells[x.global].v = v
 }
 
 // Control-flow signals.
@@ -145,15 +200,26 @@ type returnValue struct{ v Value }
 func (in *Interp) charge(ops int64, strBytes int64) error {
 	in.stats.Ops += ops
 	in.stats.StrBytes += strBytes
-	if in.stats.Ops > in.cfg.MaxOps {
+	if in.stats.Ops > in.cfg.MaxOps || in.stats.StrBytes > in.cfg.MaxOps {
 		return ErrBudget
 	}
 	return nil
 }
 
-func (in *Interp) execBlock(stmts []stmt, e *env) (*returnValue, error) {
+// bytesLeft is how many more string bytes the budget allows.
+func (in *Interp) bytesLeft() int64 { return in.cfg.MaxOps - in.stats.StrBytes }
+
+// execBlock runs b in a new frame when b declares anything, else in fr.
+func (in *Interp) execBlock(b *block, fr *frame) (*returnValue, error) {
+	if b.size > 0 {
+		fr = newFrame(fr, b.size)
+	}
+	return in.execStmts(b.stmts, fr)
+}
+
+func (in *Interp) execStmts(stmts []stmt, fr *frame) (*returnValue, error) {
 	for _, s := range stmts {
-		rv, err := in.exec(s, e)
+		rv, err := in.exec(s, fr)
 		if err != nil {
 			return rv, err
 		}
@@ -161,7 +227,7 @@ func (in *Interp) execBlock(stmts []stmt, e *env) (*returnValue, error) {
 	return nil, nil
 }
 
-func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
+func (in *Interp) exec(s stmt, fr *frame) (*returnValue, error) {
 	if err := in.charge(1, 0); err != nil {
 		return nil, err
 	}
@@ -170,35 +236,35 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 		var v Value
 		if s.init != nil {
 			var err error
-			v, err = in.eval(s.init, e)
+			v, err = in.eval(s.init, fr)
 			if err != nil {
 				return nil, err
 			}
 		}
-		e.define(s.name, v)
+		in.define(s.ref, fr, v)
 		return nil, nil
 	case *assignStmt:
-		return nil, in.assign(s, e)
+		return nil, in.assign(s, fr)
 	case *ifStmt:
-		c, err := in.eval(s.cond, e)
+		c, err := in.eval(s.cond, fr)
 		if err != nil {
 			return nil, err
 		}
-		body := s.then
+		body := &s.then
 		if !truthy(c) {
-			body = s.alt
+			body = &s.alt
 		}
-		return in.execBlock(body, &env{parent: e})
+		return in.execBlock(body, fr)
 	case *whileStmt:
 		for {
-			c, err := in.eval(s.cond, e)
+			c, err := in.eval(s.cond, fr)
 			if err != nil {
 				return nil, err
 			}
 			if !truthy(c) {
 				return nil, nil
 			}
-			rv, err := in.execBlock(s.body, &env{parent: e})
+			rv, err := in.execBlock(&s.body, fr)
 			if err != nil {
 				if errors.Is(err, errBreakSignal) {
 					return nil, nil
@@ -210,11 +276,19 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 			}
 		}
 	case *forStmt:
-		fe := &env{parent: e}
+		fe := fr
+		if s.header > 0 {
+			fe = newFrame(fr, s.header)
+		}
 		if s.init != nil {
 			if _, err := in.exec(s.init, fe); err != nil {
 				return nil, err
 			}
+		}
+		if s.cond == nil && s.post == nil && len(s.body.stmts) == 0 {
+			// for (;;) {} charges no op and cannot end: it would spin past
+			// any budget without ever reaching it.
+			return nil, ErrBudget
 		}
 		for {
 			if s.cond != nil {
@@ -226,7 +300,7 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 					return nil, nil
 				}
 			}
-			rv, err := in.execBlock(s.body, &env{parent: fe})
+			rv, err := in.execBlock(&s.body, fe)
 			if err != nil {
 				if errors.Is(err, errBreakSignal) {
 					return nil, nil
@@ -242,13 +316,13 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 			}
 		}
 	case *funcStmt:
-		e.define(s.name, &Closure{params: s.params, body: s.body, env: e, name: s.name})
+		in.define(s.ref, fr, &Closure{fn: s, fr: fr, cells: in.cells})
 		return nil, nil
 	case *returnStmt:
 		var v Value
 		if s.value != nil {
 			var err error
-			v, err = in.eval(s.value, e)
+			v, err = in.eval(s.value, fr)
 			if err != nil {
 				return nil, err
 			}
@@ -259,19 +333,19 @@ func (in *Interp) exec(s stmt, e *env) (*returnValue, error) {
 	case *continueStmt:
 		return nil, errContinueSignal
 	case *exprStmt:
-		_, err := in.eval(s.e, e)
+		_, err := in.eval(s.e, fr)
 		return nil, err
 	}
 	return nil, fmt.Errorf("script: unknown statement %T", s)
 }
 
-func (in *Interp) assign(s *assignStmt, e *env) error {
-	v, err := in.eval(s.value, e)
+func (in *Interp) assign(s *assignStmt, fr *frame) error {
+	v, err := in.eval(s.value, fr)
 	if err != nil {
 		return err
 	}
 	if s.op != "=" {
-		old, err := in.evalTarget(s.target, e)
+		old, err := in.eval(s.target, fr)
 		if err != nil {
 			return err
 		}
@@ -282,23 +356,20 @@ func (in *Interp) assign(s *assignStmt, e *env) error {
 	}
 	switch t := s.target.(type) {
 	case *identExpr:
-		if !e.set(t.name, v) {
-			// Implicit global, like sloppy-mode JS.
-			in.globals.define(t.name, v)
-		}
+		in.store(t, fr, v)
 		return nil
 	case *indexExpr:
-		base, err := in.eval(t.base, e)
+		base, err := in.eval(t.base, fr)
 		if err != nil {
 			return err
 		}
-		idx, err := in.eval(t.idx, e)
+		idx, err := in.eval(t.idx, fr)
 		if err != nil {
 			return err
 		}
 		return in.setIndexValue(base, idx, v)
 	case *memberExpr:
-		base, err := in.eval(t.base, e)
+		base, err := in.eval(t.base, fr)
 		if err != nil {
 			return err
 		}
@@ -312,9 +383,7 @@ func (in *Interp) assign(s *assignStmt, e *env) error {
 	return fmt.Errorf("script: bad assignment target")
 }
 
-func (in *Interp) evalTarget(t expr, e *env) (Value, error) { return in.eval(t, e) }
-
-// indexValue implements base[idx] for both execution engines.
+// indexValue implements base[idx].
 func (in *Interp) indexValue(base, idx Value) (Value, error) {
 	switch b := base.(type) {
 	case *Array:
@@ -324,7 +393,7 @@ func (in *Interp) indexValue(base, idx Value) (Value, error) {
 		}
 		return b.Elems[int(i)], nil
 	case *Object:
-		return b.Fields[toStr(idx)], nil
+		return b.Fields[in.toStr(idx)], nil
 	case string:
 		i, ok := idx.(float64)
 		if !ok || int(i) < 0 || int(i) >= len(b) {
@@ -338,7 +407,7 @@ func (in *Interp) indexValue(base, idx Value) (Value, error) {
 	return nil, fmt.Errorf("script: cannot index %T", base)
 }
 
-// setIndexValue implements base[idx] = v for both execution engines.
+// setIndexValue implements base[idx] = v.
 func (in *Interp) setIndexValue(base, idx, v Value) error {
 	switch b := base.(type) {
 	case *Array:
@@ -349,13 +418,13 @@ func (in *Interp) setIndexValue(base, idx, v Value) error {
 		b.Elems[int(i)] = v
 		return nil
 	case *Object:
-		b.Fields[toStr(idx)] = v
+		b.Fields[in.toStr(idx)] = v
 		return nil
 	}
 	return fmt.Errorf("script: cannot index %T", base)
 }
 
-func (in *Interp) eval(x expr, e *env) (Value, error) {
+func (in *Interp) eval(x expr, fr *frame) (Value, error) {
 	if err := in.charge(1, 0); err != nil {
 		return nil, err
 	}
@@ -369,10 +438,10 @@ func (in *Interp) eval(x expr, e *env) (Value, error) {
 	case *nullLit:
 		return nil, nil
 	case *identExpr:
-		v, ok := e.get(x.name)
+		v, ok := in.lookup(x, fr)
 		if !ok {
-			if b, ok := builtins[x.name]; ok {
-				return b, nil
+			if x.builtin != nil {
+				return x.builtin, nil
 			}
 			return nil, fmt.Errorf("script: undefined variable %q", x.name)
 		}
@@ -380,7 +449,7 @@ func (in *Interp) eval(x expr, e *env) (Value, error) {
 	case *arrayLit:
 		a := &Array{Elems: make([]Value, 0, len(x.elems))}
 		for _, el := range x.elems {
-			v, err := in.eval(el, e)
+			v, err := in.eval(el, fr)
 			if err != nil {
 				return nil, err
 			}
@@ -390,7 +459,7 @@ func (in *Interp) eval(x expr, e *env) (Value, error) {
 	case *objectLit:
 		o := &Object{Fields: map[string]Value{}}
 		for i, k := range x.keys {
-			v, err := in.eval(x.vals[i], e)
+			v, err := in.eval(x.vals[i], fr)
 			if err != nil {
 				return nil, err
 			}
@@ -398,7 +467,7 @@ func (in *Interp) eval(x expr, e *env) (Value, error) {
 		}
 		return o, nil
 	case *unaryExpr:
-		v, err := in.eval(x.e, e)
+		v, err := in.eval(x.e, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -415,7 +484,7 @@ func (in *Interp) eval(x expr, e *env) (Value, error) {
 	case *binaryExpr:
 		// Short-circuit logical operators.
 		if x.op == "&&" || x.op == "||" {
-			l, err := in.eval(x.l, e)
+			l, err := in.eval(x.l, fr)
 			if err != nil {
 				return nil, err
 			}
@@ -425,29 +494,29 @@ func (in *Interp) eval(x expr, e *env) (Value, error) {
 			if x.op == "||" && truthy(l) {
 				return l, nil
 			}
-			return in.eval(x.r, e)
+			return in.eval(x.r, fr)
 		}
-		l, err := in.eval(x.l, e)
+		l, err := in.eval(x.l, fr)
 		if err != nil {
 			return nil, err
 		}
-		r, err := in.eval(x.r, e)
+		r, err := in.eval(x.r, fr)
 		if err != nil {
 			return nil, err
 		}
 		return in.binop(x.op, l, r)
 	case *indexExpr:
-		base, err := in.eval(x.base, e)
+		base, err := in.eval(x.base, fr)
 		if err != nil {
 			return nil, err
 		}
-		idx, err := in.eval(x.idx, e)
+		idx, err := in.eval(x.idx, fr)
 		if err != nil {
 			return nil, err
 		}
 		return in.indexValue(base, idx)
 	case *memberExpr:
-		base, err := in.eval(x.base, e)
+		base, err := in.eval(x.base, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -455,23 +524,23 @@ func (in *Interp) eval(x expr, e *env) (Value, error) {
 	case *callExpr:
 		// Method calls need the receiver.
 		if m, ok := x.fn.(*memberExpr); ok {
-			recv, err := in.eval(m.base, e)
+			recv, err := in.eval(m.base, fr)
 			if err != nil {
 				return nil, err
 			}
 			if _, isObj := recv.(*Object); !isObj {
-				args, err := in.evalArgs(x.args, e)
+				args, err := in.evalArgs(x.args, fr)
 				if err != nil {
 					return nil, err
 				}
 				return in.method(recv, m.name, args)
 			}
 		}
-		fnv, err := in.eval(x.fn, e)
+		fnv, err := in.eval(x.fn, fr)
 		if err != nil {
 			return nil, err
 		}
-		args, err := in.evalArgs(x.args, e)
+		args, err := in.evalArgs(x.args, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -480,10 +549,10 @@ func (in *Interp) eval(x expr, e *env) (Value, error) {
 	return nil, fmt.Errorf("script: unknown expression %T", x)
 }
 
-func (in *Interp) evalArgs(args []expr, e *env) ([]Value, error) {
+func (in *Interp) evalArgs(args []expr, fr *frame) ([]Value, error) {
 	out := make([]Value, 0, len(args))
 	for _, a := range args {
-		v, err := in.eval(a, e)
+		v, err := in.eval(a, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -496,19 +565,25 @@ func (in *Interp) call(fnv Value, args []Value) (Value, error) {
 	switch fn := fnv.(type) {
 	case *Closure:
 		if in.depth >= in.cfg.MaxDepth {
-			return nil, fmt.Errorf("script: call stack exceeded in %s", fn.name)
+			return nil, fmt.Errorf("script: call stack exceeded in %s", fn.fn.ref.name)
+		}
+		fr := fn.fr
+		if n := fn.fn.body.size; n > 0 {
+			fr = newFrame(fr, n)
+			for i, slot := range fn.fn.slots {
+				var v Value
+				if i < len(args) {
+					v = args[i]
+				}
+				fr.slots[slot] = v
+			}
 		}
 		in.depth++
-		defer func() { in.depth-- }()
-		fe := &env{parent: fn.env}
-		for i, p := range fn.params {
-			var v Value
-			if i < len(args) {
-				v = args[i]
-			}
-			fe.define(p, v)
-		}
-		rv, err := in.execBlock(fn.body, fe)
+		cells := in.cells
+		in.cells = fn.cells
+		rv, err := in.execStmts(fn.fn.body.stmts, fr)
+		in.cells = cells
+		in.depth--
 		if err != nil && !errors.Is(err, errReturnSignal) {
 			return nil, err
 		}
@@ -516,7 +591,7 @@ func (in *Interp) call(fnv Value, args []Value) (Value, error) {
 			return rv.v, nil
 		}
 		return nil, nil
-	case builtinFn:
+	case *builtinFn:
 		return fn.fn(in, args)
 	}
 	return nil, fmt.Errorf("script: %T is not callable", fnv)
@@ -528,10 +603,10 @@ func (in *Interp) binop(op string, l, r Value) (Value, error) {
 		rs, rok := r.(string)
 		if lok || rok {
 			if !lok {
-				ls = toStr(l)
+				ls = in.toStr(l)
 			}
 			if !rok {
-				rs = toStr(r)
+				rs = in.toStr(r)
 			}
 			if err := in.charge(0, int64(len(ls)+len(rs))); err != nil {
 				return nil, err
@@ -626,7 +701,43 @@ func truthy(v Value) bool {
 	return true
 }
 
-func toStr(v Value) string {
+// toStr converts v to a string. An array renders as its elements joined
+// by ","; an array nested in itself renders as "" there, as in JS. An
+// array's rendering stops once it passes the string bytes the budget has
+// left, where charging it fails anyway.
+func (in *Interp) toStr(v Value) string {
+	a, ok := v.(*Array)
+	if !ok {
+		return scalarStr(v)
+	}
+	var b strings.Builder
+	writeArray(&b, a, nil, in.bytesLeft())
+	return b.String()
+}
+
+// writeArray renders a into b; open holds the arrays being rendered.
+func writeArray(b *strings.Builder, a *Array, open []*Array, limit int64) {
+	if slices.Contains(open, a) {
+		return
+	}
+	open = append(open, a)
+	for i, e := range a.Elems {
+		if int64(b.Len()) > limit {
+			return
+		}
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		if ea, ok := e.(*Array); ok {
+			writeArray(b, ea, open, limit)
+		} else {
+			b.WriteString(scalarStr(e))
+		}
+	}
+}
+
+// scalarStr converts any value but an array to a string.
+func scalarStr(v Value) string {
 	switch v := v.(type) {
 	case nil:
 		return "null"
@@ -642,14 +753,12 @@ func toStr(v Value) string {
 			return strconv.FormatInt(int64(v), 10)
 		}
 		return strconv.FormatFloat(v, 'g', -1, 64)
-	case *Array:
-		parts := make([]string, len(v.Elems))
-		for i, e := range v.Elems {
-			parts[i] = toStr(e)
-		}
-		return strings.Join(parts, ",")
 	case *Object:
 		return "[object]"
+	case *Closure:
+		return "function " + v.fn.ref.name
+	case *builtinFn:
+		return "function " + v.name
 	}
 	return fmt.Sprintf("%v", v)
 }
@@ -849,11 +958,18 @@ func (in *Interp) arrayMethod(a *Array, name string, args []Value) (Value, error
 		parts := make([]string, len(a.Elems))
 		total := 0
 		for i, e := range a.Elems {
-			parts[i] = toStr(e)
+			parts[i] = in.toStr(e)
 			total += len(parts[i])
+			if int64(total) > in.bytesLeft() {
+				break // the charge below fails
+			}
 		}
 		if err := in.charge(int64(len(a.Elems)), int64(total)); err != nil {
 			return nil, err
+		}
+		// Separators are not charged, but they too must fit the budget.
+		if int64(len(sep))*int64(len(a.Elems)) > in.bytesLeft() {
+			return nil, ErrBudget
 		}
 		return strings.Join(parts, sep), nil
 	case "indexOf":
@@ -902,7 +1018,7 @@ func clamp(v, lo, hi int) int {
 }
 
 var builtins = map[string]Value{
-	"parseInt": builtinFn{name: "parseInt", fn: func(in *Interp, args []Value) (Value, error) {
+	"parseInt": &builtinFn{name: "parseInt", fn: func(in *Interp, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return math.NaN(), nil
 		}
@@ -931,20 +1047,20 @@ var builtins = map[string]Value{
 		}
 		return num(n), nil
 	}},
-	"str": builtinFn{name: "str", fn: func(in *Interp, args []Value) (Value, error) {
+	"str": &builtinFn{name: "str", fn: func(in *Interp, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return "", nil
 		}
-		s := toStr(args[0])
+		s := in.toStr(args[0])
 		return s, in.charge(0, int64(len(s)))
 	}},
-	"abs":   builtinFn{name: "abs", fn: num1(math.Abs)},
-	"floor": builtinFn{name: "floor", fn: num1(math.Floor)},
-	"ceil":  builtinFn{name: "ceil", fn: num1(math.Ceil)},
-	"sqrt":  builtinFn{name: "sqrt", fn: num1(math.Sqrt)},
-	"min":   builtinFn{name: "min", fn: num2(math.Min)},
-	"max":   builtinFn{name: "max", fn: num2(math.Max)},
-	"len": builtinFn{name: "len", fn: func(in *Interp, args []Value) (Value, error) {
+	"abs":   &builtinFn{name: "abs", fn: num1(math.Abs)},
+	"floor": &builtinFn{name: "floor", fn: num1(math.Floor)},
+	"ceil":  &builtinFn{name: "ceil", fn: num1(math.Ceil)},
+	"sqrt":  &builtinFn{name: "sqrt", fn: num1(math.Sqrt)},
+	"min":   &builtinFn{name: "min", fn: num2(math.Min)},
+	"max":   &builtinFn{name: "max", fn: num2(math.Max)},
+	"len": &builtinFn{name: "len", fn: func(in *Interp, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return nil, fmt.Errorf("script: len: missing argument")
 		}
@@ -958,7 +1074,7 @@ var builtins = map[string]Value{
 		}
 		return nil, fmt.Errorf("script: len of %T", args[0])
 	}},
-	"keys": builtinFn{name: "keys", fn: func(in *Interp, args []Value) (Value, error) {
+	"keys": &builtinFn{name: "keys", fn: func(in *Interp, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return nil, fmt.Errorf("script: keys: missing argument")
 		}

@@ -1,5 +1,6 @@
 // Package script implements a small JavaScript-like language — lexer,
-// parser, and tree-walking interpreter — used to model the scripting
+// parser, a resolver that binds variables to frame slots and global cells
+// at parse time, and a tree-walking interpreter — used to model the scripting
 // workload of web pages. Pages in internal/webpage carry real programs in
 // this language (list filtering, URL matching, string munging, ad-tag
 // routing); executing them yields an operation count and a log of regex
@@ -19,7 +20,6 @@ package script
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokenKind uint8
@@ -108,7 +108,7 @@ scan:
 		return l.number()
 	case c == '"' || c == '\'':
 		return l.str(c)
-	case c == '_' || unicode.IsLetter(rune(c)):
+	case c == '_' || isAlpha(c):
 		for l.pos < len(l.src) && (l.src[l.pos] == '_' || isAlnum(l.src[l.pos])) {
 			l.pos++
 		}
@@ -123,9 +123,10 @@ scan:
 	}
 }
 
-func isAlnum(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
+// Identifiers are ASCII: a non-ASCII byte is an unexpected character.
+func isAlpha(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
+
+func isAlnum(c byte) bool { return isAlpha(c) || c >= '0' && c <= '9' }
 
 func (l *lexer) number() (token, error) {
 	start := l.pos

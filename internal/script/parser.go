@@ -8,7 +8,7 @@ type stmt interface{ stmtNode() }
 
 type (
 	varStmt struct {
-		name string
+		ref  *identExpr // the name, resolved in the declaring scope
 		init expr
 	}
 	assignStmt struct {
@@ -18,22 +18,24 @@ type (
 	}
 	ifStmt struct {
 		cond      expr
-		then, alt []stmt
+		then, alt block
 	}
 	whileStmt struct {
 		cond expr
-		body []stmt
+		body block
 	}
 	forStmt struct {
-		init stmt // may be nil
-		cond expr // may be nil
-		post stmt // may be nil
-		body []stmt
+		init   stmt // may be nil
+		cond   expr // may be nil
+		post   stmt // may be nil
+		header int  // slots in the header's frame: 1 for a var init, else 0
+		body   block
 	}
 	funcStmt struct {
-		name   string
+		ref    *identExpr // the function's name, resolved in the declaring scope
 		params []string
-		body   []stmt
+		slots  []int // each parameter's slot in the function's frame
+		body   block // runs directly in the function's frame
 	}
 	returnStmt struct {
 		value expr // may be nil
@@ -42,6 +44,14 @@ type (
 	continueStmt struct{}
 	exprStmt     struct{ e expr }
 )
+
+// block is a statement list with its own scope. size is the number of
+// names the scope declares; a block that declares none gets no frame and
+// runs in its enclosing one.
+type block struct {
+	stmts []stmt
+	size  int
+}
 
 func (*varStmt) stmtNode()      {}
 func (*assignStmt) stmtNode()   {}
@@ -71,8 +81,18 @@ type (
 		v   bool
 		box Value
 	}
-	nullLit   struct{}
-	identExpr struct{ name string }
+	nullLit struct{}
+	// identExpr is a variable reference. The parser fills in name; the
+	// resolver binds the rest and shares one node among all references to
+	// the same name that resolve alike. A read or write tries each slot in
+	// locs, innermost first, skipping unset ones, then the global cell;
+	// a read of a name bound nowhere falls back to builtin.
+	identExpr struct {
+		name    string
+		locs    []loc
+		global  int   // index into Program.globals
+		builtin Value // the builtin named name, or nil
+	}
 	arrayLit  struct{ elems []expr }
 	objectLit struct {
 		keys []string
@@ -112,10 +132,12 @@ func (*callExpr) exprNode()   {}
 func (*indexExpr) exprNode()  {}
 func (*memberExpr) exprNode() {}
 
-// Program is a parsed script ready for execution.
+// Program is a parsed script ready for execution. It is immutable after
+// Parse, so one Program may run on several Interps at once.
 type Program struct {
-	stmts []stmt
-	src   string
+	stmts   []stmt
+	globals []string // names the program may address as globals
+	src     string
 }
 
 // Source returns the original source text.
@@ -136,7 +158,7 @@ func Parse(src string) (*Program, error) {
 		}
 		stmts = append(stmts, s)
 	}
-	return &Program{stmts: stmts, src: src}, nil
+	return resolve(stmts, src), nil
 }
 
 // MustParse is Parse that panics on error, for static workload scripts.
@@ -206,7 +228,7 @@ func (p *parser) statement() (stmt, error) {
 			if _, err := p.expect(tPunct, ";"); err != nil {
 				return nil, err
 			}
-			return &varStmt{name: name, init: init}, nil
+			return &varStmt{ref: &identExpr{name: name}, init: init}, nil
 		case "if":
 			return p.ifStatement()
 		case "while":
@@ -225,7 +247,7 @@ func (p *parser) statement() (stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &whileStmt{cond: cond, body: body}, nil
+			return &whileStmt{cond: cond, body: block{stmts: body}}, nil
 		case "for":
 			return p.forStatement()
 		case "function":
@@ -258,7 +280,7 @@ func (p *parser) statement() (stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &funcStmt{name: name, params: params, body: body}, nil
+			return &funcStmt{ref: &identExpr{name: name}, params: params, body: block{stmts: body}}, nil
 		case "return":
 			p.advance()
 			var v expr
@@ -371,7 +393,7 @@ func (p *parser) ifStatement() (stmt, error) {
 			}
 		}
 	}
-	return &ifStmt{cond: cond, then: then, alt: alt}, nil
+	return &ifStmt{cond: cond, then: block{stmts: then}, alt: block{stmts: alt}}, nil
 }
 
 func (p *parser) forStatement() (stmt, error) {
@@ -421,7 +443,7 @@ func (p *parser) forStatement() (stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.body = body
+	f.body = block{stmts: body}
 	return f, nil
 }
 

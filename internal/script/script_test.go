@@ -1,6 +1,7 @@
 package script
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -455,4 +456,14 @@ func TestLongScriptDoesNotBlowStack(t *testing.T) {
 	}
 	in := run(t, b.String())
 	wantNum(t, in, "t", 2000)
+}
+
+// TestEmptyEndlessForHitsBudget: for (;;) {} evaluates nothing, so only a
+// check outside the op count can stop it.
+func TestEmptyEndlessForHitsBudget(t *testing.T) {
+	for _, src := range []string{`for (;;) {}`, `for (var i = 0;;) {}`, `function f() { for (;;) {} } f();`} {
+		if err := New(Config{MaxOps: 1000}).Run(MustParse(src)); !errors.Is(err, ErrBudget) {
+			t.Errorf("%s: err %v, want ErrBudget", src, err)
+		}
+	}
 }
