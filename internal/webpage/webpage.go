@@ -21,6 +21,7 @@ package webpage
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"mobileqoe/internal/cache"
 	"mobileqoe/internal/script"
@@ -442,24 +443,30 @@ var profileCache = cache.New[string, *Profile](cache.Config{
 	MaxBytes:   64 << 20,
 })
 
-// profileScript parses and executes a script once per distinct source,
-// recording its cost. The returned Profile is shared and must be treated as
-// immutable by callers (all current consumers only read it).
+// profileScript returns src's profile through profileCache, running the
+// script once per distinct source. The returned Profile is shared and must
+// be treated as immutable by callers (all current consumers only read it).
 func profileScript(src string) *Profile {
 	prof, err := profileCache.GetOrLoad(src, func() (*Profile, int64, error) {
-		prog := script.MustParse(src)
-		host := script.NewCountingHost()
-		in := script.New(script.Config{Host: host})
-		if err := in.Run(prog); err != nil {
-			panic(fmt.Sprintf("webpage: generated script failed: %v\n%s", err, src))
-		}
-		st := in.Stats()
-		p := &Profile{Ops: st.Ops, StrBytes: st.StrBytes, Calls: host.Calls}
-		bytes := int64(64 + 24*len(host.Calls))
+		p := profile(src)
+		bytes := 64 + int64(unsafe.Sizeof(script.RegexCall{}))*int64(cap(p.Calls))
 		return p, bytes, nil
 	})
 	if err != nil {
 		panic(err)
 	}
 	return prof
+}
+
+// profile parses and executes src against a recording host, uncached,
+// and returns the work it did.
+func profile(src string) *Profile {
+	prog := script.MustParse(src)
+	host := script.NewCountingHost()
+	in := script.New(script.Config{Host: host})
+	if err := in.Run(prog); err != nil {
+		panic(fmt.Sprintf("webpage: generated script failed: %v\n%s", err, src))
+	}
+	st := in.Stats()
+	return &Profile{Ops: st.Ops, StrBytes: st.StrBytes, Calls: host.Calls}
 }

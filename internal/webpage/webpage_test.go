@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mobileqoe/internal/cache"
 
@@ -324,5 +325,18 @@ func TestTop50WorkPinned(t *testing.T) {
 	if ops != 23380920 || strBytes != 67350853 || calls != 231894 || steps != 102678251 {
 		t.Fatalf("Top50(1) work: ops %d, str bytes %d, regex calls %d, regex steps %d; want 23380920, 67350853, 231894, 102678251",
 			ops, strBytes, calls, steps)
+	}
+}
+
+// TestProfileCacheChargesCallBytes: a cached profile costs its recorded
+// regex calls at their real size, over the slice's capacity.
+func TestProfileCacheChargesCallBytes(t *testing.T) {
+	old := profileCache
+	profileCache = cache.New[string, *Profile](cache.Config{MaxEntries: 4})
+	defer func() { profileCache = old }()
+	p := profileScript(`var n = 0; for (var i = 0; i < 5; i++) { if ("ads/x".test("ads")) { n++; } }`)
+	want := 64 + int64(unsafe.Sizeof(script.RegexCall{}))*int64(cap(p.Calls))
+	if got := profileCache.Stats().Bytes; len(p.Calls) != 5 || got != want {
+		t.Fatalf("%d calls charged %d bytes, want %d", len(p.Calls), got, want)
 	}
 }
