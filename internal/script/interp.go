@@ -145,8 +145,8 @@ func isUnset(v Value) bool {
 	return ok
 }
 
-// in returns l's slot, in the frame l.depth frames up from fr.
-func (l loc) in(fr *frame) *Value {
+// at returns l's slot, in the frame l.depth frames up from fr.
+func (l loc) at(fr *frame) *Value {
 	for d := l.depth; d > 0; d-- {
 		fr = fr.parent
 	}
@@ -156,7 +156,7 @@ func (l loc) in(fr *frame) *Value {
 // lookup reads x: the innermost set slot, else the set global cell.
 func (in *Interp) lookup(x *identExpr, fr *frame) (Value, bool) {
 	for _, l := range x.locs {
-		if v := *l.in(fr); !isUnset(v) {
+		if v := *l.at(fr); !isUnset(v) {
 			return v, true
 		}
 	}
@@ -170,7 +170,7 @@ func (in *Interp) lookup(x *identExpr, fr *frame) (Value, bool) {
 // cell takes it (an implicit global, like sloppy-mode JS).
 func (in *Interp) store(x *identExpr, fr *frame, v Value) {
 	for _, l := range x.locs {
-		if p := l.in(fr); !isUnset(*p) {
+		if p := l.at(fr); !isUnset(*p) {
 			*p = v
 			return
 		}

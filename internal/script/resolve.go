@@ -5,11 +5,11 @@ import "slices"
 // The resolver binds every variable reference to fixed positions once, at
 // parse time, so the interpreter never searches for a name.
 //
-// Each function body, each for header that declares its loop variable and
-// each block that declares something is one scope with a frame: a []Value
-// holding one slot per declared name. Top-level names are globals instead,
-// addressed through the program's global cells, because several programs
-// share an Interp and Global/SetGlobal reach them by name.
+// Each function body (with its parameters), for header and block is a
+// scope. A scope that declares something gets a frame at run time: a
+// []Value holding one slot per declared name. Top-level names are globals
+// instead, addressed through the program's global cells, because several
+// programs share an Interp and Global/SetGlobal reach them by name.
 //
 // Lookups stay dynamic in one respect: a name is visible only once its var,
 // function or parameter has run. So a reference records every enclosing

@@ -3,7 +3,9 @@ package script
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -466,4 +468,42 @@ func TestEmptyEndlessForHitsBudget(t *testing.T) {
 			t.Errorf("%s: err %v, want ErrBudget", src, err)
 		}
 	}
+}
+
+// TestProgramSharedAcrossInterps runs the same Programs on several Interps
+// at once: after Parse nothing in a Program is written, so under -race the
+// runs must not conflict, and each must match a sequential run.
+func TestProgramSharedAcrossInterps(t *testing.T) {
+	var progs []*Program
+	for _, tc := range coreLanguageCases {
+		if tc.prelude == "" && tc.inputs == nil {
+			progs = append(progs, MustParse(tc.src))
+		}
+	}
+	for _, src := range templateScripts {
+		progs = append(progs, MustParse(src))
+	}
+	runAll := func() []Stats {
+		var out []Stats
+		for _, p := range progs {
+			in := New(Config{})
+			if err := in.Run(p); err != nil {
+				t.Error(err)
+			}
+			out = append(out, in.Stats())
+		}
+		return out
+	}
+	want := runAll()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := runAll(); !slices.Equal(got, want) {
+				t.Errorf("concurrent run: stats %v, want %v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }
