@@ -2,10 +2,6 @@ package script
 
 import (
 	"fmt"
-	"math"
-	"slices"
-	"sort"
-	"strings"
 	"testing"
 )
 
@@ -166,8 +162,8 @@ func FuzzScript(f *testing.F) {
 		}
 		for _, p := range progs {
 			for _, name := range p.globals {
-				if ga, gb := render(a.Global(name)), render(b.Global(name)); ga != gb {
-					t.Fatalf("global %q: %s vs %s", name, ga, gb)
+				if ga, gb := a.Global(name), b.Global(name); !sameValue(ga, gb) {
+					t.Fatalf("global %q: %v vs %v", name, ga, gb)
 				}
 			}
 		}
@@ -185,62 +181,4 @@ func fuzzRun(progs []*Program) (*Interp, error) {
 		}
 	}
 	return in, nil
-}
-
-// render prints v structurally and deterministically: functions by name,
-// object fields in key order, and an array nested in itself as "<cycle>".
-func render(v Value) string {
-	var b strings.Builder
-	var open []any
-	var walk func(Value)
-	walk = func(v Value) {
-		switch v := v.(type) {
-		case *Array:
-			if slices.Contains(open, any(v)) {
-				b.WriteString("<cycle>")
-				return
-			}
-			open = append(open, v)
-			b.WriteByte('[')
-			for _, e := range v.Elems {
-				walk(e)
-				b.WriteByte(',')
-			}
-			b.WriteByte(']')
-			open = open[:len(open)-1]
-		case *Object:
-			if slices.Contains(open, any(v)) {
-				b.WriteString("<cycle>")
-				return
-			}
-			open = append(open, v)
-			keys := make([]string, 0, len(v.Fields))
-			for k := range v.Fields {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			b.WriteByte('{')
-			for _, k := range keys {
-				fmt.Fprintf(&b, "%q:", k)
-				walk(v.Fields[k])
-				b.WriteByte(',')
-			}
-			b.WriteByte('}')
-			open = open[:len(open)-1]
-		case *Closure:
-			fmt.Fprintf(&b, "function %s", v.fn.ref.name)
-		case *builtinFn:
-			fmt.Fprintf(&b, "builtin %s", v.name)
-		case float64:
-			if math.IsNaN(v) {
-				b.WriteString("NaN")
-				return
-			}
-			fmt.Fprintf(&b, "%v", v)
-		default:
-			fmt.Fprintf(&b, "%T(%#v)", v, v)
-		}
-	}
-	walk(v)
-	return b.String()
 }

@@ -393,7 +393,11 @@ func (in *Interp) indexValue(base, idx Value) (Value, error) {
 		}
 		return b.Elems[int(i)], nil
 	case *Object:
-		return b.Fields[in.toStr(idx)], nil
+		k, err := in.key(idx)
+		if err != nil {
+			return nil, err
+		}
+		return b.Fields[k], nil
 	case string:
 		i, ok := idx.(float64)
 		if !ok || int(i) < 0 || int(i) >= len(b) {
@@ -418,7 +422,11 @@ func (in *Interp) setIndexValue(base, idx, v Value) error {
 		b.Elems[int(i)] = v
 		return nil
 	case *Object:
-		b.Fields[in.toStr(idx)] = v
+		k, err := in.key(idx)
+		if err != nil {
+			return err
+		}
+		b.Fields[k] = v
 		return nil
 	}
 	return fmt.Errorf("script: cannot index %T", base)
@@ -603,10 +611,10 @@ func (in *Interp) binop(op string, l, r Value) (Value, error) {
 		rs, rok := r.(string)
 		if lok || rok {
 			if !lok {
-				ls = in.toStr(l)
+				ls, _ = in.toStr(l)
 			}
 			if !rok {
-				rs = in.toStr(r)
+				rs, _ = in.toStr(r)
 			}
 			if err := in.charge(0, int64(len(ls)+len(rs))); err != nil {
 				return nil, err
@@ -704,36 +712,51 @@ func truthy(v Value) bool {
 // toStr converts v to a string. An array renders as its elements joined
 // by ","; an array nested in itself renders as "" there, as in JS. An
 // array's rendering stops once it passes the string bytes the budget has
-// left, where charging it fails anyway.
-func (in *Interp) toStr(v Value) string {
+// left, and full then reports false. A caller that charges the result may
+// ignore full, because that charge fails anyway.
+func (in *Interp) toStr(v Value) (s string, full bool) {
 	a, ok := v.(*Array)
 	if !ok {
-		return scalarStr(v)
+		return scalarStr(v), true
 	}
 	var b strings.Builder
-	writeArray(&b, a, nil, in.bytesLeft())
-	return b.String()
+	full = writeArray(&b, a, nil, in.bytesLeft())
+	return b.String(), full
 }
 
-// writeArray renders a into b; open holds the arrays being rendered.
-func writeArray(b *strings.Builder, a *Array, open []*Array, limit int64) {
+// key converts an object index to its field name. It fails with ErrBudget
+// where toStr cuts the rendering short, as nothing charges a key.
+func (in *Interp) key(idx Value) (string, error) {
+	k, full := in.toStr(idx)
+	if !full {
+		return "", ErrBudget
+	}
+	return k, nil
+}
+
+// writeArray renders a into b and reports whether it rendered all of a
+// before b passed limit; open holds the arrays being rendered.
+func writeArray(b *strings.Builder, a *Array, open []*Array, limit int64) bool {
 	if slices.Contains(open, a) {
-		return
+		return true
 	}
 	open = append(open, a)
 	for i, e := range a.Elems {
 		if int64(b.Len()) > limit {
-			return
+			return false
 		}
 		if i > 0 {
 			b.WriteByte(',')
 		}
 		if ea, ok := e.(*Array); ok {
-			writeArray(b, ea, open, limit)
+			if !writeArray(b, ea, open, limit) {
+				return false
+			}
 		} else {
 			b.WriteString(scalarStr(e))
 		}
 	}
+	return true
 }
 
 // scalarStr converts any value but an array to a string.
@@ -958,7 +981,7 @@ func (in *Interp) arrayMethod(a *Array, name string, args []Value) (Value, error
 		parts := make([]string, len(a.Elems))
 		total := 0
 		for i, e := range a.Elems {
-			parts[i] = in.toStr(e)
+			parts[i], _ = in.toStr(e)
 			total += len(parts[i])
 			if int64(total) > in.bytesLeft() {
 				break // the charge below fails
@@ -1051,7 +1074,7 @@ var builtins = map[string]Value{
 		if len(args) == 0 {
 			return "", nil
 		}
-		s := in.toStr(args[0])
+		s, _ := in.toStr(args[0])
 		return s, in.charge(0, int64(len(s)))
 	}},
 	"abs":   &builtinFn{name: "abs", fn: num1(math.Abs)},

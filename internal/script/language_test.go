@@ -16,8 +16,14 @@ func obj(kv ...Value) *Object {
 	return o
 }
 
-// sameValue compares script values structurally; NaN equals NaN.
-func sameValue(a, b Value) bool {
+// sameValue compares script values structurally; NaN equals NaN, and
+// functions compare by name. Values nested in themselves compare equal
+// where their structure repeats in step.
+func sameValue(a, b Value) bool { return sameIn(a, b, map[[2]Value]bool{}) }
+
+// sameIn is sameValue; assumed holds the array and object pairs already
+// under comparison, taken as equal so a cycle ends the walk.
+func sameIn(a, b Value, assumed map[[2]Value]bool) bool {
 	switch av := a.(type) {
 	case nil:
 		return b == nil
@@ -30,13 +36,23 @@ func sameValue(a, b Value) bool {
 	case bool:
 		bv, ok := b.(bool)
 		return ok && av == bv
+	case *Closure:
+		bv, ok := b.(*Closure)
+		return ok && av.fn.ref.name == bv.fn.ref.name
+	case *builtinFn:
+		bv, ok := b.(*builtinFn)
+		return ok && av.name == bv.name
 	case *Array:
 		bv, ok := b.(*Array)
 		if !ok || len(av.Elems) != len(bv.Elems) {
 			return false
 		}
+		if assumed[[2]Value{av, bv}] {
+			return true
+		}
+		assumed[[2]Value{av, bv}] = true
 		for i := range av.Elems {
-			if !sameValue(av.Elems[i], bv.Elems[i]) {
+			if !sameIn(av.Elems[i], bv.Elems[i], assumed) {
 				return false
 			}
 		}
@@ -46,8 +62,13 @@ func sameValue(a, b Value) bool {
 		if !ok || len(av.Fields) != len(bv.Fields) {
 			return false
 		}
+		if assumed[[2]Value{av, bv}] {
+			return true
+		}
+		assumed[[2]Value{av, bv}] = true
 		for k, v := range av.Fields {
-			if !sameValue(v, bv.Fields[k]) {
+			w, ok := bv.Fields[k]
+			if !ok || !sameIn(v, w, assumed) {
 				return false
 			}
 		}

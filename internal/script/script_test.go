@@ -343,6 +343,15 @@ func TestRuntimeErrors(t *testing.T) {
 			t.Errorf("Run(%q) succeeded, want error", src)
 		}
 	}
+	// An array used as an object key whose rendering overruns the string
+	// bytes left must fail, not read or write under a truncated key.
+	long := `var a = []; for (var i = 0; i < 200; i++) { a.push("` +
+		strings.Repeat("x", 100) + `"); } var o = {};`
+	for _, src := range []string{long + ` o[a] = 1;`, long + ` var v = o[a];`} {
+		if err := New(Config{MaxOps: 10_000}).Run(MustParse(src)); !errors.Is(err, ErrBudget) {
+			t.Errorf("array key past the byte budget: err %v, want ErrBudget", err)
+		}
+	}
 }
 
 // TestVMRuntimeErrors runs programs that parse but must fail while running:
