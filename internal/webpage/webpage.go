@@ -20,6 +20,7 @@ package webpage
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -437,10 +438,14 @@ func (g *generator) filler() string {
 // program once and sharing the immutable *Profile makes corpus builds for
 // later seeds substantially cheaper. Concurrent builders for the same
 // source collapse onto one execution via the cache's singleflight loader.
+// Cached corpora keep their profiles alive, so an eviction frees nothing
+// while they do, and a later build of that source makes a second copy.
+// The byte cap (about 2.8M recorded calls) is therefore set so serving a
+// few dozen distinct cold corpora evicts few profiles.
 var profileCache = cache.New[string, *Profile](cache.Config{
 	Name:       "webpage.profiles",
 	MaxEntries: 8192,
-	MaxBytes:   64 << 20,
+	MaxBytes:   128 << 20,
 })
 
 // profileScript returns src's profile through profileCache, running the
@@ -468,5 +473,7 @@ func profile(src string) *Profile {
 		panic(fmt.Sprintf("webpage: generated script failed: %v\n%s", err, src))
 	}
 	st := in.Stats()
-	return &Profile{Ops: st.Ops, StrBytes: st.StrBytes, Calls: host.Calls}
+	// Clone drops the append slack: a profile lives as long as any cached
+	// corpus that holds it.
+	return &Profile{Ops: st.Ops, StrBytes: st.StrBytes, Calls: slices.Clone(host.Calls)}
 }
