@@ -7,6 +7,7 @@ package energy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 type Meter struct {
 	now      func() time.Duration
 	comps    map[string]*component
+	names    []string // component names, sorted: the order totals sum in
 	tr       *trace.Tracer
 	tracePid int
 }
@@ -58,6 +60,7 @@ func (m *Meter) SetPower(name string, watts float64) {
 	if !ok {
 		c = &component{since: t}
 		m.comps[name] = c
+		m.names = slices.Insert(m.names, sort.SearchStrings(m.names, name), name)
 	}
 	if m.tr != nil && watts != c.watts {
 		m.tr.Counter("energy", "power."+name, m.tracePid, t, watts)
@@ -75,11 +78,12 @@ func (m *Meter) Power(name string) float64 {
 	return 0
 }
 
-// TotalPower returns the current total power across all components.
+// TotalPower returns the current total power across all components,
+// summed in name order so the float result does not depend on map order.
 func (m *Meter) TotalPower() float64 {
 	t := 0.0
-	for _, c := range m.comps {
-		t += c.watts
+	for _, name := range m.names {
+		t += m.comps[name].watts
 	}
 	return t
 }
@@ -93,10 +97,11 @@ func (m *Meter) Energy(name string) float64 {
 	return c.joules + c.watts*(m.now()-c.since).Seconds()
 }
 
-// TotalEnergy returns the total energy in joules across all components.
+// TotalEnergy returns the total energy in joules across all components,
+// summed in name order like TotalPower.
 func (m *Meter) TotalEnergy() float64 {
 	t := 0.0
-	for name := range m.comps {
+	for _, name := range m.names {
 		t += m.Energy(name)
 	}
 	return t
@@ -104,12 +109,7 @@ func (m *Meter) TotalEnergy() float64 {
 
 // Components returns the known component names in sorted order.
 func (m *Meter) Components() []string {
-	names := make([]string, 0, len(m.comps))
-	for n := range m.comps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return append([]string(nil), m.names...)
 }
 
 // VoltageCurve maps core clock frequency to supply voltage. Mobile SoCs run

@@ -46,6 +46,27 @@ func TestMeterMultipleComponents(t *testing.T) {
 	}
 }
 
+// TestMeterTotalsSumInNameOrder uses three draws whose float sum depends on
+// the order of addition: 1e16 absorbs a lone 1 (its ulp is 2), but not the
+// 2 the two 1s make first. Name order gives 1 + 1 + 1e16 on every call,
+// however the component map happens to iterate.
+func TestMeterTotalsSumInNameOrder(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		c := &fakeClock{}
+		m := NewMeter(c.now)
+		m.SetPower("z", 1e16)
+		m.SetPower("a", 1)
+		m.SetPower("m", 1)
+		c.t = time.Second
+		if p := m.TotalPower(); p != 1e16+2 {
+			t.Fatalf("power = %v, want %v", p, 1e16+2)
+		}
+		if e := m.TotalEnergy(); e != 1e16+2 {
+			t.Fatalf("energy = %v, want %v", e, 1e16+2)
+		}
+	}
+}
+
 func TestMeterUnknownComponent(t *testing.T) {
 	m := NewMeter((&fakeClock{}).now)
 	if m.Energy("nope") != 0 || m.Power("nope") != 0 {

@@ -101,7 +101,8 @@ func (n *Network) dnsDone(name string, err error) {
 }
 
 // FlushDNS clears the resolver cache (the paper's between-loads hygiene).
+// Lookups in flight keep their waiters and complete normally, caching the
+// answer they bring back.
 func (n *Network) FlushDNS() {
-	n.dns.cache = nil
-	n.dns.pending = nil
+	clear(n.dns.cache)
 }

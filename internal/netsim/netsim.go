@@ -179,8 +179,8 @@ func New(s *sim.Sim, c *cpu.CPU, cfg Config) *Network {
 	}
 	n := &Network{s: s, cfg: cfg, cpu: c}
 	eff := units.BitRate(float64(cfg.Rate) * cfg.MACEfficiency)
-	n.down = &link{s: s, rate: eff, oneWay: cfg.RTT / 2, inj: cfg.Obs.Faults}
-	n.up = &link{s: s, rate: eff, oneWay: cfg.RTT / 2, inj: cfg.Obs.Faults}
+	n.down = &link{s: s, lane: s.NewFIFO(), rate: eff, oneWay: cfg.RTT / 2, inj: cfg.Obs.Faults}
+	n.up = &link{s: s, lane: s.NewFIFO(), rate: eff, oneWay: cfg.RTT / 2, inj: cfg.Obs.Faults}
 	if c != nil {
 		n.softirq = c.NewThread("softirq", false)
 	}
@@ -230,9 +230,11 @@ func (n *Network) txCharge(payload units.ByteSize, fn func()) {
 }
 
 // link is a half-duplex FIFO pipe: serialization at the bottleneck rate,
-// then fixed propagation.
+// then fixed propagation. Its deliveries leave in time order, so they ride
+// one kernel lane instead of each taking a slot in the event heap.
 type link struct {
 	s         *sim.Sim
+	lane      *sim.FIFO
 	rate      units.BitRate
 	oneWay    time.Duration
 	busyUntil time.Duration
@@ -255,9 +257,10 @@ func (l *link) deliver(payload units.ByteSize, fn func()) {
 	}
 	ser := rate.TimeToSend(payload + headerBytes)
 	l.busyUntil = start + ser
-	// An injected RTT spike stretches propagation; half per direction. The
-	// delivery is fire-and-forget, so the kernel recycles the event.
-	l.s.PostAt(l.busyUntil+l.oneWay+l.inj.ExtraRTT()/2, fn)
+	// An injected RTT spike stretches propagation; half per direction. When
+	// a spike ends mid-flight the delivery overtakes the lane's tail, and
+	// the lane hands it to the heap.
+	l.lane.Post(l.busyUntil+l.oneWay+l.inj.ExtraRTT()/2, fn)
 }
 
 // queueDelay reports how long a packet enqueued now would wait before

@@ -147,6 +147,36 @@ func TestDNSCoalescesConcurrentLookups(t *testing.T) {
 	}
 }
 
+// TestDNSFlushMidLookup flushes while a lookup is in flight: the flush
+// empties the cache but keeps the query, so its waiters (including one that
+// joins after the flush) all hear back and its answer is cached.
+func TestDNSFlushMidLookup(t *testing.T) {
+	s := sim.New()
+	c := nexus4CPU(s, 1512)
+	n := New(s, c, Config{ChargeCPU: true, DNS: true})
+	n.Resolve("old.example.com", func() {})
+	s.RunUntil(time.Second)
+	var errs []error
+	for i := 0; i < 2; i++ {
+		n.ResolveE("new.example.com", func(err error) { errs = append(errs, err) })
+	}
+	s.RunUntil(time.Second + 5*time.Millisecond)
+	n.FlushDNS()
+	n.ResolveE("new.example.com", func(err error) { errs = append(errs, err) })
+	s.RunUntil(2 * time.Second)
+	if len(errs) != 3 || errs[0] != nil || errs[1] != nil || errs[2] != nil {
+		t.Fatalf("waiters heard %v, want three nil errors", errs)
+	}
+	cached, flushed := false, false
+	n.Resolve("new.example.com", func() { cached = true })
+	n.Resolve("old.example.com", func() { flushed = true })
+	if !cached || flushed {
+		t.Fatalf("after the lookup: new name cached=%v, flushed name resolved synchronously=%v", cached, flushed)
+	}
+	c.Stop()
+	s.Run()
+}
+
 func TestDNSDisabledIsFree(t *testing.T) {
 	s := sim.New()
 	n := New(s, nil, Config{})

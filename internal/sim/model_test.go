@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// Model-based testing: the kernel's 4-ary heap is checked against a
-// deliberately naive reference scheduler — a flat slice popped by linear
-// scan over (at, seq) — across hundreds of random schedules that mix
-// tracked and untracked events, callback-time scheduling, and cancels.
-// Because the reference has no heap, no free list, and no pooling, any
-// divergence in pop order, Pending counts, or hook observations points at
-// the optimized structures.
+// Model-based testing: the kernel's 4-ary heap and its FIFO lanes are
+// checked against a deliberately naive reference scheduler — a flat slice
+// popped by linear scan over (at, seq) — across hundreds of random schedules
+// that mix tracked and untracked events, lane posts, callback-time
+// scheduling, cancels and resets. Because the reference has no heap, no
+// lanes, no free list, and no pooling, any divergence in pop order, Pending
+// counts, or hook observations points at the optimized structures.
 
 type refEvent struct {
 	at       time.Duration
@@ -31,6 +31,20 @@ func (r *refSched) schedule(at time.Duration, id int) *refEvent {
 	r.seq++
 	r.events = append(r.events, e)
 	return e
+}
+
+// reset mirrors Sim.Reset: a fresh sequence number and, for a fired or
+// canceled event, a re-armed one.
+func (r *refSched) reset(e *refEvent, at time.Duration) {
+	queued := false
+	for _, x := range r.events {
+		queued = queued || x == e
+	}
+	if !queued {
+		r.events = append(r.events, e)
+	}
+	e.at, e.seq, e.canceled = at, r.seq, false
+	r.seq++
 }
 
 // popMin removes and returns the earliest live event by (at, seq), or nil.
@@ -64,42 +78,52 @@ func (r *refSched) pending() int {
 }
 
 // TestModelRandomSchedules co-drives the kernel and the reference scheduler
-// through ~500 random schedules. Each event fires a callback that pops the
-// reference, asserts the ids agree (pop order), optionally schedules
-// children (callback-time scheduling, exercising the free list), and
-// optionally cancels an earlier tracked event (exercising remove/fix and
-// Cancel-after-Fired no-ops). A hook cross-checks Step ordinals, fire
-// times, per-callback Scheduled counts, and live Pending counts against the
-// model after every single event.
+// through ~500 random schedules. Events are tracked (At), untracked
+// (PostAt), or posted on one of two FIFO lanes, mostly at or after the
+// lane's tail and sometimes before it. Each event fires a callback that pops
+// the reference, asserts the ids, Now and Steps agree, and on its first
+// firing optionally schedules children (callback-time scheduling, exercising
+// the free list and lane refills) and cancels or resets an earlier tracked
+// event (exercising remove/fix, re-arming, and Cancel-after-Fired no-ops). A
+// hook cross-checks Step ordinals, fire times, per-callback Scheduled counts,
+// and live Pending counts against the model after every single event.
 func TestModelRandomSchedules(t *testing.T) {
 	const rounds = 500
 	for round := 0; round < rounds; round++ {
 		rng := rand.New(rand.NewSource(int64(round)))
 		s := New()
 		ref := &refSched{}
+		lanes := []*FIFO{s.NewFIFO(), s.NewFIFO()}
+		laneLast := make([]time.Duration, len(lanes))
 
 		handles := map[int]*Event{} // tracked sim events by id
 		refByID := map[int]*refEvent{}
-		children := map[int]int{} // id -> children scheduled by its callback
+		firedOnce := map[int]bool{}
 		nextID := 0
-		var fired []int
+		scheduled := 0 // kernel sequence numbers the running callback consumed
+		var steps uint64
+		var lastFired int
 
 		var scheduleOne func(at time.Duration, depth int)
 		scheduleOne = func(at time.Duration, depth int) {
 			id := nextID
 			nextID++
-			tracked := rng.Intn(2) == 0
+			kind := rng.Intn(3) // 0: At, 1: PostAt, 2: lane post
+			lane := rng.Intn(len(lanes))
+			if kind == 2 && rng.Float64() < 0.75 {
+				at = max(at, laneLast[lane]) + time.Duration(rng.Intn(3))*time.Millisecond
+			}
 			var kids []time.Duration
 			if depth < 3 && rng.Float64() < 0.35 {
 				for k := 1 + rng.Intn(2); k > 0; k-- {
 					kids = append(kids, time.Duration(rng.Intn(40))*time.Millisecond)
 				}
 			}
-			cancelID := -1
-			if id > 0 && rng.Float64() < 0.25 {
-				cancelID = rng.Intn(id)
+			target, action := -1, rng.Float64()
+			if id > 0 && action < 0.35 {
+				target = rng.Intn(id)
 			}
-			children[id] = len(kids)
+			resetTo := time.Duration(rng.Intn(40)) * time.Millisecond
 			fire := func() {
 				re := ref.popMin()
 				if re == nil {
@@ -109,47 +133,63 @@ func TestModelRandomSchedules(t *testing.T) {
 					t.Fatalf("round %d: pop order diverged: sim fired id %d, reference expects id %d",
 						round, id, re.id)
 				}
-				fired = append(fired, id)
+				steps++
+				if s.Now() != re.at || s.Steps() != steps {
+					t.Fatalf("round %d: id %d fired at Now=%v Steps=%d, reference says %v, %d",
+						round, id, s.Now(), s.Steps(), re.at, steps)
+				}
+				lastFired, scheduled = id, 0
+				if firedOnce[id] {
+					return // a reset re-fired it; its children already exist
+				}
+				firedOnce[id] = true
 				for _, d := range kids {
 					scheduleOne(s.Now()+d, depth+1)
 				}
-				if cancelID >= 0 {
-					if h, ok := handles[cancelID]; ok {
-						s.Cancel(h)
-						// Mirror in the model. Setting the flag on an
-						// already-popped refEvent is a no-op, exactly like
-						// Cancel after Fired.
-						refByID[cancelID].canceled = true
-					}
+				h, ok := handles[target]
+				switch {
+				case !ok:
+				case action < 0.2:
+					s.Cancel(h)
+					// Mirror in the model. Setting the flag on an
+					// already-popped refEvent is a no-op, exactly like
+					// Cancel after Fired.
+					refByID[target].canceled = true
+				default:
+					s.Reset(h, s.Now()+resetTo)
+					ref.reset(refByID[target], s.Now()+resetTo)
+					scheduled++
 				}
 			}
-			if tracked {
+			switch kind {
+			case 0:
 				handles[id] = s.At(at, fire)
-			} else {
+			case 1:
 				s.PostAt(at, fire)
+			default:
+				lanes[lane].Post(at, fire)
+				laneLast[lane] = max(laneLast[lane], at)
 			}
 			refByID[id] = ref.schedule(at, id)
+			scheduled++
 		}
 
-		var hookSteps uint64
 		lastAt := time.Duration(-1)
 		s.SetHook(func(info StepInfo) {
-			hookSteps++
-			if info.Step != hookSteps {
-				t.Fatalf("round %d: hook saw Step %d, want %d", round, info.Step, hookSteps)
+			if info.Step != steps {
+				t.Fatalf("round %d: hook saw Step %d, want %d", round, info.Step, steps)
 			}
-			if info.At < lastAt {
-				t.Fatalf("round %d: hook fire times went backwards: %v after %v", round, info.At, lastAt)
+			if info.At < lastAt || info.At != s.Now() {
+				t.Fatalf("round %d: hook At = %v after %v, Now %v", round, info.At, lastAt, s.Now())
 			}
 			lastAt = info.At
-			justFired := fired[len(fired)-1]
-			if info.Scheduled != children[justFired] {
+			if info.Scheduled != scheduled {
 				t.Fatalf("round %d: hook Scheduled = %d for id %d, want %d",
-					round, info.Scheduled, justFired, children[justFired])
+					round, info.Scheduled, lastFired, scheduled)
 			}
-			if info.Pending != ref.pending() {
+			if info.Pending != ref.pending() || s.Pending() != info.Pending {
 				t.Fatalf("round %d: Pending = %d after id %d, reference says %d",
-					round, info.Pending, justFired, ref.pending())
+					round, info.Pending, lastFired, ref.pending())
 			}
 		})
 

@@ -31,6 +31,14 @@
 //     allocates exactly once over its lifetime.
 //   - Recycle lets an owner that is done with a fired or canceled event hand
 //     it back explicitly.
+//   - A FIFO lane (NewFIFO) carries fire-and-forget events whose times never
+//     decrease, such as one link's packets in flight. Its entries are not
+//     Event objects: they wait in a ring buffer, and only the lane's head
+//     sits in the heap, as one kernel-owned event re-queued under the next
+//     entry each time an entry fires. Entries keep the sequence numbers
+//     they were posted with and each counts as one pending event and one
+//     step, so fire order, Pending, Steps and StepInfo are exactly as with
+//     PostAt.
 //
 // Events obtained from At/After and never Reset/Recycled behave exactly as
 // before: the kernel never reclaims an event a caller may still reference,
@@ -50,6 +58,7 @@ type Event struct {
 	fn        func()
 	index     int  // heap index, -1 when not queued
 	untracked bool // scheduled via PostAt/PostAfter; recycled after firing
+	lane      bool // a FIFO lane's head; re-queued by its own callback
 	canceled  bool
 	fired     bool
 }
@@ -74,10 +83,14 @@ func (e *Event) Queued() bool { return e.index >= 0 }
 // StepInfo describes one executed event, as seen by a Hook after the
 // event's callback returned. All times are virtual.
 type StepInfo struct {
-	At        time.Duration // the event's fire time (== Now during the hook)
-	Step      uint64        // 1-based ordinal of the event in this run
-	Scheduled int           // events the callback itself scheduled
-	Pending   int           // queue depth after the callback ran
+	// At is the event's time once its callback returned: its fire time
+	// (== Now during the hook), unless the callback re-armed its own event
+	// with Reset, in which case it is the re-armed time. A FIFO lane entry
+	// always reports its fire time.
+	At        time.Duration
+	Step      uint64 // 1-based ordinal of the event in this run
+	Scheduled int    // events the callback itself scheduled
+	Pending   int    // queue depth after the callback ran
 }
 
 // Hook observes kernel activity. It runs synchronously after every event
@@ -122,8 +135,9 @@ func (s *Sim) alloc() *Event {
 	return &Event{}
 }
 
-// schedule validates and enqueues a fresh event.
-func (s *Sim) schedule(t time.Duration, fn func(), untracked bool) *Event {
+// check panics on a schedule request no model may make: a time in the past,
+// a nil callback, or scheduling from inside a Hook.
+func (s *Sim) check(t time.Duration, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -133,6 +147,11 @@ func (s *Sim) schedule(t time.Duration, fn func(), untracked bool) *Event {
 	if s.inHook {
 		panic("sim: scheduling from inside a Hook")
 	}
+}
+
+// schedule validates and enqueues a fresh event.
+func (s *Sim) schedule(t time.Duration, fn func(), untracked bool) *Event {
+	s.check(t, fn)
 	e := s.alloc()
 	e.at, e.seq, e.fn, e.index = t, s.seq, fn, -1
 	e.untracked, e.canceled, e.fired = untracked, false, false
@@ -249,10 +268,13 @@ func (s *Sim) Step() bool {
 		if s.hook == nil {
 			e.fn()
 		} else {
-			pre := s.seq
+			pre, at := s.seq, e.at
 			e.fn()
+			if !e.lane {
+				at = e.at // see StepInfo.At
+			}
 			s.inHook = true
-			s.hook(StepInfo{At: e.at, Step: s.steps,
+			s.hook(StepInfo{At: at, Step: s.steps,
 				Scheduled: int(s.seq - pre), Pending: s.pending})
 			s.inHook = false
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -328,6 +329,30 @@ func TestHookObservesSteps(t *testing.T) {
 	last := infos[2]
 	if last.Step != 3 || last.Scheduled != 0 || last.Pending != 0 {
 		t.Errorf("last StepInfo = %+v, want Step=3 Scheduled=0 Pending=0", last)
+	}
+}
+
+// TestHookAtAfterCallback pins StepInfo.At, which kernel trace spans end
+// at: an event whose callback re-arms it reports the re-armed time, and a
+// lane entry reports its fire time though the lane's event was re-queued
+// under the next entry before the entry's callback ran.
+func TestHookAtAfterCallback(t *testing.T) {
+	s := New()
+	var ats []time.Duration
+	s.SetHook(func(si StepInfo) { ats = append(ats, si.At) })
+	var e *Event
+	e = s.At(time.Second, func() {
+		if s.Now() == time.Second {
+			s.Reset(e, 5*time.Second)
+		}
+	})
+	f := s.NewFIFO()
+	f.Post(2*time.Second, func() {})
+	f.Post(3*time.Second, func() {})
+	s.Run()
+	want := []time.Duration{5 * time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second}
+	if !reflect.DeepEqual(ats, want) {
+		t.Fatalf("hook At = %v, want %v", ats, want)
 	}
 }
 
