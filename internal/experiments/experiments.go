@@ -6,6 +6,12 @@
 // The experiment IDs follow the paper: table1, fig1, fig2a–fig2c, fig3a–d,
 // fig4a–d, fig5a–d, fig6, fig7a–c, plus the in-text analyses (text-crit,
 // text-regex) and the ablations DESIGN.md §5 calls out (abl-*).
+//
+// The one-axis figures (fig2b, fig2c, fig3a–fig6) are Sweep values: one
+// workload measured at each Point of one axis. internal/scenario compiles a
+// scenario file into a Sweep built with the same point builders, and
+// internal/fleet runs its tuples through the same Workload, so a figure, a
+// scenario and a fleet tuple share one implementation of running a cell.
 package experiments
 
 import (
@@ -223,13 +229,6 @@ func register(id, desc string, fn Runner) {
 	registry[id] = entry{fn: fn, desc: desc}
 }
 
-// Register adds an out-of-package experiment (e.g. a parsed scenario) to the
-// registry under the given id, making it runnable through RunTrial and the
-// internal/runner pool like a built-in. It panics on a duplicate id; dynamic
-// registrars namespace their ids (internal/scenario uses "scenario:<name>")
-// so they cannot collide with the built-in figure ids.
-func Register(id, desc string, fn Runner) { register(id, desc, fn) }
-
 // IDs returns all experiment IDs in sorted order.
 func IDs() []string {
 	out := make([]string, 0, len(registry))
@@ -289,10 +288,9 @@ func RunTrialAttempt(id string, cfg Config, trial, attempt int) (*Table, error) 
 }
 
 // RunTrialAttemptFn is RunTrialAttempt for a runner that is not in the
-// global registry. Long-lived processes (internal/engine, cmd/qoesimd)
-// compose scenario runners per request; registering those globally would
-// panic on repeated names and race against concurrent registry readers, so
-// they resolve ids privately and execute through this entry point. The
+// registry. Scenario runners are composed per request (internal/engine,
+// cmd/qoesimd) and resolved privately through runner.Options.Resolve, so
+// they execute through this entry point rather than a registry id. The
 // seed-derivation and per-trial setup discipline is identical to the
 // registry path — that is the whole point: one implementation of "run one
 // cell".
@@ -353,20 +351,6 @@ func unknownErr(id string) error {
 }
 
 // Formatting helpers shared by the runners.
-
-// FmtSecs, FmtFPS, FmtMbps, and FmtMeanStd expose the registry's cell
-// formatters to out-of-package runners (internal/scenario), so declarative
-// sweeps format byte-identically to the built-in figures they mirror.
-func FmtSecs(d time.Duration) string { return secs(d) }
-
-// FmtFPS formats a frame rate like the telephony figures.
-func FmtFPS(v float64) string { return fps(v) }
-
-// FmtMbps formats a throughput like fig6.
-func FmtMbps(v float64) string { return mbps(v) }
-
-// FmtMeanStd formats an aggregated sample like the web figures.
-func FmtMeanStd(m, s float64) string { return meanStd(m, s) }
 
 func secs(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
 func ratio(v float64) string      { return fmt.Sprintf("%.2f", v) }

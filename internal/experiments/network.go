@@ -1,29 +1,16 @@
 package experiments
 
-import (
-	"fmt"
-
-	"mobileqoe/internal/core"
-	"mobileqoe/internal/device"
-)
+import "mobileqoe/internal/device"
 
 func init() {
-	register("fig6", "TCP throughput vs clock frequency (Fig. 6)", fig6)
+	registerSweep("TCP throughput vs clock frequency (Fig. 6)", fig6)
 }
 
-func fig6(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig6", Title: "iperf TCP throughput vs clock (Nexus4, 72 Mbps AP)",
-		Columns: []string{"clock_mhz", "throughput_mbps"}}
-	for _, f := range device.Nexus4FreqSteps() {
-		sys := cfg.NewSystem(device.Nexus4(), core.WithClock(f))
-		res, err := sys.Run(core.IperfWorkload{Duration: cfg.IperfDuration})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.0f", f.MHz()), mbps(res.Iperf.Throughput.Mbpsf()))
-	}
-	t.Notes = append(t.Notes,
-		"paper shape: ≈48 Mbps at 1512 MHz falling to ≈32 Mbps at 384 MHz, a second-order",
-		"effect of charging packet processing to the CPU (see abl-packetcpu)")
-	return t, nil
+func fig6() *Sweep {
+	return &Sweep{ID: "fig6", Title: "iperf TCP throughput vs clock (Nexus4, 72 Mbps AP)",
+		Axis: "clock_mhz", Workload: Workload{Kind: KindIperf},
+		Points: ClockPoints(device.Nexus4(), nil, device.Nexus4FreqSteps()),
+		Notes: []string{
+			"paper shape: ≈48 Mbps at 1512 MHz falling to ≈32 Mbps at 384 MHz, a second-order",
+			"effect of charging packet processing to the CPU (see abl-packetcpu)"}}
 }

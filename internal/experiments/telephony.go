@@ -1,106 +1,49 @@
 package experiments
 
 import (
-	"fmt"
-
 	"mobileqoe/internal/core"
 	"mobileqoe/internal/cpu"
 	"mobileqoe/internal/device"
-	"mobileqoe/internal/telephony"
-	"mobileqoe/internal/units"
 )
 
 func init() {
-	register("fig2c", "Telephony frame rate across devices (Fig. 2c)", fig2c)
-	register("fig5a", "Telephony QoE vs clock frequency (Fig. 5a)", fig5a)
-	register("fig5b", "Telephony QoE vs memory capacity (Fig. 5b)", fig5b)
-	register("fig5c", "Telephony QoE vs number of cores (Fig. 5c)", fig5c)
-	register("fig5d", "Telephony QoE vs Android governor (Fig. 5d)", fig5d)
+	registerSweep("Telephony frame rate across devices (Fig. 2c)", fig2c)
+	registerSweep("Telephony QoE vs clock frequency (Fig. 5a)", fig5a)
+	registerSweep("Telephony QoE vs memory capacity (Fig. 5b)", fig5b)
+	registerSweep("Telephony QoE vs number of cores (Fig. 5c)", fig5c)
+	registerSweep("Telephony QoE vs Android governor (Fig. 5d)", fig5d)
 }
 
-func callOnce(cfg Config, spec device.Spec, opts ...core.Option) (telephony.Metrics, error) {
-	sys := cfg.NewSystem(spec, opts...)
-	res, err := sys.Run(core.CallWorkload{Config: telephony.CallConfig{Duration: cfg.CallDuration}})
-	if err != nil {
-		return telephony.Metrics{}, err
-	}
-	return *res.Call, nil
+func fig2c() *Sweep {
+	return &Sweep{ID: "fig2c", Title: "Video telephony frame rate across devices (default governor)",
+		Axis: "device", Workload: Workload{Kind: KindCall}, Points: DevicePoints(nil, device.Catalog()),
+		Notes: []string{"paper shape: ~18 fps on the low-end phone up to 30 fps on the high-end"}}
 }
 
-var callCols = []string{"x", "setup_s", "fps", "resolution"}
-
-func callRow(t *Table, label string, m telephony.Metrics) {
-	t.AddRow(label, secs(m.SetupDelay), fps(m.FrameRate), m.Resolution.Name)
+func fig5a() *Sweep {
+	return &Sweep{ID: "fig5a", Title: "Telephony QoE vs clock (Nexus4, userspace governor)",
+		Axis: "clock_mhz", Workload: Workload{Kind: KindCall},
+		Points: ClockPoints(device.Nexus4(), nil, device.Nexus4FreqSteps()),
+		Notes: []string{
+			"paper shape: setup delay ≈5s→≈23s (an ~18s increase) and fps 30→~17 as the clock drops;",
+			"the ABR steps the resolution down at slow clocks"}}
 }
 
-func fig2c(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig2c", Title: "Video telephony frame rate across devices (default governor)",
-		Columns: append([]string{"device"}, callCols[1:]...)}
-	for _, spec := range device.Catalog() {
-		m, err := callOnce(cfg, spec)
-		if err != nil {
-			return nil, err
-		}
-		callRow(t, spec.Name, m)
-	}
-	t.Notes = append(t.Notes, "paper shape: ~18 fps on the low-end phone up to 30 fps on the high-end")
-	return t, nil
+func fig5b() *Sweep {
+	return &Sweep{ID: "fig5b", Title: "Telephony QoE vs memory (Nexus4)",
+		Axis: "ram_gb", Workload: Workload{Kind: KindCall},
+		Points: RAMPoints(device.Nexus4(), []core.Option{core.WithGovernor(cpu.Performance)}, paperRAM),
+		Notes:  []string{"paper shape: mild memory sensitivity, like streaming"}}
 }
 
-func fig5a(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig5a", Title: "Telephony QoE vs clock (Nexus4, userspace governor)",
-		Columns: append([]string{"clock_mhz"}, callCols[1:]...)}
-	for _, f := range device.Nexus4FreqSteps() {
-		m, err := callOnce(cfg, device.Nexus4(), core.WithClock(f))
-		if err != nil {
-			return nil, err
-		}
-		callRow(t, fmt.Sprintf("%.0f", f.MHz()), m)
-	}
-	t.Notes = append(t.Notes,
-		"paper shape: setup delay ≈5s→≈23s (an ~18s increase) and fps 30→~17 as the clock drops;",
-		"the ABR steps the resolution down at slow clocks")
-	return t, nil
+func fig5c() *Sweep {
+	return &Sweep{ID: "fig5c", Title: "Telephony QoE vs online cores (Nexus4)",
+		Axis: "cores", Workload: Workload{Kind: KindCall}, Points: CorePoints(device.Nexus4(), nil, paperCores),
+		Notes: []string{"paper shape: fewer cores slow setup and shave the frame rate"}}
 }
 
-func fig5b(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig5b", Title: "Telephony QoE vs memory (Nexus4)",
-		Columns: append([]string{"ram_gb"}, callCols[1:]...)}
-	for _, ram := range []units.ByteSize{512 * units.MB, 1 * units.GB, 3 * units.GB / 2, 2 * units.GB} {
-		m, err := callOnce(cfg, device.Nexus4(), core.WithGovernor(cpu.Performance), core.WithRAM(ram))
-		if err != nil {
-			return nil, err
-		}
-		callRow(t, fmt.Sprintf("%.1f", ram.GBf()), m)
-	}
-	t.Notes = append(t.Notes, "paper shape: mild memory sensitivity, like streaming")
-	return t, nil
-}
-
-func fig5c(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig5c", Title: "Telephony QoE vs online cores (Nexus4)",
-		Columns: append([]string{"cores"}, callCols[1:]...)}
-	for cores := 1; cores <= 4; cores++ {
-		m, err := callOnce(cfg, device.Nexus4(), core.WithCores(cores))
-		if err != nil {
-			return nil, err
-		}
-		callRow(t, fmt.Sprintf("%d", cores), m)
-	}
-	t.Notes = append(t.Notes, "paper shape: fewer cores slow setup and shave the frame rate")
-	return t, nil
-}
-
-func fig5d(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig5d", Title: "Telephony QoE vs governor (Nexus4)",
-		Columns: append([]string{"governor"}, callCols[1:]...)}
-	for _, gov := range cpu.Governors() {
-		m, err := callOnce(cfg, device.Nexus4(), core.WithGovernor(gov))
-		if err != nil {
-			return nil, err
-		}
-		callRow(t, string(gov), m)
-	}
-	t.Notes = append(t.Notes, "paper shape: powersave is the outlier")
-	return t, nil
+func fig5d() *Sweep {
+	return &Sweep{ID: "fig5d", Title: "Telephony QoE vs governor (Nexus4)",
+		Axis: "governor", Workload: Workload{Kind: KindCall}, Points: GovernorPoints(device.Nexus4(), nil, cpu.Governors()),
+		Notes: []string{"paper shape: powersave is the outlier"}}
 }

@@ -1,110 +1,53 @@
 package experiments
 
 import (
-	"fmt"
-
 	"mobileqoe/internal/core"
 	"mobileqoe/internal/cpu"
 	"mobileqoe/internal/device"
-	"mobileqoe/internal/units"
-	"mobileqoe/internal/video"
 )
 
 func init() {
-	register("fig2b", "Streaming startup latency and stall ratio across devices (Fig. 2b)", fig2b)
-	register("fig4a", "Streaming QoE vs clock frequency (Fig. 4a)", fig4a)
-	register("fig4b", "Streaming QoE vs memory capacity (Fig. 4b)", fig4b)
-	register("fig4c", "Streaming QoE vs number of cores (Fig. 4c)", fig4c)
-	register("fig4d", "Streaming QoE vs Android governor (Fig. 4d)", fig4d)
+	registerSweep("Streaming startup latency and stall ratio across devices (Fig. 2b)", fig2b)
+	registerSweep("Streaming QoE vs clock frequency (Fig. 4a)", fig4a)
+	registerSweep("Streaming QoE vs memory capacity (Fig. 4b)", fig4b)
+	registerSweep("Streaming QoE vs number of cores (Fig. 4c)", fig4c)
+	registerSweep("Streaming QoE vs Android governor (Fig. 4d)", fig4d)
 }
 
-func streamOnce(cfg Config, spec device.Spec, opts ...core.Option) (video.Metrics, error) {
-	sys := cfg.NewSystem(spec, opts...)
-	res, err := sys.Run(core.VideoStream{Config: video.StreamConfig{Duration: cfg.ClipDuration}})
-	if err != nil {
-		return video.Metrics{}, err
-	}
-	return *res.Video, nil
+func fig2b() *Sweep {
+	return &Sweep{ID: "fig2b", Title: "Video streaming QoE across devices (default governor)",
+		Axis: "device", Workload: Workload{Kind: KindVideo}, Points: DevicePoints(nil, device.Catalog()),
+		Notes: []string{
+			"paper shape: startup grows ~2→5s from high-end to low-end; stall ratio ~0 everywhere;",
+			"the low-end phone is served 480p, not FullHD"}}
 }
 
-func videoRow(t *Table, label string, m video.Metrics) {
-	t.AddRow(label, secs(m.StartupLatency), fmt.Sprintf("%.3f", m.StallRatio), m.Rung.Name)
+func fig4a() *Sweep {
+	return &Sweep{ID: "fig4a", Title: "Streaming QoE vs clock (Nexus4, userspace governor)",
+		Axis: "clock_mhz", Workload: Workload{Kind: KindVideo},
+		Points: ClockPoints(device.Nexus4(), nil, device.Nexus4FreqSteps()),
+		Notes: []string{
+			"paper shape: startup 1.2→3.5s as the clock drops; stall ratio stays ~0 (HW decode,",
+			"parallel demux, 120s prefetch)"}}
 }
 
-var videoCols = []string{"x", "startup_s", "stall_ratio", "resolution"}
-
-func fig2b(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig2b", Title: "Video streaming QoE across devices (default governor)",
-		Columns: append([]string{"device"}, videoCols[1:]...)}
-	for _, spec := range device.Catalog() {
-		m, err := streamOnce(cfg, spec)
-		if err != nil {
-			return nil, err
-		}
-		videoRow(t, spec.Name, m)
-	}
-	t.Notes = append(t.Notes,
-		"paper shape: startup grows ~2→5s from high-end to low-end; stall ratio ~0 everywhere;",
-		"the low-end phone is served 480p, not FullHD")
-	return t, nil
+func fig4b() *Sweep {
+	return &Sweep{ID: "fig4b", Title: "Streaming QoE vs memory (Nexus4)",
+		Axis: "ram_gb", Workload: Workload{Kind: KindVideo},
+		Points: RAMPoints(device.Nexus4(), []core.Option{core.WithGovernor(cpu.Performance)}, paperRAM),
+		Notes:  []string{"paper shape: startup rises under the squeeze, stalls stay ~0"}}
 }
 
-func fig4a(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig4a", Title: "Streaming QoE vs clock (Nexus4, userspace governor)",
-		Columns: append([]string{"clock_mhz"}, videoCols[1:]...)}
-	for _, f := range device.Nexus4FreqSteps() {
-		m, err := streamOnce(cfg, device.Nexus4(), core.WithClock(f))
-		if err != nil {
-			return nil, err
-		}
-		videoRow(t, fmt.Sprintf("%.0f", f.MHz()), m)
-	}
-	t.Notes = append(t.Notes,
-		"paper shape: startup 1.2→3.5s as the clock drops; stall ratio stays ~0 (HW decode,",
-		"parallel demux, 120s prefetch)")
-	return t, nil
+func fig4c() *Sweep {
+	return &Sweep{ID: "fig4c", Title: "Streaming QoE vs online cores (Nexus4)",
+		Axis: "cores", Workload: Workload{Kind: KindVideo}, Points: CorePoints(device.Nexus4(), nil, paperCores),
+		Notes: []string{
+			"paper shape: the single-core configuration adds seconds of startup and ~15% stalls —",
+			"the one case where video QoE visibly degrades"}}
 }
 
-func fig4b(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig4b", Title: "Streaming QoE vs memory (Nexus4)",
-		Columns: append([]string{"ram_gb"}, videoCols[1:]...)}
-	for _, ram := range []units.ByteSize{512 * units.MB, 1 * units.GB, 3 * units.GB / 2, 2 * units.GB} {
-		m, err := streamOnce(cfg, device.Nexus4(), core.WithGovernor(cpu.Performance), core.WithRAM(ram))
-		if err != nil {
-			return nil, err
-		}
-		videoRow(t, fmt.Sprintf("%.1f", ram.GBf()), m)
-	}
-	t.Notes = append(t.Notes, "paper shape: startup rises under the squeeze, stalls stay ~0")
-	return t, nil
-}
-
-func fig4c(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig4c", Title: "Streaming QoE vs online cores (Nexus4)",
-		Columns: append([]string{"cores"}, videoCols[1:]...)}
-	for cores := 1; cores <= 4; cores++ {
-		m, err := streamOnce(cfg, device.Nexus4(), core.WithCores(cores))
-		if err != nil {
-			return nil, err
-		}
-		videoRow(t, fmt.Sprintf("%d", cores), m)
-	}
-	t.Notes = append(t.Notes,
-		"paper shape: the single-core configuration adds seconds of startup and ~15% stalls —",
-		"the one case where video QoE visibly degrades")
-	return t, nil
-}
-
-func fig4d(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig4d", Title: "Streaming QoE vs governor (Nexus4)",
-		Columns: append([]string{"governor"}, videoCols[1:]...)}
-	for _, gov := range cpu.Governors() {
-		m, err := streamOnce(cfg, device.Nexus4(), core.WithGovernor(gov))
-		if err != nil {
-			return nil, err
-		}
-		videoRow(t, string(gov), m)
-	}
-	t.Notes = append(t.Notes, "paper shape: same trend as Web for startup, zero stalls throughout")
-	return t, nil
+func fig4d() *Sweep {
+	return &Sweep{ID: "fig4d", Title: "Streaming QoE vs governor (Nexus4)",
+		Axis: "governor", Workload: Workload{Kind: KindVideo}, Points: GovernorPoints(device.Nexus4(), nil, cpu.Governors()),
+		Notes: []string{"paper shape: same trend as Web for startup, zero stalls throughout"}}
 }

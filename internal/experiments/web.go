@@ -14,10 +14,10 @@ import (
 
 func init() {
 	register("fig2a", "Web PLT across the seven devices (Fig. 2a)", fig2a)
-	register("fig3a", "Web PLT vs clock frequency on the Nexus4 (Fig. 3a)", fig3a)
-	register("fig3b", "Web PLT vs memory capacity (Fig. 3b)", fig3b)
-	register("fig3c", "Web PLT vs number of cores (Fig. 3c)", fig3c)
-	register("fig3d", "Web PLT vs Android governor (Fig. 3d)", fig3d)
+	registerSweep("Web PLT vs clock frequency on the Nexus4 (Fig. 3a)", fig3a)
+	registerSweep("Web PLT vs memory capacity (Fig. 3b)", fig3b)
+	registerSweep("Web PLT vs number of cores (Fig. 3c)", fig3c)
+	registerSweep("Web PLT vs Android governor (Fig. 3d)", fig3d)
 	register("text-crit", "Critical-path decomposition at 1512 vs 384 MHz (§3.1)", textCrit)
 	register("text-categories", "PLT slowdown by page category at low clock (§3.1)", textCategories)
 }
@@ -82,67 +82,32 @@ func fig2a(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-func fig3a(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig3a", Title: "Web PLT vs clock frequency (Nexus4, userspace governor)",
-		Columns: []string{"clock_mhz", "plt_s(mean±std)"}}
-	pages := corpus(cfg)
-	for _, f := range device.Nexus4FreqSteps() {
-		s, err := avgPLTOn(cfg, device.Nexus4(), pages, core.WithClock(f))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.0f", f.MHz()), meanStd(s.Mean(), s.Std()))
-	}
-	t.Notes = append(t.Notes, "paper shape: ~4-5x PLT growth from 1512 to 384 MHz")
-	return t, nil
+func fig3a() *Sweep {
+	return &Sweep{ID: "fig3a", Title: "Web PLT vs clock frequency (Nexus4, userspace governor)",
+		Axis: "clock_mhz", Workload: Workload{Kind: KindPage},
+		Points: ClockPoints(device.Nexus4(), nil, device.Nexus4FreqSteps()),
+		Notes:  []string{"paper shape: ~4-5x PLT growth from 1512 to 384 MHz"}}
 }
 
-func fig3b(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig3b", Title: "Web PLT vs memory capacity (Nexus4)",
-		Columns: []string{"ram_gb", "plt_s(mean±std)"}}
-	pages := corpus(cfg)
-	for _, ram := range []units.ByteSize{512 * units.MB, 1 * units.GB, 3 * units.GB / 2, 2 * units.GB} {
-		s, err := avgPLTOn(cfg, device.Nexus4(), pages,
-			core.WithGovernor(cpu.Performance), core.WithRAM(ram))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.1f", ram.GBf()), meanStd(s.Mean(), s.Std()))
-	}
-	t.Notes = append(t.Notes, "paper shape: ~2x PLT at 512 MB vs 2 GB, mild above 1 GB")
-	return t, nil
+func fig3b() *Sweep {
+	return &Sweep{ID: "fig3b", Title: "Web PLT vs memory capacity (Nexus4)",
+		Axis: "ram_gb", Workload: Workload{Kind: KindPage},
+		Points: RAMPoints(device.Nexus4(), []core.Option{core.WithGovernor(cpu.Performance)}, paperRAM),
+		Notes:  []string{"paper shape: ~2x PLT at 512 MB vs 2 GB, mild above 1 GB"}}
 }
 
-func fig3c(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig3c", Title: "Web PLT vs online cores (Nexus4)",
-		Columns: []string{"cores", "plt_s(mean±std)"}}
-	pages := corpus(cfg)
-	for cores := 1; cores <= 4; cores++ {
-		s, err := avgPLTOn(cfg, device.Nexus4(), pages,
-			core.WithGovernor(cpu.Performance), core.WithCores(cores))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", cores), meanStd(s.Mean(), s.Std()))
-	}
-	t.Notes = append(t.Notes,
-		"paper shape: only modest change — the browser uses no more than two cores")
-	return t, nil
+func fig3c() *Sweep {
+	return &Sweep{ID: "fig3c", Title: "Web PLT vs online cores (Nexus4)",
+		Axis: "cores", Workload: Workload{Kind: KindPage},
+		Points: CorePoints(device.Nexus4(), []core.Option{core.WithGovernor(cpu.Performance)}, paperCores),
+		Notes:  []string{"paper shape: only modest change — the browser uses no more than two cores"}}
 }
 
-func fig3d(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig3d", Title: "Web PLT vs Android governor (Nexus4)",
-		Columns: []string{"governor", "plt_s(mean±std)"}}
-	pages := corpus(cfg)
-	for _, gov := range cpu.Governors() {
-		s, err := avgPLTOn(cfg, device.Nexus4(), pages, core.WithGovernor(gov))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(string(gov), meanStd(s.Mean(), s.Std()))
-	}
-	t.Notes = append(t.Notes, "paper shape: powersave ≈ +50% over the others")
-	return t, nil
+func fig3d() *Sweep {
+	return &Sweep{ID: "fig3d", Title: "Web PLT vs Android governor (Nexus4)",
+		Axis: "governor", Workload: Workload{Kind: KindPage},
+		Points: GovernorPoints(device.Nexus4(), nil, cpu.Governors()),
+		Notes:  []string{"paper shape: powersave ≈ +50% over the others"}}
 }
 
 func textCrit(cfg Config) (*Table, error) {

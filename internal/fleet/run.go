@@ -13,8 +13,6 @@ import (
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/scenario"
 	"mobileqoe/internal/stats"
-	"mobileqoe/internal/telephony"
-	"mobileqoe/internal/video"
 	"mobileqoe/internal/webpage"
 )
 
@@ -119,7 +117,7 @@ func (r *Runner) runTuple(i int, sh *ShardResult) {
 	pi := r.planPick.pick(rng)
 	w := r.spec.Workloads[wi]
 	var page *webpage.Page
-	if w.Kind == "page" {
+	if w.Kind == experiments.KindPage {
 		page = r.corpus[rng.Intn(len(r.corpus))]
 	}
 
@@ -136,31 +134,7 @@ func (r *Runner) runTuple(i int, sh *ShardResult) {
 	cfg = cfg.WithFaultPlan(r.plans[pi])
 	sys := cfg.NewSystem(r.devs[di], core.WithNetwork(r.nets[ni]))
 
-	var res core.Result
-	var err error
-	switch w.Kind {
-	case "page":
-		res, err = sys.Run(core.PageLoad{Page: page})
-	case "video":
-		clip := cfg.ClipDuration
-		if w.ClipS > 0 {
-			clip = time.Duration(w.ClipS * float64(time.Second))
-		}
-		res, err = sys.Run(core.VideoStream{Config: video.StreamConfig{Duration: clip}})
-	case "call":
-		dur := cfg.CallDuration
-		if w.CallS > 0 {
-			dur = time.Duration(w.CallS * float64(time.Second))
-		}
-		res, err = sys.Run(core.CallWorkload{Config: telephony.CallConfig{Duration: dur}})
-	default: // iperf
-		dur := cfg.IperfDuration
-		if w.IperfS > 0 {
-			dur = time.Duration(w.IperfS * float64(time.Second))
-		}
-		res, err = sys.Run(core.IperfWorkload{Duration: dur})
-	}
-
+	res, err := w.Run(cfg, sys, page)
 	sh.Tuples++
 	if err != nil {
 		// A failed tuple is population data, not a shard failure: count it
@@ -170,13 +144,13 @@ func (r *Runner) runTuple(i int, sh *ShardResult) {
 		sh.TupleErrors[runlog.ClassifyError(err)]++
 		return
 	}
-	switch w.Kind {
-	case "page":
+	switch {
+	case res.Page != nil:
 		sh.observe("page.plt_ms", float64(res.Page.PLT)/float64(time.Millisecond))
-	case "video":
+	case res.Video != nil:
 		sh.observe("video.startup_ms", float64(res.Video.StartupLatency)/float64(time.Millisecond))
 		sh.observe("video.stall_ratio", res.Video.StallRatio)
-	case "call":
+	case res.Call != nil:
 		sh.observe("call.setup_ms", float64(res.Call.SetupDelay)/float64(time.Millisecond))
 		sh.observe("call.fps", res.Call.FrameRate)
 	default:

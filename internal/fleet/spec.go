@@ -34,6 +34,7 @@ import (
 	"regexp"
 	"strings"
 
+	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/netsim"
 	"mobileqoe/internal/scenario"
 )
@@ -87,14 +88,12 @@ type WeightedNetwork struct {
 	Weight int    `json:"weight"`
 }
 
-// WeightedWorkload is one workload entry, mirroring scenario.Workload's
-// kind vocabulary and per-kind duration overrides.
+// WeightedWorkload is one workload entry: the workload a scenario or a
+// figure runs, with its kind vocabulary and duration overrides, plus a
+// weight.
 type WeightedWorkload struct {
-	Kind   string  `json:"kind"` // page | video | call | iperf
-	Weight int     `json:"weight"`
-	ClipS  float64 `json:"clip_s,omitempty"`  // video: clip duration override
-	CallS  float64 `json:"call_s,omitempty"`  // call: media duration override
-	IperfS float64 `json:"iperf_s,omitempty"` // iperf: transfer duration override
+	experiments.Workload
+	Weight int `json:"weight"`
 }
 
 // WeightedPlan is one fault-plan entry: "none", "default", or a plan file
@@ -220,10 +219,8 @@ func (s *Spec) Validate() error {
 	}
 	seen = map[string]bool{}
 	for _, w := range s.Workloads {
-		switch w.Kind {
-		case "page", "video", "call", "iperf":
-		default:
-			return fmt.Errorf("fleet %s: unknown workload kind %q (want page|video|call|iperf)", s.Name, w.Kind)
+		if err := w.Validate(); err != nil {
+			return fmt.Errorf("fleet %s: %w", s.Name, err)
 		}
 		if seen[w.Kind] {
 			return fmt.Errorf("fleet %s: duplicate workload kind %q", s.Name, w.Kind)
@@ -231,18 +228,6 @@ func (s *Spec) Validate() error {
 		seen[w.Kind] = true
 		if err := checkWeight(s.Name, "workload "+w.Kind, w.Weight); err != nil {
 			return err
-		}
-		if w.ClipS != 0 && w.Kind != "video" {
-			return fmt.Errorf("fleet %s: clip_s only applies to the video workload", s.Name)
-		}
-		if w.CallS != 0 && w.Kind != "call" {
-			return fmt.Errorf("fleet %s: call_s only applies to the call workload", s.Name)
-		}
-		if w.IperfS != 0 && w.Kind != "iperf" {
-			return fmt.Errorf("fleet %s: iperf_s only applies to the iperf workload", s.Name)
-		}
-		if w.ClipS < 0 || w.CallS < 0 || w.IperfS < 0 {
-			return fmt.Errorf("fleet %s: workload durations must be positive", s.Name)
 		}
 	}
 	seen = map[string]bool{}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mobileqoe/internal/scenario"
 )
 
 const minimalSpec = `{
@@ -45,6 +47,7 @@ func TestParseRejects(t *testing.T) {
 		{"bad name", `{"name":"Bad Name","population":1,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "slug"},
 		{"zero population", `{"name":"x","population":0,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "population"},
 		{"shards beyond population", `{"name":"x","population":3,"shards":4,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "shards"},
+		{"misspelled workload field", `{"name":"x","population":1,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"video","weight":1,"clip":2}]}`, "clip"},
 		{"pages beyond catalog", `{"name":"x","population":1,"pages":51,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "pages"},
 		{"no devices", `{"name":"x","population":1,"device_mix":[],"workloads":[{"kind":"page","weight":1}]}`, "device_mix"},
 		{"unknown device", `{"name":"x","population":1,"device_mix":[{"device":"iphone","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "unknown device"},
@@ -70,6 +73,38 @@ func TestParseRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestWorkloadSharedByBothDecoders feeds the same workload objects to the
+// scenario and the fleet decoders, which share experiments.Workload: each
+// malformed one must be rejected by both, and the well-formed one accepted
+// by both.
+func TestWorkloadSharedByBothDecoders(t *testing.T) {
+	decode := func(w string) (scErr, flErr error) {
+		_, scErr = scenario.Parse([]byte(fmt.Sprintf(
+			`{"name":"x","title":"t","device":"nexus4","workload":%s,"axis":{"param":"clock_mhz","values":[384]}}`, w)))
+		weighted := strings.Replace(w, "{", `{"weight":1,`, 1)
+		_, flErr = Parse([]byte(fmt.Sprintf(
+			`{"name":"x","population":1,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[%s]}`, weighted)))
+		return scErr, flErr
+	}
+	for _, w := range []string{
+		`{"kind":"fax"}`,
+		`{"kind":""}`,
+		`{"kind":"video","clip":2}`,
+		`{"kind":"page","clip_s":5}`,
+		`{"kind":"video","call_s":5}`,
+		`{"kind":"call","iperf_s":5}`,
+		`{"kind":"iperf","clip_s":5}`,
+		`{"kind":"video","clip_s":-1}`,
+	} {
+		if scErr, flErr := decode(w); scErr == nil || flErr == nil {
+			t.Errorf("workload %s: scenario err=%v, fleet err=%v; want both rejected", w, scErr, flErr)
+		}
+	}
+	if scErr, flErr := decode(`{"kind":"video","clip_s":5}`); scErr != nil || flErr != nil {
+		t.Errorf("valid workload: scenario err=%v, fleet err=%v", scErr, flErr)
 	}
 }
 

@@ -74,12 +74,12 @@ type Options struct {
 	// any worker count. Cells whose id does not resolve get no tracer.
 	Trace bool
 	// Resolve, when non-nil, maps an experiment id to its runner before the
-	// global registry is consulted; ids it declines (ok == false) fall back
-	// to the registry. This is how long-lived servers (internal/engine) run
-	// per-request scenario runners without mutating the process-global
-	// registry — Register panics on duplicates and is not synchronized
-	// against concurrent lookups. Resolve is called from worker goroutines
-	// and must be safe for concurrent use.
+	// built-in registry is consulted; ids it declines (ok == false) fall
+	// back to the registry. It is the only way a runner outside the
+	// registry runs: engine.Plan.Resolve supplies a composed scenario's
+	// runner here, per plan, so concurrent requests never share or mutate
+	// a process-global table. Resolve is called from worker goroutines and
+	// must be safe for concurrent use.
 	Resolve func(id string) (experiments.Runner, bool)
 }
 

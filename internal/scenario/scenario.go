@@ -1,12 +1,12 @@
 // Package scenario is the declarative front end to the experiment registry:
 // it decodes a strict JSON description of a sweep — one device (or a device
 // list), one workload, one swept axis, fixed configuration for everything
-// else — and compiles it into an experiments.Runner that executes through
-// the exact same cell grid, trial seeding, observability, and table
-// formatting as the built-in figures. A scenario that mirrors a built-in
-// experiment therefore reproduces its table byte for byte (see
-// testdata/web_sweep.json vs fig3a), and a scenario that mirrors nothing is
-// how user-defined sweeps enter the system without writing Go.
+// else — and compiles it into the experiments.Sweep the built-in figures
+// run, built with the same point builders. A scenario that describes a
+// built-in figure is therefore the same experiment and renders its table
+// byte for byte (see testdata/web_sweep.json vs fig3a), and a scenario that
+// describes no figure is how user-defined sweeps enter the system without
+// writing Go.
 //
 // Parsing follows fault.ParsePlan's discipline: unknown fields, trailing
 // data, and invalid names all fail loudly at load time, never mid-run.
@@ -21,17 +21,13 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"time"
 
 	"mobileqoe/internal/core"
 	"mobileqoe/internal/cpu"
 	"mobileqoe/internal/device"
 	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/netsim"
-	"mobileqoe/internal/stats"
-	"mobileqoe/internal/telephony"
 	"mobileqoe/internal/units"
-	"mobileqoe/internal/video"
 )
 
 // Scenario is a validated, runnable sweep description.
@@ -75,14 +71,9 @@ type Scenario struct {
 }
 
 // Workload selects the application a cell runs and optionally overrides its
-// duration parameter. A duration set for a different kind is a validation
-// error — a typoed override must not be silently ignored.
-type Workload struct {
-	Kind   string  `json:"kind"`              // page | video | call | iperf
-	ClipS  float64 `json:"clip_s,omitempty"`  // video: clip duration override
-	CallS  float64 `json:"call_s,omitempty"`  // call: media duration override
-	IperfS float64 `json:"iperf_s,omitempty"` // iperf: transfer duration override
-}
+// duration; it is the figures' own workload type, validated and run by the
+// experiments package.
+type Workload = experiments.Workload
 
 // Axis is the swept parameter. Numeric axes (clock_mhz, cores, ram_mb) list
 // Values; name axes (governor, network) list Names; the device axis takes
@@ -199,8 +190,8 @@ func (s *Scenario) Validate() error {
 	if s.Trials < 0 {
 		return fmt.Errorf("scenario %s: trials %d is negative", s.Name, s.Trials)
 	}
-	if err := s.Workload.validate(s.Name); err != nil {
-		return err
+	if err := s.Workload.Validate(); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if err := s.validateDevices(); err != nil {
 		return err
@@ -215,29 +206,6 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: config fixes %q, which is also the swept axis", s.Name, s.Axis.Param)
 	}
 	return validateSLO(s.Name, s.SLO)
-}
-
-func (w Workload) validate(name string) error {
-	switch w.Kind {
-	case "page", "video", "call", "iperf":
-	case "":
-		return fmt.Errorf("scenario %s: workload.kind is required (page|video|call|iperf)", name)
-	default:
-		return fmt.Errorf("scenario %s: unknown workload.kind %q (want page|video|call|iperf)", name, w.Kind)
-	}
-	if w.ClipS != 0 && w.Kind != "video" {
-		return fmt.Errorf("scenario %s: clip_s only applies to the video workload", name)
-	}
-	if w.CallS != 0 && w.Kind != "call" {
-		return fmt.Errorf("scenario %s: call_s only applies to the call workload", name)
-	}
-	if w.IperfS != 0 && w.Kind != "iperf" {
-		return fmt.Errorf("scenario %s: iperf_s only applies to the iperf workload", name)
-	}
-	if w.ClipS < 0 || w.CallS < 0 || w.IperfS < 0 {
-		return fmt.Errorf("scenario %s: workload durations must be positive", name)
-	}
-	return nil
 }
 
 func (s *Scenario) validateDevices() error {
@@ -371,70 +339,47 @@ func (s *Scenario) TableID() string {
 	return s.Name
 }
 
-// Register compiles the scenario into an experiments.Runner and adds it to
-// the registry under RegistryID, making it runnable through RunTrial and the
-// internal/runner pool exactly like a built-in. It returns the registry id.
-// Registering two scenarios with the same name panics, like any duplicate
-// registry id.
-func (s *Scenario) Register() string {
-	id := s.RegistryID()
-	experiments.Register(id, "Scenario: "+s.Title, s.Runner())
-	return id
-}
-
-// point is one expanded axis position: its row label and the device/options
-// it measures.
-type point struct {
-	label string
-	spec  device.Spec
-	opts  []core.Option
-}
-
-// points expands the axis against the fixed configuration. Fixed options
-// come first so the swept option wins if they ever overlap (validation
-// forbids the overlap, so this is belt and braces).
-func (s *Scenario) points() []point {
-	base := s.Config.options()
-	spec := func() device.Spec {
-		if s.Device != "" {
-			return devices[s.Device]()
-		}
-		return device.Spec{} // device axis: per-point specs below
+// Sweep compiles the scenario into the sweep it runs: the axis expanded
+// against the fixed configuration through the figures' point builders,
+// fixed options first in every point.
+func (s *Scenario) Sweep() *experiments.Sweep {
+	fixed := s.Config.options()
+	var spec device.Spec // the device axis takes per-point specs instead
+	if s.Device != "" {
+		spec = devices[s.Device]()
 	}
-	var pts []point
-	add := func(label string, spec device.Spec, opt ...core.Option) {
-		pts = append(pts, point{label: label, spec: spec,
-			opts: append(append([]core.Option{}, base...), opt...)})
-	}
+	v := s.Axis.Values
+	var pts []experiments.Point
 	switch s.Axis.Param {
 	case axisClock:
-		for _, v := range s.Axis.Values {
-			add(fmt.Sprintf("%.0f", v), spec(), core.WithClock(units.MHz(v)))
-		}
+		pts = experiments.ClockPoints(spec, fixed, convert(v, units.MHz))
 	case axisCores:
-		for _, v := range s.Axis.Values {
-			add(fmt.Sprintf("%d", int(v)), spec(), core.WithCores(int(v)))
-		}
+		pts = experiments.CorePoints(spec, fixed, convert(v, func(x float64) int { return int(x) }))
 	case axisRAM:
-		for _, v := range s.Axis.Values {
-			ram := units.ByteSize(v) * units.MB
-			add(fmt.Sprintf("%.1f", ram.GBf()), spec(), core.WithRAM(ram))
-		}
+		pts = experiments.RAMPoints(spec, fixed, convert(v, func(x float64) units.ByteSize { return units.ByteSize(x) * units.MB }))
 	case axisGovernor:
-		for _, g := range s.Axis.Names {
-			add(g, spec(), core.WithGovernor(cpu.GovernorKind(g)))
-		}
+		pts = experiments.GovernorPoints(spec, fixed, convert(s.Axis.Names, func(g string) cpu.GovernorKind { return cpu.GovernorKind(g) }))
 	case axisNetwork:
-		for _, n := range s.Axis.Names {
-			add(n, spec(), core.WithNetwork(netsim.Profiles()[n]))
-		}
+		pts = experiments.NetworkPoints(spec, fixed, s.Axis.Names)
 	case axisDevice:
-		for _, d := range s.Devices {
-			sp := devices[d]()
-			add(sp.Name, sp)
-		}
+		pts = experiments.DevicePoints(fixed, convert(s.Devices, func(d string) device.Spec { return devices[d]() }))
 	}
-	return pts
+	return &experiments.Sweep{ID: s.TableID(), Title: s.Title, Axis: s.axisColumn(),
+		Workload: s.Workload, Points: pts, Notes: s.Notes}
+}
+
+// Runner compiles the scenario into a registry runner that builds its sweep
+// afresh for every cell, so concurrent trials share nothing.
+func (s *Scenario) Runner() experiments.Runner {
+	return func(cfg experiments.Config) (*experiments.Table, error) { return s.Sweep().Run(cfg) }
+}
+
+func convert[S, T any](in []S, f func(S) T) []T {
+	out := make([]T, len(in))
+	for i, x := range in {
+		out[i] = f(x)
+	}
+	return out
 }
 
 // options translates the fixed configuration into core options.
@@ -467,92 +412,4 @@ func (s *Scenario) axisColumn() string {
 		return "ram_gb" // rows print gigabytes, like fig3b/fig4b/fig5b
 	}
 	return s.Axis.Param
-}
-
-// columns is the full table header for the scenario's workload. The
-// per-workload metric columns match the built-in figures headed by the same
-// workload, which is what makes a mirroring scenario byte-identical.
-func (s *Scenario) columns() []string {
-	switch s.Workload.Kind {
-	case "page":
-		return []string{s.axisColumn(), "plt_s(mean±std)"}
-	case "video":
-		return []string{s.axisColumn(), "startup_s", "stall_ratio", "resolution"}
-	case "call":
-		return []string{s.axisColumn(), "setup_s", "fps", "resolution"}
-	default: // iperf
-		return []string{s.axisColumn(), "throughput_mbps"}
-	}
-}
-
-// Runner compiles the scenario into a registry runner. The closure builds
-// systems only through cfg.NewSystem, so trials, seeds, tracing, metrics,
-// and fault injection behave exactly as they do for built-in experiments.
-func (s *Scenario) Runner() experiments.Runner {
-	return func(cfg experiments.Config) (*experiments.Table, error) {
-		t := &experiments.Table{ID: s.TableID(), Title: s.Title, Columns: s.columns()}
-		for _, pt := range s.points() {
-			row, err := s.measure(cfg, pt)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(row...)
-		}
-		t.Notes = append(t.Notes, s.Notes...)
-		return t, nil
-	}
-}
-
-// measure runs the scenario's workload at one axis point and formats the row.
-func (s *Scenario) measure(cfg experiments.Config, pt point) ([]string, error) {
-	switch s.Workload.Kind {
-	case "page":
-		var agg stats.Sample
-		for _, p := range cfg.Corpus() {
-			sys := cfg.NewSystem(pt.spec, pt.opts...)
-			res, err := sys.Run(core.PageLoad{Page: p})
-			if err != nil {
-				return nil, err
-			}
-			agg.Add(res.Page.PLT.Seconds())
-		}
-		return []string{pt.label, experiments.FmtMeanStd(agg.Mean(), agg.Std())}, nil
-	case "video":
-		clip := cfg.ClipDuration
-		if s.Workload.ClipS > 0 {
-			clip = time.Duration(s.Workload.ClipS * float64(time.Second))
-		}
-		sys := cfg.NewSystem(pt.spec, pt.opts...)
-		res, err := sys.Run(core.VideoStream{Config: video.StreamConfig{Duration: clip}})
-		if err != nil {
-			return nil, err
-		}
-		m := res.Video
-		return []string{pt.label, experiments.FmtSecs(m.StartupLatency),
-			fmt.Sprintf("%.3f", m.StallRatio), m.Rung.Name}, nil
-	case "call":
-		dur := cfg.CallDuration
-		if s.Workload.CallS > 0 {
-			dur = time.Duration(s.Workload.CallS * float64(time.Second))
-		}
-		sys := cfg.NewSystem(pt.spec, pt.opts...)
-		res, err := sys.Run(core.CallWorkload{Config: telephony.CallConfig{Duration: dur}})
-		if err != nil {
-			return nil, err
-		}
-		m := res.Call
-		return []string{pt.label, experiments.FmtSecs(m.SetupDelay),
-			experiments.FmtFPS(m.FrameRate), m.Resolution.Name}, nil
-	default: // iperf
-		dur := cfg.IperfDuration
-		if s.Workload.IperfS > 0 {
-			dur = time.Duration(s.Workload.IperfS * float64(time.Second))
-		}
-		sys := cfg.NewSystem(pt.spec, pt.opts...)
-		res, err := sys.Run(core.IperfWorkload{Duration: dur})
-		if err != nil {
-			return nil, err
-		}
-		return []string{pt.label, experiments.FmtMbps(res.Iperf.Throughput.Mbpsf())}, nil
-	}
 }

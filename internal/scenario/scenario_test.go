@@ -1,46 +1,64 @@
 package scenario_test
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"mobileqoe/internal/experiments"
+	"mobileqoe/internal/runner"
 	"mobileqoe/internal/scenario"
 )
 
-// The registry rejects duplicate ids, so the checked-in scenarios register
-// once per test binary no matter which test needs them first.
-var registerOnce sync.Once
-
-func registerTestdata(t *testing.T) {
+// runScenario runs a parsed scenario the way engine.Compose plans it: the
+// scenario's runner is resolved privately under its RegistryID and
+// executed through runner.Run, never through the global registry.
+func runScenario(t *testing.T, s *scenario.Scenario, cfg experiments.Config) *experiments.Table {
 	t.Helper()
-	registerOnce.Do(func() {
-		for _, f := range []string{"testdata/web_sweep.json", "testdata/video_sweep.json"} {
-			s, err := scenario.Load(f)
-			if err != nil {
-				t.Fatalf("load %s: %v", f, err)
-			}
-			s.Register()
-		}
+	id, fn := s.RegistryID(), s.Runner()
+	res, err := runner.Run(context.Background(), []string{id}, cfg, runner.Options{
+		Resolve: func(q string) (experiments.Runner, bool) { return fn, q == id },
 	})
+	if err != nil {
+		t.Fatalf("run %s: %v", id, err)
+	}
+	if res[0].Err != nil {
+		t.Fatalf("run %s: %v", id, res[0].Err)
+	}
+	return res[0].Table
 }
 
-// TestWebSweepMatchesFig3a is the golden equivalence test for the tentpole:
-// the checked-in web_sweep scenario must reproduce the built-in fig3a table
-// byte for byte — same systems, same seeds, same formatting — proving the
-// declarative layer and the legacy path are the same experiment.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func loadScenario(t *testing.T, file string) *scenario.Scenario {
+	t.Helper()
+	s, err := scenario.Load(file)
+	if err != nil {
+		t.Fatalf("load %s: %v", file, err)
+	}
+	return s
+}
+
+// TestWebSweepMatchesFig3a is the golden equivalence test: the checked-in
+// web_sweep scenario compiles to the sweep fig3a runs, so it reproduces the
+// fig3a table byte for byte — same systems, same seeds, same formatting.
 func TestWebSweepMatchesFig3a(t *testing.T) {
-	registerTestdata(t)
 	cfg := experiments.Config{Pages: 2}
 	want, err := experiments.Run("fig3a", cfg)
 	if err != nil {
 		t.Fatalf("fig3a: %v", err)
 	}
-	got, err := experiments.Run("scenario:web_sweep", cfg)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
+	got := runScenario(t, loadScenario(t, "testdata/web_sweep.json"), cfg)
 	if got.String() != want.String() {
 		t.Fatalf("scenario table diverges from fig3a:\n--- fig3a ---\n%s\n--- scenario ---\n%s",
 			want.String(), got.String())
@@ -53,31 +71,55 @@ func TestWebSweepMatchesFig3a(t *testing.T) {
 // TestVideoSweepMatchesFig4a is the second golden pair: the video clock
 // sweep against the built-in fig4a.
 func TestVideoSweepMatchesFig4a(t *testing.T) {
-	registerTestdata(t)
 	cfg := experiments.Config{}
 	want, err := experiments.Run("fig4a", cfg)
 	if err != nil {
 		t.Fatalf("fig4a: %v", err)
 	}
-	got, err := experiments.Run("scenario:video_sweep", cfg)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
+	got := runScenario(t, loadScenario(t, "testdata/video_sweep.json"), cfg)
 	if got.String() != want.String() {
 		t.Fatalf("scenario table diverges from fig4a:\n--- fig4a ---\n%s\n--- scenario ---\n%s",
 			want.String(), got.String())
 	}
 }
 
+// TestDurationOverridesMatchFigures checks each per-kind duration override:
+// a scenario setting clip_s, call_s or iperf_s renders the same table as the
+// matching figure run with that duration in its Config.
+func TestDurationOverridesMatchFigures(t *testing.T) {
+	const clocks = `[384, 486, 594, 702, 810, 918, 1026, 1134, 1242, 1350, 1458, 1512]`
+	cases := []struct {
+		fig, workload string
+		cfg           experiments.Config
+	}{
+		{"fig4a", `{"kind":"video","clip_s":12}`, experiments.Config{ClipDuration: 12 * time.Second}},
+		{"fig5a", `{"kind":"call","call_s":6}`, experiments.Config{CallDuration: 6 * time.Second}},
+		{"fig6", `{"kind":"iperf","iperf_s":1.5}`, experiments.Config{IperfDuration: 1500 * time.Millisecond}},
+	}
+	for _, c := range cases {
+		t.Run(c.fig, func(t *testing.T) {
+			want, err := experiments.Run(c.fig, c.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", c.fig, err)
+			}
+			doc := fmt.Sprintf(`{"name":"x","id":%q,"title":%q,"device":"nexus4","workload":%s,"axis":{"param":"clock_mhz","values":%s},"notes":%s}`,
+				c.fig, want.Title, c.workload, clocks, mustJSON(t, want.Notes))
+			s, err := scenario.Parse([]byte(doc))
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			if got := runScenario(t, s, experiments.Config{}); got.String() != want.String() {
+				t.Fatalf("scenario with %s diverges from %s:\n--- %s ---\n%s\n--- scenario ---\n%s",
+					c.workload, c.fig, c.fig, want.String(), got.String())
+			}
+		})
+	}
+}
+
 // TestScenarioMultiTrialMerges checks a scenario behaves like a built-in
 // under the trial machinery: trials derive distinct seeds and merge.
 func TestScenarioMultiTrialMerges(t *testing.T) {
-	registerTestdata(t)
-	cfg := experiments.Config{Pages: 1, Trials: 2}
-	tab, err := experiments.Run("scenario:web_sweep", cfg)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	tab := runScenario(t, loadScenario(t, "testdata/web_sweep.json"), experiments.Config{Pages: 1, Trials: 2})
 	if len(tab.Rows) == 0 {
 		t.Fatal("merged scenario table has no rows")
 	}
