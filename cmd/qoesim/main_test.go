@@ -19,6 +19,20 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
+// TestRequestSizeUsageErrors: request sizes outside the engine's bounds are
+// usage errors (exit 2) rejected before anything is allocated or run.
+func TestRequestSizeUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-run", "fig3a", "-pages", "-1"},
+		{"-run", "table1", "-trials", "1000000000000"},
+	} {
+		code, stdout, stderr := runCLI(t, args...)
+		if code != exitUsage || stdout != "" {
+			t.Errorf("%v: code=%d stdout=%q stderr=%q, want exit %d and no table", args, code, stdout, stderr, exitUsage)
+		}
+	}
+}
+
 func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(path)

@@ -175,6 +175,9 @@ func TestServeRequestErrors(t *testing.T) {
 		"unknown exp":    `{"experiment": "fig99"}`,
 		"local path":     `{"scenario_path": "/etc/passwd"}`,
 		"fault ref file": `{"scenario": {"name": "f", "title": "t", "device": "nexus4", "workload": {"kind": "page"}, "axis": {"param": "clock_mhz", "values": [594]}, "fault_plan": "x.json"}}`,
+		"negative pages": `{"experiment": "fig3a", "pages": -1}`,
+		"huge trials":    `{"experiment": "table1", "trials": 1000000000000}`,
+		"huge shards":    `{"fleet": {"name": "huge", "population": 1000000000000, "shards": 1000000000000, "device_mix": [{"device": "pixel2", "weight": 1}], "workloads": [{"kind": "page", "weight": 1}]}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

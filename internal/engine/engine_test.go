@@ -30,6 +30,17 @@ func scenarioDoc(name string) json.RawMessage {
 	}`, name))
 }
 
+// scenarioDocTrials is scenarioDoc with a default trial count.
+func scenarioDocTrials(name string, trials int) json.RawMessage {
+	doc := scenarioDoc(name)
+	return json.RawMessage(fmt.Sprintf(`%s, "trials": %d}`, doc[:len(doc)-1], trials))
+}
+
+// hugeFleetDoc asks for 10^12 shards, one slot each in the supervisor's
+// in-order window; Validate must refuse it before anything is allocated.
+var hugeFleetDoc = json.RawMessage(`{"name":"huge","population":1000000000000,"shards":1000000000000,` +
+	`"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`)
+
 var fleetDoc = json.RawMessage(`{
 	"name": "engtest",
 	"population": 6,
@@ -97,6 +108,12 @@ func TestComposeValidation(t *testing.T) {
 		{"path without local files", Request{ScenarioPath: "web.json"}, ComposeOptions{}, "server-local"},
 		{"fleet path without local files", Request{FleetPath: "fleet.json"}, ComposeOptions{}, "server-local"},
 		{"bad scenario json", Request{Scenario: json.RawMessage(`{"name": 3}`)}, ComposeOptions{}, ""},
+		{"negative pages", Request{Experiment: "fig3a", Pages: -1}, ComposeOptions{}, "pages"},
+		{"negative pages at full scale", Request{Experiment: "fig3a", Pages: -1, Full: true}, ComposeOptions{}, "pages"},
+		{"huge trials", Request{Experiment: "table1", Trials: 1_000_000_000_000}, ComposeOptions{}, "cell limit"},
+		{"trials times ids", Request{Experiment: "all", Trials: MaxCells}, ComposeOptions{}, "cell limit"},
+		{"huge scenario default trials", Request{Scenario: scenarioDocTrials("t", 1_000_000_000_000)}, ComposeOptions{}, "cell limit"},
+		{"huge fleet shards", Request{Fleet: hugeFleetDoc}, ComposeOptions{}, "shards"},
 	}
 	for _, tc := range cases {
 		_, err := Compose(tc.req, tc.opt)

@@ -9,7 +9,8 @@ import (
 
 // FuzzEngineRequest holds the served request path — ParseRequest, then
 // Compose without local-file access — to its contract on arbitrary bytes:
-// never panic; an accepted plan carries a 64-hex-digit cache key; and the
+// never panic; an accepted plan carries a 64-hex-digit cache key, runs at
+// least one page per web measurement and at most MaxCells cells; and the
 // same bytes always compose to the same key.
 func FuzzEngineRequest(f *testing.F) {
 	for _, req := range []Request{
@@ -23,6 +24,9 @@ func FuzzEngineRequest(f *testing.F) {
 		{Scenario: scenarioDoc("keyed"), Seed: 5, Trials: 2, Pages: 2, TimeoutS: 9},
 		{Scenario: scenarioDoc("full"), Full: true, Pages: 3},
 		{Fleet: fleetDoc},
+		{Experiment: "fig3a", Pages: -1},
+		{Experiment: "table1", Trials: 1_000_000_000_000},
+		{Fleet: hugeFleetDoc},
 	} {
 		b, err := json.Marshal(req)
 		if err != nil {
@@ -52,6 +56,13 @@ func FuzzEngineRequest(f *testing.F) {
 			p, err := Compose(*req, ComposeOptions{})
 			if err != nil {
 				return "", false
+			}
+			norm := p.Cfg.WithDefaults()
+			if norm.Pages < 1 {
+				t.Fatalf("accepted plan runs %d pages", norm.Pages)
+			}
+			if cells := len(p.IDs) * norm.Trials; cells > MaxCells {
+				t.Fatalf("accepted plan has %d cells, above MaxCells %d", cells, MaxCells)
 			}
 			return p.Key, true
 		}

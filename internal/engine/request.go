@@ -107,6 +107,11 @@ type ComposeOptions struct {
 	AllowLocalFiles bool
 }
 
+// MaxCells bounds a plan's (experiment, trial) cell count. runner.Run
+// allocates its cell grid up front, so the request document must not choose
+// an arbitrarily large one; -run all at the paper's 20 trials is under 1,000.
+const MaxCells = 1 << 16
+
 // SeedSchedule is the seed-derivation contract stamped into every manifest.
 const SeedSchedule = "trial t of a multi-trial run uses seed*1e6+t (experiments.TrialSeed); retry attempt a remixes the trial seed via experiments.AttemptSeed"
 
@@ -228,7 +233,15 @@ func Compose(req Request, opt ComposeOptions) (*Plan, error) {
 		p.DocSHA256 = spec.SourceSHA256
 	}
 
+	// Bounds apply to the normalized config, after a scenario's default
+	// trial count, so neither the request nor the document can exceed them.
 	norm := p.Cfg.WithDefaults()
+	if norm.Pages < 1 {
+		return nil, fmt.Errorf("engine: pages %d must be positive (0 selects the default)", norm.Pages)
+	}
+	if ids := max(len(p.IDs), 1); norm.Trials > MaxCells/ids {
+		return nil, fmt.Errorf("engine: %d trials of %d experiment(s) exceed the %d-cell limit", norm.Trials, ids, MaxCells)
+	}
 	doc := p.DocSHA256
 	if p.Kind == "experiment" {
 		doc = strings.Join(p.IDs, ",")

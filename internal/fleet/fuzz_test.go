@@ -9,6 +9,7 @@ func FuzzFleetSpecParse(f *testing.F) {
 	f.Add([]byte(detSpecJSON))
 	f.Add([]byte(`{"name":"x","population":3,"shards":4}`))
 	f.Add([]byte(`{"name":"x","population":1,"device_mix":[{"device":"pixel2","weight":0}]}`))
+	f.Add([]byte(`{"name":"x","population":1000000000000,"shards":1000000000000,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"name":"x","population":1,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"video","weight":1,"clip_s":1e308}]}`))
@@ -17,7 +18,7 @@ func FuzzFleetSpecParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if s.Shards < 1 || s.Shards > s.Population {
+		if s.Shards < 1 || s.Shards > s.Population || s.Shards > maxShards {
 			t.Fatalf("accepted spec with shards=%d population=%d", s.Shards, s.Population)
 		}
 		if s.Pages < 0 || s.Pages > 50 {

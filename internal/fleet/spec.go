@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -109,6 +110,15 @@ var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]*$`)
 // overflow and a fat-fingered weight fails at parse time.
 const maxWeight = 1 << 20
 
+// maxShards bounds the partition. The supervisor keeps one slot per shard
+// in its in-order event window, so an unbounded shard count in a request
+// document is an allocation the request controls. The population is bounded
+// so ShardRange's k·population cannot overflow.
+const (
+	maxShards     = 1 << 16
+	maxPopulation = math.MaxInt / maxShards
+)
+
 // Parse decodes and validates a fleet spec, applying defaults and stamping
 // SourceSHA256 from the input bytes. Unknown fields are rejected.
 func Parse(data []byte) (*Spec, error) {
@@ -174,11 +184,11 @@ func (s *Spec) Validate() error {
 	if s.Name == "" || !nameRE.MatchString(s.Name) {
 		return fmt.Errorf("fleet: name %q must be a slug (lowercase letters, digits, _ , -)", s.Name)
 	}
-	if s.Population < 1 {
-		return fmt.Errorf("fleet %s: population %d must be >= 1", s.Name, s.Population)
+	if s.Population < 1 || s.Population > maxPopulation {
+		return fmt.Errorf("fleet %s: population %d must be in [1, %d]", s.Name, s.Population, maxPopulation)
 	}
-	if s.Shards < 1 || s.Shards > s.Population {
-		return fmt.Errorf("fleet %s: shards %d must be in [1, population %d]", s.Name, s.Shards, s.Population)
+	if s.Shards < 1 || s.Shards > s.Population || s.Shards > maxShards {
+		return fmt.Errorf("fleet %s: shards %d must be in [1, min(population %d, %d)]", s.Name, s.Shards, s.Population, maxShards)
 	}
 	if s.Pages < 0 || s.Pages > 50 {
 		return fmt.Errorf("fleet %s: pages %d must be in [1, 50]", s.Name, s.Pages)

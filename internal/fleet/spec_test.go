@@ -47,6 +47,8 @@ func TestParseRejects(t *testing.T) {
 		{"bad name", `{"name":"Bad Name","population":1,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "slug"},
 		{"zero population", `{"name":"x","population":0,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "population"},
 		{"shards beyond population", `{"name":"x","population":3,"shards":4,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "shards"},
+		{"shards beyond cap", `{"name":"x","population":1000000000000,"shards":1000000000000,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "shards"},
+		{"population beyond cap", `{"name":"x","population":9000000000000000000,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "population"},
 		{"misspelled workload field", `{"name":"x","population":1,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"video","weight":1,"clip":2}]}`, "clip"},
 		{"pages beyond catalog", `{"name":"x","population":1,"pages":51,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "pages"},
 		{"no devices", `{"name":"x","population":1,"device_mix":[],"workloads":[{"kind":"page","weight":1}]}`, "device_mix"},

@@ -4,9 +4,11 @@ package runner
 // in whatever order a worker pool finishes them, and emit fires exactly once
 // per index, in strictly ascending index order, as soon as the contiguous
 // prefix is complete. This is the mechanism behind the deterministic
-// Options.Stream contract (and the fleet supervisor's shard event stream):
-// buffering is bounded by the out-of-order window, not the total count,
-// because flushed slots are released.
+// Options.Stream contract (and the fleet supervisor's shard event stream).
+// NewInorder allocates one pointer slot per index up front, so its fixed
+// cost grows with n; callers bound n (engine.MaxCells, the fleet's shard
+// cap). Buffered values are bounded by the out-of-order window, because a
+// flushed slot is released.
 //
 // Not safe for concurrent use — Put must be called from a single goroutine
 // (the collector that drains the pool's results channel).
@@ -28,7 +30,7 @@ func (q *Inorder[T]) Put(i int, v T) {
 	q.pending[i] = &v
 	for q.next < len(q.pending) && q.pending[q.next] != nil {
 		out := *q.pending[q.next]
-		q.pending[q.next] = nil // release the slot: memory ∝ reorder window
+		q.pending[q.next] = nil // release the value: held values ∝ reorder window
 		q.next++
 		q.emit(out)
 	}
