@@ -9,7 +9,6 @@ import (
 	"mobileqoe/internal/cpu"
 	"mobileqoe/internal/device"
 	"mobileqoe/internal/netsim"
-	"mobileqoe/internal/stats"
 	"mobileqoe/internal/telephony"
 	"mobileqoe/internal/units"
 	"mobileqoe/internal/video"
@@ -141,13 +140,9 @@ func (s *Sweep) Run(cfg Config) (*Table, error) {
 // row measures one point and formats its metric cells.
 func (s *Sweep) row(cfg Config, pt Point, pages []*webpage.Page) ([]string, error) {
 	if s.Workload.Kind == KindPage {
-		var plt stats.Sample
-		for _, p := range pages {
-			res, err := s.Workload.Run(cfg, cfg.NewSystem(pt.Spec, pt.Opts...), p)
-			if err != nil {
-				return nil, err
-			}
-			plt.Add(res.Page.PLT.Seconds())
+		plt, err := avgPLTOn(cfg, pt.Spec, pages, pt.Opts...)
+		if err != nil {
+			return nil, err
 		}
 		return []string{meanStd(plt.Mean(), plt.Std())}, nil
 	}

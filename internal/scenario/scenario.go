@@ -1,5 +1,5 @@
-// Package scenario is the declarative front end to the experiment registry:
-// it decodes a strict JSON description of a sweep — one device (or a device
+// Package scenario is the declarative front end to the experiments: it
+// decodes a strict JSON description of a sweep — one device (or a device
 // list), one workload, one swept axis, fixed configuration for everything
 // else — and compiles it into the experiments.Sweep the built-in figures
 // run, built with the same point builders. A scenario that describes a
@@ -32,10 +32,10 @@ import (
 
 // Scenario is a validated, runnable sweep description.
 type Scenario struct {
-	// Name keys the registry entry ("scenario:<name>") and must be a
+	// Name keys the run id ("scenario:<name>") and must be a
 	// lowercase slug so it composes with file names and CLI output.
 	Name string `json:"name"`
-	// ID is the table id; it defaults to Name. A scenario mirroring a
+	// ID is the table id; it defaults to Name. A scenario describing a
 	// built-in figure sets ID to that figure's id so the tables align.
 	ID string `json:"id,omitempty"`
 	// Title is the table title, printed verbatim.
@@ -327,8 +327,9 @@ func validGovernor(g string) bool {
 	return false
 }
 
-// RegistryID is the id the scenario registers under: "scenario:<name>",
-// namespaced so a file can never collide with a built-in figure id.
+// RegistryID is the scenario's run id, "scenario:<name>", namespaced so it
+// can never collide with a built-in figure id. engine.Compose resolves it
+// to Runner privately, per plan; it never enters the registry.
 func (s *Scenario) RegistryID() string { return "scenario:" + s.Name }
 
 // TableID is the id stamped on the produced table (ID, defaulting to Name).
@@ -368,8 +369,8 @@ func (s *Scenario) Sweep() *experiments.Sweep {
 		Workload: s.Workload, Points: pts, Notes: s.Notes}
 }
 
-// Runner compiles the scenario into a registry runner that builds its sweep
-// afresh for every cell, so concurrent trials share nothing.
+// Runner compiles the scenario into an experiments.Runner that builds its
+// sweep afresh for every cell, so concurrent trials share nothing.
 func (s *Scenario) Runner() experiments.Runner {
 	return func(cfg experiments.Config) (*experiments.Table, error) { return s.Sweep().Run(cfg) }
 }
