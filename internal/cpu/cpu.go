@@ -135,9 +135,10 @@ type CPU struct {
 	threads  []*Thread
 	ticker   *sim.Ticker
 	online   int
-	taskFree []*task // recycled task objects (the per-packet Exec path is hot)
-	watts    float64 // CPU power last sent to the meter; -1 before the first
-	dirty    bool    // some core is dirty (see core.dirty)
+	taskFree []*task           // recycled task objects (the per-packet Exec path is hot)
+	power    *energy.Component // the meter's "cpu" component; nil without a meter
+	watts    float64           // CPU power last sent to the meter; -1 before the first
+	dirty    bool              // some core is dirty (see core.dirty)
 
 	// beforePlan, when non-nil, runs at the start of every re-plan; tests
 	// use it to force full re-planning as the reference for the incremental
@@ -231,6 +232,9 @@ func New(s *sim.Sim, cfg Config) *CPU {
 		panic("cpu: big cluster IPC must be positive")
 	}
 	c := &CPU{s: s, cfg: cfg, watts: -1}
+	if m := cfg.Obs.Meter; m != nil {
+		c.power = m.Component("cpu")
+	}
 	c.addCluster(cfg.Big, 1.0)
 	if cfg.Little != nil {
 		if cfg.Little.Cores <= 0 || cfg.Little.IPC <= 0 {
@@ -852,7 +856,7 @@ func (c *CPU) detach(th *Thread) {
 
 // updatePower sends the CPU's total power to the meter when it changed.
 func (c *CPU) updatePower() {
-	if c.cfg.Obs.Meter == nil {
+	if c.power == nil {
 		return
 	}
 	total := 0.0
@@ -867,6 +871,6 @@ func (c *CPU) updatePower() {
 	}
 	if total != c.watts {
 		c.watts = total
-		c.cfg.Obs.Meter.SetPower("cpu", total)
+		c.power.SetPower(total)
 	}
 }

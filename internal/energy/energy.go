@@ -20,13 +20,18 @@ import (
 // usable; construct with NewMeter.
 type Meter struct {
 	now      func() time.Duration
-	comps    map[string]*component
+	comps    map[string]*Component
 	names    []string // component names, sorted: the order totals sum in
 	tr       *trace.Tracer
 	tracePid int
 }
 
-type component struct {
+// Component is one metered component. A caller that changes a component's
+// power often resolves it once with Meter.Component and calls its SetPower,
+// which skips the by-name lookup.
+type Component struct {
+	m      *Meter
+	name   string
 	watts  float64
 	since  time.Duration
 	joules float64
@@ -38,7 +43,7 @@ func NewMeter(now func() time.Duration) *Meter {
 	if now == nil {
 		panic("energy: nil clock")
 	}
-	return &Meter{now: now, comps: map[string]*component{}}
+	return &Meter{now: now, comps: map[string]*Component{}}
 }
 
 // SetTrace makes the meter emit a "power.<component>" counter sample under
@@ -49,21 +54,34 @@ func (m *Meter) SetTrace(tr *trace.Tracer, pid int) {
 	m.tracePid = pid
 }
 
-// SetPower sets the instantaneous power draw of a component, accruing energy
-// for the interval since the last change. Negative power panics.
-func (m *Meter) SetPower(name string, watts float64) {
-	if watts < 0 {
-		panic(fmt.Sprintf("energy: negative power %f for %s", watts, name))
-	}
-	t := m.now()
+// Component returns the named component, registering it at zero power from
+// now on first use.
+func (m *Meter) Component(name string) *Component {
 	c, ok := m.comps[name]
 	if !ok {
-		c = &component{since: t}
+		c = &Component{m: m, name: name, since: m.now()}
 		m.comps[name] = c
 		m.names = slices.Insert(m.names, sort.SearchStrings(m.names, name), name)
 	}
+	return c
+}
+
+// SetPower sets the instantaneous power draw of a component, accruing energy
+// for the interval since the last change. Negative power panics.
+func (m *Meter) SetPower(name string, watts float64) {
+	m.Component(name).SetPower(watts)
+}
+
+// SetPower sets the component's instantaneous power draw, accruing energy
+// for the interval since the last change. Negative power panics.
+func (c *Component) SetPower(watts float64) {
+	if watts < 0 {
+		panic(fmt.Sprintf("energy: negative power %f for %s", watts, c.name))
+	}
+	m := c.m
+	t := m.now()
 	if m.tr != nil && watts != c.watts {
-		m.tr.Counter("energy", "power."+name, m.tracePid, t, watts)
+		m.tr.Counter("energy", "power."+c.name, m.tracePid, t, watts)
 	}
 	c.joules += c.watts * (t - c.since).Seconds()
 	c.watts = watts

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -43,6 +44,35 @@ func TestMeterMultipleComponents(t *testing.T) {
 	comps := m.Components()
 	if len(comps) != 2 || comps[0] != "cpu" || comps[1] != "dsp" {
 		t.Fatalf("components = %v", comps)
+	}
+}
+
+// TestComponentHandleMatchesByName drives one meter through a resolved
+// Component handle and another through SetPower by name; every reading must
+// be bit-identical, and the handle resolves to the same component the name
+// does.
+func TestComponentHandleMatchesByName(t *testing.T) {
+	c := &fakeClock{}
+	byName, byHandle := NewMeter(c.now), NewMeter(c.now)
+	h := byHandle.Component("cpu")
+	if byHandle.Component("cpu") != h {
+		t.Fatal("Component returned a second handle for the same name")
+	}
+	for i, w := range []float64{0.018, 1.218, 0.036, 0.7 / 3, 0.018, 0} {
+		c.t = time.Duration(i*i+1) * 37 * time.Millisecond
+		byName.SetPower("cpu", w)
+		h.SetPower(w)
+		byName.SetPower("dsp", w/2)
+		byHandle.SetPower("dsp", w/2)
+		if a, b := byName.TotalEnergy(), byHandle.TotalEnergy(); a != b {
+			t.Fatalf("step %d: energy %v by name, %v by handle", i, a, b)
+		}
+		if a, b := byName.Power("cpu"), byHandle.Power("cpu"); a != b {
+			t.Fatalf("step %d: power %v by name, %v by handle", i, a, b)
+		}
+	}
+	if a, b := byName.Components(), byHandle.Components(); !slices.Equal(a, b) {
+		t.Fatalf("components %v by name, %v by handle", a, b)
 	}
 }
 
