@@ -14,6 +14,12 @@
 // ACKs, a shared FIFO bottleneck at the AP, and an optional Bernoulli loss
 // process with halved-window recovery. Datagram (UDP-like) flows are
 // provided for the telephony media path.
+//
+// Data segments, their delayed ACKs and datagrams ride pooled packets: a
+// packet carries one of them through link delivery, the softirq charge and
+// its handler with a single callback bound when the packet was first
+// allocated, and returns to its Network's free list at its last stage. The
+// per-packet path therefore allocates nothing once the pool is warm.
 package netsim
 
 import (
@@ -160,6 +166,11 @@ type Network struct {
 	up      *link // device -> AP
 	dns     dnsState
 	stats   Stats
+
+	// free is the packet free list; packets counts the packets ever
+	// allocated, all of which are on the list when nothing is in flight.
+	free    *packet
+	packets int
 
 	// Metrics handles, resolved once in New; nil-safe when metrics are off.
 	mSegments    *trace.Counter
@@ -574,19 +585,16 @@ func (c *Conn) sendSegment(t *transfer, seg units.ByteSize) {
 		})
 		return
 	}
-	n.down.deliver(seg, func() {
-		n.rxCharge(seg, func() {
-			if gen != c.gen {
-				return // stale in-flight segment from before a reset
-			}
-			c.onSegment(t, seg)
-		})
-	})
+	p := n.newPacket(inDown)
+	p.c, p.t, p.seg, p.gen = c, t, seg, gen
+	n.down.deliver(seg, p.fn)
 }
 
-// onSegment runs after the device CPU has processed a received segment.
-func (c *Conn) onSegment(t *transfer, seg units.ByteSize) {
-	n := c.net
+// onSegment runs after the device CPU has processed the received segment p
+// carries. When a delayed ACK is due p goes on to carry it; otherwise p is
+// released.
+func (c *Conn) onSegment(p *packet) {
+	n, t, seg := c.net, p.t, p.seg
 	n.stats.SegmentsDelivered++
 	n.stats.BytesDelivered += int64(seg)
 	n.mSegments.Add(1)
@@ -608,19 +616,16 @@ func (c *Conn) onSegment(t *transfer, seg units.ByteSize) {
 		c.acksSinceACK = 0
 		n.stats.AcksSent++
 		n.mAcks.Add(1)
-		n.txCharge(0, func() {
-			n.up.deliver(0, func() { c.onAck(t) })
-		})
+		p.stage, p.seg = inTx, 0
+		n.txCharge(0, p.fn)
 	}
 	t.remaining -= seg
 	if t.remaining <= 0 {
 		c.finish(t)
 	}
-}
-
-// onAck runs at the server when an ACK arrives; it releases more segments.
-func (c *Conn) onAck(t *transfer) {
-	c.pump()
+	if !sendAck {
+		n.freePacket(p)
+	}
 }
 
 func (c *Conn) finish(t *transfer) {
@@ -676,13 +681,9 @@ func (c *Conn) PendingRequests() int {
 // SendDatagram pushes a packet from the device to the peer; fn (optional)
 // runs when it reaches the peer.
 func (n *Network) SendDatagram(payload units.ByteSize, fn func()) {
-	n.txCharge(payload, func() {
-		n.up.deliver(payload, func() {
-			if fn != nil {
-				fn()
-			}
-		})
-	})
+	p := n.newPacket(inTx)
+	p.seg, p.app = payload, fn
+	n.txCharge(payload, p.fn)
 }
 
 // RecvDatagram injects a packet from the peer; fn runs after the device CPU
@@ -693,19 +694,103 @@ func (n *Network) RecvDatagram(payload units.ByteSize, fn func()) {
 		n.stats.SegmentsLost++
 		return
 	}
-	n.down.deliver(payload, func() {
-		n.rxCharge(payload, func() {
-			n.stats.SegmentsDelivered++
-			n.stats.BytesDelivered += int64(payload)
-			if fn != nil {
-				fn()
-			}
-		})
-	})
+	p := n.newPacket(inDown)
+	p.seg, p.app = payload, fn
+	n.down.deliver(payload, p.fn)
 }
 
 // DownlinkQueueDelay exposes the AP queue depth (used by adaptive senders).
 func (n *Network) DownlinkQueueDelay() time.Duration { return n.down.queueDelay() }
+
+// ----- packets -----
+
+// stage is the leg of its trip a packet is on; step runs when it ends.
+type stage uint8
+
+const (
+	inDown stage = iota // on the downlink (AP -> device)
+	inRx                // in the device's softirq receive charge
+	inTx                // in the device's softirq transmit charge
+	inUp                // on the uplink (device -> AP)
+)
+
+// packet carries one data segment down and then its delayed ACK up, or one
+// datagram either way. fn is p.step, bound once when the packet is first
+// allocated; every leg hands that same callback to the link lane or the
+// softirq thread, so no leg allocates.
+type packet struct {
+	n     *Network
+	c     *Conn     // the segment's connection; nil for a datagram
+	t     *transfer // the segment's stream
+	seg   units.ByteSize
+	gen   int // c.gen when the segment was sent
+	stage stage
+	fn    func()  // p.step
+	app   func()  // the datagram's delivery callback (may be nil)
+	next  *packet // free-list link
+}
+
+// newPacket takes a packet off the free list, or allocates one, and sets
+// its first leg.
+func (n *Network) newPacket(st stage) *packet {
+	p := n.free
+	if p == nil {
+		p = &packet{n: n}
+		p.fn = p.step
+		n.packets++
+	} else {
+		n.free, p.next = p.next, nil
+	}
+	p.stage = st
+	return p
+}
+
+// freePacket returns p to the free list at the end of its trip.
+func (n *Network) freePacket(p *packet) {
+	*p = packet{n: n, fn: p.fn, next: n.free}
+	n.free = p
+}
+
+// step moves p on from the leg that just ended.
+func (p *packet) step() {
+	n := p.n
+	switch p.stage {
+	case inDown:
+		p.stage = inRx
+		n.rxCharge(p.seg, p.fn)
+	case inTx:
+		p.stage = inUp
+		n.up.deliver(p.seg, p.fn)
+	case inRx:
+		switch {
+		case p.c == nil:
+			n.stats.SegmentsDelivered++
+			n.stats.BytesDelivered += int64(p.seg)
+			p.deliverDatagram()
+		case p.gen != p.c.gen:
+			n.freePacket(p) // stale in-flight segment from before a reset
+		default:
+			p.c.onSegment(p)
+		}
+	case inUp:
+		if p.c == nil {
+			p.deliverDatagram()
+			return
+		}
+		// At the server the ACK releases more segments; one sent before a
+		// reset still arrives and still pumps.
+		p.c.pump()
+		n.freePacket(p)
+	}
+}
+
+// deliverDatagram runs the datagram's callback and frees the packet.
+func (p *packet) deliverDatagram() {
+	if p.app != nil {
+		p.app()
+	}
+	p.n.freePacket(p)
+}
 
 // ----- iperf -----
 
