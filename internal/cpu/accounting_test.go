@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -81,15 +82,12 @@ func TestAccountingIndependentOfObservation(t *testing.T) {
 	same("CoreBusy ticker", run(false, true), true)
 }
 
-// replanAll makes every re-plan of c cover every core, with each core's
-// load summed afresh from its thread list: the full re-planning the
-// incremental planner must reproduce exactly.
+// replanAll makes every re-plan of c the ungated one: every core
+// re-planned with its load summed afresh from its thread list, rebalance
+// always called, and power summed over the cores with no memo. The dirty
+// mask, the crowded-core gate and the power memo must reproduce it exactly.
 func replanAll(c *CPU) {
-	c.beforePlan = func() {
-		for _, co := range c.cores {
-			c.changed(co)
-		}
-	}
+	c.reference = true
 }
 
 // schedOp is one scheduler operation applied at a virtual instant.
@@ -122,6 +120,33 @@ type schedOutcome struct {
 	executed []float64
 	busy     []time.Duration
 	joules   float64
+	broken   string // the first planBookkeeping complaint, if any
+}
+
+// planBookkeeping reports how the planner's running state disagrees with
+// the cores after a re-plan, or "" when it agrees: no core is left dirty,
+// the crowded count is the number of cores holding two or more threads, and
+// the busy mask has the busy cores' bits.
+func planBookkeeping(c *CPU) string {
+	crowded := 0
+	var busy uint64
+	for _, co := range c.cores {
+		if len(co.threads) >= 2 {
+			crowded++
+		}
+		if co.busy {
+			busy |= 1 << co.id
+		}
+	}
+	switch {
+	case c.dirty != 0:
+		return fmt.Sprintf("dirty mask %#b left after a re-plan", c.dirty)
+	case c.crowded != crowded:
+		return fmt.Sprintf("crowded count %d, %d cores hold two or more threads", c.crowded, crowded)
+	case c.busyMask != busy:
+		return fmt.Sprintf("busy mask %#b, busy cores %#b", c.busyMask, busy)
+	}
+	return ""
 }
 
 func bigLittle(gov GovernorKind) Config {
@@ -158,7 +183,7 @@ func runSched(cfg Config, ops []schedOp, horizon time.Duration, full bool) sched
 			case opExec:
 				if op.chain < 0 {
 					th.Exec("x", op.cycles, record(i, "x"))
-					return
+					break
 				}
 				next := threads[(op.thread+1)%schedThreads]
 				th.Exec("x", op.cycles, func() {
@@ -171,6 +196,9 @@ func runSched(cfg Config, ops []schedOp, horizon time.Duration, full bool) sched
 				c.SetOnlineCores(op.cores)
 			case opFreq:
 				c.SetUserspaceFreq(units.MHz(op.mhz))
+			}
+			if msg := planBookkeeping(c); msg != "" && out.broken == "" {
+				out.broken = fmt.Sprintf("after op %d at %v: %s", i, s.Now(), msg)
 			}
 		})
 	}
@@ -190,6 +218,9 @@ func checkIncremental(t *testing.T, name string, cfg Config, ops []schedOp, hori
 	t.Helper()
 	inc := runSched(cfg, ops, horizon, false)
 	ref := runSched(cfg, ops, horizon, true)
+	if inc.broken != "" {
+		t.Fatalf("%s: %s", name, inc.broken)
+	}
 	if !reflect.DeepEqual(inc.done, ref.done) {
 		t.Fatalf("%s: completions differ\nincremental %v\nfull        %v", name, inc.done, ref.done)
 	}
@@ -263,6 +294,76 @@ func TestIncrementalMatchesFullReschedule(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/seed%d", tc.name, gov, seed)
 				checkIncremental(t, name, tc.cfg, ops, time.Second)
 			}
+		}
+	}
+}
+
+// schedulerPins are outcomes of fixed random op sequences, recorded before
+// the dirty mask, the crowded-core gate and the power memo existed: the
+// number of completions and an FNV-1a hash of their "<op>/<task>@<instant>"
+// log, the bits of Energy("cpu"), and CoreBusy.
+var schedulerPins = []struct {
+	layout string
+	gov    GovernorKind
+	seed   uint64
+	done   int
+	hash   uint64
+	joules uint64
+	busy   []time.Duration
+}{
+	{"single", "PF", 101, 134, 0x1e081c5fd0c1a517, 0x3fe5e3f526555cff, []time.Duration{420806069, 108137670, 254454, 0}},
+	{"single", "PF", 202, 125, 0xc6b64fefa4e12b18, 0x3ff176613eb0a5c5, []time.Duration{579797181, 233400669, 52971484, 0}},
+	{"biglittle", "PF", 101, 134, 0x7d9493cdf91a40e9, 0x3fdd4817111b8650, []time.Duration{165642287, 27440975, 0, 0, 107199724, 13293824, 0, 0}},
+	{"biglittle", "PF", 202, 125, 0xcf2d1f79a77158d9, 0x3fe6cb9979ac72f0, []time.Duration{285827282, 51719797, 5651495, 0, 135272969, 72287, 0, 0}},
+	{"single", "IN", 101, 134, 0xf2272cff45f1158e, 0x3fe3cf50ba1cc289, []time.Duration{476438435, 135988525, 29422, 0}},
+	{"single", "IN", 202, 125, 0x78f3234c1efd3b9a, 0x3ff0b43bd5b4c053, []time.Duration{593206627, 281269822, 53660244, 0}},
+	{"biglittle", "IN", 101, 134, 0x43de55f86ec2ba97, 0x3fd68dc970e3c2b0, []time.Duration{277229312, 46883495, 233793, 0, 154390631, 13723244, 0, 0}},
+	{"biglittle", "IN", 202, 125, 0x3f34f6184c973f68, 0x3fe1f032a1f690a8, []time.Duration{353234461, 115141464, 34540755, 0, 205911512, 271078, 0, 0}},
+	{"single", "US", 101, 134, 0x9e8277d49ed01569, 0x3fe3c998f5496322, []time.Duration{473806334, 125003438, 35478333, 639051}},
+	{"single", "US", 202, 125, 0x3d4f888685841c69, 0x3fe81dd2c5293b91, []time.Duration{762751873, 452677684, 209206099, 1908688}},
+	{"biglittle", "US", 101, 134, 0xc24c3ab234ae7a2a, 0x3fd781919c5e1b0e, []time.Duration{267799445, 51706451, 4892263, 73211, 97677966, 13585996, 0, 0}},
+	{"biglittle", "US", 202, 125, 0xe8577dd032d9c038, 0x3fdccd3ed4f3fef2, []time.Duration{443397255, 272830567, 48825263, 0, 272488873, 120479, 0, 0}},
+	{"single", "OD", 101, 134, 0x421b4ecd015479f2, 0x3fe2cca926f845a6, []time.Duration{557137374, 154185712, 25260088, 0}},
+	{"single", "OD", 202, 125, 0xfdd7262f6e1d32d, 0x3ff018f07f1bceb1, []time.Duration{656805301, 297618606, 55439095, 0}},
+	{"biglittle", "OD", 101, 134, 0x4bb2eafb795d06ec, 0x3fd4d1ec09138000, []time.Duration{407766992, 73311943, 3205922, 0, 212103550, 23499892, 0, 0}},
+	{"biglittle", "OD", 202, 125, 0xa38d9918d0cbcc7c, 0x3fe04e1d3438df72, []time.Duration{434173305, 275709381, 73804960, 0, 231573163, 216863, 0, 0}},
+	{"single", "PW", 101, 127, 0xe1c06daa0fe76a48, 0x3fce9fc0b11f714e, []time.Duration{989132427, 580807104, 399310197, 39794316}},
+	{"single", "PW", 202, 88, 0x82e945f4b6114b63, 0x3fd1b79ab81e5dd9, []time.Duration{956601527, 704259416, 419473640, 306617741}},
+	{"biglittle", "PW", 101, 133, 0x8916600d979925c9, 0x3fca0ad2f2e10b90, []time.Duration{715529269, 209419791, 127849424, 11989882, 322194795, 49851842, 0, 0}},
+	{"biglittle", "PW", 202, 125, 0x13a5dda139e1b348, 0x3fd264f8f65ba509, []time.Duration{825526632, 707746784, 272055520, 183262126, 206487582, 0, 0, 0}},
+}
+
+// TestSchedulerPinned: the scheduler reproduces, bit for bit, the
+// completion instants, busy time and energy it gave before its fast paths,
+// on sequences with weight changes, hotplug and (userspace) frequency ops.
+func TestSchedulerPinned(t *testing.T) {
+	for _, pin := range schedulerPins {
+		cfg := bigLittle(pin.gov)
+		if pin.layout == "single" {
+			cfg = singleCluster(pin.gov)
+			cfg.SwitchOverhead = 0
+		}
+		rng := rand.New(rand.NewPCG(pin.seed, 7))
+		ops := randomOps(rng, 160, 800*time.Millisecond, cfg)
+		out := runSched(cfg, ops, time.Second, false)
+		name := fmt.Sprintf("%s/%s/seed%d", pin.layout, pin.gov, pin.seed)
+		if out.broken != "" {
+			t.Errorf("%s: %s", name, out.broken)
+		}
+		h := fnv.New64a()
+		for _, d := range out.done {
+			h.Write([]byte(d + "\n"))
+		}
+		if len(out.done) != pin.done || h.Sum64() != pin.hash {
+			t.Errorf("%s: %d completions hashing to %#x, pinned %d hashing to %#x",
+				name, len(out.done), h.Sum64(), pin.done, pin.hash)
+		}
+		if got := math.Float64bits(out.joules); got != pin.joules {
+			t.Errorf("%s: Energy(cpu) bits %#x (%v J), pinned %#x (%v J)",
+				name, got, out.joules, pin.joules, math.Float64frombits(pin.joules))
+		}
+		if !reflect.DeepEqual(out.busy, pin.busy) {
+			t.Errorf("%s: CoreBusy %v, pinned %v", name, out.busy, pin.busy)
 		}
 	}
 }

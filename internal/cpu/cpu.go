@@ -19,14 +19,23 @@
 // the thread's completion event is reprogrammed only then, so a thread's
 // accounting never depends on how often unrelated events happen or how often
 // anyone reads the CPU. Every mutation (placement, detach, rebalance move,
-// weight, frequency or hotplug change, a new head task) marks the affected
-// cores dirty; a re-plan recomputes rates on the dirty cores alone and
-// returns at once when none is. Core busy time accrues at busy/idle
-// transitions, and CPU power reaches the meter only when the total changes.
+// weight, frequency or hotplug change, a new head task) sets the affected
+// cores' bits in a dirty mask; a re-plan walks the mask lowest bit first, so
+// dirty cores are re-planned, and their completion events re-armed, in core
+// order, and it returns at once when the mask is empty. The load balancer
+// runs only while some core holds two or more threads, a count kept by the
+// one function every thread-list change goes through. Core busy time
+// accrues at busy/idle transitions, and CPU power reaches the meter only
+// when the total changes. The total is memoized per busy-core mask, each
+// entry summed in core order exactly as a full pass would, and the memo is
+// cleared whenever a frequency or the online set changes; so the idle↔busy
+// flip of a per-packet charge costs a table read, not a pass over the cores.
 package cpu
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"mobileqoe/internal/device"
@@ -138,12 +147,27 @@ type CPU struct {
 	taskFree []*task           // recycled task objects (the per-packet Exec path is hot)
 	power    *energy.Component // the meter's "cpu" component; nil without a meter
 	watts    float64           // CPU power last sent to the meter; -1 before the first
-	dirty    bool              // some core is dirty (see core.dirty)
 
-	// beforePlan, when non-nil, runs at the start of every re-plan; tests
-	// use it to force full re-planning as the reference for the incremental
-	// planner.
-	beforePlan func()
+	// dirty has bit i set when core i's thread list, weights, frequency or
+	// online state changed since its rates were last planned.
+	dirty uint64
+	// crowded counts the cores holding two or more threads: the only cores
+	// rebalance can take a thread from.
+	crowded int
+	// busyMask has bit i set when core i is busy, as of the last re-plan.
+	busyMask uint64
+	// powerMemo[busyMask] is the CPU power total for that busy set at the
+	// current frequencies and online set, or -1 when not yet summed; nil
+	// without a meter.
+	powerMemo []float64
+	// spanNames maps a task name to its trace span name; nil until the
+	// first traced completion.
+	spanNames map[string]string
+
+	// reference, set by tests, makes every re-plan the ungated one the fast
+	// paths must reproduce: every core re-planned with its load summed
+	// afresh, rebalance always called, and power summed without the memo.
+	reference bool
 
 	// Metrics handles, resolved once in New; nil-safe when metrics are off.
 	mGovTransitions *trace.Counter
@@ -173,9 +197,7 @@ type core struct {
 	busyAccum    time.Duration
 	lastBusySnap time.Duration // snapshot at last governor sample
 	load         float64       // sum of the weights of threads, for placement
-	// dirty marks a core whose thread list, weights, frequency or online
-	// state changed since its rates were last planned.
-	dirty bool
+	crowded      bool          // holds two or more threads (see CPU.crowded)
 }
 
 // Thread is a schedulable FIFO queue of tasks. Create with NewThread.
@@ -222,6 +244,10 @@ type task struct {
 	start     time.Duration // when the task reached the queue head
 }
 
+// maxCores is the most cores a CPU may have: the dirty and busy masks give
+// each core a bit, and the power memo has an entry per busy set.
+const maxCores = 8
+
 // New constructs a CPU on the given simulator. The governor starts running
 // immediately (its first sample fires one period in).
 func New(s *sim.Sim, cfg Config) *CPU {
@@ -241,6 +267,13 @@ func New(s *sim.Sim, cfg Config) *CPU {
 			panic("cpu: invalid little cluster")
 		}
 		c.addCluster(*cfg.Little, 0.35) // little cores switch far less capacitance
+	}
+	if len(c.cores) > maxCores {
+		panic(fmt.Sprintf("cpu: %d cores, at most %d supported", len(c.cores), maxCores))
+	}
+	if c.power != nil {
+		c.powerMemo = make([]float64, 1<<len(c.cores))
+		c.clearPowerMemo()
 	}
 	c.online = len(c.cores)
 	c.mGovTransitions = cfg.Obs.Counter("cpu.governor_transitions")
@@ -272,6 +305,7 @@ func (c *CPU) setFreq(cl *cluster, f units.Freq) {
 	}
 	cl.freq = f
 	cl.updateWatts()
+	c.clearPowerMemo()
 	for _, co := range cl.cores {
 		c.markDirty(co)
 	}
@@ -467,6 +501,7 @@ func (c *CPU) SetOnlineCores(n int) {
 			tr.Instant("cpu", "hotplug", c.cfg.Obs.Pid, 0, c.s.Now(),
 				trace.Arg{Key: "online", Val: float64(n)})
 		}
+		c.clearPowerMemo()
 	}
 	c.online = n
 	for i, co := range c.cores {
@@ -568,6 +603,9 @@ func (t *Thread) Exec(name string, cycles float64, done func()) {
 	if cycles < 0 {
 		panic("cpu: negative task cycles")
 	}
+	if math.IsInf(cycles, 1) || math.IsNaN(cycles) {
+		panic(fmt.Sprintf("cpu: task cycles must be finite, got %v", cycles))
+	}
 	c := t.cpu
 	t.queue = append(t.queue, c.newTask(name, cycles, done, c.s.Now()))
 	if len(t.queue) > 1 {
@@ -659,39 +697,51 @@ func (c *CPU) place(t *Thread) {
 
 // markDirty queues a core for re-planning at the next reschedule.
 func (c *CPU) markDirty(co *core) {
-	co.dirty = true
-	c.dirty = true
+	c.dirty |= 1 << co.id
 }
 
 // changed records that a core's thread list or a weight on it changed:
-// its load is recomputed from the list and it is queued for re-planning.
+// its load is recomputed from the list, its crowded state is brought up to
+// date, and it is queued for re-planning.
 func (c *CPU) changed(co *core) {
 	co.load = 0
 	for _, th := range co.threads {
 		co.load += th.weight
 	}
+	if crowded := len(co.threads) >= 2; crowded != co.crowded {
+		co.crowded = crowded
+		if crowded {
+			c.crowded++
+		} else {
+			c.crowded--
+		}
+	}
 	c.markDirty(co)
 }
 
-// reschedule re-plans the dirty cores: it rebalances idle cores, recomputes
-// the dirty cores' rates, accrues busy time at busy/idle transitions,
-// re-arms the completion event of every thread whose rate or head task
-// changed, and refreshes the power meter. It returns at once when no core is
-// dirty. Call after any state mutation, at the instant of the mutation.
+// reschedule re-plans the dirty cores: it rebalances idle cores when some
+// core is crowded, recomputes the dirty cores' rates in core order, accrues
+// busy time at busy/idle transitions, re-arms the completion event of every
+// thread whose rate or head task changed, and refreshes the power meter. It
+// returns at once when no core is dirty. Call after any state mutation, at
+// the instant of the mutation.
 func (c *CPU) reschedule() {
-	if c.beforePlan != nil {
-		c.beforePlan()
+	if c.reference {
+		for _, co := range c.cores {
+			c.changed(co)
+		}
 	}
-	if !c.dirty {
+	if c.dirty == 0 {
 		return
 	}
-	c.rebalance()
+	if c.crowded > 0 || c.reference {
+		c.rebalance()
+	}
 	now := c.s.Now()
-	for _, co := range c.cores {
-		if !co.dirty {
-			continue
-		}
-		co.dirty = false
+	dirty := c.dirty
+	c.dirty = 0
+	for ; dirty != 0; dirty &= dirty - 1 {
+		co := c.cores[bits.TrailingZeros64(dirty)]
 		busy := co.online && len(co.threads) > 0
 		if busy != co.busy {
 			if busy {
@@ -700,6 +750,7 @@ func (c *CPU) reschedule() {
 				co.busyAccum += now - co.busySince
 			}
 			co.busy = busy
+			c.busyMask ^= 1 << co.id
 		}
 		// Two scheduling classes: real-time threads (weight >= RTWeightThreshold)
 		// take their weighted share off the top with no multiplexing penalty;
@@ -714,16 +765,19 @@ func (c *CPU) reschedule() {
 				nNormal++
 			}
 		}
-		eff := c.switchEff(nNormal)
 		cap := co.cl.freq.Hz() * co.cl.spec.IPC
+		// A normal thread's rate is leftover·eff·weight/wNormal with
+		// leftover = cap·wNormal/wsum; leftover·eff is hoisted out of the
+		// loop and the rest still evaluates left to right, so every rate
+		// keeps its bits.
+		normal := cap * wNormal / wsum * c.switchEff(nNormal)
 		for _, th := range co.threads {
 			rate := 0.0
 			if busy {
 				if th.weight >= RTWeightThreshold {
 					rate = cap * th.weight / wsum
 				} else {
-					leftover := cap * wNormal / wsum
-					rate = leftover * eff * th.weight / wNormal
+					rate = normal * th.weight / wNormal
 				}
 			}
 			if rate == th.rate && !th.rearm {
@@ -737,22 +791,29 @@ func (c *CPU) reschedule() {
 			c.arm(th)
 		}
 	}
-	c.dirty = false
 	c.updatePower()
 }
 
 // arm programs the thread's completion event for its head task's remaining
-// work at its current rate; the head task must be anchored at now.
+// work at its current rate; the head task must be anchored at now. Work
+// that would not finish before the end of representable time is stalled,
+// like work on a thread with no rate.
 func (c *CPU) arm(th *Thread) {
-	if len(th.queue) == 0 || th.rate <= 0 {
-		// Idle, or stalled until a core comes back: disarm without
-		// discarding the event — the next reprogramming reuses it.
+	stalled := len(th.queue) == 0 || th.rate <= 0
+	var d time.Duration
+	if !stalled {
+		d = units.DurationFor(th.queue[0].remaining, units.Freq(th.rate))
+		stalled = d == math.MaxInt64 || d > math.MaxInt64-c.s.Now()
+	}
+	if stalled {
+		// Idle, stalled until a core comes back, or never finishing at
+		// this rate: disarm without discarding the event — the next
+		// reprogramming reuses it.
 		if th.completion != nil && th.completion.Queued() {
 			c.s.Cancel(th.completion)
 		}
 		return
 	}
-	d := units.DurationFor(th.queue[0].remaining, units.Freq(th.rate))
 	if th.completion == nil {
 		th.completion = c.s.After(d, th.completeFn)
 	} else {
@@ -826,7 +887,7 @@ func (c *CPU) onCompletion(th *Thread) {
 	c.mTasks.Add(1)
 	c.mTaskCycles.Observe(cur.cost)
 	if tr := c.cfg.Obs.Trace; tr != nil {
-		tr.Span("cpu", "task:"+cur.name, c.cfg.Obs.Pid, th.tid, cur.start, c.s.Now(),
+		tr.Span("cpu", c.spanName(cur.name), c.cfg.Obs.Pid, th.tid, cur.start, c.s.Now(),
 			trace.Arg{Key: "cycles", Val: cur.cost})
 	}
 	c.reschedule()
@@ -836,6 +897,20 @@ func (c *CPU) onCompletion(th *Thread) {
 	// The task object is dead once its done callback returned; recycle it.
 	*cur = task{}
 	c.taskFree = append(c.taskFree, cur)
+}
+
+// spanName returns the trace span name of a task, built once per task name:
+// models reuse a handful of names for millions of tasks.
+func (c *CPU) spanName(task string) string {
+	name, ok := c.spanNames[task]
+	if !ok {
+		if c.spanNames == nil {
+			c.spanNames = map[string]string{}
+		}
+		name = "task:" + task
+		c.spanNames[task] = name
+	}
+	return name
 }
 
 func (c *CPU) detach(th *Thread) {
@@ -859,6 +934,25 @@ func (c *CPU) updatePower() {
 	if c.power == nil {
 		return
 	}
+	var total float64
+	if c.reference {
+		total = c.sumPower()
+	} else {
+		total = c.powerMemo[c.busyMask]
+		if total < 0 {
+			total = c.sumPower()
+			c.powerMemo[c.busyMask] = total
+		}
+	}
+	if total != c.watts {
+		c.watts = total
+		c.power.SetPower(total)
+	}
+}
+
+// sumPower adds up the CPU's power in core order: every online core's idle
+// floor plus a busy core's dynamic power.
+func (c *CPU) sumPower() float64 {
 	total := 0.0
 	for _, co := range c.cores {
 		if !co.online {
@@ -869,8 +963,13 @@ func (c *CPU) updatePower() {
 			total += co.cl.watts
 		}
 	}
-	if total != c.watts {
-		c.watts = total
-		c.power.SetPower(total)
+	return total
+}
+
+// clearPowerMemo forgets every memoized power total; call it when a
+// frequency or the online set changes.
+func (c *CPU) clearPowerMemo() {
+	for i := range c.powerMemo {
+		c.powerMemo[i] = -1
 	}
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -226,6 +227,64 @@ func TestNegativeCyclesPanics(t *testing.T) {
 		}
 	}()
 	th.Exec("bad", -1, nil)
+}
+
+// TestNonFiniteCyclesPanics: Exec refuses a cost that is not finite with a
+// cpu: panic, instead of scheduling a completion at an overflowed instant.
+func TestNonFiniteCyclesPanics(t *testing.T) {
+	for _, cycles := range []float64{math.Inf(1), math.NaN()} {
+		s := sim.New()
+		c := New(s, singleCluster(Performance))
+		th := c.NewThread("main", true)
+		var msg any
+		s.At(time.Millisecond, func() {
+			defer func() { msg = recover() }()
+			th.Exec("bad", cycles, nil)
+		})
+		s.Run()
+		if str, ok := msg.(string); !ok || !strings.HasPrefix(str, "cpu: ") {
+			t.Errorf("Exec(%v cycles) panicked with %v, want a cpu: message", cycles, msg)
+		}
+	}
+}
+
+// TestTooManyCoresPanics: New refuses a CPU with more cores than the
+// planner's per-core masks and power memo cover.
+func TestTooManyCoresPanics(t *testing.T) {
+	cfg := bigLittle(Performance)
+	cfg.Little.Cores = maxCores - cfg.Big.Cores + 1
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "cpu: ") {
+			t.Errorf("New with %d cores panicked with %q, want a cpu: message",
+				cfg.Big.Cores+cfg.Little.Cores, msg)
+		}
+	}()
+	New(sim.New(), cfg)
+}
+
+// TestSaturatedDurationStalls: work that would not finish within
+// representable time stalls its thread, as a thread with no rate does,
+// rather than arming a completion past the end of time; other threads are
+// unaffected.
+func TestSaturatedDurationStalls(t *testing.T) {
+	s := sim.New()
+	c := New(s, singleCluster(Performance))
+	huge := c.NewThread("huge", true)
+	other := c.NewThread("other", false)
+	var doneAt time.Duration
+	s.At(time.Millisecond, func() {
+		huge.Exec("forever", 1e300, func() { t.Error("saturated task completed") })
+		other.Exec("work", 1512e6, func() { doneAt = s.Now() })
+	})
+	s.Run()
+	if want := time.Millisecond + time.Second; doneAt != want {
+		t.Errorf("other thread done at %v, want %v", doneAt, want)
+	}
+	armed := huge.completion != nil && huge.completion.Queued()
+	if huge.QueueLen() != 1 || armed {
+		t.Errorf("saturated thread: %d queued, completion armed %v; want 1 queued, disarmed",
+			huge.QueueLen(), armed)
+	}
 }
 
 func TestOndemandRampsUpUnderLoad(t *testing.T) {

@@ -30,11 +30,12 @@ type Meter struct {
 // power often resolves it once with Meter.Component and calls its SetPower,
 // which skips the by-name lookup.
 type Component struct {
-	m      *Meter
-	name   string
-	watts  float64
-	since  time.Duration
-	joules float64
+	m       *Meter
+	name    string
+	counter string // trace counter name, "power.<name>"; built on first trace
+	watts   float64
+	since   time.Duration
+	joules  float64
 }
 
 // NewMeter returns a meter that reads virtual time through now (typically
@@ -73,7 +74,9 @@ func (m *Meter) SetPower(name string, watts float64) {
 }
 
 // SetPower sets the component's instantaneous power draw, accruing energy
-// for the interval since the last change. Negative power panics.
+// for the interval since the last change. Negative power panics. A change
+// at the instant of the last one accrues nothing: adding watts×0 to the
+// non-negative joules would not change a bit of them.
 func (c *Component) SetPower(watts float64) {
 	if watts < 0 {
 		panic(fmt.Sprintf("energy: negative power %f for %s", watts, c.name))
@@ -81,11 +84,16 @@ func (c *Component) SetPower(watts float64) {
 	m := c.m
 	t := m.now()
 	if m.tr != nil && watts != c.watts {
-		m.tr.Counter("energy", "power."+c.name, m.tracePid, t, watts)
+		if c.counter == "" {
+			c.counter = "power." + c.name
+		}
+		m.tr.Counter("energy", c.counter, m.tracePid, t, watts)
 	}
-	c.joules += c.watts * (t - c.since).Seconds()
+	if t != c.since {
+		c.joules += c.watts * (t - c.since).Seconds()
+		c.since = t
+	}
 	c.watts = watts
-	c.since = t
 }
 
 // Power returns the current power draw of a component (0 if never set).

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mobileqoe/internal/trace"
 	"mobileqoe/internal/units"
 )
 
@@ -73,6 +74,56 @@ func TestComponentHandleMatchesByName(t *testing.T) {
 	}
 	if a, b := byName.Components(), byHandle.Components(); !slices.Equal(a, b) {
 		t.Fatalf("components %v by name, %v by handle", a, b)
+	}
+}
+
+// TestSameInstantChanges: a sequence of power changes, several at one
+// instant, leaves joules bit-identical to integrating every interval, empty
+// ones included, and traces one counter sample per change of draw, same
+// instant or not.
+func TestSameInstantChanges(t *testing.T) {
+	c := &fakeClock{}
+	m := NewMeter(c.now)
+	tr := trace.New()
+	m.SetTrace(tr, 7)
+	h := m.Component("cpu")
+	type sample struct {
+		at    time.Duration
+		watts float64
+	}
+	steps := []sample{
+		{0, 0.072}, {0, 1.218}, {0, 1.218}, {3 * time.Millisecond, 0.7 / 3},
+		{3 * time.Millisecond, 1.9}, {3 * time.Millisecond, 0.7 / 3},
+		{3*time.Millisecond + 17*time.Microsecond, 0.054}, {40 * time.Millisecond, 2.2},
+		{40 * time.Millisecond, 2.2}, {40 * time.Millisecond, 0}, {41 * time.Millisecond, 0.018},
+	}
+	var joules, watts float64
+	var since time.Duration
+	var want []sample
+	for _, st := range steps {
+		c.t = st.at
+		h.SetPower(st.watts)
+		joules += watts * (st.at - since).Seconds()
+		if st.watts != watts {
+			want = append(want, st)
+		}
+		watts, since = st.watts, st.at
+	}
+	c.t = 50 * time.Millisecond
+	joules += watts * (c.t - since).Seconds()
+	if got := m.Energy("cpu"); math.Float64bits(got) != math.Float64bits(joules) {
+		t.Errorf("energy %v (bits %#x), every interval integrated gives %v (bits %#x)",
+			got, math.Float64bits(got), joules, math.Float64bits(joules))
+	}
+	var got []sample
+	for _, e := range tr.Events() {
+		if e.Kind != trace.KindCounter || e.Name != "power.cpu" || e.Pid != 7 {
+			t.Fatalf("unexpected trace event %+v", e)
+		}
+		got = append(got, sample{e.Ts, e.Args[0].Val})
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("counter samples %v, want %v", got, want)
 	}
 }
 
