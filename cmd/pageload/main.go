@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -31,28 +33,39 @@ import (
 	"mobileqoe/internal/wprof"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args on its own flag set and returns
+// the exit code, so tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pageload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dev       = flag.String("device", "Google Nexus4", "catalog device name")
-		mhz       = flag.Float64("mhz", 0, "pin the clock (userspace governor), MHz")
-		cores     = flag.Int("cores", 0, "online cores (0 = all)")
-		ramMB     = flag.Int("ram", 0, "RAM override in MB (0 = stock)")
-		category  = flag.String("category", "news", "page category: news|sports|business|health|shopping")
-		seed      = flag.Uint64("seed", 1, "page generation seed")
-		waterfall = flag.Bool("waterfall", false, "print the full activity waterfall")
-		timeline  = flag.Bool("timeline", false, "print an ASCII timeline of the trace (implies tracing)")
-		prof      = flag.Bool("profile", false, "print an aggregated virtual-time profile of the load (implies tracing)")
-		folded    = flag.String("folded", "", "write folded stacks (flamegraph.pl / speedscope) of the load to this file (implies tracing)")
-		faults    = flag.String("faults", "", "fault-injection plan: a JSON plan file, or 'default' for the built-in mixed plan")
+		dev       = fs.String("device", "Google Nexus4", "catalog device name")
+		mhz       = fs.Float64("mhz", 0, "pin the clock (userspace governor), MHz")
+		cores     = fs.Int("cores", 0, "online cores (0 = all)")
+		ramMB     = fs.Int("ram", 0, "RAM override in MB (0 = stock)")
+		category  = fs.String("category", "news", "page category: news|sports|business|health|shopping")
+		seed      = fs.Uint64("seed", 1, "page generation seed")
+		waterfall = fs.Bool("waterfall", false, "print the full activity waterfall")
+		timeline  = fs.Bool("timeline", false, "print an ASCII timeline of the trace (implies tracing)")
+		prof      = fs.Bool("profile", false, "print an aggregated virtual-time profile of the load (implies tracing)")
+		folded    = fs.String("folded", "", "write folded stacks (flamegraph.pl / speedscope) of the load to this file (implies tracing)")
+		faults    = fs.String("faults", "", "fault-injection plan: a JSON plan file, or 'default' for the built-in mixed plan")
 	)
-	ob := obsflag.Register(flag.CommandLine,
+	ob := obsflag.Register(fs,
 		"write a Chrome trace-event JSON of the load to this file")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	spec, err := device.ByName(*dev)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pageload:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pageload:", err)
+		return 1
 	}
 	var opts []core.Option
 	if *mhz > 0 {
@@ -65,15 +78,15 @@ func main() {
 		opts = append(opts, core.WithRAM(units.ByteSize(*ramMB)*units.MB))
 	}
 	if plan, perr := obsflag.LoadFaultPlan(*faults); perr != nil {
-		fmt.Fprintln(os.Stderr, "pageload:", perr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pageload:", perr)
+		return 1
 	} else if plan != nil {
 		opts = append(opts, core.WithFaultPlan(plan, *seed))
 	}
 
 	page := webpage.Generate(fmt.Sprintf("%s-cli.example", *category),
 		webpage.Category(*category), *seed)
-	fmt.Printf("loading %s (%s, %d resources, %s) on %s\n\n",
+	fmt.Fprintf(stdout, "loading %s (%s, %d resources, %s) on %s\n\n",
 		page.Name, page.Category, len(page.Resources), page.TotalBytes(), spec)
 
 	if *timeline || *prof || *folded != "" {
@@ -90,8 +103,8 @@ func main() {
 		FaultPlan:    *faults,
 	}, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pageload:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pageload:", err)
+		return 1
 	}
 
 	sys := core.NewSystem(spec, opts...)
@@ -110,16 +123,16 @@ func main() {
 	}
 	rl.Cell(cell)
 	if err := rl.Close(nil); err != nil {
-		fmt.Fprintln(os.Stderr, "pageload:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pageload:", err)
+		return 1
 	}
 
-	fmt.Printf("PLT: %v\n", res.PLT.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "PLT: %v\n", res.PLT.Round(time.Millisecond))
 	if res.Degraded {
-		fmt.Printf("DEGRADED: %d resources abandoned, %d mem-kill restarts (ePLT over what rendered)\n",
+		fmt.Fprintf(stdout, "DEGRADED: %d resources abandoned, %d mem-kill restarts (ePLT over what rendered)\n",
 			len(res.FailedResources), res.Restarts)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// Compute breakdown by activity kind.
 	byKind := map[browser.ActivityKind]time.Duration{}
@@ -133,37 +146,37 @@ func main() {
 		kinds = append(kinds, string(k))
 	}
 	sort.Strings(kinds)
-	fmt.Println("activity totals:")
+	fmt.Fprintln(stdout, "activity totals:")
 	for _, k := range kinds {
 		kk := browser.ActivityKind(k)
-		fmt.Printf("  %-7s n=%-4d %v\n", k, counts[kk], byKind[kk].Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  %-7s n=%-4d %v\n", k, counts[kk], byKind[kk].Round(time.Millisecond))
 	}
 
 	g := wprof.FromResult(res)
 	st := g.CriticalPath()
-	fmt.Printf("\ncritical path: total %v = network %v + compute %v (script %v)\n",
+	fmt.Fprintf(stdout, "\ncritical path: total %v = network %v + compute %v (script %v)\n",
 		st.Total.Round(time.Millisecond), st.Network.Round(time.Millisecond),
 		st.Compute.Round(time.Millisecond), st.Script.Round(time.Millisecond))
 
 	if *waterfall {
-		fmt.Println("\nwaterfall:")
+		fmt.Fprintln(stdout, "\nwaterfall:")
 		for _, a := range res.Activities {
 			bar := strings.Repeat(" ", int(a.Start/(50*time.Millisecond)))
-			fmt.Printf("%8.3fs %-7s %s%s %s\n", a.Start.Seconds(), a.Kind, bar,
+			fmt.Fprintf(stdout, "%8.3fs %-7s %s%s %s\n", a.Start.Seconds(), a.Kind, bar,
 				strings.Repeat("#", 1+int(a.Duration()/(50*time.Millisecond))), a.Name)
 		}
 	}
 
 	if *timeline {
-		fmt.Println()
-		if err := ob.Tracer().WriteASCII(os.Stdout, 100); err != nil {
-			fmt.Fprintln(os.Stderr, "pageload:", err)
-			os.Exit(1)
+		fmt.Fprintln(stdout)
+		if err := ob.Tracer().WriteASCII(stdout, 100); err != nil {
+			fmt.Fprintln(stderr, "pageload:", err)
+			return 1
 		}
 	}
 	if *prof {
-		fmt.Println()
-		fmt.Print(profile.FromTracer(ob.Tracer()).Table(30))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, profile.FromTracer(ob.Tracer()).Table(30))
 	}
 	if *folded != "" {
 		f, err := os.Create(*folded)
@@ -174,13 +187,14 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pageload:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "pageload:", err)
+			return 1
 		}
-		fmt.Printf("\nwrote folded stacks to %s\n", *folded)
+		fmt.Fprintf(stdout, "\nwrote folded stacks to %s\n", *folded)
 	}
-	if err := ob.Flush(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "pageload:", err)
-		os.Exit(1)
+	if err := ob.Flush(stdout); err != nil {
+		fmt.Fprintln(stderr, "pageload:", err)
+		return 1
 	}
+	return 0
 }

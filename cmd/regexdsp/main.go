@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -39,17 +41,28 @@ var suite = []workload{
 	{"pathological", `(a+)+$`, strings.Repeat("a", 24) + "b"},
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args on its own flag set and returns
+// the exit code, so tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("regexdsp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		pattern = flag.String("pattern", "", "run a single pattern instead of the suite")
-		input   = flag.String("input", "", "input string for -pattern")
-		repeat  = flag.Float64("repeat", 400, "evaluations batched per offloaded RPC")
-		cpuMHz  = flag.Float64("cpu-mhz", 2457, "application core clock (MHz)")
-		cpuIPC  = flag.Float64("cpu-ipc", 1.9, "application core IPC")
+		pattern = fs.String("pattern", "", "run a single pattern instead of the suite")
+		input   = fs.String("input", "", "input string for -pattern")
+		repeat  = fs.Float64("repeat", 400, "evaluations batched per offloaded RPC")
+		cpuMHz  = fs.Float64("cpu-mhz", 2457, "application core clock (MHz)")
+		cpuIPC  = fs.Float64("cpu-ipc", 1.9, "application core IPC")
 	)
-	ob := obsflag.Register(flag.CommandLine,
+	ob := obsflag.Register(fs,
 		"replay the suite as simulated FastRPC calls and write a Chrome trace-event JSON to this file")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	work := suite
 	if *pattern != "" {
@@ -62,8 +75,8 @@ func main() {
 		Parallel:     1,
 	}, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "regexdsp:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "regexdsp:", err)
+		return 1
 	}
 	s := sim.New()
 	dcfg := dsp.Config{Obs: ob.Ctx("regexdsp")}
@@ -80,13 +93,13 @@ func main() {
 	}
 	var replay []rpc
 
-	fmt.Printf("%-19s %-11s %-11s %-11s %-11s %s\n",
+	fmt.Fprintf(stdout, "%-19s %-11s %-11s %-11s %-11s %s\n",
 		"workload", "bt-steps", "pike-steps", "cpu-time", "dsp-time", "winner")
 	for i, w := range work {
 		cellStart := time.Now()
 		prog, err := rex.Compile(w.pattern)
 		if err != nil {
-			fmt.Printf("%-19s compile error: %v\n", w.name, err)
+			fmt.Fprintf(stdout, "%-19s compile error: %v\n", w.name, err)
 			rl.Cell(runlog.Cell{Index: i, ID: w.name, Status: "error",
 				ErrorClass: "error", Error: err.Error(),
 				WallMS: float64(time.Since(cellStart)) / float64(time.Millisecond)})
@@ -116,17 +129,17 @@ func main() {
 		if dspTime < cpuTime {
 			winner = "DSP"
 		}
-		fmt.Printf("%-19s %-11s %-11d %-11s %-11s %s\n",
+		fmt.Fprintf(stdout, "%-19s %-11s %-11d %-11s %-11s %s\n",
 			w.name, btSteps, pr.Steps,
 			cpuTime.Round(time.Microsecond), dspTime.Round(time.Microsecond), winner)
 		rl.Cell(runlog.Cell{Index: i, ID: w.name, Status: "ok",
 			WallMS: float64(time.Since(cellStart)) / float64(time.Millisecond)})
 	}
 	if err := rl.Close(nil); err != nil {
-		fmt.Fprintln(os.Stderr, "regexdsp:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "regexdsp:", err)
+		return 1
 	}
-	fmt.Printf("\n(batch=%0.f evaluations/RPC; '!' = backtracking step limit hit; DSP %s @ %.2f cyc/step, RPC %v)\n",
+	fmt.Fprintf(stdout, "\n(batch=%0.f evaluations/RPC; '!' = backtracking step limit hit; DSP %s @ %.2f cyc/step, RPC %v)\n",
 		*repeat, d.Config().Freq, dsp.DSPCyclesPerStep, d.Config().RPCOverhead)
 
 	if tr != nil {
@@ -142,8 +155,9 @@ func main() {
 		issue(0)
 		s.Run()
 	}
-	if err := ob.Flush(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "regexdsp:", err)
-		os.Exit(1)
+	if err := ob.Flush(stdout); err != nil {
+		fmt.Fprintln(stderr, "regexdsp:", err)
+		return 1
 	}
+	return 0
 }
