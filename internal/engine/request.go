@@ -224,7 +224,7 @@ func Compose(req Request, opt ComposeOptions) (*Plan, error) {
 		}
 		if !opt.AllowLocalFiles {
 			for _, wp := range spec.FaultPlans {
-				if wp.Plan != "none" && wp.Plan != "default" {
+				if !fault.Builtin(wp.Plan) {
 					return nil, fmt.Errorf("engine: fleet spec %q references fault plan file %q; only the built-in plans (none, default) are servable", spec.Name, wp.Plan)
 				}
 			}

@@ -108,6 +108,35 @@ func TestLoadPlanNamesDefaultToPath(t *testing.T) {
 	}
 }
 
+// TestResolveReferences pins the one reader of plan references: the
+// built-in names resolve without touching the file system, and anything
+// else is a plan file.
+func TestResolveReferences(t *testing.T) {
+	for _, ref := range []string{"", "none"} {
+		if p, err := fault.Resolve(ref); p != nil || err != nil {
+			t.Errorf("Resolve(%q) = %v, %v; want no plan", ref, p, err)
+		}
+	}
+	if p, err := fault.Resolve("default"); err != nil || !reflect.DeepEqual(p, fault.Default()) {
+		t.Errorf("Resolve(default) = %v, %v; want the default plan", p, err)
+	}
+	path := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(path, []byte(`{"faults":[{"kind":"mem-kill","at_ms":5,"dur_ms":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := fault.Resolve(path); err != nil || p.Name != path {
+		t.Errorf("Resolve(file) = %v, %v; want the file's plan", p, err)
+	}
+	if _, err := fault.Resolve("nonexistent.json"); err == nil {
+		t.Error("a missing plan file resolved")
+	}
+	for ref, want := range map[string]bool{"none": true, "default": true, "": false, "plan.json": false, "Default": false} {
+		if got := fault.Builtin(ref); got != want {
+			t.Errorf("Builtin(%q) = %v, want %v", ref, got, want)
+		}
+	}
+}
+
 func TestNilInjectorAnswersNoFault(t *testing.T) {
 	var i *fault.Injector
 	if i.Active(fault.BurstLoss) || i.SegmentLost() || i.ConnResets() ||

@@ -226,6 +226,24 @@ func LoadPlan(path string) (*Plan, error) {
 	return p, nil
 }
 
+// Builtin reports whether ref names a built-in plan, "none" or "default",
+// rather than a plan file.
+func Builtin(ref string) bool { return ref == "none" || ref == "default" }
+
+// Resolve returns the plan a reference names: "" and "none" name no plan
+// (nil), "default" the built-in mixed plan, and anything else a JSON plan
+// file. It is the one reader of the -faults flag, a scenario's fault_plan
+// and a fleet spec's fault_plans entries.
+func Resolve(ref string) (*Plan, error) {
+	switch ref {
+	case "", "none":
+		return nil, nil
+	case "default":
+		return Default(), nil
+	}
+	return LoadPlan(ref)
+}
+
 // Default returns the standard mixed-fault plan: one window of every kind,
 // spread over the first ~14 virtual seconds so that short and long workloads
 // alike see faults early. It is what qoesim -faults default selects.

@@ -55,18 +55,11 @@ func (s *Spec) Compile() (*Runner, error) {
 		r.nets = append(r.nets, profiles[n.Name])
 	}
 	for _, p := range s.FaultPlans {
-		switch p.Plan {
-		case "none":
-			r.plans = append(r.plans, nil)
-		case "default":
-			r.plans = append(r.plans, fault.Default())
-		default:
-			pl, err := fault.LoadPlan(p.Plan)
-			if err != nil {
-				return nil, fmt.Errorf("fleet %s: %w", s.Name, err)
-			}
-			r.plans = append(r.plans, pl)
+		pl, err := fault.Resolve(p.Plan)
+		if err != nil {
+			return nil, fmt.Errorf("fleet %s: %w", s.Name, err)
 		}
+		r.plans = append(r.plans, pl)
 	}
 	r.devPick = newPickTable(len(s.DeviceMix), func(i int) int { return s.DeviceMix[i].Weight })
 	r.netPick = newPickTable(len(s.Networks), func(i int) int { return s.Networks[i].Weight })

@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"mobileqoe/internal/experiments"
+	"mobileqoe/internal/fault"
 	"mobileqoe/internal/netsim"
 	"mobileqoe/internal/scenario"
 )
@@ -153,7 +154,7 @@ func Load(path string) (*Spec, error) {
 	}
 	dir := filepath.Dir(path)
 	for i, p := range s.FaultPlans {
-		if p.Plan != "none" && p.Plan != "default" && !filepath.IsAbs(p.Plan) {
+		if !fault.Builtin(p.Plan) && !filepath.IsAbs(p.Plan) {
 			s.FaultPlans[i].Plan = filepath.Join(dir, p.Plan)
 		}
 	}
