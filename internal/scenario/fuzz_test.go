@@ -26,7 +26,7 @@ func writeFile(path, body string) error {
 //   - expand to a table skeleton without panicking: a runner exists and the
 //     header has one axis column plus the workload's metric columns.
 func FuzzScenarioParse(f *testing.F) {
-	for _, file := range []string{"testdata/web_sweep.json", "testdata/video_sweep.json"} {
+	for _, file := range []string{"testdata/web_sweep.json", "testdata/video_sweep.json", "testdata/iperf_sweep.json"} {
 		if b, err := os.ReadFile(file); err == nil {
 			f.Add(b)
 		}

@@ -49,37 +49,34 @@ func loadScenario(t *testing.T, file string) *scenario.Scenario {
 	return s
 }
 
-// TestWebSweepMatchesFig3a is the golden equivalence test: the checked-in
-// web_sweep scenario compiles to the sweep fig3a runs, so it reproduces the
-// fig3a table byte for byte — same systems, same seeds, same formatting.
-func TestWebSweepMatchesFig3a(t *testing.T) {
-	cfg := experiments.Config{Pages: 2}
-	want, err := experiments.Run("fig3a", cfg)
-	if err != nil {
-		t.Fatalf("fig3a: %v", err)
-	}
-	got := runScenario(t, loadScenario(t, "testdata/web_sweep.json"), cfg)
-	if got.String() != want.String() {
-		t.Fatalf("scenario table diverges from fig3a:\n--- fig3a ---\n%s\n--- scenario ---\n%s",
-			want.String(), got.String())
-	}
-	if got.CSV() != want.CSV() {
-		t.Fatalf("scenario CSV diverges from fig3a:\n%s\nvs\n%s", want.CSV(), got.CSV())
-	}
-}
-
-// TestVideoSweepMatchesFig4a is the second golden pair: the video clock
-// sweep against the built-in fig4a.
-func TestVideoSweepMatchesFig4a(t *testing.T) {
-	cfg := experiments.Config{}
-	want, err := experiments.Run("fig4a", cfg)
-	if err != nil {
-		t.Fatalf("fig4a: %v", err)
-	}
-	got := runScenario(t, loadScenario(t, "testdata/video_sweep.json"), cfg)
-	if got.String() != want.String() {
-		t.Fatalf("scenario table diverges from fig4a:\n--- fig4a ---\n%s\n--- scenario ---\n%s",
-			want.String(), got.String())
+// TestSweepFilesMatchFigures is the golden equivalence test: each checked-in
+// sweep scenario compiles to the sweep its figure runs, so it reproduces
+// that figure's table byte for byte — same systems, same seeds, same
+// formatting. iperf_sweep.json is the file-based form of the Fig. 6 clock
+// sweep.
+func TestSweepFilesMatchFigures(t *testing.T) {
+	for _, tc := range []struct {
+		file, fig string
+		cfg       experiments.Config
+	}{
+		{"testdata/web_sweep.json", "fig3a", experiments.Config{Pages: 2}},
+		{"testdata/video_sweep.json", "fig4a", experiments.Config{}},
+		{"testdata/iperf_sweep.json", "fig6", experiments.Config{}},
+	} {
+		t.Run(tc.fig, func(t *testing.T) {
+			want, err := experiments.Run(tc.fig, tc.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.fig, err)
+			}
+			got := runScenario(t, loadScenario(t, tc.file), tc.cfg)
+			if got.String() != want.String() {
+				t.Fatalf("%s diverges from %s:\n--- %s ---\n%s\n--- scenario ---\n%s",
+					tc.file, tc.fig, tc.fig, want.String(), got.String())
+			}
+			if got.CSV() != want.CSV() {
+				t.Fatalf("%s CSV diverges from %s:\n%s\nvs\n%s", tc.file, tc.fig, want.CSV(), got.CSV())
+			}
+		})
 	}
 }
 
