@@ -1,16 +1,13 @@
-// Package obsflag is the shared flag-wiring helper for the simulator CLIs:
-// the -trace / -metrics / -faults conventions register, translate to
-// options, and flush through one place.
+// Package obsflag registers the observation flags every simulator command
+// shares and maps them onto the one observation pipeline.
 //
-// The run-observation flags (-runlog, -progress, -telemetry, -slo-exit)
-// only choose sinks: RunLogFlags.Start maps them onto an engine.Observer,
-// the one observer qoesim, pageload, iperfsim, regexdsp, and served jobs
-// all record their runs through.
-//
-// qoesim keeps its own trace wiring — its cells trace on private tracers
-// that the runner hands back per cell — but shares the -faults resolver and
-// the observation flags, and its flag spellings match the ones registered
-// here.
+// -trace, -metrics and -metricsmode choose what the run collects: the runner
+// gives each cell its own tracer (runner.Options.Trace) and registry
+// (experiments.Table.Metrics), and the command prints or writes those. The
+// run-observation flags (-runlog, -progress, -telemetry, -slo-exit) only
+// choose sinks: RunLogFlags.Start maps them onto the engine.Observer whose
+// Stream records each cell. qoesim, pageload, regexdsp and served jobs all
+// observe their runs this way.
 package obsflag
 
 import (
@@ -18,144 +15,69 @@ import (
 	"fmt"
 	"io"
 
-	"mobileqoe/internal/core"
-	"mobileqoe/internal/fault"
-	"mobileqoe/internal/obs"
+	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/trace"
 )
 
-// Flags holds the parsed observability flags plus the tracer and metrics
-// registry they materialize into. Every system built from one Flags value
-// shares the same tracer and registry, so a multi-step sweep lands in a
-// single trace file and a single table.
-type Flags struct {
+// Outputs holds the parsed observation flags of one command.
+type Outputs struct {
 	// TraceOut is the -trace argument: a Chrome trace-event JSON output
 	// path, empty when tracing was not requested.
 	TraceOut string
 	// Metrics is the -metrics argument: print the run's metrics registry
-	// after the results.
+	// after its results.
 	Metrics bool
-	// RunLog is the shared -runlog / -progress pair (see RegisterRunLog).
+	// RunLog is the -runlog / -progress / -telemetry / -slo-exit set.
 	RunLog *RunLogFlags
 
-	histMode trace.HistMode
-	tr       *trace.Tracer
-	reg      *trace.Metrics
+	mode    trace.HistMode
+	modeSet bool
 }
 
-// Register installs the shared -trace and -metrics flags on fs (normally
-// flag.CommandLine). traceUsage overrides the -trace help text when the
-// binary needs to qualify it (e.g. a sweep writing one combined file); pass
-// "" for the standard wording.
-func Register(fs *flag.FlagSet, traceUsage string) *Flags {
-	if traceUsage == "" {
-		traceUsage = "write a Chrome trace-event JSON of the run to this file"
-	}
-	f := &Flags{}
-	fs.StringVar(&f.TraceOut, "trace", "", traceUsage)
-	fs.BoolVar(&f.Metrics, "metrics", false, "print the run's metrics registry after the results")
+// Register installs -trace, -metrics, -metricsmode and the run-observation
+// flags on fs. traceUsage is the -trace help text, which each command words
+// for what its trace holds.
+func Register(fs *flag.FlagSet, traceUsage string) *Outputs {
+	o := &Outputs{RunLog: registerRunLog(fs)}
+	fs.StringVar(&o.TraceOut, "trace", "", traceUsage)
+	fs.BoolVar(&o.Metrics, "metrics", false, "print the run's metrics registry after its results")
 	fs.Func("metricsmode", "histogram mode for -metrics: scalar|bounded (bounded adds p50/p90/p99 columns, within 6.25% of exact, in O(1) memory)",
 		func(s string) error {
 			m, err := trace.ParseHistMode(s)
-			f.histMode = m
+			o.mode, o.modeSet = m, true
 			return err
 		})
-	f.RunLog = RegisterRunLog(fs)
-	// -telemetry on the simple CLIs exposes the shared registry live; the
-	// observer renders whatever this returns at snapshot time.
-	f.RunLog.regSrc = func() *trace.Metrics { return f.reg }
-	return f
+	return o
 }
 
-// metricsOn reports whether the run needs a live registry: the user asked for
-// the table (-metrics) or for live exposition (-telemetry).
-func (f *Flags) metricsOn() bool {
-	return f.Metrics || (f.RunLog != nil && f.RunLog.Telemetry != "")
-}
-
-// EnableTrace forces the tracer on even when -trace was not given, for
-// flags (like pageload's -timeline) that consume the trace in-process
-// without writing the file. Call before Options or Ctx.
-func (f *Flags) EnableTrace() {
-	if f.tr == nil {
-		f.tr = trace.New()
+// Configure sets the run's metrics collection from the flags. -metrics turns
+// it on. -runlog and -telemetry force it on too: a run-log cell takes its
+// virtual time and fault counts from the cell's registry, and -telemetry
+// exposes the registries folded. Printing still gates on -metrics, so stdout
+// does not move. An explicit -metricsmode wins over the mode cfg holds (a
+// scenario's slo: block asks for bounded histograms).
+func (o *Outputs) Configure(cfg *experiments.Config) {
+	if o.Metrics || o.RunLog.Out != "" || o.RunLog.Telemetry != "" {
+		cfg.Metrics = true
+	}
+	if o.modeSet {
+		cfg.MetricsMode = o.mode
 	}
 }
 
-// Options translates the parsed flags into core options. Call once after
-// flag.Parse and hand the result to every core.NewSystem of the run.
-func (f *Flags) Options() []core.Option {
-	var opts []core.Option
-	if f.TraceOut != "" {
-		f.EnableTrace()
+// Write prints what -metrics and -trace asked for after a command's results:
+// the registry table on w, then the trace file, whose event count it reports
+// on w. reg and tr are what the run collected; either may be nil.
+func (o *Outputs) Write(w io.Writer, reg *trace.Metrics, tr *trace.Tracer) error {
+	if o.Metrics && reg != nil {
+		fmt.Fprintf(w, "\n%s", reg.Table())
 	}
-	if f.tr != nil {
-		opts = append(opts, core.WithTrace(f.tr))
-	}
-	if f.metricsOn() {
-		f.ensureRegistry()
-		opts = append(opts, core.WithMetrics(f.reg))
-	}
-	return opts
-}
-
-// Ctx materializes the flags as an obs.Ctx for CLIs that drive a subsystem
-// directly instead of through core.NewSystem (regexdsp's DSP model). The
-// events are attributed to a fresh trace process named process.
-func (f *Flags) Ctx(process string) obs.Ctx {
-	if f.TraceOut != "" {
-		f.EnableTrace()
-	}
-	if f.metricsOn() {
-		f.ensureRegistry()
-	}
-	oc := obs.Ctx{Trace: f.tr, Metrics: f.reg}
-	if f.tr != nil {
-		oc.Pid = f.tr.Process(process)
-	}
-	return oc
-}
-
-// Tracer returns the shared tracer, nil when tracing is off.
-func (f *Flags) Tracer() *trace.Tracer { return f.tr }
-
-// Registry returns the shared metrics registry, nil when -metrics is off.
-func (f *Flags) Registry() *trace.Metrics { return f.reg }
-
-func (f *Flags) ensureRegistry() {
-	if f.reg == nil {
-		f.reg = trace.NewMetricsMode(f.histMode)
-	}
-}
-
-// Flush writes whatever the flags asked for: the metrics table to w, then
-// the trace file (reporting its event count on w). Callers prefix the
-// returned error with their program name.
-func (f *Flags) Flush(w io.Writer) error {
-	// The table prints only on explicit -metrics: a registry forced into
-	// existence by -telemetry is exposition-only and must not change stdout.
-	if f.reg != nil && f.Metrics {
-		fmt.Fprintf(w, "\n%s", f.reg.Table())
-	}
-	if f.TraceOut == "" || f.tr == nil {
+	if o.TraceOut == "" || tr == nil {
 		return nil
 	}
-	if err := f.tr.WriteFile(f.TraceOut); err != nil {
+	if err := tr.WriteFile(o.TraceOut); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nwrote %d trace events to %s\n", f.tr.Len(), f.TraceOut)
+	fmt.Fprintf(w, "\nwrote %d trace events to %s\n", tr.Len(), o.TraceOut)
 	return nil
-}
-
-// LoadFaultPlan resolves the shared -faults convention: empty means no
-// plan, the literal "default" selects the built-in mixed plan, anything
-// else is a JSON plan file.
-func LoadFaultPlan(arg string) (*fault.Plan, error) {
-	if arg == "" {
-		return nil, nil
-	}
-	if arg == "default" {
-		return fault.Default(), nil
-	}
-	return fault.LoadPlan(arg)
 }

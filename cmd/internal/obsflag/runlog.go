@@ -10,7 +10,6 @@ import (
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/scenario"
 	"mobileqoe/internal/telemetry"
-	"mobileqoe/internal/trace"
 )
 
 // ProgressMode is the tri-state -progress setting.
@@ -96,20 +95,14 @@ type RunLogFlags struct {
 	// rule tripped during the run.
 	SLOExit bool
 
-	// regSrc supplies the live registry -telemetry renders. Flags.Register
-	// points it at the CLI's shared registry; when nil (qoesim, whose cells
-	// own private registries), the observer folds completed cells into its
-	// own aggregate instead.
-	regSrc func() *trace.Metrics
-	// fs is the flag set RegisterRunLog installed on, whose explicitly-set
+	// fs is the flag set registerRunLog installed on, whose explicitly-set
 	// flags Start snapshots into the manifest.
 	fs *flag.FlagSet
 }
 
-// RegisterRunLog installs -runlog, -progress, -telemetry, and -slo-exit on
-// fs. It is part of Register; qoesim, which owns its flag set, calls it
-// directly.
-func RegisterRunLog(fs *flag.FlagSet) *RunLogFlags {
+// registerRunLog installs -runlog, -progress, -telemetry, and -slo-exit on
+// fs, as part of Register.
+func registerRunLog(fs *flag.FlagSet) *RunLogFlags {
 	rf := &RunLogFlags{fs: fs}
 	fs.StringVar(&rf.Out, "runlog", "",
 		"write an NDJSON run log (manifest, per-cell records, health snapshots) to this file")
@@ -129,15 +122,16 @@ func RegisterRunLog(fs *flag.FlagSet) *RunLogFlags {
 // receiver — every Observer method is nil-safe) when no flag was given and
 // there is no slo: block.
 //
-// Flags is filled from the explicitly-set flags of the flag set
-// RegisterRunLog installed on when the caller left it empty. Everything else in the manifest — Experiments,
-// Seed, SeedSchedule, Trials, Parallel, Scenario — is the caller's
-// knowledge; the observer stamps tool, code version, and start time.
+// Flags is filled from the explicitly-set flags of the flag set Register
+// installed on when the caller left it empty. Everything else in the
+// manifest — Experiments, Seed, SeedSchedule, Trials, Parallel, Scenario —
+// is the caller's knowledge; the observer stamps tool, code version, and
+// start time.
 func (rf *RunLogFlags) Start(tool string, total int, m runlog.Manifest, slo map[string]scenario.Rule) (*engine.Observer, error) {
 	if rf == nil || (rf.Out == "" && !rf.Progress.Enabled() && rf.Telemetry == "" && len(slo) == 0) {
 		return nil, nil
 	}
-	s := engine.Sinks{Stderr: os.Stderr, Registry: rf.regSrc}
+	s := engine.Sinks{Stderr: os.Stderr}
 	if rf.Progress.Enabled() {
 		s.Meter = os.Stderr
 		s.Redraw = rf.Progress == ProgressForce || stderrTTY()

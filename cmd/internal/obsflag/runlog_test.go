@@ -27,7 +27,7 @@ func parseProgress(t *testing.T, args ...string) (ProgressMode, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	rf := RegisterRunLog(fs)
+	rf := registerRunLog(fs)
 	err := fs.Parse(args)
 	return rf.Progress, err
 }
@@ -246,38 +246,8 @@ func TestAlertExemplarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTelemetrySnapshotFromRegSrc pins the simple-CLI path: -telemetry with a
-// shared registry renders a lintable v0.0.4 snapshot holding both the registry
-// families and the run-health families.
-func TestTelemetrySnapshotFromRegSrc(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "metrics.prom")
-	reg := trace.NewMetricsMode(trace.HistBounded)
-	reg.Counter("sim.events").Add(7)
-	rf := &RunLogFlags{Telemetry: path, regSrc: func() *trace.Metrics { return reg }}
-	rl, err := rf.Start("testtool", 1, runlog.Manifest{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl.Cell(runlog.Cell{Index: 0, ID: "cell", Status: "ok", WallMS: 3})
-	if err := rl.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := telemetry.Lint(string(snap)); err != nil {
-		t.Fatalf("snapshot does not lint: %v\n%s", err, snap)
-	}
-	for _, want := range []string{"mobileqoe_sim_events 7\n", "mobileqoe_run_cells_done 1\n", "mobileqoe_run_cells_total 1\n"} {
-		if !strings.Contains(string(snap), want) {
-			t.Fatalf("snapshot missing %q:\n%s", want, snap)
-		}
-	}
-}
-
-// TestTelemetryAggFold pins the qoesim path: with no regSrc, Stream folds
-// each cell's private registry into the exposed aggregate.
+// TestTelemetryAggFold pins the telemetry path: Stream folds each cell's
+// private registry into the exposed aggregate.
 func TestTelemetryAggFold(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.prom")
 	rf := &RunLogFlags{Telemetry: path}
@@ -343,30 +313,41 @@ func TestStdoutUntouched(t *testing.T) {
 	}
 }
 
-// TestFlagsTelemetryForcesRegistry pins the obsflag plumbing: -telemetry
-// alone materializes a registry for the sink, but Flush keeps stdout clean
-// because the table still gates on -metrics.
-func TestFlagsTelemetryForcesRegistry(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fs, "")
-	if err := fs.Parse([]string{"-telemetry", filepath.Join(t.TempDir(), "m.prom")}); err != nil {
-		t.Fatal(err)
-	}
-	if opts := f.Options(); len(opts) != 1 {
-		t.Fatalf("Options() returned %d options, want 1 (metrics collection)", len(opts))
-	}
-	if f.Registry() == nil {
-		t.Fatal("-telemetry did not materialize a registry")
-	}
-	if f.RunLog.regSrc() != f.Registry() {
-		t.Fatal("regSrc does not expose the shared registry")
-	}
-	var out bytes.Buffer
-	if err := f.Flush(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("Flush printed the table without -metrics:\n%s", out.String())
+// TestConfigureForcesCollection pins the flag plumbing every command
+// shares: -runlog and -telemetry turn per-cell registries on without
+// -metrics, so Write keeps stdout clean; an explicit -metricsmode wins over
+// the mode the run already holds, and an absent one leaves it.
+func TestConfigureForcesCollection(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args        []string
+		wantMetrics bool
+		wantMode    trace.HistMode
+	}{
+		{nil, false, trace.HistBounded},
+		{[]string{"-metrics"}, true, trace.HistBounded},
+		{[]string{"-runlog", filepath.Join(dir, "r.ndjson")}, true, trace.HistBounded},
+		{[]string{"-telemetry", filepath.Join(dir, "m.prom")}, true, trace.HistBounded},
+		{[]string{"-metricsmode", "scalar"}, false, trace.HistScalar},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		o := Register(fs, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		cfg := experiments.Config{MetricsMode: trace.HistBounded}
+		o.Configure(&cfg)
+		if cfg.Metrics != tc.wantMetrics || cfg.MetricsMode != tc.wantMode {
+			t.Errorf("%v: Metrics=%v MetricsMode=%v, want %v %v",
+				tc.args, cfg.Metrics, cfg.MetricsMode, tc.wantMetrics, tc.wantMode)
+		}
+		var out bytes.Buffer
+		if err := o.Write(&out, trace.NewMetrics(), trace.New()); err != nil {
+			t.Fatal(err)
+		}
+		if (out.Len() > 0) != o.Metrics {
+			t.Errorf("%v: Write printed %q", tc.args, out.String())
+		}
 	}
 }
 
@@ -374,7 +355,7 @@ func TestFlagsTelemetryForcesRegistry(t *testing.T) {
 // flags appear, with their string spellings.
 func TestVisitedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	RegisterRunLog(fs)
+	registerRunLog(fs)
 	if err := fs.Parse([]string{"-progress=force", "-slo-exit"}); err != nil {
 		t.Fatal(err)
 	}

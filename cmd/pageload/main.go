@@ -7,17 +7,19 @@
 //	pageload                                   # news page on a Nexus4
 //	pageload -device "Google Pixel2"           # another catalog device
 //	pageload -mhz 384 -category sports         # pinned clock, category pick
-//	pageload -cores 1 -ram 512MB
+//	pageload -cores 1 -ram 512                 # one core, 512 MB of RAM
 //	pageload -faults default                   # load under the mixed fault plan
 //	pageload -telemetry metrics.prom           # Prometheus snapshot of the load
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -26,8 +28,12 @@ import (
 	"mobileqoe/internal/browser"
 	"mobileqoe/internal/core"
 	"mobileqoe/internal/device"
+	"mobileqoe/internal/experiments"
+	"mobileqoe/internal/fault"
 	"mobileqoe/internal/profile"
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/runner"
+	"mobileqoe/internal/trace"
 	"mobileqoe/internal/units"
 	"mobileqoe/internal/webpage"
 	"mobileqoe/internal/wprof"
@@ -51,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeline  = fs.Bool("timeline", false, "print an ASCII timeline of the trace (implies tracing)")
 		prof      = fs.Bool("profile", false, "print an aggregated virtual-time profile of the load (implies tracing)")
 		folded    = fs.String("folded", "", "write folded stacks (flamegraph.pl / speedscope) of the load to this file (implies tracing)")
-		faults    = fs.String("faults", "", "fault-injection plan: a JSON plan file, or 'default' for the built-in mixed plan")
+		faults    = fs.String("faults", "", "fault-injection plan: a JSON plan file, 'default' for the built-in mixed plan, or 'none'")
 	)
 	ob := obsflag.Register(fs,
 		"write a Chrome trace-event JSON of the load to this file")
@@ -67,6 +73,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pageload:", err)
 		return 1
 	}
+	if cats := webpage.Categories(); !slices.Contains(cats, webpage.Category(*category)) {
+		names := make([]string, len(cats))
+		for i, c := range cats {
+			names[i] = string(c)
+		}
+		fmt.Fprintf(stderr, "pageload: unknown -category %q (have %s)\n", *category, strings.Join(names, "|"))
+		return 2
+	}
 	var opts []core.Option
 	if *mhz > 0 {
 		opts = append(opts, core.WithClock(units.MHz(*mhz)))
@@ -77,10 +91,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *ramMB > 0 {
 		opts = append(opts, core.WithRAM(units.ByteSize(*ramMB)*units.MB))
 	}
-	if plan, perr := obsflag.LoadFaultPlan(*faults); perr != nil {
+	if plan, perr := fault.Resolve(*faults); perr != nil {
 		fmt.Fprintln(stderr, "pageload:", perr)
 		return 1
 	} else if plan != nil {
+		// Seeded from -seed, not from the cell's system ordinal, so a
+		// faulted load pairs with the clean load of the same page.
 		opts = append(opts, core.WithFaultPlan(plan, *seed))
 	}
 
@@ -89,11 +105,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "loading %s (%s, %d resources, %s) on %s\n\n",
 		page.Name, page.Category, len(page.Resources), page.TotalBytes(), spec)
 
-	if *timeline || *prof || *folded != "" {
-		ob.EnableTrace()
-	}
-	opts = append(opts, ob.Options()...)
-
+	// The load is one runner cell: the runner hands it its tracer and
+	// registry, and the observer records it.
+	cfg := experiments.Config{}.WithSeed(*seed)
+	ob.Configure(&cfg)
 	rl, err := ob.RunLog.Start("pageload", 1, runlog.Manifest{
 		Experiments:  []string{"pageload"},
 		Seed:         *seed,
@@ -106,23 +121,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pageload:", err)
 		return 1
 	}
-
-	sys := core.NewSystem(spec, opts...)
-	loadStart := time.Now()
-	res := sys.LoadPage(page)
-
-	cell := runlog.Cell{ID: "pageload", Seed: *seed, Status: "ok",
-		WallMS:    float64(time.Since(loadStart)) / float64(time.Millisecond),
-		VirtualMS: float64(res.PLT) / float64(time.Millisecond)}
-	if m := ob.Registry(); m != nil {
-		// Non-creating lookups: mining must not grow the printable registry
-		// with zero rows for metrics the load never touched.
-		cell.VirtualMS = m.LookupCounter("sim.virtual_ms").Value()
-		cell.FaultsInjected = int64(m.LookupCounter("fault.injected").Value())
-		cell.FaultsRecovered = int64(m.LookupCounter("fault.recovered").Value())
+	var res browser.Result
+	load := func(c experiments.Config) (*experiments.Table, error) {
+		res = c.NewSystem(spec, opts...).LoadPage(page)
+		return &experiments.Table{ID: "pageload"}, nil
 	}
-	rl.Cell(cell)
-	if err := rl.Close(nil); err != nil {
+	var tr *trace.Tracer
+	results, err := runner.Run(context.Background(), []string{"pageload"}, cfg, runner.Options{
+		Parallel: 1,
+		Trace:    ob.TraceOut != "" || *timeline || *prof || *folded != "",
+		Resolve:  func(string) (experiments.Runner, bool) { return load, true },
+		Progress: func(ev runner.Event) { tr = ev.Trace },
+		Stream:   rl.Stream,
+	})
+	if err == nil {
+		err = results[0].Err
+	}
+	if cerr := rl.Close(err); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fmt.Fprintln(stderr, "pageload:", err)
 		return 1
 	}
@@ -169,19 +187,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *timeline {
 		fmt.Fprintln(stdout)
-		if err := ob.Tracer().WriteASCII(stdout, 100); err != nil {
+		if err := tr.WriteASCII(stdout, 100); err != nil {
 			fmt.Fprintln(stderr, "pageload:", err)
 			return 1
 		}
 	}
 	if *prof {
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, profile.FromTracer(ob.Tracer()).Table(30))
+		fmt.Fprint(stdout, profile.FromTracer(tr).Table(30))
 	}
 	if *folded != "" {
 		f, err := os.Create(*folded)
 		if err == nil {
-			err = profile.FromTracer(ob.Tracer()).WriteFolded(f, profile.WeightTime)
+			err = profile.FromTracer(tr).WriteFolded(f, profile.WeightTime)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -192,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "\nwrote folded stacks to %s\n", *folded)
 	}
-	if err := ob.Flush(stdout); err != nil {
+	if err := ob.Write(stdout, results[0].Table.Metrics, tr); err != nil {
 		fmt.Fprintln(stderr, "pageload:", err)
 		return 1
 	}

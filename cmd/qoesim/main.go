@@ -58,6 +58,7 @@ import (
 	"mobileqoe/internal/atomicfile"
 	"mobileqoe/internal/engine"
 	"mobileqoe/internal/experiments"
+	"mobileqoe/internal/fault"
 	"mobileqoe/internal/profile"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
@@ -127,11 +128,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trials   = fs.Int("trials", 0, "independent trials per experiment (default 1); >1 merges mean/p50/ci95 columns")
 		parallel = fs.Int("parallel", 0, "worker goroutines for -run (default GOMAXPROCS)")
 		timeout  = fs.Duration("timeout", 0, "abort -run after this wall-clock duration (0 = no limit)")
-		faults   = fs.String("faults", "", "fault-injection plan: a JSON plan file, or 'default' for the built-in mixed plan")
+		faults   = fs.String("faults", "", "fault-injection plan: a JSON plan file, 'default' for the built-in mixed plan, or 'none'")
 		retries  = fs.Int("retries", 0, "extra attempts per failed (experiment, trial) cell")
-		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file: the cells appended in cell order, or one file per cell with an explicit -parallel > 1 (see package doc)")
-		metrics  = fs.Bool("metrics", false, "print the run's metrics registry after each table")
-		histMode trace.HistMode
 		profOut  = fs.Bool("profile", false, "print an aggregated virtual-time profile of the run's combined trace (implies tracing)")
 		folded   = fs.String("folded", "", "write folded stacks (flamegraph.pl / speedscope) of the run's combined trace to this file (implies tracing)")
 		weight   = fs.String("weight", "time", "folded-stack weight: 'time' (self virtual µs) or 'cycles'")
@@ -148,14 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		flStop   = fs.Int("fleet-stop-after", 0, "interrupt the fleet after N freshly-completed shards, exactly like a signal (deterministic kill-mid-run for tests and CI)")
 		flShardT = fs.Duration("shard-timeout", 0, "per-shard-attempt wall-clock timeout for -fleet (0 = none; timed-out attempts retry per -retries)")
 	)
-	fs.Func("metricsmode",
-		"histogram mode for -metrics: scalar|bounded (bounded adds p50/p90/p99 columns, within 6.25% of exact, in O(1) memory)",
-		func(s string) error {
-			m, err := trace.ParseHistMode(s)
-			histMode = m
-			return err
-		})
-	rlf := obsflag.RegisterRunLog(fs)
+	ob := obsflag.Register(fs, "write a Chrome trace-event JSON of the run to this file: the cells appended in cell order, or one file per cell with an explicit -parallel > 1 (see package doc)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -206,7 +197,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "qoesim: -fleet is mutually exclusive with -run, -scenario, and -report")
 			return 2
 		}
-		if *traceOut != "" || *profOut || *folded != "" || *check || *exemK > 0 || *faults != "" || *trials > 0 {
+		if ob.TraceOut != "" || *profOut || *folded != "" || *check || *exemK > 0 || *faults != "" || *trials > 0 {
 			fmt.Fprintln(stderr, "qoesim: -fleet composes with -parallel, -retries, -timeout, -shard-timeout, -runlog, -progress, -telemetry, and -csv only (workloads and fault plans come from the spec)")
 			return 2
 		}
@@ -221,7 +212,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			retries:      *retries,
 			timeout:      *timeout,
 			csv:          *csv,
-			rlf:          rlf,
+			rlf:          ob.RunLog,
 			stdout:       stdout,
 			stderr:       stderr,
 		})
@@ -284,23 +275,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Compose already turned collection on, with bounded histograms, for a
 	// scenario's slo: block; an explicit -metricsmode still wins.
-	if *metrics {
-		cfg.Metrics = true
-	}
-	if set["metricsmode"] {
-		cfg.MetricsMode = histMode
-	}
-	if rlf.Out != "" || rlf.Telemetry != "" {
-		// A run log mines per-cell registries for the deterministic fields
-		// (virtual time, fault counts), and -telemetry folds them into the
-		// exposed aggregate, so collection must be on; printing is still
-		// gated on -metrics, so stdout is unchanged.
-		cfg.Metrics = true
-	}
+	ob.Configure(cfg)
 	if *faults != "" {
 		// -faults wins over a scenario's fault_plan (already loaded by
 		// Compose), matching the general rule that flags override the file.
-		fp, err := obsflag.LoadFaultPlan(*faults)
+		fp, err := fault.Resolve(*faults)
 		if err != nil {
 			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			return 2
@@ -331,7 +310,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *faults != "" {
 		manifest.FaultPlan = *faults
 	}
-	obs, err := rlf.Start("qoesim", totalCells, manifest, plan.SLO())
+	obs, err := ob.RunLog.Start("qoesim", totalCells, manifest, plan.SLO())
 	if err != nil {
 		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return 1
@@ -343,7 +322,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// one combined trace, the cells appended in cell order, which is
 	// byte-identical at any worker count.
 	analyze := *profOut || *folded != "" || *check
-	perCell := *traceOut != "" && *parallel > 1 && !analyze
+	perCell := ob.TraceOut != "" && *parallel > 1 && !analyze
 	var combined *trace.Tracer
 	var hooks []func(runner.Event)
 	if ex != nil {
@@ -351,7 +330,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// K live traces) and still retains a deterministic set.
 		hooks = append(hooks, ex.Observe)
 	}
-	if analyze || (*traceOut != "" && !perCell) {
+	if analyze || (ob.TraceOut != "" && !perCell) {
 		combined = trace.New()
 		seq := runner.NewInorder(totalCells, combined.Append)
 		hooks = append(hooks, func(ev runner.Event) { seq.Put(ev.Index, ev.Trace) })
@@ -362,13 +341,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if ev.Trace == nil || traceErr != nil {
 				return
 			}
-			path := cellTracePath(*traceOut, len(ids) > 1, ev.ID, ev.Trial)
+			path := cellTracePath(ob.TraceOut, len(ids) > 1, ev.ID, ev.Trial)
 			if traceErr = ev.Trace.WriteFile(path); traceErr == nil {
 				fmt.Fprintf(stderr, "qoesim: wrote %d trace events to %s\n", ev.Trace.Len(), path)
 			}
 		})
 	}
-	if totalCells > 1 && !rlf.Progress.Enabled() { // the live meter replaces the per-cell lines
+	if totalCells > 1 && !ob.RunLog.Progress.Enabled() { // the live meter replaces the per-cell lines
 		hooks = append(hooks, func(ev runner.Event) {
 			status := ""
 			if ev.Err != nil {
@@ -399,7 +378,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			exit = code
 		}
 	}
-	if rlf.SLOExit && obs.Violations() > 0 {
+	if ob.RunLog.SLOExit && obs.Violations() > 0 {
 		exit = 1
 	}
 	if cerr := obs.Close(err); cerr != nil {
@@ -433,7 +412,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, r.Table.String())
 			fmt.Fprintln(stdout)
 		}
-		if *metrics && r.Table.Metrics != nil {
+		if ob.Metrics && r.Table.Metrics != nil {
 			// The header names the fold discipline when trials merged, so a
 			// reader of a -parallel run knows the registry is the in-order
 			// trial fold, not a completion-order one.
@@ -449,12 +428,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "qoesim: %v\n", traceErr)
 		return 1
 	}
-	if combined != nil && *traceOut != "" {
-		if err := combined.WriteFile(*traceOut); err != nil {
+	if combined != nil && ob.TraceOut != "" {
+		if err := combined.WriteFile(ob.TraceOut); err != nil {
 			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "qoesim: wrote %d trace events to %s\n", combined.Len(), *traceOut)
+		fmt.Fprintf(stderr, "qoesim: wrote %d trace events to %s\n", combined.Len(), ob.TraceOut)
 	}
 	if analyze {
 		if code := analyzeTrace(combined, results, *profOut, *folded, by, *check, stdout, stderr); code != 0 {

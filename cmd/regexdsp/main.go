@@ -10,19 +10,24 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
 
 	"mobileqoe/cmd/internal/obsflag"
 	"mobileqoe/internal/dsp"
+	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/rex"
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/runner"
 	"mobileqoe/internal/sim"
+	"mobileqoe/internal/trace"
 	"mobileqoe/internal/units"
 )
 
@@ -56,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuIPC  = fs.Float64("cpu-ipc", 1.9, "application core IPC")
 	)
 	ob := obsflag.Register(fs,
-		"replay the suite as simulated FastRPC calls and write a Chrome trace-event JSON to this file")
+		"write a Chrome trace-event JSON of each workload's FastRPC call, one trace process per workload, to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -64,12 +69,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"repeat", *repeat}, {"cpu-mhz", *cpuMHz}, {"cpu-ipc", *cpuIPC}} {
+		if !(f.v > 0) || math.IsInf(f.v, 0) {
+			fmt.Fprintf(stderr, "regexdsp: -%s must be positive and finite, got %v\n", f.name, f.v)
+			return 2
+		}
+	}
+
 	work := suite
 	if *pattern != "" {
 		work = []workload{{"custom", *pattern, *input}}
 	}
+	// Each workload is one runner cell, resolved by name; the runner hands
+	// it its tracer and registry, and the observer records it.
+	ids := make([]string, len(work))
+	cells := map[string]experiments.Runner{}
+	rate := units.MHz(*cpuMHz).Hz() * *cpuIPC
+	for i, w := range work {
+		ids[i] = w.name
+		cells[w.name] = price(w, *repeat, rate)
+	}
+	// Pricing draws no randomness: the cells run at seed 0, as the manifest
+	// records.
+	cfg := experiments.Config{}.WithSeed(0)
+	ob.Configure(&cfg)
 	rl, err := ob.RunLog.Start("regexdsp", len(work), runlog.Manifest{
-		Experiments:  []string{"regexdsp"},
+		Experiments:  ids,
 		SeedSchedule: "one cell per suite workload; pricing is analytic (no seeded randomness)",
 		Trials:       1,
 		Parallel:     1,
@@ -78,48 +106,84 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "regexdsp:", err)
 		return 1
 	}
-	s := sim.New()
-	dcfg := dsp.Config{Obs: ob.Ctx("regexdsp")}
-	tr := ob.Tracer()
-	d := dsp.New(s, dcfg)
-	rate := units.MHz(*cpuMHz).Hz() * *cpuIPC
-
-	// Batched RPCs replayed through the simulator when tracing; each entry
-	// becomes one real d.Call so the trace shows queueing behind earlier
-	// batches, not just the analytic latency the table prints.
-	type rpc struct {
-		steps int64
-		bytes int
+	tr := trace.New()
+	seq := runner.NewInorder(len(ids), tr.Append)
+	results, err := runner.Run(context.Background(), ids, cfg, runner.Options{
+		Parallel: 1,
+		Trace:    ob.TraceOut != "",
+		Resolve: func(id string) (experiments.Runner, bool) {
+			fn, ok := cells[id]
+			return fn, ok
+		},
+		Progress: func(ev runner.Event) { seq.Put(ev.Index, ev.Trace) },
+		Stream:   rl.Stream,
+	})
+	if cerr := rl.Close(err); err == nil {
+		err = cerr
 	}
-	var replay []rpc
+	if err != nil {
+		fmt.Fprintln(stderr, "regexdsp:", err)
+		return 1
+	}
 
 	fmt.Fprintf(stdout, "%-19s %-11s %-11s %-11s %-11s %s\n",
 		"workload", "bt-steps", "pike-steps", "cpu-time", "dsp-time", "winner")
-	for i, w := range work {
-		cellStart := time.Now()
+	var reg *trace.Metrics
+	for _, r := range results {
+		var ce compileError
+		switch {
+		case errors.As(r.Err, &ce):
+			fmt.Fprintf(stdout, "%-19s compile error: %v\n", r.ID, ce.error)
+			continue
+		case r.Err != nil:
+			fmt.Fprintln(stderr, "regexdsp:", r.Err)
+			return 1
+		}
+		row := r.Table.Rows[0]
+		fmt.Fprintf(stdout, "%-19s %-11s %-11s %-11s %-11s %s\n", row[0], row[1], row[2], row[3], row[4], row[5])
+		if m := r.Table.Metrics; m != nil {
+			if reg == nil {
+				reg = trace.NewMetricsMode(m.Mode())
+			}
+			reg.Merge(m)
+		}
+	}
+	dcfg := dsp.New(sim.New(), dsp.Config{}).Config()
+	fmt.Fprintf(stdout, "\n(batch=%0.f evaluations/RPC; '!' = backtracking step limit hit; DSP %s @ %.2f cyc/step, RPC %v)\n",
+		*repeat, dcfg.Freq, dsp.DSPCyclesPerStep, dcfg.RPCOverhead)
+	if err := ob.Write(stdout, reg, tr); err != nil {
+		fmt.Fprintln(stderr, "regexdsp:", err)
+		return 1
+	}
+	return 0
+}
+
+// compileError marks a workload whose pattern does not compile: its row
+// reports the error and its run-log cell fails.
+type compileError struct{ error }
+
+// price is the cell of one workload: it prices w on the CPU's backtracking
+// engine at rate instructions per second and on the DSP's Pike VM, batched
+// repeat evaluations per RPC, and replays the batch as one FastRPC call
+// through a simulated DSP, so the cell's trace and registry show the call.
+func price(w workload, repeat, rate float64) experiments.Runner {
+	return func(c experiments.Config) (*experiments.Table, error) {
 		prog, err := rex.Compile(w.pattern)
 		if err != nil {
-			fmt.Fprintf(stdout, "%-19s compile error: %v\n", w.name, err)
-			rl.Cell(runlog.Cell{Index: i, ID: w.name, Status: "error",
-				ErrorClass: "error", Error: err.Error(),
-				WallMS: float64(time.Since(cellStart)) / float64(time.Millisecond)})
-			continue
+			return nil, compileError{err}
 		}
 		pr := prog.Run(w.input)
 		br, btErr := prog.RunBacktrack(w.input, 0)
 
-		cpuCycles := dsp.CPUCycles(br.Steps) * *repeat
+		s := sim.New()
+		d := dsp.New(s, dsp.Config{Obs: c.Obs(w.name)})
+		cpuCycles := dsp.CPUCycles(br.Steps) * repeat
 		cpuTime := units.DurationFor(cpuCycles, units.Freq(rate))
-		dspTime := d.ServiceTime(int64(float64(pr.Steps)**repeat)) +
+		dspTime := d.ServiceTime(int64(float64(pr.Steps)*repeat)) +
 			d.Config().RPCOverhead +
-			time.Duration(float64(len(w.input))**repeat/1024*float64(d.Config().MarshalPerKB))
-
-		if tr != nil {
-			replay = append(replay, rpc{
-				steps: int64(float64(pr.Steps) * *repeat),
-				bytes: int(float64(len(w.input)) * *repeat),
-			})
-		}
+			time.Duration(float64(len(w.input))*repeat/1024*float64(d.Config().MarshalPerKB))
+		d.Call(int64(float64(pr.Steps)*repeat), int(float64(len(w.input))*repeat), nil)
+		s.Run()
 
 		btSteps := fmt.Sprintf("%d", br.Steps)
 		if btErr != nil {
@@ -129,35 +193,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if dspTime < cpuTime {
 			winner = "DSP"
 		}
-		fmt.Fprintf(stdout, "%-19s %-11s %-11d %-11s %-11s %s\n",
-			w.name, btSteps, pr.Steps,
-			cpuTime.Round(time.Microsecond), dspTime.Round(time.Microsecond), winner)
-		rl.Cell(runlog.Cell{Index: i, ID: w.name, Status: "ok",
-			WallMS: float64(time.Since(cellStart)) / float64(time.Millisecond)})
+		tab := &experiments.Table{ID: w.name}
+		tab.AddRow(w.name, btSteps, fmt.Sprintf("%d", pr.Steps),
+			cpuTime.Round(time.Microsecond).String(), dspTime.Round(time.Microsecond).String(), winner)
+		return tab, nil
 	}
-	if err := rl.Close(nil); err != nil {
-		fmt.Fprintln(stderr, "regexdsp:", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "\n(batch=%0.f evaluations/RPC; '!' = backtracking step limit hit; DSP %s @ %.2f cyc/step, RPC %v)\n",
-		*repeat, d.Config().Freq, dsp.DSPCyclesPerStep, d.Config().RPCOverhead)
-
-	if tr != nil {
-		// Issue the batches back-to-back: each call fires when the previous
-		// result returns, the FIFO the offload prototype's caller sees.
-		var issue func(i int)
-		issue = func(i int) {
-			if i >= len(replay) {
-				return
-			}
-			d.Call(replay[i].steps, replay[i].bytes, func() { issue(i + 1) })
-		}
-		issue(0)
-		s.Run()
-	}
-	if err := ob.Flush(stdout); err != nil {
-		fmt.Fprintln(stderr, "regexdsp:", err)
-		return 1
-	}
-	return 0
 }

@@ -22,6 +22,10 @@ var goldenCases = []struct {
 	{"suite", nil},
 	{"custom", []string{"-pattern", "(ads|track)/", "-input", "https://x.com/ads/unit.js", "-repeat", "500"}},
 	{"compile-error", []string{"-pattern", "(ab", "-input", "abc"}},
+	{"zero-cpu-mhz", []string{"-cpu-mhz", "0"}},
+	{"negative-repeat", []string{"-repeat", "-5"}},
+	{"inf-repeat", []string{"-repeat", "+Inf"}},
+	{"nan-cpu-ipc", []string{"-cpu-ipc", "NaN"}},
 }
 
 // runCLI drives run the way main does and renders the outcome as one

@@ -36,17 +36,14 @@ type Sinks struct {
 	// newline-terminated lines under the same throttle.
 	Meter  io.Writer
 	Redraw bool
-	// Telemetry receives Prometheus exposition snapshots; nil publishes
-	// none. The observer closes it.
+	// Telemetry receives Prometheus exposition snapshots of the streamed
+	// cells' registries, folded in cell order; nil publishes none. The
+	// observer closes it.
 	Telemetry *telemetry.Sink
-	// Registry supplies the live registry Telemetry renders. When nil the
-	// observer folds each streamed cell's registry into its own aggregate.
-	Registry func() *trace.Metrics
 }
 
 // Observer is the one observation pipeline every run goes through: qoesim
-// runs and fleets, the simple CLIs (pageload, iperfsim, regexdsp), and
-// served jobs. It owns the run log's manifest stamp and its cell, health,
+// runs and fleets, pageload and regexdsp, and served jobs. It owns the run log's manifest stamp and its cell, health,
 // alert, exemplar and summary records; the ok/failed/restored counts the
 // summary reports; the progress meter; the telemetry fold; and the
 // scenario's SLO watchdog. The summary's counts come from the cells it
@@ -54,7 +51,7 @@ type Sinks struct {
 //
 // Pass Stream as runner.Options.Stream: it delivers cells in cell order,
 // which gives the log its monotonic indexes and the watchdog reproducible
-// alerts. Callers that run no runner (fleets, the simple CLIs) call Cell.
+// alerts. Fleets, which run shards rather than runner cells, call Cell.
 // A nil *Observer is a no-op. Safe for concurrent use.
 type Observer struct {
 	mu    sync.Mutex
@@ -68,13 +65,11 @@ type Observer struct {
 	meter  io.Writer
 	redraw bool
 
-	// Telemetry exposition: the sink receives snapshots rendered from either
-	// the caller's registry (regSrc) or the fold of streamed cell registries
-	// (agg). Rendering happens under mu — the HTTP sink serves only the
-	// pre-rendered bytes.
-	sink   *telemetry.Sink
-	regSrc func() *trace.Metrics
-	agg    *trace.Metrics
+	// Telemetry exposition: the sink receives snapshots rendered from the
+	// fold of streamed cell registries (agg). Rendering happens under mu —
+	// the HTTP sink serves only the pre-rendered bytes.
+	sink *telemetry.Sink
+	agg  *trace.Metrics
 
 	wd *scenario.Watchdog
 
@@ -105,8 +100,8 @@ func NewObserver(tool string, total int, m runlog.Manifest, slo map[string]scena
 	o := &Observer{
 		tool: tool, total: total, start: time.Now(),
 		stderr: s.Stderr, meter: s.Meter, redraw: s.Redraw,
-		sink: s.Telemetry, regSrc: s.Registry,
-		wd: scenario.NewWatchdog(slo),
+		sink: s.Telemetry,
+		wd:   scenario.NewWatchdog(slo),
 	}
 	if s.Log != nil {
 		o.log, o.closer = runlog.NewWriter(s.Log), s.Log
@@ -130,7 +125,7 @@ func (o *Observer) Stream(ev runner.Event) {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.sink != nil && o.regSrc == nil && ev.Table != nil && ev.Table.Metrics != nil {
+	if o.sink != nil && ev.Table != nil && ev.Table.Metrics != nil {
 		// Stream order is cell order, so the fold — and the exposed
 		// quantiles, via exact sketch merges — is deterministic across
 		// -parallel.
@@ -157,8 +152,8 @@ func (o *Observer) Stream(ev runner.Event) {
 }
 
 // Cell records one completed cell directly — the entry point for fleets
-// (engine.RunFleet's cell callback) and for CLIs that drive workloads
-// without the runner.
+// (engine.RunFleet's cell callback), which run shards rather than runner
+// cells.
 func (o *Observer) Cell(c runlog.Cell) {
 	if o == nil {
 		return
@@ -226,17 +221,13 @@ func (o *Observer) keep(err error) {
 	}
 }
 
-// updateTelemetry renders and publishes one exposition snapshot: the live
+// updateTelemetry renders and publishes one exposition snapshot: the folded
 // registry (deterministic families) followed by run health (wall-clock
 // families). Caller holds o.mu.
 func (o *Observer) updateTelemetry(now time.Time) {
-	reg := o.agg
-	if o.regSrc != nil {
-		reg = o.regSrc()
-	}
 	var buf bytes.Buffer
-	if reg != nil {
-		o.keep(telemetry.Render(&buf, "", reg))
+	if o.agg != nil {
+		o.keep(telemetry.Render(&buf, "", o.agg))
 	}
 	telemetry.RenderHealth(&buf, "", telemetry.Health{
 		Done: o.done, Total: o.total,

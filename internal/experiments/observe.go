@@ -4,6 +4,7 @@ import (
 	"mobileqoe/internal/core"
 	"mobileqoe/internal/device"
 	"mobileqoe/internal/fault"
+	"mobileqoe/internal/obs"
 )
 
 // NewSystem is how every registry runner builds a device: core.NewSystem
@@ -25,6 +26,14 @@ func (c Config) NewSystem(spec device.Spec, opts ...core.Option) *core.System {
 		return core.NewSystem(spec, opts...)
 	}
 	return core.NewObservedSystem(c.Trace, c.reg, spec, opts...)
+}
+
+// Obs is the trial's observability for a runner that drives one subsystem
+// directly instead of building a device through NewSystem (regexdsp's DSP
+// model): Config.Trace with a fresh trace process named process, and the
+// trial's metrics registry.
+func (c Config) Obs(process string) obs.Ctx {
+	return obs.Ctx{Trace: c.Trace, Pid: c.Trace.Process(process), Metrics: c.reg}
 }
 
 // WithFaultPlan returns a copy of c with the fault plan attached and the
