@@ -1,5 +1,6 @@
 // Command tracediff analyzes Chrome trace-event JSON files written by the
-// simulator (qoesim -trace, pageload -trace) without re-running anything.
+// simulator's commands (qoesim, pageload or regexdsp -trace) without
+// re-running anything.
 //
 // Usage:
 //

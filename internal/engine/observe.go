@@ -43,11 +43,12 @@ type Sinks struct {
 }
 
 // Observer is the one observation pipeline every run goes through: qoesim
-// runs and fleets, pageload and regexdsp, and served jobs. It owns the run log's manifest stamp and its cell, health,
-// alert, exemplar and summary records; the ok/failed/restored counts the
-// summary reports; the progress meter; the telemetry fold; and the
-// scenario's SLO watchdog. The summary's counts come from the cells it
-// recorded, so a log can never disagree with itself.
+// runs and fleets, pageload and regexdsp, and served jobs. It owns the run
+// log's manifest stamp and its cell, health, alert, exemplar and summary
+// records; the ok/failed/restored counts the summary reports; the progress
+// meter; the telemetry fold; and the scenario's SLO watchdog. The summary's
+// counts come from the cells it recorded, so a log can never disagree with
+// itself.
 //
 // Pass Stream as runner.Options.Stream: it delivers cells in cell order,
 // which gives the log its monotonic indexes and the watchdog reproducible
