@@ -60,6 +60,7 @@ type Interp struct {
 	cfg     Config
 	globals map[string]*cell
 	cells   []*cell // the running code's global table, indexed by identExpr.global
+	stack   []Value // call arguments being passed; see evalArgs
 	stats   Stats
 	depth   int
 }
@@ -344,12 +345,12 @@ func (in *Interp) assign(s *assignStmt, fr *frame) error {
 	if err != nil {
 		return err
 	}
-	if s.op != "=" {
+	if s.op != opAssign {
 		old, err := in.eval(s.target, fr)
 		if err != nil {
 			return err
 		}
-		v, err = in.binop(strings.TrimSuffix(s.op, "="), old, v)
+		v, err = in.binop(s.op, old, v)
 		if err != nil {
 			return err
 		}
@@ -491,15 +492,15 @@ func (in *Interp) eval(x expr, fr *frame) (Value, error) {
 		}
 	case *binaryExpr:
 		// Short-circuit logical operators.
-		if x.op == "&&" || x.op == "||" {
+		if x.op == opAnd || x.op == opOr {
 			l, err := in.eval(x.l, fr)
 			if err != nil {
 				return nil, err
 			}
-			if x.op == "&&" && !truthy(l) {
+			if x.op == opAnd && !truthy(l) {
 				return l, nil
 			}
-			if x.op == "||" && truthy(l) {
+			if x.op == opOr && truthy(l) {
 				return l, nil
 			}
 			return in.eval(x.r, fr)
@@ -537,36 +538,58 @@ func (in *Interp) eval(x expr, fr *frame) (Value, error) {
 				return nil, err
 			}
 			if _, isObj := recv.(*Object); !isObj {
-				args, err := in.evalArgs(x.args, fr)
+				base, err := in.evalArgs(x.args, fr)
 				if err != nil {
 					return nil, err
 				}
-				return in.method(recv, m.name, args)
+				v, err := in.method(recv, m.name, in.args(base))
+				in.pop(base)
+				return v, err
 			}
 		}
 		fnv, err := in.eval(x.fn, fr)
 		if err != nil {
 			return nil, err
 		}
-		args, err := in.evalArgs(x.args, fr)
+		base, err := in.evalArgs(x.args, fr)
 		if err != nil {
 			return nil, err
 		}
-		return in.call(fnv, args)
+		v, err := in.call(fnv, in.args(base))
+		in.pop(base)
+		return v, err
 	}
 	return nil, fmt.Errorf("script: unknown expression %T", x)
 }
 
-func (in *Interp) evalArgs(args []expr, fr *frame) ([]Value, error) {
-	out := make([]Value, 0, len(args))
+// evalArgs pushes the values of args onto the interpreter's stack and
+// returns the stack height below them, for args and pop. Calls made while
+// evaluating an argument push and pop above it, so no call allocates an
+// argument slice. Callees read args only during the call: push copies
+// them and a closure copies them into its frame.
+func (in *Interp) evalArgs(args []expr, fr *frame) (base int, err error) {
+	base = len(in.stack)
 	for _, a := range args {
 		v, err := in.eval(a, fr)
 		if err != nil {
-			return nil, err
+			in.pop(base)
+			return base, err
 		}
-		out = append(out, v)
+		in.stack = append(in.stack, v)
 	}
-	return out, nil
+	return base, nil
+}
+
+// args returns the arguments pushed above base, capped so a callee cannot
+// append into the stack.
+func (in *Interp) args(base int) []Value {
+	return in.stack[base:len(in.stack):len(in.stack)]
+}
+
+// pop drops the stack above base, clearing it so it pins no value.
+func (in *Interp) pop(base int) {
+	clear(in.stack[base:])
+	in.stack = in.stack[:base]
 }
 
 func (in *Interp) call(fnv Value, args []Value) (Value, error) {
@@ -605,8 +628,8 @@ func (in *Interp) call(fnv Value, args []Value) (Value, error) {
 	return nil, fmt.Errorf("script: %T is not callable", fnv)
 }
 
-func (in *Interp) binop(op string, l, r Value) (Value, error) {
-	if op == "+" {
+func (in *Interp) binop(op opcode, l, r Value) (Value, error) {
+	if op == opAdd {
 		ls, lok := l.(string)
 		rs, rok := r.(string)
 		if lok || rok {
@@ -623,22 +646,22 @@ func (in *Interp) binop(op string, l, r Value) (Value, error) {
 		}
 	}
 	switch op {
-	case "==":
+	case opEq:
 		return boolv(valueEq(l, r)), nil
-	case "!=":
+	case opNe:
 		return boolv(!valueEq(l, r)), nil
 	}
 	// String comparison.
 	if ls, ok := l.(string); ok {
 		if rs, ok := r.(string); ok {
 			switch op {
-			case "<":
+			case opLt:
 				return boolv(ls < rs), nil
-			case "<=":
+			case opLe:
 				return boolv(ls <= rs), nil
-			case ">":
+			case opGt:
 				return boolv(ls > rs), nil
-			case ">=":
+			case opGe:
 				return boolv(ls >= rs), nil
 			}
 		}
@@ -649,29 +672,29 @@ func (in *Interp) binop(op string, l, r Value) (Value, error) {
 		return nil, fmt.Errorf("script: %q needs numbers, got %T and %T", op, l, r)
 	}
 	switch op {
-	case "+":
+	case opAdd:
 		return num(ln + rn), nil
-	case "-":
+	case opSub:
 		return num(ln - rn), nil
-	case "*":
+	case opMul:
 		return num(ln * rn), nil
-	case "/":
+	case opDiv:
 		if rn == 0 {
 			return math.Inf(int(math.Copysign(1, ln))), nil
 		}
 		return num(ln / rn), nil
-	case "%":
+	case opMod:
 		if rn == 0 {
 			return math.NaN(), nil
 		}
 		return num(math.Mod(ln, rn)), nil
-	case "<":
+	case opLt:
 		return boolv(ln < rn), nil
-	case "<=":
+	case opLe:
 		return boolv(ln <= rn), nil
-	case ">":
+	case opGt:
 		return boolv(ln > rn), nil
-	case ">=":
+	case opGe:
 		return boolv(ln >= rn), nil
 	}
 	return nil, fmt.Errorf("script: unknown operator %q", op)

@@ -12,8 +12,8 @@ type (
 		init expr
 	}
 	assignStmt struct {
-		target expr // identExpr, indexExpr, or memberExpr
-		op     string
+		target expr   // identExpr, indexExpr, or memberExpr
+		op     opcode // opAssign, or the operator of a compound assignment
 		value  expr
 	}
 	ifStmt struct {
@@ -99,7 +99,7 @@ type (
 		vals []expr
 	}
 	binaryExpr struct {
-		op   string
+		op   opcode
 		l, r expr
 	}
 	unaryExpr struct {
@@ -322,8 +322,7 @@ func (p *parser) simpleStatement(needSemi bool) (stmt, error) {
 	var out stmt
 	t := p.cur()
 	switch {
-	case t.kind == tPunct && (t.text == "=" || t.text == "+=" || t.text == "-=" ||
-		t.text == "*=" || t.text == "/=" || t.text == "%="):
+	case t.kind == tPunct && assignOps[t.text] != opNone:
 		if !isAssignable(e) {
 			return nil, p.errf("invalid assignment target")
 		}
@@ -332,15 +331,15 @@ func (p *parser) simpleStatement(needSemi bool) (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = &assignStmt{target: e, op: t.text, value: v}
+		out = &assignStmt{target: e, op: assignOps[t.text], value: v}
 	case t.kind == tPunct && (t.text == "++" || t.text == "--"):
 		if !isAssignable(e) {
 			return nil, p.errf("invalid increment target")
 		}
 		p.advance()
-		op := "+="
+		op := opAdd
 		if t.text == "--" {
-			op = "-="
+			op = opSub
 		}
 		out = &assignStmt{target: e, op: op, value: newNumberLit(1)}
 	default:
@@ -484,12 +483,52 @@ func (p *parser) expectIdent() (string, error) {
 
 // Expression parsing by precedence climbing.
 
-var binPrec = map[string]int{
-	"||": 1, "&&": 2,
-	"==": 3, "!=": 3,
-	"<": 4, "<=": 4, ">": 4, ">=": 4,
-	"+": 5, "-": 5,
-	"*": 6, "/": 6, "%": 6,
+// opcode is an operator resolved from its token at parse time, so the
+// interpreter switches on a small integer rather than comparing strings.
+type opcode uint8
+
+const (
+	opNone   opcode = iota // not an operator
+	opAssign               // plain "=" of an assignStmt
+	opOr
+	opAnd
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+)
+
+// opNames maps each opcode back to its token, for error texts.
+var opNames = [...]string{
+	opAssign: "=", opOr: "||", opAnd: "&&", opEq: "==", opNe: "!=",
+	opLt: "<", opLe: "<=", opGt: ">", opGe: ">=",
+	opAdd: "+", opSub: "-", opMul: "*", opDiv: "/", opMod: "%",
+}
+
+func (o opcode) String() string { return opNames[o] }
+
+// binOps holds each binary operator's opcode and precedence.
+var binOps = map[string]struct {
+	op   opcode
+	prec int
+}{
+	"||": {opOr, 1}, "&&": {opAnd, 2},
+	"==": {opEq, 3}, "!=": {opNe, 3},
+	"<": {opLt, 4}, "<=": {opLe, 4}, ">": {opGt, 4}, ">=": {opGe, 4},
+	"+": {opAdd, 5}, "-": {opSub, 5},
+	"*": {opMul, 6}, "/": {opDiv, 6}, "%": {opMod, 6},
+}
+
+// assignOps maps each assignment token to the operator it applies.
+var assignOps = map[string]opcode{
+	"=": opAssign, "+=": opAdd, "-=": opSub, "*=": opMul, "/=": opDiv, "%=": opMod,
 }
 
 func (p *parser) expr() (expr, error) { return p.binary(1) }
@@ -504,16 +543,16 @@ func (p *parser) binary(minPrec int) (expr, error) {
 		if t.kind != tPunct {
 			return left, nil
 		}
-		prec, ok := binPrec[t.text]
-		if !ok || prec < minPrec {
+		b, ok := binOps[t.text]
+		if !ok || b.prec < minPrec {
 			return left, nil
 		}
 		p.advance()
-		right, err := p.binary(prec + 1)
+		right, err := p.binary(b.prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		left = &binaryExpr{op: t.text, l: left, r: right}
+		left = &binaryExpr{op: b.op, l: left, r: right}
 	}
 }
 
