@@ -35,12 +35,13 @@ func main() {
 	fmt.Println("per-script regex work, CPU (backtracking) vs DSP (Pike VM over FastRPC):")
 	shown := 0
 	for _, r := range page.Resources {
-		if r.Type != webpage.JS || r.Profile.NumRegexCalls() == 0 || shown >= 6 {
+		prof := r.Profile()
+		if r.Type != webpage.JS || prof.NumRegexCalls() == 0 || shown >= 6 {
 			continue
 		}
 		shown++
-		cpuT := units.DurationFor(r.Profile.RegexCPUCycles(), units.Freq(rate))
-		dspT := r.Profile.RegexDSPTime(d)
+		cpuT := units.DurationFor(prof.RegexCPUCycles(), units.Freq(rate))
+		dspT := prof.RegexDSPTime(d)
 		verdict := "keep on CPU"
 		if dspT < cpuT {
 			verdict = "offload"

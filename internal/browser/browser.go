@@ -578,8 +578,8 @@ func (l *loader) fetchScript(r *webpage.Resource, parseID int, next func(scriptI
 			// it executes.
 			compileCycles := float64(r.Size) * CompileCyclesPerByte
 			l.exec(l.main, Parse, "compile:"+r.URL, compileCycles, r.ID, []int{fetchID}, nil, func(compileID int) {
-				cycles := r.Profile.TotalCPUCycles()
-				l.exec(l.main, Script, "script:"+r.URL, cycles, r.ID, []int{compileID}, r.Profile, func(scriptID int) {
+				prof := r.Profile()
+				l.exec(l.main, Script, "script:"+r.URL, prof.TotalCPUCycles(), r.ID, []int{compileID}, prof, func(scriptID int) {
 					l.injectFrom(r.ID, scriptID)
 					if r.Blocking {
 						// Scripts that touched the DOM force an incremental

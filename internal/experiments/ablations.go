@@ -179,7 +179,7 @@ func ablEngine(cfg Config) (*Table, error) {
 			if r.Type != webpage.JS {
 				continue
 			}
-			for _, call := range r.Profile.Calls {
+			for _, call := range r.Profile().Calls {
 				bt += call.BTSteps
 				pike += call.PikeSteps
 			}

@@ -138,10 +138,10 @@ func powerCDF(cfg Config, onDSP bool) *stats.CDF {
 	for _, p := range pages {
 		for i := range p.Resources {
 			r := &p.Resources[i]
-			if r.Type != webpage.JS || r.Profile.NumRegexCalls() == 0 {
+			prof := r.Profile()
+			if r.Type != webpage.JS || prof.NumRegexCalls() == 0 {
 				continue
 			}
-			prof := r.Profile
 			if onDSP {
 				var steps int64
 				bytes := 0
@@ -206,8 +206,9 @@ func textRegex(cfg Config) (*Table, error) {
 			if r.Type != webpage.JS {
 				continue
 			}
-			regex += r.Profile.RegexCPUCycles()
-			all += r.Profile.TotalCPUCycles()
+			prof := r.Profile()
+			regex += prof.RegexCPUCycles()
+			all += prof.TotalCPUCycles()
 		}
 		if all > 0 {
 			corpusShare.Add(regex / all)
@@ -227,7 +228,8 @@ func textRegex(cfg Config) (*Table, error) {
 			if r.Type != webpage.JS {
 				continue
 			}
-			cpuCycles := r.Profile.RegexCPUCycles()
+			prof := r.Profile()
+			cpuCycles := prof.RegexCPUCycles()
 			cpuTime := units.DurationFor(cpuCycles, units.Freq(rate))
 			// Power at the sustained default-governor operating point.
 			spec := device.Pixel2()
@@ -238,7 +240,7 @@ func textRegex(cfg Config) (*Table, error) {
 			// The offloaded side pays the DSP's active power plus the rest of
 			// the platform idling while the caller blocks in FastRPC.
 			idle := float64(device.Pixel2().TotalCores()) * energy.CoreIdleWatts
-			dspJ += (d.Config().ActiveWatts + idle) * r.Profile.RegexDSPTime(d).Seconds()
+			dspJ += (d.Config().ActiveWatts + idle) * prof.RegexDSPTime(d).Seconds()
 		}
 	}
 	t.AddRow("regex share of scripting (corpus)", pct(corpusShare.Mean()))

@@ -4,13 +4,14 @@ import "testing"
 
 // BenchmarkProfileScripts profiles every script of Top50(1) without the
 // profile cache, so the interpreter's cost can be followed apart from
-// caching. The process-wide regex memo is warm after the corpus is built,
-// as it is in a long-running process. ops/op is the script ops of one pass.
+// caching. The set-up loads every profile first, so the process-wide regex
+// memo is warm, as it is in a long-running process. ops/op is the script
+// ops of one pass.
 func BenchmarkProfileScripts(b *testing.B) {
 	var srcs []string
 	for _, p := range Top50(1) {
-		for _, r := range p.Resources {
-			if r.Profile != nil {
+		for i := range p.Resources {
+			if r := &p.Resources[i]; r.Profile() != nil {
 				srcs = append(srcs, r.ScriptSrc)
 			}
 		}

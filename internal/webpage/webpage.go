@@ -10,18 +10,21 @@
 // slow down the most (~6×) at low clocks and spend ≈20% of scripting time
 // (≈40% for the sports pages used in §4.2) in regex evaluation.
 //
-// Every generated script is executed once at generation time against the
-// recording host; the resulting Profile (interpreter ops, string bytes, and
-// per-regex-call step counts on both engines) is attached to the resource.
-// The browser and the offload study price that profile on whatever hardware
-// configuration they simulate, so a page costs the same *work* everywhere
-// and different *time* per device — exactly the paper's experimental design.
+// Every generated script is executed against the recording host the first
+// time its resource's Profile is asked for; the resulting Profile
+// (interpreter ops, string bytes, and per-regex-call step counts on both
+// engines) is then kept with the resource. So a corpus build runs no script,
+// and a run profiles only the pages it loads. The browser and the offload
+// study price that profile on whatever hardware configuration they
+// simulate, so a page costs the same *work* everywhere and different *time*
+// per device — exactly the paper's experimental design.
 package webpage
 
 import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"unsafe"
 
 	"mobileqoe/internal/cache"
@@ -74,8 +77,33 @@ type Resource struct {
 	InjectedBy int
 	// ScriptSrc holds the program source for JS resources.
 	ScriptSrc string
-	// Profile holds the executed cost profile for JS resources.
-	Profile *Profile
+	// lazy is the JS resource's profile cell, shared by every copy of
+	// the Resource; nil for other types.
+	lazy *lazyProfile
+}
+
+// Profile returns a JS resource's executed cost profile, running its
+// script on the first call; it returns nil for other resource types.
+// Concurrent callers share one execution and get the same pointer.
+func (r *Resource) Profile() *Profile {
+	if r.lazy == nil {
+		return nil
+	}
+	return r.lazy.get()
+}
+
+// lazyProfile holds a script's source until its profile is first needed.
+// It is reached through a pointer, so copies of a Resource share one cell
+// and compare equal under reflect.DeepEqual.
+type lazyProfile struct {
+	once sync.Once
+	src  string
+	p    *Profile
+}
+
+func (l *lazyProfile) get() *Profile {
+	l.once.Do(func() { l.p = profileScript(l.src) })
+	return l.p
 }
 
 // Profile is the engine-neutral cost of executing a script once.
@@ -148,7 +176,8 @@ var paramsFor = map[Category]catParams{
 }
 
 // Generate builds one deterministic page. The same (name, category, seed)
-// always yields the identical page, scripts, and profiles.
+// always yields the identical page, scripts, and profiles. Generate runs no
+// script: each JS resource's profile is computed on its first use.
 func Generate(name string, cat Category, seed uint64) *Page {
 	rng := stats.NewRNG(seed ^ hash(name))
 	pp, ok := paramsFor[cat]
@@ -160,9 +189,8 @@ func Generate(name string, cat Category, seed uint64) *Page {
 	return g.page
 }
 
-// Corpus generation is deterministic and moderately expensive (every script
-// is executed once), so the standard corpora are memoized through a shared
-// bounded cache. Loads run outside the cache lock, so parallel trials with
+// Corpus generation is deterministic and moderately expensive, so the
+// standard corpora are memoized through a shared bounded cache. Loads run outside the cache lock, so parallel trials with
 // disjoint seeds still generate their corpora concurrently, and the byte
 // cap keeps a long-running server's working set bounded no matter how many
 // distinct seeds it sees. Pages are read-only after generation; callers
@@ -195,8 +223,8 @@ func cachedCorpus(key corpusKey, build func() []*Page) []*Page {
 }
 
 // corpusPageBytes estimates a page's resident footprint for the cache's
-// byte cap: the HTML body plus per-resource strings. Profiles are shared
-// through their own cache, so they are not charged here.
+// byte cap: the HTML body plus per-resource strings. Profiles are loaded
+// later, on first use, and charged to their own cache, not here.
 func corpusPageBytes(p *Page) int64 {
 	n := int64(len(p.HTMLBody))
 	for i := range p.Resources {
@@ -285,13 +313,12 @@ func (g *generator) build() {
 	for i := 0; i < nScripts; i++ {
 		d := pick()
 		src := g.script()
-		prof := profileScript(src)
 		sid := add(Resource{
 			URL: fmt.Sprintf("https://%s/js/app-%d.js", d, i), Domain: d,
 			Type: JS, Size: units.ByteSize(15*1024 + g.rng.Intn(120*1024)),
 			Blocking:   g.rng.Float64() < g.pp.syncFraction,
 			ScriptSrc:  src,
-			Profile:    prof,
+			lazy:       &lazyProfile{src: src},
 			InjectedBy: -1,
 		}, 1+i%nScripts)
 		scriptIDs = append(scriptIDs, sid)
@@ -435,13 +462,14 @@ func (g *generator) filler() string {
 // profileCache memoizes script profiles by source text. Template-generated
 // scripts differ only in a handful of integer parameters, so distinct seeds
 // and trials frequently produce identical source; executing each distinct
-// program once and sharing the immutable *Profile makes corpus builds for
-// later seeds substantially cheaper. Concurrent builders for the same
-// source collapse onto one execution via the cache's singleflight loader.
-// Cached corpora keep their profiles alive, so an eviction frees nothing
-// while they do, and a later build of that source makes a second copy.
-// The byte cap (about 2.8M recorded calls) is therefore set so serving a
-// few dozen distinct cold corpora evicts few profiles.
+// program once and sharing the immutable *Profile makes profiling the pages
+// of later seeds substantially cheaper. Resources fill their profile cells
+// through it on first use, and concurrent first uses of one source collapse
+// onto one execution via the cache's singleflight loader. A loaded cell
+// keeps its profile alive, so an eviction frees nothing while its page is
+// cached, and a later first use of that source in another corpus makes a
+// second copy. The byte cap (about 2.8M recorded calls) is therefore set so
+// serving a few dozen distinct cold corpora evicts few profiles.
 var profileCache = cache.New[string, *Profile](cache.Config{
 	Name:       "webpage.profiles",
 	MaxEntries: 8192,

@@ -3,6 +3,7 @@ package webpage
 import (
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -91,16 +92,20 @@ func TestHTMLReferencesResources(t *testing.T) {
 func TestScriptsExecuteAndProfile(t *testing.T) {
 	p := Generate("news-01.example", News, 3)
 	for _, r := range p.Resources {
+		prof := r.Profile()
 		if r.Type != JS {
+			if prof != nil {
+				t.Fatalf("%s resource %s has a profile", r.Type, r.URL)
+			}
 			continue
 		}
-		if r.Profile == nil {
+		if prof == nil {
 			t.Fatalf("script %s has no profile", r.URL)
 		}
-		if r.Profile.Ops <= 0 {
+		if prof.Ops <= 0 {
 			t.Fatalf("script %s recorded no ops", r.URL)
 		}
-		if r.Profile.TotalCPUCycles() <= 0 {
+		if prof.TotalCPUCycles() <= 0 {
 			t.Fatalf("script %s has no cost", r.URL)
 		}
 	}
@@ -166,8 +171,8 @@ func TestRegexShareCalibration(t *testing.T) {
 				if r.Type != JS {
 					continue
 				}
-				regex += r.Profile.RegexCPUCycles()
-				total += r.Profile.TotalCPUCycles()
+				regex += r.Profile().RegexCPUCycles()
+				total += r.Profile().TotalCPUCycles()
 			}
 		}
 		return regex / total
@@ -192,7 +197,7 @@ func TestScriptingDominatesNewsAndSports(t *testing.T) {
 		var t float64
 		for _, r := range p.Resources {
 			if r.Type == JS {
-				t += r.Profile.TotalCPUCycles()
+				t += r.Profile().TotalCPUCycles()
 			}
 		}
 		return t
@@ -209,11 +214,11 @@ func TestOffloadSpeedsUpRegexHeavyScript(t *testing.T) {
 	rate := 1512e6 * 1.0 // Nexus4 at fmax
 	anyFaster := false
 	for _, r := range p.Resources {
-		if r.Type != JS || r.Profile.RegexShare() < 0.2 {
+		if r.Type != JS || r.Profile().RegexShare() < 0.2 {
 			continue
 		}
-		cpu := r.Profile.ScriptTime(rate)
-		off := r.Profile.ScriptTimeOffloaded(rate, d)
+		cpu := r.Profile().ScriptTime(rate)
+		off := r.Profile().ScriptTimeOffloaded(rate, d)
 		if off < cpu {
 			anyFaster = true
 		}
@@ -246,16 +251,18 @@ func TestUnknownCategoryPanics(t *testing.T) {
 // TestCorpusIdenticalAcrossEviction pins the cache determinism guarantee:
 // a corpus rebuilt after being evicted is identical — page bytes, resource
 // plans, and script profiles down to each regex call — to the one
-// originally served. The rebuild runs with one-entry profile and
-// regex-pricing caches, so it really re-runs its scripts and regexes. Cache
-// state (hit, miss, evict-and-rebuild) can never affect simulation input.
+// originally served. The rebuild's profiles are loaded with one-entry
+// profile and regex-pricing caches, so it really re-runs its scripts and
+// regexes. Cache state (hit, miss, evict-and-rebuild) can never affect
+// simulation input.
 func TestCorpusIdenticalAcrossEviction(t *testing.T) {
 	oldCorpus, oldProfiles := corpusCache, profileCache
 	corpusCache = cache.New[corpusKey, []*Page](cache.Config{MaxEntries: 1})
 	defer func() { corpusCache, profileCache = oldCorpus, oldProfiles }()
 
 	a := SportsTop20(7)
-	SportsTop20(8) // evicts seed 7 from the single-entry cache
+	touchProfiles(a) // as originally served, through the shared profile cache
+	SportsTop20(8)   // evicts seed 7 from the single-entry cache
 	if s := corpusCache.Stats(); s.Evictions == 0 {
 		t.Fatalf("expected an eviction with MaxEntries=1, stats %+v", s)
 	}
@@ -266,6 +273,7 @@ func TestCorpusIdenticalAcrossEviction(t *testing.T) {
 	if s := corpusCache.Stats(); s.Loads != 3 {
 		t.Fatalf("expected 3 cold builds, stats %+v", s)
 	}
+	touchProfiles(b)
 	if s := regexStats(); s.Loads == 0 || s.Hits > s.Loads {
 		t.Fatalf("the rebuild did not re-price its regexes, memo stats %+v", s)
 	}
@@ -287,15 +295,15 @@ func TestCorpusIdenticalAcrossEviction(t *testing.T) {
 				ra.Blocking != rb.Blocking || ra.Segment != rb.Segment || ra.InjectedBy != rb.InjectedBy {
 				t.Fatalf("page %d resource %d differs after eviction", i, j)
 			}
-			if (ra.Profile == nil) != (rb.Profile == nil) {
+			pa, pb := ra.Profile(), rb.Profile()
+			if (pa == nil) != (pb == nil) {
 				t.Fatalf("page %d resource %d: profile presence differs", i, j)
 			}
-			if ra.Profile != nil {
-				if ra.Profile == rb.Profile {
+			if pa != nil {
+				if pa == pb {
 					t.Fatalf("page %d resource %d: profile served from cache, not re-run", i, j)
 				}
-				if ra.Profile.Ops != rb.Profile.Ops || ra.Profile.StrBytes != rb.Profile.StrBytes ||
-					!slices.Equal(ra.Profile.Calls, rb.Profile.Calls) {
+				if pa.Ops != pb.Ops || pa.StrBytes != pb.StrBytes || !slices.Equal(pa.Calls, pb.Calls) {
 					t.Fatalf("page %d resource %d: profile differs after eviction", i, j)
 				}
 			}
@@ -311,13 +319,14 @@ func TestTop50WorkPinned(t *testing.T) {
 	var ops, strBytes, calls, steps int64
 	for _, p := range Top50(1) {
 		for _, r := range p.Resources {
-			if r.Profile == nil {
+			prof := r.Profile()
+			if prof == nil {
 				continue
 			}
-			ops += r.Profile.Ops
-			strBytes += r.Profile.StrBytes
-			calls += int64(len(r.Profile.Calls))
-			for _, c := range r.Profile.Calls {
+			ops += prof.Ops
+			strBytes += prof.StrBytes
+			calls += int64(len(prof.Calls))
+			for _, c := range prof.Calls {
 				steps += c.PikeSteps + c.BTSteps
 			}
 		}
@@ -338,5 +347,92 @@ func TestProfileCacheChargesCallBytes(t *testing.T) {
 	want := 64 + int64(unsafe.Sizeof(script.RegexCall{}))*int64(cap(p.Calls))
 	if got := profileCache.Stats().Bytes; len(p.Calls) != 5 || got != want {
 		t.Fatalf("%d calls charged %d bytes, want %d", len(p.Calls), got, want)
+	}
+}
+
+// touchProfiles loads the profile of every resource of pages.
+func touchProfiles(pages []*Page) {
+	for _, p := range pages {
+		for i := range p.Resources {
+			p.Resources[i].Profile()
+		}
+	}
+}
+
+// freshCaches gives the test empty corpus, profile and regex-pricing
+// caches, restored when it ends, and returns the profile and regex stats.
+func freshCaches(t *testing.T) (profiles, regexes func() cache.Stats) {
+	oldCorpus, oldProfiles := corpusCache, profileCache
+	corpusCache = cache.New[corpusKey, []*Page](cache.Config{MaxEntries: 4})
+	profileCache = cache.New[string, *Profile](cache.Config{MaxEntries: 1 << 12})
+	regexStats, restoreRegex := script.SwapRegexMemo(1 << 16)
+	t.Cleanup(func() {
+		corpusCache, profileCache = oldCorpus, oldProfiles
+		restoreRegex()
+	})
+	return profileCache.Stats, regexStats
+}
+
+// TestCorpusBuildRunsNoScript: building a corpus profiles nothing and
+// prices no regex; a page's first profile use runs exactly its distinct
+// scripts, and a second use runs none.
+func TestCorpusBuildRunsNoScript(t *testing.T) {
+	profiles, regexes := freshCaches(t)
+	pages := Top50(4242)
+	if s, r := profiles(), regexes(); s.Misses != 0 || s.Loads != 0 || r.Misses != 0 || r.Entries != 0 {
+		t.Fatalf("Top50 build profiled scripts: profile cache %+v, regex memo %+v", s, r)
+	}
+
+	page := pages[len(pages)/2]
+	srcs := map[string]bool{}
+	for _, r := range page.Resources {
+		if r.Type == JS {
+			srcs[r.ScriptSrc] = true
+		}
+	}
+	touchProfiles([]*Page{page})
+	if s := profiles(); s.Loads != int64(len(srcs)) || s.Entries != len(srcs) {
+		t.Fatalf("touching %s (%d distinct scripts) gave profile cache %+v", page.Name, len(srcs), s)
+	}
+	if r := regexes(); r.Loads == 0 {
+		t.Fatalf("profiling %s priced no regex: %+v", page.Name, r)
+	}
+	before := profiles()
+	touchProfiles([]*Page{page})
+	if s := profiles(); s != before {
+		t.Fatalf("a second touch reached the profile cache: %+v, then %+v", before, s)
+	}
+}
+
+// TestProfileConcurrentFirstUse: goroutines racing on one resource's first
+// Profile call share one execution and get the same pointer.
+func TestProfileConcurrentFirstUse(t *testing.T) {
+	profiles, _ := freshCaches(t)
+	p := Generate("sports-race.example", Sports, 77)
+	var r *Resource
+	for i := range p.Resources {
+		if p.Resources[i].Type == JS {
+			r = &p.Resources[i]
+			break
+		}
+	}
+	const n = 8
+	got := make([]*Profile, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = r.Profile()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g == nil || g != got[0] {
+			t.Fatalf("goroutine %d got profile %p, goroutine 0 got %p", i, g, got[0])
+		}
+	}
+	if s := profiles(); s.Misses != 1 || s.Loads != 1 || s.Hits != 0 {
+		t.Fatalf("%d concurrent first uses gave profile cache %+v, want one load", n, s)
 	}
 }
