@@ -112,3 +112,33 @@ func TestReportUsesRunResults(t *testing.T) {
 		t.Error("-report changed the run's trace: the report ran its own pass")
 	}
 }
+
+// TestScenarioBuiltinFaultPlan: a scenario file naming the built-in plan
+// runs exactly as the same scenario under -faults default.
+func TestScenarioBuiltinFaultPlan(t *testing.T) {
+	dir := t.TempDir()
+	doc := func(name, extra string) string {
+		path := filepath.Join(dir, name+".json")
+		body := `{"name": "one_point", "title": "One faulted point", "device": "nexus4",
+			"workload": {"kind": "page"}, "axis": {"param": "clock_mhz", "values": [1512]}` + extra + `}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	planned, bare := doc("planned", `, "fault_plan": "default"`), doc("bare", "")
+	code, inFile, stderr := runCLI(t, "-scenario", planned)
+	if code != 0 {
+		t.Fatalf("fault_plan default: exit %d; stderr:\n%s", code, stderr)
+	}
+	code, byFlag, stderr := runCLI(t, "-scenario", bare, "-faults", "default")
+	if code != 0 {
+		t.Fatalf("-faults default: exit %d; stderr:\n%s", code, stderr)
+	}
+	if code, clean, _ := runCLI(t, "-scenario", bare); code != 0 || clean == byFlag {
+		t.Fatalf("the fault-free run (exit %d) matches the faulted one, so the comparison shows nothing:\n%s", code, clean)
+	}
+	if inFile != byFlag {
+		t.Fatalf("fault_plan default differs from -faults default:\n--- file ---\n%s\n--- flag ---\n%s", inFile, byFlag)
+	}
+}

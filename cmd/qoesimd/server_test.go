@@ -219,6 +219,17 @@ func TestServeHugeTimeoutClamped(t *testing.T) {
 	fetchResult(t, ts.URL, st.ID) // the job completes under the clamped timeout
 }
 
+// TestServeBuiltinFaultPlan: a served scenario may name the built-in
+// fault plan; only file references are refused (TestServeRequestErrors).
+func TestServeBuiltinFaultPlan(t *testing.T) {
+	ts, _ := newTestServer(t, engine.Config{Workers: 1, QueueDepth: 4, Parallel: 1})
+	code, st := postRun(t, ts.URL, `{"scenario": {"name": "f", "title": "t", "device": "nexus4", "workload": {"kind": "page"}, "axis": {"param": "clock_mhz", "values": [1512]}, "fault_plan": "default"}, "pages": 1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%+v), want 202", code, st)
+	}
+	fetchResult(t, ts.URL, st.ID)
+}
+
 func TestServeEventsStreamValidates(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Config{Workers: 1, QueueDepth: 4, Parallel: 2, Tool: "qoesimd-test"})
 	_, st := postRun(t, ts.URL, submitBody(9))

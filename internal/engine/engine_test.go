@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mobileqoe/internal/fault"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
 	"mobileqoe/internal/telemetry"
@@ -126,18 +128,37 @@ func TestComposeValidation(t *testing.T) {
 	}
 }
 
-func TestComposeRejectsFaultPlanFileWhenServing(t *testing.T) {
-	doc := json.RawMessage(`{
+func faultPlanDoc(ref string) json.RawMessage {
+	return json.RawMessage(`{
 		"name": "faulty",
 		"title": "t",
 		"device": "nexus4",
 		"workload": {"kind": "page"},
 		"axis": {"param": "clock_mhz", "values": [594]},
-		"fault_plan": "plan.json"
+		"fault_plan": "` + ref + `"
 	}`)
-	if _, err := Compose(Request{Scenario: doc}, ComposeOptions{}); err == nil ||
+}
+
+func TestComposeRejectsFaultPlanFileWhenServing(t *testing.T) {
+	if _, err := Compose(Request{Scenario: faultPlanDoc("plan.json")}, ComposeOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "fault plan file") {
 		t.Fatalf("fault-plan file reference not rejected: %v", err)
+	}
+}
+
+// TestComposeServesBuiltinFaultPlans: a served scenario may name a
+// built-in plan, which resolves as -faults resolves it.
+func TestComposeServesBuiltinFaultPlans(t *testing.T) {
+	p, err := Compose(Request{Scenario: faultPlanDoc("default")}, ComposeOptions{})
+	if err != nil {
+		t.Fatalf("fault_plan default not servable: %v", err)
+	}
+	if !reflect.DeepEqual(p.Cfg.Faults, fault.Default()) {
+		t.Fatalf("fault_plan default resolved to %+v, want the built-in plan", p.Cfg.Faults)
+	}
+	p, err = Compose(Request{Scenario: faultPlanDoc("none")}, ComposeOptions{})
+	if err != nil || p.Cfg.Faults != nil {
+		t.Fatalf("fault_plan none: plan %+v, err %v; want no plan", p.Cfg.Faults, err)
 	}
 }
 

@@ -181,10 +181,10 @@ func Compose(req Request, opt ComposeOptions) (*Plan, error) {
 			return nil, err
 		}
 		if sc.FaultPlan != "" {
-			if !opt.AllowLocalFiles {
-				return nil, fmt.Errorf("engine: scenario %q references fault plan file %q; file references are not servable", sc.Name, sc.FaultPlan)
+			if !opt.AllowLocalFiles && !fault.Builtin(sc.FaultPlan) {
+				return nil, fmt.Errorf("engine: scenario %q references fault plan file %q; only the built-in plans (none, default) are servable", sc.Name, sc.FaultPlan)
 			}
-			plan, err := fault.LoadPlan(sc.FaultPlan)
+			plan, err := fault.Resolve(sc.FaultPlan)
 			if err != nil {
 				return nil, err
 			}

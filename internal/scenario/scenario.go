@@ -26,6 +26,7 @@ import (
 	"mobileqoe/internal/cpu"
 	"mobileqoe/internal/device"
 	"mobileqoe/internal/experiments"
+	"mobileqoe/internal/fault"
 	"mobileqoe/internal/netsim"
 	"mobileqoe/internal/units"
 )
@@ -50,10 +51,11 @@ type Scenario struct {
 	Axis Axis `json:"axis"`
 	// Config fixes the non-swept parameters for every cell.
 	Config Fixed `json:"config,omitempty"`
-	// FaultPlan references a fault.Plan JSON file, resolved relative to the
-	// scenario file by Load. The harness (qoesim) attaches it to the run's
-	// experiments.Config, so per-trial injector seeding works exactly as it
-	// does for -faults.
+	// FaultPlan names a fault plan as -faults does: "none", "default" (the
+	// built-in mixed plan), or a fault.Plan JSON file, resolved relative to
+	// the scenario file by Load. The harness (qoesim) attaches it to the
+	// run's experiments.Config, so per-trial injector seeding works exactly
+	// as it does for -faults.
 	FaultPlan string `json:"fault_plan,omitempty"`
 	// Trials is the scenario's default trial count; 0 defers to the harness.
 	Trials int `json:"trials,omitempty"`
@@ -161,8 +163,8 @@ func Parse(data []byte) (*Scenario, error) {
 	return &s, nil
 }
 
-// Load reads and parses a scenario file. A relative FaultPlan reference is
-// resolved against the file's directory.
+// Load reads and parses a scenario file. A relative FaultPlan file is
+// resolved against the file's directory; built-in plan names are kept.
 func Load(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -173,7 +175,7 @@ func Load(path string) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario: %s: %w", path, err)
 	}
 	s.SourceSHA256 = fmt.Sprintf("%x", sha256.Sum256(data))
-	if s.FaultPlan != "" && !filepath.IsAbs(s.FaultPlan) {
+	if s.FaultPlan != "" && !fault.Builtin(s.FaultPlan) && !filepath.IsAbs(s.FaultPlan) {
 		s.FaultPlan = filepath.Join(filepath.Dir(path), s.FaultPlan)
 	}
 	return s, nil

@@ -199,3 +199,23 @@ func TestLoadResolvesFaultPlanPath(t *testing.T) {
 		t.Fatalf("registry id %q not namespaced", s.RegistryID())
 	}
 }
+
+// TestLoadKeepsBuiltinFaultPlans: built-in plan names are not paths, so
+// Load leaves them as written.
+func TestLoadKeepsBuiltinFaultPlans(t *testing.T) {
+	dir := t.TempDir()
+	for _, ref := range []string{"default", "none"} {
+		sc := dir + "/" + ref + ".json"
+		body := `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]},"fault_plan":"` + ref + `"}`
+		if err := writeFile(sc, body); err != nil {
+			t.Fatal(err)
+		}
+		s, err := scenario.Load(sc)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		if s.FaultPlan != ref {
+			t.Fatalf("FaultPlan = %q, want %q", s.FaultPlan, ref)
+		}
+	}
+}
