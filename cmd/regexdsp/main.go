@@ -129,11 +129,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%-19s %-11s %-11s %-11s %-11s %s\n",
 		"workload", "bt-steps", "pike-steps", "cpu-time", "dsp-time", "winner")
 	var reg *trace.Metrics
+	exit := 0
 	for _, r := range results {
 		var ce compileError
 		switch {
 		case errors.As(r.Err, &ce):
+			// The row names the error; the exit code says a cell failed, as
+			// the run log's summary does.
 			fmt.Fprintf(stdout, "%-19s compile error: %v\n", r.ID, ce.error)
+			exit = 1
 			continue
 		case r.Err != nil:
 			fmt.Fprintln(stderr, "regexdsp:", r.Err)
@@ -155,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "regexdsp:", err)
 		return 1
 	}
-	return 0
+	return exit
 }
 
 // compileError marks a workload whose pattern does not compile: its row
