@@ -17,7 +17,6 @@ import (
 
 	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/runner"
-	"mobileqoe/internal/webpage"
 )
 
 // benchConfig trades corpus breadth for wall-clock speed; the series shapes
@@ -123,10 +122,15 @@ func benchmarkMultiTrial(b *testing.B, workers int) {
 	ids := []string{"fig2a", "fig3a", "fig4a", "fig5a"}
 	cfg := benchConfig()
 	cfg.Trials = 4
-	// Pre-generate every per-trial corpus so both variants time experiment
-	// compute, not the memoized corpus construction.
+	// Pre-generate every per-trial corpus and profile the pages the runs
+	// load, so both variants time experiment compute, not the memoized
+	// corpus construction and script profiling.
 	for trial := 0; trial < cfg.Trials; trial++ {
-		webpage.Top50(experiments.TrialSeed(cfg.Seed, trial))
+		for _, p := range cfg.WithSeed(experiments.TrialSeed(cfg.Seed, trial)).Corpus() {
+			for i := range p.Resources {
+				p.Resources[i].Profile()
+			}
+		}
 	}
 	run := func(workers int) {
 		res, err := runner.Run(context.Background(), ids, cfg, runner.Options{Parallel: workers})
