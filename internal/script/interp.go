@@ -538,11 +538,11 @@ func (in *Interp) eval(x expr, fr *frame) (Value, error) {
 				return nil, err
 			}
 			if _, isObj := recv.(*Object); !isObj {
-				base, err := in.evalArgs(x.args, fr)
+				args, base, err := in.evalArgs(x.args, fr)
 				if err != nil {
 					return nil, err
 				}
-				v, err := in.method(recv, m.name, in.args(base))
+				v, err := in.method(recv, m.name, args)
 				in.pop(base)
 				return v, err
 			}
@@ -551,11 +551,11 @@ func (in *Interp) eval(x expr, fr *frame) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := in.evalArgs(x.args, fr)
+		args, base, err := in.evalArgs(x.args, fr)
 		if err != nil {
 			return nil, err
 		}
-		v, err := in.call(fnv, in.args(base))
+		v, err := in.call(fnv, args)
 		in.pop(base)
 		return v, err
 	}
@@ -563,27 +563,22 @@ func (in *Interp) eval(x expr, fr *frame) (Value, error) {
 }
 
 // evalArgs pushes the values of args onto the interpreter's stack and
-// returns the stack height below them, for args and pop. Calls made while
+// returns them, capped so a callee cannot append into the stack, with the
+// stack height below them for pop after the call. Calls made while
 // evaluating an argument push and pop above it, so no call allocates an
-// argument slice. Callees read args only during the call: push copies
-// them and a closure copies them into its frame.
-func (in *Interp) evalArgs(args []expr, fr *frame) (base int, err error) {
+// argument slice. Callees read their arguments only during the call: push
+// copies them and a closure copies them into its frame.
+func (in *Interp) evalArgs(args []expr, fr *frame) (vals []Value, base int, err error) {
 	base = len(in.stack)
 	for _, a := range args {
 		v, err := in.eval(a, fr)
 		if err != nil {
 			in.pop(base)
-			return base, err
+			return nil, base, err
 		}
 		in.stack = append(in.stack, v)
 	}
-	return base, nil
-}
-
-// args returns the arguments pushed above base, capped so a callee cannot
-// append into the stack.
-func (in *Interp) args(base int) []Value {
-	return in.stack[base:len(in.stack):len(in.stack)]
+	return in.stack[base:len(in.stack):len(in.stack)], base, nil
 }
 
 // pop drops the stack above base, clearing it so it pins no value.
