@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"mobileqoe/internal/fault"
 )
@@ -14,10 +15,12 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 // Golden coverage for Table.String() rendering: column alignment (table1's
 // ragged device names), notes (fig7b), and the mean/p50/ci95 columns a
-// multi-trial merge appends (fig3d at Trials: 3). Every one-axis sweep
-// figure is pinned at quick(), and one page and one call sweep run under the
-// default fault plan at Trials: 2, which pins the per-system injector seeds
-// that depend on each system's position within its trial. Regenerate with
+// multi-trial merge appends (fig3d at Trials: 3). Every sweep table is
+// pinned at quick(), and a page, a call, a mixed iperf-and-page and a
+// network-then-HTTP/2 sweep run under the default fault plan at Trials: 2,
+// which pins the per-system injector seeds that depend on each system's
+// position within its trial. abl-prefetch at a 672 ms clip pins its exactly
+// doubled clip length. Regenerate with
 //
 //	go test ./internal/experiments -run TestGolden -update
 func goldenCases() []struct {
@@ -30,6 +33,8 @@ func goldenCases() []struct {
 	faulted := quick()
 	faulted.Faults = fault.Default()
 	faulted.Trials = 2
+	shortClip := quick()
+	shortClip.ClipDuration = 672 * time.Millisecond
 	type goldenCase = struct {
 		name string
 		id   string
@@ -41,9 +46,14 @@ func goldenCases() []struct {
 		{"fig3d-trials3", "fig3d", multi},
 		{"fig3a-faults-trials2", "fig3a", faulted},
 		{"fig5c-faults-trials2", "fig5c", faulted},
+		{"abl-packetcpu-faults-trials2", "abl-packetcpu", faulted},
+		{"ext-h2-faults-trials2", "ext-h2", faulted},
+		{"abl-prefetch-clip672ms", "abl-prefetch", shortClip},
 	}
 	for _, id := range []string{"fig2b", "fig2c", "fig3a", "fig3b", "fig3c", "fig3d",
-		"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "fig5c", "fig5d", "fig6"} {
+		"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "fig5c", "fig5d", "fig6",
+		"fig2a", "abl-packetcpu", "abl-prefetch", "abl-hwdecoder", "abl-biglittle",
+		"ext-tls", "ext-h2", "ext-browsers", "ext-joint"} {
 		cases = append(cases, goldenCase{id, id, quick()})
 	}
 	return cases
