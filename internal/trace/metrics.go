@@ -257,8 +257,9 @@ func (m *Metrics) LookupHistogram(name string) *Histogram {
 // add, bounds widen, quantile backings merge when both sides carry the same
 // kind). Merging histograms of different modes keeps the scalar fields and
 // drops the receiver-side quantile channel for that metric — Quantile then
-// reports ok=false rather than a silently partial estimate. A nil o is a
-// no-op.
+// reports ok=false rather than a silently partial estimate. Every name o
+// registers is registered in m, an empty histogram included, so a merged
+// table lists every row its parts list. A nil o is a no-op.
 func (m *Metrics) Merge(o *Metrics) {
 	if m == nil || o == nil {
 		return
@@ -267,10 +268,10 @@ func (m *Metrics) Merge(o *Metrics) {
 		m.Counter(name).Add(c.v)
 	}
 	for name, h := range o.hists {
+		d := m.Histogram(name)
 		if h.n == 0 {
 			continue
 		}
-		d := m.Histogram(name)
 		if d.n == 0 || h.min < d.min {
 			d.min = h.min
 		}

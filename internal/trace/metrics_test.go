@@ -132,6 +132,28 @@ func TestCrossModeMergeDropsQuantiles(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsEmptyHistograms: a histogram registered but never observed
+// still renders as a row, so merging its registry into an empty one must
+// register the name too, and must not disturb an observed histogram.
+func TestMergeKeepsEmptyHistograms(t *testing.T) {
+	for _, mode := range []HistMode{HistScalar, HistBounded} {
+		part := NewMetricsMode(mode)
+		part.Histogram("empty.us")
+		part.Histogram("seen.ms").Observe(3)
+		merged := NewMetricsMode(mode)
+		merged.Merge(part)
+		if got, want := strings.Join(merged.Names(), ","), "empty.us,seen.ms"; got != want {
+			t.Fatalf("%v: merged names = %s, want %s", mode, got, want)
+		}
+		if merged.Table() != part.Table() {
+			t.Fatalf("%v: merged table differs from its only part:\n%s\nwant\n%s", mode, merged.Table(), part.Table())
+		}
+		if h := merged.LookupHistogram("empty.us"); h.Count() != 0 {
+			t.Fatalf("%v: empty histogram merged to n=%d", mode, h.Count())
+		}
+	}
+}
+
 // TestLookupNeverCreates: the non-creating lookups used by read-only
 // consumers must not grow the registry (a spurious empty row would change
 // rendered tables) and must report what Observe recorded.
