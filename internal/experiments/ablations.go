@@ -13,135 +13,60 @@ import (
 	"mobileqoe/internal/sim"
 	"mobileqoe/internal/stats"
 	"mobileqoe/internal/units"
-	"mobileqoe/internal/video"
 	"mobileqoe/internal/webpage"
 	"mobileqoe/internal/wprof"
 )
 
 func init() {
-	register("abl-packetcpu", "Ablation: packet processing charged to the CPU vs free (§4.1)", ablPacketCPU)
+	registerSweep("Ablation: packet processing charged to the CPU vs free (§4.1)", ablPacketCPU)
 	register("abl-prefetch", "Ablation: streaming read-ahead window on a lossy link", ablPrefetch)
-	register("abl-hwdecoder", "Ablation: hardware vs software video decode", ablHWDecoder)
+	registerSweep("Ablation: hardware vs software video decode", ablHWDecoder)
 	register("abl-rpc", "Ablation: FastRPC overhead vs offload benefit", ablRPC)
 	register("abl-engine", "Ablation: backtracking vs Pike VM regex engines", ablEngine)
-	register("abl-biglittle", "Ablation: foreground placement on big vs little cluster", ablBigLittle)
+	registerSweep("Ablation: foreground placement on big vs little cluster", ablBigLittle)
 }
 
-func ablPacketCPU(cfg Config) (*Table, error) {
-	t := &Table{ID: "abl-packetcpu", Title: "Clock sensitivity with and without CPU-charged packet processing",
-		Columns: []string{"config", "tput_384_mbps", "tput_1512_mbps", "plt_384_s", "plt_1512_s"}}
-	pages := takePages(cfg, 2)
-	for _, charged := range []bool{true, false} {
-		opts := func(f units.Freq) []core.Option {
-			o := []core.Option{core.WithClock(f)}
-			if !charged {
-				o = append(o, core.WithoutPacketCPUCharge())
-			}
-			return o
-		}
-		tputAt := func(f units.Freq) (float64, error) {
-			sys := cfg.NewSystem(device.Nexus4(), opts(f)...)
-			res, err := sys.Run(core.IperfWorkload{Duration: cfg.IperfDuration})
-			if err != nil {
-				return 0, err
-			}
-			return res.Iperf.Throughput.Mbpsf(), nil
-		}
-		pltAt := func(f units.Freq) (float64, error) {
-			s, err := avgPLTOn(cfg, device.Nexus4(), pages, opts(f)...)
-			if err != nil {
-				return 0, err
-			}
-			return s.Mean(), nil
-		}
-		label := "charged"
-		if !charged {
-			label = "free"
-		}
-		tputLo, err := tputAt(units.MHz(384))
-		if err != nil {
-			return nil, err
-		}
-		tputHi, err := tputAt(units.MHz(1512))
-		if err != nil {
-			return nil, err
-		}
-		pltLo, err := pltAt(units.MHz(384))
-		if err != nil {
-			return nil, err
-		}
-		pltHi, err := pltAt(units.MHz(1512))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(label, mbps(tputLo), mbps(tputHi), ratio(pltLo), ratio(pltHi))
-	}
-	t.Notes = append(t.Notes,
-		"charging packet processing creates the Fig. 6 throughput cliff and part of the Web slowdown")
-	return t, nil
+func ablPacketCPU() *Sweep {
+	nexus := device.Nexus4()
+	return &Sweep{ID: "abl-packetcpu", Title: "Clock sensitivity with and without CPU-charged packet processing",
+		Axis: "config", Pages: 2,
+		Points: []Point{{"charged", nexus, nil}, {"free", nexus, []core.Option{core.WithoutPacketCPUCharge()}}},
+		Variants: append(clockVariants(Workload{Kind: KindIperf}, 384, 1512),
+			clockVariants(Workload{Kind: KindPage}, 384, 1512)...),
+		Columns: []string{"tput_384_mbps", "tput_1512_mbps", "plt_384_s", "plt_1512_s"},
+		Row: func(_ int, m []Measure) []string {
+			return []string{mbps(m[0].Iperf.Throughput.Mbpsf()), mbps(m[1].Iperf.Throughput.Mbpsf()),
+				ratio(m[2].PLT.Mean()), ratio(m[3].PLT.Mean())}
+		},
+		Notes: []string{"charging packet processing creates the Fig. 6 throughput cliff and part of the Web slowdown"}}
 }
 
+// ablPrefetch streams clips twice the configured length.
 func ablPrefetch(cfg Config) (*Table, error) {
-	t := &Table{ID: "abl-prefetch", Title: "Streaming stalls vs read-ahead on a 2%-loss link (Nexus4 @384MHz)",
-		Columns: []string{"prefetch", "startup_s", "stall_ratio"}}
-	run := func(disable bool) (video.Metrics, error) {
-		opts := []core.Option{
-			core.WithClock(units.MHz(384)),
-			core.WithNetwork(netsim.Config{ChargeCPU: true, Loss: 0.02}),
-		}
-		if disable {
-			opts = append(opts, core.WithoutPrefetch())
-		}
-		sys := cfg.NewSystem(device.Nexus4(), opts...)
-		res, err := sys.Run(core.VideoStream{Config: video.StreamConfig{Duration: 2 * cfg.ClipDuration}})
-		if err != nil {
-			return video.Metrics{}, err
-		}
-		return *res.Video, nil
-	}
-	with, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	without, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("120s (default)", secs(with.StartupLatency), fmt.Sprintf("%.3f", with.StallRatio))
-	t.AddRow("disabled", secs(without.StartupLatency), fmt.Sprintf("%.3f", without.StallRatio))
-	t.Notes = append(t.Notes,
-		"the read-ahead buffer is what hides transient trouble; telephony has no such buffer")
-	return t, nil
+	cfg.ClipDuration *= 2
+	nexus := device.Nexus4()
+	lossy := []core.Option{core.WithClock(units.MHz(384)), core.WithNetwork(netsim.Config{ChargeCPU: true, Loss: 0.02})}
+	s := &Sweep{ID: "abl-prefetch", Title: "Streaming stalls vs read-ahead on a 2%-loss link (Nexus4 @384MHz)",
+		Axis: "prefetch", Workload: Workload{Kind: KindVideo},
+		Points:  []Point{{"120s (default)", nexus, lossy}, {"disabled", nexus, append(lossy, core.WithoutPrefetch())}},
+		Columns: []string{"startup_s", "stall_ratio"}, Row: startupStall,
+		Notes: []string{"the read-ahead buffer is what hides transient trouble; telephony has no such buffer"}}
+	return s.Run(cfg)
 }
 
-func ablHWDecoder(cfg Config) (*Table, error) {
-	t := &Table{ID: "abl-hwdecoder", Title: "Streaming with and without the hardware decoder (Nexus4 @1512MHz)",
-		Columns: []string{"decoder", "startup_s", "stall_ratio"}}
-	run := func(sw bool) (video.Metrics, error) {
-		opts := []core.Option{core.WithClock(units.MHz(1512))}
-		if sw {
-			opts = append(opts, core.WithoutHardwareDecoder())
-		}
-		sys := cfg.NewSystem(device.Nexus4(), opts...)
-		res, err := sys.Run(core.VideoStream{Config: video.StreamConfig{Duration: cfg.ClipDuration}})
-		if err != nil {
-			return video.Metrics{}, err
-		}
-		return *res.Video, nil
-	}
-	hw, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	sw, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("hardware", secs(hw.StartupLatency), fmt.Sprintf("%.3f", hw.StallRatio))
-	t.AddRow("software", secs(sw.StartupLatency), fmt.Sprintf("%.3f", sw.StallRatio))
-	t.Notes = append(t.Notes,
-		"the counterfactual behind Takeaway 2: without the accelerator, even full clock stalls")
-	return t, nil
+func ablHWDecoder() *Sweep {
+	nexus, hi := device.Nexus4(), core.WithClock(units.MHz(1512))
+	return &Sweep{ID: "abl-hwdecoder", Title: "Streaming with and without the hardware decoder (Nexus4 @1512MHz)",
+		Axis: "decoder", Workload: Workload{Kind: KindVideo},
+		Points: []Point{{"hardware", nexus, []core.Option{hi}},
+			{"software", nexus, []core.Option{hi, core.WithoutHardwareDecoder()}}},
+		Columns: []string{"startup_s", "stall_ratio"}, Row: startupStall,
+		Notes: []string{"the counterfactual behind Takeaway 2: without the accelerator, even full clock stalls"}}
+}
+
+// startupStall is a streaming row's startup and stall cells.
+func startupStall(_ int, m []Measure) []string {
+	return []string{secs(m[0].Video.StartupLatency), fmt.Sprintf("%.3f", m[0].Video.StallRatio)}
 }
 
 func ablRPC(cfg Config) (*Table, error) {
@@ -208,24 +133,12 @@ func ablEngine(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-func ablBigLittle(cfg Config) (*Table, error) {
-	t := &Table{ID: "abl-biglittle", Title: "Foreground placement policy on a big.LITTLE flagship",
-		Columns: []string{"policy", "plt_s(mean±std)"}}
-	pages := takePages(cfg, 3)
+func ablBigLittle() *Sweep {
 	onBig := device.GalaxyS6Edge()
 	onBig.ForegroundOnBig = true
-	for _, spec := range []device.Spec{device.GalaxyS6Edge(), onBig} {
-		label := "foreground-on-little (stock S6-edge)"
-		if spec.ForegroundOnBig {
-			label = "foreground-on-big (Pixel2-style)"
-		}
-		s, err := avgPLTOn(cfg, spec, pages)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(label, meanStd(s.Mean(), s.Std()))
-	}
-	t.Notes = append(t.Notes,
-		"the scheduling policy, not the silicon, explains the paper's Pixel2-vs-S6 outlier")
-	return t, nil
+	return &Sweep{ID: "abl-biglittle", Title: "Foreground placement policy on a big.LITTLE flagship",
+		Axis: "policy", Workload: Workload{Kind: KindPage}, Pages: 3,
+		Points: []Point{{"foreground-on-little (stock S6-edge)", device.GalaxyS6Edge(), nil},
+			{"foreground-on-big (Pixel2-style)", onBig, nil}},
+		Notes: []string{"the scheduling policy, not the silicon, explains the paper's Pixel2-vs-S6 outlier"}}
 }

@@ -8,7 +8,10 @@
 // text-regex) and the ablations DESIGN.md §5 calls out (abl-*).
 //
 // The one-axis figures (fig2b, fig2c, fig3a–fig6) are Sweep values: one
-// workload measured at each Point of one axis. internal/scenario compiles a
+// workload measured at each Point of one axis. So are the comparison tables
+// (fig2a, abl-packetcpu, abl-prefetch, abl-hwdecoder, abl-biglittle, ext-tls,
+// ext-h2, ext-browsers, ext-joint), which measure each point under a few
+// Variants and derive their cells with Sweep.Row. internal/scenario compiles a
 // scenario file into a Sweep built with the same point builders, and
 // internal/fleet runs its tuples through the same Workload, so a figure, a
 // scenario and a fleet tuple share one implementation of running a cell.

@@ -14,107 +14,82 @@ import (
 // impact of network conditions and device parameters.
 
 func init() {
-	register("ext-tls", "Extension: TLS handshake/record overhead vs clock (§6 future work)", extTLS)
-	register("ext-browsers", "Extension: browser implementations vs clock (§6 future work)", extBrowsers)
-	register("ext-joint", "Extension: joint network x device sweep (§6 future work)", extJoint)
-	register("ext-h2", "Extension: HTTP/1.1 vs HTTP/2 multiplexing vs clock (§6 future work)", extH2)
+	registerSweep("Extension: TLS handshake/record overhead vs clock (§6 future work)", extTLS)
+	registerSweep("Extension: browser implementations vs clock (§6 future work)", extBrowsers)
+	registerSweep("Extension: joint network x device sweep (§6 future work)", extJoint)
+	registerSweep("Extension: HTTP/1.1 vs HTTP/2 multiplexing vs clock (§6 future work)", extH2)
 }
 
-func extH2(cfg Config) (*Table, error) {
-	t := &Table{ID: "ext-h2", Title: "Web PLT under HTTP/1.1 vs HTTP/2 (Nexus4)",
-		Columns: []string{"network", "clock_mhz", "h1_s", "h2_s", "h2_gain"}}
-	pages := takePages(cfg, 3)
+func extH2() *Sweep {
 	cases := []struct {
 		net string
 		mhz float64
 	}{
 		{"lan", 1512}, {"lte", 1512}, {"lte", 384},
 	}
-	for _, cs := range cases {
-		netCfg := netsim.Profiles()[cs.net]
-		h1, err := avgPLTOn(cfg, device.Nexus4(), pages,
-			core.WithClock(units.MHz(cs.mhz)), core.WithNetwork(netCfg))
-		if err != nil {
-			return nil, err
-		}
-		netCfg.HTTP2 = true
-		h2, err := avgPLTOn(cfg, device.Nexus4(), pages,
-			core.WithClock(units.MHz(cs.mhz)), core.WithNetwork(netCfg))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(cs.net, fmt.Sprintf("%.0f", cs.mhz), ratio(h1.Mean()), ratio(h2.Mean()),
-			pct(1-h2.Mean()/h1.Mean()))
+	pts := make([]Point, len(cases))
+	for i, cs := range cases {
+		pts[i] = Point{cs.net, device.Nexus4(),
+			[]core.Option{core.WithClock(units.MHz(cs.mhz)), core.WithNetwork(netsim.Profiles()[cs.net])}}
 	}
-	t.Notes = append(t.Notes,
-		"gains are modest because the corpus shards resources across ~12 CDN domains",
-		"(2015-era practice), which already parallelizes HTTP/1.1 — the same effect",
-		"real-world h2 measurements reported on sharded sites; on the 10ms LAN and at",
-		"CPU-bound clocks the protocol is a wash")
-	return t, nil
+	return &Sweep{ID: "ext-h2", Title: "Web PLT under HTTP/1.1 vs HTTP/2 (Nexus4)",
+		Axis: "network", Workload: Workload{Kind: KindPage}, Pages: 3, Points: pts,
+		Variants: []Variant{{}, {Opts: []core.Option{core.WithHTTP2()}}},
+		Columns:  []string{"clock_mhz", "h1_s", "h2_s", "h2_gain"},
+		Row: func(i int, m []Measure) []string {
+			h1, h2 := m[0].PLT.Mean(), m[1].PLT.Mean()
+			return []string{fmt.Sprintf("%.0f", cases[i].mhz), ratio(h1), ratio(h2), pct(1 - h2/h1)}
+		},
+		Notes: []string{
+			"gains are modest because the corpus shards resources across ~12 CDN domains",
+			"(2015-era practice), which already parallelizes HTTP/1.1 — the same effect",
+			"real-world h2 measurements reported on sharded sites; on the 10ms LAN and at",
+			"CPU-bound clocks the protocol is a wash"}}
 }
 
-func extTLS(cfg Config) (*Table, error) {
-	t := &Table{ID: "ext-tls", Title: "Web PLT with plain HTTP vs TLS (Nexus4)",
-		Columns: []string{"clock_mhz", "http_s", "https_s", "tls_cost"}}
-	pages := takePages(cfg, 3)
-	for _, mhz := range []float64{1512, 810, 384} {
-		plain, err := avgPLTOn(cfg, device.Nexus4(), pages, core.WithClock(units.MHz(mhz)))
-		if err != nil {
-			return nil, err
-		}
-		tls, err := avgPLTOn(cfg, device.Nexus4(), pages, core.WithClock(units.MHz(mhz)), core.WithTLS())
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.0f", mhz), ratio(plain.Mean()), ratio(tls.Mean()),
-			pct(tls.Mean()/plain.Mean()-1))
-	}
-	t.Notes = append(t.Notes,
-		"TLS costs grow as the clock drops: handshake crypto and record processing are pure CPU")
-	return t, nil
+func extTLS() *Sweep {
+	return &Sweep{ID: "ext-tls", Title: "Web PLT with plain HTTP vs TLS (Nexus4)",
+		Axis: "clock_mhz", Workload: Workload{Kind: KindPage}, Pages: 3,
+		Points:   ClockPoints(device.Nexus4(), nil, []units.Freq{units.MHz(1512), units.MHz(810), units.MHz(384)}),
+		Variants: []Variant{{}, {Opts: []core.Option{core.WithTLS()}}},
+		Columns:  []string{"http_s", "https_s", "tls_cost"},
+		Row: func(_ int, m []Measure) []string {
+			plain, tls := m[0].PLT.Mean(), m[1].PLT.Mean()
+			return []string{ratio(plain), ratio(tls), pct(tls/plain - 1)}
+		},
+		Notes: []string{"TLS costs grow as the clock drops: handshake crypto and record processing are pure CPU"}}
 }
 
-func extBrowsers(cfg Config) (*Table, error) {
-	t := &Table{ID: "ext-browsers", Title: "Web PLT across browser implementations (Nexus4)",
-		Columns: []string{"browser", "plt_1512_s", "plt_384_s", "slowdown"}}
-	pages := takePages(cfg, 3)
-	for _, e := range browser.Engines() {
-		hi, err := avgPLTOn(cfg, device.Nexus4(), pages, core.WithClock(units.MHz(1512)), core.WithEngine(e))
-		if err != nil {
-			return nil, err
-		}
-		lo, err := avgPLTOn(cfg, device.Nexus4(), pages, core.WithClock(units.MHz(384)), core.WithEngine(e))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(e.Name, ratio(hi.Mean()), ratio(lo.Mean()), ratio(lo.Mean()/hi.Mean()))
-	}
-	t.Notes = append(t.Notes,
-		"Chrome and Firefox degrade alike (the paper's 'qualitatively the same');",
-		"the proxy-rendered Opera Mini sidesteps client scripting and barely feels the clock")
-	return t, nil
+func extBrowsers() *Sweep {
+	return &Sweep{ID: "ext-browsers", Title: "Web PLT across browser implementations (Nexus4)",
+		Axis: "browser", Workload: Workload{Kind: KindPage}, Pages: 3,
+		Points: points(device.Nexus4(), nil, browser.Engines(),
+			func(e browser.Engine) string { return e.Name }, core.WithEngine),
+		Variants: clockVariants(Workload{}, 1512, 384),
+		Columns:  []string{"plt_1512_s", "plt_384_s", "slowdown"}, Row: slowdown,
+		Notes: []string{
+			"Chrome and Firefox degrade alike (the paper's 'qualitatively the same');",
+			"the proxy-rendered Opera Mini sidesteps client scripting and barely feels the clock"}}
 }
 
-func extJoint(cfg Config) (*Table, error) {
-	t := &Table{ID: "ext-joint", Title: "Web PLT over network profile x CPU clock (Nexus4)",
-		Columns: []string{"network", "rate", "rtt", "plt_1512_s", "plt_384_s", "device_effect"}}
-	pages := takePages(cfg, 2)
-	for _, name := range []string{"lan", "lte", "3g"} {
-		net := netsim.Profiles()[name]
-		hi, err := avgPLTOn(cfg, device.Nexus4(), pages, core.WithClock(units.MHz(1512)), core.WithNetwork(net))
-		if err != nil {
-			return nil, err
-		}
-		lo, err := avgPLTOn(cfg, device.Nexus4(), pages, core.WithClock(units.MHz(384)), core.WithNetwork(net))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name, net.Rate.String(), net.RTT.String(),
-			ratio(hi.Mean()), ratio(lo.Mean()), ratio(lo.Mean()/hi.Mean()))
-	}
-	t.Notes = append(t.Notes,
-		"the device-side slowdown factor shrinks as the network worsens: on a 3G cell the",
-		"network hides the CPU, on the paper's LAN the CPU is everything")
-	return t, nil
+func extJoint() *Sweep {
+	names, profiles := []string{"lan", "lte", "3g"}, netsim.Profiles()
+	return &Sweep{ID: "ext-joint", Title: "Web PLT over network profile x CPU clock (Nexus4)",
+		Axis: "network", Workload: Workload{Kind: KindPage}, Pages: 2,
+		Points:   NetworkPoints(device.Nexus4(), nil, names),
+		Variants: clockVariants(Workload{}, 1512, 384),
+		Columns:  []string{"rate", "rtt", "plt_1512_s", "plt_384_s", "device_effect"},
+		Row: func(i int, m []Measure) []string {
+			net := profiles[names[i]]
+			return append([]string{net.Rate.String(), net.RTT.String()}, slowdown(i, m)...)
+		},
+		Notes: []string{
+			"the device-side slowdown factor shrinks as the network worsens: on a 3G cell the",
+			"network hides the CPU, on the paper's LAN the CPU is everything"}}
+}
+
+// slowdown is the PLT at a high and a low clock and their ratio.
+func slowdown(_ int, m []Measure) []string {
+	hi, lo := m[0].PLT.Mean(), m[1].PLT.Mean()
+	return []string{ratio(hi), ratio(lo), ratio(lo / hi)}
 }

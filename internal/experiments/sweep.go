@@ -9,6 +9,7 @@ import (
 	"mobileqoe/internal/cpu"
 	"mobileqoe/internal/device"
 	"mobileqoe/internal/netsim"
+	"mobileqoe/internal/stats"
 	"mobileqoe/internal/telephony"
 	"mobileqoe/internal/units"
 	"mobileqoe/internal/video"
@@ -16,16 +17,41 @@ import (
 )
 
 // Sweep is one workload measured along one axis: one table row per Point,
-// the axis label in the first column and the workload's metric columns after
-// it. The paper's one-axis figures (fig2b, fig2c, fig3a–fig6) are Sweeps,
-// and internal/scenario compiles a scenario file into one, so a scenario
-// and a figure run every cell through the same code.
+// the axis label in the first column and the metric columns after it. The
+// paper's one-axis figures (fig2b, fig2c, fig3a–fig6) are Sweeps, and
+// internal/scenario compiles a scenario file into one, so a scenario and a
+// figure run every cell through the same code. The comparison tables (fig2a,
+// the abl-* ablations, the ext-* extensions) measure every point under a few
+// Variants and derive their cells with Row.
 type Sweep struct {
 	ID, Title string
 	Axis      string // header of the first column
 	Workload  Workload
 	Points    []Point
-	Notes     []string
+	// Variants are the column groups each point is measured under, in
+	// order; nil is one group with no extra options.
+	Variants []Variant
+	// Row formats point i's cells after its label from one Measure per
+	// variant, under the headers Columns. nil prints each variant's
+	// workload cells under the workload's headers.
+	Row     func(i int, m []Measure) []string
+	Columns []string
+	Pages   int // caps the corpus a page workload loads; 0 keeps Config.Pages
+	Notes   []string
+}
+
+// Variant is one column group of a sweep: a workload (the zero value runs
+// the sweep's own) and the options applied after the point's.
+type Variant struct {
+	Workload Workload
+	Opts     []core.Option
+}
+
+// Measure is one variant at one point: the PLT seconds of every page for a
+// page workload, the run's Result for the other kinds.
+type Measure struct {
+	PLT *stats.Sample
+	core.Result
 }
 
 // Point is one row of a sweep: its label and the device and options every
@@ -115,51 +141,74 @@ func (w Workload) columns() []string {
 	}
 }
 
-// Run measures every point in order and renders the table; it is the
-// Runner of a registered sweep. A page sweep loads each corpus page on a
-// fresh system and reports the mean±std PLT; the other kinds run once per
-// point.
-func (s *Sweep) Run(cfg Config) (*Table, error) {
-	t := &Table{ID: s.ID, Title: s.Title,
-		Columns: append([]string{s.Axis}, s.Workload.columns()...)}
-	var pages []*webpage.Page
-	if s.Workload.Kind == KindPage {
-		pages = corpus(cfg)
+// measure runs the workload at one point: a page workload loads each page
+// on a fresh system, the other kinds run once.
+func (w Workload) measure(cfg Config, spec device.Spec, pages []*webpage.Page, opts []core.Option) (Measure, error) {
+	if w.Kind == KindPage {
+		plt, err := avgPLTOn(cfg, spec, pages, opts...)
+		return Measure{PLT: plt}, err
 	}
-	for _, pt := range s.Points {
-		row, err := s.row(cfg, pt, pages)
-		if err != nil {
-			return nil, err
+	res, err := w.Run(cfg, cfg.NewSystem(spec, opts...), nil)
+	return Measure{Result: res}, err
+}
+
+// cells formats a measure under the workload's metric header.
+func (w Workload) cells(m Measure) []string {
+	switch w.Kind {
+	case KindPage:
+		return []string{meanStd(m.PLT.Mean(), m.PLT.Std())}
+	case KindVideo:
+		return []string{secs(m.Video.StartupLatency), fmt.Sprintf("%.3f", m.Video.StallRatio), m.Video.Rung.Name}
+	case KindCall:
+		return []string{secs(m.Call.SetupDelay), fps(m.Call.FrameRate), m.Call.Resolution.Name}
+	default:
+		return []string{mbps(m.Iperf.Throughput.Mbpsf())}
+	}
+}
+
+// Run measures every point under every variant and renders the table; it is
+// the Runner of a registered sweep. Systems are built point by point, then
+// variant by variant, then page by page, with the point's options before the
+// variant's; a faulted trial seeds each system's injector by that order.
+func (s *Sweep) Run(cfg Config) (*Table, error) {
+	variants := []Variant{{}}
+	if s.Variants != nil {
+		variants = append([]Variant(nil), s.Variants...)
+	}
+	t := &Table{ID: s.ID, Title: s.Title, Columns: append([]string{s.Axis}, s.Columns...)}
+	var pages []*webpage.Page
+	for j, v := range variants {
+		if v.Workload.Kind == "" {
+			variants[j].Workload = s.Workload
 		}
-		t.AddRow(append([]string{pt.Label}, row...)...)
+		if variants[j].Workload.Kind == KindPage && pages == nil {
+			pages = takePages(cfg, s.Pages)
+		}
+		if s.Row == nil {
+			t.Columns = append(t.Columns, variants[j].Workload.columns()...)
+		}
+	}
+	for i, pt := range s.Points {
+		m := make([]Measure, len(variants))
+		for j, v := range variants {
+			var err error
+			m[j], err = v.Workload.measure(cfg, pt.Spec, pages, append(pt.Opts[:len(pt.Opts):len(pt.Opts)], v.Opts...))
+			if err != nil {
+				return nil, err
+			}
+		}
+		row := []string{pt.Label}
+		if s.Row != nil {
+			row = append(row, s.Row(i, m)...)
+		} else {
+			for j, v := range variants {
+				row = append(row, v.Workload.cells(m[j])...)
+			}
+		}
+		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes, s.Notes...)
 	return t, nil
-}
-
-// row measures one point and formats its metric cells.
-func (s *Sweep) row(cfg Config, pt Point, pages []*webpage.Page) ([]string, error) {
-	if s.Workload.Kind == KindPage {
-		plt, err := avgPLTOn(cfg, pt.Spec, pages, pt.Opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []string{meanStd(plt.Mean(), plt.Std())}, nil
-	}
-	res, err := s.Workload.Run(cfg, cfg.NewSystem(pt.Spec, pt.Opts...), nil)
-	if err != nil {
-		return nil, err
-	}
-	switch s.Workload.Kind {
-	case KindVideo:
-		m := res.Video
-		return []string{secs(m.StartupLatency), fmt.Sprintf("%.3f", m.StallRatio), m.Rung.Name}, nil
-	case KindCall:
-		m := res.Call
-		return []string{secs(m.SetupDelay), fps(m.FrameRate), m.Resolution.Name}, nil
-	default:
-		return []string{mbps(res.Iperf.Throughput.Mbpsf())}, nil
-	}
 }
 
 // registerSweep registers a sweep figure under the id its builder stamps.
@@ -186,6 +235,15 @@ func points[T any](spec device.Spec, fixed []core.Option, vals []T, label func(T
 func ClockPoints(spec device.Spec, fixed []core.Option, clocks []units.Freq) []Point {
 	return points(spec, fixed, clocks,
 		func(f units.Freq) string { return fmt.Sprintf("%.0f", f.MHz()) }, core.WithClock)
+}
+
+// clockVariants measures w at each clock, given in MHz.
+func clockVariants(w Workload, mhz ...float64) []Variant {
+	vs := make([]Variant, len(mhz))
+	for i, f := range mhz {
+		vs[i] = Variant{Workload: w, Opts: []core.Option{core.WithClock(units.MHz(f))}}
+	}
+	return vs
 }
 
 // RAMPoints sweeps memory capacity, labelled in GB.

@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	register("fig2a", "Web PLT across the seven devices (Fig. 2a)", fig2a)
+	registerSweep("Web PLT across the seven devices (Fig. 2a)", fig2a)
 	registerSweep("Web PLT vs clock frequency on the Nexus4 (Fig. 3a)", fig3a)
 	registerSweep("Web PLT vs memory capacity (Fig. 3b)", fig3b)
 	registerSweep("Web PLT vs number of cores (Fig. 3c)", fig3c)
@@ -41,10 +41,11 @@ func corpus(cfg Config) []*webpage.Page {
 // comparable cell for cell.
 func (c Config) Corpus() []*webpage.Page { return corpus(c) }
 
-// takePages returns at most n pages from the experiment's corpus subset.
+// takePages returns at most n pages (all of them for n = 0) from the
+// experiment's corpus subset.
 func takePages(cfg Config, n int) []*webpage.Page {
 	pages := corpus(cfg)
-	if len(pages) > n {
+	if n > 0 && len(pages) > n {
 		pages = pages[:n]
 	}
 	return pages
@@ -66,20 +67,15 @@ func avgPLTOn(cfg Config, spec device.Spec, pages []*webpage.Page, opts ...core.
 	return &s, nil
 }
 
-func fig2a(cfg Config) (*Table, error) {
-	t := &Table{ID: "fig2a", Title: "Web browsing PLT across devices (default governor)",
-		Columns: []string{"device", "cost$", "plt_s(mean±std)"}}
-	pages := corpus(cfg)
-	for _, spec := range device.Catalog() {
-		s, err := avgPLTOn(cfg, spec, pages)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(spec.Name, fmt.Sprintf("%d", spec.CostUSD), meanStd(s.Mean(), s.Std()))
-	}
-	t.Notes = append(t.Notes,
-		"paper shape: Intex ≈5x and Gionee ≈3x the Pixel2; Pixel2 beats the pricier S6-edge")
-	return t, nil
+func fig2a() *Sweep {
+	specs := device.Catalog()
+	return &Sweep{ID: "fig2a", Title: "Web browsing PLT across devices (default governor)",
+		Axis: "device", Workload: Workload{Kind: KindPage}, Points: DevicePoints(nil, specs),
+		Columns: []string{"cost$", "plt_s(mean±std)"},
+		Row: func(i int, m []Measure) []string {
+			return []string{fmt.Sprintf("%d", specs[i].CostUSD), meanStd(m[0].PLT.Mean(), m[0].PLT.Std())}
+		},
+		Notes: []string{"paper shape: Intex ≈5x and Gionee ≈3x the Pixel2; Pixel2 beats the pricier S6-edge"}}
 }
 
 func fig3a() *Sweep {
