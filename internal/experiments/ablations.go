@@ -97,17 +97,15 @@ func ablRPC(cfg Config) (*Table, error) {
 func ablEngine(cfg Config) (*Table, error) {
 	t := &Table{ID: "abl-engine", Title: "Regex engine steps: backtracking vs Pike VM",
 		Columns: []string{"workload", "bt_steps", "pike_steps", "bt/pike"}}
-	// Corpus workload: every regex call recorded on the sports pages.
+	// Corpus workload: every regex call counted on the sports pages.
 	var bt, pike int64
 	for _, p := range sportsPages(cfg) {
 		for _, r := range p.Resources {
 			if r.Type != webpage.JS {
 				continue
 			}
-			for _, call := range r.Profile().Calls {
-				bt += call.BTSteps
-				pike += call.PikeSteps
-			}
+			bt += r.Profile().Regex.BTSteps
+			pike += r.Profile().Regex.PikeSteps
 		}
 	}
 	t.AddRow("sports-page corpus", fmt.Sprintf("%d", bt), fmt.Sprintf("%d", pike),

@@ -143,12 +143,7 @@ func powerCDF(cfg Config, onDSP bool) *stats.CDF {
 				continue
 			}
 			if onDSP {
-				var steps int64
-				bytes := 0
-				for _, call := range prof.Calls {
-					steps += int64(float64(call.PikeSteps) * webpage.RegexRepeat)
-					bytes += int(float64(call.InputLen) * webpage.RegexRepeat)
-				}
+				steps, bytes := prof.RegexDSPWork()
 				queue = append(queue, func() { d.Call(steps, bytes, step) })
 			} else {
 				cycles := prof.RegexCPUCycles()

@@ -67,13 +67,44 @@ func priceRegex(pattern, input string, limit int64) (regexPrice, error) {
 	})
 }
 
-// CountingHost executes regexes with both engines and records every call.
-// It returns Pike VM results to the script (the engines agree on match
-// semantics; the Pike VM never blows up). When the backtracker hits its step
-// limit, the recorded BTSteps is the budget it burned — exactly the
-// pathological-cost case that motivates offloading to a linear-time engine.
-// Pricing goes through a process-wide memo; every call is still recorded.
+// RegexTotals sums a script's regex work, each evaluation priced on both
+// engines through the process-wide memo. As a RegexHost it returns Pike VM
+// results to the script (the engines agree on match semantics; the Pike VM
+// never blows up) and keeps no per-call record, so its size does not grow
+// with the number of calls. When the backtracker hits its step limit, the
+// counted BT steps are the budget it burned: exactly the pathological-cost
+// case that motivates offloading to a linear-time engine.
+type RegexTotals struct {
+	Count      int64 `json:"calls"`       // evaluations
+	BTSteps    int64 `json:"bt_steps"`    // backtracking-engine steps (CPU baseline)
+	PikeSteps  int64 `json:"pike_steps"`  // Pike-VM steps (DSP execution)
+	InputBytes int64 `json:"input_bytes"` // bytes of input scanned
+}
+
+// ExecRegex implements RegexHost, pricing the backtracker with rex's
+// default step limit.
+func (t *RegexTotals) ExecRegex(pattern, input string) (bool, int, int, error) {
+	r, err := t.price(pattern, input, 0)
+	return r.matched, r.start, r.end, err
+}
+
+// price prices one evaluation and, when the pattern compiles, adds it.
+func (t *RegexTotals) price(pattern, input string, limit int64) (regexPrice, error) {
+	r, err := priceRegex(pattern, input, limit)
+	if err != nil {
+		return regexPrice{}, err
+	}
+	t.Count++
+	t.BTSteps += r.btSteps
+	t.PikeSteps += r.pikeSteps
+	t.InputBytes += int64(len(input))
+	return r, nil
+}
+
+// CountingHost is a RegexTotals that also records every call, for callers
+// that look at calls one by one.
 type CountingHost struct {
+	RegexTotals
 	Calls []RegexCall
 	// BacktrackLimit bounds CPU-side pricing; 0 uses rex's default.
 	BacktrackLimit int64
@@ -84,7 +115,7 @@ func NewCountingHost() *CountingHost { return &CountingHost{} }
 
 // ExecRegex implements RegexHost.
 func (h *CountingHost) ExecRegex(pattern, input string) (bool, int, int, error) {
-	r, err := priceRegex(pattern, input, h.BacktrackLimit)
+	r, err := h.price(pattern, input, h.BacktrackLimit)
 	if err != nil {
 		return false, 0, 0, err
 	}
@@ -98,23 +129,14 @@ func (h *CountingHost) ExecRegex(pattern, input string) (bool, int, int, error) 
 	return r.matched, r.start, r.end, nil
 }
 
-// TotalBTSteps sums the CPU-engine steps across recorded calls.
-func (h *CountingHost) TotalBTSteps() int64 {
-	var t int64
-	for _, c := range h.Calls {
-		t += c.BTSteps
-	}
-	return t
-}
+// TotalBTSteps returns the CPU-engine steps across recorded calls.
+func (h *CountingHost) TotalBTSteps() int64 { return h.BTSteps }
 
-// TotalPikeSteps sums the DSP-engine steps across recorded calls.
-func (h *CountingHost) TotalPikeSteps() int64 {
-	var t int64
-	for _, c := range h.Calls {
-		t += c.PikeSteps
-	}
-	return t
-}
+// TotalPikeSteps returns the DSP-engine steps across recorded calls.
+func (h *CountingHost) TotalPikeSteps() int64 { return h.PikeSteps }
 
-// Reset clears recorded calls.
-func (h *CountingHost) Reset() { h.Calls = h.Calls[:0] }
+// Reset clears recorded calls and their totals.
+func (h *CountingHost) Reset() {
+	h.Calls = h.Calls[:0]
+	h.RegexTotals = RegexTotals{}
+}

@@ -55,7 +55,8 @@ func directCall(t testing.TB, pattern, input string, limit int64) (RegexCall, re
 }
 
 // checkParity runs one call through a CountingHost twice (a memo miss or
-// hit, then a hit) and compares each result and record with directCall.
+// hit, then a hit) and compares each result and record with directCall,
+// and the host's totals with the two records' sums.
 func checkParity(t testing.TB, pattern, input string, limit int64) {
 	t.Helper()
 	want, wr := directCall(t, pattern, input, limit)
@@ -72,6 +73,11 @@ func checkParity(t testing.TB, pattern, input string, limit int64) {
 		if got := h.Calls[i]; got != want {
 			t.Fatalf("%q on %q call %d: recorded %+v, want %+v", pattern, input, i, got, want)
 		}
+	}
+	sum := RegexTotals{Count: 2, BTSteps: 2 * want.BTSteps, PikeSteps: 2 * want.PikeSteps,
+		InputBytes: 2 * int64(len(input))}
+	if h.RegexTotals != sum {
+		t.Fatalf("%q on %q: totals %+v, want %+v", pattern, input, h.RegexTotals, sum)
 	}
 }
 
@@ -121,8 +127,8 @@ func TestRegexMemoInvalidPattern(t *testing.T) {
 			t.Fatalf("call %d: no error for %q", i, pattern)
 		}
 	}
-	if len(h.Calls) != 0 {
-		t.Fatalf("failed calls were recorded: %+v", h.Calls)
+	if len(h.Calls) != 0 || h.RegexTotals != (RegexTotals{}) {
+		t.Fatalf("failed calls were recorded: %+v, totals %+v", h.Calls, h.RegexTotals)
 	}
 	if _, ok := regexMemo.Get(regexKey{pattern, input, 0}); ok {
 		t.Fatal("a failed compile left a memo entry")

@@ -179,12 +179,12 @@ func TestCountingHostRecordsCalls(t *testing.T) {
 			t.Fatalf("steps not recorded: %+v", c)
 		}
 	}
-	if host.TotalBTSteps() <= 0 || host.TotalPikeSteps() <= 0 {
-		t.Fatal("totals not positive")
+	if host.TotalBTSteps() <= 0 || host.TotalPikeSteps() <= 0 || host.Count != 3 {
+		t.Fatalf("totals %+v", host.RegexTotals)
 	}
 	host.Reset()
-	if len(host.Calls) != 0 {
-		t.Fatal("Reset did not clear calls")
+	if len(host.Calls) != 0 || host.RegexTotals != (RegexTotals{}) {
+		t.Fatal("Reset did not clear calls and totals")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // Cost-conversion calibration. A generated script is a scaled-down stand-in
 // for a real page's JavaScript: each interpreter operation represents a
 // bundle of real work (interpreter dispatch, DOM API crossings, GC), and
-// each recorded regex call represents RegexRepeat real evaluations that the
+// each counted regex call represents RegexRepeat real evaluations that the
 // offload prototype batches into a single FastRPC invocation. The constants
 // are chosen so that the Alexa-like corpus reproduces the paper's absolute
 // scale: ~4–6 s PLT on the Nexus4 at full clock with scripting ≈51–60% of
@@ -20,7 +20,7 @@ const (
 	CyclesPerOp = 3000.0
 	// CyclesPerStrByte prices a byte of string traffic.
 	CyclesPerStrByte = 30.0
-	// RegexRepeat is how many real regex evaluations one recorded call
+	// RegexRepeat is how many real regex evaluations one counted call
 	// stands for. When offloaded, a script's entire regex workload is
 	// batched into a single FastRPC invocation (function-level offload, as
 	// in the paper's prototype).
@@ -35,11 +35,7 @@ func (p *Profile) PlainCycles() float64 {
 // RegexCPUCycles returns the CPU cost of all regex work (backtracking
 // engine), in reference cycles.
 func (p *Profile) RegexCPUCycles() float64 {
-	var steps int64
-	for _, c := range p.Calls {
-		steps += c.BTSteps
-	}
-	return dsp.CPUCycles(steps) * RegexRepeat
+	return dsp.CPUCycles(p.Regex.BTSteps) * RegexRepeat
 }
 
 // TotalCPUCycles is the whole script priced on the CPU.
@@ -61,22 +57,24 @@ func (p *Profile) RegexShare() float64 {
 // (function-level offload), so the RPC overhead is paid once per script.
 // Used by the ePLT re-evaluation.
 func (p *Profile) RegexDSPTime(d *dsp.DSP) time.Duration {
-	if len(p.Calls) == 0 {
+	if p.Regex.Count == 0 {
 		return 0
 	}
-	var steps int64
-	var bytes float64
-	for _, c := range p.Calls {
-		steps += int64(float64(c.PikeSteps) * RegexRepeat)
-		bytes += float64(c.InputLen) * RegexRepeat
-	}
+	steps, bytes := p.RegexDSPWork()
 	return d.ServiceTime(steps) + d.Config().RPCOverhead +
-		time.Duration(bytes/1024*float64(d.Config().MarshalPerKB))
+		time.Duration(float64(bytes)/1024*float64(d.Config().MarshalPerKB))
 }
 
-// NumRegexCalls returns the number of recorded regex evaluations (before
+// RegexDSPWork returns the Pike-VM steps and the input bytes of the
+// script's regex work, scaled by RegexRepeat: what one batched FastRPC call
+// ships to the DSP.
+func (p *Profile) RegexDSPWork() (steps int64, bytes int) {
+	return int64(float64(p.Regex.PikeSteps) * RegexRepeat), int(float64(p.Regex.InputBytes) * RegexRepeat)
+}
+
+// NumRegexCalls returns the number of counted regex evaluations (before
 // RegexRepeat scaling); when offloaded they travel in a single RPC.
-func (p *Profile) NumRegexCalls() int { return len(p.Calls) }
+func (p *Profile) NumRegexCalls() int { return int(p.Regex.Count) }
 
 // ScriptTime prices the full script on a CPU running at the given effective
 // rate (Hz × IPC), without offload.

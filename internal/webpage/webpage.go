@@ -111,6 +111,7 @@ type Profile struct {
 	Ops      int64
 	StrBytes int64
 	Calls    []script.RegexCall
+	Regex    script.RegexTotals
 }
 
 // Segment is a stretch of HTML the parser consumes between blocking points.
@@ -503,5 +504,5 @@ func profile(src string) *Profile {
 	st := in.Stats()
 	// Clone drops the append slack: a profile lives as long as any cached
 	// corpus that holds it.
-	return &Profile{Ops: st.Ops, StrBytes: st.StrBytes, Calls: slices.Clone(host.Calls)}
+	return &Profile{Ops: st.Ops, StrBytes: st.StrBytes, Calls: slices.Clone(host.Calls), Regex: host.RegexTotals}
 }

@@ -89,6 +89,13 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		n.End = n.Start + n.Duration
 		if jn.Ops > 0 || len(jn.Calls) > 0 {
 			n.Profile = &webpage.Profile{Ops: jn.Ops, StrBytes: jn.StrBytes, Calls: jn.Calls}
+			for _, c := range jn.Calls {
+				t := &n.Profile.Regex
+				t.Count++
+				t.BTSteps += c.BTSteps
+				t.PikeSteps += c.PikeSteps
+				t.InputBytes += int64(c.InputLen)
+			}
 		}
 		g.Nodes[i] = n
 	}
