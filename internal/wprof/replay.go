@@ -27,20 +27,26 @@ type jsonNode struct {
 	Deps       []int   `json:"deps,omitempty"`
 	MainThread bool    `json:"main_thread,omitempty"`
 	// Script cost profile (present on script nodes).
-	Ops      int64              `json:"ops,omitempty"`
-	StrBytes int64              `json:"str_bytes,omitempty"`
-	Calls    []script.RegexCall `json:"regex_calls,omitempty"`
+	Ops      int64               `json:"ops,omitempty"`
+	StrBytes int64               `json:"str_bytes,omitempty"`
+	Regex    *script.RegexTotals `json:"regex,omitempty"`
 }
+
+// graphVersion is the graph format WriteJSON writes and ReadJSON reads.
+// Version 2 keeps a script's regex work as totals, all that offload pricing
+// reads. Version 1 listed every regex call: a traced sports page exported
+// to 1.19 MB then and to 32 KB now.
+const graphVersion = 2
 
 type jsonGraph struct {
 	Version int        `json:"version"`
 	Nodes   []jsonNode `json:"nodes"`
 }
 
-// WriteJSON serializes the graph, including script regex profiles, so a
+// WriteJSON serializes the graph, including script regex totals, so a
 // replay can re-price offload decisions.
 func (g *Graph) WriteJSON(w io.Writer) error {
-	out := jsonGraph{Version: 1, Nodes: make([]jsonNode, 0, len(g.Nodes))}
+	out := jsonGraph{Version: graphVersion, Nodes: make([]jsonNode, 0, len(g.Nodes))}
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		jn := jsonNode{
@@ -51,7 +57,9 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		if n.Profile != nil {
 			jn.Ops = n.Profile.Ops
 			jn.StrBytes = n.Profile.StrBytes
-			jn.Calls = n.Profile.Calls
+			if n.Profile.Regex.Count > 0 {
+				jn.Regex = &n.Profile.Regex
+			}
 		}
 		out.Nodes = append(out.Nodes, jn)
 	}
@@ -67,8 +75,9 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("wprof: decoding graph: %w", err)
 	}
-	if in.Version != 1 {
-		return nil, fmt.Errorf("wprof: unsupported graph version %d", in.Version)
+	if in.Version != graphVersion {
+		return nil, fmt.Errorf("wprof: unsupported graph version %d, want %d: re-export the graph with this build",
+			in.Version, graphVersion)
 	}
 	g := &Graph{Nodes: make([]Node, len(in.Nodes))}
 	for i, jn := range in.Nodes {
@@ -87,14 +96,10 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 			Cycles:   jn.Cycles, Deps: jn.Deps, MainThread: jn.MainThread,
 		}
 		n.End = n.Start + n.Duration
-		if jn.Ops > 0 || len(jn.Calls) > 0 {
-			n.Profile = &webpage.Profile{Ops: jn.Ops, StrBytes: jn.StrBytes, Calls: jn.Calls}
-			for _, c := range jn.Calls {
-				t := &n.Profile.Regex
-				t.Count++
-				t.BTSteps += c.BTSteps
-				t.PikeSteps += c.PikeSteps
-				t.InputBytes += int64(c.InputLen)
+		if jn.Ops > 0 || jn.Regex != nil {
+			n.Profile = &webpage.Profile{Ops: jn.Ops, StrBytes: jn.StrBytes}
+			if jn.Regex != nil {
+				n.Profile.Regex = *jn.Regex
 			}
 		}
 		g.Nodes[i] = n

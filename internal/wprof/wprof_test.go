@@ -224,6 +224,12 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 	if len(back.Nodes) != len(g.Nodes) {
 		t.Fatalf("node count %d != %d", len(back.Nodes), len(g.Nodes))
 	}
+	for i, n := range g.Nodes {
+		if p, q := n.Profile, back.Nodes[i].Profile; (p == nil) != (q == nil) ||
+			p != nil && (p.Ops != q.Ops || p.StrBytes != q.StrBytes || p.Regex != q.Regex) {
+			t.Fatalf("node %d profile %+v read back as %+v", i, p, q)
+		}
+	}
 	// Replayed analyses must match the original graph's.
 	origPath := g.CriticalPath()
 	backPath := back.CriticalPath()
@@ -253,13 +259,24 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 func TestReadJSONRejectsGarbage(t *testing.T) {
 	cases := []string{
 		"not json",
-		`{"version": 2, "nodes": []}`,
-		`{"version": 1, "nodes": [{"id": 5}]}`,
-		`{"version": 1, "nodes": [{"id": 0, "deps": [3]}]}`,
+		`{"version": 3, "nodes": []}`,
+		`{"version": 2, "nodes": [{"id": 5}]}`,
+		`{"version": 2, "nodes": [{"id": 0, "deps": [3]}]}`,
 	}
 	for _, c := range cases {
 		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
 			t.Errorf("ReadJSON(%q) succeeded, want error", c)
 		}
+	}
+}
+
+// TestReadJSONRefusesVersion1: a version 1 export listed every regex call;
+// it is refused with a hint to re-export rather than read as zero regex work.
+func TestReadJSONRefusesVersion1(t *testing.T) {
+	v1 := `{"version": 1, "nodes": [{"id": 0, "kind": "script", "ops": 10,
+		"regex_calls": [{"Pattern": "a", "InputLen": 3, "BTSteps": 4, "PikeSteps": 5}]}]}`
+	_, err := ReadJSON(strings.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "re-export") {
+		t.Fatalf("ReadJSON(version 1) = %v, want a re-export error", err)
 	}
 }
