@@ -22,7 +22,6 @@ package webpage
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -110,7 +109,6 @@ func (l *lazyProfile) get() *Profile {
 type Profile struct {
 	Ops      int64
 	StrBytes int64
-	Calls    []script.RegexCall
 	Regex    script.RegexTotals
 }
 
@@ -469,22 +467,26 @@ func (g *generator) filler() string {
 // onto one execution via the cache's singleflight loader. A loaded cell
 // keeps its profile alive, so an eviction frees nothing while its page is
 // cached, and a later first use of that source in another corpus makes a
-// second copy. The byte cap (about 2.8M recorded calls) is therefore set so
-// serving a few dozen distinct cold corpora evicts few profiles.
+// second copy. A profile keeps its regex work as totals, so every profile
+// costs the same 112 bytes and the entry cap is the bound: 8192 profiles
+// are under a megabyte. The source text an entry is keyed by is its
+// resource's string, charged to the corpus cache while that corpus is
+// cached and to no cache after.
 var profileCache = cache.New[string, *Profile](cache.Config{
 	Name:       "webpage.profiles",
 	MaxEntries: 8192,
-	MaxBytes:   128 << 20,
 })
+
+// profileBytes is what one cached profile is charged: the struct and the
+// cache's entry overhead.
+const profileBytes = 64 + int64(unsafe.Sizeof(Profile{}))
 
 // profileScript returns src's profile through profileCache, running the
 // script once per distinct source. The returned Profile is shared and must
 // be treated as immutable by callers (all current consumers only read it).
 func profileScript(src string) *Profile {
 	prof, err := profileCache.GetOrLoad(src, func() (*Profile, int64, error) {
-		p := profile(src)
-		bytes := 64 + int64(unsafe.Sizeof(script.RegexCall{}))*int64(cap(p.Calls))
-		return p, bytes, nil
+		return profile(src), profileBytes, nil
 	})
 	if err != nil {
 		panic(err)
@@ -492,17 +494,16 @@ func profileScript(src string) *Profile {
 	return prof
 }
 
-// profile parses and executes src against a recording host, uncached,
-// and returns the work it did.
+// profile parses and executes src, uncached, and returns the work it did.
+// The profile's own regex totals are the script's regex host.
 func profile(src string) *Profile {
 	prog := script.MustParse(src)
-	host := script.NewCountingHost()
-	in := script.New(script.Config{Host: host})
+	p := &Profile{}
+	in := script.New(script.Config{Host: &p.Regex})
 	if err := in.Run(prog); err != nil {
 		panic(fmt.Sprintf("webpage: generated script failed: %v\n%s", err, src))
 	}
 	st := in.Stats()
-	// Clone drops the append slack: a profile lives as long as any cached
-	// corpus that holds it.
-	return &Profile{Ops: st.Ops, StrBytes: st.StrBytes, Calls: slices.Clone(host.Calls), Regex: host.RegexTotals}
+	p.Ops, p.StrBytes = st.Ops, st.StrBytes
+	return p
 }

@@ -1,11 +1,9 @@
 package webpage
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"mobileqoe/internal/cache"
 
@@ -303,7 +301,7 @@ func TestCorpusIdenticalAcrossEviction(t *testing.T) {
 				if pa == pb {
 					t.Fatalf("page %d resource %d: profile served from cache, not re-run", i, j)
 				}
-				if pa.Ops != pb.Ops || pa.StrBytes != pb.StrBytes || !slices.Equal(pa.Calls, pb.Calls) {
+				if *pa != *pb {
 					t.Fatalf("page %d resource %d: profile differs after eviction", i, j)
 				}
 			}
@@ -325,10 +323,8 @@ func TestTop50WorkPinned(t *testing.T) {
 			}
 			ops += prof.Ops
 			strBytes += prof.StrBytes
-			calls += int64(len(prof.Calls))
-			for _, c := range prof.Calls {
-				steps += c.PikeSteps + c.BTSteps
-			}
+			calls += prof.Regex.Count
+			steps += prof.Regex.PikeSteps + prof.Regex.BTSteps
 		}
 	}
 	if ops != 23380920 || strBytes != 67350853 || calls != 231894 || steps != 102678251 {
@@ -337,16 +333,59 @@ func TestTop50WorkPinned(t *testing.T) {
 	}
 }
 
-// TestProfileCacheChargesCallBytes: a cached profile costs its recorded
-// regex calls at their real size, over the slice's capacity.
-func TestProfileCacheChargesCallBytes(t *testing.T) {
+// TestProfileCacheChargesFixedBytes: a cached profile costs the same
+// whatever number of regex calls its script made.
+func TestProfileCacheChargesFixedBytes(t *testing.T) {
 	old := profileCache
 	profileCache = cache.New[string, *Profile](cache.Config{MaxEntries: 4})
 	defer func() { profileCache = old }()
-	p := profileScript(`var n = 0; for (var i = 0; i < 5; i++) { if ("ads/x".test("ads")) { n++; } }`)
-	want := 64 + int64(unsafe.Sizeof(script.RegexCall{}))*int64(cap(p.Calls))
-	if got := profileCache.Stats().Bytes; len(p.Calls) != 5 || got != want {
-		t.Fatalf("%d calls charged %d bytes, want %d", len(p.Calls), got, want)
+	for i, src := range []string{
+		`var n = 0;`,
+		`var n = 0; for (var i = 0; i < 5; i++) { if ("ads/x".test("ads")) { n++; } }`,
+		`var n = 0; for (var i = 0; i < 500; i++) { if ("ads/x".test("ads")) { n++; } }`,
+	} {
+		p := profileScript(src)
+		if want := []int64{0, 5, 500}[i]; p.Regex.Count != want {
+			t.Fatalf("script %d counted %d regex calls, want %d", i, p.Regex.Count, want)
+		}
+		if got, want := profileCache.Stats().Bytes, int64(i+1)*profileBytes; got != want {
+			t.Fatalf("after %d profiles the cache charges %d bytes, want %d", i+1, got, want)
+		}
+	}
+}
+
+// TestProfileTotalsMatchRecordedCalls: every Top50(1) script profile's
+// regex totals equal the per-call sums of a recording CountingHost run over
+// the same script.
+func TestProfileTotalsMatchRecordedCalls(t *testing.T) {
+	n := 0
+	for _, p := range Top50(1) {
+		for i := range p.Resources {
+			r := &p.Resources[i]
+			prof := r.Profile()
+			if prof == nil {
+				continue
+			}
+			host := script.NewCountingHost()
+			if err := script.New(script.Config{Host: host}).Run(script.MustParse(r.ScriptSrc)); err != nil {
+				t.Fatal(err)
+			}
+			var sum script.RegexTotals
+			for _, c := range host.Calls {
+				sum.Count++
+				sum.BTSteps += c.BTSteps
+				sum.PikeSteps += c.PikeSteps
+				sum.InputBytes += int64(c.InputLen)
+			}
+			if prof.Regex != sum || host.RegexTotals != sum {
+				t.Fatalf("%s %s: profile totals %+v, host totals %+v, recorded calls sum to %+v",
+					p.Name, r.URL, prof.Regex, host.RegexTotals, sum)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no script profiles in Top50(1)")
 	}
 }
 
