@@ -127,8 +127,28 @@ type frame struct {
 	parent *frame
 }
 
+// newFrame returns a frame of n unset slots. Nearly every scope declares
+// one or two names; those frames hold their slots inline, so entering the
+// scope costs one allocation, not two.
 func newFrame(parent *frame, n int) *frame {
-	f := &frame{slots: make([]Value, n), parent: parent}
+	var f *frame
+	switch n {
+	case 1:
+		sf := &struct {
+			frame
+			buf [1]Value
+		}{}
+		sf.slots, f = sf.buf[:], &sf.frame
+	case 2:
+		sf := &struct {
+			frame
+			buf [2]Value
+		}{}
+		sf.slots, f = sf.buf[:], &sf.frame
+	default:
+		f = &frame{slots: make([]Value, n)}
+	}
+	f.parent = parent
 	for i := range f.slots {
 		f.slots[i] = unset
 	}
