@@ -33,9 +33,9 @@ type jsonNode struct {
 }
 
 // graphVersion is the graph format WriteJSON writes and ReadJSON reads.
-// Version 2 keeps a script's regex work as totals, all that offload pricing
-// reads. Version 1 listed every regex call: a traced sports page exported
-// to 1.19 MB then and to 32 KB now.
+// Version 2 keeps a script's regex work as totals, which is all offload
+// pricing reads; older files carry per-call records and must be exported
+// again.
 const graphVersion = 2
 
 type jsonGraph struct {
