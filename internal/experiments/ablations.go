@@ -104,8 +104,9 @@ func ablEngine(cfg Config) (*Table, error) {
 			if r.Type != webpage.JS {
 				continue
 			}
-			bt += r.Profile().Regex.BTSteps
-			pike += r.Profile().Regex.PikeSteps
+			reg := r.Profile().Regex
+			bt += reg.BTSteps
+			pike += reg.PikeSteps
 		}
 	}
 	t.AddRow("sports-page corpus", fmt.Sprintf("%d", bt), fmt.Sprintf("%d", pike),
