@@ -358,7 +358,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				ev.Elapsed.Round(time.Millisecond), status)
 		})
 	}
-	ropts := runner.Options{Parallel: *parallel, Timeout: *timeout, Retries: *retries,
+	ropts := runner.Options{Parallel: *parallel, Retries: *retries,
 		Trace: ex != nil || combined != nil || perCell}
 	if len(hooks) > 0 {
 		ropts.Progress = func(ev runner.Event) {
@@ -370,8 +370,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if obs != nil {
 		ropts.Stream = obs.Stream
 	}
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	start := time.Now()
-	results, err := engine.ExecutePlan(context.Background(), plan, ropts)
+	results, err := engine.ExecutePlan(ctx, plan, ropts)
 	exit := 0
 	if ex != nil {
 		if code := writeExemplars(ex, *exemOut, obs, stderr); code != 0 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,5 +141,21 @@ func TestScenarioBuiltinFaultPlan(t *testing.T) {
 	}
 	if inFile != byFlag {
 		t.Fatalf("fault_plan default differs from -faults default:\n--- file ---\n%s\n--- flag ---\n%s", inFile, byFlag)
+	}
+}
+
+// TestTimeoutNamesUnstartedTrials: -timeout bounds the run through its
+// context, so an already-expired deadline starts no trial and each one is
+// reported by name.
+func TestTimeoutNamesUnstartedTrials(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-run", "fig3a", "-pages", "1", "-trials", "3", "-parallel", "1", "-timeout", "1ns")
+	if code != 1 || stdout != "" {
+		t.Fatalf("exit %d, stdout %q; want exit 1 and no table", code, stdout)
+	}
+	for trial := 0; trial < 3; trial++ {
+		want := fmt.Sprintf("fig3a trial %d: not started: context deadline exceeded", trial)
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
 	}
 }

@@ -155,17 +155,10 @@ func (r *Runner) runTuple(i int, sh *ShardResult) {
 // may fail or panic in the attempt's place (see export_test.go).
 var shardHook func(ctx context.Context, shard, attempt int) error
 
-// runShardAttempt executes shard k's whole tuple range. Panics anywhere in
-// the simulation stack are contained to the attempt (the supervisor decides
-// whether to retry). Cancellation is checked between tuples — tuples are
-// milliseconds, so an interrupt lands promptly without tearing a tuple.
-func runShardAttempt(ctx context.Context, r *Runner, k, attempt int) (res *ShardResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res = nil
-			err = fmt.Errorf("fleet: shard %d attempt %d panic: %v", k, attempt, p)
-		}
-	}()
+// runShardAttempt executes shard k's whole tuple range. Cancellation is
+// checked between tuples — tuples are milliseconds, so an interrupt lands
+// promptly without tearing a tuple.
+func runShardAttempt(ctx context.Context, r *Runner, k, attempt int) (*ShardResult, error) {
 	if shardHook != nil {
 		if err := shardHook(ctx, k, attempt); err != nil {
 			return nil, err

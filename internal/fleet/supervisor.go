@@ -3,19 +3,15 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mobileqoe/internal/runner"
 )
 
 // Options tunes the shard supervisor. The zero value is usable: GOMAXPROCS
-// workers, no shard timeout, no retries, breaker at the default threshold.
-// Nothing here can affect results — only scheduling, durability, and
-// reporting.
+// workers, no shard timeout, no retries. Nothing here can affect results —
+// only scheduling, durability, and reporting.
 type Options struct {
 	// Parallel is the worker count (<=0: GOMAXPROCS, capped at the shard
 	// count).
@@ -24,18 +20,9 @@ type Options struct {
 	// out attempt counts as a failure and retries like any other.
 	ShardTimeout time.Duration
 	// Retries is how many times a failed shard is re-attempted beyond the
-	// first try (total attempts = Retries+1).
+	// first try (total attempts = Retries+1), after runner.Pool's capped
+	// exponential backoff (100ms doubling to 5s).
 	Retries int
-	// BackoffBase/BackoffCap shape the exponential backoff between attempts
-	// (defaults 100ms base, 5s cap).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// Breaker trips the circuit after this many CONSECUTIVE permanently-
-	// failed shards: remaining shards are skipped (recorded, not run), on
-	// the theory that an environment failing every shard will fail the rest
-	// too. 0: default (8); negative: disabled. A single success resets the
-	// count, closing the breaker.
-	Breaker int
 	// StopAfter, when >0, cancels the run after that many FRESH shard
 	// completions — exactly as if the process had been interrupted then.
 	// It exists so tests and CI can exercise the kill-mid-run path
@@ -45,16 +32,17 @@ type Options struct {
 	// BEFORE its completion is announced — the checkpoint-durability hook.
 	// An error is treated as a failure of the attempt (the shard retries).
 	OnComplete func(*ShardResult) error
-	// Progress receives one event per shard in COMPLETION order, as it
-	// happens — for live UIs (ETA bars).
-	Progress func(Event)
-	// Stream receives one event per shard in SHARD-INDEX order (contiguous-
-	// prefix sequencing, like runner.Options.Stream) — for run logs, whose
-	// cell order must be deterministic.
-	Stream func(Event)
+	// Progress receives one event per shard in COMPLETION order, for live
+	// UIs (ETA bars); Stream in SHARD-INDEX order, for run logs, whose cell
+	// order must be deterministic (see runner.Pool).
+	Progress, Stream func(Event)
 }
 
-const defaultBreaker = 8
+// breakerThreshold trips the circuit after this many CONSECUTIVE
+// permanently-failed shards: remaining shards are skipped (recorded, not
+// run), on the theory that an environment failing every shard will fail the
+// rest too. A single success resets the count, closing the breaker.
+const breakerThreshold = 8
 
 // Event reports one shard's outcome. Exactly one event is emitted per
 // shard — restored, completed, failed, skipped, or aborted — so a Stream
@@ -105,209 +93,100 @@ type RunResult struct {
 	Interrupted bool
 }
 
-// Run supervises the fleet: restored shards are announced first (in index
-// order), then workers draw the remaining shards from a shared counter.
-// Each shard gets per-attempt timeouts, panic containment (runShardAttempt
-// recovers), bounded retries with capped exponential backoff, and a
-// consecutive-failure circuit breaker. Cancellation of ctx (signal,
-// StopAfter) stops cleanly: in-flight attempts abort between tuples,
-// un-run shards emit abort events, and the function returns with
-// Interrupted set — it never abandons events mid-sequence.
+// Run supervises the fleet on a runner.Pool: restored shards are announced
+// first (in index order), then workers draw the remaining shards. Each shard
+// gets per-attempt timeouts, panic containment, bounded retries with capped
+// exponential backoff, and a consecutive-failure circuit breaker.
+// Cancellation of ctx (signal, StopAfter) stops cleanly: in-flight attempts
+// abort between tuples, un-run shards emit abort events, and the function
+// returns with Interrupted set — it never abandons events mid-sequence.
 func Run(parent context.Context, r *Runner, restored map[int]*ShardResult, opts Options) *RunResult {
 	spec := r.Spec()
-	total := spec.Shards
-	par := opts.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > total {
-		par = total
-	}
-	backoffBase := opts.BackoffBase
-	if backoffBase <= 0 {
-		backoffBase = 100 * time.Millisecond
-	}
-	backoffCap := opts.BackoffCap
-	if backoffCap <= 0 {
-		backoffCap = 5 * time.Second
-	}
-	breaker := opts.Breaker
-	if breaker == 0 {
-		breaker = defaultBreaker
-	}
-	maxAttempts := opts.Retries + 1
-
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
-	res := &RunResult{}
-	var (
-		mu            sync.Mutex // guards res, counters, and event emission
-		doneCount     int
-		consecFailed  int
-		stopRequested bool
-	)
-
-	var seq *runner.Inorder[Event]
-	if opts.Stream != nil {
-		seq = runner.NewInorder(total, func(ev Event) {
-			ev.Done = seq.Flushed()
-			opts.Stream(ev)
-		})
-	}
-
-	// emitLocked announces one shard outcome; callers hold mu so state
-	// updates and their announcement are one atomic step.
-	emitLocked := func(ev Event) {
-		doneCount++
-		ev.Total = total
-		ev.Done = doneCount
-		if opts.Progress != nil {
-			opts.Progress(ev)
-		}
-		if seq != nil {
-			seq.Put(ev.Shard, ev)
-		}
-	}
-
-	mu.Lock()
-	for _, k := range sortedKeys(restored) {
-		sh := restored[k]
-		res.Results = append(res.Results, sh)
-		res.Restored++
-		emitLocked(Event{
-			Shard: k, Start: sh.Start, End: sh.End,
-			Restored: true, Tuples: sh.Tuples, TuplesFailed: sh.TuplesFailed,
-			Result: sh,
-		})
-	}
-	mu.Unlock()
-
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&next, 1))
-				if k >= total {
-					return
-				}
-				if restored[k] != nil {
-					continue // already announced above
-				}
-				start, end := ShardRange(spec.Population, spec.Shards, k)
-
-				if err := ctx.Err(); err != nil {
-					// Canceled before this shard started: announce the
-					// abort so the event sequence stays complete, but it is
-					// neither a failure nor a skip — resume will run it.
-					mu.Lock()
-					emitLocked(Event{Shard: k, Start: start, End: end,
-						Err: fmt.Errorf("fleet: shard %d not run: %w", k, err)})
-					mu.Unlock()
-					continue
-				}
-
-				mu.Lock()
-				tripped := breaker > 0 && consecFailed >= breaker
-				nFailed := consecFailed
-				mu.Unlock()
-				if tripped {
-					mu.Lock()
-					res.Skipped++
-					emitLocked(Event{Shard: k, Start: start, End: end, Skipped: true,
-						Err: fmt.Errorf("fleet: shard %d skipped: circuit breaker open after %d consecutive shard failures", k, nFailed)})
-					mu.Unlock()
-					continue
-				}
-
-				began := time.Now()
-				var sh *ShardResult
-				var lastErr error
-				attempts := 0
-				for a := 1; a <= maxAttempts; a++ {
-					attempts = a
-					actx := ctx
-					acancel := context.CancelFunc(func() {})
-					if opts.ShardTimeout > 0 {
-						actx, acancel = context.WithTimeout(ctx, opts.ShardTimeout)
-					}
-					sh, lastErr = runShardAttempt(actx, r, k, a)
-					acancel()
-					if lastErr == nil {
-						sh.Attempts = attempts
-						sh.WallMS = float64(time.Since(began)) / float64(time.Millisecond)
-						if opts.OnComplete != nil {
-							if cerr := opts.OnComplete(sh); cerr != nil {
-								lastErr = fmt.Errorf("fleet: shard %d attempt %d checkpoint: %w", k, a, cerr)
-								sh = nil
-							}
-						}
-					}
-					if lastErr == nil {
-						break
-					}
-					if ctx.Err() != nil {
-						break // canceled: aborting, not retrying
-					}
-					if a < maxAttempts {
-						d := backoffBase << (a - 1)
-						if d > backoffCap || d <= 0 {
-							d = backoffCap
-						}
-						select {
-						case <-time.After(d):
-						case <-ctx.Done():
-						}
-					}
-				}
-				elapsed := time.Since(began)
-
-				mu.Lock()
-				switch {
-				case lastErr == nil:
-					consecFailed = 0
-					res.Completed++
-					res.Results = append(res.Results, sh)
-					emitLocked(Event{Shard: k, Start: start, End: end,
-						Attempt: attempts, Tuples: sh.Tuples, TuplesFailed: sh.TuplesFailed,
-						Elapsed: elapsed, Result: sh})
-					if opts.StopAfter > 0 && res.Completed >= opts.StopAfter && !stopRequested {
-						stopRequested = true
-						cancel()
-					}
-				case ctx.Err() != nil:
-					// Aborted by cancellation mid-shard: not a failure.
-					emitLocked(Event{Shard: k, Start: start, End: end,
-						Attempt: attempts, Elapsed: elapsed,
-						Err: fmt.Errorf("fleet: shard %d aborted: %w", k, lastErr)})
-				default:
-					consecFailed++
-					res.Failed++
-					res.Failures = append(res.Failures, ShardFailure{Shard: k, Attempts: attempts, Err: lastErr})
-					emitLocked(Event{Shard: k, Start: start, End: end,
-						Attempt: attempts, Elapsed: elapsed, Err: lastErr})
-				}
-				mu.Unlock()
+	var mu sync.Mutex // guards the two counts the workers' hooks share
+	completed, consecFailed := 0, 0
+	began := make([]time.Time, spec.Shards) // each shard's first attempt, for WallMS
+	pool := runner.Pool[*ShardResult]{N: spec.Shards, Workers: opts.Parallel,
+		Retries: opts.Retries, Timeout: opts.ShardTimeout,
+		Attempt: func(ctx context.Context, k, attempt int) (*ShardResult, error) {
+			if attempt == 0 {
+				began[k] = time.Now()
 			}
-		}()
+			sh, err := runShardAttempt(ctx, r, k, attempt)
+			if err != nil {
+				return nil, err
+			}
+			sh.Attempts = attempt + 1
+			sh.WallMS = float64(time.Since(began[k])) / float64(time.Millisecond)
+			if opts.OnComplete != nil {
+				if err := opts.OnComplete(sh); err != nil {
+					return nil, fmt.Errorf("fleet: shard %d attempt %d checkpoint: %w", k, attempt, err)
+				}
+			}
+			return sh, nil
+		},
+		Restored: func(k int) (*ShardResult, bool) { return restored[k], restored[k] != nil },
+		Skip: func(k int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if consecFailed < breakerThreshold {
+				return nil
+			}
+			return fmt.Errorf("fleet: shard %d skipped: circuit breaker open after %d consecutive shard failures", k, consecFailed)
+		},
+		// Settle runs before the worker draws its next shard, so StopAfter
+		// cancels before another shard can start and the breaker sees every
+		// failure. Aborted and unstarted shards are not failures: resume
+		// runs them.
+		Settle: func(o *runner.Outcome[*ShardResult]) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch o.Status {
+			case runner.CellOK:
+				consecFailed = 0
+				if completed++; completed == opts.StopAfter {
+					cancel()
+				}
+			case runner.CellFailed:
+				consecFailed++
+			}
+		},
 	}
-	wg.Wait()
+	event := func(o runner.Outcome[*ShardResult]) Event {
+		start, end := ShardRange(spec.Population, spec.Shards, o.Index)
+		ev := Event{Shard: o.Index, Start: start, End: end, Attempt: o.Attempt,
+			Restored: o.Status == runner.CellRestored, Skipped: o.Status == runner.CellSkipped,
+			Err: o.Err, Done: o.Done, Total: o.Total, Elapsed: o.Elapsed, Result: o.Value}
+		if o.Value != nil {
+			ev.Tuples, ev.TuplesFailed = o.Value.Tuples, o.Value.TuplesFailed
+		}
+		if o.Status <= runner.CellAborted {
+			ev.Attempt++ // attempts consumed
+		}
+		return ev
+	}
+	if opts.Progress != nil {
+		pool.Progress = func(o runner.Outcome[*ShardResult]) { opts.Progress(event(o)) }
+	}
+	if opts.Stream != nil {
+		pool.Stream = func(o runner.Outcome[*ShardResult]) { opts.Stream(event(o)) }
+	}
 
-	res.Interrupted = (parent.Err() != nil || stopRequested) &&
-		res.Completed+res.Restored < total
-	sort.Slice(res.Results, func(i, j int) bool { return res.Results[i].Shard < res.Results[j].Shard })
+	res := &RunResult{Restored: len(restored)}
+	for _, o := range pool.Run(ctx) {
+		switch o.Status {
+		case runner.CellOK, runner.CellRestored:
+			res.Results = append(res.Results, o.Value)
+		case runner.CellFailed:
+			res.Failures = append(res.Failures, ShardFailure{Shard: o.Index, Attempts: o.Attempt + 1, Err: o.Err})
+		case runner.CellSkipped:
+			res.Skipped++
+		}
+	}
+	res.Completed, res.Failed = completed, len(res.Failures)
+	res.Interrupted = ctx.Err() != nil && res.Completed+res.Restored < spec.Shards
 	res.Merged = MergeShards(res.Results)
 	return res
-}
-
-func sortedKeys(m map[int]*ShardResult) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

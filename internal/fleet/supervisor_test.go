@@ -31,12 +31,6 @@ func supSpec(t *testing.T, shards int) *Runner {
 	return r
 }
 
-func fastBackoff(o Options) Options {
-	o.BackoffBase = time.Millisecond
-	o.BackoffCap = 2 * time.Millisecond
-	return o
-}
-
 func TestPanicContainedAndRetried(t *testing.T) {
 	r := supSpec(t, 3)
 	var mu sync.Mutex
@@ -45,12 +39,12 @@ func TestPanicContainedAndRetried(t *testing.T) {
 		mu.Lock()
 		tried[shard]++
 		mu.Unlock()
-		if shard == 1 && attempt == 1 {
+		if shard == 1 && attempt == 0 {
 			panic("injected shard panic")
 		}
 		return nil
 	})()
-	res := Run(context.Background(), r, nil, fastBackoff(Options{Parallel: 1, Retries: 2}))
+	res := Run(context.Background(), r, nil, Options{Parallel: 1, Retries: 2})
 	if res.Completed != 3 || res.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d failures=%v", res.Completed, res.Failed, res.Failures)
 	}
@@ -78,10 +72,10 @@ func TestRetriesExhaustedRecordsFailure(t *testing.T) {
 		return nil
 	})()
 	var events []Event
-	res := Run(context.Background(), r, nil, fastBackoff(Options{
+	res := Run(context.Background(), r, nil, Options{
 		Parallel: 1, Retries: 1,
 		Stream: func(ev Event) { events = append(events, ev) },
-	}))
+	})
 	if res.Completed != 2 || res.Failed != 1 || res.Interrupted {
 		t.Fatalf("completed=%d failed=%d interrupted=%v", res.Completed, res.Failed, res.Interrupted)
 	}
@@ -113,21 +107,21 @@ func TestRetriesExhaustedRecordsFailure(t *testing.T) {
 }
 
 func TestCircuitBreakerSkipsAfterConsecutiveFailures(t *testing.T) {
-	r := supSpec(t, 6)
+	r := supSpec(t, 12)
 	defer SetShardHook(func(ctx context.Context, shard, attempt int) error {
 		return errors.New("environment is on fire")
 	})()
 	var skipped []int
-	res := Run(context.Background(), r, nil, fastBackoff(Options{
-		Parallel: 1, Breaker: 2,
+	res := Run(context.Background(), r, nil, Options{
+		Parallel: 1,
 		Progress: func(ev Event) {
 			if ev.Skipped {
 				skipped = append(skipped, ev.Shard)
 			}
 		},
-	}))
-	if res.Failed != 2 || res.Skipped != 4 || res.Completed != 0 {
-		t.Fatalf("failed=%d skipped=%d completed=%d, want 2/4/0", res.Failed, res.Skipped, res.Completed)
+	})
+	if res.Failed != 8 || res.Skipped != 4 || res.Completed != 0 {
+		t.Fatalf("failed=%d skipped=%d completed=%d, want 8/4/0", res.Failed, res.Skipped, res.Completed)
 	}
 	if len(skipped) != 4 {
 		t.Fatalf("skip events for shards %v, want 4 of them", skipped)
@@ -138,32 +132,33 @@ func TestCircuitBreakerSkipsAfterConsecutiveFailures(t *testing.T) {
 }
 
 func TestBreakerResetsOnSuccess(t *testing.T) {
-	r := supSpec(t, 6)
+	r := supSpec(t, 17)
 	defer SetShardHook(func(ctx context.Context, shard, attempt int) error {
-		if shard%2 == 0 {
+		if shard != 7 {
 			return errors.New("flaky")
 		}
 		return nil
 	})()
-	// Alternating fail/ok never reaches 2 consecutive failures.
-	res := Run(context.Background(), r, nil, fastBackoff(Options{Parallel: 1, Breaker: 2}))
-	if res.Skipped != 0 || res.Failed != 3 || res.Completed != 3 {
-		t.Fatalf("skipped=%d failed=%d completed=%d, want 0/3/3", res.Skipped, res.Failed, res.Completed)
+	// Shard 7's success after 7 failures resets the count, so shards 8..15
+	// are the next 8 consecutive failures and only shard 16 is skipped.
+	res := Run(context.Background(), r, nil, Options{Parallel: 1})
+	if res.Skipped != 1 || res.Failed != 15 || res.Completed != 1 {
+		t.Fatalf("skipped=%d failed=%d completed=%d, want 1/15/1", res.Skipped, res.Failed, res.Completed)
 	}
 }
 
 func TestShardTimeoutRetries(t *testing.T) {
 	r := supSpec(t, 2)
 	defer SetShardHook(func(ctx context.Context, shard, attempt int) error {
-		if shard == 0 && attempt == 1 {
+		if shard == 0 && attempt == 0 {
 			<-ctx.Done() // hang until the per-attempt timeout fires
 			return ctx.Err()
 		}
 		return nil
 	})()
-	res := Run(context.Background(), r, nil, fastBackoff(Options{
+	res := Run(context.Background(), r, nil, Options{
 		Parallel: 1, Retries: 1, ShardTimeout: 20 * time.Millisecond,
-	}))
+	})
 	if res.Completed != 2 || res.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d failures=%v", res.Completed, res.Failed, res.Failures)
 	}
@@ -223,7 +218,7 @@ func TestOnCompleteErrorRetriesShard(t *testing.T) {
 	r := supSpec(t, 2)
 	var mu sync.Mutex
 	calls := 0
-	res := Run(context.Background(), r, nil, fastBackoff(Options{
+	res := Run(context.Background(), r, nil, Options{
 		Parallel: 1, Retries: 1,
 		OnComplete: func(sh *ShardResult) error {
 			mu.Lock()
@@ -234,7 +229,7 @@ func TestOnCompleteErrorRetriesShard(t *testing.T) {
 			}
 			return nil
 		},
-	}))
+	})
 	if res.Completed != 2 || res.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d failures=%v", res.Completed, res.Failed, res.Failures)
 	}

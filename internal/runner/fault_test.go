@@ -180,8 +180,8 @@ func TestCancelMidRunMergesCompletedCellsDeterministically(t *testing.T) {
 	}
 }
 
-// TestTimeoutErrorNamesUnstartedCell drives Options.Timeout (rather than an
-// external cancel) and checks the abandoned cells' errors identify the
+// TestTimeoutErrorNamesUnstartedCell drives a context deadline (rather than
+// an explicit cancel) and checks the abandoned cells' errors identify the
 // experiment and trial that never ran.
 func TestTimeoutErrorNamesUnstartedCell(t *testing.T) {
 	block := make(chan struct{})
@@ -199,8 +199,9 @@ func TestTimeoutErrorNamesUnstartedCell(t *testing.T) {
 	cfg.Trials = 2
 	done := make(chan []runner.Result, 1)
 	go func() {
-		res, _ := runner.Run(context.Background(), []string{"fig3d"}, cfg,
-			runner.Options{Parallel: 1, Timeout: 100 * time.Millisecond})
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		res, _ := runner.Run(ctx, []string{"fig3d"}, cfg, runner.Options{Parallel: 1})
 		done <- res
 	}()
 	time.Sleep(300 * time.Millisecond)

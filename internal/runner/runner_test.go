@@ -130,8 +130,9 @@ func TestUnknownExperimentIsPerResultError(t *testing.T) {
 func TestTimeoutAbandonsQueuedCells(t *testing.T) {
 	cfg := quick()
 	cfg.Trials = 4
-	res, err := runner.Run(context.Background(), []string{"fig3d", "abl-hwdecoder"}, cfg,
-		runner.Options{Parallel: 1, Timeout: time.Nanosecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	res, err := runner.Run(ctx, []string{"fig3d", "abl-hwdecoder"}, cfg, runner.Options{Parallel: 1})
 	if err == nil {
 		t.Fatal("expected a deadline error")
 	}
