@@ -50,8 +50,8 @@ const breakerThreshold = 8
 type Event struct {
 	Shard      int
 	Start, End int
-	// Attempt is the attempt count consumed (0 for restored/skipped/aborted
-	// before any attempt).
+	// Attempt is the attempt the outcome came from (0 = first try, and for
+	// restored, skipped and unstarted shards), as in runner.Event.
 	Attempt int
 	// Restored: loaded from a checkpoint. Skipped: breaker was open.
 	Restored bool
@@ -161,9 +161,6 @@ func Run(parent context.Context, r *Runner, restored map[int]*ShardResult, opts 
 			Err: o.Err, Done: o.Done, Total: o.Total, Elapsed: o.Elapsed, Result: o.Value}
 		if o.Value != nil {
 			ev.Tuples, ev.TuplesFailed = o.Value.Tuples, o.Value.TuplesFailed
-		}
-		if o.Status <= runner.CellAborted {
-			ev.Attempt++ // attempts consumed
 		}
 		return ev
 	}

@@ -44,9 +44,15 @@ func TestPanicContainedAndRetried(t *testing.T) {
 		}
 		return nil
 	})()
-	res := Run(context.Background(), r, nil, Options{Parallel: 1, Retries: 2})
+	var attempts []int
+	res := Run(context.Background(), r, nil, Options{Parallel: 1, Retries: 2,
+		Stream: func(ev Event) { attempts = append(attempts, ev.Attempt) }})
 	if res.Completed != 3 || res.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d failures=%v", res.Completed, res.Failed, res.Failures)
+	}
+	// Events number attempts from 0, like runner events and run-log cells.
+	if fmt.Sprint(attempts) != "[0 1 0]" {
+		t.Errorf("event attempts %v, want [0 1 0]", attempts)
 	}
 	if tried[1] != 2 {
 		t.Errorf("shard 1 ran %d attempts, want 2 (panic then success)", tried[1])
