@@ -57,7 +57,7 @@ type Pool[T any] struct {
 	Workers int // <= 0 means GOMAXPROCS; never more than the cells to run
 	Retries int
 	Timeout time.Duration // per attempt; 0 means none
-	// Attempt runs attempt attempt (0-based) of cell i.
+	// Attempt runs one attempt of cell i; attempt counts from 0.
 	Attempt func(ctx context.Context, i, attempt int) (T, error)
 	// Restored, when non-nil, reports cells settled before the run (a
 	// resumed checkpoint's shards): announced first, in index order, never

@@ -12,12 +12,13 @@ import (
 	"mobileqoe/internal/runner"
 )
 
+type check func(t *testing.T, outs []runner.Outcome[int])
+
 // TestPool covers the one worker loop behind runner.Run and fleet.Run. Each
 // case builds a pool (closing over its own records) and the check that reads
 // them back after Run returns.
 func TestPool(t *testing.T) {
 	boom := errors.New("boom")
-	type check func(t *testing.T, outs []runner.Outcome[int])
 	for _, tc := range []struct {
 		name   string
 		cancel bool // cancel the run's context before Run
@@ -47,16 +48,6 @@ func TestPool(t *testing.T) {
 					o := outs[0]
 					if o.Status != runner.CellOK || o.Attempt != 2 || o.Value != 7 || fmt.Sprint(tries) != "[0 1 2]" {
 						t.Errorf("outcome %+v after attempts %v, want CellOK from attempt 2 of [0 1 2]", o, tries)
-					}
-				}
-		}},
-		{name: "retries exhausted", setup: func(context.CancelFunc) (runner.Pool[int], check) {
-			return runner.Pool[int]{N: 1, Workers: 1, Retries: 1,
-					Attempt: func(context.Context, int, int) (int, error) { return 0, boom },
-				}, func(t *testing.T, outs []runner.Outcome[int]) {
-					o := outs[0]
-					if o.Status != runner.CellFailed || o.Attempt != 1 || !errors.Is(o.Err, boom) {
-						t.Errorf("outcome %+v, want CellFailed from attempt 1 wrapping boom", o)
 					}
 				}
 		}},
@@ -106,54 +97,22 @@ func TestPool(t *testing.T) {
 					}
 				}
 		}},
-		{name: "skip settles without running", setup: func(context.CancelFunc) (runner.Pool[int], check) {
-			return runner.Pool[int]{N: 2, Workers: 1,
-					Skip: func(i int) error {
-						if i == 1 {
-							return boom
-						}
-						return nil
-					},
-					Attempt: func(_ context.Context, i, _ int) (int, error) {
-						if i == 1 {
-							t.Error("skipped cell ran")
-						}
-						return i, nil
-					},
-				}, func(t *testing.T, outs []runner.Outcome[int]) {
-					if outs[0].Status != runner.CellOK || outs[1].Status != runner.CellSkipped || !errors.Is(outs[1].Err, boom) {
-						t.Errorf("outcomes %+v, want CellOK then CellSkipped", outs)
-					}
-				}
-		}},
-		{name: "restored announced first", setup: func(context.CancelFunc) (runner.Pool[int], check) {
-			var progress []int
-			return runner.Pool[int]{N: 4, Workers: 1,
-					Restored: func(i int) (int, bool) { return 10 * i, i%2 == 1 },
-					Attempt:  func(_ context.Context, i, _ int) (int, error) { return i, nil },
-					Progress: func(o runner.Outcome[int]) { progress = append(progress, o.Index) },
-				}, func(t *testing.T, outs []runner.Outcome[int]) {
-					if fmt.Sprint(progress) != "[1 3 0 2]" || outs[3].Status != runner.CellRestored || outs[3].Value != 30 {
-						t.Errorf("progress order %v, outcomes %+v; want restored 1,3 first", progress, outs)
-					}
-				}
-		}},
 		{name: "settle runs before the next draw", setup: func(context.CancelFunc) (runner.Pool[int], check) {
-			var settled []int
+			var settled, seen []int // seen: settles each cell found when drawn
 			return runner.Pool[int]{N: 5, Workers: 1,
 					Attempt: func(_ context.Context, i, _ int) (int, error) {
-						if len(settled) != i {
-							t.Errorf("cell %d drawn after %d settles, want %d", i, len(settled), i)
-						}
+						seen = append(seen, len(settled))
 						return i, nil
 					},
 					Settle: func(o *runner.Outcome[int]) { settled = append(settled, o.Index) },
 				}, func(t *testing.T, outs []runner.Outcome[int]) {
-					if len(settled) != 5 {
-						t.Errorf("settled %v, want all 5 cells", settled)
+					if fmt.Sprint(seen) != "[0 1 2 3 4]" || len(settled) != 5 {
+						t.Errorf("cells drawn after %v settles (settled %v), want [0 1 2 3 4]", seen, settled)
 					}
 				}
 		}},
+		{name: "event order, 1 worker", setup: eventOrder(1)},
+		{name: "event order, 4 workers", setup: eventOrder(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -167,18 +126,18 @@ func TestPool(t *testing.T) {
 	}
 }
 
-// TestPoolEventOrder checks both event orders at one and several workers:
-// Progress fires once per cell before that cell's Stream call, and Stream
-// runs in index order with Done = Index+1, whatever order cells finish in.
-func TestPoolEventOrder(t *testing.T) {
-	const n = 24
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var mu sync.Mutex // Settle runs on the workers
-			settled := 0
-			var progressed [n]bool
-			var stream []int
-			pool := runner.Pool[int]{N: n, Workers: workers,
+// eventOrder builds the event-order case: Progress fires once per cell
+// before that cell's Stream call, and Stream runs in index order with
+// Done = Index+1, whatever order cells finish in.
+func eventOrder(workers int) func(context.CancelFunc) (runner.Pool[int], check) {
+	return func(context.CancelFunc) (runner.Pool[int], check) {
+		const n = 24
+		var mu sync.Mutex // Settle runs on the workers
+		settled := 0
+		var progressed [n]bool
+		var stream []int
+		var errs []string // Progress and Stream run on the test goroutine
+		return runner.Pool[int]{N: n, Workers: workers,
 				Attempt: func(_ context.Context, i, _ int) (int, error) {
 					time.Sleep(time.Duration((n-i)%5) * time.Millisecond) // scramble completion order
 					return i * i, nil
@@ -186,24 +145,26 @@ func TestPoolEventOrder(t *testing.T) {
 				Settle: func(*runner.Outcome[int]) { mu.Lock(); settled++; mu.Unlock() },
 				Progress: func(o runner.Outcome[int]) {
 					if progressed[o.Index] {
-						t.Errorf("cell %d reported twice", o.Index)
+						errs = append(errs, fmt.Sprintf("cell %d reported twice", o.Index))
 					}
 					progressed[o.Index] = true
 				},
 				Stream: func(o runner.Outcome[int]) {
 					if !progressed[o.Index] {
-						t.Errorf("cell %d streamed before its Progress call", o.Index)
+						errs = append(errs, fmt.Sprintf("cell %d streamed before its Progress call", o.Index))
 					}
 					if o.Index != len(stream) || o.Done != o.Index+1 || o.Total != n || o.Value != o.Index*o.Index {
-						t.Errorf("stream event %+v at position %d", o, len(stream))
+						errs = append(errs, fmt.Sprintf("stream event %+v at position %d", o, len(stream)))
 					}
 					stream = append(stream, o.Index)
 				},
+			}, func(t *testing.T, _ []runner.Outcome[int]) {
+				for _, e := range errs {
+					t.Error(e)
+				}
+				if len(stream) != n || settled != n {
+					t.Errorf("streamed %d and settled %d of %d cells", len(stream), settled, n)
+				}
 			}
-			pool.Run(context.Background())
-			if len(stream) != n || settled != n {
-				t.Errorf("streamed %d and settled %d of %d cells", len(stream), settled, n)
-			}
-		})
 	}
 }
