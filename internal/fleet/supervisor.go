@@ -3,7 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"mobileqoe/internal/runner"
@@ -105,9 +105,8 @@ func Run(parent context.Context, r *Runner, restored map[int]*ShardResult, opts 
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
-	var mu sync.Mutex // guards the two counts the workers' hooks share
-	completed, consecFailed := 0, 0
-	began := make([]time.Time, spec.Shards) // each shard's first attempt, for WallMS
+	var completed, consecFailed atomic.Int64 // shared by the workers' hooks
+	began := make([]time.Time, spec.Shards)  // each shard's first attempt, for WallMS
 	pool := runner.Pool[*ShardResult]{N: spec.Shards, Workers: opts.Parallel,
 		Retries: opts.Retries, Timeout: opts.ShardTimeout,
 		Attempt: func(ctx context.Context, k, attempt int) (*ShardResult, error) {
@@ -129,28 +128,24 @@ func Run(parent context.Context, r *Runner, restored map[int]*ShardResult, opts 
 		},
 		Restored: func(k int) (*ShardResult, bool) { return restored[k], restored[k] != nil },
 		Skip: func(k int) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if consecFailed < breakerThreshold {
-				return nil
+			if n := consecFailed.Load(); n >= breakerThreshold {
+				return fmt.Errorf("fleet: shard %d skipped: circuit breaker open after %d consecutive shard failures", k, n)
 			}
-			return fmt.Errorf("fleet: shard %d skipped: circuit breaker open after %d consecutive shard failures", k, consecFailed)
+			return nil
 		},
 		// Settle runs before the worker draws its next shard, so StopAfter
 		// cancels before another shard can start and the breaker sees every
 		// failure. Aborted and unstarted shards are not failures: resume
 		// runs them.
 		Settle: func(o *runner.Outcome[*ShardResult]) {
-			mu.Lock()
-			defer mu.Unlock()
 			switch o.Status {
 			case runner.CellOK:
-				consecFailed = 0
-				if completed++; completed == opts.StopAfter {
+				consecFailed.Store(0)
+				if completed.Add(1) == int64(opts.StopAfter) {
 					cancel()
 				}
 			case runner.CellFailed:
-				consecFailed++
+				consecFailed.Add(1)
 			}
 		},
 	}
@@ -182,7 +177,7 @@ func Run(parent context.Context, r *Runner, restored map[int]*ShardResult, opts 
 			res.Skipped++
 		}
 	}
-	res.Completed, res.Failed = completed, len(res.Failures)
+	res.Completed, res.Failed = int(completed.Load()), len(res.Failures)
 	res.Interrupted = ctx.Err() != nil && res.Completed+res.Restored < spec.Shards
 	res.Merged = MergeShards(res.Results)
 	return res

@@ -61,8 +61,8 @@ type Options struct {
 	// back to the registry. It is the only way a runner outside the
 	// registry runs: engine.Plan.Resolve supplies a composed scenario's
 	// runner here, per plan, so concurrent requests never share or mutate
-	// a process-global table. Run calls it once per id, before any cell
-	// starts.
+	// a process-global table. Resolve is called from worker goroutines and
+	// must be safe for concurrent use.
 	Resolve func(id string) (experiments.Runner, bool)
 }
 
@@ -147,14 +147,6 @@ func Run(ctx context.Context, ids []string, cfg experiments.Config, opts Options
 		return nil, nil
 	}
 	// Cell i is trial i%trials of ids[i/trials]: experiment-major order.
-	fns := make([]experiments.Runner, len(ids))
-	traced := make([]bool, len(ids))
-	for k, id := range ids {
-		if opts.Resolve != nil {
-			fns[k], _ = opts.Resolve(id)
-		}
-		traced[k] = opts.Trace && (fns[k] != nil || experiments.Describe(id) != "")
-	}
 	// tracers[i] is cell i's latest attempt's tracer until Progress hands it
 	// on, so the Stream window never holds trace memory.
 	tracers := make([]*trace.Tracer, len(ids)*trials)
@@ -168,16 +160,20 @@ func Run(ctx context.Context, ids []string, cfg experiments.Config, opts Options
 		// on a fresh tracer. Pass the caller's un-normalized cfg:
 		// RunTrialAttempt normalizes once, exactly like experiments.Run.
 		Attempt: func(_ context.Context, i, attempt int) (*experiments.Table, error) {
-			k, t := i/trials, i%trials
+			id, t := ids[i/trials], i%trials
+			var fn experiments.Runner
+			if opts.Resolve != nil {
+				fn, _ = opts.Resolve(id)
+			}
 			c := cfg
-			if traced[k] {
+			if opts.Trace && (fn != nil || experiments.Describe(id) != "") {
 				tracers[i] = trace.New()
 				c.Trace = tracers[i]
 			}
-			if fns[k] != nil {
-				return experiments.RunTrialAttemptFn(ids[k], fns[k], c, t, attempt)
+			if fn != nil {
+				return experiments.RunTrialAttemptFn(id, fn, c, t, attempt)
 			}
-			return cellFn(ids[k], c, t, attempt)
+			return cellFn(id, c, t, attempt)
 		},
 		// Every cell error names the cell, so a timed-out run reports which
 		// trials never started instead of a bare context.DeadlineExceeded.
