@@ -3,8 +3,9 @@ package runner
 // Inorder re-sequences indexed completions into index order: values arrive
 // in whatever order a worker pool finishes them, and emit fires exactly once
 // per index, in strictly ascending index order, as soon as the contiguous
-// prefix is complete. This is the mechanism behind the deterministic
-// Options.Stream contract (and the fleet supervisor's shard event stream).
+// prefix is complete. This is the mechanism behind Pool.Stream, and so
+// behind the deterministic Options.Stream contract and the fleet's shard
+// event stream.
 // NewInorder allocates one pointer slot per index up front, so its fixed
 // cost grows with n; callers bound n (engine.MaxCells, the fleet's shard
 // cap). Buffered values are bounded by the out-of-order window, because a
