@@ -117,40 +117,6 @@ type Result struct {
 	Restarts int
 }
 
-// ComputeTime sums compute activity durations (wall-clock, may overlap).
-func (r Result) ComputeTime() time.Duration {
-	var t time.Duration
-	for _, a := range r.Activities {
-		if a.Kind.IsCompute() {
-			t += a.Duration()
-		}
-	}
-	return t
-}
-
-// MainComputeTime sums main-thread compute durations (the WProf compute
-// categories: parse, compile, script, style, layout, paint).
-func (r Result) MainComputeTime() time.Duration {
-	var t time.Duration
-	for _, a := range r.Activities {
-		if a.MainThread {
-			t += a.Duration()
-		}
-	}
-	return t
-}
-
-// ScriptTime sums script activity durations.
-func (r Result) ScriptTime() time.Duration {
-	var t time.Duration
-	for _, a := range r.Activities {
-		if a.Kind == Script {
-			t += a.Duration()
-		}
-	}
-	return t
-}
-
 // Config wires a browser to its device substrates.
 type Config struct {
 	Sim *sim.Sim

@@ -215,7 +215,16 @@ func TestActivitiesWellFormed(t *testing.T) {
 func TestScriptingShareOfCompute(t *testing.T) {
 	// §3.1: scripting accounts for ~51-60% of compute time.
 	res, _ := load(t, newsPage(), nexus4At(1512))
-	share := float64(res.ScriptTime()) / float64(res.MainComputeTime())
+	var script, main time.Duration
+	for _, a := range res.Activities {
+		if a.Kind == Script {
+			script += a.Duration()
+		}
+		if a.MainThread {
+			main += a.Duration()
+		}
+	}
+	share := float64(script) / float64(main)
 	if share < 0.45 || share > 0.70 {
 		t.Fatalf("scripting share = %.2f, want ~0.5-0.6", share)
 	}

@@ -1,8 +1,6 @@
 package browser
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -96,36 +94,5 @@ func TestEnginesListsAll(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("missing engine %s", want)
 		}
-	}
-}
-
-func TestTraceExport(t *testing.T) {
-	res := loadWithEngine(t, Chrome63, 1512)
-	var csv, js strings.Builder
-	if err := res.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != len(res.Activities)+1 {
-		t.Fatalf("CSV has %d lines, want %d", len(lines), len(res.Activities)+1)
-	}
-	if !strings.HasPrefix(lines[0], "id,kind,name") {
-		t.Fatalf("bad CSV header: %q", lines[0])
-	}
-	if err := res.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Page       string  `json:"page"`
-		PLTMs      float64 `json:"plt_ms"`
-		Activities []struct {
-			Kind string `json:"kind"`
-		} `json:"activities"`
-	}
-	if err := json.Unmarshal([]byte(js.String()), &decoded); err != nil {
-		t.Fatalf("JSON round trip: %v", err)
-	}
-	if decoded.Page == "" || decoded.PLTMs <= 0 || len(decoded.Activities) != len(res.Activities) {
-		t.Fatalf("bad JSON trace: %+v", decoded.Page)
 	}
 }

@@ -1,77 +1,9 @@
 package browser
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
+import "mobileqoe/internal/trace"
 
-	"mobileqoe/internal/trace"
-)
-
-// Trace export — the simulated analogue of saving a DevTools/WProf trace,
-// so external tooling (spreadsheets, plotting) can consume load waterfalls.
-
-// WriteCSV emits the activity trace as CSV (one row per activity).
-func (r Result) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "id,kind,name,resource,start_ms,end_ms,duration_ms,cycles,bytes,main_thread,deps"); err != nil {
-		return err
-	}
-	for _, a := range r.Activities {
-		deps := ""
-		for i, d := range a.Deps {
-			if i > 0 {
-				deps += ";"
-			}
-			deps += fmt.Sprintf("%d", d)
-		}
-		if _, err := fmt.Fprintf(w, "%d,%s,%q,%d,%.3f,%.3f,%.3f,%.0f,%d,%t,%s\n",
-			a.ID, a.Kind, a.Name, a.Resource,
-			float64(a.Start)/1e6, float64(a.End)/1e6, float64(a.Duration())/1e6,
-			a.Cycles, a.Bytes, a.MainThread, deps); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// jsonActivity is the export schema for one activity.
-type jsonActivity struct {
-	ID         int     `json:"id"`
-	Kind       string  `json:"kind"`
-	Name       string  `json:"name"`
-	Resource   int     `json:"resource"`
-	StartMs    float64 `json:"start_ms"`
-	EndMs      float64 `json:"end_ms"`
-	Cycles     float64 `json:"cycles,omitempty"`
-	Bytes      int64   `json:"bytes,omitempty"`
-	MainThread bool    `json:"main_thread"`
-	Deps       []int   `json:"deps,omitempty"`
-}
-
-type jsonTrace struct {
-	Page       string         `json:"page"`
-	PLTMs      float64        `json:"plt_ms"`
-	Activities []jsonActivity `json:"activities"`
-}
-
-// WriteJSON emits the full trace as a single JSON document.
-func (r Result) WriteJSON(w io.Writer) error {
-	t := jsonTrace{PLTMs: float64(r.PLT) / 1e6}
-	if r.Page != nil {
-		t.Page = r.Page.Name
-	}
-	for _, a := range r.Activities {
-		t.Activities = append(t.Activities, jsonActivity{
-			ID: a.ID, Kind: string(a.Kind), Name: a.Name, Resource: a.Resource,
-			StartMs: float64(a.Start) / 1e6, EndMs: float64(a.End) / 1e6,
-			Cycles: a.Cycles, Bytes: int64(a.Bytes), MainThread: a.MainThread,
-			Deps: a.Deps,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
+// Trace emission — the simulated analogue of saving a DevTools/WProf trace:
+// a finished load's waterfall replayed as Chrome trace-event spans.
 
 // EmitTrace replays the recorded activity waterfall into tr under pid as
 // spans in category "browser": main-thread activities on a "browser:main"
@@ -79,22 +11,18 @@ func (r Result) WriteJSON(w io.Writer) error {
 // "load-event" instant at PLT. Activities are already complete when this
 // runs, so the load itself pays no tracing cost. A nil tracer is a no-op.
 //
-// Note the replayed spans cover [exec request, completion], so they include
-// queueing behind other work on the same simulated thread — which is why
-// spans on browser:* lanes may legitimately overlap (the trace invariant
-// checker exempts them from the serialization rule).
-func (r Result) EmitTrace(tr *trace.Tracer, pid int) {
-	r.EmitTraceWith(tr, pid, nil)
-}
-
-// EmitTraceWith is EmitTrace plus per-activity critical-path attribution:
 // critMs maps activity IDs to their critical-path segment in milliseconds
 // (see wprof.PathStats.Segments), emitted as a "crit_ms" span annotation.
 // Because segments telescope, the crit_ms values of one load sum exactly to
 // its PLT — the property the differential trace profiler relies on to
 // attribute an ePLT gap activity by activity. A nil critMs emits no
 // annotations.
-func (r Result) EmitTraceWith(tr *trace.Tracer, pid int, critMs map[int]float64) {
+//
+// Note the replayed spans cover [exec request, completion], so they include
+// queueing behind other work on the same simulated thread — which is why
+// spans on browser:* lanes may legitimately overlap (the trace invariant
+// checker exempts them from the serialization rule).
+func (r Result) EmitTrace(tr *trace.Tracer, pid int, critMs map[int]float64) {
 	if tr == nil || len(r.Activities) == 0 {
 		return
 	}

@@ -200,13 +200,6 @@ func (c *Cache[K, V]) Stats() Stats {
 	}
 }
 
-// Len reports the number of completed resident entries.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries
-}
-
 // evictLocked discards LRU-tail entries until both caps hold. The entry
 // just completed (keep) survives even if it alone exceeds MaxBytes —
 // evicting it would make an oversized value a permanent cache bypass.

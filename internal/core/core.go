@@ -53,10 +53,8 @@ type options struct {
 	cores      int
 	ram        units.ByteSize
 	netCfg     netsim.Config
-	dspCfg     *dsp.Config
 	forceSWDec bool
 	noPrefetch bool
-	noABR      bool
 	faultPlan  *fault.Plan
 	faultSeed  uint64
 	tr         *trace.Tracer
@@ -105,10 +103,6 @@ func WithHTTP2() Option { return func(o *options) { o.netCfg.HTTP2 = true } }
 // see browser.Engines).
 func WithEngine(e browser.Engine) Option { return func(o *options) { o.engine = e } }
 
-// WithDSP attaches a DSP coprocessor with the given configuration
-// (zero-value Config selects the Hexagon-like defaults).
-func WithDSP(cfg dsp.Config) Option { return func(o *options) { o.dspCfg = &cfg } }
-
 // WithFaultPlan attaches a fault-injection plan, replayed against the
 // system's clock by an injector seeded with seed. Every subsystem then
 // degrades gracefully instead of assuming a clean testbed: netsim retries
@@ -129,20 +123,6 @@ func WithoutHardwareDecoder() Option { return func(o *options) { o.forceSWDec = 
 // WithoutPrefetch disables the streaming read-ahead buffer.
 func WithoutPrefetch() Option { return func(o *options) { o.noPrefetch = true } }
 
-// WithoutABR pins calls at their top resolution.
-func WithoutABR() Option { return func(o *options) { o.noABR = true } }
-
-// WithTrace attaches a tracer: the system allocates one trace process (pid)
-// named after the device and every subsystem emits spans/counters into it at
-// virtual timestamps. A nil tracer is the no-op default.
-func WithTrace(tr *trace.Tracer) Option { return func(o *options) { o.tr = tr } }
-
-// WithMetrics attaches a metrics registry that the subsystems accumulate
-// counters and histograms into over the run. A nil registry is the no-op
-// default. The registry is not concurrency-safe: share one only across
-// systems driven from the same goroutine.
-func WithMetrics(m *trace.Metrics) Option { return func(o *options) { o.metrics = m } }
-
 // System is one simulated device on the testbed.
 type System struct {
 	Spec  device.Spec
@@ -161,10 +141,6 @@ type System struct {
 	opts options
 }
 
-// TracePid returns the trace process id the system's events are attributed
-// to (0 when no tracer is attached).
-func (sys *System) TracePid() int { return sys.Obs.Pid }
-
 // NewSystem builds a device. The zero option set is the paper's default
 // configuration: interactive governor, all cores, stock RAM, LAN testbed.
 func NewSystem(spec device.Spec, opts ...Option) *System {
@@ -172,11 +148,15 @@ func NewSystem(spec device.Spec, opts ...Option) *System {
 }
 
 // NewObservedSystem is NewSystem with a tracer and metrics registry
-// attached directly rather than via WithTrace/WithMetrics options. Harnesses
-// that attach observability conditionally should prefer it: merging extra
-// options into a caller's variadic slice makes every call site's option
-// closures escape to the heap, a cost the tracing-off path must not pay.
-// Either argument may be nil.
+// attached. With a tracer the system allocates one trace process (pid)
+// named after the device, and every subsystem emits spans and counters into
+// it at virtual timestamps; the subsystems accumulate counters and
+// histograms into the registry over the run. Either argument may be nil, the
+// no-op default. The registry is not concurrency-safe: share one only across
+// systems driven from the same goroutine. They are arguments rather than
+// options because merging extra options into a caller's variadic slice makes
+// every call site's option closures escape to the heap, a cost the
+// tracing-off path must not pay.
 func NewObservedSystem(tr *trace.Tracer, m *trace.Metrics, spec device.Spec, opts ...Option) *System {
 	o := parseOptions(opts)
 	o.tr, o.metrics = tr, m
@@ -236,11 +216,7 @@ func build(spec device.Spec, o options) *System {
 		Obs:   oc,
 		opts:  o,
 	}
-	if o.dspCfg != nil {
-		cfg := *o.dspCfg
-		cfg.Obs = oc
-		sys.DSP = dsp.New(s, cfg)
-	} else if spec.Has(device.DSP) {
+	if spec.Has(device.DSP) {
 		sys.DSP = dsp.New(s, dsp.Config{Obs: oc})
 	}
 	return sys
@@ -386,7 +362,7 @@ func (PageLoad) finish(sys *System, res *Result) {
 		for _, seg := range st.Segments {
 			critMs[seg.NodeID] = float64(seg.Dur) / 1e6
 		}
-		res.Page.EmitTraceWith(sys.Obs.Trace, sys.Obs.Pid, critMs)
+		res.Page.EmitTrace(sys.Obs.Trace, sys.Obs.Pid, critMs)
 	}
 	sys.Obs.Histogram("browser.plt_ms").Observe(float64(res.Page.PLT) / 1e6)
 }
@@ -421,7 +397,6 @@ func (CallWorkload) Deadline() time.Duration { return 4 * time.Hour }
 func (w CallWorkload) Start(sys *System, done func(Result)) {
 	telephony.Call(telephony.Config{
 		Sim: sys.Sim, CPU: sys.CPU, Net: sys.Net, Mem: sys.Mem, Spec: sys.Spec,
-		DisableABR:         sys.opts.noABR,
 		ForceSoftwareCodec: sys.opts.forceSWDec,
 		Obs:                sys.Obs,
 	}, w.Config, func(m telephony.Metrics) {
@@ -452,11 +427,6 @@ func (sys *System) LoadPage(page *webpage.Page) browser.Result {
 		panic(err)
 	}
 	return *res.Page
-}
-
-// Analyze builds the WProf dependency graph for a load result.
-func (sys *System) Analyze(res browser.Result) *wprof.Graph {
-	return wprof.FromResult(res)
 }
 
 // StreamVideo plays a clip and returns the streaming QoE metrics. It panics

@@ -10,6 +10,7 @@ import (
 	"mobileqoe/internal/units"
 	"mobileqoe/internal/video"
 	"mobileqoe/internal/webpage"
+	"mobileqoe/internal/wprof"
 )
 
 func quickPage() *webpage.Page {
@@ -22,7 +23,7 @@ func TestLoadPageEndToEnd(t *testing.T) {
 	if res.PLT <= 0 {
 		t.Fatal("no PLT")
 	}
-	g := sys.Analyze(res)
+	g := wprof.FromResult(res)
 	if len(g.Nodes) != len(res.Activities) {
 		t.Fatal("graph size mismatch")
 	}

@@ -45,20 +45,20 @@ func TestEmptyCtxRunsByteIdentical(t *testing.T) {
 	}
 	for _, w := range workloads {
 		t.Run(w.Name(), func(t *testing.T) {
-			run := func(opts ...Option) string {
-				sys := NewSystem(device.Nexus4(), opts...)
+			run := func(tr *trace.Tracer, m *trace.Metrics) string {
+				sys := NewObservedSystem(tr, m, device.Nexus4())
 				res, err := sys.Run(w)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				if sys.Obs.Tracing() != (len(opts) > 0) {
-					t.Fatalf("Obs.Tracing() = %v with %d options", sys.Obs.Tracing(), len(opts))
+				if sys.Obs.Tracing() != (tr != nil) {
+					t.Fatalf("Obs.Tracing() = %v with tracer %v", sys.Obs.Tracing(), tr != nil)
 				}
 				return renderResult(res)
 			}
-			dark := run()
+			dark := run(nil, nil)
 			tr := trace.New()
-			lit := run(WithTrace(tr), WithMetrics(trace.NewMetrics()))
+			lit := run(tr, trace.NewMetrics())
 			if dark != lit {
 				t.Fatalf("observability perturbed the run:\n--- empty Ctx ---\n%s\n--- traced+metered ---\n%s", dark, lit)
 			}

@@ -337,9 +337,6 @@ func (c *CPU) addCluster(spec device.Cluster, ceffScale float64) {
 	c.clusters = append(c.clusters, cl)
 }
 
-// Sim returns the simulator the CPU runs on.
-func (c *CPU) Sim() *sim.Sim { return c.s }
-
 // Stop halts the governor ticker. Call when an experiment's run is complete
 // so that Sim.Run terminates.
 func (c *CPU) Stop() {
@@ -533,9 +530,6 @@ func (c *CPU) OnlineCores() int { return c.online }
 
 // Freq returns the current big-cluster frequency.
 func (c *CPU) Freq() units.Freq { return c.clusters[0].freq }
-
-// ClusterFreq returns the current frequency of cluster i (0 = big).
-func (c *CPU) ClusterFreq(i int) units.Freq { return c.clusters[i].freq }
 
 // EffectiveRate returns the cycles/second a lone thread of the given kind
 // would currently receive; used by closed-form estimators.

@@ -90,7 +90,6 @@ type DSP struct {
 	cfg       Config
 	busyUntil time.Duration
 	calls     int64
-	fallbacks int64
 	busyTotal time.Duration
 	tid       int // trace lane, 0 when tracing is off
 
@@ -122,10 +121,6 @@ func (d *DSP) Config() Config { return d.cfg }
 
 // Calls returns the number of served calls.
 func (d *DSP) Calls() int64 { return d.calls }
-
-// Fallbacks returns the number of calls that failed over to CPU execution
-// because an injected fault broke the FastRPC path.
-func (d *DSP) Fallbacks() int64 { return d.fallbacks }
 
 // BusyTime returns total service time so far.
 func (d *DSP) BusyTime() time.Duration { return d.busyTotal }
@@ -162,7 +157,6 @@ func (d *DSP) Call(pikeSteps int64, inputBytes int, done func()) {
 		// running the backtracking engine on the application core instead.
 		// The caller pays the RPC attempt plus the CPU-priced execution; the
 		// DSP's own FIFO is untouched.
-		d.fallbacks++
 		lat := d.rpcCost(inputBytes) + units.DurationFor(CPUCycles(pikeSteps), d.cfg.FallbackFreq)
 		d.mFallbacks.Add(1)
 		d.mFallbackUs.Observe(float64(lat) / 1e3)

@@ -453,9 +453,6 @@ func (e *Engine) Jobs() []Status {
 	return out
 }
 
-// QueueDepth reports jobs waiting to run (not the running ones).
-func (e *Engine) QueueDepth() int { return len(e.queue) }
-
 // Draining reports whether the engine has stopped accepting submissions.
 func (e *Engine) Draining() bool {
 	e.mu.Lock()

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"mobileqoe/internal/atomicfile"
@@ -122,9 +120,6 @@ type Checkpoint struct {
 	dir  string
 	spec *Spec
 }
-
-// Dir returns the checkpoint directory path.
-func (c *Checkpoint) Dir() string { return c.dir }
 
 func shardFile(k int) string { return fmt.Sprintf("shard_%04d.json", k) }
 
@@ -396,28 +391,6 @@ func decodeShard(data []byte, spec *Spec, k int) (*ShardResult, error) {
 		r.Aggs[metric] = a
 	}
 	return r, nil
-}
-
-// Shards lists the shard indexes currently checkpointed on disk (sorted),
-// without validating them — for status displays and tests.
-func (c *Checkpoint) Shards() ([]int, error) {
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "shard_") || !strings.HasSuffix(name, ".json") || strings.Contains(name, ".tmp") {
-			continue
-		}
-		var k int
-		if _, err := fmt.Sscanf(name, "shard_%d.json", &k); err == nil {
-			out = append(out, k)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
 }
 
 // strictJSON decodes rejecting unknown fields and trailing data, the

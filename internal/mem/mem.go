@@ -73,8 +73,3 @@ func (m *Memory) Slowdown(workingSet units.ByteSize) float64 {
 	}
 	return 1 + thrashAlpha*math.Pow(p-1, thrashBeta)
 }
-
-// Fits reports whether the working set fits in available RAM.
-func (m *Memory) Fits(workingSet units.ByteSize) bool {
-	return m.Pressure(workingSet) <= 1
-}

@@ -99,10 +99,3 @@ func (n *Network) dnsDone(name string, err error) {
 		w(err)
 	}
 }
-
-// FlushDNS clears the resolver cache (the paper's between-loads hygiene).
-// Lookups in flight keep their waiters and complete normally, caching the
-// answer they bring back.
-func (n *Network) FlushDNS() {
-	clear(n.dns.cache)
-}

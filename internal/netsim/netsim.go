@@ -274,16 +274,6 @@ func (l *link) deliver(payload units.ByteSize, fn func()) {
 	l.lane.Post(l.busyUntil+l.oneWay+l.inj.ExtraRTT()/2, fn)
 }
 
-// queueDelay reports how long a packet enqueued now would wait before
-// serialization begins.
-func (l *link) queueDelay() time.Duration {
-	d := l.busyUntil - l.s.Now()
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // ----- TCP connections -----
 
 // TCP parameters (Linux-ish defaults, simplified).
@@ -698,9 +688,6 @@ func (n *Network) RecvDatagram(payload units.ByteSize, fn func()) {
 	p.seg, p.app = payload, fn
 	n.down.deliver(payload, p.fn)
 }
-
-// DownlinkQueueDelay exposes the AP queue depth (used by adaptive senders).
-func (n *Network) DownlinkQueueDelay() time.Duration { return n.down.queueDelay() }
 
 // ----- packets -----
 

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"time"
-
-	"mobileqoe/internal/units"
-)
+import "mobileqoe/internal/units"
 
 // TLS overhead model — the paper's §6 future-work item ("TCP and TLS
 // overheads in the network stack"). A TLS 1.2-style handshake adds two
@@ -22,8 +18,6 @@ const (
 	tlsPerByteCycles = 14.0
 	// tlsCertBytes is the certificate chain delivered during the handshake.
 	tlsCertBytes = 4 * units.KB
-	// tlsRoundTrips added by the handshake (TLS 1.2 full handshake).
-	tlsRoundTrips = 2
 )
 
 // tlsHandshake runs after the TCP handshake when Config.TLS is set; fn runs
@@ -65,11 +59,4 @@ func (n *Network) tlsRecordCycles(payload units.ByteSize) float64 {
 		return 0
 	}
 	return tlsPerByteCycles * float64(payload)
-}
-
-// TLSHandshakeBudget estimates the wall-clock cost of one TLS handshake at
-// the given effective CPU rate — useful for closed-form estimates and docs.
-func TLSHandshakeBudget(rtt time.Duration, effectiveRate float64) time.Duration {
-	return time.Duration(tlsRoundTrips)*rtt +
-		units.DurationFor(tlsHandshakeCycles, units.Freq(effectiveRate))
 }

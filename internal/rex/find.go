@@ -1,10 +1,8 @@
 package rex
 
-import "strings"
-
 // Match span utilities built on the Pike VM: non-overlapping global
 // iteration (JavaScript's /g semantics, which the page workloads' list
-// operations rely on) and replacement.
+// operations rely on).
 
 // Span is one match location in bytes.
 type Span struct{ Start, End int }
@@ -38,29 +36,4 @@ func (p *Prog) FindAll(s string, limit int) ([]Span, int64) {
 		}
 	}
 	return spans, steps
-}
-
-// ReplaceAll substitutes every non-overlapping match with repl (literal, no
-// capture references) and reports the engine steps consumed.
-func (p *Prog) ReplaceAll(s, repl string) (string, int64) {
-	spans, steps := p.FindAll(s, 0)
-	if len(spans) == 0 {
-		return s, steps
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	last := 0
-	for _, sp := range spans {
-		b.WriteString(s[last:sp.Start])
-		b.WriteString(repl)
-		last = sp.End
-	}
-	b.WriteString(s[last:])
-	return b.String(), steps
-}
-
-// Count returns the number of non-overlapping matches.
-func (p *Prog) Count(s string) int {
-	spans, _ := p.FindAll(s, 0)
-	return len(spans)
 }

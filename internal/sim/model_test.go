@@ -223,7 +223,7 @@ func TestModelRandomSchedules(t *testing.T) {
 
 // TestRecycledEventFreshness exercises the free list directly: untracked
 // events recycled by the kernel must come back from alloc with fully fresh
-// state, and explicit Recycle must do the same for tracked handles.
+// state.
 func TestRecycledEventFreshness(t *testing.T) {
 	s := New()
 	// Pump the free list with untracked events.
@@ -243,35 +243,7 @@ func TestRecycledEventFreshness(t *testing.T) {
 			t.Fatalf("recycled event %d has stale time %v", i, e.When())
 		}
 		s.Cancel(e)
-		s.Recycle(e)
 	}
-
-	// And events drawn after explicit Recycle of canceled handles, too.
-	e := s.After(time.Millisecond, func() {})
-	if e.Fired() || e.Canceled() || !e.Queued() {
-		t.Fatalf("event after Recycle has stale state: fired=%v canceled=%v queued=%v",
-			e.Fired(), e.Canceled(), e.Queued())
-	}
-	s.Run()
-	if !e.Fired() {
-		t.Fatal("event did not fire")
-	}
-}
-
-func TestRecycleQueuedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic recycling a queued event")
-		}
-	}()
-	s := New()
-	e := s.After(time.Millisecond, func() {})
-	s.Recycle(e)
-}
-
-func TestRecycleNilNoop(t *testing.T) {
-	s := New()
-	s.Recycle(nil) // must not panic
 }
 
 // TestResetQueuedMoves reprograms a queued event earlier and later and

@@ -29,8 +29,6 @@
 //   - Reset reprograms an existing event in place — queued, fired, or
 //     canceled — so a recurring timer (a thread-completion event, a ticker)
 //     allocates exactly once over its lifetime.
-//   - Recycle lets an owner that is done with a fired or canceled event hand
-//     it back explicitly.
 //   - A FIFO lane (NewFIFO) carries fire-and-forget events whose times never
 //     decrease, such as one link's packets in flight. Its entries are not
 //     Event objects: they wait in a ring buffer, and only the lane's head
@@ -40,7 +38,7 @@
 //     step, so fire order, Pending, Steps and StepInfo are exactly as with
 //     PostAt.
 //
-// Events obtained from At/After and never Reset/Recycled behave exactly as
+// Events obtained from At/After and never Reset behave exactly as
 // before: the kernel never reclaims an event a caller may still reference,
 // so Cancel-after-Fired pinning and post-run When() inspection keep working.
 package sim
@@ -219,23 +217,6 @@ func (s *Sim) Reset(e *Event, t time.Duration) {
 	e.canceled, e.fired = false, false
 	s.pending++
 	s.push(e)
-}
-
-// Recycle returns a completed (fired or canceled) event to the kernel's
-// free list. It is the explicit counterpart of the automatic reclamation
-// PostAt/PostAfter events get: call it when the owning component is done
-// with a handle it obtained from At/After and guarantees no other reference
-// survives. Recycling nil is a no-op; recycling a queued event panics, as
-// reclaiming a live event is always a bug.
-func (s *Sim) Recycle(e *Event) {
-	if e == nil {
-		return
-	}
-	if e.index >= 0 {
-		panic("sim: recycling a queued event")
-	}
-	e.fn = nil
-	s.free = append(s.free, e)
 }
 
 // Cancel removes an event from the queue. Canceling an already-fired event

@@ -64,33 +64,6 @@ func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Norm returns a normally distributed value with the given mean and
-// standard deviation (Box–Muller).
-func (r *RNG) Norm(mean, std float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + std*z
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
-// LogNorm returns a log-normally distributed value parameterized by the
-// mu/sigma of the underlying normal.
-func (r *RNG) LogNorm(mu, sigma float64) float64 {
-	return math.Exp(r.Norm(mu, sigma))
-}
-
 // Pareto returns a bounded Pareto sample in [lo, hi] with shape alpha,
 // the canonical heavy-tailed model for web object sizes.
 func (r *RNG) Pareto(alpha, lo, hi float64) float64 {
@@ -102,20 +75,3 @@ func (r *RNG) Pareto(alpha, lo, hi float64) float64 {
 	ha := math.Pow(hi, alpha)
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Fork derives an independent generator from this one; useful for giving
-// each trial its own stream while keeping the parent deterministic.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }

@@ -97,7 +97,9 @@ func TestHistSketchQuantileAccuracy(t *testing.T) {
 
 func mean(xs []float64) float64 {
 	var s Sample
-	s.AddAll(xs...)
+	for _, x := range xs {
+		s.Add(x)
+	}
 	return s.Mean()
 }
 

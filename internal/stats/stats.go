@@ -1,13 +1,12 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
 // Sample accumulates scalar observations and answers the summary questions
-// the paper's tables need (mean, stddev, min/max, percentiles).
+// the paper's tables need (mean, stddev, percentiles).
 // The zero value is an empty sample ready for Add.
 type Sample struct {
 	xs     []float64
@@ -17,12 +16,6 @@ type Sample struct {
 // Add appends an observation.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// AddAll appends multiple observations.
-func (s *Sample) AddAll(xs ...float64) {
-	s.xs = append(s.xs, xs...)
 	s.sorted = false
 }
 
@@ -60,34 +53,6 @@ func (s *Sample) Std() float64 {
 		v += d * d
 	}
 	return math.Sqrt(v / float64(n-1))
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
@@ -140,11 +105,6 @@ func (s *Sample) Values() []float64 {
 	return out
 }
 
-// Summary is a compact mean ± std rendering used by the experiment tables.
-func (s *Sample) Summary() string {
-	return fmt.Sprintf("%.2f±%.2f", s.Mean(), s.Std())
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	X float64 // value
@@ -173,13 +133,6 @@ func NewCDF(s *Sample) *CDF {
 	return c
 }
 
-// Points returns the CDF's points in increasing x order.
-func (c *CDF) Points() []CDFPoint {
-	out := make([]CDFPoint, len(c.pts))
-	copy(out, c.pts)
-	return out
-}
-
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 {
 	i := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].X > x })
@@ -200,31 +153,4 @@ func (c *CDF) Quantile(p float64) float64 {
 		}
 	}
 	return c.pts[len(c.pts)-1].X
-}
-
-// LinFit returns the least-squares slope and intercept of y on x.
-// It panics when the inputs differ in length; it returns zeros when fewer
-// than two points are given.
-func LinFit(xs, ys []float64) (slope, intercept float64) {
-	if len(xs) != len(ys) {
-		panic("stats: LinFit length mismatch")
-	}
-	n := float64(len(xs))
-	if len(xs) < 2 {
-		return 0, 0
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, sy / n
-	}
-	slope = (n*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / n
-	return slope, intercept
 }

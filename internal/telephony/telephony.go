@@ -90,8 +90,6 @@ type Config struct {
 	Mem  *mem.Memory // nil = no memory pressure
 	Spec device.Spec
 
-	// DisableABR pins the call at 720p (ablation).
-	DisableABR bool
 	// ForceSoftwareCodec disables the hardware codec (ablation).
 	ForceSoftwareCodec bool
 
@@ -301,7 +299,7 @@ func (c *call) abrLoop() {
 	c.cfg.Sim.PostAfter(abrWindow, func() {
 		fps := float64(c.windowDisplayed) / abrWindow.Seconds()
 		c.windowDisplayed = 0
-		if !c.cfg.DisableABR && fps < 0.8*float64(c.cc.TargetFPS) && c.rung < len(Ladder)-1 {
+		if fps < 0.8*float64(c.cc.TargetFPS) && c.rung < len(Ladder)-1 {
 			c.rung++
 			c.cfg.Obs.Counter("telephony.abr_downswitches").Add(1)
 			if tr := c.cfg.Obs.Trace; tr != nil {

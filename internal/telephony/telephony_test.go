@@ -98,21 +98,6 @@ func TestABRStepsDownAtLowClock(t *testing.T) {
 	}
 }
 
-func TestABRAblation(t *testing.T) {
-	// Without ABR the low-clock frame rate is worse (no quality/fps trade).
-	rc := nexus4(384)
-	rc.tweak = func(c *Config) { c.DisableABR = true }
-	noABR := dial(t, rc)
-	withABR := dial(t, nexus4(384))
-	if noABR.FrameRate >= withABR.FrameRate {
-		t.Fatalf("ABR should raise fps at low clock: %.1f (off) vs %.1f (on)",
-			noABR.FrameRate, withABR.FrameRate)
-	}
-	if noABR.Resolution.Name != "720p" {
-		t.Fatal("DisableABR should pin 720p")
-	}
-}
-
 func TestDeviceSweepFig2c(t *testing.T) {
 	// Fig 2c: frame rate falls from 30 fps (high-end) to ~18 fps (low-end);
 	// the interactive default governor is used across devices.

@@ -1,7 +1,7 @@
 // Package units defines the physical quantities the simulators trade in —
 // clock frequencies, data sizes, and bit rates — together with the handful
-// of conversions (cycles over an interval, serialization delay for a payload)
-// that every other package needs.
+// of conversions (time to retire a cycle count, serialization delay for a
+// payload) that every other package needs.
 package units
 
 import (
@@ -39,11 +39,6 @@ func (f Freq) String() string {
 	return fmt.Sprintf("%.0fHz", float64(f))
 }
 
-// CyclesIn returns how many cycles elapse at frequency f over duration d.
-func (f Freq) CyclesIn(d time.Duration) float64 {
-	return float64(f) * d.Seconds()
-}
-
 // DurationFor returns the wall-clock time needed to retire the given number
 // of cycles at frequency f. A non-positive frequency yields an effectively
 // infinite duration, which the schedulers treat as "stalled".
@@ -72,9 +67,6 @@ const (
 	GB            = 1024 * MB
 )
 
-// Bytes returns the size as an int64.
-func (b ByteSize) Bytes() int64 { return int64(b) }
-
 // MBf returns the size in (binary) megabytes as a float64.
 func (b ByteSize) MBf() float64 { return float64(b) / float64(MB) }
 
@@ -97,7 +89,6 @@ func (b ByteSize) String() string {
 type BitRate float64
 
 // Bit-rate constructors.
-func Bps(v float64) BitRate  { return BitRate(v) }
 func Kbps(v float64) BitRate { return BitRate(v * 1e3) }
 func Mbps(v float64) BitRate { return BitRate(v * 1e6) }
 

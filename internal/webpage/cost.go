@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"mobileqoe/internal/dsp"
-	"mobileqoe/internal/units"
 )
 
 // Cost-conversion calibration. A generated script is a scaled-down stand-in
@@ -75,15 +74,3 @@ func (p *Profile) RegexDSPWork() (steps int64, bytes int) {
 // NumRegexCalls returns the number of counted regex evaluations (before
 // RegexRepeat scaling); when offloaded they travel in a single RPC.
 func (p *Profile) NumRegexCalls() int { return int(p.Regex.Count) }
-
-// ScriptTime prices the full script on a CPU running at the given effective
-// rate (Hz × IPC), without offload.
-func (p *Profile) ScriptTime(effectiveRate float64) time.Duration {
-	return units.DurationFor(p.TotalCPUCycles(), units.Freq(effectiveRate))
-}
-
-// ScriptTimeOffloaded prices the script with regex work moved to the DSP:
-// plain cycles stay on the CPU, regex becomes DSP wall time.
-func (p *Profile) ScriptTimeOffloaded(effectiveRate float64, d *dsp.DSP) time.Duration {
-	return units.DurationFor(p.PlainCycles(), units.Freq(effectiveRate)) + p.RegexDSPTime(d)
-}

@@ -209,14 +209,17 @@ func TestOffloadSpeedsUpRegexHeavyScript(t *testing.T) {
 	s := sim.New()
 	d := dsp.New(s, dsp.Config{})
 	p := Generate("sports-o.example", Sports, 13)
-	rate := 1512e6 * 1.0 // Nexus4 at fmax
+	rate := units.Freq(1512e6) // Nexus4 at fmax, IPC 1
 	anyFaster := false
 	for _, r := range p.Resources {
 		if r.Type != JS || r.Profile().RegexShare() < 0.2 {
 			continue
 		}
-		cpu := r.Profile().ScriptTime(rate)
-		off := r.Profile().ScriptTimeOffloaded(rate, d)
+		prof := r.Profile()
+		// Priced as wprof.NodeDuration prices a script node, with and
+		// without Offload.
+		cpu := units.DurationFor(prof.TotalCPUCycles(), rate)
+		off := units.DurationFor(prof.PlainCycles(), rate) + prof.RegexDSPTime(d)
 		if off < cpu {
 			anyFaster = true
 		}

@@ -8,9 +8,9 @@ import (
 	"mobileqoe/internal/browser"
 )
 
-// Randomized-graph properties of the critical-path decomposition and the
-// ePLT schedule breakdown. Graphs are generated with a fixed-seed PRNG, so
-// failures reproduce deterministically.
+// Randomized-graph properties of the critical-path decomposition. Graphs
+// are generated with a fixed-seed PRNG, so failures reproduce
+// deterministically.
 
 // randomGraph builds a random measured dependency graph: node 0 is the only
 // root (the document fetch), every later node depends on at least one
@@ -88,55 +88,5 @@ func TestCriticalPathDecompositionSumsExactly(t *testing.T) {
 		if st.Script > st.Compute {
 			t.Fatalf("trial %d: script %v exceeds compute %v", trial, st.Script, st.Compute)
 		}
-	}
-}
-
-func TestEPLTBreakdownPartitionsMakespan(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	opts := EvalOptions{EffectiveRate: 1.5e9}
-	for trial := 0; trial < 300; trial++ {
-		g := randomGraph(r, 40)
-		want := g.EPLT(opts)
-		eplt, b := g.EPLTBreakdown(opts)
-		if eplt != want {
-			t.Fatalf("trial %d: EPLTBreakdown eplt %v, EPLT %v", trial, eplt, want)
-		}
-		// The components partition [0, ePLT]: compute + network + overlap
-		// sum to the ePLT within rounding — here exactly, because the sweep
-		// is integer-nanosecond arithmetic.
-		if got := b.Total(); got != eplt {
-			t.Fatalf("trial %d: breakdown %+v sums to %v, want ePLT %v",
-				trial, b, got, eplt)
-		}
-		// The list schedule is work-conserving: every node starts the moment
-		// its last dependency or its serialization resource releases, so no
-		// instant before the ePLT is idle.
-		if b.Idle != 0 {
-			t.Fatalf("trial %d: idle %v in a work-conserving schedule (%+v)",
-				trial, b.Idle, b)
-		}
-	}
-}
-
-// TestEPLTBreakdownOnRealLoad sanity-checks the breakdown against a real
-// browser trace graph rather than a synthetic one.
-func TestEPLTBreakdownOnRealLoad(t *testing.T) {
-	g := FromResult(trace(t, sportsPage(), 1512)) // helpers from wprof_test.go
-	opts := EvalOptions{EffectiveRate: 1e9}
-	eplt, b := g.EPLTBreakdown(opts)
-	if eplt <= 0 {
-		t.Fatal("non-positive ePLT")
-	}
-	if b.Total() != eplt {
-		t.Fatalf("breakdown %+v sums to %v, want %v", b, b.Total(), eplt)
-	}
-	if b.Idle != 0 {
-		t.Fatalf("idle %v on a real load", b.Idle)
-	}
-	if b.NetworkOnly == 0 && b.Overlap == 0 {
-		t.Error("no network time at all in a page load")
-	}
-	if b.ComputeOnly == 0 && b.Overlap == 0 {
-		t.Error("no compute time at all in a page load")
 	}
 }

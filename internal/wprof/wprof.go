@@ -8,7 +8,6 @@
 package wprof
 
 import (
-	"sort"
 	"time"
 
 	"mobileqoe/internal/browser"
@@ -176,12 +175,6 @@ func (g *Graph) NodeDuration(n *Node, opts EvalOptions) time.Duration {
 // raster thread; fetches overlap freely at their (re-scaled) measured
 // durations. It returns the emulated page load time.
 func (g *Graph) EPLT(opts EvalOptions) time.Duration {
-	return g.schedule(opts, nil)
-}
-
-// schedule runs EPLT's list schedule, calling visit (when non-nil) with
-// each node's emulated interval in node order, and returns the makespan.
-func (g *Graph) schedule(opts EvalOptions, visit func(n *Node, start, end time.Duration)) time.Duration {
 	if opts.EffectiveRate <= 0 {
 		panic("wprof: EffectiveRate must be positive")
 	}
@@ -215,84 +208,8 @@ func (g *Graph) schedule(opts EvalOptions, visit func(n *Node, start, end time.D
 		if end > eplt {
 			eplt = end
 		}
-		if visit != nil {
-			visit(n, start, end)
-		}
 	}
 	return eplt
-}
-
-// Breakdown splits an emulated schedule's makespan by what was active at
-// each instant: network transfers only, compute only, or both overlapped.
-// Idle covers instants where nothing ran (zero in a work-conserving list
-// schedule, kept as a field so invariants can assert it). The four
-// components partition [0, ePLT], so they sum to the ePLT exactly.
-type Breakdown struct {
-	NetworkOnly time.Duration
-	ComputeOnly time.Duration
-	Overlap     time.Duration
-	Idle        time.Duration
-}
-
-// Total returns the sum of the components.
-func (b Breakdown) Total() time.Duration {
-	return b.NetworkOnly + b.ComputeOnly + b.Overlap + b.Idle
-}
-
-// EPLTBreakdown runs the same list schedule as EPLT and additionally sweeps
-// the resulting node intervals to decompose the makespan into
-// network-only/compute-only/overlap time — the reconciliation target for
-// the trace profiler's differential view ("is the gap the network or the
-// device?") and the subject of the package's property tests.
-func (g *Graph) EPLTBreakdown(opts EvalOptions) (time.Duration, Breakdown) {
-	type interval struct {
-		start, end time.Duration
-		network    bool
-	}
-	intervals := make([]interval, 0, len(g.Nodes))
-	eplt := g.schedule(opts, func(n *Node, start, end time.Duration) {
-		if end > start {
-			intervals = append(intervals, interval{start, end, n.Kind == browser.Fetch})
-		}
-	})
-
-	// Boundary sweep: sort interval edges and keep running counts of active
-	// network and compute intervals between consecutive boundaries.
-	type edge struct {
-		t         time.Duration
-		net, comp int
-	}
-	edges := make([]edge, 0, 2*len(intervals))
-	for _, iv := range intervals {
-		if iv.network {
-			edges = append(edges, edge{iv.start, 1, 0}, edge{iv.end, -1, 0})
-		} else {
-			edges = append(edges, edge{iv.start, 0, 1}, edge{iv.end, 0, -1})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].t < edges[j].t })
-	var b Breakdown
-	var activeNet, activeComp int
-	prev := time.Duration(0)
-	for _, e := range edges {
-		if d := e.t - prev; d > 0 {
-			switch {
-			case activeNet > 0 && activeComp > 0:
-				b.Overlap += d
-			case activeNet > 0:
-				b.NetworkOnly += d
-			case activeComp > 0:
-				b.ComputeOnly += d
-			default:
-				b.Idle += d
-			}
-			prev = e.t
-		}
-		activeNet += e.net
-		activeComp += e.comp
-	}
-	b.Idle += eplt - prev // trailing gap (only if the last event isn't ePLT)
-	return eplt, b
 }
 
 // ScriptStats summarizes per-script execution time under opts (Fig. 7a's
