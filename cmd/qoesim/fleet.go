@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"mobileqoe/cmd/internal/obsflag"
 	"mobileqoe/internal/engine"
 	"mobileqoe/internal/fleet"
 )
@@ -21,39 +20,13 @@ const (
 	exitInterrupted = 3
 )
 
-// fleetOpts carries the -fleet flag group into runFleet, which is kept free
-// of flag.* and os.Exit so tests can drive it in-process (including the
-// real-signal interrupt test).
-type fleetOpts struct {
-	specPath     string
-	checkpoint   string
-	resume       bool
-	shards       int // -fleet-shards override (0: spec value / manifest on resume)
-	stopAfter    int // -fleet-stop-after: deterministic self-interrupt for CI
-	shardTimeout time.Duration
-	parallel     int
-	retries      int
-	timeout      time.Duration
-	csv          bool
-	rlf          *obsflag.RunLogFlags
-
-	stdout, stderr io.Writer
-}
-
-// runFleet executes one fleet run end to end: compose and (re)validate the
-// spec, create or reopen the checkpoint, run the shards through the engine's
-// fleet path with interrupt handling, and either print the merged table
-// (complete) or a resume hint (interrupted).
-func runFleet(parent context.Context, o fleetOpts) int {
+// runFleet executes one composed fleet plan end to end: apply the shard
+// override and (re)validate the spec, create or reopen the checkpoint, run
+// the shards through the engine's fleet path with interrupt handling, and
+// either print the merged table (complete) or a resume hint (interrupted).
+func runFleet(ctx context.Context, o *options, plan *engine.Plan, stdout, stderr io.Writer) int {
 	if o.checkpoint == "" {
-		fmt.Fprintln(o.stderr, "qoesim: -fleet requires -checkpoint <dir> (every fleet run is resumable)")
-		return exitUsage
-	}
-	// Compose loads and validates the spec and builds the run-log manifest
-	// exactly as for a served fleet job.
-	plan, err := engine.Compose(engine.Request{FleetPath: o.specPath}, engine.ComposeOptions{AllowLocalFiles: true})
-	if err != nil {
-		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+		fmt.Fprintln(stderr, "qoesim: -fleet requires -checkpoint <dir> (every fleet run is resumable)")
 		return exitUsage
 	}
 	spec := plan.FleetSpec
@@ -65,40 +38,41 @@ func runFleet(parent context.Context, o fleetOpts) int {
 		// it so plain -resume continues the original partition.
 		m, merr := fleet.ReadManifest(o.checkpoint)
 		if merr != nil {
-			fmt.Fprintf(o.stderr, "qoesim: %v\n", merr)
+			fmt.Fprintf(stderr, "qoesim: %v\n", merr)
 			return exitFailed
 		}
 		spec.Shards = m.Shards
 	}
 	if err := spec.Validate(); err != nil {
-		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return exitUsage
 	}
 
 	var cp *fleet.Checkpoint
 	var restored map[int]*fleet.ShardResult
+	var err error
 	if o.resume {
 		var warnings []string
 		cp, restored, warnings, err = fleet.Open(o.checkpoint, spec)
 		if err != nil {
-			fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			return exitFailed
 		}
 		for _, w := range warnings {
-			fmt.Fprintf(o.stderr, "qoesim: checkpoint: %s\n", w)
+			fmt.Fprintf(stderr, "qoesim: checkpoint: %s\n", w)
 		}
-		fmt.Fprintf(o.stderr, "qoesim: resuming fleet %s: %d/%d shards restored from %s\n",
+		fmt.Fprintf(stderr, "qoesim: resuming fleet %s: %d/%d shards restored from %s\n",
 			spec.Name, len(restored), spec.Shards, o.checkpoint)
 	} else {
 		cp, err = fleet.Create(o.checkpoint, spec)
 		if err != nil {
-			fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			return exitFailed
 		}
 	}
 	r, err := spec.Compile()
 	if err != nil {
-		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return exitUsage
 	}
 
@@ -107,24 +81,19 @@ func runFleet(parent context.Context, o fleetOpts) int {
 	// resume hint. A second signal kills immediately (NotifyContext restores
 	// the default handler after stop) — and even that loses nothing beyond
 	// the in-flight shards, which is the invariant the package tests.
-	ctx, stop := fleet.NotifyInterrupt(parent)
+	ctx, stop := fleet.NotifyInterrupt(ctx)
 	defer stop()
-	if o.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.timeout)
-		defer cancel()
-	}
 
 	manifest := plan.Manifest
 	manifest.Parallel = o.parallel
-	obs, err := o.rlf.Start("qoesim", spec.Shards, manifest, nil)
+	obs, err := o.ob.RunLog.Start("qoesim", spec.Shards, manifest, nil)
 	if err != nil {
-		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return exitFailed
 	}
 
 	var progress func(fleet.Event)
-	if spec.Shards > 1 && !o.rlf.Progress.Enabled() {
+	if spec.Shards > 1 && !o.ob.RunLog.Progress.Enabled() {
 		progress = func(ev fleet.Event) {
 			status := ""
 			switch {
@@ -133,13 +102,13 @@ func runFleet(parent context.Context, o fleetOpts) int {
 			case ev.Restored:
 				status = " (restored)"
 			}
-			fmt.Fprintf(o.stderr, "qoesim: [%d/%d] shard %d tuples [%d,%d) (%v)%s\n",
+			fmt.Fprintf(stderr, "qoesim: [%d/%d] shard %d tuples [%d,%d) (%v)%s\n",
 				ev.Done, ev.Total, ev.Shard, ev.Start, ev.End,
 				ev.Elapsed.Round(time.Millisecond), status)
 		}
 	}
 	if err := cp.WriteState(fleet.RunState{Status: "running", Restored: len(restored)}); err != nil {
-		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return exitFailed
 	}
 
@@ -161,14 +130,14 @@ func runFleet(parent context.Context, o fleetOpts) int {
 	if res.Interrupted {
 		state.Status = "interrupted"
 		if err := cp.WriteState(state); err != nil {
-			fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		}
 		if cerr := obs.CloseTruncated(); cerr != nil {
-			fmt.Fprintf(o.stderr, "qoesim: runlog: %v\n", cerr)
+			fmt.Fprintf(stderr, "qoesim: runlog: %v\n", cerr)
 		}
-		fmt.Fprintf(o.stderr, "qoesim: fleet %s interrupted: %d/%d shards checkpointed in %s (%v); resume with: qoesim -fleet %s -checkpoint %s -resume\n",
+		fmt.Fprintf(stderr, "qoesim: fleet %s interrupted: %d/%d shards checkpointed in %s (%v); resume with: qoesim -fleet %s -checkpoint %s -resume\n",
 			spec.Name, res.Completed+res.Restored, spec.Shards, o.checkpoint,
-			time.Since(start).Round(time.Millisecond), o.specPath, o.checkpoint)
+			time.Since(start).Round(time.Millisecond), o.fleet, o.checkpoint)
 		return exitInterrupted
 	}
 
@@ -176,30 +145,30 @@ func runFleet(parent context.Context, o fleetOpts) int {
 	if res.Failed > 0 || res.Skipped > 0 {
 		state.Status = "failed"
 		for _, f := range res.Failures {
-			fmt.Fprintf(o.stderr, "qoesim: fleet shard %d failed after %d attempts: %v\n", f.Shard, f.Attempts, f.Err)
+			fmt.Fprintf(stderr, "qoesim: fleet shard %d failed after %d attempts: %v\n", f.Shard, f.Attempts, f.Err)
 		}
 		if res.Skipped > 0 {
-			fmt.Fprintf(o.stderr, "qoesim: fleet: %d shards skipped by the circuit breaker\n", res.Skipped)
+			fmt.Fprintf(stderr, "qoesim: fleet: %d shards skipped by the circuit breaker\n", res.Skipped)
 		}
 		exit = exitFailed
 	} else {
 		state.Status = "complete"
 		if err := cp.WriteFinal(res.Merged); err != nil {
-			fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			exit = exitFailed
 		}
 	}
 	if err := cp.WriteState(state); err != nil {
-		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		exit = exitFailed
 	}
 	if cerr := obs.Close(nil); cerr != nil {
-		fmt.Fprintf(o.stderr, "qoesim: runlog: %v\n", cerr)
+		fmt.Fprintf(stderr, "qoesim: runlog: %v\n", cerr)
 		exit = exitFailed
 	}
 
-	o.stdout.Write(engine.RenderFleet(spec, res.Merged, o.csv))
-	fmt.Fprintf(o.stderr, "qoesim: fleet %s: %d tuples across %d shards (%d restored) in %v\n",
+	stdout.Write(engine.RenderFleet(spec, res.Merged, o.csv))
+	fmt.Fprintf(stderr, "qoesim: fleet %s: %d tuples across %d shards (%d restored) in %v\n",
 		spec.Name, res.Merged.Tuples, spec.Shards, res.Restored,
 		time.Since(start).Round(time.Millisecond))
 	return exit

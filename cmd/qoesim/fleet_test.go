@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"mobileqoe/cmd/internal/obsflag"
 	"mobileqoe/internal/fleet"
 	"mobileqoe/internal/runlog"
 )
@@ -38,38 +36,36 @@ func writeFleetSpec(t *testing.T, dir string, population int) string {
 	return path
 }
 
-// runFleetCLI drives runFleet the way main does, capturing stdout/stderr.
-func runFleetCLI(t *testing.T, o fleetOpts) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	o.stdout, o.stderr = &stdout, &stderr
-	if o.rlf == nil {
-		o.rlf = &obsflag.RunLogFlags{}
-	}
-	code := runFleet(context.Background(), o)
-	return code, stdout.String(), stderr.String()
-}
-
+// TestFleetUsageErrors: -fleet takes its workloads, seeds and fault plans
+// from the spec, so any flag outside its allowlist is a usage error that
+// names the flag and creates no checkpoint.
 func TestFleetUsageErrors(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeFleetSpec(t, dir, 10)
-
-	code, _, stderr := runFleetCLI(t, fleetOpts{specPath: spec})
-	if code != exitUsage || !strings.Contains(stderr, "-checkpoint") {
-		t.Errorf("missing -checkpoint: code=%d stderr=%q", code, stderr)
-	}
-	code, _, _ = runFleetCLI(t, fleetOpts{specPath: filepath.Join(dir, "nope.json"), checkpoint: filepath.Join(dir, "ck")})
-	if code != exitUsage {
-		t.Errorf("missing spec file: code=%d, want %d", code, exitUsage)
-	}
-	code, _, _ = runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: filepath.Join(dir, "ck2"), shards: 99})
-	if code != exitUsage {
-		t.Errorf("shards > population: code=%d, want %d", code, exitUsage)
-	}
-	// Resuming a checkpoint that was never created is a runtime failure.
-	code, _, _ = runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: filepath.Join(dir, "ck3"), resume: true})
-	if code != exitFailed {
-		t.Errorf("resume without checkpoint: code=%d, want %d", code, exitFailed)
+	ck := filepath.Join(dir, "ck")
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-fleet", spec}, exitUsage, "-checkpoint"},
+		{[]string{"-fleet", filepath.Join(dir, "nope.json"), "-checkpoint", ck}, exitUsage, "nope.json"},
+		{[]string{"-fleet", spec, "-checkpoint", ck, "-fleet-shards", "99"}, exitUsage, "shards"},
+		// Resuming a checkpoint that was never created is a runtime failure.
+		{[]string{"-fleet", spec, "-checkpoint", ck, "-resume"}, exitFailed, ""},
+		{[]string{"-fleet", spec, "-checkpoint", ck, "-fleet-shards", "2", "-seed", "9"}, exitUsage, "-seed"},
+		{[]string{"-fleet", spec, "-checkpoint", ck, "-pages", "1"}, exitUsage, "-pages"},
+		{[]string{"-fleet", spec, "-checkpoint", ck, "-metrics"}, exitUsage, "-metrics"},
+		{[]string{"-fleet", spec, "-checkpoint", ck, "-run", "fig3a"}, exitUsage, "-run"},
+		{[]string{"-run", "fig3a", "-checkpoint", ck}, exitUsage, "-checkpoint requires -fleet"},
+	} {
+		code, stdout, stderr := runArgs(t, tc.args...)
+		if code != tc.code || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: code=%d stdout=%q stderr=%q, want exit %d naming %q", tc.args, code, stdout, stderr, tc.code, tc.want)
+		}
+		if _, err := os.Stat(ck); !os.IsNotExist(err) {
+			t.Fatalf("%v created the checkpoint directory", tc.args)
+		}
 	}
 }
 
@@ -82,13 +78,13 @@ func TestFleetStopAfterResumeByteIdentical(t *testing.T) {
 	spec := writeFleetSpec(t, dir, 30)
 
 	ckBase := filepath.Join(dir, "ck-base")
-	code, baseOut, stderr := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ckBase, shards: 1, parallel: 1})
+	code, baseOut, stderr := runArgs(t, "-fleet", spec, "-checkpoint", ckBase, "-fleet-shards", "1", "-parallel", "1")
 	if code != exitOK {
 		t.Fatalf("baseline run: code=%d stderr=%s", code, stderr)
 	}
 
 	ck := filepath.Join(dir, "ck")
-	code, _, stderr = runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, shards: 6, parallel: 1, stopAfter: 2})
+	code, _, stderr = runArgs(t, "-fleet", spec, "-checkpoint", ck, "-fleet-shards", "6", "-parallel", "1", "-fleet-stop-after", "2")
 	if code != exitInterrupted {
 		t.Fatalf("interrupted run: code=%d, want %d; stderr=%s", code, exitInterrupted, stderr)
 	}
@@ -104,7 +100,7 @@ func TestFleetStopAfterResumeByteIdentical(t *testing.T) {
 	}
 
 	// Resume adopts the manifest's partition without -fleet-shards.
-	code, resumedOut, stderr := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, resume: true, parallel: 2})
+	code, resumedOut, stderr := runArgs(t, "-fleet", spec, "-checkpoint", ck, "-parallel", "2", "-resume")
 	if code != exitOK {
 		t.Fatalf("resume: code=%d stderr=%s", code, stderr)
 	}
@@ -127,7 +123,7 @@ func TestFleetStopAfterResumeByteIdentical(t *testing.T) {
 	}
 
 	// A second resume restores everything and re-prints the same table.
-	code, againOut, _ := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, resume: true})
+	code, againOut, _ := runArgs(t, "-fleet", spec, "-checkpoint", ck, "-resume")
 	if code != exitOK || againOut != baseOut {
 		t.Errorf("all-restored resume: code=%d, identical=%v", code, againOut == baseOut)
 	}
@@ -150,10 +146,7 @@ func TestFleetSIGINT(t *testing.T) {
 
 	done := make(chan int, 1)
 	go func() {
-		code, _, _ := runFleetCLI(t, fleetOpts{
-			specPath: spec, checkpoint: ck, shards: 100, parallel: 2,
-			rlf: &obsflag.RunLogFlags{Out: logPath},
-		})
+		code, _, _ := runArgs(t, "-fleet", spec, "-checkpoint", ck, "-fleet-shards", "100", "-parallel", "2", "-runlog", logPath)
 		done <- code
 	}()
 
@@ -212,12 +205,12 @@ func TestFleetSIGINT(t *testing.T) {
 	}
 
 	// And the run is resumable to the byte-identical answer.
-	code, resumedOut, stderr := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, resume: true, parallel: 4})
+	code, resumedOut, stderr := runArgs(t, "-fleet", spec, "-checkpoint", ck, "-parallel", "4", "-resume")
 	if code != exitOK {
 		t.Fatalf("resume after SIGINT: code=%d stderr=%s", code, stderr)
 	}
 	ckBase := filepath.Join(dir, "ck-base")
-	code, baseOut, _ := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ckBase, shards: 100, parallel: 4})
+	code, baseOut, _ := runArgs(t, "-fleet", spec, "-checkpoint", ckBase, "-fleet-shards", "100", "-parallel", "4")
 	if code != exitOK {
 		t.Fatalf("baseline after SIGINT: code=%d", code)
 	}

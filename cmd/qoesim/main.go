@@ -10,8 +10,7 @@
 //	qoesim -run fig2a -csv           # machine-readable output
 //	qoesim -run fig3a -pages 12 -seed 7
 //	qoesim -run all -trials 20 -parallel 8   # paper-style replicated trials
-//	qoesim -run fig3a -trace out.json            # one combined trace file
-//	qoesim -run fig3a -trials 4 -parallel 4 -trace out.json  # per-trial files
+//	qoesim -run fig3a -trials 4 -trace out.json  # one combined trace file
 //	qoesim -run fig3a -profile -folded out.folded            # profile the run
 //	qoesim -run all -checktrace                  # trace invariant check
 //	qoesim -report report.md                     # markdown report of every table
@@ -35,10 +34,8 @@
 // traces on its own tracer, which the runner hands back as the cell
 // completes. -profile, -folded, -checktrace, and -trace read one combined
 // trace: the cells' tracers appended in cell order, byte-identical at any
-// -parallel. Plain -trace with an explicit -parallel > 1 instead writes one
-// file per cell as it completes: <out>.trial<N>.json for a single experiment,
-// <out>.<id>.trial<N>.json when several experiments ran. -exemplars composes
-// with all of them. A retried cell traces only the attempt it reported.
+// -parallel. -exemplars composes with all of them. A retried cell traces
+// only the attempt it reported.
 package main
 
 import (
@@ -66,24 +63,12 @@ import (
 )
 
 // splitOut splits an output path at its last dot into stem and extension
-// (no dot: extension ".json"), the base the per-cell trace files are named
-// from.
+// (no dot: extension ".json"), the base the exemplar files are named from.
 func splitOut(out string) (stem, ext string) {
 	if i := strings.LastIndexByte(out, '.'); i > strings.LastIndexByte(out, '/') {
 		return out[:i], out[i:]
 	}
 	return out, ".json"
-}
-
-// cellTracePath names the per-cell trace file of one cell:
-// <stem>.trial<N><ext> for a single experiment, <stem>.<id>.trial<N><ext>
-// when several ran (see splitOut).
-func cellTracePath(out string, multi bool, id string, trial int) string {
-	stem, ext := splitOut(out)
-	if multi {
-		return fmt.Sprintf("%s.%s.trial%d%s", stem, id, trial, ext)
-	}
-	return fmt.Sprintf("%s.trial%d%s", stem, trial, ext)
 }
 
 // writeExemplars writes the top-K worst-cell traces retained by -exemplars
@@ -108,45 +93,68 @@ func writeExemplars(ex *runner.Exemplars, out string, obs *engine.Observer, stde
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// options holds qoesim's parsed flags.
+type options struct {
+	list, full, csv, profile, check, resume    bool
+	report, runID, scenario, fleet, checkpoint string
+	faults, folded, weight, cpuProf, memProf   string
+	exemOut, exemMetric                        string
+	pages, trials, parallel, retries, exemK    int
+	shards, stopAfter                          int
+	seed                                       uint64
+	clip, call, timeout, shardTimeout          time.Duration
+	ob                                         *obsflag.Outputs
+}
+
+// fleetFlags are the flags -fleet composes with: the spec fixes workloads,
+// seeds and fault plans, so any other flag is a usage error. A true value
+// marks a flag that means nothing without -fleet.
+var fleetFlags = map[string]bool{
+	"fleet": false, "parallel": false, "retries": false, "timeout": false,
+	"runlog": false, "progress": false, "telemetry": false, "csv": false,
+	"cpuprofile": false, "memprofile": false,
+	"checkpoint": true, "resume": true, "fleet-shards": true,
+	"fleet-stop-after": true, "shard-timeout": true,
+}
+
 // run is the whole command: it parses args on its own flag set and returns
 // the exit code, so deferred profile writers (pprof) run before the process
 // exits and tests can drive it in-process.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("qoesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		list     = fs.Bool("list", false, "list experiments and exit")
-		report   = fs.String("report", "", "write a markdown report of the run's tables to this file (alone: runs every experiment and prints only the path)")
-		runID    = fs.String("run", "", "experiment id to run, or 'all'")
-		scen     = fs.String("scenario", "", "run a declarative scenario file (JSON; see EXPERIMENTS.md \"Writing scenario files\")")
-		full     = fs.Bool("full", false, "paper-scale configuration (slow)")
-		csv      = fs.Bool("csv", false, "emit CSV instead of an ASCII table")
-		pages    = fs.Int("pages", 0, "pages per web measurement (default 6)")
-		seed     = fs.Uint64("seed", 0, "workload seed (default 1; trial t of a multi-trial run uses seed*1e6+t)")
-		clip     = fs.Duration("clip", 0, "streaming clip duration (default 60s)")
-		call     = fs.Duration("call", 0, "call media duration (default 30s)")
-		trials   = fs.Int("trials", 0, "independent trials per experiment (default 1); >1 merges mean/p50/ci95 columns")
-		parallel = fs.Int("parallel", 0, "worker goroutines for -run (default GOMAXPROCS)")
-		timeout  = fs.Duration("timeout", 0, "abort -run after this wall-clock duration (0 = no limit)")
-		faults   = fs.String("faults", "", "fault-injection plan: a JSON plan file, 'default' for the built-in mixed plan, or 'none'")
-		retries  = fs.Int("retries", 0, "extra attempts per failed (experiment, trial) cell")
-		profOut  = fs.Bool("profile", false, "print an aggregated virtual-time profile of the run's combined trace (implies tracing)")
-		folded   = fs.String("folded", "", "write folded stacks (flamegraph.pl / speedscope) of the run's combined trace to this file (implies tracing)")
-		weight   = fs.String("weight", "time", "folded-stack weight: 'time' (self virtual µs) or 'cycles'")
-		check    = fs.Bool("checktrace", false, "run the trace invariant checker over the run's combined trace (implies tracing and metrics; violations exit nonzero)")
-		cpuProf  = fs.String("cpuprofile", "", "write a Go CPU profile of the qoesim process to this file")
-		memProf  = fs.String("memprofile", "", "write a Go heap profile (taken after the run) to this file")
-		exemK    = fs.Int("exemplars", 0, "retain full traces for the K worst cells by -exemplar-metric (composes with every trace flag); files named <exemplar-out stem>.exemplar.<id>.trial<N>.json")
-		exemOut  = fs.String("exemplar-out", "out.json", "output stem for -exemplars trace files")
-		exemMet  = fs.String("exemplar-metric", "", "registry metric ranking -exemplars cells, worst = largest (default sim.virtual_ms)")
-		flSpec   = fs.String("fleet", "", "run a fleet spec (JSON; see EXPERIMENTS.md \"Running a fleet\"): a sharded population run with checkpoint/resume")
-		flCkpt   = fs.String("checkpoint", "", "fleet checkpoint directory (required with -fleet; shards land here atomically as they complete)")
-		flResume = fs.Bool("resume", false, "resume an interrupted fleet from -checkpoint (merges byte-identically with an uninterrupted run)")
-		flShards = fs.Int("fleet-shards", 0, "override the spec's shard count (a fresh run only; resume keeps the original partition)")
-		flStop   = fs.Int("fleet-stop-after", 0, "interrupt the fleet after N freshly-completed shards, exactly like a signal (deterministic kill-mid-run for tests and CI)")
-		flShardT = fs.Duration("shard-timeout", 0, "per-shard-attempt wall-clock timeout for -fleet (0 = none; timed-out attempts retry per -retries)")
-	)
-	ob := obsflag.Register(fs, "write a Chrome trace-event JSON of the run to this file: the cells appended in cell order, or one file per cell with an explicit -parallel > 1 (see package doc)")
+	var o options
+	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
+	fs.StringVar(&o.report, "report", "", "write a markdown report of the run's tables to this file (alone: runs every experiment and prints only the path)")
+	fs.StringVar(&o.runID, "run", "", "experiment id to run, or 'all'")
+	fs.StringVar(&o.scenario, "scenario", "", "run a declarative scenario file (JSON; see EXPERIMENTS.md \"Writing scenario files\")")
+	fs.BoolVar(&o.full, "full", false, "paper-scale configuration (slow)")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of an ASCII table")
+	fs.IntVar(&o.pages, "pages", 0, "pages per web measurement (default 6)")
+	fs.Uint64Var(&o.seed, "seed", 0, "workload seed (default 1; trial t of a multi-trial run uses seed*1e6+t)")
+	fs.DurationVar(&o.clip, "clip", 0, "streaming clip duration (default 60s)")
+	fs.DurationVar(&o.call, "call", 0, "call media duration (default 30s)")
+	fs.IntVar(&o.trials, "trials", 0, "independent trials per experiment (default 1); >1 merges mean/p50/ci95 columns")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker goroutines for -run (default GOMAXPROCS)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort -run after this wall-clock duration (0 = no limit)")
+	fs.StringVar(&o.faults, "faults", "", "fault-injection plan: a JSON plan file, 'default' for the built-in mixed plan, or 'none'")
+	fs.IntVar(&o.retries, "retries", 0, "extra attempts per failed (experiment, trial) cell")
+	fs.BoolVar(&o.profile, "profile", false, "print an aggregated virtual-time profile of the run's combined trace (implies tracing)")
+	fs.StringVar(&o.folded, "folded", "", "write folded stacks (flamegraph.pl / speedscope) of the run's combined trace to this file (implies tracing)")
+	fs.StringVar(&o.weight, "weight", "time", "folded-stack weight: 'time' (self virtual µs) or 'cycles'")
+	fs.BoolVar(&o.check, "checktrace", false, "run the trace invariant checker over the run's combined trace (implies tracing and metrics; violations exit nonzero)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a Go CPU profile of the qoesim process to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a Go heap profile (taken after the run) to this file")
+	fs.IntVar(&o.exemK, "exemplars", 0, "retain full traces for the K worst cells by -exemplar-metric (composes with every trace flag); files named <exemplar-out stem>.exemplar.<id>.trial<N>.json")
+	fs.StringVar(&o.exemOut, "exemplar-out", "out.json", "output stem for -exemplars trace files")
+	fs.StringVar(&o.exemMetric, "exemplar-metric", "", "registry metric ranking -exemplars cells, worst = largest (default sim.virtual_ms)")
+	fs.StringVar(&o.fleet, "fleet", "", "run a fleet spec (JSON; see EXPERIMENTS.md \"Running a fleet\"): a sharded population run with checkpoint/resume")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "fleet checkpoint directory (required with -fleet; shards land here atomically as they complete)")
+	fs.BoolVar(&o.resume, "resume", false, "resume an interrupted fleet from -checkpoint (merges byte-identically with an uninterrupted run)")
+	fs.IntVar(&o.shards, "fleet-shards", 0, "override the spec's shard count (a fresh run only; resume keeps the original partition)")
+	fs.IntVar(&o.stopAfter, "fleet-stop-after", 0, "interrupt the fleet after N freshly-completed shards, exactly like a signal (deterministic kill-mid-run for tests and CI)")
+	fs.DurationVar(&o.shardTimeout, "shard-timeout", 0, "per-shard-attempt wall-clock timeout for -fleet (0 = none; timed-out attempts retry per -retries)")
+	o.ob = obsflag.Register(fs, "write a Chrome trace-event JSON of the run to this file: the cells' traces appended in cell order")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -154,12 +162,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// A zero passed explicitly on the command line means "really zero", not
-	// "use the default"; set records which flags were given.
+	// "use the default"; set records which flags were given. misuse names
+	// the first given flag that breaks the fleetFlags rules.
 	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	misuse := ""
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		fleetOnly, ok := fleetFlags[f.Name]
+		switch {
+		case misuse != "":
+		case o.fleet != "" && !ok:
+			misuse = fmt.Sprintf("-fleet does not compose with -%s (workloads, seeds and fault plans come from the spec)", f.Name)
+		case o.fleet == "" && fleetOnly:
+			misuse = fmt.Sprintf("-%s requires -fleet", f.Name)
+		}
+	})
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if o.cpuProf != "" {
+		f, err := os.Create(o.cpuProf)
 		if err != nil {
 			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			return 1
@@ -171,9 +191,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
+	if o.memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
+			f, err := os.Create(o.memProf)
 			if err != nil {
 				fmt.Fprintf(stderr, "qoesim: %v\n", err)
 				return
@@ -186,78 +206,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *list {
+	if o.list {
 		for _, id := range experiments.IDs() {
 			fmt.Fprintf(stdout, "%-16s %s\n", id, experiments.Describe(id))
 		}
 		return 0
 	}
-	if *flSpec != "" {
-		if *runID != "" || *scen != "" || *report != "" {
-			fmt.Fprintln(stderr, "qoesim: -fleet is mutually exclusive with -run, -scenario, and -report")
-			return 2
-		}
-		if ob.TraceOut != "" || *profOut || *folded != "" || *check || *exemK > 0 || *faults != "" || *trials > 0 {
-			fmt.Fprintln(stderr, "qoesim: -fleet composes with -parallel, -retries, -timeout, -shard-timeout, -runlog, -progress, -telemetry, and -csv only (workloads and fault plans come from the spec)")
-			return 2
-		}
-		return runFleet(context.Background(), fleetOpts{
-			specPath:     *flSpec,
-			checkpoint:   *flCkpt,
-			resume:       *flResume,
-			shards:       *flShards,
-			stopAfter:    *flStop,
-			shardTimeout: *flShardT,
-			parallel:     *parallel,
-			retries:      *retries,
-			timeout:      *timeout,
-			csv:          *csv,
-			rlf:          ob.RunLog,
-			stdout:       stdout,
-			stderr:       stderr,
-		})
-	}
-	if *flCkpt != "" || *flResume || *flShards > 0 || *flStop > 0 || *flShardT > 0 {
-		fmt.Fprintln(stderr, "qoesim: -checkpoint/-resume/-fleet-shards/-fleet-stop-after/-shard-timeout require -fleet")
+	if misuse != "" {
+		fmt.Fprintf(stderr, "qoesim: %s\n", misuse)
 		return 2
 	}
-	if *runID == "" && *report == "" && *scen == "" {
+	reportOnly := o.runID == "" && o.scenario == "" && o.fleet == ""
+	if reportOnly && o.report == "" {
 		fmt.Fprintln(stderr, "qoesim: use -list to see experiments, -run <id> to execute one, -scenario <file>, -fleet <file>, or -report <file>")
 		return 2
 	}
-	if *runID != "" && *scen != "" {
-		fmt.Fprintln(stderr, "qoesim: -run and -scenario are mutually exclusive")
-		return 2
-	}
 	var by profile.Weight
-	switch *weight {
+	switch o.weight {
 	case "time":
 		by = profile.WeightTime
 	case "cycles":
 		by = profile.WeightCycles
 	default:
-		fmt.Fprintf(stderr, "qoesim: -weight must be 'time' or 'cycles', got %q\n", *weight)
+		fmt.Fprintf(stderr, "qoesim: -weight must be 'time' or 'cycles', got %q\n", o.weight)
 		return 2
 	}
 
 	// Compose the run through the engine layer — the same id resolution,
 	// config assembly, seed schedule, and manifest the qoesimd service uses,
-	// so CLI and server runs can never drift. The CLI then layers its
-	// impure extras (tracing, watchdogs, registry printing) onto the plan;
-	// that is exactly why this path never touches the engine's result cache.
+	// so CLI and server runs can never drift. Its rule that a request names
+	// exactly one of experiment, scenario and fleet is the CLI's too. The CLI
+	// then layers its impure extras (tracing, watchdogs, registry printing,
+	// fleet checkpoints) onto the plan; that is exactly why this path never
+	// touches the engine's result cache.
 	req := engine.Request{
-		Experiment:   *runID,
-		ScenarioPath: *scen,
-		Seed:         *seed,
-		Trials:       *trials,
-		Pages:        *pages,
-		Full:         *full,
-		CSV:          *csv,
+		Experiment:   o.runID,
+		ScenarioPath: o.scenario,
+		FleetPath:    o.fleet,
+		Seed:         o.seed,
+		Trials:       o.trials,
+		Pages:        o.pages,
+		Full:         o.full,
+		CSV:          o.csv,
 	}
-	if set["seed"] && *seed == 0 {
+	if set["seed"] && o.seed == 0 {
 		req.Seed = experiments.ZeroSeed
 	}
-	reportOnly := *runID == "" && *scen == ""
 	if reportOnly {
 		req.Experiment = "all" // -report alone reports every experiment
 	}
@@ -266,63 +260,69 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return 2
 	}
+	ctx := context.Background()
+	if o.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
+		defer cancel()
+	}
+	if plan.Kind == "fleet" {
+		return runFleet(ctx, &o, plan, stdout, stderr)
+	}
 	cfg := &plan.Cfg
 	if set["clip"] {
-		cfg.ClipDuration = orZero(*clip)
+		cfg.ClipDuration = orZero(o.clip)
 	}
 	if set["call"] {
-		cfg.CallDuration = orZero(*call)
+		cfg.CallDuration = orZero(o.call)
 	}
 	// Compose already turned collection on, with bounded histograms, for a
 	// scenario's slo: block; an explicit -metricsmode still wins.
-	ob.Configure(cfg)
-	if *faults != "" {
+	o.ob.Configure(cfg)
+	if o.faults != "" {
 		// -faults wins over a scenario's fault_plan (already loaded by
 		// Compose), matching the general rule that flags override the file.
-		fp, err := fault.Resolve(*faults)
+		fp, err := fault.Resolve(o.faults)
 		if err != nil {
 			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			return 2
 		}
 		cfg.Faults = fp
 	}
-	if *check {
+	if o.check {
 		// The checker cross-validates the trace against the metrics registry,
 		// so it needs both channels on.
 		cfg.Metrics = true
 	}
 	var ex *runner.Exemplars
-	if *exemK > 0 {
+	if o.exemK > 0 {
 		// The ranking metric is mined from each cell's registry.
 		cfg.Metrics = true
-		ex = runner.NewExemplars(*exemK, *exemMet)
+		ex = runner.NewExemplars(o.exemK, o.exemMetric)
 	}
 
 	ids := plan.IDs
 	norm := cfg.WithDefaults()
 	totalCells := len(ids) * norm.Trials
-	workers := *parallel
+	workers := o.parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	manifest := plan.Manifest
 	manifest.Parallel = workers
-	if *faults != "" {
-		manifest.FaultPlan = *faults
+	if o.faults != "" {
+		manifest.FaultPlan = o.faults
 	}
-	obs, err := ob.RunLog.Start("qoesim", totalCells, manifest, plan.SLO())
+	obs, err := o.ob.RunLog.Start("qoesim", totalCells, manifest, plan.SLO())
 	if err != nil {
 		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return 1
 	}
 
 	// Every cell traces on its own tracer, which the runner hands to
-	// Progress. Plain -trace with an explicit -parallel > 1 writes each to
-	// its own file as the cell completes; every other trace consumer reads
-	// one combined trace, the cells appended in cell order, which is
-	// byte-identical at any worker count.
-	analyze := *profOut || *folded != "" || *check
-	perCell := ob.TraceOut != "" && *parallel > 1 && !analyze
+	// Progress. Every trace consumer reads one combined trace, the cells
+	// appended in cell order, which is byte-identical at any worker count.
+	analyze := o.profile || o.folded != "" || o.check
 	var combined *trace.Tracer
 	var hooks []func(runner.Event)
 	if ex != nil {
@@ -330,24 +330,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// K live traces) and still retains a deterministic set.
 		hooks = append(hooks, ex.Observe)
 	}
-	if analyze || (ob.TraceOut != "" && !perCell) {
+	if analyze || o.ob.TraceOut != "" {
 		combined = trace.New()
 		seq := runner.NewInorder(totalCells, combined.Append)
 		hooks = append(hooks, func(ev runner.Event) { seq.Put(ev.Index, ev.Trace) })
 	}
-	var traceErr error
-	if perCell {
-		hooks = append(hooks, func(ev runner.Event) {
-			if ev.Trace == nil || traceErr != nil {
-				return
-			}
-			path := cellTracePath(ob.TraceOut, len(ids) > 1, ev.ID, ev.Trial)
-			if traceErr = ev.Trace.WriteFile(path); traceErr == nil {
-				fmt.Fprintf(stderr, "qoesim: wrote %d trace events to %s\n", ev.Trace.Len(), path)
-			}
-		})
-	}
-	if totalCells > 1 && !ob.RunLog.Progress.Enabled() { // the live meter replaces the per-cell lines
+	if totalCells > 1 && !o.ob.RunLog.Progress.Enabled() { // the live meter replaces the per-cell lines
 		hooks = append(hooks, func(ev runner.Event) {
 			status := ""
 			if ev.Err != nil {
@@ -358,8 +346,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				ev.Elapsed.Round(time.Millisecond), status)
 		})
 	}
-	ropts := runner.Options{Parallel: *parallel, Retries: *retries,
-		Trace: ex != nil || combined != nil || perCell}
+	ropts := runner.Options{Parallel: o.parallel, Retries: o.retries,
+		Trace: ex != nil || combined != nil}
 	if len(hooks) > 0 {
 		ropts.Progress = func(ev runner.Event) {
 			for _, h := range hooks {
@@ -370,21 +358,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if obs != nil {
 		ropts.Stream = obs.Stream
 	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 	start := time.Now()
 	results, err := engine.ExecutePlan(ctx, plan, ropts)
 	exit := 0
 	if ex != nil {
-		if code := writeExemplars(ex, *exemOut, obs, stderr); code != 0 {
+		if code := writeExemplars(ex, o.exemOut, obs, stderr); code != 0 {
 			exit = code
 		}
 	}
-	if ob.RunLog.SLOExit && obs.Violations() > 0 {
+	if o.ob.RunLog.SLOExit && obs.Violations() > 0 {
 		exit = 1
 	}
 	if cerr := obs.Close(err); cerr != nil {
@@ -395,30 +377,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return 1
 	}
-	if *report != "" {
-		if err := writeReport(*report, results); err != nil {
+	if o.report != "" {
+		if err := writeReport(o.report, results); err != nil {
 			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote %s\n", *report)
+		fmt.Fprintf(stdout, "wrote %s\n", o.report)
 	}
-	for _, r := range results {
-		if r.Err != nil {
-			// Cells still failed after every retry: report and exit nonzero,
-			// but print whatever partial table the surviving trials merged.
-			fmt.Fprintf(stderr, "qoesim: %v\n", r.Err)
+	for i, r := range results {
+		// Cells still failed after every retry: report and exit nonzero,
+		// but print whatever partial table the surviving trials merged.
+		out, err := engine.RenderResults(results[i:i+1], o.csv)
+		if err != nil {
+			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			exit = 1
 		}
-		if r.Table == nil || reportOnly {
+		if reportOnly {
 			continue
 		}
-		if *csv {
-			fmt.Fprint(stdout, r.Table.CSV())
-		} else {
-			fmt.Fprint(stdout, r.Table.String())
-			fmt.Fprintln(stdout)
-		}
-		if ob.Metrics && r.Table.Metrics != nil {
+		stdout.Write(out)
+		if o.ob.Metrics && r.Table != nil && r.Table.Metrics != nil {
 			// The header names the fold discipline when trials merged, so a
 			// reader of a -parallel run knows the registry is the in-order
 			// trial fold, not a completion-order one.
@@ -430,19 +408,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout)
 		}
 	}
-	if traceErr != nil {
-		fmt.Fprintf(stderr, "qoesim: %v\n", traceErr)
-		return 1
-	}
-	if combined != nil && ob.TraceOut != "" {
-		if err := combined.WriteFile(ob.TraceOut); err != nil {
+	if o.ob.TraceOut != "" {
+		if err := combined.WriteFile(o.ob.TraceOut); err != nil {
 			fmt.Fprintf(stderr, "qoesim: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "qoesim: wrote %d trace events to %s\n", combined.Len(), ob.TraceOut)
+		fmt.Fprintf(stderr, "qoesim: wrote %d trace events to %s\n", combined.Len(), o.ob.TraceOut)
 	}
 	if analyze {
-		if code := analyzeTrace(combined, results, *profOut, *folded, by, *check, stdout, stderr); code != 0 {
+		if code := analyzeTrace(combined, results, o.profile, o.folded, by, o.check, stdout, stderr); code != 0 {
 			exit = code
 		}
 	}

@@ -12,12 +12,18 @@ import (
 // tinyArgs shrinks the run so in-process tests stay fast.
 var tinyArgs = []string{"-pages", "1", "-clip", "5s", "-call", "2s"}
 
-// runCLI drives run the way main does, capturing stdout/stderr.
-func runCLI(t *testing.T, args ...string) (int, string, string) {
+// runArgs drives run the way main does, capturing stdout/stderr.
+func runArgs(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := run(append(append([]string{}, tinyArgs...), args...), &stdout, &stderr)
+	code := run(args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
+}
+
+// runCLI drives run shrunk by tinyArgs.
+func runCLI(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	return runArgs(t, append(append([]string{}, tinyArgs...), args...)...)
 }
 
 // TestRequestSizeUsageErrors: request sizes outside the engine's bounds are
@@ -64,24 +70,27 @@ func TestExemplarsComposeWithCheckTrace(t *testing.T) {
 
 // TestCombinedTraceIdenticalAcrossWorkers checks the combined trace is built
 // from per-cell tracers appended in cell order: the file is the same bytes
-// whether the cells ran on one worker or on four, and tracing no longer
-// forces the run onto one worker.
+// whether the cells ran on one worker or on four, with or without an
+// analysis flag, and tracing no longer forces the run onto one worker.
 func TestCombinedTraceIdenticalAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
-	seq, par := filepath.Join(dir, "s.json"), filepath.Join(dir, "c.json")
+	seq := filepath.Join(dir, "s.json")
 	if code, _, stderr := runCLI(t, "-run", "fig3a", "-trials", "3", "-parallel", "1", "-trace", seq); code != 0 {
 		t.Fatalf("-parallel 1: exit %d\n%s", code, stderr)
 	}
-	code, _, stderr := runCLI(t, "-run", "fig3a", "-trials", "3", "-parallel", "4", "-profile", "-trace", par)
-	if code != 0 {
-		t.Fatalf("-parallel 4: exit %d\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "on 4 workers") {
-		t.Errorf("traced run did not keep its 4 workers:\n%s", stderr)
-	}
-	a, b := readFile(t, seq), readFile(t, par)
-	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Fatalf("combined traces differ: %d bytes at -parallel 1, %d at -parallel 4", len(a), len(b))
+	a := readFile(t, seq)
+	for i, extra := range [][]string{{"-profile"}, {}} {
+		par := filepath.Join(dir, fmt.Sprintf("c%d.json", i))
+		code, _, stderr := runCLI(t, append([]string{"-run", "fig3a", "-trials", "3", "-parallel", "4", "-trace", par}, extra...)...)
+		if code != 0 {
+			t.Fatalf("-parallel 4 %v: exit %d\n%s", extra, code, stderr)
+		}
+		if !strings.Contains(stderr, "on 4 workers") {
+			t.Errorf("traced run %v did not keep its 4 workers:\n%s", extra, stderr)
+		}
+		if b, err := os.ReadFile(par); len(a) == 0 || err != nil || !bytes.Equal(a, b) {
+			t.Fatalf("combined traces differ: %d bytes at -parallel 1, %d at -parallel 4 %v (%v)", len(a), len(b), extra, err)
+		}
 	}
 }
 

@@ -46,10 +46,11 @@ func ExecutePlan(ctx context.Context, p *Plan, opts runner.Options) ([]runner.Re
 	return runner.Run(ctx, p.IDs, p.Cfg, opts)
 }
 
-// RenderResults renders merged tables exactly as qoesim prints them (ASCII
-// table + blank line, or CSV), so a served result is byte-identical to the
-// CLI's stdout for the same request. The returned error is the first
-// per-experiment failure; partial tables still render.
+// RenderResults renders merged tables (ASCII table + blank line, or CSV).
+// qoesim prints its tables through it and served jobs render their bodies
+// with it, so a served result is byte-identical to the CLI's stdout for the
+// same request. The returned error is the first per-experiment failure;
+// partial tables still render.
 func RenderResults(results []runner.Result, csv bool) ([]byte, error) {
 	var out []byte
 	var firstErr error

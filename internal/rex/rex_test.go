@@ -306,50 +306,3 @@ func TestCaseInsensitiveFlag(t *testing.T) {
 		t.Fatal("\\w corrupted after (?i) compilation")
 	}
 }
-
-func TestFindAll(t *testing.T) {
-	p := MustCompile(`\d+`)
-	spans, steps := p.FindAll("a1b22c333", 0)
-	if steps <= 0 {
-		t.Fatal("no steps")
-	}
-	want := []Span{{1, 2}, {3, 5}, {6, 9}}
-	if len(spans) != len(want) {
-		t.Fatalf("spans = %v", spans)
-	}
-	for i := range want {
-		if spans[i] != want[i] {
-			t.Fatalf("span %d = %v, want %v", i, spans[i], want[i])
-		}
-	}
-	// Limit.
-	spans, _ = p.FindAll("a1b22c333", 2)
-	if len(spans) != 2 {
-		t.Fatalf("limited spans = %v", spans)
-	}
-	// Parity with stdlib on counts.
-	inputs := []string{"", "abc", "1a2b3c", "xx11yy22", "999"}
-	for _, in := range inputs {
-		spans, _ := p.FindAll(in, 0)
-		if got, want := len(spans), len(regexp.MustCompile(`\d+`).FindAllString(in, -1)); got != want {
-			t.Errorf("FindAll(%q) found %d, stdlib %d", in, got, want)
-		}
-	}
-}
-
-func TestFindAllEmptyMatches(t *testing.T) {
-	p := MustCompile("a*")
-	spans, _ := p.FindAll("bab", 0)
-	// Must terminate and cover empty matches without looping forever.
-	if len(spans) == 0 || len(spans) > 4 {
-		t.Fatalf("unexpected spans for empty-capable pattern: %v", spans)
-	}
-}
-
-func TestFindAllAnchored(t *testing.T) {
-	p := MustCompile("^ab")
-	spans, _ := p.FindAll("abab", 0)
-	if len(spans) != 1 || spans[0] != (Span{0, 2}) {
-		t.Fatalf("anchored FindAll = %v, want one match at 0", spans)
-	}
-}
