@@ -29,7 +29,7 @@ type fifoEntry struct {
 // NewFIFO returns an empty delivery lane bound to s.
 func (s *Sim) NewFIFO() *FIFO {
 	f := &FIFO{s: s}
-	f.ev = &Event{fn: f.fire, index: -1, lane: true}
+	f.ev = &Event{fn: f.fire, index: -1}
 	return f
 }
 

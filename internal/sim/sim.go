@@ -10,7 +10,8 @@
 //
 // The kernel never reads the wall clock, and no model code may either: every
 // timestamp observable from inside a simulation (Now, Event.When, the Hook's
-// StepInfo) is virtual time derived purely from the scheduled event sequence.
+// StepInfo, whose At is the fire time of the event it describes) is virtual
+// time derived purely from the scheduled event sequence.
 // Two runs of the same model at the same seed therefore execute the same
 // events at the same virtual instants, which is what makes whole-run
 // artifacts — tables, metrics registries, exported traces — byte-identical
@@ -56,7 +57,6 @@ type Event struct {
 	fn        func()
 	index     int  // heap index, -1 when not queued
 	untracked bool // scheduled via PostAt/PostAfter; recycled after firing
-	lane      bool // a FIFO lane's head; re-queued by its own callback
 	canceled  bool
 	fired     bool
 }
@@ -81,10 +81,9 @@ func (e *Event) Queued() bool { return e.index >= 0 }
 // StepInfo describes one executed event, as seen by a Hook after the
 // event's callback returned. All times are virtual.
 type StepInfo struct {
-	// At is the event's time once its callback returned: its fire time
-	// (== Now during the hook), unless the callback re-armed its own event
-	// with Reset, in which case it is the re-armed time. A FIFO lane entry
-	// always reports its fire time.
+	// At is the event's fire time (== Now during the hook), read before
+	// the callback ran: a callback that re-arms its own event with Reset,
+	// or a FIFO lane re-queued under its next entry, does not move it.
 	At        time.Duration
 	Step      uint64 // 1-based ordinal of the event in this run
 	Scheduled int    // events the callback itself scheduled
@@ -251,9 +250,6 @@ func (s *Sim) Step() bool {
 		} else {
 			pre, at := s.seq, e.at
 			e.fn()
-			if !e.lane {
-				at = e.at // see StepInfo.At
-			}
 			s.inHook = true
 			s.hook(StepInfo{At: at, Step: s.steps,
 				Scheduled: int(s.seq - pre), Pending: s.pending})

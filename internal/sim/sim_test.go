@@ -333,14 +333,10 @@ func TestHookObservesSteps(t *testing.T) {
 }
 
 // TestHookAtAfterCallback pins StepInfo.At, which kernel trace spans end
-// at: an event whose callback re-arms it reports the re-armed time, and a
-// lane entry reports its fire time though the lane's event was re-queued
-// under the next entry before the entry's callback ran.
-//
-// The self-Reset half (the first entry) pins a known quirk, not a wanted
-// rule: ROADMAP's scheduler item plans to report the fire time for
-// every event. That change deletes Event.lane, the !e.lane branch in Step
-// and this half of the test together, leaving want = [1s 2s 3s 5s].
+// at: the hook runs after the callback, yet every event reports its fire
+// time, both one whose callback re-arms it with Reset and a lane entry
+// whose lane event was re-queued under the next entry before the entry's
+// callback ran.
 func TestHookAtAfterCallback(t *testing.T) {
 	s := New()
 	var ats []time.Duration
@@ -355,9 +351,7 @@ func TestHookAtAfterCallback(t *testing.T) {
 	f.Post(2*time.Second, func() {})
 	f.Post(3*time.Second, func() {})
 	s.Run()
-	// Known quirk: the first entry is the event's 1s firing, which re-arms
-	// it and so reports the re-armed 5s.
-	want := []time.Duration{5 * time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second}
+	want := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second}
 	if !reflect.DeepEqual(ats, want) {
 		t.Fatalf("hook At = %v, want %v", ats, want)
 	}
