@@ -125,8 +125,8 @@ func registerRunLog(fs *flag.FlagSet) *RunLogFlags {
 // Flags is filled from the explicitly-set flags of the flag set Register
 // installed on when the caller left it empty. Everything else in the
 // manifest — Experiments, Seed, SeedSchedule, Trials, Parallel, Scenario —
-// is the caller's knowledge; the observer stamps tool, code version, and
-// start time.
+// is the caller's knowledge; the observer stamps tool, code version and
+// start time, and resolves a Parallel ≤ 0 to GOMAXPROCS.
 func (rf *RunLogFlags) Start(tool string, total int, m runlog.Manifest, slo map[string]scenario.Rule) (*engine.Observer, error) {
 	if rf == nil || (rf.Out == "" && !rf.Progress.Enabled() && rf.Telemetry == "" && len(slo) == 0) {
 		return nil, nil

@@ -111,7 +111,7 @@ func startMeter(t *testing.T, mode ProgressMode, isTTY bool, total int) (rl *eng
 // cellEvent is a completed runner cell whose registry records virtual ms of
 // simulated time.
 func cellEvent(index int, virtual float64) runner.Event {
-	m := trace.NewMetricsMode(trace.HistBounded)
+	m := trace.NewMetrics()
 	m.Counter("sim.virtual_ms").Add(virtual)
 	m.Histogram("browser.plt_ms").Observe(100 * float64(index+1))
 	return runner.Event{Index: index, ID: "fig3a", Trial: index,
@@ -315,31 +315,27 @@ func TestStdoutUntouched(t *testing.T) {
 
 // TestConfigureForcesCollection pins the flag plumbing every command
 // shares: -runlog and -telemetry turn per-cell registries on without
-// -metrics, so Write keeps stdout clean; an explicit -metricsmode wins over
-// the mode the run already holds, and an absent one leaves it.
+// -metrics, so Write keeps stdout clean.
 func TestConfigureForcesCollection(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		args        []string
 		wantMetrics bool
-		wantMode    trace.HistMode
 	}{
-		{nil, false, trace.HistBounded},
-		{[]string{"-metrics"}, true, trace.HistBounded},
-		{[]string{"-runlog", filepath.Join(dir, "r.ndjson")}, true, trace.HistBounded},
-		{[]string{"-telemetry", filepath.Join(dir, "m.prom")}, true, trace.HistBounded},
-		{[]string{"-metricsmode", "scalar"}, false, trace.HistScalar},
+		{nil, false},
+		{[]string{"-metrics"}, true},
+		{[]string{"-runlog", filepath.Join(dir, "r.ndjson")}, true},
+		{[]string{"-telemetry", filepath.Join(dir, "m.prom")}, true},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		o := Register(fs, "")
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatal(err)
 		}
-		cfg := experiments.Config{MetricsMode: trace.HistBounded}
+		var cfg experiments.Config
 		o.Configure(&cfg)
-		if cfg.Metrics != tc.wantMetrics || cfg.MetricsMode != tc.wantMode {
-			t.Errorf("%v: Metrics=%v MetricsMode=%v, want %v %v",
-				tc.args, cfg.Metrics, cfg.MetricsMode, tc.wantMetrics, tc.wantMode)
+		if cfg.Metrics != tc.wantMetrics {
+			t.Errorf("%v: Metrics=%v, want %v", tc.args, cfg.Metrics, tc.wantMetrics)
 		}
 		var out bytes.Buffer
 		if err := o.Write(&out, trace.NewMetrics(), trace.New()); err != nil {

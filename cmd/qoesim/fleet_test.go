@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -122,10 +123,24 @@ func TestFleetStopAfterResumeByteIdentical(t *testing.T) {
 		t.Error("final.json differs between resumed 6-shard and uninterrupted 1-shard runs")
 	}
 
-	// A second resume restores everything and re-prints the same table.
-	code, againOut, _ := runArgs(t, "-fleet", spec, "-checkpoint", ck, "-resume")
+	// A second resume restores everything and re-prints the same table. Its
+	// run log, without -parallel, records the worker count that default
+	// resolves to.
+	logPath := filepath.Join(dir, "again.ndjson")
+	code, againOut, _ := runArgs(t, "-fleet", spec, "-checkpoint", ck, "-resume", "-runlog", logPath)
 	if code != exitOK || againOut != baseOut {
 		t.Errorf("all-restored resume: code=%d, identical=%v", code, againOut == baseOut)
+	}
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := runlog.Validate(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("resume run log: %v", err)
+	}
+	if c.Manifest.Parallel != runtime.GOMAXPROCS(0) {
+		t.Errorf("manifest parallel = %d, want GOMAXPROCS %d", c.Manifest.Parallel, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -276,8 +276,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if set["call"] {
 		cfg.CallDuration = orZero(o.call)
 	}
-	// Compose already turned collection on, with bounded histograms, for a
-	// scenario's slo: block; an explicit -metricsmode still wins.
+	// Compose already turned collection on for a scenario's slo: block.
 	o.ob.Configure(cfg)
 	if o.faults != "" {
 		// -faults wins over a scenario's fault_plan (already loaded by
@@ -468,7 +467,7 @@ func analyzeTrace(tracer *trace.Tracer, results []runner.Result,
 		for _, r := range results {
 			if r.Table != nil && r.Table.Metrics != nil {
 				if merged == nil {
-					merged = trace.NewMetricsMode(r.Table.Metrics.Mode())
+					merged = trace.NewMetrics()
 				}
 				merged.Merge(r.Table.Metrics)
 			}

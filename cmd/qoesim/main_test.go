@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mobileqoe/internal/runlog"
 )
 
 // tinyArgs shrinks the run so in-process tests stay fast.
@@ -151,6 +154,47 @@ func TestScenarioBuiltinFaultPlan(t *testing.T) {
 	if inFile != byFlag {
 		t.Fatalf("fault_plan default differs from -faults default:\n--- file ---\n%s\n--- flag ---\n%s", inFile, byFlag)
 	}
+}
+
+// TestHistogramSLORuleExits: a quantile rule on a registry histogram
+// (browser.plt_ms) is checked like one on a counter, so an impossible p50
+// budget logs an alert and fails the run under -slo-exit.
+func TestHistogramSLORuleExits(t *testing.T) {
+	data, err := os.ReadFile("../../internal/scenario/testdata/web_sweep_slo.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["slo"] = map[string]any{"browser.plt_ms": map[string]any{"p50_lt_ms": 1}}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path, logPath := filepath.Join(dir, "plt_slo.json"), filepath.Join(dir, "run.ndjson")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := runCLI(t, "-scenario", path, "-slo-exit", "-runlog", logPath); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := runlog.Validate(bytes.NewReader(log)); err != nil || c.Alerts != 1 {
+		t.Fatalf("run log: %d alerts, err %v; want 1 alert", c.Alerts, err)
+	}
+	for _, line := range strings.Split(string(log), "\n") {
+		var a runlog.Alert
+		if strings.Contains(line, `"type":"alert"`) && json.Unmarshal([]byte(line), &a) == nil &&
+			a.Metric == "browser.plt_ms" && a.Rule == "p50_lt_ms" && a.Value >= 1 {
+			return
+		}
+	}
+	t.Fatalf("no browser.plt_ms p50_lt_ms alert in the run log:\n%s", log)
 }
 
 // TestTimeoutNamesUnstartedTrials: -timeout bounds the run through its

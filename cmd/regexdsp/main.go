@@ -147,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-19s %-11s %-11s %-11s %-11s %s\n", row[0], row[1], row[2], row[3], row[4], row[5])
 		if m := r.Table.Metrics; m != nil {
 			if reg == nil {
-				reg = trace.NewMetricsMode(m.Mode())
+				reg = trace.NewMetrics()
 			}
 			reg.Merge(m)
 		}

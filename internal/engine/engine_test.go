@@ -85,8 +85,10 @@ func TestParseRequestStrict(t *testing.T) {
 	if _, err := ParseRequest([]byte(`{"experiment": "all", "bogus": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := ParseRequest([]byte(`{"experiment": "all"} {}`)); err == nil {
-		t.Fatal("trailing data accepted")
+	for _, tail := range []string{` {}`, `}`, `]`} {
+		if _, err := ParseRequest([]byte(`{"experiment": "fig3a"}` + tail)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Fatalf("trailing %s: err = %v, want trailing data", tail, err)
+		}
 	}
 	r, err := ParseRequest([]byte(`{"experiment": "fig3a", "seed": 7, "csv": true}`))
 	if err != nil {
@@ -421,7 +423,7 @@ func TestFleetJobByteIdenticalAndCached(t *testing.T) {
 
 func TestJobLogIsValidNDJSON(t *testing.T) {
 	req := Request{Scenario: scenarioDoc("logged"), Seed: 2, Trials: 2, Pages: 2}
-	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 4, Parallel: 2, Tool: "engine-test"})
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 4, Parallel: 0, Tool: "engine-test"})
 	j, err := e.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -439,6 +441,9 @@ func TestJobLogIsValidNDJSON(t *testing.T) {
 	m := counts.Manifest
 	if m.Tool != "engine-test" || m.Trials != 2 || m.SeedSchedule != SeedSchedule {
 		t.Fatalf("manifest = %+v", m)
+	}
+	if m.Parallel != runtime.GOMAXPROCS(0) {
+		t.Fatalf("manifest parallel = %d, want the resolved default %d", m.Parallel, runtime.GOMAXPROCS(0))
 	}
 	if m.ScenarioSHA256 == "" {
 		t.Fatal("manifest missing scenario sha")

@@ -9,7 +9,7 @@ import (
 
 // FuzzEngineRequest holds the served request path — ParseRequest, then
 // Compose without local-file access — to its contract on arbitrary bytes:
-// never panic; an accepted plan carries a 64-hex-digit cache key, runs at
+// never panic; accept only valid JSON; an accepted plan carries a 64-hex-digit cache key, runs at
 // least one page per web measurement and at most MaxCells cells; and the
 // same bytes always compose to the same key.
 func FuzzEngineRequest(f *testing.F) {
@@ -46,12 +46,16 @@ func FuzzEngineRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{"experiment": "table1", "timeout_s": 1e300}`))
 	f.Add([]byte(`{"experiment": "all"} {}`))
+	f.Add([]byte(`{"experiment": "fig3a"}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		key := func() (string, bool) {
 			req, err := ParseRequest(data)
 			if err != nil {
 				return "", false
+			}
+			if !json.Valid(data) {
+				t.Fatalf("ParseRequest accepted invalid JSON %q", data)
 			}
 			p, err := Compose(*req, ComposeOptions{})
 			if err != nil {

@@ -93,10 +93,9 @@ type Observer struct {
 }
 
 // NewObserver starts observing a run of total cells by tool. It stamps the
-// manifest (tool, code version, start time; Parallel is the caller's) and
-// writes it to s.Log, and arms a watchdog for slo, the scenario's slo:
-// block (nil for none). The observer owns the sinks from here on: on error
-// they are already closed.
+// manifest (see runlog.Manifest.Stamp) and writes it to s.Log, and arms a
+// watchdog for slo, the scenario's slo: block (nil for none). The observer
+// owns the sinks from here on: on error they are already closed.
 func NewObserver(tool string, total int, m runlog.Manifest, slo map[string]scenario.Rule, s Sinks) (*Observer, error) {
 	o := &Observer{
 		tool: tool, total: total, start: time.Now(),
@@ -106,7 +105,7 @@ func NewObserver(tool string, total int, m runlog.Manifest, slo map[string]scena
 	}
 	if s.Log != nil {
 		o.log, o.closer = runlog.NewWriter(s.Log), s.Log
-		m.Stamp(tool, m.Parallel, o.start)
+		m.Stamp(tool, o.start)
 		if err := o.log.Manifest(m); err != nil {
 			s.Log.Close()
 			o.sink.Close()
@@ -132,7 +131,7 @@ func (o *Observer) Stream(ev runner.Event) {
 		// -parallel.
 		m := ev.Table.Metrics
 		if o.agg == nil {
-			o.agg = trace.NewMetricsMode(m.Mode())
+			o.agg = trace.NewMetrics()
 		}
 		o.agg.Merge(m)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -14,7 +13,7 @@ import (
 	"mobileqoe/internal/fleet"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/scenario"
-	"mobileqoe/internal/trace"
+	"mobileqoe/internal/strictjson"
 )
 
 // Request is one unit of work: an experiment id, an inline scenario
@@ -49,14 +48,9 @@ type Request struct {
 // ParseRequest strictly decodes a request document: unknown fields and
 // trailing data fail loudly, matching the scenario/fleet/fault parsers.
 func ParseRequest(data []byte) (*Request, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var r Request
-	if err := dec.Decode(&r); err != nil {
+	if err := strictjson.Decode(data, &r); err != nil {
 		return nil, fmt.Errorf("engine: parse request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("engine: parse request: trailing data after request object")
 	}
 	return &r, nil
 }
@@ -194,10 +188,8 @@ func Compose(req Request, opt ComposeOptions) (*Plan, error) {
 			p.Cfg.Trials = sc.Trials
 		}
 		if len(sc.SLO) > 0 {
-			// The SLO watchdog reads each cell's registry, and quantile
-			// rules on histogram metrics need the bounded sketches.
+			// The SLO watchdog reads each cell's registry.
 			p.Cfg.Metrics = true
-			p.Cfg.MetricsMode = trace.HistBounded
 		}
 		p.Scenario = sc
 		p.DocSHA256 = sc.SourceSHA256

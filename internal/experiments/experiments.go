@@ -54,12 +54,6 @@ type Config struct {
 	// Table.Metrics), and MergeTrials folds them together in trial order.
 	Metrics bool
 
-	// MetricsMode selects the histogram backing of the registries Metrics
-	// creates: the zero value (trace.HistScalar) is the historical
-	// count/sum/min/max registry, trace.HistBounded adds O(1) sketch-backed
-	// quantiles (the fleet-scale mode). Ignored when Metrics is false.
-	MetricsMode trace.HistMode
-
 	// Faults, when non-nil, attaches this fault plan to every system a trial
 	// builds. Each system's injector is seeded from the trial seed and the
 	// system's ordinal within the trial (see faultSeed), so a faulted trial
@@ -313,7 +307,7 @@ func RunTrialAttemptFn(id string, fn Runner, cfg Config, trial, attempt int) (*T
 	}
 	c.Trials = 1
 	if c.Metrics {
-		c.reg = trace.NewMetricsMode(c.MetricsMode)
+		c.reg = trace.NewMetrics()
 	}
 	if c.Faults != nil {
 		c.faultSeq = new(uint64)

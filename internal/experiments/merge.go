@@ -103,9 +103,7 @@ func MergeTrials(trials []*Table) *Table {
 
 // mergeMetrics folds the per-trial registries together strictly in trial
 // order — the same by-index discipline the table merge uses — so a parallel
-// run's registry is identical to a sequential one's. The merged registry
-// inherits the first registry's histogram mode, so bounded-mode trials keep
-// their sketch-backed quantiles through the merge (and, because sketch
+// run's registry is identical to a sequential one's (and, because sketch
 // merges are exact, the merged quantiles are byte-identical for any shard
 // decomposition). Returns nil when no trial carried a registry.
 func mergeMetrics(trials []*Table) *trace.Metrics {
@@ -115,7 +113,7 @@ func mergeMetrics(trials []*Table) *trace.Metrics {
 			continue
 		}
 		if out == nil {
-			out = trace.NewMetricsMode(tr.Metrics.Mode())
+			out = trace.NewMetrics()
 		}
 		out.Merge(tr.Metrics)
 	}

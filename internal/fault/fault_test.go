@@ -82,8 +82,10 @@ func TestParsePlanStrict(t *testing.T) {
 	if _, err := fault.ParsePlan([]byte(`{"faults":[{"kind":"burst-loss","at_ms":0,"dur_ms":1,"typo_field":3}]}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := fault.ParsePlan([]byte(good + `{"more":"garbage"}`)); err == nil {
-		t.Fatal("trailing garbage accepted")
+	for _, tail := range []string{`{"more":"garbage"}`, `}`, `]`} {
+		if _, err := fault.ParsePlan([]byte(good + tail)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Fatalf("trailing %s: err = %v, want trailing data", tail, err)
+		}
 	}
 	if _, err := fault.ParsePlan([]byte(`{"faults":[{"kind":"nope","at_ms":0,"dur_ms":1}]}`)); err == nil {
 		t.Fatal("invalid plan parsed")

@@ -14,6 +14,7 @@ import (
 // FuzzCompileMatch: seed with the real corpus, assert invariants on whatever
 // survives parsing). A plan ParsePlan accepts must:
 //
+//   - be valid JSON (no trailing bytes after the plan object);
 //   - validate (ParsePlan already validated it — Validate must agree);
 //   - round-trip through json.Marshal and parse back to an equal plan
 //     (parameter defaults resolve at query time, so encoding is lossless);
@@ -29,10 +30,14 @@ func FuzzFaultPlanParse(f *testing.F) {
 	f.Add([]byte(`{"faults":[]}`))
 	f.Add([]byte(`{"faults":[{"kind":"nope","at_ms":0,"dur_ms":1}]}`))
 	f.Add([]byte(`not json at all`))
+	f.Add([]byte(`{"faults":[]}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := fault.ParsePlan(data)
 		if err != nil {
 			return // rejected input: nothing further to hold
+		}
+		if !json.Valid(data) {
+			t.Fatalf("ParsePlan accepted invalid JSON %q", data)
 		}
 		if verr := p.Validate(); verr != nil {
 			t.Fatalf("ParsePlan accepted a plan Validate rejects: %v", verr)

@@ -16,11 +16,11 @@
 package fault
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
+
+	"mobileqoe/internal/strictjson"
 )
 
 // Kind names one fault mechanism.
@@ -194,15 +194,9 @@ func (p *Plan) Validate() error {
 // ParsePlan decodes and validates a JSON plan. Unknown fields are rejected,
 // so a typoed parameter fails loudly instead of silently injecting nothing.
 func ParsePlan(data []byte) (*Plan, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
+	if err := strictjson.Decode(data, &p); err != nil {
 		return nil, fmt.Errorf("fault: parse plan: %w", err)
-	}
-	// Trailing garbage after the plan object is a malformed file.
-	if dec.More() {
-		return nil, fmt.Errorf("fault: parse plan: trailing data after plan object")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

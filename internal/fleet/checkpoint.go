@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 
 	"mobileqoe/internal/atomicfile"
 	"mobileqoe/internal/buildinfo"
+	"mobileqoe/internal/strictjson"
 )
 
 // Checkpoint layout — one directory per fleet run:
@@ -164,7 +164,7 @@ func ReadManifest(dir string) (Manifest, error) {
 	if err != nil {
 		return m, fmt.Errorf("fleet: no checkpoint manifest in %s (was the run started with -checkpoint?): %w", dir, err)
 	}
-	if err := strictJSON(data, &m); err != nil {
+	if err := strictjson.Decode(data, &m); err != nil {
 		return m, fmt.Errorf("fleet: manifest in %s: %w", dir, err)
 	}
 	if m.Type != "fleet-manifest" || m.Schema != checkpointSchema {
@@ -275,7 +275,7 @@ func ReadState(dir string) (RunState, error) {
 	if err != nil {
 		return st, err
 	}
-	if err := strictJSON(data, &st); err != nil {
+	if err := strictjson.Decode(data, &st); err != nil {
 		return st, fmt.Errorf("fleet: run state: %w", err)
 	}
 	return st, nil
@@ -352,7 +352,7 @@ func decodeAgg(ar aggRecord) (*Agg, error) {
 // partition. Every failure is recoverable (the shard re-runs).
 func decodeShard(data []byte, spec *Spec, k int) (*ShardResult, error) {
 	var rec shardRecord
-	if err := strictJSON(data, &rec); err != nil {
+	if err := strictjson.Decode(data, &rec); err != nil {
 		return nil, err
 	}
 	if rec.Type != "fleet-shard" || rec.Schema != checkpointSchema {
@@ -391,18 +391,4 @@ func decodeShard(data []byte, spec *Spec, k int) (*ShardResult, error) {
 		r.Aggs[metric] = a
 	}
 	return r, nil
-}
-
-// strictJSON decodes rejecting unknown fields and trailing data, the
-// repo-wide input discipline (fault plans, scenarios, run logs).
-func strictJSON(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after record")
-	}
-	return nil
 }

@@ -1,9 +1,13 @@
 package fleet
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // FuzzFleetSpecParse holds Parse to its contract on arbitrary bytes: never
-// panic, and never return a spec that violates its own invariants.
+// panic, never accept invalid JSON, and never return a spec that violates
+// its own invariants.
 func FuzzFleetSpecParse(f *testing.F) {
 	f.Add([]byte(minimalSpec))
 	f.Add([]byte(detSpecJSON))
@@ -12,11 +16,15 @@ func FuzzFleetSpecParse(f *testing.F) {
 	f.Add([]byte(`{"name":"x","population":1000000000000,"shards":1000000000000,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
+	f.Add([]byte(minimalSpec + `}`))
 	f.Add([]byte(`{"name":"x","population":1,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"video","weight":1,"clip_s":1e308}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("Parse accepted invalid JSON %q", data)
 		}
 		if s.Shards < 1 || s.Shards > s.Population || s.Shards > maxShards {
 			t.Fatalf("accepted spec with shards=%d population=%d", s.Shards, s.Population)

@@ -23,11 +23,8 @@
 package fleet
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -39,6 +36,7 @@ import (
 	"mobileqoe/internal/fault"
 	"mobileqoe/internal/netsim"
 	"mobileqoe/internal/scenario"
+	"mobileqoe/internal/strictjson"
 )
 
 // Spec is a declarative fleet: a population size, a shard partition, and
@@ -123,14 +121,9 @@ const (
 // Parse decodes and validates a fleet spec, applying defaults and stamping
 // SourceSHA256 from the input bytes. Unknown fields are rejected.
 func Parse(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	if dec.More() {
-		return nil, errors.New("fleet: trailing data after spec object")
 	}
 	s.applyDefaults()
 	if err := s.Validate(); err != nil {

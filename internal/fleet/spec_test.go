@@ -44,6 +44,8 @@ func TestParseRejects(t *testing.T) {
 	}{
 		{"unknown field", `{"name":"x","population":1,"typo":1,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "typo"},
 		{"trailing data", minimalSpec + `{"again":true}`, "trailing data"},
+		{"trailing brace", minimalSpec + `}`, "trailing data"},
+		{"trailing bracket", minimalSpec + `]`, "trailing data"},
 		{"bad name", `{"name":"Bad Name","population":1,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "slug"},
 		{"zero population", `{"name":"x","population":0,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "population"},
 		{"shards beyond population", `{"name":"x","population":3,"shards":4,"device_mix":[{"device":"pixel2","weight":1}],"workloads":[{"kind":"page","weight":1}]}`, "shards"},

@@ -42,6 +42,7 @@ import (
 
 	"mobileqoe/internal/buildinfo"
 	"mobileqoe/internal/core"
+	"mobileqoe/internal/strictjson"
 )
 
 // Schema is the run-log schema version. Bump on any field rename/removal or
@@ -87,13 +88,16 @@ type Manifest struct {
 }
 
 // Stamp fills in the fields the executor knows and the composed plan does
-// not: the producing tool, the build's code version, the start time, and
-// the worker count.
-func (m *Manifest) Stamp(tool string, parallel int, started time.Time) {
+// not: the producing tool, the build's code version and the start time. A
+// Parallel ≤ 0 means the runner's default and is logged as the worker count
+// it resolves to, GOMAXPROCS.
+func (m *Manifest) Stamp(tool string, started time.Time) {
 	m.Tool = tool
 	m.CodeVersion = buildinfo.CodeVersion()
 	m.StartedAt = started.UTC().Format(time.RFC3339)
-	m.Parallel = parallel
+	if m.Parallel <= 0 {
+		m.Parallel = runtime.GOMAXPROCS(0)
+	}
 }
 
 // Cell is one completed (experiment, trial) cell.
@@ -429,7 +433,7 @@ func validate(r io.Reader, truncated bool) (Counts, error) {
 			if line != 1 {
 				return fmt.Errorf("runlog: line %d: duplicate manifest", line)
 			}
-			if err := strict(raw, &c.Manifest); err != nil {
+			if err := strictjson.Decode(raw, &c.Manifest); err != nil {
 				return fmt.Errorf("runlog: line %d: manifest: %v", line, err)
 			}
 			if c.Manifest.Schema != Schema {
@@ -438,7 +442,7 @@ func validate(r io.Reader, truncated bool) (Counts, error) {
 			}
 		case "cell":
 			var cell Cell
-			if err := strict(raw, &cell); err != nil {
+			if err := strictjson.Decode(raw, &cell); err != nil {
 				return fmt.Errorf("runlog: line %d: cell: %v", line, err)
 			}
 			if cell.Index <= lastCell {
@@ -467,13 +471,13 @@ func validate(r io.Reader, truncated bool) (Counts, error) {
 			}
 		case "health":
 			var h Health
-			if err := strict(raw, &h); err != nil {
+			if err := strictjson.Decode(raw, &h); err != nil {
 				return fmt.Errorf("runlog: line %d: health: %v", line, err)
 			}
 			c.Health++
 		case "alert":
 			var a Alert
-			if err := strict(raw, &a); err != nil {
+			if err := strictjson.Decode(raw, &a); err != nil {
 				return fmt.Errorf("runlog: line %d: alert: %v", line, err)
 			}
 			if a.Metric == "" || a.Rule == "" {
@@ -482,7 +486,7 @@ func validate(r io.Reader, truncated bool) (Counts, error) {
 			c.Alerts++
 		case "exemplar":
 			var e Exemplar
-			if err := strict(raw, &e); err != nil {
+			if err := strictjson.Decode(raw, &e); err != nil {
 				return fmt.Errorf("runlog: line %d: exemplar: %v", line, err)
 			}
 			if e.Metric == "" {
@@ -495,7 +499,7 @@ func validate(r io.Reader, truncated bool) (Counts, error) {
 			c.Exemplars++
 		case "summary":
 			var s Summary
-			if err := strict(raw, &s); err != nil {
+			if err := strictjson.Decode(raw, &s); err != nil {
 				return fmt.Errorf("runlog: line %d: summary: %v", line, err)
 			}
 			if s.Status != "ok" && s.Status != "failed" {
@@ -549,19 +553,4 @@ func validate(r io.Reader, truncated bool) (Counts, error) {
 			s.CellsOK, s.CellsFailed, s.SLOViolations, c.CellsOK, c.CellsFailed, c.Alerts)
 	}
 	return c, nil
-}
-
-// strict decodes one record rejecting unknown fields and trailing data —
-// the same discipline internal/fault and internal/scenario use for their
-// JSON inputs.
-func strict(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after record")
-	}
-	return nil
 }

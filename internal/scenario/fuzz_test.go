@@ -18,6 +18,7 @@ func writeFile(path, body string) error {
 // FuzzFaultPlanParse: seed with the real corpus, assert invariants on
 // whatever survives parsing). A scenario Parse accepts must:
 //
+//   - be valid JSON (no trailing bytes after the scenario object);
 //   - validate (Parse already validated it — Validate must agree);
 //   - round-trip through json.Marshal and parse back to a scenario that
 //     re-marshals identically (the schema carries no lossy defaults; an
@@ -36,10 +37,14 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add([]byte(`{"name":"g","title":"t","device":"s6edge","workload":{"kind":"iperf","iperf_s":5},"axis":{"param":"governor","names":["PF","PW"]},"config":{"network":"lte"},"trials":3}`))
 	f.Add([]byte(`{"name":"bad","axis":{"param":"voltage"}}`))
 	f.Add([]byte(`not json at all`))
+	f.Add([]byte(`{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := scenario.Parse(data)
 		if err != nil {
 			return // rejected input: nothing further to hold
+		}
+		if !json.Valid(data) {
+			t.Fatalf("Parse accepted invalid JSON %q", data)
 		}
 		if verr := s.Validate(); verr != nil {
 			t.Fatalf("Parse accepted a scenario Validate rejects: %v", verr)

@@ -13,9 +13,7 @@
 package scenario
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,6 +26,7 @@ import (
 	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/fault"
 	"mobileqoe/internal/netsim"
+	"mobileqoe/internal/strictjson"
 	"mobileqoe/internal/units"
 )
 
@@ -148,14 +147,9 @@ func DeviceNames() []string {
 // Parse decodes and validates a scenario. Unknown fields are rejected, so a
 // typoed parameter fails loudly instead of silently sweeping nothing.
 func Parse(data []byte) (*Scenario, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Scenario
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("scenario: parse: trailing data after scenario object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

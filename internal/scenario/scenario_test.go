@@ -130,6 +130,8 @@ func TestParseRejects(t *testing.T) {
 	cases := map[string]string{
 		"unknown field":     `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]},"bogus":1}`,
 		"trailing data":     `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]}} {}`,
+		"trailing brace":    `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]}}}`,
+		"trailing bracket":  `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]}}]`,
 		"bad name":          `{"name":"Not A Slug","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]}}`,
 		"missing title":     `{"name":"x","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]}}`,
 		"bad workload":      `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"fax"},"axis":{"param":"clock_mhz","values":[384]}}`,

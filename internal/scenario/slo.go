@@ -87,10 +87,7 @@ func validateSLO(name string, slo map[string]Rule) error {
 //   - counter in the cell registry (sim.virtual_ms): the per-cell value is one
 //     observation, so quantile clauses bound the distribution *over cells*.
 //   - histogram in the cell registry (browser.plt_ms): its bounded sketch is
-//     merged, so clauses bound the distribution over *all observations*. This
-//     requires a quantile-capable registry — harnesses force HistBounded
-//     whenever a scenario carries an slo: block; a scalar histogram
-//     contributes nothing.
+//     merged, so clauses bound the distribution over *all observations*.
 //   - eq_injected compares the watched counter against fault.injected within
 //     each completed cell (registries are final per cell, so the equality is
 //     exact, not racy).
@@ -156,9 +153,7 @@ func (w *Watchdog) ObserveCell(index int, id string, trial int, m *trace.Metrics
 		r := w.rules[name]
 		sk := w.agg[name]
 		if h := m.LookupHistogram(name); h != nil {
-			if hs := h.Sketch(); hs != nil {
-				sk.Merge(hs)
-			}
+			sk.Merge(h.Sketch())
 		} else if c := m.LookupCounter(name); c != nil {
 			sk.Observe(c.Value())
 		}

@@ -43,9 +43,9 @@ func TestSLOParseAndValidate(t *testing.T) {
 	}
 }
 
-// cellReg builds a bounded-mode registry resembling one completed cell.
+// cellReg builds a registry resembling one completed cell.
 func cellReg(virtualMS float64, injected, recovered int) *trace.Metrics {
-	m := trace.NewMetricsMode(trace.HistBounded)
+	m := trace.NewMetrics()
 	m.Counter("sim.virtual_ms").Add(virtualMS)
 	m.Counter("fault.injected").Add(float64(injected))
 	m.Counter("fault.recovered").Add(float64(recovered))
@@ -100,13 +100,13 @@ func TestWatchdogHistogramSketchMerge(t *testing.T) {
 	if len(got) != 1 || got[0].Rule != "max_lt_ms" || got[0].Value != 400 || got[0].N != 3 {
 		t.Fatalf("alerts = %+v, want max_lt_ms at 400 over 3 obs", got)
 	}
-	// A scalar-mode registry has no sketch to merge: nothing observed,
-	// nothing tripped (harnesses force HistBounded when an slo: block exists).
+	// Every registry histogram is a sketch, so a plain registry's histogram
+	// trips the rule too.
 	w2 := NewWatchdog(map[string]Rule{"browser.plt_ms": {MaxLtMS: &thr}})
 	m := trace.NewMetrics()
 	m.Histogram("browser.plt_ms").Observe(9999)
-	if got := w2.ObserveCell(0, "x", 0, m); len(got) != 0 {
-		t.Fatalf("scalar registry alerted: %+v", got)
+	if got := w2.ObserveCell(0, "x", 0, m); len(got) != 1 || got[0].Rule != "max_lt_ms" || got[0].Value != 9999 || got[0].N != 1 {
+		t.Fatalf("alerts = %+v, want max_lt_ms at 9999 over 1 obs", got)
 	}
 }
 

@@ -30,8 +30,8 @@ import (
 // DefaultPrefix namespaces every exposed family.
 const DefaultPrefix = "mobileqoe"
 
-// quantiles are the summary quantiles exposed for quantile-capable
-// histograms, matching the registry's table columns.
+// quantiles are the summary quantiles exposed for every histogram,
+// matching the registry's table columns.
 var quantiles = []float64{0.5, 0.9, 0.99}
 
 // Name sanitizes a registry metric name into the Prometheus name charset
@@ -57,8 +57,8 @@ func num(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Render writes the registry as exposition text under prefix (DefaultPrefix
 // when empty). Counters render as counter families; histograms as summary
-// families (quantile samples only in quantile-capable registries) plus _min
-// and _max gauge families. Two registry names that sanitize to the same
+// families with p50/p90/p99 quantile samples plus _min and _max gauge
+// families. Two registry names that sanitize to the same
 // family name are an error — silently merging families would corrupt the
 // scrape.
 func Render(w io.Writer, prefix string, m *trace.Metrics) error {
@@ -89,9 +89,7 @@ func Render(w io.Writer, prefix string, m *trace.Metrics) error {
 		fmt.Fprintf(w, "# HELP %s registry histogram %q\n", name, metric)
 		fmt.Fprintf(w, "# TYPE %s summary\n", name)
 		for _, q := range quantiles {
-			if v, ok := h.Quantile(q); ok {
-				fmt.Fprintf(w, "%s{quantile=%q} %s\n", name, num(q), num(v))
-			}
+			fmt.Fprintf(w, "%s{quantile=%q} %s\n", name, num(q), num(h.Quantile(q)))
 		}
 		fmt.Fprintf(w, "%s_sum %s\n", name, num(h.Sum()))
 		fmt.Fprintf(w, "%s_count %d\n", name, h.Count())

@@ -17,12 +17,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
-// buildRegistry returns a fixed bounded-mode registry covering every exposed
-// shape: counters (including a name needing sanitization), a quantile-capable
-// histogram, and an empty-history metric is deliberately absent (lookups
-// never create).
+// buildRegistry returns a fixed registry covering every exposed shape:
+// counters (including a name needing sanitization), a histogram, and an
+// empty-history metric is deliberately absent (lookups never create).
 func buildRegistry() *trace.Metrics {
-	m := trace.NewMetricsMode(trace.HistBounded)
+	m := trace.NewMetrics()
 	m.Counter("sim.events").Add(4096)
 	m.Counter("fault.injected.cpu-stall").Add(3)
 	h := m.Histogram("browser.plt_ms")
@@ -66,9 +65,9 @@ func TestGoldenExposition(t *testing.T) {
 func TestRenderShardInsensitive(t *testing.T) {
 	direct := buildRegistry()
 	shards := []*trace.Metrics{
-		trace.NewMetricsMode(trace.HistBounded),
-		trace.NewMetricsMode(trace.HistBounded),
-		trace.NewMetricsMode(trace.HistBounded),
+		trace.NewMetrics(),
+		trace.NewMetrics(),
+		trace.NewMetrics(),
 	}
 	shards[0].Counter("sim.events").Add(4000)
 	shards[2].Counter("sim.events").Add(96)
@@ -76,7 +75,7 @@ func TestRenderShardInsensitive(t *testing.T) {
 	for i, v := range []float64{120, 250, 250, 480, 1900, 12000} {
 		shards[(i*2)%3].Histogram("browser.plt_ms").Observe(v)
 	}
-	merged := trace.NewMetricsMode(trace.HistBounded)
+	merged := trace.NewMetrics()
 	for _, i := range []int{2, 0, 1} {
 		merged.Merge(shards[i])
 	}

@@ -9,54 +9,13 @@ import (
 	"mobileqoe/internal/stats"
 )
 
-// HistMode selects how a registry's histograms summarize observations.
-type HistMode int
-
-const (
-	// HistScalar keeps count/sum/min/max only — the original registry
-	// behavior and still the default, so every existing golden table is
-	// byte-identical. No quantiles.
-	HistScalar HistMode = iota
-	// HistBounded adds a fixed-size stats.HistSketch per histogram:
-	// approximate p50/p90/p99 (documented ≤ ~6.25% relative error) in O(1)
-	// memory per metric regardless of observation count, with an exact
-	// mergeable sum backing the mean. This is the fleet-scale mode: a
-	// million-sample histogram costs the same bytes as an empty one, and
-	// N-shard registry merges are byte-identical to a 1-shard run.
-	HistBounded
-)
-
-func (m HistMode) String() string {
-	switch m {
-	case HistScalar:
-		return "scalar"
-	case HistBounded:
-		return "bounded"
-	default:
-		return fmt.Sprintf("HistMode(%d)", int(m))
-	}
-}
-
-// ParseHistMode resolves the CLI spelling of a mode.
-func ParseHistMode(s string) (HistMode, error) {
-	switch s {
-	case "", "scalar":
-		return HistScalar, nil
-	case "bounded":
-		return HistBounded, nil
-	default:
-		return 0, fmt.Errorf("trace: unknown metrics mode %q (want scalar|bounded)", s)
-	}
-}
-
 // Metrics is a registry of named counters and histograms aggregated over one
 // run (one experiment trial). Registries from different trials merge
 // deterministically — Merge is order-insensitive for counters and histogram
 // bounds, and trials are merged in index order regardless of worker count,
-// the same discipline internal/runner uses for tables. In HistBounded mode
-// the histogram channel is fully order-insensitive too: sketch merges are
-// exact, so any shard decomposition of the same observations renders the
-// same table bytes.
+// the same discipline internal/runner uses for tables. The histogram channel
+// is fully order-insensitive too: sketch merges are exact, so any shard
+// decomposition of the same observations renders the same table bytes.
 //
 // A nil *Metrics (and the nil handles it hands out) is the no-op default, so
 // hot paths resolve a handle once and pay a nil check per update. A Metrics
@@ -64,23 +23,11 @@ func ParseHistMode(s string) (HistMode, error) {
 type Metrics struct {
 	counters map[string]*Counter
 	hists    map[string]*Histogram
-	mode     HistMode
 }
 
-// NewMetrics returns an empty registry in HistScalar mode.
-func NewMetrics() *Metrics { return NewMetricsMode(HistScalar) }
-
-// NewMetricsMode returns an empty registry whose histograms follow mode.
-func NewMetricsMode(mode HistMode) *Metrics {
-	return &Metrics{counters: map[string]*Counter{}, hists: map[string]*Histogram{}, mode: mode}
-}
-
-// Mode returns the registry's histogram mode (HistScalar on nil).
-func (m *Metrics) Mode() HistMode {
-	if m == nil {
-		return HistScalar
-	}
-	return m.mode
+// NewMetrics returns an empty registry.
+func NewMetrics() *Metrics {
+	return &Metrics{counters: map[string]*Counter{}, hists: map[string]*Histogram{}}
 }
 
 // Counter is a monotonically accumulated sum.
@@ -101,105 +48,57 @@ func (c *Counter) Value() float64 {
 	return c.v
 }
 
-// Histogram summarizes observed values: count, sum, min, max, and — in
-// HistBounded registries — approximate quantiles via a fixed-size sketch.
-type Histogram struct {
-	n        int64
-	sum      float64
-	min, max float64
-	sketch   *stats.HistSketch // HistBounded: O(1) quantiles, exact merge
-}
+// Histogram summarizes observed values in a stats.HistSketch: exact count,
+// sum, min and max, and approximate quantiles (within 6.25% of exact) in
+// O(1) memory per metric regardless of observation count. Every method reads
+// the sketch, so a histogram is a pure function of the observed multiset,
+// identical across any shard/merge decomposition.
+type Histogram struct{ s stats.HistSketch }
 
 // Observe records v (no-op on nil).
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if h.n == 0 || v > h.max {
-		h.max = v
-	}
-	h.n++
-	h.sum += v
-	if h.sketch != nil {
-		h.sketch.Observe(v)
+	if h != nil {
+		h.s.Observe(v)
 	}
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
+func (h *Histogram) Count() int64 { return h.read().N() }
 
-// Mean returns the mean observation (0 when empty). In HistBounded mode it
-// is computed from the sketch's exact sum, so it is a pure function of the
-// observed multiset — identical across any shard/merge decomposition.
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	if h.sketch != nil {
-		return h.sketch.Mean()
-	}
-	return h.sum / float64(h.n)
-}
+// Mean returns the mean observation (0 when empty).
+func (h *Histogram) Mean() float64 { return h.read().Mean() }
 
 // Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
-}
+func (h *Histogram) Max() float64 { return h.read().Max() }
 
 // Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
+func (h *Histogram) Min() float64 { return h.read().Min() }
 
-// Sum returns the sum of observations. In HistBounded mode it comes from the
-// sketch's exact integer-limb sum, so it is independent of shard grouping.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	if h.sketch != nil {
-		return h.sketch.Sum()
-	}
-	return h.sum
-}
+// Sum returns the exact sum of observations rounded once to float64.
+func (h *Histogram) Sum() float64 { return h.read().Sum() }
 
-// Sketch exposes the histogram's bounded-sketch backing, nil outside
-// HistBounded mode (or after a cross-mode merge dropped it). Consumers that
-// aggregate across cells (the SLO watchdog) merge these instead of
+// Quantile estimates the q-th quantile (0 ≤ q ≤ 1), 0 when empty.
+func (h *Histogram) Quantile(q float64) float64 { return h.read().Quantile(q) }
+
+// Sketch exposes the histogram's sketch, nil on a nil histogram. Consumers
+// that aggregate across cells (the SLO watchdog) merge these instead of
 // re-observing, which keeps fleet quantiles exactly mergeable.
 func (h *Histogram) Sketch() *stats.HistSketch {
 	if h == nil {
 		return nil
 	}
-	return h.sketch
+	return &h.s
 }
 
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1). The second return is
-// false when the histogram has no quantile backing (HistScalar registries,
-// or a cross-mode merge that dropped it).
-func (h *Histogram) Quantile(q float64) (float64, bool) {
-	switch {
-	case h == nil:
-		return 0, false
-	case h.sketch != nil:
-		return h.sketch.Quantile(q), true
-	default:
-		return 0, false
+// emptySketch is what the read accessors see on a nil histogram. It is
+// never written.
+var emptySketch stats.HistSketch
+
+func (h *Histogram) read() *stats.HistSketch {
+	if h == nil {
+		return &emptySketch
 	}
+	return &h.s
 }
 
 // Counter returns (creating if needed) the named counter handle. Resolve
@@ -216,8 +115,7 @@ func (m *Metrics) Counter(name string) *Counter {
 	return c
 }
 
-// Histogram returns (creating if needed) the named histogram handle, backed
-// according to the registry's mode.
+// Histogram returns (creating if needed) the named histogram handle.
 func (m *Metrics) Histogram(name string) *Histogram {
 	if m == nil {
 		return nil
@@ -225,9 +123,6 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	h, ok := m.hists[name]
 	if !ok {
 		h = &Histogram{}
-		if m.mode == HistBounded {
-			h.sketch = &stats.HistSketch{}
-		}
 		m.hists[name] = h
 	}
 	return h
@@ -253,13 +148,9 @@ func (m *Metrics) LookupHistogram(name string) *Histogram {
 	return m.hists[name]
 }
 
-// Merge folds o into m: counters add, histograms combine (counts and sums
-// add, bounds widen, quantile backings merge when both sides carry the same
-// kind). Merging histograms of different modes keeps the scalar fields and
-// drops the receiver-side quantile channel for that metric — Quantile then
-// reports ok=false rather than a silently partial estimate. Every name o
-// registers is registered in m, an empty histogram included, so a merged
-// table lists every row its parts list. A nil o is a no-op.
+// Merge folds o into m: counters add, histogram sketches merge exactly.
+// Every name o registers is registered in m, an empty histogram included, so
+// a merged table lists every row its parts list. A nil o is a no-op.
 func (m *Metrics) Merge(o *Metrics) {
 	if m == nil || o == nil {
 		return
@@ -268,23 +159,7 @@ func (m *Metrics) Merge(o *Metrics) {
 		m.Counter(name).Add(c.v)
 	}
 	for name, h := range o.hists {
-		d := m.Histogram(name)
-		if h.n == 0 {
-			continue
-		}
-		if d.n == 0 || h.min < d.min {
-			d.min = h.min
-		}
-		if d.n == 0 || h.max > d.max {
-			d.max = h.max
-		}
-		d.n += h.n
-		d.sum += h.sum
-		if d.sketch != nil && h.sketch != nil {
-			d.sketch.Merge(h.sketch)
-		} else {
-			d.sketch = nil
-		}
+		m.Histogram(name).s.Merge(&h.s)
 	}
 }
 
@@ -305,9 +180,8 @@ func (m *Metrics) Names() []string {
 }
 
 // Table renders the registry as an aligned ASCII table, sorted by metric
-// name, deterministic for a given registry state. HistScalar registries
-// render exactly the historical six columns (so golden outputs are
-// unchanged); quantile-capable modes append p50/p90/p99.
+// name, deterministic for a given registry state. Histogram rows carry
+// p50/p90/p99 sketch estimates.
 func (m *Metrics) Table() string { return m.TableTitled("") }
 
 // TableTitled renders Table with a parenthesized qualifier in the header —
@@ -317,34 +191,15 @@ func (m *Metrics) TableTitled(note string) string {
 	if m == nil {
 		return ""
 	}
-	quant := m.mode != HistScalar
-	header := []string{"metric", "kind", "count", "value/mean", "min", "max"}
-	if quant {
-		header = append(header, "p50", "p90", "p99")
-	}
-	rows := [][]string{header}
+	rows := [][]string{{"metric", "kind", "count", "value/mean", "min", "max", "p50", "p90", "p99"}}
 	for _, name := range m.Names() {
 		if c, ok := m.counters[name]; ok {
-			row := []string{name, "counter", "-", num(c.v), "-", "-"}
-			if quant {
-				row = append(row, "-", "-", "-")
-			}
-			rows = append(rows, row)
+			rows = append(rows, []string{name, "counter", "-", num(c.v), "-", "-", "-", "-", "-"})
 			continue
 		}
 		h := m.hists[name]
-		row := []string{name, "hist",
-			strconv.FormatInt(h.n, 10), num(h.Mean()), num(h.min), num(h.max)}
-		if quant {
-			for _, q := range []float64{0.5, 0.9, 0.99} {
-				if v, ok := h.Quantile(q); ok {
-					row = append(row, num(v))
-				} else {
-					row = append(row, "-") // cross-mode merge dropped the backing
-				}
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, []string{name, "hist", strconv.FormatInt(h.Count(), 10), num(h.Mean()),
+			num(h.Min()), num(h.Max()), num(h.Quantile(0.5)), num(h.Quantile(0.9)), num(h.Quantile(0.99))})
 	}
 	widths := make([]int, len(rows[0]))
 	for _, r := range rows {
