@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mobileqoe/internal/engine"
@@ -69,10 +70,14 @@ func (v progressValue) Set(s string) error {
 
 func (v progressValue) IsBoolFlag() bool { return true }
 
-// stderrTTY reports whether stderr is a character device. A var so meter
+// isTTY reports whether w is a file on a character device. A var so meter
 // tests can pin both answers.
-var stderrTTY = func() bool {
-	fi, err := os.Stderr.Stat()
+var isTTY = func(w io.Writer) bool {
+	f, ok := w.(*os.File)
+	if !ok {
+		return false
+	}
+	fi, err := f.Stat()
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
 }
 
@@ -117,8 +122,9 @@ func registerRunLog(fs *flag.FlagSet) *RunLogFlags {
 
 // Start maps the flags onto the sinks of one engine.Observer for a run of
 // total cells: the -runlog file, the -progress meter style, and the
-// -telemetry target. slo is the scenario's slo: block (nil for none); its
-// alert lines go to stderr even without a log. Returns nil (a valid no-op
+// -telemetry target. The meter and the alert lines go to stderr, the
+// caller's error stream. slo is the scenario's slo: block (nil for none);
+// its alert lines go to stderr even without a log. Returns nil (a valid no-op
 // receiver — every Observer method is nil-safe) when no flag was given and
 // there is no slo: block.
 //
@@ -127,14 +133,14 @@ func registerRunLog(fs *flag.FlagSet) *RunLogFlags {
 // manifest — Experiments, Seed, SeedSchedule, Trials, Parallel, Scenario —
 // is the caller's knowledge; the observer stamps tool, code version and
 // start time, and resolves a Parallel ≤ 0 to GOMAXPROCS.
-func (rf *RunLogFlags) Start(tool string, total int, m runlog.Manifest, slo map[string]scenario.Rule) (*engine.Observer, error) {
+func (rf *RunLogFlags) Start(stderr io.Writer, tool string, total int, m runlog.Manifest, slo map[string]scenario.Rule) (*engine.Observer, error) {
 	if rf == nil || (rf.Out == "" && !rf.Progress.Enabled() && rf.Telemetry == "" && len(slo) == 0) {
 		return nil, nil
 	}
-	s := engine.Sinks{Stderr: os.Stderr}
+	s := engine.Sinks{Stderr: stderr}
 	if rf.Progress.Enabled() {
-		s.Meter = os.Stderr
-		s.Redraw = rf.Progress == ProgressForce || stderrTTY()
+		s.Meter = stderr
+		s.Redraw = rf.Progress == ProgressForce || isTTY(stderr)
 	}
 	if rf.Telemetry != "" {
 		sink, err := telemetry.NewSink(rf.Telemetry)

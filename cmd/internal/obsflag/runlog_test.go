@@ -59,53 +59,29 @@ func TestProgressTriState(t *testing.T) {
 	}
 }
 
-// swapTTY pins the stderr terminal answer for the test's duration.
-func swapTTY(t *testing.T, isTTY bool) {
+// swapTTY pins the terminal answer for the test's duration.
+func swapTTY(t *testing.T, tty bool) {
 	t.Helper()
-	old := stderrTTY
-	stderrTTY = func() bool { return isTTY }
-	t.Cleanup(func() { stderrTTY = old })
-}
-
-// captureStderr points os.Stderr at a pipe until the returned function —
-// which restores it and returns everything written — is called. The meter
-// and alert lines an observer draws go to the os.Stderr of Start time.
-func captureStderr(t *testing.T) func() string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stderr
-	os.Stderr = w
-	t.Cleanup(func() {
-		os.Stderr = old
-		w.Close()
-		r.Close()
-	})
-	return func() string {
-		os.Stderr = old
-		w.Close()
-		b, _ := io.ReadAll(r)
-		return string(b)
-	}
+	old := isTTY
+	isTTY = func(io.Writer) bool { return tty }
+	t.Cleanup(func() { isTTY = old })
 }
 
 // startMeter opens a progress-only observer whose meter draws into a
-// captured stderr; read returns the meter output.
-func startMeter(t *testing.T, mode ProgressMode, isTTY bool, total int) (rl *engine.Observer, read func() string) {
+// buffer; read returns the meter output.
+func startMeter(t *testing.T, mode ProgressMode, tty bool, total int) (rl *engine.Observer, read func() string) {
 	t.Helper()
-	swapTTY(t, isTTY)
-	read = captureStderr(t)
+	swapTTY(t, tty)
+	stderr := new(strings.Builder)
 	rf := &RunLogFlags{Progress: mode}
-	rl, err := rf.Start("testtool", total, runlog.Manifest{}, nil)
+	rl, err := rf.Start(stderr, "testtool", total, runlog.Manifest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rl == nil {
 		t.Fatal("progress-enabled Start returned nil")
 	}
-	return rl, read
+	return rl, stderr.String
 }
 
 // cellEvent is a completed runner cell whose registry records virtual ms of
@@ -180,7 +156,7 @@ func TestMeterTTYRedraw(t *testing.T) {
 // without a log.
 func TestStartGate(t *testing.T) {
 	rf := &RunLogFlags{}
-	rl, err := rf.Start("testtool", 1, runlog.Manifest{}, nil)
+	rl, err := rf.Start(io.Discard, "testtool", 1, runlog.Manifest{}, nil)
 	if err != nil || rl != nil {
 		t.Fatalf("Start with no flags = (%v, %v), want (nil, nil)", rl, err)
 	}
@@ -194,7 +170,7 @@ func TestStartGate(t *testing.T) {
 	if err := nilRL.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	if rl, err := rf.Start("testtool", 1, runlog.Manifest{}, tightSLO); err != nil || rl == nil {
+	if rl, err := rf.Start(io.Discard, "testtool", 1, runlog.Manifest{}, tightSLO); err != nil || rl == nil {
 		t.Fatalf("Start with an slo: block = (%v, %v), want an observer", rl, err)
 	}
 }
@@ -205,9 +181,9 @@ func TestStartGate(t *testing.T) {
 // stderr, exemplar ranks ascend, and the log passes runlog.Validate.
 func TestAlertExemplarRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ndjson")
-	read := captureStderr(t)
+	var stderr strings.Builder
 	rf := &RunLogFlags{Out: path}
-	rl, err := rf.Start("testtool", 2, runlog.Manifest{Experiments: []string{"fig3a"}, Trials: 2}, tightSLO)
+	rl, err := rf.Start(&stderr, "testtool", 2, runlog.Manifest{Experiments: []string{"fig3a"}, Trials: 2}, tightSLO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +199,9 @@ func TestAlertExemplarRoundTrip(t *testing.T) {
 	if err := rl.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	stderr := read()
 	for _, want := range []string{"testtool: slo alert: sim.virtual_ms p99_lt_ms threshold 500 ", "testtool: slo: 1 rule(s) violated\n"} {
-		if !strings.Contains(stderr, want) {
-			t.Fatalf("stderr missing %q:\n%s", want, stderr)
+		if !strings.Contains(stderr.String(), want) {
+			t.Fatalf("stderr missing %q:\n%s", want, stderr.String())
 		}
 	}
 	f, err := os.Open(path)
@@ -251,7 +226,7 @@ func TestAlertExemplarRoundTrip(t *testing.T) {
 func TestTelemetryAggFold(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.prom")
 	rf := &RunLogFlags{Telemetry: path}
-	rl, err := rf.Start("qoesim", 2, runlog.Manifest{}, nil)
+	rl, err := rf.Start(io.Discard, "qoesim", 2, runlog.Manifest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +269,7 @@ func TestStdoutUntouched(t *testing.T) {
 		Progress:  ProgressForce,
 		Telemetry: filepath.Join(dir, "metrics.prom"),
 	}
-	captureStderr(t)
-	rl, err := rf.Start("testtool", 1, runlog.Manifest{}, tightSLO)
+	rl, err := rf.Start(io.Discard, "testtool", 1, runlog.Manifest{}, tightSLO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +343,7 @@ func TestVisitedFlags(t *testing.T) {
 func TestCloseTruncatedLeavesCrashShape(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ndjson")
 	rf := &RunLogFlags{Out: path}
-	rl, err := rf.Start("testtool", 3, runlog.Manifest{Experiments: []string{"fleet:x"}, Seed: 1}, nil)
+	rl, err := rf.Start(io.Discard, "testtool", 3, runlog.Manifest{Experiments: []string{"fleet:x"}, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +383,7 @@ func TestMeterWallQuantiles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ndjson")
 	rf := &RunLogFlags{Out: path}
 	const n = 400
-	rl, err := rf.Start("testtool", n, runlog.Manifest{Experiments: []string{"fig3a"}, Seed: 1}, nil)
+	rl, err := rf.Start(io.Discard, "testtool", n, runlog.Manifest{Experiments: []string{"fig3a"}, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +441,7 @@ func TestStartClosesTelemetryOnLogError(t *testing.T) {
 		Out:       filepath.Join(t.TempDir(), "missing", "run.ndjson"),
 		Telemetry: addr,
 	}
-	if rl, err := rf.Start("testtool", 1, runlog.Manifest{}, nil); err == nil {
+	if rl, err := rf.Start(io.Discard, "testtool", 1, runlog.Manifest{}, nil); err == nil {
 		rl.Close(nil)
 		t.Fatal("Start succeeded with an uncreatable -runlog path")
 	}

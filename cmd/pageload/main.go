@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// registry, and the observer records it.
 	cfg := experiments.Config{}.WithSeed(*seed)
 	ob.Configure(&cfg)
-	rl, err := ob.RunLog.Start("pageload", 1, runlog.Manifest{
+	rl, err := ob.RunLog.Start(stderr, "pageload", 1, runlog.Manifest{
 		Experiments:  []string{"pageload"},
 		Seed:         *seed,
 		SeedSchedule: "single cell; -seed drives page generation and the fault injector",

@@ -86,7 +86,7 @@ func runFleet(ctx context.Context, o *options, plan *engine.Plan, stdout, stderr
 
 	manifest := plan.Manifest
 	manifest.Parallel = o.parallel
-	obs, err := o.ob.RunLog.Start("qoesim", spec.Shards, manifest, nil)
+	obs, err := o.ob.RunLog.Start(stderr, "qoesim", spec.Shards, manifest, nil)
 	if err != nil {
 		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return exitFailed

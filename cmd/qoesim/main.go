@@ -312,7 +312,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if o.faults != "" {
 		manifest.FaultPlan = o.faults
 	}
-	obs, err := o.ob.RunLog.Start("qoesim", totalCells, manifest, plan.SLO())
+	obs, err := o.ob.RunLog.Start(stderr, "qoesim", totalCells, manifest, plan.SLO())
 	if err != nil {
 		fmt.Fprintf(stderr, "qoesim: %v\n", err)
 		return 1

@@ -177,8 +177,15 @@ func TestHistogramSLORuleExits(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, stderr := runCLI(t, "-scenario", path, "-slo-exit", "-runlog", logPath); code != 1 {
+	code, _, stderr := runCLI(t, "-scenario", path, "-slo-exit", "-runlog", logPath)
+	if code != 1 {
 		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	// The alert and the violation count reach the stderr run was given.
+	for _, want := range []string{"qoesim: slo alert: browser.plt_ms p50_lt_ms ", "qoesim: slo: 1 rule(s) violated\n"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr)
+		}
 	}
 	log, err := os.ReadFile(logPath)
 	if err != nil {

@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// records.
 	cfg := experiments.Config{}.WithSeed(0)
 	ob.Configure(&cfg)
-	rl, err := ob.RunLog.Start("regexdsp", len(work), runlog.Manifest{
+	rl, err := ob.RunLog.Start(stderr, "regexdsp", len(work), runlog.Manifest{
 		Experiments:  ids,
 		SeedSchedule: "one cell per suite workload; pricing is analytic (no seeded randomness)",
 		Trials:       1,

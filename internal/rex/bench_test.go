@@ -16,7 +16,7 @@ func BenchmarkPikeVM(b *testing.B) {
 	p := MustCompile(benchPattern)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !p.Match(benchInput) {
+		if !p.Run(benchInput).Matched {
 			b.Fatal("no match")
 		}
 	}

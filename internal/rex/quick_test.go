@@ -74,7 +74,7 @@ func TestEngineAgreementProperty(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			in := genInput(r)
 			want := std.MatchString(in)
-			if mine.Match(in) != want {
+			if mine.Run(in).Matched != want {
 				t.Logf("pike disagrees on %q / %q (stdlib=%v)", pat, in, want)
 				return false
 			}

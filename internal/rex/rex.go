@@ -46,9 +46,6 @@ type Prog struct {
 	anchoredStart bool
 }
 
-// Pattern returns the source pattern.
-func (p *Prog) Pattern() string { return p.pattern }
-
 // NumInst returns the compiled program length (a size proxy for RPC
 // marshaling cost in the offload model).
 func (p *Prog) NumInst() int { return len(p.insts) }
@@ -80,9 +77,6 @@ func MustCompile(pattern string) *Prog {
 // Run executes the Pike VM over s, returning the leftmost-longest match
 // and the steps consumed.
 func (p *Prog) Run(s string) Result { return p.pike(s) }
-
-// Match reports whether the pattern matches anywhere in s.
-func (p *Prog) Match(s string) bool { return p.pike(s).Matched }
 
 // RunBacktrack executes the backtracking engine with the given step budget
 // (0 means DefaultBacktrackLimit). It reports leftmost-first semantics.

@@ -79,7 +79,7 @@ func TestPikeMatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", tt.pattern, err)
 		}
-		if got := p.Match(tt.input); got != tt.want {
+		if got := p.Run(tt.input).Matched; got != tt.want {
 			t.Errorf("pike %q on %q = %v, want %v", tt.pattern, tt.input, got, tt.want)
 		}
 	}
@@ -134,7 +134,7 @@ func TestCompileErrors(t *testing.T) {
 func TestLiteralBraceIsLiteral(t *testing.T) {
 	// '{' not followed by a valid count is a literal, like in JS.
 	p := MustCompile("a{x}")
-	if !p.Match("a{x}") {
+	if !p.Run("a{x}").Matched {
 		t.Fatal("literal brace pattern should match itself")
 	}
 }
@@ -221,7 +221,7 @@ func TestMustCompilePanics(t *testing.T) {
 
 func TestStringers(t *testing.T) {
 	p := MustCompile("a+")
-	if p.Pattern() != "a+" || p.String() == "" {
+	if !strings.HasPrefix(p.String(), `rex.Prog("a+", `) {
 		t.Fatal("accessors broken")
 	}
 }
@@ -244,7 +244,7 @@ func TestParityWithStdlib(t *testing.T) {
 		std := regexp.MustCompile(pat)
 		for _, in := range inputs {
 			want := std.MatchString(in)
-			if got := mine.Match(in); got != want {
+			if got := mine.Run(in).Matched; got != want {
 				t.Errorf("pike parity: %q on %q = %v, stdlib %v", pat, in, got, want)
 			}
 			r, err := mine.RunBacktrack(in, 0)
@@ -293,7 +293,7 @@ func TestCaseInsensitiveFlag(t *testing.T) {
 	}
 	for _, tt := range tests {
 		p := MustCompile(tt.pattern)
-		if got := p.Match(tt.input); got != tt.want {
+		if got := p.Run(tt.input).Matched; got != tt.want {
 			t.Errorf("%q on %q = %v, want %v", tt.pattern, tt.input, got, tt.want)
 		}
 		// Parity with stdlib.
@@ -302,7 +302,7 @@ func TestCaseInsensitiveFlag(t *testing.T) {
 		}
 	}
 	// Shared escape classes must not be corrupted by folding.
-	if !MustCompile(`\w+`).Match("under_score") {
+	if !MustCompile(`\w+`).Run("under_score").Matched {
 		t.Fatal("\\w corrupted after (?i) compilation")
 	}
 }

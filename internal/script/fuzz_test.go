@@ -122,63 +122,58 @@ var result = rows[0].pts + tidy;`,
 // TestTemplateScriptsRun keeps the fuzz seeds valid programs.
 func TestTemplateScriptsRun(t *testing.T) {
 	for i, src := range templateScripts {
-		in := runCase(t, src, "", nil)
+		in := runCase(t, src)
 		if _, ok := in.Global("result").(float64); !ok {
 			t.Errorf("template %d: result = %v", i, in.Global("result"))
 		}
 	}
 }
 
-// FuzzScript runs a prelude and a program, as two Programs on one Interp,
-// on two fresh interpreters with a small budget. Whenever both parse, Run
-// must not panic (a bad slot, depth or frame would), and the two runs must
-// agree on errors, Stats and every global either program names.
+// fuzzInput is the first line of every fuzzed program, so a program can
+// read a template-shaped string from the global input.
+const fuzzInput = `var input = "https://ads2.example-site.com/ads/unit/item-2.js";` + "\n"
+
+// FuzzScript runs a prelude and a program, joined into one Program, on two
+// fresh interpreters with a small budget. Whenever the joined source
+// parses, Run must not panic (a bad slot, depth or frame would), and the
+// two runs must agree on errors, Stats and every global the program names.
 func FuzzScript(f *testing.F) {
 	for _, tc := range coreLanguageCases {
-		f.Add(tc.prelude, tc.src)
+		f.Add("", tc.src)
 	}
 	for _, src := range templateScripts {
 		f.Add("", src)
+	}
+	for _, tc := range droppedConstructs {
+		f.Add("", tc.src)
 	}
 	f.Fuzz(func(t *testing.T, prelude, src string) {
 		if len(prelude)+len(src) > 4096 {
 			t.Skip()
 		}
-		var progs []*Program
-		for _, s := range []string{prelude, src} {
-			p, err := Parse(s)
-			if err != nil {
-				return
-			}
-			progs = append(progs, p)
+		p, err := Parse(fuzzInput + prelude + "\n" + src)
+		if err != nil {
+			return
 		}
-		a, errA := fuzzRun(progs)
-		b, errB := fuzzRun(progs)
+		a, errA := fuzzRun(p)
+		b, errB := fuzzRun(p)
 		if fmt.Sprint(errA) != fmt.Sprint(errB) {
 			t.Fatalf("errors differ: %v vs %v", errA, errB)
 		}
 		if a.Stats() != b.Stats() {
 			t.Fatalf("stats differ: %+v vs %+v", a.Stats(), b.Stats())
 		}
-		for _, p := range progs {
-			for _, name := range p.globals {
-				if ga, gb := a.Global(name), b.Global(name); !sameValue(ga, gb) {
-					t.Fatalf("global %q: %v vs %v", name, ga, gb)
-				}
+		for _, name := range p.globals {
+			if ga, gb := a.Global(name), b.Global(name); !sameValue(ga, gb) {
+				t.Fatalf("global %q: %v vs %v", name, ga, gb)
 			}
 		}
 	})
 }
 
-// fuzzRun runs progs in order on a fresh Interp until one fails. The small
-// backtracking limit keeps each regex call cheap.
-func fuzzRun(progs []*Program) (*Interp, error) {
+// fuzzRun runs p on a fresh Interp. The small backtracking limit keeps
+// each regex call cheap.
+func fuzzRun(p *Program) (*Interp, error) {
 	in := New(Config{MaxOps: 20_000, Host: &CountingHost{BacktrackLimit: 10_000}})
-	in.SetGlobal("input", templateInputs[0])
-	for _, p := range progs {
-		if err := in.Run(p); err != nil {
-			return in, err
-		}
-	}
-	return in, nil
+	return in, in.Run(p)
 }

@@ -134,9 +134,3 @@ func (h *CountingHost) TotalBTSteps() int64 { return h.BTSteps }
 
 // TotalPikeSteps returns the DSP-engine steps across recorded calls.
 func (h *CountingHost) TotalPikeSteps() int64 { return h.PikeSteps }
-
-// Reset clears recorded calls and their totals.
-func (h *CountingHost) Reset() {
-	h.Calls = h.Calls[:0]
-	h.RegexTotals = RegexTotals{}
-}

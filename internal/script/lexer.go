@@ -1,20 +1,39 @@
-// Package script implements a small JavaScript-like language — lexer,
-// parser, a resolver that binds variables to frame slots and global cells
-// at parse time, and a tree-walking interpreter — used to model the scripting
-// workload of web pages. Pages in internal/webpage carry real programs in
-// this language (list filtering, URL matching, string munging, ad-tag
-// routing); executing them yields an operation count and a log of regex
-// evaluations, which the browser converts into CPU cycles and the offload
-// study replays on the DSP model. Interpreting real programs rather than
-// assuming costs is what lets the reproduction measure "scripting is 51–60%
-// of compute" instead of asserting it.
+// Package script implements the small JavaScript-like language the page
+// scripts of internal/webpage are written in: a lexer, a parser, a
+// resolver that binds variables to frame slots and global slots at parse
+// time, and a tree-walking interpreter. Executing a page script yields an
+// operation count, a count of string bytes touched, and regex totals,
+// which the browser converts into CPU cycles and the offload study replays
+// on the DSP model. Interpreting real programs rather than assuming costs
+// is what lets the reproduction measure "scripting is 51–60% of compute"
+// instead of asserting it. The language is exactly what the five templates
+// in internal/webpage/scripts.go use, so every construct is one whose op
+// count reaches a figure:
 //
-// Language: var/function/if/else/while/for/return/break/continue,
-// numbers (float64), strings, booleans, null, arrays, objects, the usual
-// operators, string methods (length, indexOf, charAt, substring, split,
-// toLowerCase, toUpperCase, match, search, replace, test), array methods
-// (length, push, join, indexOf), and deterministic builtins (parseInt, str,
-// abs, floor, min, max, len, keys).
+//   - statements: `var x = e;` (initializer required), `function f(a, b)
+//     {…}`, `return e;`, `if (c) {…} else {…}`, `while (c) {…}`, `break;`,
+//     `for (var i = e; c; post) {…}` (all three clauses required),
+//     `x = e;`, `a[i] = e;`, `x++;`, `x--;`, and expression statements;
+//   - expressions: numbers (float64), double-quoted strings with the
+//     escapes \\ and \" (any other escape stays verbatim, so "-full\.jpg$"
+//     is a regex), true, false, null, array literals, object literals
+//     with identifier keys, the operators && == != < >= + - * %, calls,
+//     array indexing, and member reads;
+//   - string methods length, indexOf, substring, toUpperCase, test, match
+//     and replace; array methods length, push and join; the builtins
+//     min(a, b) and str(v); and // line comments.
+//
+// Anything else is a parse error or a runtime error.
+//
+// String indexOf ignores a second argument: the analytics template calls
+// m.indexOf("/", 12) and gets the first "/". Honouring the argument would
+// move its StrBytes, and with them every web figure.
+//
+// An array that reaches +, str or join renders as "[array]", and an object
+// as "[object]".
+//
+// One Program runs per Interp.Run, on globals that start unset each run;
+// Stats accumulate across runs.
 package script
 
 import (
@@ -37,10 +56,11 @@ type token struct {
 	kind tokenKind
 	text string
 	num  float64
-	pos  int
 	line int
 }
 
+// keywords are the reserved words; continue stays reserved so it is a
+// parse error rather than a variable.
 var keywords = map[string]bool{
 	"var": true, "function": true, "if": true, "else": true, "while": true,
 	"for": true, "return": true, "break": true, "continue": true,
@@ -82,32 +102,25 @@ func (l *lexer) next() (token, error) {
 			l.pos++
 		case c == ' ' || c == '\t' || c == '\r':
 			l.pos++
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
+		case strings.HasPrefix(l.src[l.pos:], "//"):
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			end := strings.Index(l.src[l.pos+2:], "*/")
-			if end < 0 {
-				return token{}, l.errf("unterminated block comment")
-			}
-			l.line += strings.Count(l.src[l.pos:l.pos+2+end+2], "\n")
-			l.pos += 2 + end + 2
 		default:
 			goto scan
 		}
 	}
 scan:
 	if l.pos >= len(l.src) {
-		return token{kind: tEOF, pos: l.pos, line: l.line}, nil
+		return token{kind: tEOF, line: l.line}, nil
 	}
 	start := l.pos
 	c := l.src[l.pos]
 	switch {
 	case c >= '0' && c <= '9':
 		return l.number()
-	case c == '"' || c == '\'':
-		return l.str(c)
+	case c == '"':
+		return l.str()
 	case c == '_' || isAlpha(c):
 		for l.pos < len(l.src) && (l.src[l.pos] == '_' || isAlnum(l.src[l.pos])) {
 			l.pos++
@@ -117,7 +130,7 @@ scan:
 		if keywords[word] {
 			k = tKeyword
 		}
-		return token{kind: k, text: word, pos: start, line: l.line}, nil
+		return token{kind: k, text: word, line: l.line}, nil
 	default:
 		return l.punct()
 	}
@@ -138,38 +151,29 @@ func (l *lexer) number() (token, error) {
 	if _, err := fmt.Sscanf(text, "%g", &n); err != nil {
 		return token{}, l.errf("bad number %q", text)
 	}
-	return token{kind: tNumber, text: text, num: n, pos: start, line: l.line}, nil
+	return token{kind: tNumber, text: text, num: n, line: l.line}, nil
 }
 
-func (l *lexer) str(quote byte) (token, error) {
+func (l *lexer) str() (token, error) {
 	l.pos++ // opening quote
 	var b strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch c {
-		case quote:
+		case '"':
 			l.pos++
-			return token{kind: tString, text: b.String(), pos: l.pos, line: l.line}, nil
+			return token{kind: tString, text: b.String(), line: l.line}, nil
 		case '\\':
 			l.pos++
 			if l.pos >= len(l.src) {
 				return token{}, l.errf("unterminated escape")
 			}
-			switch e := l.src[l.pos]; e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '\\', '\'', '"', '/':
-				b.WriteByte(e)
-			default:
-				// Preserve unknown escapes verbatim so regex patterns like
-				// "\\d+" written as "\d+" still work.
+			// \\ and \" are escapes; any other escape stays verbatim, so a
+			// regex written "\d+" keeps its backslash.
+			if e := l.src[l.pos]; e != '\\' && e != '"' {
 				b.WriteByte('\\')
-				b.WriteByte(e)
 			}
+			b.WriteByte(l.src[l.pos])
 			l.pos++
 		case '\n':
 			return token{}, l.errf("newline in string literal")
@@ -181,23 +185,19 @@ func (l *lexer) str(quote byte) (token, error) {
 	return token{}, l.errf("unterminated string literal")
 }
 
-var twoCharPuncts = []string{"==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "++", "--"}
+var twoCharPuncts = []string{"==", "!=", ">=", "&&", "++", "--"}
 
 func (l *lexer) punct() (token, error) {
-	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		for _, p := range twoCharPuncts {
-			if two == p {
-				l.pos += 2
-				return token{kind: tPunct, text: p, pos: l.pos - 2, line: l.line}, nil
-			}
+	for _, p := range twoCharPuncts {
+		if strings.HasPrefix(l.src[l.pos:], p) {
+			l.pos += 2
+			return token{kind: tPunct, text: p, line: l.line}, nil
 		}
 	}
 	c := l.src[l.pos]
-	switch c {
-	case '+', '-', '*', '/', '%', '=', '<', '>', '!', '(', ')', '{', '}', '[', ']', ',', ';', '.', ':':
-		l.pos++
-		return token{kind: tPunct, text: string(c), pos: l.pos - 1, line: l.line}, nil
+	if strings.IndexByte("+-*%=<(){}[],;.:", c) < 0 {
+		return token{}, l.errf("unexpected character %q", c)
 	}
-	return token{}, l.errf("unexpected character %q", c)
+	l.pos++
+	return token{kind: tPunct, text: string(c), line: l.line}, nil
 }

@@ -12,8 +12,8 @@ type (
 		init expr
 	}
 	assignStmt struct {
-		target expr   // identExpr, indexExpr, or memberExpr
-		op     opcode // opAssign, or the operator of a compound assignment
+		target expr   // identExpr or indexExpr
+		op     opcode // opAssign, or opAdd/opSub for ++/--
 		value  expr
 	}
 	ifStmt struct {
@@ -24,12 +24,12 @@ type (
 		cond expr
 		body block
 	}
+	// forStmt's header is a scope of its own holding the init's one var.
 	forStmt struct {
-		init   stmt // may be nil
-		cond   expr // may be nil
-		post   stmt // may be nil
-		header int  // slots in the header's frame: 1 for a var init, else 0
-		body   block
+		init *varStmt
+		cond expr
+		post stmt
+		body block
 	}
 	funcStmt struct {
 		ref    *identExpr // the function's name, resolved in the declaring scope
@@ -37,12 +37,9 @@ type (
 		slots  []int // each parameter's slot in the function's frame
 		body   block // runs directly in the function's frame
 	}
-	returnStmt struct {
-		value expr // may be nil
-	}
-	breakStmt    struct{}
-	continueStmt struct{}
-	exprStmt     struct{ e expr }
+	returnStmt struct{ value expr }
+	breakStmt  struct{}
+	exprStmt   struct{ e expr }
 )
 
 // block is a statement list with its own scope. size is the number of
@@ -53,39 +50,29 @@ type block struct {
 	size  int
 }
 
-func (*varStmt) stmtNode()      {}
-func (*assignStmt) stmtNode()   {}
-func (*ifStmt) stmtNode()       {}
-func (*whileStmt) stmtNode()    {}
-func (*forStmt) stmtNode()      {}
-func (*funcStmt) stmtNode()     {}
-func (*returnStmt) stmtNode()   {}
-func (*breakStmt) stmtNode()    {}
-func (*continueStmt) stmtNode() {}
-func (*exprStmt) stmtNode()     {}
+func (*varStmt) stmtNode()    {}
+func (*assignStmt) stmtNode() {}
+func (*ifStmt) stmtNode()     {}
+func (*whileStmt) stmtNode()  {}
+func (*forStmt) stmtNode()    {}
+func (*funcStmt) stmtNode()   {}
+func (*returnStmt) stmtNode() {}
+func (*breakStmt) stmtNode()  {}
+func (*exprStmt) stmtNode()   {}
 
 type expr interface{ exprNode() }
 
 type (
 	// Literals carry their boxed Value, built once at parse time, so
 	// evaluating a literal never re-boxes (see intern.go).
-	numberLit struct {
-		v   float64
-		box Value
-	}
-	stringLit struct {
-		v   string
-		box Value
-	}
-	boolLit struct {
-		v   bool
-		box Value
-	}
-	nullLit struct{}
+	numberLit struct{ box Value }
+	stringLit struct{ box Value }
+	boolLit   struct{ box Value }
+	nullLit   struct{}
 	// identExpr is a variable reference. The parser fills in name; the
 	// resolver binds the rest and shares one node among all references to
 	// the same name that resolve alike. A read or write tries each slot in
-	// locs, innermost first, skipping unset ones, then the global cell;
+	// locs, innermost first, skipping unset ones, then the global slot;
 	// a read of a name bound nowhere falls back to builtin.
 	identExpr struct {
 		name    string
@@ -101,10 +88,6 @@ type (
 	binaryExpr struct {
 		op   opcode
 		l, r expr
-	}
-	unaryExpr struct {
-		op string
-		e  expr
 	}
 	callExpr struct {
 		fn   expr
@@ -127,7 +110,6 @@ func (*identExpr) exprNode()  {}
 func (*arrayLit) exprNode()   {}
 func (*objectLit) exprNode()  {}
 func (*binaryExpr) exprNode() {}
-func (*unaryExpr) exprNode()  {}
 func (*callExpr) exprNode()   {}
 func (*indexExpr) exprNode()  {}
 func (*memberExpr) exprNode() {}
@@ -136,12 +118,8 @@ func (*memberExpr) exprNode() {}
 // Parse, so one Program may run on several Interps at once.
 type Program struct {
 	stmts   []stmt
-	globals []string // names the program may address as globals
-	src     string
+	globals []string // the program's global names, indexed by identExpr.global
 }
-
-// Source returns the original source text.
-func (p *Program) Source() string { return p.src }
 
 // Parse compiles source text into a Program.
 func Parse(src string) (*Program, error) {
@@ -158,7 +136,7 @@ func Parse(src string) (*Program, error) {
 		}
 		stmts = append(stmts, s)
 	}
-	return resolve(stmts, src), nil
+	return resolve(stmts), nil
 }
 
 // MustParse is Parse that panics on error, for static workload scripts.
@@ -174,8 +152,8 @@ type parser struct {
 	toks []token
 	pos  int
 	// loops is the loop nesting depth at the current statement, reset at
-	// each function body: break and continue are legal only where it is
-	// positive, so neither can escape a function into its caller's loop.
+	// each function body: break is legal only where it is positive, so it
+	// cannot escape a function into its caller's loop.
 	loops int
 }
 
@@ -195,13 +173,12 @@ func (p *parser) accept(kind tokenKind, text string) bool {
 	return false
 }
 
-func (p *parser) expect(kind tokenKind, text string) (token, error) {
-	t := p.cur()
-	if !p.at(kind, text) {
-		return t, fmt.Errorf("script:%d: expected %q, found %q", t.line, text, t.text)
+func (p *parser) expect(kind tokenKind, text string) error {
+	if t := p.cur(); !p.at(kind, text) {
+		return fmt.Errorf("script:%d: expected %q, found %q", t.line, text, t.text)
 	}
 	p.advance()
-	return t, nil
+	return nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -213,34 +190,13 @@ func (p *parser) statement() (stmt, error) {
 	if t.kind == tKeyword {
 		switch t.text {
 		case "var":
-			p.advance()
-			name, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			var init expr
-			if p.accept(tPunct, "=") {
-				init, err = p.expr()
-				if err != nil {
-					return nil, err
-				}
-			}
-			if _, err := p.expect(tPunct, ";"); err != nil {
-				return nil, err
-			}
-			return &varStmt{ref: &identExpr{name: name}, init: init}, nil
+			return p.varStatement()
 		case "if":
 			return p.ifStatement()
 		case "while":
 			p.advance()
-			if _, err := p.expect(tPunct, "("); err != nil {
-				return nil, err
-			}
-			cond, err := p.expr()
+			cond, err := p.paren()
 			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tPunct, ")"); err != nil {
 				return nil, err
 			}
 			body, err := p.loopBody()
@@ -251,126 +207,134 @@ func (p *parser) statement() (stmt, error) {
 		case "for":
 			return p.forStatement()
 		case "function":
-			p.advance()
-			name, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tPunct, "("); err != nil {
-				return nil, err
-			}
-			var params []string
-			for !p.at(tPunct, ")") {
-				pn, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				params = append(params, pn)
-				if !p.accept(tPunct, ",") {
-					break
-				}
-			}
-			if _, err := p.expect(tPunct, ")"); err != nil {
-				return nil, err
-			}
-			outer := p.loops
-			p.loops = 0
-			body, err := p.block()
-			p.loops = outer
-			if err != nil {
-				return nil, err
-			}
-			return &funcStmt{ref: &identExpr{name: name}, params: params, body: block{stmts: body}}, nil
+			return p.funcStatement()
 		case "return":
 			p.advance()
-			var v expr
-			if !p.at(tPunct, ";") {
-				var err error
-				v, err = p.expr()
-				if err != nil {
-					return nil, err
-				}
+			v, err := p.expr()
+			if err != nil {
+				return nil, err
 			}
-			if _, err := p.expect(tPunct, ";"); err != nil {
+			if err := p.expect(tPunct, ";"); err != nil {
 				return nil, err
 			}
 			return &returnStmt{value: v}, nil
-		case "break", "continue":
+		case "break":
 			if p.loops == 0 {
-				return nil, p.errf("%s outside a loop", t.text)
+				return nil, p.errf("break outside a loop")
 			}
 			p.advance()
-			if _, err := p.expect(tPunct, ";"); err != nil {
+			if err := p.expect(tPunct, ";"); err != nil {
 				return nil, err
 			}
-			if t.text == "break" {
-				return &breakStmt{}, nil
-			}
-			return &continueStmt{}, nil
+			return &breakStmt{}, nil
 		}
 	}
-	return p.simpleStatement(true)
+	s, err := p.simpleStatement()
+	if err != nil {
+		return nil, err
+	}
+	return s, p.expect(tPunct, ";")
 }
 
-// simpleStatement parses an assignment or expression statement;
-// needSemi controls the trailing ';' (false inside for-headers).
-func (p *parser) simpleStatement(needSemi bool) (stmt, error) {
+// varStatement parses `var name = e;`.
+func (p *parser) varStatement() (*varStmt, error) {
+	p.advance() // var
+	name, err := p.expectIdent()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expect(tPunct, "="); err != nil {
+		return nil, err
+	}
+	init, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expect(tPunct, ";"); err != nil {
+		return nil, err
+	}
+	return &varStmt{ref: &identExpr{name: name}, init: init}, nil
+}
+
+func (p *parser) funcStatement() (stmt, error) {
+	p.advance() // function
+	name, err := p.expectIdent()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expect(tPunct, "("); err != nil {
+		return nil, err
+	}
+	var params []string
+	for !p.at(tPunct, ")") {
+		pn, err := p.expectIdent()
+		if err != nil {
+			return nil, err
+		}
+		params = append(params, pn)
+		if !p.accept(tPunct, ",") {
+			break
+		}
+	}
+	if err := p.expect(tPunct, ")"); err != nil {
+		return nil, err
+	}
+	outer := p.loops
+	p.loops = 0
+	body, err := p.block()
+	p.loops = outer
+	if err != nil {
+		return nil, err
+	}
+	return &funcStmt{ref: &identExpr{name: name}, params: params, body: block{stmts: body}}, nil
+}
+
+// simpleStatement parses an assignment, increment or expression statement,
+// without the trailing ';' (a for-header's post clause has none).
+func (p *parser) simpleStatement() (stmt, error) {
 	e, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	var out stmt
 	t := p.cur()
-	switch {
-	case t.kind == tPunct && assignOps[t.text] != opNone:
-		if !isAssignable(e) {
-			return nil, p.errf("invalid assignment target")
-		}
-		p.advance()
-		v, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		out = &assignStmt{target: e, op: assignOps[t.text], value: v}
-	case t.kind == tPunct && (t.text == "++" || t.text == "--"):
-		if !isAssignable(e) {
-			return nil, p.errf("invalid increment target")
-		}
-		p.advance()
-		op := opAdd
-		if t.text == "--" {
-			op = opSub
-		}
-		out = &assignStmt{target: e, op: op, value: newNumberLit(1)}
+	if t.kind != tPunct || t.text != "=" && t.text != "++" && t.text != "--" {
+		return &exprStmt{e: e}, nil
+	}
+	switch e.(type) {
+	case *identExpr, *indexExpr:
 	default:
-		out = &exprStmt{e: e}
+		return nil, p.errf("invalid assignment target")
 	}
-	if needSemi {
-		if _, err := p.expect(tPunct, ";"); err != nil {
-			return nil, err
-		}
+	p.advance()
+	switch t.text {
+	case "++":
+		return &assignStmt{target: e, op: opAdd, value: newNumberLit(1)}, nil
+	case "--":
+		return &assignStmt{target: e, op: opSub, value: newNumberLit(1)}, nil
 	}
-	return out, nil
+	v, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	return &assignStmt{target: e, op: opAssign, value: v}, nil
 }
 
-func isAssignable(e expr) bool {
-	switch e.(type) {
-	case *identExpr, *indexExpr, *memberExpr:
-		return true
+// paren parses a parenthesized condition.
+func (p *parser) paren() (expr, error) {
+	if err := p.expect(tPunct, "("); err != nil {
+		return nil, err
 	}
-	return false
+	e, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	return e, p.expect(tPunct, ")")
 }
 
 func (p *parser) ifStatement() (stmt, error) {
 	p.advance() // if
-	if _, err := p.expect(tPunct, "("); err != nil {
-		return nil, err
-	}
-	cond, err := p.expr()
+	cond, err := p.paren()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tPunct, ")"); err != nil {
 		return nil, err
 	}
 	then, err := p.block()
@@ -379,71 +343,45 @@ func (p *parser) ifStatement() (stmt, error) {
 	}
 	var alt []stmt
 	if p.accept(tKeyword, "else") {
-		if p.at(tKeyword, "if") {
-			s, err := p.ifStatement()
-			if err != nil {
-				return nil, err
-			}
-			alt = []stmt{s}
-		} else {
-			alt, err = p.block()
-			if err != nil {
-				return nil, err
-			}
+		if alt, err = p.block(); err != nil {
+			return nil, err
 		}
 	}
 	return &ifStmt{cond: cond, then: block{stmts: then}, alt: block{stmts: alt}}, nil
 }
 
+// forStatement parses `for (var i = e; cond; post) {…}`.
 func (p *parser) forStatement() (stmt, error) {
 	p.advance() // for
-	if _, err := p.expect(tPunct, "("); err != nil {
+	if err := p.expect(tPunct, "("); err != nil {
 		return nil, err
 	}
-	f := &forStmt{}
-	if !p.at(tPunct, ";") {
-		if p.at(tKeyword, "var") {
-			s, err := p.statement() // consumes its own ';'
-			if err != nil {
-				return nil, err
-			}
-			f.init = s
-		} else {
-			s, err := p.simpleStatement(true)
-			if err != nil {
-				return nil, err
-			}
-			f.init = s
-		}
-	} else {
-		p.advance()
+	if !p.at(tKeyword, "var") {
+		return nil, p.errf("expected \"var\" in for header, found %q", p.cur().text)
 	}
-	if !p.at(tPunct, ";") {
-		c, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		f.cond = c
-	}
-	if _, err := p.expect(tPunct, ";"); err != nil {
+	init, err := p.varStatement() // consumes its own ';'
+	if err != nil {
 		return nil, err
 	}
-	if !p.at(tPunct, ")") {
-		s, err := p.simpleStatement(false)
-		if err != nil {
-			return nil, err
-		}
-		f.post = s
+	cond, err := p.expr()
+	if err != nil {
+		return nil, err
 	}
-	if _, err := p.expect(tPunct, ")"); err != nil {
+	if err := p.expect(tPunct, ";"); err != nil {
+		return nil, err
+	}
+	post, err := p.simpleStatement()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expect(tPunct, ")"); err != nil {
 		return nil, err
 	}
 	body, err := p.loopBody()
 	if err != nil {
 		return nil, err
 	}
-	f.body = block{stmts: body}
-	return f, nil
+	return &forStmt{init: init, cond: cond, post: post, body: block{stmts: body}}, nil
 }
 
 // loopBody parses a while/for body one loop level deeper.
@@ -454,7 +392,7 @@ func (p *parser) loopBody() ([]stmt, error) {
 }
 
 func (p *parser) block() ([]stmt, error) {
-	if _, err := p.expect(tPunct, "{"); err != nil {
+	if err := p.expect(tPunct, "{"); err != nil {
 		return nil, err
 	}
 	var stmts []stmt
@@ -488,28 +426,22 @@ func (p *parser) expectIdent() (string, error) {
 type opcode uint8
 
 const (
-	opNone   opcode = iota // not an operator
-	opAssign               // plain "=" of an assignStmt
-	opOr
+	opAssign opcode = iota // plain "=" of an assignStmt
 	opAnd
 	opEq
 	opNe
 	opLt
-	opLe
-	opGt
 	opGe
 	opAdd
 	opSub
 	opMul
-	opDiv
 	opMod
 )
 
 // opNames maps each opcode back to its token, for error texts.
 var opNames = [...]string{
-	opAssign: "=", opOr: "||", opAnd: "&&", opEq: "==", opNe: "!=",
-	opLt: "<", opLe: "<=", opGt: ">", opGe: ">=",
-	opAdd: "+", opSub: "-", opMul: "*", opDiv: "/", opMod: "%",
+	opAssign: "=", opAnd: "&&", opEq: "==", opNe: "!=", opLt: "<", opGe: ">=",
+	opAdd: "+", opSub: "-", opMul: "*", opMod: "%",
 }
 
 func (o opcode) String() string { return opNames[o] }
@@ -519,22 +451,17 @@ var binOps = map[string]struct {
 	op   opcode
 	prec int
 }{
-	"||": {opOr, 1}, "&&": {opAnd, 2},
+	"&&": {opAnd, 2},
 	"==": {opEq, 3}, "!=": {opNe, 3},
-	"<": {opLt, 4}, "<=": {opLe, 4}, ">": {opGt, 4}, ">=": {opGe, 4},
+	"<": {opLt, 4}, ">=": {opGe, 4},
 	"+": {opAdd, 5}, "-": {opSub, 5},
-	"*": {opMul, 6}, "/": {opDiv, 6}, "%": {opMod, 6},
-}
-
-// assignOps maps each assignment token to the operator it applies.
-var assignOps = map[string]opcode{
-	"=": opAssign, "+=": opAdd, "-=": opSub, "*=": opMul, "/=": opDiv, "%=": opMod,
+	"*": {opMul, 6}, "%": {opMod, 6},
 }
 
 func (p *parser) expr() (expr, error) { return p.binary(1) }
 
 func (p *parser) binary(minPrec int) (expr, error) {
-	left, err := p.unary()
+	left, err := p.postfix()
 	if err != nil {
 		return nil, err
 	}
@@ -556,19 +483,6 @@ func (p *parser) binary(minPrec int) (expr, error) {
 	}
 }
 
-func (p *parser) unary() (expr, error) {
-	t := p.cur()
-	if t.kind == tPunct && (t.text == "!" || t.text == "-") {
-		p.advance()
-		e, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{op: t.text, e: e}, nil
-	}
-	return p.postfix()
-}
-
 func (p *parser) postfix() (expr, error) {
 	e, err := p.primary()
 	if err != nil {
@@ -577,18 +491,8 @@ func (p *parser) postfix() (expr, error) {
 	for {
 		switch {
 		case p.accept(tPunct, "("):
-			var args []expr
-			for !p.at(tPunct, ")") {
-				a, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if !p.accept(tPunct, ",") {
-					break
-				}
-			}
-			if _, err := p.expect(tPunct, ")"); err != nil {
+			args, err := p.list(")")
+			if err != nil {
 				return nil, err
 			}
 			e = &callExpr{fn: e, args: args}
@@ -597,7 +501,7 @@ func (p *parser) postfix() (expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tPunct, "]"); err != nil {
+			if err := p.expect(tPunct, "]"); err != nil {
 				return nil, err
 			}
 			e = &indexExpr{base: e, idx: idx}
@@ -613,6 +517,22 @@ func (p *parser) postfix() (expr, error) {
 	}
 }
 
+// list parses comma-separated expressions up to and including end.
+func (p *parser) list(end string) ([]expr, error) {
+	var es []expr
+	for !p.at(tPunct, end) {
+		e, err := p.expr()
+		if err != nil {
+			return nil, err
+		}
+		es = append(es, e)
+		if !p.accept(tPunct, ",") {
+			break
+		}
+	}
+	return es, p.expect(tPunct, end)
+}
+
 func (p *parser) primary() (expr, error) {
 	t := p.cur()
 	switch {
@@ -621,13 +541,10 @@ func (p *parser) primary() (expr, error) {
 		return newNumberLit(t.num), nil
 	case t.kind == tString:
 		p.advance()
-		return newStringLit(t.text), nil
-	case t.kind == tKeyword && t.text == "true":
+		return &stringLit{box: t.text}, nil
+	case t.kind == tKeyword && (t.text == "true" || t.text == "false"):
 		p.advance()
-		return newBoolLit(true), nil
-	case t.kind == tKeyword && t.text == "false":
-		p.advance()
-		return newBoolLit(false), nil
+		return &boolLit{box: boolv(t.text == "true")}, nil
 	case t.kind == tKeyword && t.text == "null":
 		p.advance()
 		return &nullLit{}, nil
@@ -639,38 +556,21 @@ func (p *parser) primary() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tPunct, ")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return e, p.expect(tPunct, ")")
 	case p.accept(tPunct, "["):
-		var elems []expr
-		for !p.at(tPunct, "]") {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, e)
-			if !p.accept(tPunct, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tPunct, "]"); err != nil {
+		elems, err := p.list("]")
+		if err != nil {
 			return nil, err
 		}
 		return &arrayLit{elems: elems}, nil
 	case p.accept(tPunct, "{"):
 		o := &objectLit{}
 		for !p.at(tPunct, "}") {
-			var key string
-			kt := p.cur()
-			if kt.kind == tIdent || kt.kind == tString {
-				key = kt.text
-				p.advance()
-			} else {
-				return nil, p.errf("expected object key, found %q", kt.text)
+			key, err := p.expectIdent()
+			if err != nil {
+				return nil, err
 			}
-			if _, err := p.expect(tPunct, ":"); err != nil {
+			if err := p.expect(tPunct, ":"); err != nil {
 				return nil, err
 			}
 			v, err := p.expr()
@@ -683,10 +583,7 @@ func (p *parser) primary() (expr, error) {
 				break
 			}
 		}
-		if _, err := p.expect(tPunct, "}"); err != nil {
-			return nil, err
-		}
-		return o, nil
+		return o, p.expect(tPunct, "}")
 	}
 	return nil, p.errf("unexpected token %q", t.text)
 }

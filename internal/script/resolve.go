@@ -7,15 +7,16 @@ import "slices"
 //
 // Each function body (with its parameters), for header and block is a
 // scope. A scope that declares something gets a frame at run time: a
-// []Value holding one slot per declared name. Top-level names are globals
-// instead, addressed through the program's global cells, because several
-// programs share an Interp and Global/SetGlobal reach them by name.
+// []Value holding one slot per declared name. Every other name is a global
+// instead: an index into the Program's global names, and at run time into
+// the []Value global table Run gives the program, so Interp.Global can
+// still reach a global by name after the run.
 //
 // Lookups stay dynamic in one respect: a name is visible only once its var,
 // function or parameter has run. So a reference records every enclosing
 // frame that declares its name, innermost first, plus its global; slots
-// and cells start unset, and a read or write takes the first one set. A
-// write that finds none lands in the global cell (an implicit global, like
+// start unset, and a read or write takes the first one set. A write that
+// finds none lands in the global slot (an implicit global, like
 // sloppy-mode JS).
 
 // loc is one candidate slot of a reference: slot of the frame depth frames
@@ -37,10 +38,10 @@ type resolver struct {
 }
 
 // resolve binds the parsed top-level statements and returns the Program.
-func resolve(stmts []stmt, src string) *Program {
+func resolve(stmts []stmt) *Program {
 	r := &resolver{index: map[string]int{}}
 	r.stmts(&scope{}, stmts)
-	return &Program{stmts: stmts, globals: r.globals, src: src}
+	return &Program{stmts: stmts, globals: r.globals}
 }
 
 // global returns name's index in the program's global table.
@@ -120,9 +121,7 @@ func (r *resolver) stmts(sc *scope, stmts []stmt) {
 func (r *resolver) stmt(sc *scope, s stmt) {
 	switch s := s.(type) {
 	case *varStmt:
-		if s.init != nil {
-			s.init = r.expr(sc, s.init)
-		}
+		s.init = r.expr(sc, s.init)
 		s.ref = r.ref(sc, s.ref.name)
 	case *assignStmt:
 		s.target = r.expr(sc, s.target)
@@ -135,20 +134,10 @@ func (r *resolver) stmt(sc *scope, s stmt) {
 		s.cond = r.expr(sc, s.cond)
 		r.block(sc, &s.body)
 	case *forStmt:
-		hdr := &scope{parent: sc}
-		if v, ok := s.init.(*varStmt); ok {
-			hdr.declare(v.ref.name)
-		}
-		s.header = len(hdr.names)
-		if s.init != nil {
-			r.stmt(hdr, s.init)
-		}
-		if s.cond != nil {
-			s.cond = r.expr(hdr, s.cond)
-		}
-		if s.post != nil {
-			r.stmt(hdr, s.post)
-		}
+		hdr := &scope{names: []string{s.init.ref.name}, parent: sc}
+		r.stmt(hdr, s.init)
+		s.cond = r.expr(hdr, s.cond)
+		r.stmt(hdr, s.post)
 		r.block(hdr, &s.body)
 	case *funcStmt:
 		s.ref = r.ref(sc, s.ref.name)
@@ -161,9 +150,7 @@ func (r *resolver) stmt(sc *scope, s stmt) {
 		s.body.size = len(fn.names)
 		r.stmts(fn, s.body.stmts)
 	case *returnStmt:
-		if s.value != nil {
-			s.value = r.expr(sc, s.value)
-		}
+		s.value = r.expr(sc, s.value)
 	case *exprStmt:
 		s.e = r.expr(sc, s.e)
 	}
@@ -186,8 +173,6 @@ func (r *resolver) expr(sc *scope, x expr) expr {
 	case *binaryExpr:
 		x.l = r.expr(sc, x.l)
 		x.r = r.expr(sc, x.r)
-	case *unaryExpr:
-		x.e = r.expr(sc, x.e)
 	case *callExpr:
 		x.fn = r.expr(sc, x.fn)
 		for i, e := range x.args {

@@ -42,15 +42,6 @@ func (p *Profile) TotalCPUCycles() float64 {
 	return p.PlainCycles() + p.RegexCPUCycles()
 }
 
-// RegexShare returns the regex fraction of the script's CPU cost.
-func (p *Profile) RegexShare() float64 {
-	t := p.TotalCPUCycles()
-	if t == 0 {
-		return 0
-	}
-	return p.RegexCPUCycles() / t
-}
-
 // RegexDSPTime returns the wall-clock time the script's regex work takes on
 // the given DSP: the whole workload ships as one batched FastRPC call
 // (function-level offload), so the RPC overhead is paid once per script.

@@ -212,7 +212,7 @@ func TestOffloadSpeedsUpRegexHeavyScript(t *testing.T) {
 	rate := units.Freq(1512e6) // Nexus4 at fmax, IPC 1
 	anyFaster := false
 	for _, r := range p.Resources {
-		if r.Type != JS || r.Profile().RegexShare() < 0.2 {
+		if r.Type != JS || r.Profile().RegexCPUCycles() < 0.2*r.Profile().TotalCPUCycles() {
 			continue
 		}
 		prof := r.Profile()
