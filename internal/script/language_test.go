@@ -1,6 +1,7 @@
 package script
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -84,35 +85,38 @@ var coreLanguageCases = []struct {
 	name    string
 	src     string
 	globals map[string]Value
+	// maxOps, when set, is the run's budget, and the run must end with
+	// ErrBudget; globals set before that are still checked.
+	maxOps int64
 }{
 	{"arith", `var a = 2+3*4; var b = (2+3)*4; var c = 10%3; var d = 0 - a; var e = 7 - 2.5;`,
-		map[string]Value{"a": 14.0, "b": 20.0, "c": 1.0, "d": -14.0, "e": 4.5}},
+		map[string]Value{"a": 14.0, "b": 20.0, "c": 1.0, "d": -14.0, "e": 4.5}, 0},
 	{"logic", `var a = "" && "x"; var b = 1 && 2; var c = 0 == 0; var d = null == null; var e = 3 < 4 && 4 >= 4;`,
-		map[string]Value{"a": "", "b": 2.0, "c": true, "d": true, "e": true}},
+		map[string]Value{"a": "", "b": 2.0, "c": true, "d": true, "e": true}, 0},
 	{"strings", `var s = "hi " + 42; var n = s.length; var u = s.toUpperCase(); var i = s.indexOf("4"); var sub = s.substring(1,3);`,
-		map[string]Value{"s": "hi 42", "n": 5.0, "u": "HI 42", "i": 3.0, "sub": "i "}},
+		map[string]Value{"s": "hi 42", "n": 5.0, "u": "HI 42", "i": 3.0, "sub": "i "}, 0},
 	{"controlflow", `var t = 0; for (var i = 0; i < 20; i++) { if (i % 3 != 0) { if (15 < i) { break; } t = t + i; } } var w = 0; var k = 4; while (0 < k) { w = w + k; k--; }`,
-		map[string]Value{"t": 75.0, "w": 10.0, "k": 0.0}},
+		map[string]Value{"t": 75.0, "w": 10.0, "k": 0.0}, 0},
 	{"functions", `function fib(n) { if (n < 2) { return n; } return fib(n-1)+fib(n-2); } var f = fib(12); function g() { var x = 1; } var nil_ = g();`,
-		map[string]Value{"f": 144.0, "nil_": nil}},
+		map[string]Value{"f": 144.0, "nil_": nil}, 0},
 	{"closures", `var base = 10; function add(x) { return x + base; } base = 20; var r = add(5);`,
-		map[string]Value{"r": 25.0}},
+		map[string]Value{"r": 25.0}, 0},
 	{"arrays", `var a = [5,1,4]; a.push(9); a[1] = 100; var j = a.join("-"); var n = a.length; var last = a[a.length - 1];`,
-		map[string]Value{"a": arr(5.0, 100.0, 4.0, 9.0), "j": "5-100-4-9", "n": 4.0, "last": 9.0}},
+		map[string]Value{"a": arr(5.0, 100.0, 4.0, 9.0), "j": "5-100-4-9", "n": 4.0, "last": 9.0}, 0},
 	{"objects", `var o = {x: 1, s: "v", inner: {n: 2}}; var y = o.x + 2; var n = o.inner.n; var s = o.s; var none = o.missing;`,
-		map[string]Value{"o": obj("x", 1.0, "s", "v", "inner", obj("n", 2.0)), "y": 3.0, "n": 2.0, "s": "v", "none": nil}},
+		map[string]Value{"o": obj("x", 1.0, "s", "v", "inner", obj("n", 2.0)), "y": 3.0, "n": 2.0, "s": "v", "none": nil}, 0},
 	{"compound", `var a = [1,2,3]; a[0] = a[0] + 5; a[1] = a[1] * 3; a[2]++; var o = {n: 10}; var m = o.n - 4; var x = 1; x = x % 2;`,
-		map[string]Value{"a": arr(6.0, 6.0, 4.0), "m": 6.0, "x": 1.0}},
+		map[string]Value{"a": arr(6.0, 6.0, 4.0), "m": 6.0, "x": 1.0}, 0},
 	{"regex", `var url = "https://x.com/ads/t.js"; var hit = url.test("/(ads|track)/"); var m = url.match("^https"); var s = url.indexOf("ads"); var rep = url.replace("ads", "ok");`,
-		map[string]Value{"hit": true, "m": "https", "s": 14.0, "rep": "https://x.com/ok/t.js"}},
+		map[string]Value{"hit": true, "m": "https", "s": 14.0, "rep": "https://x.com/ok/t.js"}, 0},
 	{"builtins", `var c = min(2, 9); var d = min(9, 2); var f = str(2.5); var g = str(true) + str(null);`,
-		map[string]Value{"c": 2.0, "d": 2.0, "f": "2.5", "g": "truenull"}},
+		map[string]Value{"c": 2.0, "d": 2.0, "f": "2.5", "g": "truenull"}, 0},
 	{"implicit-global", `function setIt() { undeclared = 7; } var x = setIt(); var got = undeclared;`,
-		map[string]Value{"got": 7.0}},
+		map[string]Value{"got": 7.0}, 0},
 	{"nested-loops", `var total = 0; for (var i = 0; i < 5; i++) { for (var j = 0; j < 5; j++) { if (j == 3) { break; } total = total + i*j; } }`,
-		map[string]Value{"total": 30.0}},
+		map[string]Value{"total": 30.0}, 0},
 	{"division-edges", `var nan = 0 % 0; var nmod = 5 % 0;`,
-		map[string]Value{"nan": math.NaN(), "nmod": math.NaN()}},
+		map[string]Value{"nan": math.NaN(), "nmod": math.NaN()}, 0},
 	{"url-classifier", `
 		var acc = [];
 		function classify(u) {
@@ -135,76 +139,102 @@ var coreLanguageCases = []struct {
 		}
 		var counts = {blocked: blocked, image: image, other: other};
 		var result = str(counts.blocked) + "/" + str(counts.image) + "/" + str(counts.other);`,
-		map[string]Value{"result": "25/18/77", "counts": obj("blocked", 25.0, "image", 18.0, "other", 77.0)}},
+		map[string]Value{"result": "25/18/77", "counts": obj("blocked", 25.0, "image", 18.0, "other", 77.0)}, 0},
 	// Block scoping: every if, while and for body and every for header is
 	// its own scope, whether or not it declares anything.
 	{"var-in-if", `var got = 0; if (true) { var inner = 5; got = inner; } else { var other = 1; }`,
-		map[string]Value{"got": 5.0, "inner": nil, "other": nil}},
+		map[string]Value{"got": 5.0, "inner": nil, "other": nil}, 0},
 	{"var-in-while", `var n = 0; var got = 0; while (n < 3) { var inner = n * 2; got = got + inner; n++; }`,
-		map[string]Value{"got": 6.0, "n": 3.0, "inner": nil}},
+		map[string]Value{"got": 6.0, "n": 3.0, "inner": nil}, 0},
 	{"var-in-for", `var got = 0; for (var i = 0; i < 4; i++) { var inner = i + 1; got = got + inner; }`,
-		map[string]Value{"got": 10.0, "i": nil, "inner": nil}},
+		map[string]Value{"got": 10.0, "i": nil, "inner": nil}, 0},
 	{"closure-per-iteration", `var fs = [];
 		for (var i = 0; i < 3; i++) { var k = i * 10; function f() { return k; } fs.push(f); }
 		var a = fs[0](); var b = fs[1](); var c = fs[2]();`,
-		map[string]Value{"a": 0.0, "b": 10.0, "c": 20.0, "k": nil, "f": nil}},
+		map[string]Value{"a": 0.0, "b": 10.0, "c": 20.0, "k": nil, "f": nil}, 0},
 	{"closure-sees-later-define", `var fs = [];
 		for (var i = 0; i < 2; i++) { if (true) { function f() { return late; } fs.push(f); } var late = i + 7; }
 		var a = fs[0](); var b = fs[1]();`,
-		map[string]Value{"a": 7.0, "b": 8.0}},
+		map[string]Value{"a": 7.0, "b": 8.0}, 0},
 	{"shadow-then-assign", `var x = 1; var got = 0;
 		if (true) { var x = 2; x = 3; got = x; }
 		function g() { var x = 10; x = x + 5; return x; } var fromFn = g();`,
-		map[string]Value{"x": 1.0, "got": 3.0, "fromFn": 15.0}},
+		map[string]Value{"x": 1.0, "got": 3.0, "fromFn": 15.0}, 0},
 	{"assign-outer-from-block", `var x = 1; for (var i = 0; i < 3; i++) { x = x * 2; } while (x < 20) { x = x + 5; }`,
-		map[string]Value{"x": 23.0}},
+		map[string]Value{"x": 23.0}, 0},
 	{"implicit-global-from-blocks", `for (var i = 0; i < 3; i++) { if (i == 1) { fromIf = i; } fromLoop = i; }
 		function h() { while (true) { fromFn = 9; break; } } h();`,
-		map[string]Value{"fromIf": 1.0, "fromLoop": 2.0, "fromFn": 9.0}},
+		map[string]Value{"fromIf": 1.0, "fromLoop": 2.0, "fromFn": 9.0}, 0},
 	{"params-and-no-params", `function noArgs() { return 4; } function two(a, b) { return a + b; }
 		function missing(a, b) { return b; } var r = noArgs() + two(1, 2); var m = missing(1);`,
-		map[string]Value{"r": 7.0, "m": nil}},
+		map[string]Value{"r": 7.0, "m": nil}, 0},
 	// Scoping edge cases: a name is found only once its var, function or
 	// parameter has run, innermost scope first, then the globals.
 	{"read-before-var", `var x = "outer"; var seen = "";
 		if (true) { seen = x; var x = "inner"; }
 		function f() { var before = x; var x = 2; return before + x; } var fromFn = f();`,
-		map[string]Value{"x": "outer", "seen": "outer", "fromFn": "outer2"}},
+		map[string]Value{"x": "outer", "seen": "outer", "fromFn": "outer2"}, 0},
 	{"assign-before-var", `var x = 1; var y = 0;
 		if (true) { x = 2; var x = 3; y = x; }
 		function f() { z = 5; var z = 6; return z; } var r = f();`,
-		map[string]Value{"x": 2.0, "y": 3.0, "r": 6.0, "z": 5.0}},
+		map[string]Value{"x": 2.0, "y": 3.0, "r": 6.0, "z": 5.0}, 0},
 	{"duplicate-params", `function f(a, a) { return a; } var r = f(1, 2); var m = f(1);
 		function g(a, b, a) { return a + b; } var s = g(1, 2, 3);`,
-		map[string]Value{"r": 2.0, "m": nil, "s": 5.0}},
+		map[string]Value{"r": 2.0, "m": nil, "s": 5.0}, 0},
 	{"var-redeclares-param", `function f(a) { var a = null; return a; } function g(a) { var a = a + 1; return a; }
 		var r = f(5); var s = g(5);`,
-		map[string]Value{"r": nil, "s": 6.0}},
+		map[string]Value{"r": nil, "s": 6.0}, 0},
 	{"function-and-var-same-name", `function h() { return 1; } var a = h(); var h = 10; var b = h;
 		function k() { function v() { return 2; } var first = v(); var v = 3; return first + v; } var kv = k();`,
-		map[string]Value{"a": 1.0, "b": 10.0, "kv": 5.0}},
+		map[string]Value{"a": 1.0, "b": 10.0, "kv": 5.0}, 0},
 	{"recursion-through-global", `function fact(n) { if (n < 2) { return 1; } return n * fact(n - 1); }
 		function isEven(n) { if (n == 0) { return true; } return isOdd(n - 1); }
 		function isOdd(n) { if (n == 0) { return false; } return isEven(n - 1); }
 		var r = fact(6); var e = isEven(10); var alias = fact; fact = null; var r2 = alias(1);`,
-		map[string]Value{"r": 720.0, "e": true, "r2": 1.0, "fact": nil}},
+		map[string]Value{"r": 720.0, "e": true, "r2": 1.0, "fact": nil}, 0},
 	{"closure-outlives-block", `var get = null;
 		if (true) { var hidden = 41; function g() { hidden = hidden + 1; return hidden; } get = g; }
 		var a = get(); var b = get();
 		function counter() { var n = 0; function inc() { n++; return n; } return inc; }
 		var c = counter(); c(); var cv = c(); var other = counter()();`,
-		map[string]Value{"a": 42.0, "b": 43.0, "hidden": nil, "cv": 2.0, "other": 1.0}},
+		map[string]Value{"a": 42.0, "b": 43.0, "hidden": nil, "cv": 2.0, "other": 1.0}, 0},
 	// String indexOf ignores a second argument; the analytics template's
 	// m.indexOf("/", 12), and with it every web figure, depends on that.
 	{"indexof-ignores-from", `var i = "a/b/c".indexOf("/", 3); var j = "a/b/c".indexOf("c", 0);`,
-		map[string]Value{"i": 1.0, "j": 4.0}},
+		map[string]Value{"i": 1.0, "j": 4.0}, 0},
+	// A + chain adds numbers until a string appears, then concatenates;
+	// a parenthesized right side is its own chain, evaluated first.
+	{"concat-numbers-first", `var a = 1 + 2 + "x" + 3;`,
+		map[string]Value{"a": "3x3"}, 0},
+	{"concat-paren-right", `var b = "x" + (1 + 2);`,
+		map[string]Value{"b": "x3"}, 0},
+	{"concat-null", `var c = null + "a";`,
+		map[string]Value{"c": "nulla"}, 0},
+	{"concat-array", `var d = [1] + "a";`,
+		map[string]Value{"d": "[array]a"}, 0},
+	// The third step's string bytes pass the budget: the chain stops there.
+	{"concat-over-budget", `var s = "0123456789"; var t = s + s + s + s + s + s; var after = 1;`,
+		map[string]Value{"s": "0123456789", "t": nil, "after": nil}, 60},
+	{"object-missing-key", `var o = {k: 1, k: 2}; var m = o.missing; var k = o.k;`,
+		map[string]Value{"o": obj("k", 2.0), "m": nil, "k": 2.0}, 0},
 }
 
 // runCase runs src on a fresh interpreter.
 func runCase(t *testing.T, src string) *Interp {
 	t.Helper()
-	in := New(Config{})
-	if err := in.Run(MustParse(src)); err != nil {
+	return runBudget(t, src, 0)
+}
+
+// runBudget runs src on a fresh interpreter with budget maxOps; when that
+// is set, the run must end with ErrBudget.
+func runBudget(t *testing.T, src string, maxOps int64) *Interp {
+	t.Helper()
+	in := New(Config{MaxOps: maxOps})
+	err := in.Run(MustParse(src))
+	if maxOps > 0 && !errors.Is(err, ErrBudget) {
+		t.Fatalf("Run = %v, want ErrBudget", err)
+	}
+	if maxOps == 0 && err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return in
@@ -213,7 +243,7 @@ func runCase(t *testing.T, src string) *Interp {
 func TestCoreLanguage(t *testing.T) {
 	for _, tc := range coreLanguageCases {
 		t.Run(tc.name, func(t *testing.T) {
-			in := runCase(t, tc.src)
+			in := runBudget(t, tc.src, tc.maxOps)
 			for name, want := range tc.globals {
 				if got := in.Global(name); !sameValue(got, want) {
 					t.Errorf("global %q = %v, want %v", name, got, want)
@@ -311,6 +341,12 @@ var wantStats = map[string]Stats{
 	"recursion-through-global":    {Ops: 197, StrBytes: 0},
 	"closure-outlives-block":      {Ops: 66, StrBytes: 0},
 	"indexof-ignores-from":        {Ops: 12, StrBytes: 10},
+	"concat-numbers-first":        {Ops: 8, StrBytes: 5},
+	"concat-paren-right":          {Ops: 6, StrBytes: 2},
+	"concat-null":                 {Ops: 4, StrBytes: 5},
+	"concat-array":                {Ops: 5, StrBytes: 8},
+	"concat-over-budget":          {Ops: 12, StrBytes: 90},
+	"object-missing-key":          {Ops: 10, StrBytes: 0},
 }
 
 func TestStatsPinned(t *testing.T) {
@@ -318,7 +354,7 @@ func TestStatsPinned(t *testing.T) {
 		t.Fatalf("%d cases, %d pinned stats", len(coreLanguageCases), len(wantStats))
 	}
 	for _, tc := range coreLanguageCases {
-		in := runCase(t, tc.src)
+		in := runBudget(t, tc.src, tc.maxOps)
 		if got, want := in.Stats(), wantStats[tc.name]; got != want {
 			t.Errorf("%s: Stats() = %+v, want %+v", tc.name, got, want)
 		}
