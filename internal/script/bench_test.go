@@ -16,6 +16,9 @@ for (var i = 0; i < urls.length; i++) {
 var result = blocked;
 `
 
+// BenchmarkTreeWalker runs the compiled program on a fresh Interp. It
+// keeps the name it had when the interpreter walked the tree, so archives
+// from before and after the compiler compare.
 func BenchmarkTreeWalker(b *testing.B) {
 	prog := MustParse(benchSrc)
 	b.ReportAllocs()

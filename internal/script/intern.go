@@ -49,4 +49,4 @@ func boolv(b bool) Value {
 
 // newNumberLit boxes a number literal's value once at parse time; the
 // interpreter then reuses the same box on every evaluation.
-func newNumberLit(f float64) *numberLit { return &numberLit{box: num(f)} }
+func newNumberLit(f float64) *literal { return &literal{box: num(f)} }

@@ -16,19 +16,47 @@ type Value any
 // Array is a mutable array value (reference semantics, like JS).
 type Array struct{ Elems []Value }
 
-// Object is a mutable string-keyed map value.
-type Object struct{ Fields map[string]Value }
+// Object is a string-keyed value made by an object literal. Its keys are
+// the literal's, shared by every object the literal makes; the language has
+// no member assignment, so an object never changes after it is made.
+type Object struct {
+	keys []string
+	vals []Value
+}
 
-// Closure is a user-defined function: its definition and the frame it was
-// defined in.
+// newObject returns an object with keys and nil values. The page
+// templates' objects have three keys; up to four, the values sit in the
+// object's own allocation.
+func newObject(keys []string) *Object {
+	if len(keys) > 4 {
+		return &Object{keys: keys, vals: make([]Value, len(keys))}
+	}
+	so := &struct {
+		Object
+		buf [4]Value
+	}{}
+	so.keys, so.vals = keys, so.buf[:len(keys)]
+	return &so.Object
+}
+
+// field returns the value under name, or nil when o has no such key.
+func (o *Object) field(name string) Value {
+	if i := slices.Index(o.keys, name); i >= 0 {
+		return o.vals[i]
+	}
+	return nil
+}
+
+// Closure is a user-defined function: its compiled definition and the frame
+// it was defined in.
 type Closure struct {
-	fn *funcStmt
+	fn *function
 	fr *frame
 }
 
 type builtinFn struct {
 	name string
-	fn   func(in *Interp, args []Value) (Value, error)
+	fn   func(in *Interp, args []Value) Value
 }
 
 // RegexHost evaluates a regex for the interpreter. Implementations decide
@@ -40,7 +68,7 @@ type RegexHost interface {
 
 // Stats summarizes an execution's cost in device-neutral units.
 type Stats struct {
-	Ops      int64 // interpreter operations (AST evaluations)
+	Ops      int64 // interpreter operations (one per statement and expression node run)
 	StrBytes int64 // bytes touched by string/array operations
 }
 
@@ -53,12 +81,17 @@ type Config struct {
 // maxDepth is the call-stack limit.
 const maxDepth = 200
 
-// Interp executes Programs, one per Run.
+// Interp executes Programs, one per Run. It holds all of a run's mutable
+// state; the compiled Program holds none.
 type Interp struct {
 	cfg     Config
 	names   []string // the last-run program's global names
 	globals []Value  // its global table, indexed by identExpr.global
 	stack   []Value  // call arguments being passed; see evalArgs
+	parts   []string // string parts of the + chains being built; see concat
+	frames  []*frame // the frame stack; see enter
+	nframes int      // frames in use
+	ret     Value    // the value of the return statement that ran last
 	stats   Stats
 	depth   int
 }
@@ -86,18 +119,37 @@ func (in *Interp) Global(name string) Value {
 	return nil
 }
 
+// runError carries the error that ends a run from where it happened up
+// the Go stack to Run, which returns it; see throw.
+type runError struct{ err error }
+
+// throw ends the current run with err.
+func throw(err error) { panic(runError{err}) }
+
 // Run executes a program to completion on a fresh global table, so a run
-// sees nothing an earlier one left.
-func (in *Interp) Run(p *Program) error {
+// sees nothing an earlier one left. A top-level return ends it. A run that
+// fails stops where it failed, with its Stats charged up to that point.
+func (in *Interp) Run(p *Program) (err error) {
 	in.names = p.globals
 	in.globals = make([]Value, len(p.globals))
 	for i := range in.globals {
 		in.globals[i] = unset
 	}
-	_, err := in.execStmts(p.stmts, nil)
-	if err != nil && !errors.Is(err, errReturnSignal) {
-		return err
-	}
+	// A failed run leaves its stacks as they were when it stopped.
+	in.pop(0)
+	in.dropParts(0)
+	in.nframes, in.depth, in.ret = 0, 0, nil
+	defer func() {
+		if r := recover(); r != nil {
+			re, ok := r.(runError)
+			if !ok {
+				panic(r)
+			}
+			err = re.err
+		}
+	}()
+	runStmts(in, nil, p.body)
+	in.ret = nil
 	return nil
 }
 
@@ -107,32 +159,45 @@ type frame struct {
 	parent *frame
 }
 
-// newFrame returns a frame of n unset slots. Nearly every scope declares
-// one or two names; those frames hold their slots inline, so entering the
-// scope costs one allocation, not two.
-func newFrame(parent *frame, n int) *frame {
+// enter returns a frame of n unset slots under parent for a scope about to
+// run. Only a closure can keep a frame past its scope's run, so a scope
+// that makes none (stacked; see block) takes its frame from the Interp's
+// frame stack, and leave gives it back when the scope ends; scopes nest,
+// so the stack is last in, first out. A stacked loop body reuses one frame
+// for every iteration, a stacked call one frame per call depth. Any other
+// scope gets a new frame on the heap.
+func (in *Interp) enter(parent *frame, n int, stacked bool) *frame {
 	var f *frame
-	switch n {
-	case 1:
-		sf := &struct {
-			frame
-			buf [1]Value
-		}{}
-		sf.slots, f = sf.buf[:], &sf.frame
-	case 2:
-		sf := &struct {
-			frame
-			buf [2]Value
-		}{}
-		sf.slots, f = sf.buf[:], &sf.frame
+	switch {
+	case !stacked:
+		f = &frame{}
+	case in.nframes == len(in.frames):
+		f = &frame{}
+		in.frames = append(in.frames, f)
+		in.nframes++
 	default:
-		f = &frame{slots: make([]Value, n)}
+		f = in.frames[in.nframes]
+		in.nframes++
 	}
-	f.parent = parent
+	if cap(f.slots) < n {
+		f.slots = make([]Value, n)
+	}
+	f.slots = f.slots[:n]
 	for i := range f.slots {
 		f.slots[i] = unset
 	}
+	f.parent = parent
 	return f
+}
+
+// leave ends the scope of the frame enter returned last.
+func (in *Interp) leave(stacked bool) {
+	if stacked {
+		in.nframes--
+		f := in.frames[in.nframes]
+		clear(f.slots) // pin no value
+		f.parent = nil
+	}
 }
 
 // unsetT marks a slot or global whose var, function or parameter has not
@@ -154,17 +219,26 @@ func (l loc) at(fr *frame) *Value {
 	return &fr.slots[l.slot]
 }
 
-// lookup reads x: the innermost set slot, else the set global.
-func (in *Interp) lookup(x *identExpr, fr *frame) (Value, bool) {
+// lookup reads x: the innermost set slot, else the set global, else the
+// builtin of that name.
+func (in *Interp) lookup(x *identExpr, fr *frame) Value {
 	for _, l := range x.locs {
 		if v := *l.at(fr); !isUnset(v) {
-			return v, true
+			return v
 		}
 	}
+	return in.global(x)
+}
+
+// global reads x's global, falling back to the builtin of that name.
+func (in *Interp) global(x *identExpr) Value {
 	if v := in.globals[x.global]; !isUnset(v) {
-		return v, true
+		return v
 	}
-	return nil, false
+	if x.builtin == nil {
+		throw(fmt.Errorf("script: undefined variable %q", x.name))
+	}
+	return x.builtin
 }
 
 // store writes x where lookup would read it; with nothing set, the global
@@ -189,268 +263,14 @@ func (in *Interp) define(x *identExpr, fr *frame, v Value) {
 	in.globals[x.global] = v
 }
 
-// Control-flow signals.
-var (
-	errReturnSignal = errors.New("return")
-	errBreakSignal  = errors.New("break")
-)
-
-type returnValue struct{ v Value }
-
-func (in *Interp) charge(ops int64, strBytes int64) error {
+// charge adds to the run's Stats and ends the run with ErrBudget once
+// either count passes MaxOps.
+func (in *Interp) charge(ops int64, strBytes int64) {
 	in.stats.Ops += ops
 	in.stats.StrBytes += strBytes
 	if in.stats.Ops > in.cfg.MaxOps || in.stats.StrBytes > in.cfg.MaxOps {
-		return ErrBudget
+		throw(ErrBudget)
 	}
-	return nil
-}
-
-// execBlock runs b in a new frame when b declares anything, else in fr.
-func (in *Interp) execBlock(b *block, fr *frame) (*returnValue, error) {
-	if b.size > 0 {
-		fr = newFrame(fr, b.size)
-	}
-	return in.execStmts(b.stmts, fr)
-}
-
-func (in *Interp) execStmts(stmts []stmt, fr *frame) (*returnValue, error) {
-	for _, s := range stmts {
-		rv, err := in.exec(s, fr)
-		if err != nil {
-			return rv, err
-		}
-	}
-	return nil, nil
-}
-
-func (in *Interp) exec(s stmt, fr *frame) (*returnValue, error) {
-	if err := in.charge(1, 0); err != nil {
-		return nil, err
-	}
-	switch s := s.(type) {
-	case *varStmt:
-		v, err := in.eval(s.init, fr)
-		if err != nil {
-			return nil, err
-		}
-		in.define(s.ref, fr, v)
-		return nil, nil
-	case *assignStmt:
-		return nil, in.assign(s, fr)
-	case *ifStmt:
-		c, err := in.eval(s.cond, fr)
-		if err != nil {
-			return nil, err
-		}
-		body := &s.then
-		if !truthy(c) {
-			body = &s.alt
-		}
-		return in.execBlock(body, fr)
-	case *whileStmt:
-		for {
-			c, err := in.eval(s.cond, fr)
-			if err != nil || !truthy(c) {
-				return nil, err
-			}
-			if rv, err := in.execBlock(&s.body, fr); err != nil {
-				return loopExit(rv, err)
-			}
-		}
-	case *forStmt:
-		fe := newFrame(fr, 1)
-		if _, err := in.exec(s.init, fe); err != nil {
-			return nil, err
-		}
-		for {
-			c, err := in.eval(s.cond, fe)
-			if err != nil || !truthy(c) {
-				return nil, err
-			}
-			if rv, err := in.execBlock(&s.body, fe); err != nil {
-				return loopExit(rv, err)
-			}
-			if _, err := in.exec(s.post, fe); err != nil {
-				return nil, err
-			}
-		}
-	case *funcStmt:
-		in.define(s.ref, fr, &Closure{fn: s, fr: fr})
-		return nil, nil
-	case *returnStmt:
-		v, err := in.eval(s.value, fr)
-		if err != nil {
-			return nil, err
-		}
-		return &returnValue{v: v}, errReturnSignal
-	case *breakStmt:
-		return nil, errBreakSignal
-	case *exprStmt:
-		_, err := in.eval(s.e, fr)
-		return nil, err
-	}
-	return nil, fmt.Errorf("script: unknown statement %T", s)
-}
-
-// loopExit is what a loop returns when its body stops with err: a break
-// ends the loop, anything else propagates.
-func loopExit(rv *returnValue, err error) (*returnValue, error) {
-	if errors.Is(err, errBreakSignal) {
-		return nil, nil
-	}
-	return rv, err
-}
-
-func (in *Interp) assign(s *assignStmt, fr *frame) error {
-	v, err := in.eval(s.value, fr)
-	if err != nil {
-		return err
-	}
-	if s.op != opAssign {
-		old, err := in.eval(s.target, fr)
-		if err != nil {
-			return err
-		}
-		v, err = in.binop(s.op, old, v)
-		if err != nil {
-			return err
-		}
-	}
-	switch t := s.target.(type) {
-	case *identExpr:
-		in.store(t, fr, v)
-		return nil
-	case *indexExpr:
-		a, i, err := in.evalIndex(t, fr)
-		if err != nil {
-			return err
-		}
-		a.Elems[i] = v
-		return nil
-	}
-	return fmt.Errorf("script: bad assignment target")
-}
-
-// evalIndex evaluates x's base and index and checks that they name an
-// element of an array.
-func (in *Interp) evalIndex(x *indexExpr, fr *frame) (*Array, int, error) {
-	base, err := in.eval(x.base, fr)
-	if err != nil {
-		return nil, 0, err
-	}
-	idx, err := in.eval(x.idx, fr)
-	if err != nil {
-		return nil, 0, err
-	}
-	a, ok := base.(*Array)
-	if !ok {
-		return nil, 0, fmt.Errorf("script: cannot index %T", base)
-	}
-	i, ok := idx.(float64)
-	if !ok || int(i) < 0 || int(i) >= len(a.Elems) {
-		return nil, 0, fmt.Errorf("script: array index %v out of range (len %d)", idx, len(a.Elems))
-	}
-	return a, int(i), nil
-}
-
-func (in *Interp) eval(x expr, fr *frame) (Value, error) {
-	if err := in.charge(1, 0); err != nil {
-		return nil, err
-	}
-	switch x := x.(type) {
-	case *numberLit:
-		return x.box, nil
-	case *stringLit:
-		return x.box, nil
-	case *boolLit:
-		return x.box, nil
-	case *nullLit:
-		return nil, nil
-	case *identExpr:
-		v, ok := in.lookup(x, fr)
-		if !ok {
-			if x.builtin != nil {
-				return x.builtin, nil
-			}
-			return nil, fmt.Errorf("script: undefined variable %q", x.name)
-		}
-		return v, nil
-	case *arrayLit:
-		a := &Array{Elems: make([]Value, 0, len(x.elems))}
-		for _, el := range x.elems {
-			v, err := in.eval(el, fr)
-			if err != nil {
-				return nil, err
-			}
-			a.Elems = append(a.Elems, v)
-		}
-		return a, nil
-	case *objectLit:
-		o := &Object{Fields: map[string]Value{}}
-		for i, k := range x.keys {
-			v, err := in.eval(x.vals[i], fr)
-			if err != nil {
-				return nil, err
-			}
-			o.Fields[k] = v
-		}
-		return o, nil
-	case *binaryExpr:
-		l, err := in.eval(x.l, fr)
-		if err != nil {
-			return nil, err
-		}
-		if x.op == opAnd && !truthy(l) {
-			return l, nil // short-circuit
-		}
-		r, err := in.eval(x.r, fr)
-		if err != nil || x.op == opAnd {
-			return r, err
-		}
-		return in.binop(x.op, l, r)
-	case *indexExpr:
-		a, i, err := in.evalIndex(x, fr)
-		if err != nil {
-			return nil, err
-		}
-		return a.Elems[i], nil
-	case *memberExpr:
-		base, err := in.eval(x.base, fr)
-		if err != nil {
-			return nil, err
-		}
-		return member(base, x.name)
-	case *callExpr:
-		// Method calls need the receiver.
-		if m, ok := x.fn.(*memberExpr); ok {
-			recv, err := in.eval(m.base, fr)
-			if err != nil {
-				return nil, err
-			}
-			if _, isObj := recv.(*Object); !isObj {
-				args, base, err := in.evalArgs(x.args, fr)
-				if err != nil {
-					return nil, err
-				}
-				v, err := in.method(recv, m.name, args)
-				in.pop(base)
-				return v, err
-			}
-		}
-		fnv, err := in.eval(x.fn, fr)
-		if err != nil {
-			return nil, err
-		}
-		args, base, err := in.evalArgs(x.args, fr)
-		if err != nil {
-			return nil, err
-		}
-		v, err := in.call(fnv, args)
-		in.pop(base)
-		return v, err
-	}
-	return nil, fmt.Errorf("script: unknown expression %T", x)
 }
 
 // evalArgs pushes the values of args onto the interpreter's stack and
@@ -459,17 +279,13 @@ func (in *Interp) eval(x expr, fr *frame) (Value, error) {
 // evaluating an argument push and pop above it, so no call allocates an
 // argument slice. Callees read their arguments only during the call: push
 // copies them and a closure copies them into its frame.
-func (in *Interp) evalArgs(args []expr, fr *frame) (vals []Value, base int, err error) {
+func (in *Interp) evalArgs(args []evalFn, fr *frame) (vals []Value, base int) {
 	base = len(in.stack)
 	for _, a := range args {
-		v, err := in.eval(a, fr)
-		if err != nil {
-			in.pop(base)
-			return nil, base, err
-		}
+		v := a(in, fr) // before reading in.stack, which a may grow
 		in.stack = append(in.stack, v)
 	}
-	return in.stack[base:len(in.stack):len(in.stack)], base, nil
+	return in.stack[base:len(in.stack):len(in.stack)], base
 }
 
 // pop drops the stack above base, clearing it so it pins no value.
@@ -478,79 +294,69 @@ func (in *Interp) pop(base int) {
 	in.stack = in.stack[:base]
 }
 
-func (in *Interp) call(fnv Value, args []Value) (Value, error) {
+// call evaluates args and calls fnv with them.
+func (in *Interp) call(fnv Value, args []evalFn, fr *frame) Value {
+	vals, base := in.evalArgs(args, fr)
+	var v Value
 	switch fn := fnv.(type) {
 	case *Closure:
-		if in.depth >= maxDepth {
-			return nil, fmt.Errorf("script: call stack exceeded in %s", fn.fn.ref.name)
-		}
-		fr := fn.fr
-		if n := fn.fn.body.size; n > 0 {
-			fr = newFrame(fr, n)
-			for i, slot := range fn.fn.slots {
-				var v Value
-				if i < len(args) {
-					v = args[i]
-				}
-				fr.slots[slot] = v
-			}
-		}
-		in.depth++
-		rv, err := in.execStmts(fn.fn.body.stmts, fr)
-		in.depth--
-		if err != nil && !errors.Is(err, errReturnSignal) {
-			return nil, err
-		}
-		if rv != nil {
-			return rv.v, nil
-		}
-		return nil, nil
+		v = in.callClosure(fn, vals)
 	case *builtinFn:
-		return fn.fn(in, args)
+		v = fn.fn(in, vals)
+	default:
+		throw(fmt.Errorf("script: %T is not callable", fnv))
 	}
-	return nil, fmt.Errorf("script: %T is not callable", fnv)
+	in.pop(base)
+	return v
 }
 
-func (in *Interp) binop(op opcode, l, r Value) (Value, error) {
-	switch op {
-	case opAdd:
-		_, lok := l.(string)
-		_, rok := r.(string)
-		if lok || rok {
-			ls, rs := toStr(l), toStr(r)
-			if err := in.charge(0, int64(len(ls)+len(rs))); err != nil {
-				return nil, err
+func (in *Interp) callClosure(fn *Closure, args []Value) Value {
+	f := fn.fn
+	if in.depth >= maxDepth {
+		throw(fmt.Errorf("script: call stack exceeded in %s", f.name))
+	}
+	fr := fn.fr
+	if f.size > 0 {
+		fr = in.enter(fr, f.size, f.stacked)
+		for i, slot := range f.slots {
+			var v Value
+			if i < len(args) {
+				v = args[i]
 			}
-			return ls + rs, nil
+			fr.slots[slot] = v
 		}
-	case opEq:
-		return boolv(valueEq(l, r)), nil
-	case opNe:
-		return boolv(!valueEq(l, r)), nil
 	}
-	ln, lok := l.(float64)
-	rn, rok := r.(float64)
-	if !lok || !rok {
-		return nil, fmt.Errorf("script: %q needs numbers, got %T and %T", op, l, r)
+	in.depth++
+	c := runStmts(in, fr, f.body)
+	in.depth--
+	if f.size > 0 {
+		in.leave(f.stacked)
 	}
-	switch op {
-	case opAdd:
-		return num(ln + rn), nil
-	case opSub:
-		return num(ln - rn), nil
-	case opMul:
-		return num(ln * rn), nil
-	case opMod:
-		if rn == 0 {
-			return math.NaN(), nil
-		}
-		return num(math.Mod(ln, rn)), nil
-	case opLt:
-		return boolv(ln < rn), nil
-	case opGe:
-		return boolv(ln >= rn), nil
+	if c != ctlReturn {
+		return nil
 	}
-	return nil, fmt.Errorf("script: unknown operator %q", op)
+	v := in.ret
+	in.ret = nil
+	return v
+}
+
+// element checks that base and idx name an element of an array.
+func element(base, idx Value) (*Array, int) {
+	a, ok := base.(*Array)
+	if !ok {
+		throw(fmt.Errorf("script: cannot index %T", base))
+	}
+	i, ok := idx.(float64)
+	if !ok || int(i) < 0 || int(i) >= len(a.Elems) {
+		throw(fmt.Errorf("script: array index %v out of range (len %d)", idx, len(a.Elems)))
+	}
+	return a, int(i)
+}
+
+// needNumbers ends the run: operator op was given something but two
+// numbers.
+func needNumbers(op opcode, l, r Value) {
+	throw(fmt.Errorf("script: %q needs numbers, got %T and %T", op, l, r))
 }
 
 func valueEq(l, r Value) bool {
@@ -604,7 +410,7 @@ func toStr(v Value) string {
 		}
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	case *Closure:
-		return "function " + v.fn.ref.name
+		return "function " + v.fn.name
 	case *builtinFn:
 		return "function " + v.name
 	case *Array:
@@ -613,143 +419,145 @@ func toStr(v Value) string {
 	return "[object]" // *Object, the one Value type left
 }
 
-func member(base Value, name string) (Value, error) {
+func member(base Value, name string) Value {
 	switch b := base.(type) {
 	case string:
 		if name == "length" {
-			return num(float64(len(b))), nil
+			return num(float64(len(b)))
 		}
 	case *Array:
 		if name == "length" {
-			return num(float64(len(b.Elems))), nil
+			return num(float64(len(b.Elems)))
 		}
 	case *Object:
-		return b.Fields[name], nil
+		return b.field(name)
 	}
-	return nil, fmt.Errorf("script: no member %q on %T", name, base)
+	throw(fmt.Errorf("script: no member %q on %T", name, base))
+	return nil
 }
 
-// method dispatches string and array methods.
-func (in *Interp) method(recv Value, name string, args []Value) (Value, error) {
+// A stringMethod or arrayMethod is one method of the language; a call
+// looks its name up once, when it is compiled.
+type (
+	stringMethod func(in *Interp, s string, args []Value) Value
+	arrayMethod  func(in *Interp, a *Array, args []Value) Value
+)
+
+// method calls the method name resolved to, sm for a string receiver and
+// am for an array; either is nil when the type has no method of that name.
+func (in *Interp) method(recv Value, name string, sm stringMethod, am arrayMethod, args []Value) Value {
 	switch r := recv.(type) {
 	case string:
-		return in.stringMethod(r, name, args)
+		if sm != nil {
+			return sm(in, r, args)
+		}
+		throw(fmt.Errorf("script: unknown string method %q", name))
 	case *Array:
-		return in.arrayMethod(r, name, args)
+		if am != nil {
+			return am(in, r, args)
+		}
+		throw(fmt.Errorf("script: unknown array method %q", name))
 	}
-	return nil, fmt.Errorf("script: no method %q on %T", name, recv)
+	throw(fmt.Errorf("script: no method %q on %T", name, recv))
+	return nil
 }
 
-func (in *Interp) stringMethod(s, name string, args []Value) (Value, error) {
-	charge := func(n int) error { return in.charge(int64(1+n/8), int64(n)) }
-	argStr := func(i int) (string, error) {
-		if i >= len(args) {
-			return "", fmt.Errorf("script: %s: missing argument %d", name, i)
-		}
-		v, ok := args[i].(string)
-		if !ok {
-			return "", fmt.Errorf("script: %s: argument %d must be a string", name, i)
-		}
-		return v, nil
+// chargeScan charges a string method that touches n bytes.
+func (in *Interp) chargeScan(n int) { in.charge(int64(1+n/8), int64(n)) }
+
+// argStr returns method name's argument i, which must be a string.
+func argStr(name string, args []Value, i int) string {
+	if i >= len(args) {
+		throw(fmt.Errorf("script: %s: missing argument %d", name, i))
 	}
-	argNum := func(i int) (int, error) {
-		if i >= len(args) {
-			return 0, fmt.Errorf("script: %s: missing argument %d", name, i)
-		}
-		v, ok := args[i].(float64)
-		if !ok {
-			return 0, fmt.Errorf("script: %s: argument %d must be a number", name, i)
-		}
-		return int(v), nil
+	v, ok := args[i].(string)
+	if !ok {
+		throw(fmt.Errorf("script: %s: argument %d must be a string", name, i))
 	}
-	switch name {
-	case "indexOf":
+	return v
+}
+
+// argNum returns method name's argument i, which must be a number.
+func argNum(name string, args []Value, i int) int {
+	if i >= len(args) {
+		throw(fmt.Errorf("script: %s: missing argument %d", name, i))
+	}
+	v, ok := args[i].(float64)
+	if !ok {
+		throw(fmt.Errorf("script: %s: argument %d must be a number", name, i))
+	}
+	return int(v)
+}
+
+var stringMethods = map[string]stringMethod{
+	"indexOf": func(in *Interp, s string, args []Value) Value {
 		// A second argument is ignored (see the package doc).
-		sub, err := argStr(0)
-		if err != nil {
-			return nil, err
-		}
-		if err := charge(len(s)); err != nil {
-			return nil, err
-		}
-		return num(float64(strings.Index(s, sub))), nil
-	case "substring":
-		a, err := argNum(0)
-		if err != nil {
-			return nil, err
-		}
-		b := len(s)
+		sub := argStr("indexOf", args, 0)
+		in.chargeScan(len(s))
+		return num(float64(strings.Index(s, sub)))
+	},
+	"substring": func(in *Interp, s string, args []Value) Value {
+		a, b := argNum("substring", args, 0), len(s)
 		if len(args) > 1 {
-			b, err = argNum(1)
-			if err != nil {
-				return nil, err
-			}
+			b = argNum("substring", args, 1)
 		}
-		a = clamp(a, 0, len(s))
-		b = clamp(b, 0, len(s))
+		a, b = min(max(a, 0), len(s)), min(max(b, 0), len(s))
 		if a > b {
 			a, b = b, a
 		}
-		if err := charge(b - a); err != nil {
-			return nil, err
+		in.chargeScan(b - a)
+		return s[a:b]
+	},
+	"toUpperCase": func(in *Interp, s string, _ []Value) Value {
+		in.chargeScan(len(s))
+		return strings.ToUpper(s)
+	},
+	"test": func(in *Interp, s string, args []Value) Value {
+		matched, _, _ := in.execRegex(argStr("test", args, 0), s)
+		return boolv(matched)
+	},
+	"match": func(in *Interp, s string, args []Value) Value {
+		if matched, start, end := in.execRegex(argStr("match", args, 0), s); matched {
+			return s[start:end]
 		}
-		return s[a:b], nil
-	case "toUpperCase":
-		if err := charge(len(s)); err != nil {
-			return nil, err
-		}
-		return strings.ToUpper(s), nil
-	case "test", "match", "replace":
-		pat, err := argStr(0)
-		if err != nil {
-			return nil, err
-		}
-		matched, start, end, err := in.execRegex(pat, s)
-		if err != nil {
-			return nil, err
-		}
-		switch name {
-		case "test":
-			return boolv(matched), nil
-		case "match":
-			if !matched {
-				return nil, nil
-			}
-			return s[start:end], nil
-		}
-		repl, err := argStr(1)
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	},
+	"replace": func(in *Interp, s string, args []Value) Value {
+		matched, start, end := in.execRegex(argStr("replace", args, 0), s)
+		repl := argStr("replace", args, 1)
 		if !matched {
-			return s, nil
+			return s
 		}
-		if err := charge(len(s) + len(repl)); err != nil {
-			return nil, err
-		}
-		return s[:start] + repl + s[end:], nil
-	}
-	return nil, fmt.Errorf("script: unknown string method %q", name)
+		in.chargeScan(len(s) + len(repl))
+		return s[:start] + repl + s[end:]
+	},
 }
 
 // execRegex evaluates a regex on the configured host; without one it uses
 // the shared pricing memo and records nothing. Regex evaluation is charged
 // separately by the host/profile layer; the interpreter only pays the
 // dispatch.
-func (in *Interp) execRegex(pattern, input string) (bool, int, int, error) {
+func (in *Interp) execRegex(pattern, input string) (matched bool, start, end int) {
+	var err error
 	if in.cfg.Host != nil {
-		return in.cfg.Host.ExecRegex(pattern, input)
+		matched, start, end, err = in.cfg.Host.ExecRegex(pattern, input)
+	} else {
+		var r regexPrice
+		r, err = priceRegex(pattern, input, 0)
+		matched, start, end = r.matched, r.start, r.end
 	}
-	r, err := priceRegex(pattern, input, 0)
-	return r.matched, r.start, r.end, err
+	if err != nil {
+		throw(err)
+	}
+	return matched, start, end
 }
 
-func (in *Interp) arrayMethod(a *Array, name string, args []Value) (Value, error) {
-	switch name {
-	case "push":
+var arrayMethods = map[string]arrayMethod{
+	"push": func(in *Interp, a *Array, args []Value) Value {
 		a.Elems = append(a.Elems, args...)
-		return num(float64(len(a.Elems))), nil
-	case "join":
+		return num(float64(len(a.Elems)))
+	},
+	"join": func(in *Interp, a *Array, args []Value) Value {
 		sep := ","
 		if len(args) > 0 {
 			if s, ok := args[0].(string); ok {
@@ -762,45 +570,33 @@ func (in *Interp) arrayMethod(a *Array, name string, args []Value) (Value, error
 			parts[i] = toStr(e)
 			total += len(parts[i])
 		}
-		if err := in.charge(int64(len(a.Elems)), int64(total)); err != nil {
-			return nil, err
-		}
+		in.charge(int64(len(a.Elems)), int64(total))
 		// Separators are not charged, but they too must fit the budget.
 		if int64(len(sep))*int64(len(a.Elems)) > in.cfg.MaxOps-in.stats.StrBytes {
-			return nil, ErrBudget
+			throw(ErrBudget)
 		}
-		return strings.Join(parts, sep), nil
-	}
-	return nil, fmt.Errorf("script: unknown array method %q", name)
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+		return strings.Join(parts, sep)
+	},
 }
 
 var builtins = map[string]Value{
-	"str": &builtinFn{name: "str", fn: func(in *Interp, args []Value) (Value, error) {
+	"str": &builtinFn{name: "str", fn: func(in *Interp, args []Value) Value {
 		if len(args) == 0 {
-			return "", nil
+			return ""
 		}
 		s := toStr(args[0])
-		return s, in.charge(0, int64(len(s)))
+		in.charge(0, int64(len(s)))
+		return s
 	}},
-	"min": &builtinFn{name: "min", fn: func(in *Interp, args []Value) (Value, error) {
+	"min": &builtinFn{name: "min", fn: func(in *Interp, args []Value) Value {
 		if len(args) < 2 {
-			return nil, fmt.Errorf("script: min: need two numeric arguments")
+			throw(fmt.Errorf("script: min: need two numeric arguments"))
 		}
 		a, aok := args[0].(float64)
 		b, bok := args[1].(float64)
 		if !aok || !bok {
-			return nil, fmt.Errorf("script: min: expected numbers")
+			throw(fmt.Errorf("script: min: expected numbers"))
 		}
-		return num(math.Min(a, b)), nil
+		return num(math.Min(a, b))
 	}},
 }

@@ -1,12 +1,13 @@
 // Package script implements the small JavaScript-like language the page
 // scripts of internal/webpage are written in: a lexer, a parser, a
-// resolver that binds variables to frame slots and global slots at parse
-// time, and a tree-walking interpreter. Executing a page script yields an
-// operation count, a count of string bytes touched, and regex totals,
-// which the browser converts into CPU cycles and the offload study replays
-// on the DSP model. Interpreting real programs rather than assuming costs
-// is what lets the reproduction measure "scripting is 51–60% of compute"
-// instead of asserting it. The language is exactly what the five templates
+// resolver that binds variables to frame slots and global slots, and a
+// compiler that turns the result into Go closures, all once, at Parse
+// (see compile.go). Executing a page script yields an operation count, a
+// count of string bytes touched, and regex totals, which the browser
+// converts into CPU cycles and the offload study replays on the DSP model.
+// Interpreting real programs rather than assuming costs is what lets the
+// reproduction measure "scripting is 51–60% of compute" instead of
+// asserting it. The language is exactly what the five templates
 // in internal/webpage/scripts.go use, so every construct is one whose op
 // count reaches a figure:
 //
@@ -38,6 +39,7 @@ package script
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -147,8 +149,15 @@ func (l *lexer) number() (token, error) {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
-	var n float64
-	if _, err := fmt.Sscanf(text, "%g", &n); err != nil {
+	// The value stops before a second '.', so "1.2.3" is 1.2.
+	val := text
+	if i := strings.IndexByte(text, '.'); i >= 0 {
+		if j := strings.IndexByte(text[i+1:], '.'); j >= 0 {
+			val = text[:i+1+j]
+		}
+	}
+	n, err := strconv.ParseFloat(val, 64)
+	if err != nil {
 		return token{}, l.errf("bad number %q", text)
 	}
 	return token{kind: tNumber, text: text, num: n, line: l.line}, nil
@@ -156,6 +165,12 @@ func (l *lexer) number() (token, error) {
 
 func (l *lexer) str() (token, error) {
 	l.pos++ // opening quote
+	// A literal without escapes is a slice of the source.
+	if n := strings.IndexAny(l.src[l.pos:], "\"\\\n"); n >= 0 && l.src[l.pos+n] == '"' {
+		text := l.src[l.pos : l.pos+n]
+		l.pos += n + 1
+		return token{kind: tString, text: text, line: l.line}, nil
+	}
 	var b strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -188,16 +203,17 @@ func (l *lexer) str() (token, error) {
 var twoCharPuncts = []string{"==", "!=", ">=", "&&", "++", "--"}
 
 func (l *lexer) punct() (token, error) {
+	n := 1
 	for _, p := range twoCharPuncts {
 		if strings.HasPrefix(l.src[l.pos:], p) {
-			l.pos += 2
-			return token{kind: tPunct, text: p, line: l.line}, nil
+			n = 2
+			break
 		}
 	}
-	c := l.src[l.pos]
-	if strings.IndexByte("+-*%=<(){}[],;.:", c) < 0 {
+	if c := l.src[l.pos]; n == 1 && strings.IndexByte("+-*%=<(){}[],;.:", c) < 0 {
 		return token{}, l.errf("unexpected character %q", c)
 	}
-	l.pos++
-	return token{kind: tPunct, text: string(c), line: l.line}, nil
+	text := l.src[l.pos : l.pos+n]
+	l.pos += n
+	return token{kind: tPunct, text: text, line: l.line}, nil
 }

@@ -44,10 +44,13 @@ type (
 
 // block is a statement list with its own scope. size is the number of
 // names the scope declares; a block that declares none gets no frame and
-// runs in its enclosing one.
+// runs in its enclosing one. stacked is set when no function statement
+// sits in the block, nested blocks included: then nothing can keep its
+// frame past its run, and the frame comes from the Interp's frame stack.
 type block struct {
-	stmts []stmt
-	size  int
+	stmts   []stmt
+	size    int
+	stacked bool
 }
 
 func (*varStmt) stmtNode()    {}
@@ -63,12 +66,10 @@ func (*exprStmt) stmtNode()   {}
 type expr interface{ exprNode() }
 
 type (
-	// Literals carry their boxed Value, built once at parse time, so
-	// evaluating a literal never re-boxes (see intern.go).
-	numberLit struct{ box Value }
-	stringLit struct{ box Value }
-	boolLit   struct{ box Value }
-	nullLit   struct{}
+	// literal is a number, string, true, false or null. It carries its
+	// boxed Value, built once at parse time, so evaluating a literal never
+	// re-boxes (see intern.go).
+	literal struct{ box Value }
 	// identExpr is a variable reference. The parser fills in name; the
 	// resolver binds the rest and shares one node among all references to
 	// the same name that resolve alike. A read or write tries each slot in
@@ -86,9 +87,12 @@ type (
 		vals []expr
 	}
 	binaryExpr struct {
-		op   opcode
+		op   opcode // any binary operator but +
 		l, r expr
 	}
+	// addExpr is a left-associated + chain, terms[0] + terms[1] + …; a
+	// parenthesized + on the right is a term of its own.
+	addExpr  struct{ terms []expr }
 	callExpr struct {
 		fn   expr
 		args []expr
@@ -102,26 +106,25 @@ type (
 	}
 )
 
-func (*numberLit) exprNode()  {}
-func (*stringLit) exprNode()  {}
-func (*boolLit) exprNode()    {}
-func (*nullLit) exprNode()    {}
+func (*literal) exprNode()    {}
 func (*identExpr) exprNode()  {}
 func (*arrayLit) exprNode()   {}
 func (*objectLit) exprNode()  {}
 func (*binaryExpr) exprNode() {}
+func (*addExpr) exprNode()    {}
 func (*callExpr) exprNode()   {}
 func (*indexExpr) exprNode()  {}
 func (*memberExpr) exprNode() {}
 
-// Program is a parsed script ready for execution. It is immutable after
-// Parse, so one Program may run on several Interps at once.
+// Program is a parsed script compiled to Go closures (see compile.go). It
+// is immutable after Parse, so one Program may run on several Interps at
+// once.
 type Program struct {
-	stmts   []stmt
+	body    []execFn
 	globals []string // the program's global names, indexed by identExpr.global
 }
 
-// Parse compiles source text into a Program.
+// Parse lexes, parses, resolves and compiles source text into a Program.
 func Parse(src string) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -136,7 +139,7 @@ func Parse(src string) (*Program, error) {
 		}
 		stmts = append(stmts, s)
 	}
-	return resolve(stmts), nil
+	return &Program{globals: resolve(stmts), body: compileStmts(stmts)}, nil
 }
 
 // MustParse is Parse that panics on error, for static workload scripts.
@@ -479,7 +482,14 @@ func (p *parser) binary(minPrec int) (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &binaryExpr{op: b.op, l: left, r: right}
+		switch chain, ok := left.(*addExpr); {
+		case b.op != opAdd:
+			left = &binaryExpr{op: b.op, l: left, r: right}
+		case ok:
+			chain.terms = append(chain.terms, right)
+		default:
+			left = &addExpr{terms: []expr{left, right}}
+		}
 	}
 }
 
@@ -541,13 +551,13 @@ func (p *parser) primary() (expr, error) {
 		return newNumberLit(t.num), nil
 	case t.kind == tString:
 		p.advance()
-		return &stringLit{box: t.text}, nil
+		return &literal{box: t.text}, nil
 	case t.kind == tKeyword && (t.text == "true" || t.text == "false"):
 		p.advance()
-		return &boolLit{box: boolv(t.text == "true")}, nil
+		return &literal{box: boolv(t.text == "true")}, nil
 	case t.kind == tKeyword && t.text == "null":
 		p.advance()
-		return &nullLit{}, nil
+		return &literal{}, nil
 	case t.kind == tIdent:
 		p.advance()
 		return &identExpr{name: t.text}, nil

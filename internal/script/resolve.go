@@ -37,11 +37,12 @@ type resolver struct {
 	index   map[string]int // globals' indexes
 }
 
-// resolve binds the parsed top-level statements and returns the Program.
-func resolve(stmts []stmt) *Program {
+// resolve binds the parsed top-level statements and returns the
+// program's global names.
+func resolve(stmts []stmt) []string {
 	r := &resolver{index: map[string]int{}}
 	r.stmts(&scope{}, stmts)
-	return &Program{stmts: stmts, globals: r.globals}
+	return r.globals
 }
 
 // global returns name's index in the program's global table.
@@ -102,23 +103,29 @@ func (sc *scope) declareBody(stmts []stmt) {
 	}
 }
 
-// block resolves b as a new scope inside sc.
-func (r *resolver) block(sc *scope, b *block) {
+// block resolves b as a new scope inside sc and reports whether it makes
+// a closure.
+func (r *resolver) block(sc *scope, b *block) bool {
 	inner := &scope{parent: sc}
 	inner.declareBody(b.stmts)
 	b.size = len(inner.names)
-	r.stmts(inner, b.stmts)
+	b.stacked = !r.stmts(inner, b.stmts)
+	return !b.stacked
 }
 
 // stmts resolves a statement list whose declarations sc already holds
-// (the top level declares into the globals).
-func (r *resolver) stmts(sc *scope, stmts []stmt) {
+// (the top level declares into the globals) and reports whether a function
+// statement sits in it, nested blocks included.
+func (r *resolver) stmts(sc *scope, stmts []stmt) (closure bool) {
 	for _, s := range stmts {
-		r.stmt(sc, s)
+		if r.stmt(sc, s) {
+			closure = true
+		}
 	}
+	return closure
 }
 
-func (r *resolver) stmt(sc *scope, s stmt) {
+func (r *resolver) stmt(sc *scope, s stmt) bool {
 	switch s := s.(type) {
 	case *varStmt:
 		s.init = r.expr(sc, s.init)
@@ -128,17 +135,17 @@ func (r *resolver) stmt(sc *scope, s stmt) {
 		s.value = r.expr(sc, s.value)
 	case *ifStmt:
 		s.cond = r.expr(sc, s.cond)
-		r.block(sc, &s.then)
-		r.block(sc, &s.alt)
+		then := r.block(sc, &s.then)
+		return r.block(sc, &s.alt) || then
 	case *whileStmt:
 		s.cond = r.expr(sc, s.cond)
-		r.block(sc, &s.body)
+		return r.block(sc, &s.body)
 	case *forStmt:
 		hdr := &scope{names: []string{s.init.ref.name}, parent: sc}
 		r.stmt(hdr, s.init)
 		s.cond = r.expr(hdr, s.cond)
 		r.stmt(hdr, s.post)
-		r.block(hdr, &s.body)
+		return r.block(hdr, &s.body)
 	case *funcStmt:
 		s.ref = r.ref(sc, s.ref.name)
 		fn := &scope{parent: sc}
@@ -148,12 +155,14 @@ func (r *resolver) stmt(sc *scope, s stmt) {
 		}
 		fn.declareBody(s.body.stmts)
 		s.body.size = len(fn.names)
-		r.stmts(fn, s.body.stmts)
+		s.body.stacked = !r.stmts(fn, s.body.stmts)
+		return true
 	case *returnStmt:
 		s.value = r.expr(sc, s.value)
 	case *exprStmt:
 		s.e = r.expr(sc, s.e)
 	}
+	return false
 }
 
 // expr resolves x and returns it, or the shared node that replaces a
@@ -173,6 +182,10 @@ func (r *resolver) expr(sc *scope, x expr) expr {
 	case *binaryExpr:
 		x.l = r.expr(sc, x.l)
 		x.r = r.expr(sc, x.r)
+	case *addExpr:
+		for i, e := range x.terms {
+			x.terms[i] = r.expr(sc, e)
+		}
 	case *callExpr:
 		x.fn = r.expr(sc, x.fn)
 		for i, e := range x.args {
