@@ -139,7 +139,8 @@ func Parse(src string) (*Program, error) {
 		}
 		stmts = append(stmts, s)
 	}
-	return &Program{globals: resolve(stmts), body: compileStmts(stmts)}, nil
+	globals := resolve(stmts) // the compiler reads what the resolver binds
+	return &Program{globals: globals, body: compileStmts(stmts)}, nil
 }
 
 // MustParse is Parse that panics on error, for static workload scripts.
