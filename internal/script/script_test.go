@@ -476,3 +476,32 @@ func TestProgramSharedAcrossInterps(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRunAfterFailedRun: a run that fails inside a call, a + chain and a
+// loop frame leaves the Interp's stacks as they were; the next Run on the
+// same Interp must behave exactly as on a fresh one.
+func TestRunAfterFailedRun(t *testing.T) {
+	bad := MustParse(`function f(x) { var y = x; return "a" + y + missing; }
+		for (var i = 0; i < 2; i++) { var k = str(i) + f(i) + "z"; }`)
+	good := MustParse(`function g(x) { var y = x * 2; return "b" + y; } var t = "";
+		for (var i = 0; i < 3; i++) { var k = g(i); t = t + k; }`)
+	in := New(Config{})
+	if err := in.Run(bad); err == nil || !strings.Contains(err.Error(), "undefined variable") {
+		t.Fatalf("bad run: %v, want an undefined variable error", err)
+	}
+	before := in.Stats()
+	if err := in.Run(good); err != nil {
+		t.Fatal(err)
+	}
+	fresh := runCase(t, `function g(x) { var y = x * 2; return "b" + y; } var t = "";
+		for (var i = 0; i < 3; i++) { var k = g(i); t = t + k; }`)
+	if got := in.Stats().Ops - before.Ops; got != fresh.Stats().Ops {
+		t.Errorf("run after a failed run charged %d ops, a fresh run %d", got, fresh.Stats().Ops)
+	}
+	if got, want := in.Global("t"), fresh.Global("t"); got != want || want != "b0b2b4" {
+		t.Errorf("t = %v after a failed run, %v on a fresh Interp, want b0b2b4", got, want)
+	}
+	if len(in.stack) != 0 || len(in.parts) != 0 || in.nframes != 0 || in.depth != 0 {
+		t.Errorf("stacks left after a run: %d args, %d parts, %d frames, depth %d", len(in.stack), len(in.parts), in.nframes, in.depth)
+	}
+}
