@@ -97,6 +97,22 @@ func TestCombinedTraceIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestMetricsTableRepeatable: the -metrics registry holds no host timing,
+// so two identical runs print the same bytes, padding included.
+func TestMetricsTableRepeatable(t *testing.T) {
+	args := []string{"-run", "fig3a", "-pages", "1", "-trials", "2", "-metrics"}
+	code, first, stderr := runArgs(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	if !strings.Contains(first, "p99") {
+		t.Fatalf("no registry table on stdout:\n%s", first)
+	}
+	if _, second, _ := runArgs(t, args...); second != first {
+		t.Fatalf("-metrics stdout differs between identical runs:\n--- first ---\n%s--- second ---\n%s", first, second)
+	}
+}
+
 // TestReportUsesRunResults checks -report renders the tables the run already
 // produced: with -run fig3a it holds only fig3a, and the run executes each
 // cell once (its trace equals a run without -report).

@@ -222,8 +222,9 @@ func (o *Observer) keep(err error) {
 }
 
 // updateTelemetry renders and publishes one exposition snapshot: the folded
-// registry (deterministic families) followed by run health (wall-clock
-// families). Caller holds o.mu.
+// registry, whose families depend only on flags and seed, followed by run
+// health, whose families (progress, cell wall-time quantiles, Go runtime)
+// are host timing. Caller holds o.mu.
 func (o *Observer) updateTelemetry(now time.Time) {
 	var buf bytes.Buffer
 	if o.agg != nil {
@@ -232,6 +233,7 @@ func (o *Observer) updateTelemetry(now time.Time) {
 	telemetry.RenderHealth(&buf, "", telemetry.Health{
 		Done: o.done, Total: o.total,
 		ElapsedMS: float64(now.Sub(o.start)) / float64(time.Millisecond),
+		Wall:      &o.wall,
 		Runtime:   runlog.CaptureRuntime(),
 	})
 	o.keep(o.sink.Update(buf.Bytes()))

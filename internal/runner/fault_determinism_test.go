@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"mobileqoe/internal/fault"
@@ -49,7 +48,7 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 				t.Fatalf("%s under faults: %v", r.ID, r.Err)
 			}
 			tables[r.ID] = r.Table.String()
-			metrics[r.ID] = canonMetrics(r.Table.Metrics)
+			metrics[r.ID] = r.Table.Metrics.Table()
 		}
 		exported := map[string][]byte{}
 		for key, tr := range tracers {
@@ -89,23 +88,4 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 				key, len(want), len(got))
 		}
 	}
-}
-
-// canonMetrics renders a registry comparably across runs: the
-// runner.cell_wall_ms histogram is host wall-clock (the one legitimately
-// nondeterministic metric), so its row is dropped, and padding is collapsed
-// because that row's width can shift the table's column alignment.
-func canonMetrics(m *trace.Metrics) string {
-	var b strings.Builder
-	for _, line := range strings.Split(m.Table(), "\n") {
-		if strings.Contains(line, "runner.cell_wall_ms") {
-			continue
-		}
-		if strings.Trim(line, "- ") == "" && line != "" {
-			continue // separator row; its width tracks the dropped row
-		}
-		b.WriteString(strings.Join(strings.Fields(line), " "))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -47,9 +47,9 @@ type Options struct {
 	// Determinism contract (pinned by TestStreamDeterministic): for a fixed
 	// binary, Config, and ids, the Stream event sequence is identical
 	// across runs and Parallel values in every field except Elapsed, the
-	// only host-time field — the Table's metrics registry included, minus
-	// its host-timing rows. Cancellation breaks the guarantee for Err
-	// (which cells got cut off depends on timing).
+	// only host-time field — the Table's metrics registry included.
+	// Cancellation breaks the guarantee for Err (which cells got cut off
+	// depends on timing).
 	Progress, Stream func(Event)
 	// Trace gives every cell attempt a fresh tracer (experiments.Config.Trace)
 	// and hands the reported attempt's tracer to Progress as Event.Trace.
@@ -219,26 +219,12 @@ func Run(ctx context.Context, ids []string, cfg experiments.Config, opts Options
 		// the failures become explicit error notes on it, in trial order. A
 		// crash or timeout therefore loses only its own cells.
 		r.Table = experiments.MergeTrials(per)
-		if r.Table != nil {
-			if len(failNotes) > 0 {
-				// Copy before annotating: MergeTrials returns the sole
-				// surviving trial's table itself when only one completed.
-				annotated := *r.Table
-				annotated.Notes = append(append([]string{}, r.Table.Notes...), failNotes...)
-				r.Table = &annotated
-			}
-			if r.Table.Metrics != nil {
-				// Wall-clock per completed cell, observed strictly in
-				// cell-index order (the merge discipline); the values
-				// themselves are host timing, the only non-virtual quantity
-				// in the registry.
-				h := r.Table.Metrics.Histogram("runner.cell_wall_ms")
-				for _, o := range outs[k*trials : (k+1)*trials] {
-					if o.Err == nil {
-						h.Observe(float64(o.Elapsed) / float64(time.Millisecond))
-					}
-				}
-			}
+		if r.Table != nil && len(failNotes) > 0 {
+			// Copy before annotating: MergeTrials returns the sole
+			// surviving trial's table itself when only one completed.
+			annotated := *r.Table
+			annotated.Notes = append(append([]string{}, r.Table.Notes...), failNotes...)
+			r.Table = &annotated
 		}
 		results[k] = r
 	}

@@ -74,8 +74,7 @@ func TestStreamDeterministic(t *testing.T) {
 			if s.Table.Metrics == nil {
 				t.Fatalf("event %d: Metrics requested but cell registry missing", i)
 			}
-			if got, want := stripHostTiming(s.Table.Metrics.Table()),
-				stripHostTiming(p.Table.Metrics.Table()); got != want {
+			if got, want := s.Table.Metrics.Table(), p.Table.Metrics.Table(); got != want {
 				t.Fatalf("event %d: cell registries differ across worker counts:\n%s\nvs\n%s",
 					i, got, want)
 			}

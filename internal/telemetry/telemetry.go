@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/stats"
 	"mobileqoe/internal/trace"
 )
 
@@ -109,12 +110,16 @@ func Render(w io.Writer, prefix string, m *trace.Metrics) error {
 	return nil
 }
 
-// Health is the wall-clock snapshot RenderHealth exposes: run progress plus
-// the Go runtime block health records carry.
+// Health is the wall-clock snapshot RenderHealth exposes: run progress, the
+// wall times of the cells run so far, and the Go runtime block health
+// records carry.
 type Health struct {
 	Done, Total int
 	ElapsedMS   float64
-	Runtime     runlog.RuntimeSnapshot
+	// Wall holds the freshly executed cells' wall times in ms; nil or empty
+	// omits the cell wall-time quantiles.
+	Wall    *stats.HistSketch
+	Runtime runlog.RuntimeSnapshot
 }
 
 // RenderHealth writes the run-health families under prefix. Everything here
@@ -132,6 +137,10 @@ func RenderHealth(w io.Writer, prefix string, h Health) error {
 	emit("run_cells_done", "gauge", "completed (experiment, trial) cells", float64(h.Done))
 	emit("run_cells_total", "gauge", "total cells in this run", float64(h.Total))
 	emit("run_elapsed_ms", "gauge", "wall time since the run started", h.ElapsedMS)
+	if h.Wall != nil && h.Wall.N() > 0 {
+		emit("run_cell_wall_p50_ms", "gauge", "median wall time of a cell run so far", h.Wall.Quantile(0.5))
+		emit("run_cell_wall_p95_ms", "gauge", "95th percentile wall time of a cell run so far", h.Wall.Quantile(0.95))
+	}
 	emit("go_gc_cycles_total", "counter", "completed GC cycles", float64(h.Runtime.NumGC))
 	emit("go_gc_pause_ms_total", "counter", "total GC pause time", h.Runtime.GCPauseTotalMS)
 	emit("go_heap_peak_bytes", "gauge", "peak heap memory obtained from the OS", float64(h.Runtime.PeakHeapBytes))

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/stats"
 	"mobileqoe/internal/trace"
 )
 
@@ -93,16 +94,22 @@ func TestRenderShardInsensitive(t *testing.T) {
 
 func TestRenderHealthLints(t *testing.T) {
 	var buf bytes.Buffer
+	var wall stats.HistSketch
+	for _, ms := range []float64{40, 50, 60} {
+		wall.Observe(ms)
+	}
 	err := RenderHealth(&buf, "", Health{Done: 5, Total: 12, ElapsedMS: 1234.5,
-		Runtime: runlog.CaptureRuntime()})
+		Wall: &wall, Runtime: runlog.CaptureRuntime()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Lint(buf.String()); err != nil {
 		t.Fatalf("health exposition does not lint: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "mobileqoe_run_cells_done 5\n") {
-		t.Fatalf("missing progress gauge:\n%s", buf.String())
+	for _, want := range []string{"mobileqoe_run_cells_done 5\n", "mobileqoe_run_cell_wall_p50_ms 50\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 
