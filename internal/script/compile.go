@@ -179,24 +179,15 @@ func loop(in *Interp, fr *frame, cond evalFn, body, post execFn) ctl {
 // compileAssign compiles x = e, a[i] = e, and the ++ and -- steps, which
 // evaluate their literal 1, then read the target, then add or subtract.
 func compileAssign(s *assignStmt) execFn {
-	rhs := compileExpr(s.value)
-	if s.op != opAssign {
-		one, read, op := rhs, compileExpr(s.target), s.op
-		rhs = func(in *Interp, fr *frame) Value {
-			r := one(in, fr)
-			l := read(in, fr)
-			if op == opAdd {
-				return in.plus(fr, l, r, nil)
-			}
-			a, aok := l.(float64)
-			b, bok := r.(float64)
-			if !aok || !bok {
-				needNumbers(op, l, r)
-			}
-			return num(a - b)
-		}
-	}
+	rhs, op := compileExpr(s.value), s.op
 	if x, ok := s.target.(*identExpr); ok {
+		if op != opAssign {
+			one, read := rhs, compileIdent(x)
+			rhs = func(in *Interp, fr *frame) Value {
+				r := one(in, fr)
+				return in.step(fr, op, read(in, fr), r)
+			}
+		}
 		return func(in *Interp, fr *frame) ctl {
 			in.charge(1, 0)
 			in.store(x, fr, rhs(in, fr))
@@ -208,10 +199,28 @@ func compileAssign(s *assignStmt) execFn {
 	return func(in *Interp, fr *frame) ctl {
 		in.charge(1, 0)
 		v := rhs(in, fr)
+		// Base and index are evaluated once, for the read and the write.
 		a, i := element(base(in, fr), idx(in, fr))
+		if op != opAssign {
+			in.charge(1, 0) // the element read, as an index expression charges it
+			v = in.step(fr, op, a.Elems[i], v)
+		}
 		a.Elems[i] = v
 		return ctlNext
 	}
+}
+
+// step applies the opAdd or opSub of a ++ or -- to the target's value l.
+func (in *Interp) step(fr *frame, op opcode, l, r Value) Value {
+	if op == opAdd {
+		return in.plus(fr, l, r, nil)
+	}
+	a, aok := l.(float64)
+	b, bok := r.(float64)
+	if !aok || !bok {
+		needNumbers(op, l, r)
+	}
+	return num(a - b)
 }
 
 func compileExpr(x expr) evalFn {
