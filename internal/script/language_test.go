@@ -425,6 +425,8 @@ var droppedConstructs = []struct {
 	{"max", `var n = max(1, 2);`, "undefined variable"},
 	{"len", `var n = len("ab");`, "undefined variable"},
 	{"keys", `var k = keys({a: 1});`, "undefined variable"},
+	{"number-two-dots", `var a = 1.2.3;`, ""},
+	{"number-dot-dot", `var a = 1..5;`, ""},
 }
 
 func TestDroppedConstructs(t *testing.T) {

@@ -149,14 +149,8 @@ func (l *lexer) number() (token, error) {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
-	// The value stops before a second '.', so "1.2.3" is 1.2.
-	val := text
-	if i := strings.IndexByte(text, '.'); i >= 0 {
-		if j := strings.IndexByte(text[i+1:], '.'); j >= 0 {
-			val = text[:i+1+j]
-		}
-	}
-	n, err := strconv.ParseFloat(val, 64)
+	// A second '.', as in "1.2.3" or "1..5", fails ParseFloat.
+	n, err := strconv.ParseFloat(text, 64)
 	if err != nil {
 		return token{}, l.errf("bad number %q", text)
 	}
