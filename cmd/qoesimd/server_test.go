@@ -201,22 +201,15 @@ func TestServeRequestErrors(t *testing.T) {
 }
 
 // TestServeHugeTimeoutClamped: a timeout_s far beyond time.Duration's range
-// is accepted and the job runs under exactly -max-timeout, not without one.
+// is accepted and the job completes under the clamped timeout
+// (TestHugeTimeoutGetsMaxTimeout in internal/engine pins its value).
 func TestServeHugeTimeoutClamped(t *testing.T) {
-	const maxTimeout = 2 * time.Minute
-	ts, eng := newTestServer(t, engine.Config{Workers: 1, QueueDepth: 4, Parallel: 1, MaxTimeout: maxTimeout})
+	ts, _ := newTestServer(t, engine.Config{Workers: 1, QueueDepth: 4, Parallel: 1, MaxTimeout: 2 * time.Minute})
 	code, st := postRun(t, ts.URL, `{"experiment": "table1", "timeout_s": 1e300}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d (%+v), want 202", code, st)
 	}
-	j, ok := eng.Job(st.ID)
-	if !ok {
-		t.Fatalf("job %s not found", st.ID)
-	}
-	if got := j.Timeout(); got != maxTimeout {
-		t.Fatalf("job timeout = %v, want -max-timeout %v", got, maxTimeout)
-	}
-	fetchResult(t, ts.URL, st.ID) // the job completes under the clamped timeout
+	fetchResult(t, ts.URL, st.ID)
 }
 
 // TestServeBuiltinFaultPlan: a served scenario may name the built-in

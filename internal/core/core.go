@@ -13,7 +13,8 @@
 //	res := sys.LoadPage(page)            // Web browsing   (Fig. 2a, 3)
 //	met := sys.StreamVideo(streamCfg)    // YouTube-like   (Fig. 2b, 4)
 //	call := sys.PlaceCall(callCfg)       // Skype-like     (Fig. 2c, 5)
-//	tput := sys.Iperf(10 * time.Second)  // iperf          (Fig. 6)
+//	// iperf (Fig. 6), like every workload, through the one entry point:
+//	out, err := sys.Run(core.IperfWorkload{Duration: 10 * time.Second})
 //
 // Each call runs the discrete-event simulation to completion and returns
 // measured metrics. Runs are deterministic for a given configuration.
@@ -448,17 +449,3 @@ func (sys *System) PlaceCall(cc telephony.CallConfig) telephony.Metrics {
 	}
 	return *res.Call
 }
-
-// Iperf measures bulk TCP goodput for the given duration (§4.1). It panics
-// on deadline; see LoadPage.
-func (sys *System) Iperf(duration time.Duration) netsim.IperfResult {
-	res, err := sys.Run(IperfWorkload{Duration: duration})
-	if err != nil {
-		panic(err)
-	}
-	return *res.Iperf
-}
-
-// EffectiveRate returns the foreground cycles/second of the current
-// configuration — the rate the wprof ePLT re-evaluations use.
-func (sys *System) EffectiveRate() float64 { return sys.CPU.EffectiveRate(true) }

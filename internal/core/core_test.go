@@ -81,8 +81,11 @@ func TestPlaceCallEndToEnd(t *testing.T) {
 
 func TestIperfEndToEnd(t *testing.T) {
 	sys := NewSystem(device.Nexus4(), WithClock(units.MHz(1512)))
-	r := sys.Iperf(2 * time.Second)
-	if r.Throughput.Mbpsf() < 40 {
+	res, err := sys.Run(IperfWorkload{Duration: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res.Iperf; r.Throughput.Mbpsf() < 40 {
 		t.Fatalf("throughput = %v, want ~46 Mbps", r.Throughput)
 	}
 }
@@ -121,15 +124,11 @@ func TestAblationOptionsWire(t *testing.T) {
 	}
 
 	noCharge := NewSystem(device.Nexus4(), WithClock(units.MHz(384)), WithoutPacketCPUCharge())
-	r := noCharge.Iperf(2 * time.Second)
-	if r.Throughput.Mbpsf() < 40 {
-		t.Fatalf("ablated network should reach the link ceiling, got %v", r.Throughput)
+	res, err := noCharge.Run(IperfWorkload{Duration: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestEffectiveRate(t *testing.T) {
-	sys := NewSystem(device.Nexus4(), WithClock(units.MHz(1512)))
-	if r := sys.EffectiveRate(); r != 1512e6 {
-		t.Fatalf("EffectiveRate = %v", r)
+	if r := res.Iperf; r.Throughput.Mbpsf() < 40 {
+		t.Fatalf("ablated network should reach the link ceiling, got %v", r.Throughput)
 	}
 }

@@ -33,6 +33,7 @@ func TestAccountingIndependentOfObservation(t *testing.T) {
 		cfg.Obs.Meter = m
 		c := New(s, cfg)
 		var r result
+		stop := false // the loop core.Run drives: step until the work is done
 		main := c.NewThread("main", true)
 		cycles := []float64{1.234567891e8, 9.87654321e7, 3.3333333e7, 2.71828182e8, 1.41421356e8}
 		for i, cy := range cycles {
@@ -41,7 +42,7 @@ func TestAccountingIndependentOfObservation(t *testing.T) {
 				r.done = append(r.done, s.Now())
 				if last {
 					c.Stop()
-					s.Stop()
+					stop = true
 				}
 			})
 		}
@@ -57,7 +58,8 @@ func TestAccountingIndependentOfObservation(t *testing.T) {
 		if ticker {
 			s.NewTicker(time.Millisecond, func() { c.CoreBusy() })
 		}
-		s.Run()
+		for !stop && s.Step() {
+		}
 		r.executed = main.Executed()
 		r.joules = m.Energy("cpu")
 		return r

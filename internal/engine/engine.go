@@ -187,9 +187,6 @@ func (j *Job) Output() ([]byte, error) {
 	}
 }
 
-// Timeout returns the wall-clock cap the job runs under (0: none).
-func (j *Job) Timeout() time.Duration { return j.timeout }
-
 // Err returns the job's failure (nil unless Failed).
 func (j *Job) Err() error {
 	j.mu.Lock()

@@ -256,7 +256,7 @@ func TestHugeTimeoutGetsMaxTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Timeout(); got != maxTimeout {
+	if got := j.timeout; got != maxTimeout {
 		t.Fatalf("job timeout = %v, want MaxTimeout %v", got, maxTimeout)
 	}
 	if err := j.Wait(context.Background()); err != nil {

@@ -29,17 +29,11 @@ type dnsState struct {
 	pending map[string][]func(error)
 }
 
-// Resolve invokes fn once the name is resolved. The first lookup for a name
-// costs one round trip plus resolver processing; later lookups are cache
-// hits and fire synchronously. Lookups are skipped entirely when the
-// network was configured with DNS disabled. Resolution errors (possible
-// only under fault injection) are swallowed; use ResolveE to observe them.
-func (n *Network) Resolve(name string, fn func()) {
-	n.ResolveE(name, func(error) { fn() })
-}
-
-// ResolveE is Resolve with an error-aware callback: fn receives ErrDNS when
-// an injected dns-timeout fault exhausts the stub resolver's retries.
+// ResolveE invokes fn once the name is resolved. The first lookup for a
+// name costs one round trip plus resolver processing; later lookups are
+// cache hits and fire synchronously. Lookups are skipped entirely when the
+// network was configured with DNS disabled. fn receives ErrDNS when an
+// injected dns-timeout fault exhausts the stub resolver's retries.
 func (n *Network) ResolveE(name string, fn func(error)) {
 	if !n.cfg.DNS {
 		fn(nil)

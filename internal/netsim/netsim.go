@@ -148,14 +148,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Stats aggregates network-wide counters.
-type Stats struct {
-	SegmentsDelivered int64
-	SegmentsLost      int64
-	BytesDelivered    int64
-	AcksSent          int64
-}
-
 // Network is one device's view of the testbed.
 type Network struct {
 	s       *sim.Sim
@@ -165,7 +157,9 @@ type Network struct {
 	down    *link // AP -> device
 	up      *link // device -> AP
 	dns     dnsState
-	stats   Stats
+	// delivered counts payload bytes delivered to the device, segments and
+	// datagrams alike; iperf reads its goodput from it.
+	delivered int64
 
 	// free is the packet free list; packets counts the packets ever
 	// allocated, all of which are on the list when nothing is in flight.
@@ -211,9 +205,6 @@ func (n *Network) segmentLost() bool {
 	}
 	return n.cfg.Obs.Faults.SegmentLost()
 }
-
-// Stats returns a snapshot of the counters.
-func (n *Network) Stats() Stats { return n.stats }
 
 // Config returns the effective configuration.
 func (n *Network) Config() Config { return n.cfg }
@@ -553,7 +544,6 @@ func (c *Conn) sendSegment(t *transfer, seg units.ByteSize) {
 		// RTO backs off exponentially with consecutive retransmissions, so a
 		// burst-loss window degrades throughput instead of melting the link
 		// with a retransmission storm.
-		n.stats.SegmentsLost++
 		if tr := n.cfg.Obs.Trace; tr != nil {
 			tr.Instant("netsim", "tcp-loss", n.cfg.Obs.Pid, c.tid, n.s.Now())
 		}
@@ -585,8 +575,7 @@ func (c *Conn) sendSegment(t *transfer, seg units.ByteSize) {
 // released.
 func (c *Conn) onSegment(p *packet) {
 	n, t, seg := c.net, p.t, p.seg
-	n.stats.SegmentsDelivered++
-	n.stats.BytesDelivered += int64(seg)
+	n.delivered += int64(seg)
 	n.mSegments.Add(1)
 	c.retx = 0
 	c.inflight--
@@ -604,7 +593,6 @@ func (c *Conn) onSegment(p *packet) {
 	sendAck := c.acksSinceACK >= ackEvery || t.remaining <= seg
 	if sendAck {
 		c.acksSinceACK = 0
-		n.stats.AcksSent++
 		n.mAcks.Add(1)
 		p.stage, p.seg = inTx, 0
 		n.txCharge(0, p.fn)
@@ -681,7 +669,6 @@ func (n *Network) SendDatagram(payload units.ByteSize, fn func()) {
 // to the application).
 func (n *Network) RecvDatagram(payload units.ByteSize, fn func()) {
 	if n.segmentLost() {
-		n.stats.SegmentsLost++
 		return
 	}
 	p := n.newPacket(inDown)
@@ -751,8 +738,7 @@ func (p *packet) step() {
 	case inRx:
 		switch {
 		case p.c == nil:
-			n.stats.SegmentsDelivered++
-			n.stats.BytesDelivered += int64(p.seg)
+			n.delivered += int64(p.seg)
 			p.deliverDatagram()
 		case p.gen != p.c.gen:
 			n.freePacket(p) // stale in-flight segment from before a reset
@@ -795,7 +781,7 @@ type IperfResult struct {
 func (n *Network) Iperf(duration time.Duration, fn func(IperfResult)) {
 	conn := n.NewConn("iperf")
 	start := n.s.Now()
-	startBytes := n.stats.BytesDelivered
+	startBytes := n.delivered
 	// A transfer far larger than the link could move in the window.
 	huge := units.ByteSize(float64(n.cfg.Rate)/8*duration.Seconds()) * 4
 	finished := false
@@ -805,7 +791,7 @@ func (n *Network) Iperf(duration time.Duration, fn func(IperfResult)) {
 		}
 		finished = true
 		conn.Abort()
-		got := units.ByteSize(n.stats.BytesDelivered - startBytes)
+		got := units.ByteSize(n.delivered - startBytes)
 		el := n.s.Now() - start
 		res := IperfResult{Duration: el, Bytes: got}
 		if el > 0 {

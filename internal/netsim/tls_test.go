@@ -84,7 +84,7 @@ func TestByteConservationWithTLS(t *testing.T) {
 	conn.Request("obj", 200, want, 0, func() { c.Stop() })
 	s.Run()
 	// TLS adds handshake bytes on top of the payload.
-	if got := n.Stats().BytesDelivered; got < int64(want) {
+	if got := n.delivered; got < int64(want) {
 		t.Fatalf("delivered %d bytes, want >= %d", got, int64(want))
 	}
 }
@@ -94,10 +94,10 @@ func TestDNSResolution(t *testing.T) {
 	c := nexus4CPU(s, 1512)
 	n := New(s, c, Config{ChargeCPU: true, DNS: true})
 	var first, second, other time.Duration
-	n.Resolve("cdn.example.com", func() { first = s.Now() })
+	n.ResolveE("cdn.example.com", func(error) { first = s.Now() })
 	s.RunUntil(time.Second)
-	n.Resolve("cdn.example.com", func() { second = s.Now() })
-	n.Resolve("other.example.com", func() { other = s.Now() })
+	n.ResolveE("cdn.example.com", func(error) { second = s.Now() })
+	n.ResolveE("other.example.com", func(error) { other = s.Now() })
 	s.RunUntil(2 * time.Second)
 	c.Stop()
 	s.Run()
@@ -118,7 +118,7 @@ func TestDNSCoalescesConcurrentLookups(t *testing.T) {
 	n := New(s, c, Config{ChargeCPU: true, DNS: true})
 	fired := 0
 	for i := 0; i < 5; i++ {
-		n.Resolve("same.example.com", func() { fired++ })
+		n.ResolveE("same.example.com", func(error) { fired++ })
 	}
 	s.RunUntil(time.Second)
 	c.Stop()
@@ -132,7 +132,7 @@ func TestDNSDisabledIsFree(t *testing.T) {
 	s := sim.New()
 	n := New(s, nil, Config{})
 	fired := false
-	n.Resolve("x.example.com", func() { fired = true })
+	n.ResolveE("x.example.com", func(error) { fired = true })
 	if !fired {
 		t.Fatal("disabled DNS should resolve synchronously")
 	}
@@ -178,7 +178,7 @@ func TestHTTP2Multiplexing(t *testing.T) {
 		t.Fatalf("only %d/5 streams completed", len(done))
 	}
 	// All bytes delivered exactly once.
-	if got := n.Stats().BytesDelivered; got != int64(5*200*units.KB) {
+	if got := n.delivered; got != int64(5*200*units.KB) {
 		t.Fatalf("delivered %d bytes, want %d", got, int64(5*200*units.KB))
 	}
 	// Streams interleave: the last finisher should land close to the first

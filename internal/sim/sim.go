@@ -101,7 +101,6 @@ type Sim struct {
 	queue   []*Event // 4-ary min-heap ordered by (at, seq)
 	free    []*Event // recycled events awaiting reuse
 	seq     uint64
-	stopped bool
 	steps   uint64
 	pending int // live count of queued, non-canceled events
 	hook    Hook
@@ -267,31 +266,22 @@ func (s *Sim) Step() bool {
 	return false
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Sim) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
 }
 
 // RunUntil executes events with fire times <= t and then advances the clock
 // to exactly t. Events scheduled after t remain queued.
 func (s *Sim) RunUntil(t time.Duration) {
-	s.stopped = false
-	for !s.stopped {
-		if len(s.queue) == 0 || s.queue[0].at > t {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.Step()
 	}
 	if s.now < t {
 		s.now = t
 	}
 }
-
-// Stop makes the innermost Run or RunUntil return after the current event
-// callback completes. Pending events stay queued.
-func (s *Sim) Stop() { s.stopped = true }
 
 // Pending returns the number of queued (non-canceled) events. The count is
 // maintained live by At/Cancel/Step, so this is O(1) and cheap enough for

@@ -141,30 +141,6 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		s.At(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 2 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 2 {
-		t.Fatalf("Stop did not halt run: executed %d", count)
-	}
-	if s.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", s.Pending())
-	}
-	s.Run() // resumes
-	if count != 5 {
-		t.Fatalf("resume executed %d total, want 5", count)
-	}
-}
-
 func TestTicker(t *testing.T) {
 	s := New()
 	var ticks []time.Duration

@@ -19,9 +19,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
 // Sum returns the sum of observations.
 func (s *Sample) Sum() float64 {
 	t := 0.0
@@ -131,15 +128,6 @@ func NewCDF(s *Sample) *CDF {
 		}
 	}
 	return c
-}
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	i := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].X > x })
-	if i == 0 {
-		return 0
-	}
-	return c.pts[i-1].P
 }
 
 // Quantile returns the smallest x with P(X <= x) >= p.

@@ -81,15 +81,6 @@ func NewSink(target string) (*Sink, error) {
 	return s, nil
 }
 
-// Addr returns the bound listen address (empty for file sinks) — tests bind
-// ":0" and scrape the real port.
-func (s *Sink) Addr() string {
-	if s == nil || s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Update publishes one rendered snapshot. Nil-safe (a nil Sink means
 // -telemetry was not given).
 func (s *Sink) Update(snapshot []byte) error {
