@@ -27,7 +27,7 @@ import (
 // different partition) is re-run, which is always safe because shards are
 // deterministic.
 const (
-	checkpointSchema = 1
+	checkpointSchema = 2 // 2: sketches encode as hs2, non-empty buckets only
 	manifestName     = "MANIFEST.json"
 	stateName        = "run_state.json"
 	finalName        = "final.json"

@@ -16,10 +16,11 @@ import (
 // killed-and-resumed N-shard run serializes its merged aggregates to exactly
 // the bytes of an uninterrupted 1-shard run.
 //
-// The formats are versioned by a 4-byte magic ("xs1\x00", "hs1\x00") and are
-// fixed-length little-endian, so Unmarshal can validate with one length
-// check. They are a local persistence format, not a public interchange
-// format — bump the magic on any layout change.
+// The formats are versioned by a 4-byte magic ("xs1\x00", "hs2\x00") and are
+// little-endian: ExactSum is fixed-length, HistSketch a fixed header plus one
+// record per non-empty bucket. Unmarshal accepts only canonical bytes. They
+// are a local persistence format, not a public interchange format — bump
+// the magic on any layout change (hs1 was the fixed two-sided layout).
 
 const (
 	exactSumMagic = "xs1\x00"
@@ -27,10 +28,11 @@ const (
 	// normalization and is not encoded).
 	exactSumWireSize = 4 + (exactLimbs+3)*8
 
-	histSketchMagic = "hs1\x00"
-	// magic + n/zero/nan + min/max bits + embedded ExactSum + two sides of
-	// (under, over, bins).
-	histSketchWireSize = 4 + 5*8 + exactSumWireSize + 2*(2+sketchBins)*8
+	histSketchMagic = "hs2\x00"
+	// magic + n/nan + min/max bits + embedded ExactSum; then per non-empty
+	// bucket an int32 key and an int64 count.
+	histSketchHeaderSize = 4 + 4*8 + exactSumWireSize
+	histSketchBucketSize = 4 + 8
 )
 
 func appendU64(b []byte, v uint64) []byte {
@@ -70,7 +72,9 @@ func (s *ExactSum) appendBinary(b []byte) []byte {
 	return b
 }
 
-// UnmarshalBinary replaces s with the decoded sum.
+// UnmarshalBinary replaces s with the decoded sum. It accepts only the
+// canonical form: every limb below the sign limb in [0, 2^32) and no
+// negative tally.
 func (s *ExactSum) UnmarshalBinary(data []byte) error {
 	if len(data) != exactSumWireSize || string(data[:4]) != exactSumMagic {
 		return fmt.Errorf("stats: bad ExactSum encoding (len %d)", len(data))
@@ -83,17 +87,25 @@ func (s *ExactSum) UnmarshalBinary(data []byte) error {
 	b, n.nan = takeI64(b)
 	b, n.posInf = takeI64(b)
 	_, n.negInf = takeI64(b)
+	for i, l := range n.limbs[:exactLimbs-1] {
+		if l < 0 || l > 0xffffffff {
+			return fmt.Errorf("stats: ExactSum limb %d = %d is not carry-normalized", i, l)
+		}
+	}
+	if n.nan < 0 || n.posInf < 0 || n.negInf < 0 {
+		return fmt.Errorf("stats: negative ExactSum tally")
+	}
 	*s = n
 	return nil
 }
 
-// MarshalBinary encodes the sketch in canonical form (~17 KB, fixed). The
-// receiver is not mutated.
+// MarshalBinary encodes the sketch in canonical form: a fixed header, then
+// one (key, count) pair per non-empty bucket in key order. The receiver is
+// not mutated.
 func (h *HistSketch) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, histSketchWireSize)
+	b := make([]byte, 0, histSketchHeaderSize+len(h.buckets)*histSketchBucketSize)
 	b = append(b, histSketchMagic...)
 	b = appendI64(b, h.n)
-	b = appendI64(b, h.zero)
 	b = appendI64(b, h.nan)
 	// min/max as raw bits: exact round-trip, and an empty sketch's 0/0 is
 	// still canonical.
@@ -102,38 +114,24 @@ func (h *HistSketch) MarshalBinary() ([]byte, error) {
 	sum := h.sum
 	sum.normalize()
 	b = sum.appendBinary(b)
-	b = h.pos.appendBinary(b)
-	b = h.neg.appendBinary(b)
+	for _, k := range h.buckets {
+		b = binary.LittleEndian.AppendUint32(b, uint32(k.key))
+		b = appendI64(b, k.n)
+	}
 	return b, nil
 }
 
-func (s *sketchSide) appendBinary(b []byte) []byte {
-	b = appendI64(b, s.under)
-	b = appendI64(b, s.over)
-	for _, c := range s.bins {
-		b = appendI64(b, c)
-	}
-	return b
-}
-
-func (s *sketchSide) unmarshal(b []byte) []byte {
-	b, s.under = takeI64(b)
-	b, s.over = takeI64(b)
-	for i := range s.bins {
-		b, s.bins[i] = takeI64(b)
-	}
-	return b
-}
-
-// UnmarshalBinary replaces h with the decoded sketch.
+// UnmarshalBinary replaces h with the decoded sketch. It accepts only the
+// canonical encoding: keys strictly ascending and in range, every count
+// positive, and the bucket counts plus the NaN count summing to n.
 func (h *HistSketch) UnmarshalBinary(data []byte) error {
-	if len(data) != histSketchWireSize || string(data[:4]) != histSketchMagic {
+	if len(data) < histSketchHeaderSize || string(data[:4]) != histSketchMagic ||
+		(len(data)-histSketchHeaderSize)%histSketchBucketSize != 0 {
 		return fmt.Errorf("stats: bad HistSketch encoding (len %d)", len(data))
 	}
 	var n HistSketch
 	b := data[4:]
 	b, n.n = takeI64(b)
-	b, n.zero = takeI64(b)
 	b, n.nan = takeI64(b)
 	var bits uint64
 	b, bits = takeU64(b)
@@ -144,8 +142,31 @@ func (h *HistSketch) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	b = b[exactSumWireSize:]
-	b = n.pos.unmarshal(b)
-	n.neg.unmarshal(b)
+	if n.nan < 0 || n.nan > n.n {
+		return fmt.Errorf("stats: HistSketch NaN count %d out of [0, %d]", n.nan, n.n)
+	}
+	left := n.n - n.nan // observations the buckets must hold
+	if len(b) > 0 {
+		n.buckets = make([]sketchBucket, 0, len(b)/histSketchBucketSize)
+	}
+	for len(b) > 0 {
+		var k sketchBucket
+		k.key = int32(binary.LittleEndian.Uint32(b))
+		b, k.n = takeI64(b[4:])
+		switch {
+		case k.key < -sketchOverKey || k.key > sketchOverKey:
+			return fmt.Errorf("stats: HistSketch bucket key %d out of range", k.key)
+		case len(n.buckets) > 0 && k.key <= n.buckets[len(n.buckets)-1].key:
+			return fmt.Errorf("stats: HistSketch bucket key %d not above %d", k.key, n.buckets[len(n.buckets)-1].key)
+		case k.n <= 0 || k.n > left:
+			return fmt.Errorf("stats: HistSketch bucket %d count %d out of [1, %d]", k.key, k.n, left)
+		}
+		left -= k.n
+		n.buckets = append(n.buckets, k)
+	}
+	if left != 0 {
+		return fmt.Errorf("stats: HistSketch buckets hold %d fewer observations than n %d", left, n.n)
+	}
 	*h = n
 	return nil
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -158,4 +159,74 @@ func norm(r *RNG, mean, std float64) float64 {
 	u2 := r.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + std*z
+}
+
+// TestHistSketchRejectsNonCanonical: every way an hs2 blob can differ from
+// what MarshalBinary writes is refused, and so is the old hs1 layout.
+func TestHistSketchRejectsNonCanonical(t *testing.T) {
+	var h HistSketch
+	for _, v := range []float64{-2, 0, 3, 3, 40, math.NaN()} {
+		h.Observe(v)
+	}
+	good, _ := h.MarshalBinary()
+	var got HistSketch
+	if err := got.UnmarshalBinary(good); err != nil {
+		t.Fatalf("canonical bytes refused: %v", err)
+	}
+	// Buckets: keys -k(2), 0, k(3), k(40) with counts 1, 1, 2, 1.
+	bucket := func(b []byte, i int) []byte { return b[histSketchHeaderSize+i*histSketchBucketSize:] }
+	setKey := func(b []byte, i int, k int32) { binary.LittleEndian.PutUint32(bucket(b, i), uint32(k)) }
+	setCount := func(b []byte, i int, c int64) { binary.LittleEndian.PutUint64(bucket(b, i)[4:], uint64(c)) }
+	key := func(i int) int32 { return int32(binary.LittleEndian.Uint32(bucket(good, i))) }
+	for _, c := range []struct {
+		name string
+		edit func([]byte) []byte
+	}{
+		{"hs1 magic", func(b []byte) []byte { b[2] = '1'; return b }},
+		{"torn bucket", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"unsorted keys", func(b []byte) []byte { setKey(b, 2, key(3)); setKey(b, 3, key(2)); return b }},
+		{"duplicate key", func(b []byte) []byte { setKey(b, 1, key(0)); return b }},
+		{"key out of range", func(b []byte) []byte { setKey(b, 3, sketchOverKey+1); return b }},
+		{"zero count", func(b []byte) []byte { setCount(b, 0, 0); return b }},
+		{"negative count", func(b []byte) []byte { setCount(b, 0, -1); return b }},
+		{"counts short of n", func(b []byte) []byte { return b[:len(b)-histSketchBucketSize] }},
+		{"counts over n", func(b []byte) []byte { setCount(b, 2, 3); return b }},
+		{"NaN count over n", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[12:], 7); return b }},
+		{"unnormalized sum", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[4+4*8+4:], 1<<32); return b }},
+	} {
+		bad := c.edit(append([]byte(nil), good...))
+		if err := got.UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// FuzzHistSketchUnmarshal: decoding never panics, and any input it accepts
+// re-encodes to exactly its own bytes (the encoding is canonical).
+func FuzzHistSketchUnmarshal(f *testing.F) {
+	for _, xs := range [][]float64{
+		nil,
+		{0},
+		{1.5, -3, math.NaN(), math.Inf(1), math.Ldexp(1, -40), -math.Ldexp(1, 40)},
+		{12, 12, 12, 250, 7e6},
+	} {
+		var h HistSketch
+		for _, x := range xs {
+			h.Observe(x)
+		}
+		b, _ := h.MarshalBinary()
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h HistSketch
+		if h.UnmarshalBinary(data) != nil {
+			return
+		}
+		b, err := h.MarshalBinary()
+		if err != nil || !bytes.Equal(b, data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes (%v)", len(data), len(b), err)
+		}
+		h.Quantile(0.5)
+		h.Observe(1)
+	})
 }

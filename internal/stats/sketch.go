@@ -1,9 +1,12 @@
 package stats
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
-// HistSketch bounds, chosen so the sketch is one flat allocation of a few
-// kilobytes regardless of how many observations it absorbs.
+// HistSketch bucket layout.
 const (
 	// sketchSubBits sub-divides each power of two into 2^sketchSubBits
 	// geometric buckets, read straight off the top mantissa bits — no log
@@ -12,25 +15,27 @@ const (
 	sketchSubs    = 1 << sketchSubBits
 	// Covered magnitude range [2^sketchMinExp, 2^sketchMaxExp): ~2.3e-10
 	// to ~4.3e9 — generous for the millisecond/byte/count scales the
-	// simulator records. Magnitudes outside land in dedicated under/over
+	// simulator records. Magnitudes outside land in underflow/overflow
 	// buckets whose estimates clamp to the tracked exact min/max.
 	sketchMinExp = -32
 	sketchMaxExp = 32
 	sketchBins   = (sketchMaxExp - sketchMinExp) * sketchSubs
+	// sketchOverKey is the overflow bucket's key; see sketchKey.
+	sketchOverKey = sketchBins + 2
 )
 
-// sketchSide is one sign's bucket array.
-type sketchSide struct {
-	under, over int64
-	bins        [sketchBins]int64
+// sketchBucket is one non-empty bucket: its key and its observation count.
+type sketchBucket struct {
+	key int32
+	n   int64
 }
 
-// HistSketch is a bounded-memory histogram: fixed geometric buckets (16 per
-// power of two over [2^-32, 2^32), per sign, plus zero/underflow/overflow),
-// exact count/min/max, and an ExactSum for the mean. Size is a compile-time
-// constant (~17 KB, see TestHistSketchFixedBudget) and Observe allocates
-// nothing, so a million-sample histogram costs the same bytes as an empty
-// one.
+// HistSketch is a bounded-memory histogram: geometric buckets (16 per power
+// of two over [2^-32, 2^32), per sign, plus zero/underflow/overflow), exact
+// count/min/max, and an ExactSum for the mean. It keeps only its non-empty
+// buckets, as one slice sorted by key (see sketchKey), so it costs what it
+// holds: 16 bytes per non-empty bucket (12 encoded), at most 2,053 of
+// them. Observe allocates only when it opens a bucket.
 //
 // Merge is exact: every field is an integer tally, an order-insensitive
 // min/max, or an ExactSum, so merging N shard sketches — in any order or
@@ -45,13 +50,41 @@ type sketchSide struct {
 // [Min, Max]. The property tests pin this against exact quantiles over
 // 300+ random distributions.
 //
-// The zero HistSketch is empty and ready to use. Not safe for concurrent
-// writers (like the rest of the registry machinery: one owner per cell).
+// The zero HistSketch is empty and ready to use. A value copy shares its
+// buckets with the original, so hold sketches by pointer and combine them
+// with Merge. Not safe for concurrent writers (like the rest of the
+// registry machinery: one owner per cell).
 type HistSketch struct {
-	n, zero, nan int64
-	min, max     float64
-	sum          ExactSum
-	pos, neg     sketchSide
+	n, nan   int64
+	min, max float64
+	sum      ExactSum
+	buckets  []sketchBucket // non-empty, ascending key
+}
+
+// sketchKey maps a non-NaN value to its bucket key: 0 for an exact zero, 1
+// for underflow, 2+i for geometric bucket i, sketchOverKey for overflow,
+// and the negated key for a negative value, so ascending keys are
+// ascending values.
+func sketchKey(v float64) int32 {
+	if v == 0 {
+		return 0
+	}
+	b := math.Float64bits(v)
+	e := int(b>>52&0x7ff) - 1023 // subnormals: biased 0 → -1023 → underflow
+	var k int32
+	switch {
+	case e < sketchMinExp:
+		k = 1
+	case e >= sketchMaxExp:
+		k = sketchOverKey
+	default:
+		sub := int(b>>(52-sketchSubBits)) & (sketchSubs - 1)
+		k = int32(2 + (e-sketchMinExp)*sketchSubs + sub)
+	}
+	if v < 0 {
+		return -k
+	}
+	return k
 }
 
 // Observe records v.
@@ -64,43 +97,23 @@ func (h *HistSketch) Observe(v float64) {
 	}
 	h.n++
 	h.sum.Add(v)
-	switch {
-	case math.IsNaN(v):
+	if math.IsNaN(v) {
 		h.nan++ // counted, excluded from quantiles (min/max ignore NaN too)
-	case v == 0:
-		h.zero++
-	case v > 0:
-		h.pos.observe(v)
-	default:
-		h.neg.observe(-v)
+		return
 	}
+	h.add(sketchKey(v), 1)
 }
 
-func (s *sketchSide) observe(mag float64) {
-	switch i := posBucket(mag); i {
-	case -1:
-		s.under++
-	case sketchBins:
-		s.over++
-	default:
-		s.bins[i]++
+// add counts c observations into the bucket with key k, opening it in key
+// order if it is not there yet.
+func (h *HistSketch) add(k int32, c int64) {
+	i, ok := slices.BinarySearchFunc(h.buckets, k, func(b sketchBucket, k int32) int {
+		return cmp.Compare(b.key, k)
+	})
+	if !ok {
+		h.buckets = slices.Insert(h.buckets, i, sketchBucket{key: k})
 	}
-}
-
-// posBucket maps a positive magnitude to its geometric bucket index:
-// -1 for underflow, sketchBins for overflow, else [0, sketchBins).
-func posBucket(mag float64) int {
-	b := math.Float64bits(mag)
-	e := int(b>>52&0x7ff) - 1023 // subnormals: biased 0 → -1023 → underflow
-	switch {
-	case e < sketchMinExp:
-		return -1
-	case e >= sketchMaxExp:
-		return sketchBins
-	default:
-		sub := int(b>>(52-sketchSubBits)) & (sketchSubs - 1)
-		return (e-sketchMinExp)*sketchSubs + sub
-	}
+	h.buckets[i].n += c
 }
 
 // N returns the observation count.
@@ -141,18 +154,10 @@ func (h *HistSketch) Merge(o *HistSketch) {
 		}
 	}
 	h.n += o.n
-	h.zero += o.zero
 	h.nan += o.nan
 	h.sum.Merge(&o.sum)
-	h.pos.merge(&o.pos)
-	h.neg.merge(&o.neg)
-}
-
-func (s *sketchSide) merge(o *sketchSide) {
-	s.under += o.under
-	s.over += o.over
-	for i := range s.bins {
-		s.bins[i] += o.bins[i]
+	for _, b := range o.buckets {
+		h.add(b.key, b.n)
 	}
 }
 
@@ -162,6 +167,28 @@ func bucketBounds(i int) (lo, hi float64) {
 	sub := float64(i%sketchSubs) / sketchSubs
 	scale := math.Ldexp(1, e)
 	return scale * (1 + sub), scale * (1 + sub + 1.0/sketchSubs)
+}
+
+// keyBounds returns the value interval of the bucket with key k. The
+// overflow buckets reach out to the observed extremes.
+func (h *HistSketch) keyBounds(k int32) (lo, hi float64) {
+	switch {
+	case k == 0:
+		return 0, 0
+	case k == 1:
+		return 0, math.Ldexp(1, sketchMinExp)
+	case k == -1:
+		return -math.Ldexp(1, sketchMinExp), 0
+	case k == sketchOverKey:
+		return math.Ldexp(1, sketchMaxExp), h.max
+	case k == -sketchOverKey:
+		return h.min, -math.Ldexp(1, sketchMaxExp)
+	case k > 0:
+		return bucketBounds(int(k) - 2)
+	default:
+		lo, hi := bucketBounds(int(-k) - 2)
+		return -hi, -lo
+	}
 }
 
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by rank interpolation
@@ -184,41 +211,24 @@ func (h *HistSketch) Quantile(q float64) float64 {
 	}
 	rank := q * float64(total-1) // continuous rank in [0, total-1]
 	cum := 0.0
-	// walk walks one bucket: interval [lo, hi] holding cnt observations.
 	var out float64
-	found := false
-	walk := func(cnt int64, lo, hi float64) {
-		if found || cnt == 0 {
-			return
-		}
-		if rank < cum+float64(cnt) || cum+float64(cnt) >= float64(total) {
-			frac := (rank - cum) / float64(cnt)
+	// Ascending value order: most-negative first.
+	for _, b := range h.buckets {
+		cnt := float64(b.n)
+		if rank < cum+cnt || cum+cnt >= float64(total) {
+			frac := (rank - cum) / cnt
 			if frac < 0 {
 				frac = 0
 			}
 			if frac > 1 {
 				frac = 1
 			}
+			lo, hi := h.keyBounds(b.key)
 			out = lo + frac*(hi-lo)
-			found = true
-			return
+			break
 		}
-		cum += float64(cnt)
+		cum += cnt
 	}
-	// Ascending value order: most-negative first.
-	walk(h.neg.over, h.min, -math.Ldexp(1, sketchMaxExp))
-	for i := sketchBins - 1; i >= 0; i-- {
-		lo, hi := bucketBounds(i)
-		walk(h.neg.bins[i], -hi, -lo)
-	}
-	walk(h.neg.under, -math.Ldexp(1, sketchMinExp), 0)
-	walk(h.zero, 0, 0)
-	walk(h.pos.under, 0, math.Ldexp(1, sketchMinExp))
-	for i := 0; i < sketchBins; i++ {
-		lo, hi := bucketBounds(i)
-		walk(h.pos.bins[i], lo, hi)
-	}
-	walk(h.pos.over, math.Ldexp(1, sketchMaxExp), h.max)
 	// Clamp into the observed range: bucket edges can poke past the true
 	// extremes, and the extremes are tracked exactly.
 	if out < h.min {

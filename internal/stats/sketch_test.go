@@ -95,6 +95,93 @@ func TestHistSketchQuantileAccuracy(t *testing.T) {
 	}
 }
 
+// denseQuantile is the two-sided layout the bucket list replaced: a
+// zero tally, and per sign an underflow tally, sketchBins geometric bins
+// and an overflow tally, walked in ascending value order. HistSketch must
+// give its quantiles bit for bit.
+func denseQuantile(xs []float64, q float64) float64 {
+	type side struct {
+		under, over int64
+		bins        [sketchBins]int64
+	}
+	var pos, neg side
+	var zero, nan int64
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range xs {
+		switch {
+		case math.IsNaN(v):
+			nan++
+			continue
+		case v == 0:
+			zero++
+		default:
+			s, m := &pos, v
+			if v < 0 {
+				s, m = &neg, -v
+			}
+			b := math.Float64bits(m)
+			switch e := int(b>>52&0x7ff) - 1023; {
+			case e < sketchMinExp:
+				s.under++
+			case e >= sketchMaxExp:
+				s.over++
+			default:
+				s.bins[(e-sketchMinExp)*sketchSubs+int(b>>(52-sketchSubBits))&(sketchSubs-1)]++
+			}
+		}
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	total := int64(len(xs)) - nan
+	rank := q * float64(total-1)
+	cum, out, found := 0.0, 0.0, false
+	walk := func(cnt int64, l, h float64) {
+		if found || cnt == 0 {
+			return
+		}
+		if rank < cum+float64(cnt) || cum+float64(cnt) >= float64(total) {
+			frac := math.Max(0, math.Min(1, (rank-cum)/float64(cnt)))
+			out, found = l+frac*(h-l), true
+			return
+		}
+		cum += float64(cnt)
+	}
+	walk(neg.over, lo, -math.Ldexp(1, sketchMaxExp))
+	for i := sketchBins - 1; i >= 0; i-- {
+		l, h := bucketBounds(i)
+		walk(neg.bins[i], -h, -l)
+	}
+	walk(neg.under, -math.Ldexp(1, sketchMinExp), 0)
+	walk(zero, 0, 0)
+	walk(pos.under, 0, math.Ldexp(1, sketchMinExp))
+	for i := 0; i < sketchBins; i++ {
+		l, h := bucketBounds(i)
+		walk(pos.bins[i], l, h)
+	}
+	walk(pos.over, math.Ldexp(1, sketchMaxExp), hi)
+	return math.Max(lo, math.Min(hi, out))
+}
+
+// TestHistSketchQuantileMatchesDenseLayout pins the bucket list to the
+// layout it replaced, over both signs, zeros, underflow and overflow.
+func TestHistSketchQuantileMatchesDenseLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		xs := randDist(rng, 50+rng.Intn(500))
+		for i := rng.Intn(4); i > 0; i-- {
+			xs = append(xs, 0, math.Ldexp(1, 40+i), -math.Ldexp(1, 35), math.Ldexp(1, -40), -math.Ldexp(1, -36-i))
+		}
+		var h HistSketch
+		for _, x := range xs {
+			h.Observe(x)
+		}
+		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+			if got, want := h.Quantile(q), denseQuantile(xs, q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d q=%g: bucket list %v, dense layout %v", trial, q, got, want)
+			}
+		}
+	}
+}
+
 func mean(xs []float64) float64 {
 	var s Sample
 	for _, x := range xs {
@@ -104,8 +191,8 @@ func mean(xs []float64) float64 {
 }
 
 // TestHistSketchMergeByteIdentical is the shard-associativity contract: a
-// 1-shard sketch and any N-shard merge of the same observations are equal
-// as raw bytes, for several shard counts and merge groupings.
+// 1-shard sketch and any N-shard merge of the same observations encode to
+// the same bytes, for several shard counts and merge groupings.
 func TestHistSketchMergeByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	xs := randDist(rng, 5000)
@@ -144,21 +231,23 @@ func TestHistSketchMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// sketchBytes canonicalizes (normalizes the exact sum's pending carries)
-// and returns the raw struct bytes.
+// sketchBytes returns the sketch's canonical encoding.
 func sketchBytes(t *testing.T, h *HistSketch) string {
 	t.Helper()
-	h.sum.normalize()
-	h.sum.adds = 0
-	return string(unsafe.Slice((*byte)(unsafe.Pointer(h)), unsafe.Sizeof(*h)))
+	b, err := h.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
-// TestHistSketchFixedBudget pins the O(1) memory claim: the sketch is one
-// value of compile-time-constant size and a million observations allocate
-// nothing.
+// TestHistSketchFixedBudget pins what a sketch costs: a fixed header plus a
+// bounded number of bytes per non-empty bucket, in memory and encoded, and
+// no allocation once a value's bucket exists — a million observations cost
+// what their buckets cost.
 func TestHistSketchFixedBudget(t *testing.T) {
-	if size := unsafe.Sizeof(HistSketch{}); size > 20<<10 {
-		t.Fatalf("HistSketch is %d bytes, want <= 20 KiB", size)
+	if size := unsafe.Sizeof(HistSketch{}); size > 1<<10 {
+		t.Fatalf("empty HistSketch is %d bytes, want <= 1 KiB", size)
 	}
 	h := &HistSketch{}
 	rng := rand.New(rand.NewSource(3))
@@ -173,6 +262,17 @@ func TestHistSketchFixedBudget(t *testing.T) {
 	}
 	if h.N() < 1_000_000 {
 		t.Fatalf("expected >= 1M observations, got %d", h.N())
+	}
+	buckets := len(h.buckets)
+	if buckets < 20 {
+		t.Fatalf("only %d buckets; the bound below needs a spread input", buckets)
+	}
+	if mem := cap(h.buckets) * int(unsafe.Sizeof(sketchBucket{})); mem > 32*buckets {
+		t.Fatalf("%d buckets hold %d bytes, want <= 32 per bucket", buckets, mem)
+	}
+	if enc := len(sketchBytes(t, h)); enc != histSketchHeaderSize+12*buckets {
+		t.Fatalf("encoding is %d bytes for %d buckets, want %d + 12 per bucket",
+			enc, buckets, histSketchHeaderSize)
 	}
 }
 
