@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -59,6 +58,7 @@ type HistSketch struct {
 	min, max float64
 	sum      ExactSum
 	buckets  []sketchBucket // non-empty, ascending key
+	last     int            // index of the bucket add used last
 }
 
 // sketchKey maps a non-NaN value to its bucket key: 0 for an exact zero, 1
@@ -105,14 +105,36 @@ func (h *HistSketch) Observe(v float64) {
 }
 
 // add counts c observations into the bucket with key k, opening it in key
-// order if it is not there yet.
+// order if it is not there yet. Registry streams such as a queue depth
+// mostly stay in the last bucket or step to a neighbour, so those are tried
+// before the search.
 func (h *HistSketch) add(k int32, c int64) {
-	i, ok := slices.BinarySearchFunc(h.buckets, k, func(b sketchBucket, k int32) int {
-		return cmp.Compare(b.key, k)
-	})
-	if !ok {
-		h.buckets = slices.Insert(h.buckets, i, sketchBucket{key: k})
+	i, b := h.last, h.buckets
+	if i < len(b) && b[i].key != k {
+		if b[i].key < k {
+			i++
+		} else {
+			i--
+		}
 	}
+	if i < 0 || i >= len(b) || b[i].key != k {
+		// Lower bound: i ends at the first bucket with key >= k.
+		i = 0
+		for n := len(b); n > 1; {
+			half := n / 2
+			if b[i+half].key < k {
+				i += half
+			}
+			n -= half
+		}
+		if i < len(b) && b[i].key < k {
+			i++
+		}
+		if i == len(b) || b[i].key != k {
+			h.buckets = slices.Insert(b, i, sketchBucket{key: k})
+		}
+	}
+	h.last = i
 	h.buckets[i].n += c
 }
 

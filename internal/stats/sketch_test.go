@@ -174,6 +174,10 @@ func TestHistSketchQuantileMatchesDenseLayout(t *testing.T) {
 		for _, x := range xs {
 			h.Observe(x)
 		}
+		// Decoding refuses unsorted or duplicated keys.
+		if err := new(HistSketch).UnmarshalBinary([]byte(sketchBytes(t, &h))); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 			if got, want := h.Quantile(q), denseQuantile(xs, q); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d q=%g: bucket list %v, dense layout %v", trial, q, got, want)
@@ -334,5 +338,42 @@ func TestExactSumCancellation(t *testing.T) {
 	s.Add(-1)
 	if got := s.Value(); got != 0x1p-60 {
 		t.Fatalf("cancellation: got %g, want %g", got, 0x1p-60)
+	}
+}
+
+// BenchmarkHistSketchObserve times one observation into warm buckets, for
+// values drawn at random (the search path) and for a queue-depth-like walk
+// of ±1 steps (mostly the last bucket or a neighbour).
+func BenchmarkHistSketchObserve(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	walk, d := make([]float64, 4096), 50.0
+	for i := range walk {
+		d = max(0, d+float64(rng.Intn(3)-1))
+		walk[i] = d
+	}
+	b.Run("random", func(b *testing.B) { benchObserve(b, randDist(rng, 4096)) })
+	b.Run("walk", func(b *testing.B) { benchObserve(b, walk) })
+}
+
+func benchObserve(b *testing.B, xs []float64) {
+	var h HistSketch
+	for _, x := range xs {
+		h.Observe(x)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(xs[i&4095])
+	}
+}
+
+// BenchmarkHistSketchQuantile times one quantile read.
+func BenchmarkHistSketchQuantile(b *testing.B) {
+	var h HistSketch
+	for _, x := range randDist(rand.New(rand.NewSource(3)), 4096) {
+		h.Observe(x)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Quantile(0.9)
 	}
 }
