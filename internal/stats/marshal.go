@@ -73,8 +73,7 @@ func (s *ExactSum) appendBinary(b []byte) []byte {
 }
 
 // UnmarshalBinary replaces s with the decoded sum. It accepts only the
-// canonical form: every limb below the sign limb in [0, 2^32) and no
-// negative tally.
+// canonical, carry-normalized limbs.
 func (s *ExactSum) UnmarshalBinary(data []byte) error {
 	if len(data) != exactSumWireSize || string(data[:4]) != exactSumMagic {
 		return fmt.Errorf("stats: bad ExactSum encoding (len %d)", len(data))
@@ -87,13 +86,10 @@ func (s *ExactSum) UnmarshalBinary(data []byte) error {
 	b, n.nan = takeI64(b)
 	b, n.posInf = takeI64(b)
 	_, n.negInf = takeI64(b)
-	for i, l := range n.limbs[:exactLimbs-1] {
-		if l < 0 || l > 0xffffffff {
-			return fmt.Errorf("stats: ExactSum limb %d = %d is not carry-normalized", i, l)
-		}
-	}
-	if n.nan < 0 || n.posInf < 0 || n.negInf < 0 {
-		return fmt.Errorf("stats: negative ExactSum tally")
+	c := n
+	c.normalize()
+	if c.limbs != n.limbs {
+		return fmt.Errorf("stats: ExactSum limbs are not carry-normalized")
 	}
 	*s = n
 	return nil
@@ -130,10 +126,10 @@ func (h *HistSketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("stats: bad HistSketch encoding (len %d)", len(data))
 	}
 	var n HistSketch
+	var bits uint64
 	b := data[4:]
 	b, n.n = takeI64(b)
 	b, n.nan = takeI64(b)
-	var bits uint64
 	b, bits = takeU64(b)
 	n.min = math.Float64frombits(bits)
 	b, bits = takeU64(b)
@@ -141,31 +137,18 @@ func (h *HistSketch) UnmarshalBinary(data []byte) error {
 	if err := n.sum.UnmarshalBinary(b[:exactSumWireSize]); err != nil {
 		return err
 	}
-	b = b[exactSumWireSize:]
-	if n.nan < 0 || n.nan > n.n {
-		return fmt.Errorf("stats: HistSketch NaN count %d out of [0, %d]", n.nan, n.n)
-	}
-	left := n.n - n.nan // observations the buckets must hold
-	if len(b) > 0 {
-		n.buckets = make([]sketchBucket, 0, len(b)/histSketchBucketSize)
-	}
-	for len(b) > 0 {
-		var k sketchBucket
-		k.key = int32(binary.LittleEndian.Uint32(b))
+	left, prev := n.n-n.nan, int32(-sketchOverKey-1) // left: what the buckets must hold
+	for b = b[exactSumWireSize:]; len(b) > 0; {
+		k := sketchBucket{key: int32(binary.LittleEndian.Uint32(b))}
 		b, k.n = takeI64(b[4:])
-		switch {
-		case k.key < -sketchOverKey || k.key > sketchOverKey:
-			return fmt.Errorf("stats: HistSketch bucket key %d out of range", k.key)
-		case len(n.buckets) > 0 && k.key <= n.buckets[len(n.buckets)-1].key:
-			return fmt.Errorf("stats: HistSketch bucket key %d not above %d", k.key, n.buckets[len(n.buckets)-1].key)
-		case k.n <= 0 || k.n > left:
-			return fmt.Errorf("stats: HistSketch bucket %d count %d out of [1, %d]", k.key, k.n, left)
+		if k.key <= prev || k.key > sketchOverKey || k.n <= 0 || k.n > left {
+			return fmt.Errorf("stats: HistSketch bucket %d (key %d, count %d) is not canonical", len(n.buckets), k.key, k.n)
 		}
-		left -= k.n
+		prev, left = k.key, left-k.n
 		n.buckets = append(n.buckets, k)
 	}
-	if left != 0 {
-		return fmt.Errorf("stats: HistSketch buckets hold %d fewer observations than n %d", left, n.n)
+	if n.nan < 0 || n.nan > n.n || left != 0 {
+		return fmt.Errorf("stats: HistSketch counts do not add up to n = %d", n.n)
 	}
 	*h = n
 	return nil

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"slices"
+	"sort"
 )
 
 // HistSketch bucket layout.
@@ -66,20 +68,17 @@ type HistSketch struct {
 // and the negated key for a negative value, so ascending keys are
 // ascending values.
 func sketchKey(v float64) int32 {
-	if v == 0 {
-		return 0
-	}
 	b := math.Float64bits(v)
 	e := int(b>>52&0x7ff) - 1023 // subnormals: biased 0 → -1023 → underflow
-	var k int32
+	sub := int(b>>(52-sketchSubBits)) & (sketchSubs - 1)
+	k := int32(2 + (e-sketchMinExp)*sketchSubs + sub)
 	switch {
+	case v == 0:
+		return 0
 	case e < sketchMinExp:
 		k = 1
 	case e >= sketchMaxExp:
 		k = sketchOverKey
-	default:
-		sub := int(b>>(52-sketchSubBits)) & (sketchSubs - 1)
-		k = int32(2 + (e-sketchMinExp)*sketchSubs + sub)
 	}
 	if v < 0 {
 		return -k
@@ -110,26 +109,11 @@ func (h *HistSketch) Observe(v float64) {
 // before the search.
 func (h *HistSketch) add(k int32, c int64) {
 	i, b := h.last, h.buckets
-	if i < len(b) && b[i].key != k {
-		if b[i].key < k {
-			i++
-		} else {
-			i--
-		}
+	if i < len(b) {
+		i += cmp.Compare(k, b[i].key) // stay, or step towards k
 	}
 	if i < 0 || i >= len(b) || b[i].key != k {
-		// Lower bound: i ends at the first bucket with key >= k.
-		i = 0
-		for n := len(b); n > 1; {
-			half := n / 2
-			if b[i+half].key < k {
-				i += half
-			}
-			n -= half
-		}
-		if i < len(b) && b[i].key < k {
-			i++
-		}
+		i = sort.Search(len(b), func(j int) bool { return b[j].key >= k })
 		if i == len(b) || b[i].key != k {
 			h.buckets = slices.Insert(b, i, sketchBucket{key: k})
 		}
@@ -195,22 +179,19 @@ func bucketBounds(i int) (lo, hi float64) {
 // overflow buckets reach out to the observed extremes.
 func (h *HistSketch) keyBounds(k int32) (lo, hi float64) {
 	switch {
-	case k == 0:
-		return 0, 0
-	case k == 1:
-		return 0, math.Ldexp(1, sketchMinExp)
-	case k == -1:
-		return -math.Ldexp(1, sketchMinExp), 0
 	case k == sketchOverKey:
 		return math.Ldexp(1, sketchMaxExp), h.max
 	case k == -sketchOverKey:
 		return h.min, -math.Ldexp(1, sketchMaxExp)
-	case k > 0:
-		return bucketBounds(int(k) - 2)
-	default:
-		lo, hi := bucketBounds(int(-k) - 2)
+	case k < 0:
+		lo, hi = h.keyBounds(-k)
 		return -hi, -lo
+	case k == 0:
+		return 0, 0
+	case k == 1:
+		return 0, math.Ldexp(1, sketchMinExp)
 	}
+	return bucketBounds(int(k) - 2)
 }
 
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by rank interpolation
@@ -225,26 +206,14 @@ func (h *HistSketch) Quantile(q float64) float64 {
 		}
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total-1) // continuous rank in [0, total-1]
+	rank := min(max(q, 0), 1) * float64(total-1) // continuous rank in [0, total-1]
 	cum := 0.0
 	var out float64
 	// Ascending value order: most-negative first.
 	for _, b := range h.buckets {
 		cnt := float64(b.n)
 		if rank < cum+cnt || cum+cnt >= float64(total) {
-			frac := (rank - cum) / cnt
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
+			frac := min(max((rank-cum)/cnt, 0), 1)
 			lo, hi := h.keyBounds(b.key)
 			out = lo + frac*(hi-lo)
 			break
