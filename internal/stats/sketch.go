@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -60,7 +59,7 @@ type HistSketch struct {
 	min, max float64
 	sum      ExactSum
 	buckets  []sketchBucket // non-empty, ascending key
-	last     int            // index of the bucket add used last
+	memo     [16]int32      // bucket indexes by key modulo 16; see add
 }
 
 // sketchKey maps a non-NaN value to its bucket key: 0 for an exact zero, 1
@@ -104,21 +103,20 @@ func (h *HistSketch) Observe(v float64) {
 }
 
 // add counts c observations into the bucket with key k, opening it in key
-// order if it is not there yet. Registry streams such as a queue depth
-// mostly stay in the last bucket or step to a neighbour, so those are tried
-// before the search.
+// order if it is not there yet. A registry stream mostly revisits a few
+// buckets, so memo keeps the index last found for each key modulo its
+// size; an entry made stale by an opened bucket fails the key check and
+// falls back to the search.
 func (h *HistSketch) add(k int32, c int64) {
-	i, b := h.last, h.buckets
-	if i < len(b) {
-		i += cmp.Compare(k, b[i].key) // stay, or step towards k
-	}
-	if i < 0 || i >= len(b) || b[i].key != k {
+	b, m := h.buckets, &h.memo[uint32(k)%uint32(len(h.memo))]
+	i := int(*m)
+	if i >= len(b) || b[i].key != k {
 		i = sort.Search(len(b), func(j int) bool { return b[j].key >= k })
 		if i == len(b) || b[i].key != k {
 			h.buckets = slices.Insert(b, i, sketchBucket{key: k})
 		}
+		*m = int32(i)
 	}
-	h.last = i
 	h.buckets[i].n += c
 }
 
