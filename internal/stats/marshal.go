@@ -20,7 +20,7 @@ import (
 // little-endian: ExactSum is fixed-length, HistSketch a fixed header plus one
 // record per non-empty bucket. Unmarshal accepts only canonical bytes. They
 // are a local persistence format, not a public interchange format — bump
-// the magic on any layout change (hs1 was the fixed two-sided layout).
+// the magic on any layout change.
 
 const (
 	exactSumMagic = "xs1\x00"
