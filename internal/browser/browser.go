@@ -293,8 +293,7 @@ func (l *loader) fireLoad() {
 // fetch retrieves a resource and records the fetch activity; cb receives the
 // activity ID, or -1 when every attempt failed and the resource was
 // abandoned (possible only under fault injection — call sites degrade
-// gracefully instead of waiting forever). The first fetch against a domain
-// resolves it (a no-op unless the network enables DNS).
+// gracefully instead of waiting forever).
 func (l *loader) fetch(name, domain string, size units.ByteSize, resID int, deps []int, cb func(actID int)) {
 	l.begin()
 	start := l.now()
@@ -321,42 +320,33 @@ func (l *loader) fetchAttempt(name, domain string, size units.ByteSize, resID in
 		cb(-1)
 		l.finishUnit()
 	}
-	l.cfg.Net.ResolveE(domain, func(dnsErr error) {
-		if ep != l.epoch {
-			return // the process this fetch belonged to was killed
-		}
-		if dnsErr != nil {
-			fail()
-			return
-		}
-		settled := false
-		if l.cfg.Obs.Faults != nil {
-			// Per-attempt watchdog: a transfer starved by faults is treated
-			// as failed; a late completion after the timeout is ignored.
-			l.cfg.Sim.PostAfter(fetchTimeout, func() {
-				if settled || ep != l.epoch {
-					return
-				}
-				settled = true
-				fail()
-			})
-		}
-		l.conn(domain).RequestE(name, requestHeaderBytes, size, 0, func(reqErr error) {
+	settled := false
+	if l.cfg.Obs.Faults != nil {
+		// Per-attempt watchdog: a transfer starved by faults is treated
+		// as failed; a late completion after the timeout is ignored.
+		l.cfg.Sim.PostAfter(fetchTimeout, func() {
 			if settled || ep != l.epoch {
 				return
 			}
 			settled = true
-			if reqErr != nil {
-				fail()
-				return
-			}
-			id := l.record(Activity{
-				Kind: Fetch, Name: name, Resource: resID,
-				Start: start, End: l.now(), Deps: deps, Bytes: size,
-			})
-			cb(id)
-			l.finishUnit()
+			fail()
 		})
+	}
+	l.conn(domain).RequestE(name, requestHeaderBytes, size, 0, func(reqErr error) {
+		if settled || ep != l.epoch {
+			return
+		}
+		settled = true
+		if reqErr != nil {
+			fail()
+			return
+		}
+		id := l.record(Activity{
+			Kind: Fetch, Name: name, Resource: resID,
+			Start: start, End: l.now(), Deps: deps, Bytes: size,
+		})
+		cb(id)
+		l.finishUnit()
 	})
 }
 

@@ -40,10 +40,6 @@ import (
 // fault replaces the response with a short error body.
 var ErrServer = errors.New("netsim: server answered with an error response")
 
-// ErrDNS is the error ResolveE reports when resolver queries keep timing out
-// under an injected dns-timeout fault.
-var ErrDNS = errors.New("netsim: dns lookup timed out")
-
 // Calibration constants for the per-packet CPU cost on the device side.
 // They stand in for the full interrupt → driver → netfilter → TCP → socket
 // wakeup path of the Android kernels under study; the values are chosen so
@@ -56,12 +52,14 @@ const (
 	txPerByteCycles = 20.0
 )
 
+// mss is the TCP segment payload.
+const mss units.ByteSize = 1460
+
 // Config describes the testbed network.
 type Config struct {
-	Rate units.BitRate  // radio PHY rate (the paper's 72 Mbps)
-	RTT  time.Duration  // base round-trip time (10 ms)
-	Loss float64        // Bernoulli segment loss probability (paper: 0)
-	MSS  units.ByteSize // TCP segment payload; default 1460 B
+	Rate units.BitRate // radio PHY rate (the paper's 72 Mbps)
+	RTT  time.Duration // base round-trip time (10 ms)
+	Loss float64       // Bernoulli segment loss probability (paper: 0)
 
 	// MACEfficiency is the PHY-to-goodput ratio of the WiFi link (contention,
 	// preambles, MAC ACKs). The default 0.67 turns a 72 Mbps PHY into the
@@ -77,35 +75,29 @@ type Config struct {
 	// future-work extension; see tls.go).
 	TLS bool
 
-	// DNS makes the first connection to each name pay a resolver lookup
-	// (the paper clears the DNS cache before every load; see dns.go).
-	DNS bool
-
 	// HTTP2 multiplexes concurrent requests as streams over one connection
 	// (header compression included), instead of HTTP/1.1's one-at-a-time
 	// delivery per connection. Chrome 63 negotiated h2 with most origins;
 	// the protocol is one of the paper's "software parameter" axes.
 	HTTP2 bool
 
-	RNG *stats.RNG // loss randomness; default seeded deterministically
-
 	// Obs bundles the observability/fault plane. Obs.Faults, when non-nil,
 	// is the fault-injection plane (internal/fault): the network consults it
 	// per segment for burst loss, per delivery for RTT spikes and bandwidth
-	// dips, per request for connection resets and server slowness/errors,
-	// and per resolver response for DNS timeouts; nil disables injection and
-	// keeps the fault-free path byte-identical. Obs.Trace, when non-nil,
-	// receives per-transfer spans (one lane per connection), a cwnd counter
-	// track, and loss instants under category "netsim", attributed to
-	// Obs.Pid. Obs.Metrics, when non-nil, accumulates netsim.segments,
-	// netsim.acks, and netsim.cwnd_resets (plus netsim.retransmits and
-	// netsim.conn_resets under fault injection).
+	// dips, and per request for connection resets and server
+	// slowness/errors; nil disables injection and keeps the fault-free path
+	// byte-identical. Obs.Trace, when non-nil, receives per-transfer spans
+	// (one lane per connection), a cwnd counter track, and loss instants
+	// under category "netsim", attributed to Obs.Pid. Obs.Metrics, when
+	// non-nil, accumulates netsim.segments, netsim.acks, and
+	// netsim.cwnd_resets (plus netsim.retransmits and netsim.conn_resets
+	// under fault injection).
 	Obs obs.Ctx
 }
 
 // Validate reports a descriptive error for configurations that would
 // produce a nonsensical simulation. It checks fully specified configs: the
-// zero values New's defaulting fills in (rate, RTT, MSS, efficiency) are
+// zero values New's defaulting fills in (rate, RTT, efficiency) are
 // rejected here because an explicit zero is almost always a bug in the
 // caller's arithmetic, not a request for the default.
 func (c Config) Validate() error {
@@ -121,9 +113,6 @@ func (c Config) Validate() error {
 	if c.Loss >= 1 {
 		return fmt.Errorf("netsim: Loss %g must be < 1 (a link losing every segment transfers nothing)", c.Loss)
 	}
-	if c.MSS <= 0 {
-		return fmt.Errorf("netsim: MSS %d must be positive", c.MSS)
-	}
 	if c.MACEfficiency < 0 || c.MACEfficiency > 1 {
 		return fmt.Errorf("netsim: MACEfficiency %g outside [0,1]", c.MACEfficiency)
 	}
@@ -137,14 +126,8 @@ func (c *Config) setDefaults() {
 	if c.RTT == 0 {
 		c.RTT = 10 * time.Millisecond
 	}
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
 	if c.MACEfficiency == 0 {
 		c.MACEfficiency = 0.67
-	}
-	if c.RNG == nil {
-		c.RNG = stats.NewRNG(0xC0FFEE)
 	}
 }
 
@@ -154,9 +137,9 @@ type Network struct {
 	cfg     Config
 	cpu     *cpu.CPU
 	softirq *cpu.Thread
-	down    *link // AP -> device
-	up      *link // device -> AP
-	dns     dnsState
+	down    *link      // AP -> device
+	up      *link      // device -> AP
+	rng     *stats.RNG // Bernoulli loss draws
 	// delivered counts payload bytes delivered to the device, segments and
 	// datagrams alike; iperf reads its goodput from it.
 	delivered int64
@@ -182,7 +165,7 @@ func New(s *sim.Sim, c *cpu.CPU, cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic("netsim: invalid config: " + err.Error())
 	}
-	n := &Network{s: s, cfg: cfg, cpu: c}
+	n := &Network{s: s, cfg: cfg, cpu: c, rng: stats.NewRNG(0xC0FFEE)}
 	eff := units.BitRate(float64(cfg.Rate) * cfg.MACEfficiency)
 	n.down = &link{s: s, lane: s.NewFIFO(), rate: eff, oneWay: cfg.RTT / 2, inj: cfg.Obs.Faults}
 	n.up = &link{s: s, lane: s.NewFIFO(), rate: eff, oneWay: cfg.RTT / 2, inj: cfg.Obs.Faults}
@@ -200,7 +183,7 @@ func New(s *sim.Sim, c *cpu.CPU, cfg Config) *Network {
 // segmentLost samples both loss processes for one segment: the configured
 // Bernoulli channel and any active injected burst-loss window.
 func (n *Network) segmentLost() bool {
-	if n.cfg.Loss > 0 && n.cfg.RNG.Float64() < n.cfg.Loss {
+	if n.cfg.Loss > 0 && n.rng.Float64() < n.cfg.Loss {
 		return true
 	}
 	return n.cfg.Obs.Faults.SegmentLost()
@@ -508,13 +491,12 @@ func (c *Conn) reset() {
 // allows, round-robining across active streams (h2 frame interleaving; with
 // HTTP/1.1 there is at most one stream).
 func (c *Conn) pump() {
-	n := c.net
 	for c.inflight < int(c.cwnd) && c.inflight < maxCwnd {
 		t := c.nextSendable()
 		if t == nil {
 			return
 		}
-		seg := n.cfg.MSS
+		seg := mss
 		if t.unsent < seg {
 			seg = t.unsent
 		}

@@ -89,55 +89,6 @@ func TestByteConservationWithTLS(t *testing.T) {
 	}
 }
 
-func TestDNSResolution(t *testing.T) {
-	s := sim.New()
-	c := nexus4CPU(s, 1512)
-	n := New(s, c, Config{ChargeCPU: true, DNS: true})
-	var first, second, other time.Duration
-	n.ResolveE("cdn.example.com", func(error) { first = s.Now() })
-	s.RunUntil(time.Second)
-	n.ResolveE("cdn.example.com", func(error) { second = s.Now() })
-	n.ResolveE("other.example.com", func(error) { other = s.Now() })
-	s.RunUntil(2 * time.Second)
-	c.Stop()
-	s.Run()
-	if first < 10*time.Millisecond {
-		t.Fatalf("cold lookup too fast: %v", first)
-	}
-	if second != time.Second {
-		t.Fatalf("warm lookup should be synchronous, fired at %v", second)
-	}
-	if other <= time.Second {
-		t.Fatalf("new name should pay a lookup: %v", other)
-	}
-}
-
-func TestDNSCoalescesConcurrentLookups(t *testing.T) {
-	s := sim.New()
-	c := nexus4CPU(s, 1512)
-	n := New(s, c, Config{ChargeCPU: true, DNS: true})
-	fired := 0
-	for i := 0; i < 5; i++ {
-		n.ResolveE("same.example.com", func(error) { fired++ })
-	}
-	s.RunUntil(time.Second)
-	c.Stop()
-	s.Run()
-	if fired != 5 {
-		t.Fatalf("all 5 waiters should fire once each, got %d", fired)
-	}
-}
-
-func TestDNSDisabledIsFree(t *testing.T) {
-	s := sim.New()
-	n := New(s, nil, Config{})
-	fired := false
-	n.ResolveE("x.example.com", func(error) { fired = true })
-	if !fired {
-		t.Fatal("disabled DNS should resolve synchronously")
-	}
-}
-
 func TestNetworkProfiles(t *testing.T) {
 	ps := Profiles()
 	for _, name := range []string{"lan", "lte", "3g"} {

@@ -28,8 +28,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"negative loss", func(c *Config) { c.Loss = -0.1 }, "Loss"},
 		{"loss of one", func(c *Config) { c.Loss = 1.0 }, "Loss"},
 		{"loss above one", func(c *Config) { c.Loss = 1.5 }, "Loss"},
-		{"zero mss", func(c *Config) { c.MSS = 0 }, "MSS"},
-		{"negative mss", func(c *Config) { c.MSS = -1 }, "MSS"},
 		{"negative rtt", func(c *Config) { c.RTT = -time.Millisecond }, "RTT"},
 		{"negative rate", func(c *Config) { c.Rate = -units.Mbps(1) }, "Rate"},
 		{"mac efficiency above one", func(c *Config) { c.MACEfficiency = 1.5 }, "MACEfficiency"},
