@@ -42,6 +42,7 @@ func TestPlanValidationRejections(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"unknown kind", fault.Spec{Kind: "quantum-flux", AtMs: 0, DurMs: 10}, "unknown kind"},
+		{"removed dns-timeout kind", fault.Spec{Kind: "dns-timeout", AtMs: 0, DurMs: 10}, "unknown kind"},
 		{"negative at", fault.Spec{Kind: fault.BurstLoss, AtMs: -1, DurMs: 10}, "at_ms"},
 		{"zero duration", fault.Spec{Kind: fault.BurstLoss, AtMs: 0, DurMs: 0}, "dur_ms"},
 		{"negative duration", fault.Spec{Kind: fault.BurstLoss, AtMs: 0, DurMs: -5}, "dur_ms"},
@@ -142,7 +143,7 @@ func TestResolveReferences(t *testing.T) {
 func TestNilInjectorAnswersNoFault(t *testing.T) {
 	var i *fault.Injector
 	if i.Active(fault.BurstLoss) || i.SegmentLost() || i.ConnResets() ||
-		i.DNSTimedOut() || i.ServerErrors() || i.DSPCallFails() {
+		i.ServerErrors() || i.DSPCallFails() {
 		t.Fatal("nil injector reported a fault")
 	}
 	if i.ExtraRTT() != 0 || i.ServerDelay() != 0 || i.RateFactor() != 1 {
@@ -172,7 +173,6 @@ func TestWindowsOpenAndClose(t *testing.T) {
 		{Kind: fault.ConnReset, AtMs: 100, DurMs: 100, Prob: 1},
 		{Kind: fault.ServerError, AtMs: 100, DurMs: 100, Prob: 1},
 		{Kind: fault.DSPFail, AtMs: 100, DurMs: 100, Prob: 1},
-		{Kind: fault.DNSTimeout, AtMs: 100, DurMs: 100},
 	}}
 	inj := fault.NewInjector(s, p, stats.NewRNG(7), nil, 0, nil)
 	type probe struct {
@@ -180,25 +180,24 @@ func TestWindowsOpenAndClose(t *testing.T) {
 		rate           float64
 		delay          time.Duration
 		reset, se, dsp bool
-		dns            bool
 	}
 	sample := func() probe {
 		return probe{inj.ExtraRTT(), inj.RateFactor(), inj.ServerDelay(),
-			inj.ConnResets(), inj.ServerErrors(), inj.DSPCallFails(), inj.DNSTimedOut()}
+			inj.ConnResets(), inj.ServerErrors(), inj.DSPCallFails()}
 	}
 	var before, during, after probe
 	s.At(50*time.Millisecond, func() { before = sample() })
 	s.At(150*time.Millisecond, func() { during = sample() })
 	s.At(250*time.Millisecond, func() { after = sample() })
 	s.Run()
-	clean := probe{0, 1, 0, false, false, false, false}
+	clean := probe{0, 1, 0, false, false, false}
 	if before != clean {
 		t.Fatalf("faults before their window: %+v", before)
 	}
 	if after != clean {
 		t.Fatalf("faults after their window: %+v", after)
 	}
-	want := probe{40 * time.Millisecond, 0.5, 70 * time.Millisecond, true, true, true, true}
+	want := probe{40 * time.Millisecond, 0.5, 70 * time.Millisecond, true, true, true}
 	if during != want {
 		t.Fatalf("inside the window got %+v, want %+v", during, want)
 	}
@@ -336,7 +335,7 @@ func replay(t *testing.T, p *fault.Plan, seed uint64) ([]trace.Event, []string) 
 			answers = append(answers, strings.Join([]string{
 				boolStr(inj.SegmentLost()), inj.ExtraRTT().String(),
 				floatStr(inj.RateFactor()), boolStr(inj.ConnResets()),
-				boolStr(inj.DNSTimedOut()), inj.ServerDelay().String(),
+				inj.ServerDelay().String(),
 				boolStr(inj.ServerErrors()), boolStr(inj.DSPCallFails()),
 			}, ","))
 		})

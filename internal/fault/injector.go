@@ -213,9 +213,6 @@ func (i *Injector) ConnResets() bool {
 	return i.rng.Float64() < i.resets[len(i.resets)-1].prob()
 }
 
-// DNSTimedOut reports whether resolver queries answered now time out.
-func (i *Injector) DNSTimedOut() bool { return i.Active(DNSTimeout) }
-
 // ServerDelay returns the extra server think time currently injected.
 func (i *Injector) ServerDelay() time.Duration {
 	if i == nil {

@@ -1,14 +1,14 @@
 // Package fault is the deterministic fault-injection plane. A Plan is a
 // schedule of transient faults — burst loss, RTT spikes, bandwidth dips,
-// connection resets, DNS timeouts, slow or erroring servers, DSP FastRPC
+// connection resets, slow or erroring servers, DSP FastRPC
 // failures, memory-pressure kills — and an Injector replays the plan against
 // one simulation's clock. All stochastic decisions draw from the injector's
 // own seeded RNG in simulation-event order, so a faulted run is byte-for-byte
 // identical across repeats and across sequential vs. parallel harnesses.
 //
 // The injector composes with any consumer through nil-safe query methods:
-// netsim asks SegmentLost/ExtraRTT/RateFactor/ConnResets/DNSTimedOut/
-// ServerDelay/ServerErrors per event, dsp asks DSPCallFails per call, and
+// netsim asks SegmentLost/ExtraRTT/RateFactor/ConnResets/ServerDelay/
+// ServerErrors per event, dsp asks DSPCallFails per call, and
 // push-style consumers (the browser's memory-kill restart) register OnFault
 // observers. A nil *Injector answers every query with "no fault", which keeps
 // the fault-free paths of the consumers byte-identical to a build without
@@ -39,9 +39,6 @@ const (
 	// ConnReset resets TCP connections issuing requests inside the window
 	// with probability Prob; the device reconnects with backoff and replays.
 	ConnReset Kind = "conn-reset"
-	// DNSTimeout makes resolver queries inside the window time out; the stub
-	// retries a bounded number of times before failing the lookup.
-	DNSTimeout Kind = "dns-timeout"
 	// ServerSlow adds DelayMs of server think time to every request.
 	ServerSlow Kind = "server-slow"
 	// ServerError makes the server answer requests with a short error
@@ -57,7 +54,7 @@ const (
 
 // Kinds returns every supported fault kind, in a fixed order.
 func Kinds() []Kind {
-	return []Kind{BurstLoss, RTTSpike, BandwidthDip, ConnReset, DNSTimeout,
+	return []Kind{BurstLoss, RTTSpike, BandwidthDip, ConnReset,
 		ServerSlow, ServerError, DSPFail, MemKill}
 }
 
@@ -249,7 +246,6 @@ func Default() *Plan {
 			{Kind: RTTSpike, AtMs: 1000, DurMs: 800, AddRTTMs: 120},
 			{Kind: BandwidthDip, AtMs: 2500, DurMs: 1500, RateFactor: 0.25},
 			{Kind: ConnReset, AtMs: 4200, DurMs: 400, Prob: 0.5},
-			{Kind: DNSTimeout, AtMs: 6000, DurMs: 700},
 			{Kind: ServerSlow, AtMs: 7000, DurMs: 1000, DelayMs: 250},
 			{Kind: ServerError, AtMs: 8500, DurMs: 500, Prob: 0.75},
 			{Kind: DSPFail, AtMs: 9500, DurMs: 2000},
