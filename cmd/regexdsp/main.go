@@ -152,9 +152,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			reg.Merge(m)
 		}
 	}
-	dcfg := dsp.New(sim.New(), dsp.Config{}).Config()
 	fmt.Fprintf(stdout, "\n(batch=%0.f evaluations/RPC; '!' = backtracking step limit hit; DSP %s @ %.2f cyc/step, RPC %v)\n",
-		*repeat, dcfg.Freq, dsp.DSPCyclesPerStep, dcfg.RPCOverhead)
+		*repeat, dsp.Freq, dsp.DSPCyclesPerStep, dsp.DefaultRPCOverhead)
 	if err := ob.Write(stdout, reg, tr); err != nil {
 		fmt.Fprintln(stderr, "regexdsp:", err)
 		return 1
@@ -185,7 +184,7 @@ func price(w workload, repeat, rate float64) experiments.Runner {
 		cpuTime := units.DurationFor(cpuCycles, units.Freq(rate))
 		dspTime := d.ServiceTime(int64(float64(pr.Steps)*repeat)) +
 			d.Config().RPCOverhead +
-			time.Duration(float64(len(w.input))*repeat/1024*float64(d.Config().MarshalPerKB))
+			time.Duration(float64(len(w.input))*repeat/1024*float64(dsp.MarshalPerKB))
 		d.Call(int64(float64(pr.Steps)*repeat), int(float64(len(w.input))*repeat), nil)
 		s.Run()
 

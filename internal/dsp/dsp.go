@@ -36,52 +36,40 @@ const (
 	DSPCyclesPerStep = 0.55
 )
 
+// Coprocessor constants.
+const (
+	// Freq is the DSP clock.
+	Freq units.Freq = 800e6
+	// DefaultRPCOverhead is the fixed FastRPC round-trip cost a zero
+	// Config.RPCOverhead takes.
+	DefaultRPCOverhead = 100 * time.Microsecond
+	// MarshalPerKB is the added RPC latency per KiB of input shipped across
+	// the SMMU boundary (ION shared buffers make this cheap).
+	MarshalPerKB = 500 * time.Nanosecond
+	// ActiveWatts is the DSP's power while serving, idleWatts its leakage.
+	ActiveWatts = 0.22
+	idleWatts   = 0.005
+	// fallbackFreq is the application-core clock used to price the CPU
+	// fallback.
+	fallbackFreq units.Freq = 2000e6
+)
+
 // Config describes the coprocessor.
 type Config struct {
-	Freq        units.Freq    // DSP clock; default 800 MHz
-	RPCOverhead time.Duration // fixed FastRPC round-trip cost; default 100 µs
-	// MarshalPerKB is the added RPC latency per KiB of input shipped across
-	// the SMMU boundary (ION shared buffers make this cheap); default
-	// 500 ns/KiB.
-	MarshalPerKB time.Duration
-	ActiveWatts  float64 // power while serving; default 0.22 W
-	IdleWatts    float64 // leakage; default 0.005 W
-
-	// FallbackFreq is the application-core clock used to price the CPU
-	// fallback; default 2 GHz.
-	FallbackFreq units.Freq
+	// RPCOverhead is the fixed FastRPC round-trip cost; zero means
+	// DefaultRPCOverhead.
+	RPCOverhead time.Duration
 
 	// Obs bundles the observability/fault plane. Obs.Meter, when non-nil,
 	// integrates component "dsp" power. Obs.Faults, when non-nil, can fail
 	// FastRPC calls (kind dsp-fail); the call then degrades gracefully to
-	// CPU execution of the backtracking engine at FallbackFreq, paying the
+	// CPU execution of the backtracking engine at fallbackFreq, paying the
 	// penalty instead of erroring out. Obs.Trace, when non-nil, receives one
 	// FastRPC span per call on a "dsp:fastrpc" lane under category "dsp",
 	// attributed to Obs.Pid. Obs.Metrics, when non-nil, accumulates
 	// dsp.calls and dsp.service_us (and, under fault injection,
 	// dsp.fallbacks and dsp.fallback_us).
 	Obs obs.Ctx
-}
-
-func (c *Config) setDefaults() {
-	if c.Freq == 0 {
-		c.Freq = units.MHz(800)
-	}
-	if c.RPCOverhead == 0 {
-		c.RPCOverhead = 100 * time.Microsecond
-	}
-	if c.MarshalPerKB == 0 {
-		c.MarshalPerKB = 500 * time.Nanosecond
-	}
-	if c.ActiveWatts == 0 {
-		c.ActiveWatts = 0.22
-	}
-	if c.IdleWatts == 0 {
-		c.IdleWatts = 0.005
-	}
-	if c.FallbackFreq == 0 {
-		c.FallbackFreq = units.MHz(2000)
-	}
 }
 
 // DSP is a simulated coprocessor.
@@ -101,7 +89,9 @@ type DSP struct {
 
 // New constructs a DSP on the simulator.
 func New(s *sim.Sim, cfg Config) *DSP {
-	cfg.setDefaults()
+	if cfg.RPCOverhead == 0 {
+		cfg.RPCOverhead = DefaultRPCOverhead
+	}
 	d := &DSP{s: s, cfg: cfg}
 	if cfg.Obs.Trace != nil {
 		d.tid = cfg.Obs.Trace.Thread(cfg.Obs.Pid, "dsp:fastrpc")
@@ -111,7 +101,7 @@ func New(s *sim.Sim, cfg Config) *DSP {
 	d.mFallbacks = cfg.Obs.Counter("dsp.fallbacks")
 	d.mFallbackUs = cfg.Obs.Histogram("dsp.fallback_us")
 	if cfg.Obs.Meter != nil {
-		cfg.Obs.Meter.SetPower("dsp", cfg.IdleWatts)
+		cfg.Obs.Meter.SetPower("dsp", idleWatts)
 	}
 	return d
 }
@@ -128,7 +118,7 @@ func (d *DSP) BusyTime() time.Duration { return d.busyTotal }
 // ServiceTime returns the execution-only time for a call of the given Pike
 // step count (no RPC or queueing).
 func (d *DSP) ServiceTime(pikeSteps int64) time.Duration {
-	return units.DurationFor(float64(pikeSteps)*DSPCyclesPerStep, d.cfg.Freq)
+	return units.DurationFor(float64(pikeSteps)*DSPCyclesPerStep, Freq)
 }
 
 // CallLatency returns the end-to-end latency a caller would observe for a
@@ -144,7 +134,7 @@ func (d *DSP) CallLatency(pikeSteps int64, inputBytes int) time.Duration {
 
 func (d *DSP) rpcCost(inputBytes int) time.Duration {
 	return d.cfg.RPCOverhead +
-		time.Duration(float64(inputBytes)/1024*float64(d.cfg.MarshalPerKB))
+		time.Duration(float64(inputBytes)/1024*float64(MarshalPerKB))
 }
 
 // Call submits an offloaded execution; done runs when the result returns to
@@ -157,7 +147,7 @@ func (d *DSP) Call(pikeSteps int64, inputBytes int, done func()) {
 		// running the backtracking engine on the application core instead.
 		// The caller pays the RPC attempt plus the CPU-priced execution; the
 		// DSP's own FIFO is untouched.
-		lat := d.rpcCost(inputBytes) + units.DurationFor(CPUCycles(pikeSteps), d.cfg.FallbackFreq)
+		lat := d.rpcCost(inputBytes) + units.DurationFor(CPUCycles(pikeSteps), fallbackFreq)
 		d.mFallbacks.Add(1)
 		d.mFallbackUs.Observe(float64(lat) / 1e3)
 		if tr := d.cfg.Obs.Trace; tr != nil {
@@ -181,12 +171,12 @@ func (d *DSP) Call(pikeSteps int64, inputBytes int, done func()) {
 	d.busyTotal += service
 	if d.cfg.Obs.Meter != nil {
 		m := d.cfg.Obs.Meter
-		d.s.PostAt(start, func() { m.SetPower("dsp", d.cfg.ActiveWatts) })
+		d.s.PostAt(start, func() { m.SetPower("dsp", ActiveWatts) })
 		end := d.busyUntil
 		d.s.PostAt(end, func() {
 			// Only drop to idle if no later call extended the busy window.
 			if d.busyUntil <= end {
-				m.SetPower("dsp", d.cfg.IdleWatts)
+				m.SetPower("dsp", idleWatts)
 			}
 		})
 	}

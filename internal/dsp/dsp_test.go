@@ -79,8 +79,8 @@ func TestEnergyModelFourXCheaperThanCore(t *testing.T) {
 	d.Call(100_000_000, 0, nil) // ~68.75 ms of service
 	s.At(20*time.Millisecond, func() { during = m.Power("dsp") })
 	s.Run()
-	if during != d.Config().ActiveWatts {
-		t.Fatalf("active power = %v, want %v", during, d.Config().ActiveWatts)
+	if during != ActiveWatts {
+		t.Fatalf("active power = %v, want %v", during, ActiveWatts)
 	}
 	corePower := energy.DynamicPower(energy.CoreCeff, units.MHz(1512), 1.25)
 	ratio := corePower / during
@@ -88,7 +88,7 @@ func TestEnergyModelFourXCheaperThanCore(t *testing.T) {
 		t.Fatalf("core/DSP power ratio = %.1f, want ~4-6x", ratio)
 	}
 	// After the burst the meter returns to idle.
-	if p := m.Power("dsp"); p != d.Config().IdleWatts {
+	if p := m.Power("dsp"); p != idleWatts {
 		t.Fatalf("post-burst power = %v, want idle", p)
 	}
 }
@@ -103,7 +103,7 @@ func TestBusyWindowExtension(t *testing.T) {
 	var mid float64
 	s.At(9*time.Millisecond, func() { mid = m.Power("dsp") })
 	s.Run()
-	if mid != d.Config().ActiveWatts {
+	if mid != ActiveWatts {
 		t.Fatalf("power dipped to %v between queued calls", mid)
 	}
 }
@@ -117,11 +117,10 @@ func TestCPUCyclesMapping(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	s := sim.New()
 	d := New(s, Config{})
-	cfg := d.Config()
-	if cfg.Freq != units.MHz(800) || cfg.RPCOverhead != 100*time.Microsecond {
-		t.Fatalf("defaults wrong: %+v", cfg)
+	if Freq != units.MHz(800) || d.Config().RPCOverhead != 100*time.Microsecond {
+		t.Fatalf("defaults wrong: %v, %+v", Freq, d.Config())
 	}
-	if cfg.ActiveWatts <= cfg.IdleWatts {
+	if ActiveWatts <= idleWatts {
 		t.Fatal("active must exceed idle")
 	}
 }

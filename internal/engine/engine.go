@@ -95,9 +95,6 @@ type Config struct {
 	// (defaults 256 entries, 64 MiB).
 	ResultCacheEntries int
 	ResultCacheBytes   int64
-	// CacheName registers the result cache for cache.Publish under this
-	// name; empty keeps it private (tests create many engines).
-	CacheName string
 	// JobHistory bounds retained finished jobs (default 512).
 	JobHistory int
 	// AllowLocalFiles permits requests referencing local files (CLI use).
@@ -284,7 +281,6 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg: cfg,
 		results: cache.New[string, []byte](cache.Config{
-			Name:       cfg.CacheName,
 			MaxEntries: cfg.ResultCacheEntries,
 			MaxBytes:   cfg.ResultCacheBytes,
 		}),

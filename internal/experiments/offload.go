@@ -235,7 +235,7 @@ func textRegex(cfg Config) (*Table, error) {
 			// The offloaded side pays the DSP's active power plus the rest of
 			// the platform idling while the caller blocks in FastRPC.
 			idle := float64(device.Pixel2().TotalCores()) * energy.CoreIdleWatts
-			dspJ += (d.Config().ActiveWatts + idle) * prof.RegexDSPTime(d).Seconds()
+			dspJ += (dsp.ActiveWatts + idle) * prof.RegexDSPTime(d).Seconds()
 		}
 	}
 	t.AddRow("regex share of scripting (corpus)", pct(corpusShare.Mean()))

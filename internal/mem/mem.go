@@ -17,8 +17,7 @@ import (
 
 // Config describes the memory subsystem.
 type Config struct {
-	RAM        units.ByteSize // total device RAM
-	OSReserved units.ByteSize // kernel + system services; default 300 MB
+	RAM units.ByteSize // total device RAM
 }
 
 // Memory answers working-set pressure queries.
@@ -33,13 +32,13 @@ const (
 	thrashBeta  = 1.0
 )
 
+// osReserved is the RAM the kernel and system services keep.
+const osReserved = 300 * units.MB
+
 // New constructs a Memory. RAM must be positive.
 func New(cfg Config) *Memory {
 	if cfg.RAM <= 0 {
 		panic("mem: RAM must be positive")
-	}
-	if cfg.OSReserved == 0 {
-		cfg.OSReserved = 300 * units.MB
 	}
 	return &Memory{cfg: cfg}
 }
@@ -48,7 +47,7 @@ func New(cfg Config) *Memory {
 // It never reports less than 64 MB: Android's low-memory killer keeps a
 // working floor rather than letting available memory reach zero.
 func (m *Memory) Available() units.ByteSize {
-	avail := m.cfg.RAM - m.cfg.OSReserved
+	avail := m.cfg.RAM - osReserved
 	if avail < 64*units.MB {
 		avail = 64 * units.MB
 	}

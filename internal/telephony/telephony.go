@@ -77,6 +77,8 @@ const (
 	audioFrameCycles   = 4e6
 	audioFrameInterval = 20 * time.Millisecond
 
+	targetFPS      = 30
+	frameInterval  = time.Second / targetFPS
 	dropQueueLimit = 5 // frames queued on a pipeline thread before dropping
 	abrWindow      = 2 * time.Second
 	appWorkingSet  = 350 * units.MB
@@ -103,16 +105,12 @@ type Config struct {
 
 // CallConfig describes the call.
 type CallConfig struct {
-	Duration  time.Duration // media duration after setup; default 60 s
-	TargetFPS int           // default 30
+	Duration time.Duration // media duration after setup; default 60 s
 }
 
 func (cc *CallConfig) setDefaults() {
 	if cc.Duration == 0 {
 		cc.Duration = 60 * time.Second
-	}
-	if cc.TargetFPS == 0 {
-		cc.TargetFPS = 30
 	}
 }
 
@@ -207,10 +205,6 @@ func (c *call) setup(stage int) {
 
 func (c *call) res() Resolution { return Ladder[c.rung] }
 
-func (c *call) frameInterval() time.Duration {
-	return time.Second / time.Duration(c.cc.TargetFPS)
-}
-
 func (c *call) startMedia() {
 	c.mediaEnd = c.now() + c.cc.Duration
 	c.captureLoop()
@@ -237,7 +231,7 @@ func (c *call) captureLoop() {
 		c.finish()
 		return
 	}
-	c.cfg.Sim.PostAfter(c.frameInterval(), func() { c.captureLoop() })
+	c.cfg.Sim.PostAfter(frameInterval, func() { c.captureLoop() })
 	if c.tx.QueueLen() >= dropQueueLimit {
 		c.recordDrop("tx")
 		return // encoder back-pressure: skip this capture
@@ -266,7 +260,7 @@ func (c *call) peerLoop() {
 	if c.now() >= c.mediaEnd {
 		return
 	}
-	c.cfg.Sim.PostAfter(c.frameInterval(), func() { c.peerLoop() })
+	c.cfg.Sim.PostAfter(frameInterval, func() { c.peerLoop() })
 	scale := c.res().Scale
 	size := units.ByteSize(float64(frameBytesAt720p) * scale)
 	c.cfg.Net.RecvDatagram(size, func() {
@@ -299,7 +293,7 @@ func (c *call) abrLoop() {
 	c.cfg.Sim.PostAfter(abrWindow, func() {
 		fps := float64(c.windowDisplayed) / abrWindow.Seconds()
 		c.windowDisplayed = 0
-		if fps < 0.8*float64(c.cc.TargetFPS) && c.rung < len(Ladder)-1 {
+		if fps < 0.8*targetFPS && c.rung < len(Ladder)-1 {
 			c.rung++
 			c.cfg.Obs.Counter("telephony.abr_downswitches").Add(1)
 			if tr := c.cfg.Obs.Trace; tr != nil {

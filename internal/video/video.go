@@ -56,8 +56,10 @@ const (
 	demuxWorkers       = 3
 	manifestBytes      = 3 * units.KB
 	// initSegmentLen is the short first media segment players request to cut
-	// startup latency (the rest of the clip uses StreamConfig.SegmentLen).
+	// startup latency; the rest of the clip uses segmentLen.
 	initSegmentLen     = 2 * time.Second
+	segmentLen         = 5 * time.Second
+	readAhead          = 120 * time.Second // prefetch window
 	decoderInitDelay   = 150 * time.Millisecond
 	decodeSegmentDelay = 120 * time.Millisecond // HW decoder pipeline latency
 	// swDecodePenalty multiplies demux cycles when no hardware decoder
@@ -103,24 +105,12 @@ type Config struct {
 
 // StreamConfig describes the clip and player policy.
 type StreamConfig struct {
-	Duration   time.Duration // clip length; default 5 min
-	SegmentLen time.Duration // default 5 s
-	ReadAhead  time.Duration // prefetch window; default 120 s
-	MaxRung    int           // ladder cap; default highest (1080p)
+	Duration time.Duration // clip length; default 5 min
 }
 
 func (sc *StreamConfig) setDefaults() {
 	if sc.Duration == 0 {
 		sc.Duration = 5 * time.Minute
-	}
-	if sc.SegmentLen == 0 {
-		sc.SegmentLen = 5 * time.Second
-	}
-	if sc.ReadAhead == 0 {
-		sc.ReadAhead = 120 * time.Second
-	}
-	if sc.MaxRung == 0 {
-		sc.MaxRung = len(Ladder) - 1
 	}
 }
 
@@ -144,7 +134,7 @@ func Stream(cfg Config, sc StreamConfig, done func(Metrics)) {
 	p.pickRung()
 	p.factor = 1.0
 	if cfg.Mem != nil {
-		ws := appWorkingSet + 2*units.BitRate(p.rung.Bitrate).BytesIn(sc.ReadAhead)
+		ws := appWorkingSet + 2*units.BitRate(p.rung.Bitrate).BytesIn(readAhead)
 		p.factor = cfg.Mem.Slowdown(ws)
 	}
 	if cfg.Obs.Trace != nil {
@@ -181,7 +171,7 @@ type player struct {
 	fetchSeq     int // identifies the in-flight fetch for the watchdog
 	decoderReady bool
 	rungIdx      int     // current ladder index (ABR state)
-	maxRungIdx   int     // cap from device policy + StreamConfig
+	maxRungIdx   int     // cap from device policy
 	ewmaMbps     float64 // throughput estimate
 
 	startupAt  time.Duration
@@ -213,15 +203,10 @@ func (p *player) recordStall(d time.Duration) {
 // FullHD to a low-end phone. The session then adapts downward (and back up)
 // from this cap based on measured throughput, like a real DASH client.
 func (p *player) pickRung() {
-	max := p.sc.MaxRung
-	if max >= len(Ladder) {
-		max = len(Ladder) - 1
-	}
+	max := len(Ladder) - 1
 	// Device cap: weak cores or tight RAM get 480p.
 	if p.cfg.Spec.Big.IPC > 0 && (p.cfg.Spec.Big.IPC < 0.7 || p.cfg.Spec.RAM <= 1*units.GB) {
-		if max > 2 {
-			max = 2 // 480p
-		}
+		max = 2 // 480p
 	}
 	p.maxRungIdx = max
 	p.rungIdx = max
@@ -263,10 +248,10 @@ func (p *player) now() time.Duration { return p.cfg.Sim.Now() }
 
 // segLen returns the duration of segment idx (the first one is short).
 func (p *player) segLen(idx int) time.Duration {
-	if idx == 0 && initSegmentLen < p.sc.SegmentLen {
+	if idx == 0 {
 		return initSegmentLen
 	}
-	return p.sc.SegmentLen
+	return segmentLen
 }
 
 func (p *player) segBytes(idx int) units.ByteSize {
@@ -276,7 +261,7 @@ func (p *player) segBytes(idx int) units.ByteSize {
 func (p *player) start() {
 	// A short init segment plus regular segments covering the clip.
 	rest := p.sc.Duration - p.segLen(0)
-	p.segments = 1 + int((rest+p.sc.SegmentLen-1)/p.sc.SegmentLen)
+	p.segments = 1 + int((rest+segmentLen-1)/segmentLen)
 	// App/player initialization is serial CPU work, then the manifest fetch.
 	p.main.Exec("player-init", playerInitCycles*p.factor, func() {
 		p.fetchManifest()
@@ -305,11 +290,11 @@ func (p *player) pump() {
 	if p.fetching || p.nextFetch >= p.segments {
 		return
 	}
-	readAhead := p.sc.ReadAhead
+	window := readAhead
 	if p.cfg.DisablePrefetch {
-		readAhead = p.sc.SegmentLen
+		window = segmentLen
 	}
-	if p.bufferedAhead() >= readAhead.Seconds() {
+	if p.bufferedAhead() >= window.Seconds() {
 		return // buffer full; resume when playback drains it
 	}
 	p.fetching = true

@@ -201,15 +201,6 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-func TestMaxRungCap(t *testing.T) {
-	rc := nexus4(1512)
-	rc.stream.MaxRung = 1 // 360p
-	m := play(t, rc)
-	if m.Rung.Name != "360p" {
-		t.Fatalf("rung = %s, want 360p", m.Rung.Name)
-	}
-}
-
 func TestBandwidthABRStepsDownOn3G(t *testing.T) {
 	// On a 4 Mbps 3G cell the 4.5 Mbps FullHD ladder rung is unsustainable:
 	// the bandwidth estimator must step the session down, and playback must

@@ -52,7 +52,7 @@ func (p *Profile) RegexDSPTime(d *dsp.DSP) time.Duration {
 	}
 	steps, bytes := p.RegexDSPWork()
 	return d.ServiceTime(steps) + d.Config().RPCOverhead +
-		time.Duration(float64(bytes)/1024*float64(d.Config().MarshalPerKB))
+		time.Duration(float64(bytes)/1024*float64(dsp.MarshalPerKB))
 }
 
 // RegexDSPWork returns the Pike-VM steps and the input bytes of the

@@ -129,9 +129,6 @@ type EvalOptions struct {
 	// EffectiveRate is the CPU speed in cycles/second (frequency × IPC) used
 	// for compute nodes. Required.
 	EffectiveRate float64
-	// MemFactor multiplies compute durations (memory-pressure slowdown);
-	// 0 means 1.0.
-	MemFactor float64
 	// Offload moves each script's regex work to the DSP (one batched FastRPC
 	// per script), replacing its CPU time — the paper's ePLT methodology.
 	Offload bool
@@ -144,10 +141,6 @@ type EvalOptions struct {
 
 // NodeDuration returns the re-priced duration of node n under opts.
 func (g *Graph) NodeDuration(n *Node, opts EvalOptions) time.Duration {
-	memf := opts.MemFactor
-	if memf == 0 {
-		memf = 1
-	}
 	nets := opts.NetworkScale
 	if nets == 0 {
 		nets = 1
@@ -160,12 +153,12 @@ func (g *Graph) NodeDuration(n *Node, opts EvalOptions) time.Duration {
 			if opts.DSP == nil {
 				panic("wprof: Offload requires a DSP")
 			}
-			cpuPart := units.DurationFor(n.Profile.PlainCycles()*memf, units.Freq(opts.EffectiveRate))
+			cpuPart := units.DurationFor(n.Profile.PlainCycles(), units.Freq(opts.EffectiveRate))
 			return cpuPart + n.Profile.RegexDSPTime(opts.DSP)
 		}
-		return units.DurationFor(n.Profile.TotalCPUCycles()*memf, units.Freq(opts.EffectiveRate))
+		return units.DurationFor(n.Profile.TotalCPUCycles(), units.Freq(opts.EffectiveRate))
 	default:
-		return units.DurationFor(n.Cycles*memf, units.Freq(opts.EffectiveRate))
+		return units.DurationFor(n.Cycles, units.Freq(opts.EffectiveRate))
 	}
 }
 
