@@ -20,9 +20,6 @@ import (
 // specs are small; anything past this is a mistake or abuse.
 const maxRequestBytes = 1 << 20
 
-// metricsPrefix namespaces the exposition families.
-const metricsPrefix = "mobileqoe"
-
 // server routes the HTTP API onto one engine.
 type server struct {
 	eng   *engine.Engine
@@ -178,19 +175,18 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 // scrape (counters accumulate on Add, so a shared registry would
 // double-count): engine serving counters, the result cache, and the
 // process-global corpus/script caches, then the wall-clock health block.
+// The server has no run of cells, so it renders no cell families: the
+// engine's completed and request counters already count its jobs.
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	reg := trace.NewMetrics()
 	s.eng.PublishMetrics(reg)
 	cache.Publish(reg)
 	var buf bytes.Buffer
-	if err := telemetry.Render(&buf, metricsPrefix, reg); err != nil {
+	if err := telemetry.Render(&buf, reg); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	st := s.eng.Stats()
-	telemetry.RenderHealth(&buf, metricsPrefix, telemetry.Health{
-		Done:      int(st.Completed + st.Failed),
-		Total:     int(st.Submitted),
+	telemetry.RenderHealth(&buf, telemetry.Health{
 		ElapsedMS: float64(time.Since(s.start)) / float64(time.Millisecond),
 		Runtime:   runlog.CaptureRuntime(),
 	})

@@ -275,9 +275,18 @@ func TestServeHealthAndMetricsEndpoints(t *testing.T) {
 		"mobileqoe_cache_webpage_corpus_hits",
 		"mobileqoe_cache_script_regex_hits",
 		"mobileqoe_run_elapsed_ms",
+		"mobileqoe_go_alloc_bytes_total",
+		"mobileqoe_go_gc_pause_ms_total",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, body)
+		}
+	}
+	// The server runs jobs, not a run of cells: the engine counters count
+	// them, and no run_cells family mislabels them as cells.
+	for _, absent := range []string{"mobileqoe_run_cells_done", "mobileqoe_run_cells_total"} {
+		if strings.Contains(string(body), absent) {
+			t.Fatalf("/metrics carries %s:\n%s", absent, body)
 		}
 	}
 

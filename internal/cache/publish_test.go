@@ -20,7 +20,7 @@ func TestPublishRendersCleanPrometheus(t *testing.T) {
 	reg := trace.NewMetrics()
 	cache.Publish(reg)
 	var b strings.Builder
-	if err := telemetry.Render(&b, "", reg); err != nil {
+	if err := telemetry.Render(&b, reg); err != nil {
 		t.Fatalf("render: %v", err)
 	}
 	text := b.String()

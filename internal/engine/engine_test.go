@@ -597,7 +597,7 @@ func TestPublishMetricsRendersClean(t *testing.T) {
 	reg := trace.NewMetrics()
 	e.PublishMetrics(reg)
 	var buf bytes.Buffer
-	if err := telemetry.Render(&buf, "mobileqoe", reg); err != nil {
+	if err := telemetry.Render(&buf, reg); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()

@@ -228,10 +228,10 @@ func (o *Observer) keep(err error) {
 func (o *Observer) updateTelemetry(now time.Time) {
 	var buf bytes.Buffer
 	if o.agg != nil {
-		o.keep(telemetry.Render(&buf, "", o.agg))
+		o.keep(telemetry.Render(&buf, o.agg))
 	}
-	telemetry.RenderHealth(&buf, "", telemetry.Health{
-		Done: o.done, Total: o.total,
+	telemetry.RenderCells(&buf, o.done, o.total)
+	telemetry.RenderHealth(&buf, telemetry.Health{
 		ElapsedMS: float64(now.Sub(o.start)) / float64(time.Millisecond),
 		Wall:      &o.wall,
 		Runtime:   runlog.CaptureRuntime(),

@@ -8,8 +8,9 @@
 // format with exact round-trip precision, and bounded-sketch quantiles are
 // exactly mergeable, so a -parallel run's exposition is byte-identical to a
 // sequential run's (pinned by the golden test). Wall-clock data (run
-// progress, Go runtime counters) renders through the separate RenderHealth so
-// deterministic and host-timing families never mix in one comparison.
+// progress, Go runtime counters) renders through the separate RenderCells
+// and RenderHealth so deterministic and host-timing families never mix in
+// one comparison.
 //
 // Lint validates exposition text against the v0.0.4 grammar — name charset,
 // HELP/TYPE comment shape, one TYPE per family declared before its samples,
@@ -28,17 +29,17 @@ import (
 	"mobileqoe/internal/trace"
 )
 
-// DefaultPrefix namespaces every exposed family.
-const DefaultPrefix = "mobileqoe"
+// prefix namespaces every exposed family.
+const prefix = "mobileqoe"
 
 // quantiles are the summary quantiles exposed for every histogram,
 // matching the registry's table columns.
 var quantiles = []float64{0.5, 0.9, 0.99}
 
-// Name sanitizes a registry metric name into the Prometheus name charset
-// [a-zA-Z_:][a-zA-Z0-9_:]* under the given prefix: every invalid byte
-// becomes '_' ("sim.virtual_ms" → "mobileqoe_sim_virtual_ms").
-func Name(prefix, metric string) string {
+// promName sanitizes a registry metric name into the Prometheus name charset
+// [a-zA-Z_:][a-zA-Z0-9_:]* under prefix: every invalid byte becomes '_'
+// ("sim.virtual_ms" → "mobileqoe_sim_virtual_ms").
+func promName(metric string) string {
 	var b strings.Builder
 	b.WriteString(prefix)
 	b.WriteByte('_')
@@ -56,19 +57,15 @@ func Name(prefix, metric string) string {
 
 func num(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// Render writes the registry as exposition text under prefix (DefaultPrefix
-// when empty). Counters render as counter families; histograms as summary
-// families with p50/p90/p99 quantile samples plus _min and _max gauge
-// families. Two registry names that sanitize to the same
-// family name are an error — silently merging families would corrupt the
-// scrape.
-func Render(w io.Writer, prefix string, m *trace.Metrics) error {
-	if prefix == "" {
-		prefix = DefaultPrefix
-	}
+// Render writes the registry as exposition text. Counters render as counter
+// families; histograms as summary families with p50/p90/p99 quantile
+// samples plus _min and _max gauge families. Two registry names that
+// sanitize to the same family name are an error — silently merging
+// families would corrupt the scrape.
+func Render(w io.Writer, m *trace.Metrics) error {
 	seen := map[string]string{}
 	family := func(metric string) (string, error) {
-		name := Name(prefix, metric)
+		name := promName(metric)
 		if prev, ok := seen[name]; ok {
 			return "", fmt.Errorf("telemetry: registry metrics %q and %q both expose as %s", prev, metric, name)
 		}
@@ -110,43 +107,46 @@ func Render(w io.Writer, prefix string, m *trace.Metrics) error {
 	return nil
 }
 
-// Health is the wall-clock snapshot RenderHealth exposes: run progress, the
-// wall times of the cells run so far, and the Go runtime block health
-// records carry.
+// Health is the wall-clock snapshot RenderHealth exposes: the time since
+// the run or server started, the wall times of the cells run so far, and
+// the Go runtime block health records carry.
 type Health struct {
-	Done, Total int
-	ElapsedMS   float64
+	ElapsedMS float64
 	// Wall holds the freshly executed cells' wall times in ms; nil or empty
 	// omits the cell wall-time quantiles.
 	Wall    *stats.HistSketch
 	Runtime runlog.RuntimeSnapshot
 }
 
-// RenderHealth writes the run-health families under prefix. Everything here
-// is wall-clock class — never compare these bytes across runs.
-func RenderHealth(w io.Writer, prefix string, h Health) error {
-	if prefix == "" {
-		prefix = DefaultPrefix
-	}
-	emit := func(name, typ, help string, v float64) {
-		full := prefix + "_" + name
-		fmt.Fprintf(w, "# HELP %s %s\n", full, help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", full, typ)
-		fmt.Fprintf(w, "%s %s\n", full, num(v))
-	}
-	emit("run_cells_done", "gauge", "completed (experiment, trial) cells", float64(h.Done))
-	emit("run_cells_total", "gauge", "total cells in this run", float64(h.Total))
-	emit("run_elapsed_ms", "gauge", "wall time since the run started", h.ElapsedMS)
+// emit writes one single-sample family.
+func emit(w io.Writer, name, typ, help string, v float64) {
+	full := prefix + "_" + name
+	fmt.Fprintf(w, "# HELP %s %s\n", full, help)
+	fmt.Fprintf(w, "# TYPE %s %s\n", full, typ)
+	fmt.Fprintf(w, "%s %s\n", full, num(v))
+}
+
+// RenderCells writes a run's progress families: the (experiment, trial)
+// cells completed so far and the run's total. It is wall-clock class, like
+// RenderHealth.
+func RenderCells(w io.Writer, done, total int) {
+	emit(w, "run_cells_done", "gauge", "completed (experiment, trial) cells", float64(done))
+	emit(w, "run_cells_total", "gauge", "total cells in this run", float64(total))
+}
+
+// RenderHealth writes the health families. Everything here is wall-clock
+// class — never compare these bytes across runs.
+func RenderHealth(w io.Writer, h Health) {
+	emit(w, "run_elapsed_ms", "gauge", "wall time since the run started", h.ElapsedMS)
 	if h.Wall != nil && h.Wall.N() > 0 {
-		emit("run_cell_wall_p50_ms", "gauge", "median wall time of a cell run so far", h.Wall.Quantile(0.5))
-		emit("run_cell_wall_p95_ms", "gauge", "95th percentile wall time of a cell run so far", h.Wall.Quantile(0.95))
+		emit(w, "run_cell_wall_p50_ms", "gauge", "median wall time of a cell run so far", h.Wall.Quantile(0.5))
+		emit(w, "run_cell_wall_p95_ms", "gauge", "95th percentile wall time of a cell run so far", h.Wall.Quantile(0.95))
 	}
-	emit("go_gc_cycles_total", "counter", "completed GC cycles", float64(h.Runtime.NumGC))
-	emit("go_gc_pause_ms_total", "counter", "total GC pause time", h.Runtime.GCPauseTotalMS)
-	emit("go_heap_peak_bytes", "gauge", "peak heap memory obtained from the OS", float64(h.Runtime.PeakHeapBytes))
-	emit("go_alloc_bytes_total", "counter", "cumulative bytes allocated", float64(h.Runtime.AllocTotalBytes))
-	emit("go_heap_objects", "gauge", "live heap objects", float64(h.Runtime.HeapObjects))
-	return nil
+	emit(w, "go_gc_cycles_total", "counter", "completed GC cycles", float64(h.Runtime.NumGC))
+	emit(w, "go_gc_pause_ms_total", "counter", "total GC pause time", h.Runtime.GCPauseTotalMS)
+	emit(w, "go_heap_peak_bytes", "gauge", "peak heap memory obtained from the OS", float64(h.Runtime.PeakHeapBytes))
+	emit(w, "go_alloc_bytes_total", "counter", "cumulative bytes allocated", float64(h.Runtime.AllocTotalBytes))
+	emit(w, "go_heap_objects", "gauge", "live heap objects", float64(h.Runtime.HeapObjects))
 }
 
 // Lint validates exposition text against the v0.0.4 grammar and returns the

@@ -37,7 +37,7 @@ func buildRegistry() *trace.Metrics {
 //	go test ./internal/telemetry -run TestGolden -update
 func TestGoldenExposition(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Render(&buf, "", buildRegistry()); err != nil {
+	if err := Render(&buf, buildRegistry()); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.Bytes()
@@ -81,10 +81,10 @@ func TestRenderShardInsensitive(t *testing.T) {
 		merged.Merge(shards[i])
 	}
 	var a, b bytes.Buffer
-	if err := Render(&a, "", direct); err != nil {
+	if err := Render(&a, direct); err != nil {
 		t.Fatal(err)
 	}
-	if err := Render(&b, "", merged); err != nil {
+	if err := Render(&b, merged); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -98,11 +98,8 @@ func TestRenderHealthLints(t *testing.T) {
 	for _, ms := range []float64{40, 50, 60} {
 		wall.Observe(ms)
 	}
-	err := RenderHealth(&buf, "", Health{Done: 5, Total: 12, ElapsedMS: 1234.5,
-		Wall: &wall, Runtime: runlog.CaptureRuntime()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	RenderCells(&buf, 5, 12)
+	RenderHealth(&buf, Health{ElapsedMS: 1234.5, Wall: &wall, Runtime: runlog.CaptureRuntime()})
 	if err := Lint(buf.String()); err != nil {
 		t.Fatalf("health exposition does not lint: %v\n%s", err, buf.String())
 	}
@@ -117,7 +114,7 @@ func TestRenderRejectsNameCollision(t *testing.T) {
 	m := trace.NewMetrics()
 	m.Counter("a.b").Add(1)
 	m.Counter("a_b").Add(2)
-	if err := Render(io.Discard, "", m); err == nil {
+	if err := Render(io.Discard, m); err == nil {
 		t.Fatal("colliding sanitized names must not render")
 	}
 }
@@ -155,7 +152,7 @@ func TestSinkFile(t *testing.T) {
 	}
 	defer s.Close()
 	var buf bytes.Buffer
-	if err := Render(&buf, "", buildRegistry()); err != nil {
+	if err := Render(&buf, buildRegistry()); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Update(buf.Bytes()); err != nil {
@@ -183,7 +180,7 @@ func TestSinkHTTP(t *testing.T) {
 	}
 	defer s.Close()
 	var buf bytes.Buffer
-	if err := Render(&buf, "", buildRegistry()); err != nil {
+	if err := Render(&buf, buildRegistry()); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Update(buf.Bytes()); err != nil {
