@@ -247,6 +247,16 @@ func TrialSeed(base uint64, trial int) uint64 {
 	return base*1_000_000 + uint64(trial)
 }
 
+// CellSeed returns the seed trial t of the normalized config c runs under:
+// the base seed unchanged for a single-trial run, TrialSeed(base, t) for a
+// multi-trial one.
+func CellSeed(c Config, trial int) uint64 {
+	if c.Trials <= 1 {
+		return c.Seed
+	}
+	return TrialSeed(c.Seed, trial)
+}
+
 // AttemptSeed derives the seed of retry attempt a of a cell from the cell's
 // trial seed. Attempt 0 is the seed unchanged, so retry-free runs are
 // untouched; later attempts explore a decorrelated seed so a crash tied to
@@ -266,9 +276,8 @@ func faultSeed(seed, n uint64) uint64 {
 	return z ^ z>>31
 }
 
-// RunTrial executes exactly one trial of an experiment. Single-trial configs
-// run with the base seed unchanged; multi-trial configs (cfg.Trials > 1) run
-// trial t with TrialSeed(base, t). cfg is the caller's un-normalized Config.
+// RunTrial executes exactly one trial of an experiment under CellSeed. cfg
+// is the caller's un-normalized Config.
 func RunTrial(id string, cfg Config, trial int) (*Table, error) {
 	return RunTrialAttempt(id, cfg, trial, 0)
 }
@@ -299,9 +308,7 @@ func RunTrialAttemptFn(id string, fn Runner, cfg Config, trial, attempt int) (*T
 	if trial < 0 || trial >= c.Trials {
 		return nil, fmt.Errorf("experiments: trial %d out of range [0,%d)", trial, c.Trials)
 	}
-	if c.Trials > 1 {
-		c.Seed = TrialSeed(c.Seed, trial)
-	}
+	c.Seed = CellSeed(c, trial)
 	if attempt > 0 {
 		c.Seed = AttemptSeed(c.Seed, attempt)
 	}

@@ -153,7 +153,7 @@ func Run(ctx context.Context, ids []string, cfg experiments.Config, opts Options
 	event := func(o Outcome[*experiments.Table]) Event {
 		id, t := ids[o.Index/trials], o.Index%trials
 		return Event{Done: o.Done, Total: o.Total, Index: o.Index, ID: id, Trial: t,
-			Seed: trialSeed(norm, t), Attempt: o.Attempt, Err: o.Err, Table: o.Value, Elapsed: o.Elapsed}
+			Seed: experiments.CellSeed(norm, t), Attempt: o.Attempt, Err: o.Err, Table: o.Value, Elapsed: o.Elapsed}
 	}
 	pool := Pool[*experiments.Table]{N: len(tracers), Workers: opts.Parallel, Retries: opts.Retries,
 		// Each attempt runs under its derived attempt seed and, when traced,
@@ -229,12 +229,4 @@ func Run(ctx context.Context, ids []string, cfg experiments.Config, opts Options
 		results[k] = r
 	}
 	return results, ctx.Err()
-}
-
-// trialSeed mirrors RunTrial's seed choice for reporting.
-func trialSeed(norm experiments.Config, trial int) uint64 {
-	if norm.Trials <= 1 {
-		return norm.Seed
-	}
-	return experiments.TrialSeed(norm.Seed, trial)
 }
