@@ -494,8 +494,7 @@ func analyzeTrace(tracer *trace.Tracer, results []runner.Result,
 func writeReport(path string, results []runner.Result) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "# mobileqoe results report\n\n")
-	fmt.Fprintf(&b, "Generated %s by `qoesim -report`. Deterministic for a given seed.\n\n",
-		time.Now().UTC().Format(time.RFC3339))
+	fmt.Fprintf(&b, "Generated by `qoesim -report`. Deterministic for a given seed.\n\n")
 	for _, r := range results {
 		tab := r.Table
 		if tab == nil {

@@ -142,6 +142,22 @@ func TestReportUsesRunResults(t *testing.T) {
 	}
 }
 
+// TestReportGolden pins the -report file of a small run byte for byte: the
+// report says it is deterministic for a given seed, so it carries no wall
+// clock. Regenerate with
+//
+//	go run ./cmd/qoesim -run fig3a -pages 1 -report cmd/qoesim/testdata/report_fig3a.md
+func TestReportGolden(t *testing.T) {
+	report := filepath.Join(t.TempDir(), "r.md")
+	if code, _, stderr := runArgs(t, "-run", "fig3a", "-pages", "1", "-report", report); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	got, want := readFile(t, report), readFile(t, filepath.Join("testdata", "report_fig3a.md"))
+	if !bytes.Equal(got, want) {
+		t.Errorf("report changed:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+}
+
 // TestScenarioBuiltinFaultPlan: a scenario file naming the built-in plan
 // runs exactly as the same scenario under -faults default.
 func TestScenarioBuiltinFaultPlan(t *testing.T) {
