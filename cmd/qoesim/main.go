@@ -463,15 +463,11 @@ func analyzeTrace(tracer *trace.Tracer, results []runner.Result,
 		fmt.Fprintf(stderr, "qoesim: wrote folded stacks to %s\n", foldedPath)
 	}
 	if check {
-		var merged *trace.Metrics
-		for _, r := range results {
-			if r.Table != nil && r.Table.Metrics != nil {
-				if merged == nil {
-					merged = trace.NewMetrics()
-				}
-				merged.Merge(r.Table.Metrics)
-			}
+		tables := make([]*experiments.Table, len(results))
+		for i, r := range results {
+			tables[i] = r.Table
 		}
+		merged := experiments.MergeMetrics(tables)
 		if merged == nil {
 			merged = trace.NewMetrics()
 		}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"mobileqoe/cmd/internal/obsflag"
+	"mobileqoe/internal/device"
 	"mobileqoe/internal/dsp"
 	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/rex"
@@ -53,12 +54,13 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("regexdsp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	big := device.Pixel2().Big // the defaults price the CPU side on a Pixel2 big core
 	var (
 		pattern = fs.String("pattern", "", "run a single pattern instead of the suite")
 		input   = fs.String("input", "", "input string for -pattern")
 		repeat  = fs.Float64("repeat", 400, "evaluations batched per offloaded RPC")
-		cpuMHz  = fs.Float64("cpu-mhz", 2457, "application core clock (MHz)")
-		cpuIPC  = fs.Float64("cpu-ipc", 1.9, "application core IPC")
+		cpuMHz  = fs.Float64("cpu-mhz", big.FMax.MHz(), "application core clock (MHz)")
+		cpuIPC  = fs.Float64("cpu-ipc", big.IPC, "application core IPC")
 	)
 	ob := obsflag.Register(fs,
 		"write a Chrome trace-event JSON of each workload's FastRPC call, one trace process per workload, to this file")
@@ -128,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "%-19s %-11s %-11s %-11s %-11s %s\n",
 		"workload", "bt-steps", "pike-steps", "cpu-time", "dsp-time", "winner")
-	var reg *trace.Metrics
+	var tables []*experiments.Table
 	exit := 0
 	for _, r := range results {
 		var ce compileError
@@ -145,16 +147,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		row := r.Table.Rows[0]
 		fmt.Fprintf(stdout, "%-19s %-11s %-11s %-11s %-11s %s\n", row[0], row[1], row[2], row[3], row[4], row[5])
-		if m := r.Table.Metrics; m != nil {
-			if reg == nil {
-				reg = trace.NewMetrics()
-			}
-			reg.Merge(m)
-		}
+		tables = append(tables, r.Table)
 	}
 	fmt.Fprintf(stdout, "\n(batch=%0.f evaluations/RPC; '!' = backtracking step limit hit; DSP %s @ %.2f cyc/step, RPC %v)\n",
 		*repeat, dsp.Freq, dsp.DSPCyclesPerStep, dsp.DefaultRPCOverhead)
-	if err := ob.Write(stdout, reg, tr); err != nil {
+	if err := ob.Write(stdout, experiments.MergeMetrics(tables), tr); err != nil {
 		fmt.Fprintln(stderr, "regexdsp:", err)
 		return 1
 	}
@@ -182,10 +179,9 @@ func price(w workload, repeat, rate float64) experiments.Runner {
 		d := dsp.New(s, dsp.Config{Obs: c.Obs(w.name)})
 		cpuCycles := dsp.CPUCycles(br.Steps) * repeat
 		cpuTime := units.DurationFor(cpuCycles, units.Freq(rate))
-		dspTime := d.ServiceTime(int64(float64(pr.Steps)*repeat)) +
-			d.Config().RPCOverhead +
-			time.Duration(float64(len(w.input))*repeat/1024*float64(dsp.MarshalPerKB))
-		d.Call(int64(float64(pr.Steps)*repeat), int(float64(len(w.input))*repeat), nil)
+		steps, bytes := int64(float64(pr.Steps)*repeat), int(float64(len(w.input))*repeat)
+		dspTime := d.Latency(steps, bytes)
+		d.Call(steps, bytes, nil)
 		s.Run()
 
 		btSteps := fmt.Sprintf("%d", br.Steps)

@@ -121,15 +121,12 @@ func (d *DSP) ServiceTime(pikeSteps int64) time.Duration {
 	return units.DurationFor(float64(pikeSteps)*DSPCyclesPerStep, Freq)
 }
 
-// CallLatency returns the end-to-end latency a caller would observe for a
-// call issued now: RPC overhead, input marshaling, FIFO queueing behind
-// earlier calls, and service.
-func (d *DSP) CallLatency(pikeSteps int64, inputBytes int) time.Duration {
-	lat := d.rpcCost(inputBytes) + d.ServiceTime(pikeSteps)
-	if q := d.busyUntil - d.s.Now(); q > 0 {
-		lat += q
-	}
-	return lat
+// Latency is the priced cost of one FastRPC call on an idle DSP: RPC
+// overhead, input marshaling and service. It is the one price of a batched
+// call: the ePLT re-evaluation, the offload energy table and regexdsp all
+// read it.
+func (d *DSP) Latency(pikeSteps int64, inputBytes int) time.Duration {
+	return d.rpcCost(inputBytes) + d.ServiceTime(pikeSteps)
 }
 
 func (d *DSP) rpcCost(inputBytes int) time.Duration {

@@ -57,14 +57,15 @@ func TestFIFOQueueing(t *testing.T) {
 	}
 }
 
-func TestCallLatencyIncludesQueue(t *testing.T) {
+// TestLatencyPrice pins the priced FastRPC call: overhead, marshal and
+// service, with no queueing (an idle DSP), whatever calls are in flight.
+func TestLatencyPrice(t *testing.T) {
 	s := sim.New()
 	d := New(s, Config{})
-	idle := d.CallLatency(1_000_000, 0)
-	d.Call(10_000_000, 0, nil) // occupy the DSP for 10 ms
-	queued := d.CallLatency(1_000_000, 0)
-	if queued <= idle {
-		t.Fatalf("queued latency %v should exceed idle %v", queued, idle)
+	d.Call(10_000_000, 0, nil) // a busy DSP does not change the price
+	// 100µs RPC + 2 KiB at 500ns/KiB + 1M steps at 0.55 cycles/step on 800 MHz.
+	if got, want := d.Latency(1_000_000, 2048), 100*time.Microsecond+time.Microsecond+687500*time.Nanosecond; got != want {
+		t.Fatalf("Latency = %v, want %v", got, want)
 	}
 	s.Run()
 }

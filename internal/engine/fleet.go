@@ -6,6 +6,7 @@ import (
 
 	"mobileqoe/internal/fleet"
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/runner"
 )
 
 // RunFleet supervises a compiled fleet's shards. It is the one fleet
@@ -27,28 +28,21 @@ func RunFleet(ctx context.Context, r *fleet.Runner, restored map[int]*fleet.Shar
 func shardCell(spec *fleet.Spec, ev fleet.Event) runlog.Cell {
 	c := runlog.Cell{
 		Index: ev.Shard, ID: "fleet:" + spec.Name, Trial: ev.Shard,
-		Seed:    fleet.TupleSeed(spec.Seed, uint64(ev.Start)),
-		Attempt: ev.Attempt, Status: "ok",
+		Seed:     fleet.TupleSeed(spec.Seed, uint64(ev.Start)),
+		Attempt:  ev.Attempt,
 		WallMS:   float64(ev.Elapsed) / float64(time.Millisecond),
 		Restored: ev.Restored,
 	}
 	if ev.Restored && ev.Result != nil {
 		c.WallMS = ev.Result.WallMS
 	}
-	if ev.Err != nil {
-		c.Status = "error"
-		c.ErrorClass = runlog.ClassifyError(ev.Err)
-		c.Error = ev.Err.Error()
-	}
+	c.SetOutcome(ev.Err)
 	return c
 }
 
-// RenderFleet renders a fleet's merged table exactly as qoesim prints it
-// (ASCII table + blank line, or CSV).
+// RenderFleet renders a fleet's merged table exactly as qoesim prints it,
+// through RenderResults.
 func RenderFleet(spec *fleet.Spec, m *fleet.Merged, csv bool) []byte {
-	table := m.Table(spec)
-	if csv {
-		return []byte(table.CSV())
-	}
-	return append([]byte(table.String()), '\n')
+	out, _ := RenderResults([]runner.Result{{Table: m.Table(spec)}}, csv)
+	return out
 }

@@ -250,14 +250,24 @@ func (o *Observer) writeHealth(now time.Time) {
 		WallP95MS: o.wall.Quantile(0.95),
 		Runtime:   runlog.CaptureRuntime(),
 	}
-	// Rate over cells actually executed here: restored cells completed in a
-	// previous process, so counting them would inflate the rate and report
-	// a near-zero ETA at the start of a resumed run.
-	if fresh := o.done - o.restored; elapsed > 0 && fresh > 0 {
-		h.CellsPerSec = float64(fresh) / elapsed.Seconds()
-		h.ETAMS = float64(o.total-o.done) / h.CellsPerSec * 1000
+	if rate, etaS, ok := o.rate(elapsed); ok {
+		h.CellsPerSec = rate
+		h.ETAMS = etaS * 1000
 	}
 	o.keep(o.log.Health(h))
+}
+
+// rate returns the cells/s and the ETA in seconds over the cells executed in
+// this process: restored cells completed in a previous process, so counting
+// them would inflate the rate and report a near-zero ETA at the start of a
+// resumed run. ok is false until a fresh cell completed. Caller holds o.mu.
+func (o *Observer) rate(elapsed time.Duration) (perSec, etaS float64, ok bool) {
+	fresh := o.done - o.restored
+	if elapsed <= 0 || fresh <= 0 {
+		return 0, 0, false
+	}
+	perSec = float64(fresh) / elapsed.Seconds()
+	return perSec, float64(o.total-o.done) / perSec, true
 }
 
 // draw redraws the meter line. Caller holds o.mu.
@@ -271,10 +281,8 @@ func (o *Observer) draw(now time.Time, final bool) {
 	if o.restored > 0 {
 		line += fmt.Sprintf(" restored=%d", o.restored)
 	}
-	// Rate/ETA from freshly-executed cells only (see the restored field).
-	if fresh := o.done - o.restored; elapsed > 0 && fresh > 0 {
-		rate := float64(fresh) / elapsed.Seconds()
-		eta := time.Duration(float64(o.total-o.done) / rate * float64(time.Second))
+	if rate, etaS, ok := o.rate(elapsed); ok {
+		eta := time.Duration(etaS * float64(time.Second))
 		line += fmt.Sprintf(" | %.1f cells/s eta %v", rate, eta.Round(time.Second))
 		line += fmt.Sprintf(" | wall p50 %.0fms p95 %.0fms", o.wall.Quantile(0.5), o.wall.Quantile(0.95))
 	}

@@ -56,9 +56,9 @@ type Config struct {
 
 	// Faults, when non-nil, attaches this fault plan to every system a trial
 	// builds. Each system's injector is seeded from the trial seed and the
-	// system's ordinal within the trial (see faultSeed), so a faulted trial
-	// is byte-identical whether the harness runs it sequentially or on a
-	// worker pool.
+	// system's ordinal within the trial (stats.SplitMix64), so a faulted
+	// trial is byte-identical whether the harness runs it sequentially or on
+	// a worker pool.
 	Faults *fault.Plan
 
 	// reg is the registry of the currently executing trial; RunTrial creates
@@ -157,37 +157,7 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s — %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
+	trace.WriteAligned(&b, append([][]string{t.Columns}, t.Rows...))
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
@@ -263,17 +233,6 @@ func CellSeed(c Config, trial int) uint64 {
 // one pathological corpus draw does not repeat forever.
 func AttemptSeed(seed uint64, attempt int) uint64 {
 	return seed ^ uint64(attempt)*0x9e3779b97f4a7c15
-}
-
-// faultSeed derives the injector seed of the n-th system a trial builds
-// (splitmix64-style finalizer over the trial seed and the ordinal).
-func faultSeed(seed, n uint64) uint64 {
-	z := seed + (n+1)*0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ z>>31
 }
 
 // RunTrial executes exactly one trial of an experiment under CellSeed. cfg

@@ -41,7 +41,7 @@ func MergeTrials(trials []*Table) *Table {
 		}
 	}
 
-	out := &Table{ID: first.ID, Title: first.Title, Metrics: mergeMetrics(trials)}
+	out := &Table{ID: first.ID, Title: first.Title, Metrics: MergeMetrics(trials)}
 	cells := make([][][]string, len(first.Rows)) // [row][outCol] -> values
 	for i := range cells {
 		cells[i] = make([][]string, 0, len(first.Columns))
@@ -101,15 +101,16 @@ func MergeTrials(trials []*Table) *Table {
 	return out
 }
 
-// mergeMetrics folds the per-trial registries together strictly in trial
+// MergeMetrics folds the tables' registries together strictly in slice
 // order — the same by-index discipline the table merge uses — so a parallel
 // run's registry is identical to a sequential one's (and, because sketch
 // merges are exact, the merged quantiles are byte-identical for any shard
-// decomposition). Returns nil when no trial carried a registry.
-func mergeMetrics(trials []*Table) *trace.Metrics {
+// decomposition). Nil tables are skipped. Returns nil when no table carried
+// a registry.
+func MergeMetrics(tables []*Table) *trace.Metrics {
 	var out *trace.Metrics
-	for _, tr := range trials {
-		if tr.Metrics == nil {
+	for _, tr := range tables {
+		if tr == nil || tr.Metrics == nil {
 			continue
 		}
 		if out == nil {

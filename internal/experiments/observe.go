@@ -5,6 +5,7 @@ import (
 	"mobileqoe/internal/device"
 	"mobileqoe/internal/fault"
 	"mobileqoe/internal/obs"
+	"mobileqoe/internal/stats"
 )
 
 // NewSystem is how every registry runner builds a device: core.NewSystem
@@ -20,7 +21,7 @@ func (c Config) NewSystem(spec device.Spec, opts ...core.Option) *core.System {
 		// which worker runs the trial or what ran before it.
 		n := *c.faultSeq
 		*c.faultSeq++
-		opts = append(opts, core.WithFaultPlan(c.Faults, faultSeed(c.Seed, n)))
+		opts = append(opts, core.WithFaultPlan(c.Faults, stats.SplitMix64(c.Seed, n)))
 	}
 	if c.Trace == nil && c.reg == nil {
 		return core.NewSystem(spec, opts...)

@@ -28,14 +28,12 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
-	"regexp"
 	"strings"
 
 	"mobileqoe/internal/experiments"
-	"mobileqoe/internal/fault"
 	"mobileqoe/internal/netsim"
 	"mobileqoe/internal/scenario"
+	"mobileqoe/internal/stats"
 	"mobileqoe/internal/strictjson"
 )
 
@@ -103,8 +101,6 @@ type WeightedPlan struct {
 	Weight int    `json:"weight"`
 }
 
-var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]*$`)
-
 // maxWeight bounds a single entry's weight so the cumulative table cannot
 // overflow and a fat-fingered weight fails at parse time.
 const maxWeight = 1 << 20
@@ -145,11 +141,8 @@ func Load(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w (in %s)", err, path)
 	}
-	dir := filepath.Dir(path)
 	for i, p := range s.FaultPlans {
-		if !fault.Builtin(p.Plan) && !filepath.IsAbs(p.Plan) {
-			s.FaultPlans[i].Plan = filepath.Join(dir, p.Plan)
-		}
+		s.FaultPlans[i].Plan = scenario.PlanPath(path, p.Plan)
 	}
 	return s, nil
 }
@@ -175,7 +168,7 @@ func (s *Spec) applyDefaults() {
 // Validate checks the spec (after defaults). Exported so -fleet-shards
 // overrides can revalidate.
 func (s *Spec) Validate() error {
-	if s.Name == "" || !nameRE.MatchString(s.Name) {
+	if !scenario.IsSlug(s.Name) {
 		return fmt.Errorf("fleet: name %q must be a slug (lowercase letters, digits, _ , -)", s.Name)
 	}
 	if s.Population < 1 || s.Population > maxPopulation {
@@ -257,19 +250,12 @@ func checkWeight(name, what string, w int) error {
 	return nil
 }
 
-// TupleSeed derives tuple i's root seed from the spec seed with a
-// splitmix64-style finalizer (the same construction experiments uses for
-// per-system fault seeds). The schedule is pinned by test — changing it
-// invalidates every checkpoint, which is why the checkpoint manifest
-// records SeedSchedule and Open refuses a mismatch.
-func TupleSeed(seed uint64, i uint64) uint64 {
-	z := seed + (i+1)*0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// TupleSeed derives tuple i's root seed from the spec seed: output i of
+// stats.SplitMix64, the mixer experiments uses for per-system fault seeds.
+// The schedule is pinned by test — changing it invalidates every
+// checkpoint, which is why the checkpoint manifest records SeedSchedule and
+// Open refuses a mismatch.
+func TupleSeed(seed uint64, i uint64) uint64 { return stats.SplitMix64(seed, i) }
 
 // ShardRange is the contiguous tuple range [start, end) of shard k — the
 // balanced integer partition, so any population splits without remainder

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"mobileqoe/internal/trace"
 )
 
 // Differential profile — the automated answer to "where does the slow
@@ -142,7 +144,7 @@ func (d *Diff) WriteTable(w io.Writer, top int) error {
 			fmt.Sprintf("%+.3f", e.DCrit()),
 		})
 	}
-	writeAligned(&b, rows)
+	trace.WriteAligned(&b, rows)
 	if truncated > 0 {
 		fmt.Fprintf(&b, "... %d more entries\n", truncated)
 	}

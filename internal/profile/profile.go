@@ -284,7 +284,7 @@ func (p *Profile) Table(top int) string {
 		fmt.Fprintf(&b, ", %d loads, ePLT sum %.3f ms", p.Loads, p.EPLTms)
 	}
 	b.WriteString(" ==\n")
-	writeAligned(&b, rows)
+	trace.WriteAligned(&b, rows)
 	if truncated > 0 {
 		fmt.Fprintf(&b, "... %d more entries (self below cutoff)\n", truncated)
 	}
@@ -293,34 +293,3 @@ func (p *Profile) Table(top int) string {
 
 // ms renders a duration in milliseconds with fixed precision.
 func ms(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d)/1e6) }
-
-// writeAligned renders rows[0] as a header with a separator line, columns
-// padded to the widest cell.
-func writeAligned(b *strings.Builder, rows [][]string) {
-	widths := make([]int, len(rows[0]))
-	for _, r := range rows {
-		for i, cell := range r {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for ri, r := range rows {
-		for i, cell := range r {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-		if ri == 0 {
-			for i, w := range widths {
-				if i > 0 {
-					b.WriteString("  ")
-				}
-				b.WriteString(strings.Repeat("-", w))
-			}
-			b.WriteByte('\n')
-		}
-	}
-}

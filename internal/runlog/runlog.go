@@ -247,6 +247,18 @@ func ClassifyError(err error) string {
 	}
 }
 
+// SetOutcome records a cell's outcome: status "ok" for a nil err, else
+// status "error" with ClassifyError's class and the message. Experiment
+// cells and fleet shards both map their error through it.
+func (c *Cell) SetOutcome(err error) {
+	c.Status = "ok"
+	if err != nil {
+		c.Status = "error"
+		c.ErrorClass = ClassifyError(err)
+		c.Error = err.Error()
+	}
+}
+
 // Writer emits the NDJSON stream. It enforces the structural contract at
 // write time — manifest first, cell indexes strictly increasing, nothing
 // after the summary — so a malformed log is a bug at the producing site, not

@@ -102,14 +102,10 @@ type Event struct {
 func (ev Event) Cell() runlog.Cell {
 	c := runlog.Cell{
 		Index: ev.Index, ID: ev.ID, Trial: ev.Trial, Seed: ev.Seed,
-		Attempt: ev.Attempt, Status: "ok",
-		WallMS: float64(ev.Elapsed) / float64(time.Millisecond),
+		Attempt: ev.Attempt,
+		WallMS:  float64(ev.Elapsed) / float64(time.Millisecond),
 	}
-	if ev.Err != nil {
-		c.Status = "error"
-		c.ErrorClass = runlog.ClassifyError(ev.Err)
-		c.Error = ev.Err.Error()
-	}
+	c.SetOutcome(ev.Err)
 	if ev.Table != nil && ev.Table.Metrics != nil {
 		reg := ev.Table.Metrics
 		c.VirtualMS = reg.LookupCounter("sim.virtual_ms").Value()

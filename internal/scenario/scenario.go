@@ -108,7 +108,23 @@ const (
 	axisDevice   = "device"
 )
 
-var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]*$`)
+// Spec-file rules shared by scenarios and fleet specs (internal/fleet).
+var slugRE = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]*$`)
+
+// IsSlug reports whether name is a valid scenario or fleet name: a lowercase
+// slug of [a-z0-9_-] starting with a letter or digit.
+func IsSlug(name string) bool { return slugRE.MatchString(name) }
+
+// PlanPath resolves a fault plan named in the spec file at specPath: a
+// relative plan file resolves against the spec's directory, so a spec and
+// its plans travel together. An empty plan, a built-in plan name and an
+// absolute path are returned unchanged.
+func PlanPath(specPath, plan string) string {
+	if plan == "" || fault.Builtin(plan) || filepath.IsAbs(plan) {
+		return plan
+	}
+	return filepath.Join(filepath.Dir(specPath), plan)
+}
 
 // devices maps scenario device keys to catalog constructors. Keys are slugs,
 // not the marketing names the specs carry, so files stay grep-able.
@@ -169,15 +185,13 @@ func Load(path string) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario: %s: %w", path, err)
 	}
 	s.SourceSHA256 = fmt.Sprintf("%x", sha256.Sum256(data))
-	if s.FaultPlan != "" && !fault.Builtin(s.FaultPlan) && !filepath.IsAbs(s.FaultPlan) {
-		s.FaultPlan = filepath.Join(filepath.Dir(path), s.FaultPlan)
-	}
+	s.FaultPlan = PlanPath(path, s.FaultPlan)
 	return s, nil
 }
 
 // Validate checks the scenario and returns the first problem found.
 func (s *Scenario) Validate() error {
-	if !nameRE.MatchString(s.Name) {
+	if !IsSlug(s.Name) {
 		return fmt.Errorf("scenario: name %q must be a lowercase slug ([a-z0-9_-])", s.Name)
 	}
 	if s.Title == "" {

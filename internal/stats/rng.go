@@ -17,21 +17,24 @@ type RNG struct {
 // NewRNG returns a generator seeded from the given value. Two RNGs created
 // with the same seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
-	// SplitMix64 to spread the seed across both words.
-	z := seed + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	r.s0 = z ^ (z >> 31)
-	z = seed + 0x9e3779b97f4a7c15
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	r.s1 = z ^ (z >> 31)
+	r := &RNG{s0: SplitMix64(seed, 0), s1: SplitMix64(seed, 1)}
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s1 = 1
 	}
 	return r
+}
+
+// SplitMix64 returns output n of the splitmix64 generator seeded with seed:
+// the state advanced n+1 golden-ratio steps, then finalized. It is the one
+// seed mixer: NewRNG's two state words, per-system fault seeds and fleet
+// tuple seeds all derive from it, and checkpoints pin its schedule.
+func SplitMix64(seed, n uint64) uint64 {
+	z := seed + (n+1)*0x9e3779b97f4a7c15
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Uint64 returns the next 64 random bits (xoroshiro128+).

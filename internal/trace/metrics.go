@@ -201,6 +201,22 @@ func (m *Metrics) TableTitled(note string) string {
 		rows = append(rows, []string{name, "hist", strconv.FormatInt(h.Count(), 10), num(h.Mean()),
 			num(h.Min()), num(h.Max()), num(h.Quantile(0.5)), num(h.Quantile(0.9)), num(h.Quantile(0.99))})
 	}
+	var b strings.Builder
+	if note != "" {
+		fmt.Fprintf(&b, "== metrics (%s) ==\n", note)
+	} else {
+		b.WriteString("== metrics ==\n")
+	}
+	WriteAligned(&b, rows)
+	return b.String()
+}
+
+// WriteAligned writes rows as an aligned ASCII table: rows[0] is the header,
+// followed by a dash rule under each column; every cell is left-justified to
+// its column's widest cell, and cells are two spaces apart. A row may be
+// shorter than the header, never longer. It is the one table writer behind
+// the experiment tables, the metrics table and the profile tables.
+func WriteAligned(b *strings.Builder, rows [][]string) {
 	widths := make([]int, len(rows[0]))
 	for _, r := range rows {
 		for i, cell := range r {
@@ -209,18 +225,12 @@ func (m *Metrics) TableTitled(note string) string {
 			}
 		}
 	}
-	var b strings.Builder
-	if note != "" {
-		fmt.Fprintf(&b, "== metrics (%s) ==\n", note)
-	} else {
-		b.WriteString("== metrics ==\n")
-	}
 	for ri, r := range rows {
 		for i, cell := range r {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			fmt.Fprintf(b, "%-*s", widths[i], cell)
 		}
 		b.WriteByte('\n')
 		if ri == 0 {
@@ -233,7 +243,6 @@ func (m *Metrics) TableTitled(note string) string {
 			b.WriteByte('\n')
 		}
 	}
-	return b.String()
 }
 
 // num renders an aggregate value compactly and platform-stably.

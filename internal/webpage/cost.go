@@ -50,9 +50,7 @@ func (p *Profile) RegexDSPTime(d *dsp.DSP) time.Duration {
 	if p.Regex.Count == 0 {
 		return 0
 	}
-	steps, bytes := p.RegexDSPWork()
-	return d.ServiceTime(steps) + d.Config().RPCOverhead +
-		time.Duration(float64(bytes)/1024*float64(dsp.MarshalPerKB))
+	return d.Latency(p.RegexDSPWork())
 }
 
 // RegexDSPWork returns the Pike-VM steps and the input bytes of the
