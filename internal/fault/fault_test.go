@@ -142,7 +142,7 @@ func TestResolveReferences(t *testing.T) {
 
 func TestNilInjectorAnswersNoFault(t *testing.T) {
 	var i *fault.Injector
-	if i.Active(fault.BurstLoss) || i.SegmentLost() || i.ConnResets() ||
+	if i.SegmentLost() || i.ConnResets() ||
 		i.ServerErrors() || i.DSPCallFails() {
 		t.Fatal("nil injector reported a fault")
 	}

@@ -24,8 +24,6 @@ type Injector struct {
 	m   *trace.Metrics
 	tid int // trace lane, 0 when tracing is off
 
-	// active counts open windows per kind (windows of one kind may overlap).
-	active map[Kind]int
 	// burst is the innermost open burst-loss spec, with its GE chain state.
 	burst     *Spec
 	geBad     bool
@@ -58,7 +56,7 @@ func NewInjector(s *sim.Sim, p *Plan, rng *stats.RNG, tr *trace.Tracer, pid int,
 	if rng == nil {
 		rng = stats.NewRNG(0xFA17)
 	}
-	inj := &Injector{s: s, rng: rng, tr: tr, pid: pid, m: m, active: map[Kind]int{}}
+	inj := &Injector{s: s, rng: rng, tr: tr, pid: pid, m: m}
 	if tr != nil {
 		inj.tid = tr.Thread(pid, "fault:injector")
 	}
@@ -75,7 +73,6 @@ func NewInjector(s *sim.Sim, p *Plan, rng *stats.RNG, tr *trace.Tracer, pid int,
 
 // open activates one window and schedules its close.
 func (i *Injector) open(sp *Spec, at time.Duration) {
-	i.active[sp.Kind]++
 	switch sp.Kind {
 	case BurstLoss:
 		i.burst = sp
@@ -107,7 +104,6 @@ func (i *Injector) open(sp *Spec, at time.Duration) {
 // close deactivates the window and emits the recovery span that pairs with
 // the open instant (profile.FaultsRecovered checks the pairing).
 func (i *Injector) close(sp *Spec, openedAt time.Duration) {
-	i.active[sp.Kind]--
 	remove := func(list []*Spec) []*Spec {
 		for k, x := range list {
 			if x == sp {
@@ -152,9 +148,6 @@ func (i *Injector) OnFault(k Kind, fn func()) {
 	}
 	i.observers[k] = append(i.observers[k], fn)
 }
-
-// Active reports whether any window of kind k is open.
-func (i *Injector) Active(k Kind) bool { return i != nil && i.active[k] > 0 }
 
 // SegmentLost samples the burst-loss process for one segment, advancing the
 // Gilbert–Elliott chain. Outside a burst window it reports false without

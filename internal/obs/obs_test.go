@@ -3,7 +3,6 @@ package obs_test
 import (
 	"testing"
 
-	"mobileqoe/internal/fault"
 	"mobileqoe/internal/obs"
 )
 
@@ -27,7 +26,7 @@ func TestZeroCtxIsNilSafe(t *testing.T) {
 	if n := o.Histogram("cpu.task_cycles").Count(); n != 0 {
 		t.Errorf("dark histogram recorded %d observations", n)
 	}
-	if o.Faults.Active(fault.BurstLoss) || o.Faults.SegmentLost() || o.Faults.ExtraRTT() != 0 {
+	if o.Faults.SegmentLost() || o.Faults.ExtraRTT() != 0 {
 		t.Error("nil injector reported an active fault")
 	}
 	o.BindMeter() // nil meter: must be a no-op, not a panic
