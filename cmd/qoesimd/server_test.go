@@ -282,6 +282,10 @@ func TestServeHealthAndMetricsEndpoints(t *testing.T) {
 			t.Fatalf("/metrics missing %s:\n%s", want, body)
 		}
 	}
+	// Served, run_elapsed_ms is the server's uptime, and its HELP says so.
+	if help := "# HELP mobileqoe_run_elapsed_ms wall time since the command's run or the qoesimd server started\n"; !strings.Contains(string(body), help) {
+		t.Fatalf("/metrics lacks %q:\n%s", help, body)
+	}
 	// The server runs jobs, not a run of cells: the engine counters count
 	// them, and no run_cells family mislabels them as cells.
 	for _, absent := range []string{"mobileqoe_run_cells_done", "mobileqoe_run_cells_total"} {

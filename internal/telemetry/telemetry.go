@@ -137,7 +137,7 @@ func RenderCells(w io.Writer, done, total int) {
 // RenderHealth writes the health families. Everything here is wall-clock
 // class — never compare these bytes across runs.
 func RenderHealth(w io.Writer, h Health) {
-	emit(w, "run_elapsed_ms", "gauge", "wall time since the run started", h.ElapsedMS)
+	emit(w, "run_elapsed_ms", "gauge", "wall time since the command's run or the qoesimd server started", h.ElapsedMS)
 	if h.Wall != nil && h.Wall.N() > 0 {
 		emit(w, "run_cell_wall_p50_ms", "gauge", "median wall time of a cell run so far", h.Wall.Quantile(0.5))
 		emit(w, "run_cell_wall_p95_ms", "gauge", "95th percentile wall time of a cell run so far", h.Wall.Quantile(0.95))
