@@ -17,33 +17,44 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/stats"
 )
 
-var (
-	summarize = flag.Bool("summary", false,
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args on its own flag set and returns
+// the exit code, so tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("runlogcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	summarize := fs.Bool("summary", false,
 		"after validating, print a digest per file: cell counts by status, error-class breakdown, wall/virtual-time quantiles")
-	truncated = flag.Bool("truncated", false,
+	truncated := fs.Bool("truncated", false,
 		"accept crash/kill-shaped logs: missing closing summary and a torn final line pass, and the last healthy cell is reported")
-)
-
-func main() {
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: runlogcheck [-summary] [-truncated] <runlog.ndjson> [...]")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: runlogcheck [-summary] [-truncated] <runlog.ndjson> [...]")
+		return 2
 	}
 	bad := false
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		f, err := os.Open(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "runlogcheck: %v\n", err)
+			fmt.Fprintf(stderr, "runlogcheck: %v\n", err)
 			bad = true
 			continue
 		}
@@ -55,7 +66,7 @@ func main() {
 		}
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "runlogcheck: %s: %v\n", path, err)
+			fmt.Fprintf(stderr, "runlogcheck: %s: %v\n", path, err)
 			bad = true
 			continue
 		}
@@ -66,37 +77,38 @@ func main() {
 		if c.TornTail {
 			summary += ", torn final line"
 		}
-		fmt.Printf("%s: ok — tool=%s schema=%d cells=%d (ok=%d failed=%d) health=%d alerts=%d exemplars=%d %s\n",
+		fmt.Fprintf(stdout, "%s: ok — tool=%s schema=%d cells=%d (ok=%d failed=%d) health=%d alerts=%d exemplars=%d %s\n",
 			path, c.Manifest.Tool, c.Manifest.Schema, c.Cells, c.CellsOK, c.CellsFailed,
 			c.Health, c.Alerts, c.Exemplars, summary)
 		if *truncated && !c.HasSummary {
 			if lc := c.LastOK; lc != nil {
-				fmt.Printf("  last healthy cell: index=%d id=%s trial=%d wall_ms=%.0f\n",
+				fmt.Fprintf(stdout, "  last healthy cell: index=%d id=%s trial=%d wall_ms=%.0f\n",
 					lc.Index, lc.ID, lc.Trial, lc.WallMS)
 			} else {
-				fmt.Println("  last healthy cell: (none recorded before the crash)")
+				fmt.Fprintln(stdout, "  last healthy cell: (none recorded before the crash)")
 			}
 			if lc := c.LastCell; lc != nil && (c.LastOK == nil || lc.Index != c.LastOK.Index) {
-				fmt.Printf("  last intact cell:  index=%d id=%s trial=%d status=%s\n",
+				fmt.Fprintf(stdout, "  last intact cell:  index=%d id=%s trial=%d status=%s\n",
 					lc.Index, lc.ID, lc.Trial, lc.Status)
 			}
 		}
 		if *summarize {
-			if err := digest(path, c); err != nil {
-				fmt.Fprintf(os.Stderr, "runlogcheck: %s: %v\n", path, err)
+			if err := digest(stdout, path, c); err != nil {
+				fmt.Fprintf(stderr, "runlogcheck: %s: %v\n", path, err)
 				bad = true
 			}
 		}
 	}
 	if bad {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // digest re-reads an already-validated log and prints the -summary block:
 // cell counts by status, the error-class breakdown, and wall/virtual-time
 // quantiles over the cells.
-func digest(path string, c runlog.Counts) error {
+func digest(w io.Writer, path string, c runlog.Counts) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -124,14 +136,14 @@ func digest(path string, c runlog.Counts) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	fmt.Printf("  cells by status: %s\n", countLine(status))
+	fmt.Fprintf(w, "  cells by status: %s\n", countLine(status))
 	if len(classes) > 0 {
-		fmt.Printf("  error classes:   %s\n", countLine(classes))
+		fmt.Fprintf(w, "  error classes:   %s\n", countLine(classes))
 	}
-	fmt.Printf("  wall ms:         %s\n", quantileLine(wall))
-	fmt.Printf("  virtual ms:      %s\n", quantileLine(virtual))
+	fmt.Fprintf(w, "  wall ms:         %s\n", quantileLine(wall))
+	fmt.Fprintf(w, "  virtual ms:      %s\n", quantileLine(virtual))
 	if c.HasSummary && c.Summary.SLOViolations > 0 {
-		fmt.Printf("  slo violations:  %d\n", c.Summary.SLOViolations)
+		fmt.Fprintf(w, "  slo violations:  %d\n", c.Summary.SLOViolations)
 	}
 	return nil
 }
@@ -159,18 +171,10 @@ func quantileLine(vs []float64) string {
 	if len(vs) == 0 {
 		return "(no cells)"
 	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	q := func(p float64) float64 {
-		// Continuous rank interpolation over n samples.
-		r := p * float64(len(sorted)-1)
-		lo := int(r)
-		if lo+1 >= len(sorted) {
-			return sorted[len(sorted)-1]
-		}
-		frac := r - float64(lo)
-		return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
+	var s stats.Sample
+	for _, v := range vs {
+		s.Add(v)
 	}
 	return fmt.Sprintf("p50=%.1f p90=%.1f p99=%.1f max=%.1f n=%d",
-		q(0.5), q(0.9), q(0.99), sorted[len(sorted)-1], len(sorted))
+		s.Percentile(50), s.Percentile(90), s.Percentile(99), s.Percentile(100), len(vs))
 }
