@@ -122,9 +122,8 @@ func (d *DSP) ServiceTime(pikeSteps int64) time.Duration {
 }
 
 // Latency is the priced cost of one FastRPC call on an idle DSP: RPC
-// overhead, input marshaling and service. It is the one price of a batched
-// call: the ePLT re-evaluation, the offload energy table and regexdsp all
-// read it.
+// overhead, input marshaling and service. Every consumer that prices a
+// batched offload call (webpage.Profile.RegexDSPTime, regexdsp) reads it.
 func (d *DSP) Latency(pikeSteps int64, inputBytes int) time.Duration {
 	return d.rpcCost(inputBytes) + d.ServiceTime(pikeSteps)
 }
