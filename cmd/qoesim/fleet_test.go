@@ -13,7 +13,22 @@ import (
 
 	"mobileqoe/internal/fleet"
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/strictjson"
 )
+
+// readRunState decodes the checkpoint's run_state.json.
+func readRunState(t *testing.T, ck string) fleet.RunState {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(ck, "run_state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st fleet.RunState
+	if err := strictjson.Decode(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 // writeFleetSpec writes a spec with the given population into dir and
 // returns its path. Shards is left to overrides so the bytes — and the
@@ -92,10 +107,7 @@ func TestFleetStopAfterResumeByteIdentical(t *testing.T) {
 	if !strings.Contains(stderr, "-resume") {
 		t.Errorf("interrupt stderr missing resume hint:\n%s", stderr)
 	}
-	st, err := fleet.ReadState(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := readRunState(t, ck)
 	if st.Status != "interrupted" || st.Completed != 2 {
 		t.Fatalf("run state = %+v, want interrupted with 2 completed", st)
 	}
@@ -189,10 +201,7 @@ func TestFleetSIGINT(t *testing.T) {
 		t.Fatalf("exit code %d, want %d (distinct from failure=%d and ok=%d)", code, exitInterrupted, exitFailed, exitOK)
 	}
 
-	st, err := fleet.ReadState(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := readRunState(t, ck)
 	if st.Status != "interrupted" || st.Completed < 1 {
 		t.Fatalf("run state = %+v, want interrupted with >=1 completed shard", st)
 	}

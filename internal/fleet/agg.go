@@ -104,6 +104,19 @@ func (r *ShardResult) observe(metric string, v float64) {
 	a.Observe(v)
 }
 
+// record adds one tuple's outcome.
+func (r *ShardResult) record(out outcome) {
+	r.Tuples++
+	if out.errClass != "" {
+		r.TuplesFailed++
+		r.TupleErrors[out.errClass]++
+		return
+	}
+	for _, o := range out.obs[:out.n] {
+		r.observe(o.metric, o.value)
+	}
+}
+
 // Merged is the exact fold of shard results. It deliberately carries no
 // trace of the sharding (no shard count, no per-shard data): its canonical
 // rendering must be identical whether it came from 1 shard or 100.

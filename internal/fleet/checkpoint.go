@@ -268,19 +268,6 @@ func (c *Checkpoint) WriteState(st RunState) error {
 	return atomicfile.Write(filepath.Join(c.dir, stateName), append(b, '\n'), 0o644)
 }
 
-// ReadState reads run_state.json.
-func ReadState(dir string) (RunState, error) {
-	var st RunState
-	data, err := os.ReadFile(filepath.Join(dir, stateName))
-	if err != nil {
-		return st, err
-	}
-	if err := strictjson.Decode(data, &st); err != nil {
-		return st, fmt.Errorf("fleet: run state: %w", err)
-	}
-	return st, nil
-}
-
 // WriteFinal writes final.json: the canonical merged bytes (FinalBytes).
 func (c *Checkpoint) WriteFinal(m *Merged) error {
 	b, err := FinalBytes(c.spec, m)

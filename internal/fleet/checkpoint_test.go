@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mobileqoe/internal/strictjson"
 )
 
 func cpSpec(t *testing.T) *Spec {
@@ -192,8 +194,12 @@ func TestRunStateRoundTrip(t *testing.T) {
 	if err := cp.WriteState(RunState{Status: "interrupted", Completed: 3, Restored: 1}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReadState(dir)
+	data, err := os.ReadFile(filepath.Join(dir, stateName))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var st RunState
+	if err := strictjson.Decode(data, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Status != "interrupted" || st.Completed != 3 || st.Restored != 1 {

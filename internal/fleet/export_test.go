@@ -9,3 +9,6 @@ func SetShardHook(fn func(ctx context.Context, shard, attempt int) error) func()
 	shardHook = fn
 	return func() { shardHook = old }
 }
+
+// Simulations reports how many tuples r has simulated, memo hits excluded.
+func (r *Runner) Simulations() int64 { return r.sims.Load() }

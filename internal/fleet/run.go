@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mobileqoe/internal/core"
@@ -19,8 +21,10 @@ import (
 // Runner is a compiled spec: catalog lookups resolved, fault plans loaded,
 // the shared page corpus built, and the weighted axes turned into
 // cumulative pick tables. Compiling once up front means a tuple's hot path
-// does no parsing, no file IO, and no map lookups. A Runner is read-only
-// after Compile, so shard workers share it freely.
+// does no parsing and no file IO. Shard workers share one Runner: all of it
+// but the outcome memo is read-only after Compile, and the memo is guarded
+// by mu. The memo lives and dies with the Runner, so no run reuses another
+// run's simulations.
 type Runner struct {
 	spec   *Spec
 	base   experiments.Config
@@ -30,6 +34,30 @@ type Runner struct {
 	plans  []*fault.Plan // index-aligned with spec.FaultPlans; nil = none
 
 	devPick, netPick, wlPick, planPick pickTable
+
+	mu   sync.Mutex
+	memo map[tupleKey]outcome // fault-free tuples already simulated
+	sims atomic.Int64         // simulations run, memo hits excluded
+}
+
+// tupleKey is a tuple's inputs as axis indexes: device, network, workload
+// entry, and page (-1 for non-page workloads). Without a fault plan these
+// fix the outcome, because the tuple seed reaches nothing in the simulation
+// but the fault injector.
+type tupleKey struct{ dev, net, wl, page int }
+
+// outcome is what one tuple records: its observed metrics, or the class of
+// its error. Only scalars: a core.Result would keep every memoized page
+// load's activities alive for the whole run.
+type outcome struct {
+	obs      [2]observation
+	n        int    // obs[:n] were observed
+	errClass string // runlog.ClassifyError of a failed tuple, else ""
+}
+
+type observation struct {
+	metric string
+	value  float64
 }
 
 // Spec returns the spec this runner was compiled from.
@@ -42,7 +70,7 @@ func (s *Spec) Compile() (*Runner, error) {
 	// shared by every tuple — so the per-seed corpus cache holds one entry
 	// per fleet, not one per tuple.
 	base := experiments.Config{Seed: s.Seed, Pages: s.Pages}.WithDefaults()
-	r := &Runner{spec: s, base: base, corpus: base.Corpus()}
+	r := &Runner{spec: s, base: base, corpus: base.Corpus(), memo: map[tupleKey]outcome{}}
 	for _, d := range s.DeviceMix {
 		spec, ok := scenario.DeviceSpec(d.Device)
 		if !ok {
@@ -95,59 +123,84 @@ func (t pickTable) pick(rng *stats.RNG) int {
 	return len(t.cum) - 1 // unreachable: cum[n-1] == total > r
 }
 
-// runTuple samples and executes global tuple i into sh. Everything the
-// tuple does — axis draws, page choice, simulation randomness, fault
-// injection — derives from TupleSeed(seed, i), so the outcome is identical
-// no matter which shard, attempt, or process runs it. The draw order
-// (device, network, workload, fault plan, then page) is part of the seed
-// schedule and must never change.
+// runTuple samples and executes global tuple i into sh. The tuple seed
+// TupleSeed(seed, i) feeds the axis draws, the page choice and the fault
+// injector, so the outcome is identical no matter which shard, attempt, or
+// process runs it. The draw order (device, network, workload, fault plan,
+// then page) is part of the seed schedule and must never change.
+//
+// A tuple without a fault plan is simulated once per Runner: later tuples
+// with the same key record the memoized outcome. Two workers that miss the
+// same key at once both simulate it, to the same outcome.
 func (r *Runner) runTuple(i int, sh *ShardResult) {
 	ts := TupleSeed(r.spec.Seed, uint64(i))
 	rng := stats.NewRNG(ts)
-	di := r.devPick.pick(rng)
-	ni := r.netPick.pick(rng)
-	wi := r.wlPick.pick(rng)
+	k := tupleKey{page: -1}
+	k.dev = r.devPick.pick(rng)
+	k.net = r.netPick.pick(rng)
+	k.wl = r.wlPick.pick(rng)
 	pi := r.planPick.pick(rng)
-	w := r.spec.Workloads[wi]
-	var page *webpage.Page
+	w := r.spec.Workloads[k.wl]
 	if w.Kind == experiments.KindPage {
-		page = r.corpus[rng.Intn(len(r.corpus))]
+		k.page = rng.Intn(len(r.corpus))
 	}
 
-	sh.count("device", r.spec.DeviceMix[di].Device)
-	sh.count("network", r.spec.Networks[ni].Name)
+	sh.count("device", r.spec.DeviceMix[k.dev].Device)
+	sh.count("network", r.spec.Networks[k.net].Name)
 	sh.count("workload", w.Kind)
 	sh.count("fault_plan", r.spec.FaultPlans[pi].Plan)
 
+	if plan := r.plans[pi]; plan != nil {
+		sh.record(r.simulate(ts, k, plan))
+		return
+	}
+	r.mu.Lock()
+	out, ok := r.memo[k]
+	r.mu.Unlock()
+	if !ok {
+		out = r.simulate(ts, k, nil)
+		r.mu.Lock()
+		r.memo[k] = out
+		r.mu.Unlock()
+	}
+	sh.record(out)
+}
+
+// simulate runs tuple k on a fresh system under tuple seed ts.
+func (r *Runner) simulate(ts uint64, k tupleKey, plan *fault.Plan) outcome {
+	r.sims.Add(1)
 	cfg := r.base
 	cfg.Seed = ts
 	// WithFaultPlan gives this tuple its own injector sequence rooted at
-	// the tuple seed — fault randomness is tuple-local, like everything
-	// else (nil plan: no injection).
-	cfg = cfg.WithFaultPlan(r.plans[pi])
-	sys := cfg.NewSystem(r.devs[di], core.WithNetwork(r.nets[ni]))
-
-	res, err := w.Run(cfg, sys, page)
-	sh.Tuples++
-	if err != nil {
-		// A failed tuple is population data, not a shard failure: count it
-		// by error class and move on. (Shard-level trouble — panics,
-		// timeouts — is the supervisor's department.)
-		sh.TuplesFailed++
-		sh.TupleErrors[runlog.ClassifyError(err)]++
-		return
+	// the tuple seed — fault randomness is tuple-local (nil plan: no
+	// injection).
+	cfg = cfg.WithFaultPlan(plan)
+	sys := cfg.NewSystem(r.devs[k.dev], core.WithNetwork(r.nets[k.net]))
+	var page *webpage.Page
+	if k.page >= 0 {
+		page = r.corpus[k.page]
 	}
+	res, err := r.spec.Workloads[k.wl].Run(cfg, sys, page)
+	if err != nil {
+		// A failed tuple is population data, not a shard failure: it is
+		// counted by error class. (Shard-level trouble — panics, timeouts —
+		// is the supervisor's department.)
+		return outcome{errClass: runlog.ClassifyError(err)}
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	switch {
 	case res.Page != nil:
-		sh.observe("page.plt_ms", float64(res.Page.PLT)/float64(time.Millisecond))
+		return outcome{n: 1, obs: [2]observation{{"page.plt_ms", ms(res.Page.PLT)}}}
 	case res.Video != nil:
-		sh.observe("video.startup_ms", float64(res.Video.StartupLatency)/float64(time.Millisecond))
-		sh.observe("video.stall_ratio", res.Video.StallRatio)
+		return outcome{n: 2, obs: [2]observation{
+			{"video.startup_ms", ms(res.Video.StartupLatency)},
+			{"video.stall_ratio", res.Video.StallRatio}}}
 	case res.Call != nil:
-		sh.observe("call.setup_ms", float64(res.Call.SetupDelay)/float64(time.Millisecond))
-		sh.observe("call.fps", res.Call.FrameRate)
+		return outcome{n: 2, obs: [2]observation{
+			{"call.setup_ms", ms(res.Call.SetupDelay)},
+			{"call.fps", res.Call.FrameRate}}}
 	default:
-		sh.observe("iperf.throughput_mbps", res.Iperf.Throughput.Mbpsf())
+		return outcome{n: 1, obs: [2]observation{{"iperf.throughput_mbps", res.Iperf.Throughput.Mbpsf()}}}
 	}
 }
 
