@@ -150,6 +150,22 @@ func TestKillResumeByteIdentical(t *testing.T) {
 				if !bytes.Equal(revFinal, wantFinal) {
 					t.Error("reverse-order merge produced different final bytes")
 				}
+
+				// Workers share each runner's outcome memo. Every outcome
+				// the two phases memoized must be the sequential run's,
+				// and together they must cover its fault-free keys.
+				seen := map[tupleKey]bool{}
+				for _, m := range []map[tupleKey]outcome{rs.memo, rs2.memo} {
+					for k, out := range m {
+						if want, ok := r.memo[k]; !ok || out != want {
+							t.Errorf("memo key %+v: outcome %+v, sequential run has %+v (present %v)", k, out, want, ok)
+						}
+						seen[k] = true
+					}
+				}
+				if len(seen) != len(r.memo) {
+					t.Errorf("phases memoized %d distinct keys, sequential run %d", len(seen), len(r.memo))
+				}
 			})
 		}
 	}

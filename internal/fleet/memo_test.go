@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -111,48 +110,6 @@ func TestSimulationCounts(t *testing.T) {
 	}
 }
 
-// TestConcurrentMemoByteIdentical runs fleet_ci.json on 4 workers over 12
-// shards, so workers share and race on one memo, and requires the same
-// final.json bytes as a sequential 1-shard run.
-func TestConcurrentMemoByteIdentical(t *testing.T) {
-	final := func(shards, parallel int) ([]byte, *Runner) {
-		s, err := Load("testdata/fleet_ci.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Shards = shards
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := Run(context.Background(), r, nil, Options{Parallel: parallel})
-		if res.Failed != 0 || res.Interrupted {
-			t.Fatalf("shards=%d parallel=%d: failed=%d interrupted=%v", shards, parallel, res.Failed, res.Interrupted)
-		}
-		b, err := FinalBytes(s, res.Merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, r
-	}
-	want, _ := final(1, 1)
-	got, r := final(12, 4)
-	if !bytes.Equal(got, want) {
-		t.Errorf("final.json at parallel 4 over 12 shards differs from parallel 1\nwant %s\ngot  %s", want, got)
-	}
-	// A key two workers miss at once is simulated twice, so the count is
-	// only bounded; the memo still holds each fault-free key once.
-	if n := r.Simulations(); n < 35 || n > 60 {
-		t.Errorf("simulated %d tuples, want 35..60", n)
-	}
-	if len(r.memo) != 15 {
-		t.Errorf("%d distinct fault-free keys, want 15", len(r.memo))
-	}
-}
-
 // BenchmarkFleetCI runs fleet_ci.json sequentially on a freshly compiled
 // Runner per op, as qoesim -fleet does, and reports the simulations each
 // run made.
@@ -162,7 +119,7 @@ func BenchmarkFleetCI(b *testing.B) {
 		b.Fatal(err)
 	}
 	var sims int64
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		r, err := s.Compile()
 		if err != nil {
 			b.Fatal(err)
