@@ -110,7 +110,10 @@ func TestIdentityManifest(t *testing.T) {
 	defer eng.Close()
 	served := func(req engine.Request) []byte {
 		t.Helper()
-		j, err := eng.Run(context.Background(), req)
+		j, err := eng.Submit(req)
+		if err == nil {
+			err = j.Wait(context.Background())
+		}
 		if err != nil {
 			t.Fatalf("served %+v: %v", req, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"mobileqoe/internal/cpu"
 	"mobileqoe/internal/device"
 	"mobileqoe/internal/telephony"
+	"mobileqoe/internal/trace"
 	"mobileqoe/internal/units"
 	"mobileqoe/internal/video"
 	"mobileqoe/internal/webpage"
@@ -34,9 +35,19 @@ func TestLoadPageEndToEnd(t *testing.T) {
 }
 
 func TestWithClockPinsUserspace(t *testing.T) {
-	sys := NewSystem(device.Nexus4(), WithClock(units.MHz(384)))
-	if sys.CPU.Freq() != units.MHz(384) {
-		t.Fatalf("clock = %v, want 384MHz", sys.CPU.Freq())
+	tr := trace.New()
+	sys := NewObservedSystem(tr, nil, device.Nexus4(), WithClock(units.MHz(384)))
+	samples := 0
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindCounter && e.Name == "freq.cluster0" {
+			samples++
+			if e.Args[0].Val != 384 {
+				t.Fatalf("clock = %vMHz, want 384MHz", e.Args[0].Val)
+			}
+		}
+	}
+	if samples == 0 {
+		t.Fatal("no freq.cluster0 sample in the trace")
 	}
 	fast := NewSystem(device.Nexus4(), WithClock(units.MHz(1512)))
 	slow := sys.LoadPage(quickPage())

@@ -51,8 +51,8 @@ func TestEmptyCtxRunsByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				if sys.Obs.Tracing() != (tr != nil) {
-					t.Fatalf("Obs.Tracing() = %v with tracer %v", sys.Obs.Tracing(), tr != nil)
+				if (sys.Obs.Trace != nil) != (tr != nil) {
+					t.Fatalf("Obs.Trace set %v with tracer %v", sys.Obs.Trace != nil, tr != nil)
 				}
 				return renderResult(res)
 			}

@@ -46,8 +46,8 @@ func TestAccountingIndependentOfObservation(t *testing.T) {
 				}
 			})
 		}
-		s.At(90*time.Millisecond, func() { c.SetUserspaceFreq(units.MHz(702)) })
-		s.At(210*time.Millisecond, func() { c.SetUserspaceFreq(units.MHz(1512)) })
+		s.At(90*time.Millisecond, func() { c.setUserspaceFreq(units.MHz(702)) })
+		s.At(210*time.Millisecond, func() { c.setUserspaceFreq(units.MHz(1512)) })
 		if neighbour {
 			// A chain of short tasks on a core of its own.
 			other := c.NewThread("other", false)
@@ -197,7 +197,7 @@ func runSched(cfg Config, ops []schedOp, horizon time.Duration, full bool) sched
 			case opOnline:
 				c.SetOnlineCores(op.cores)
 			case opFreq:
-				c.SetUserspaceFreq(units.MHz(op.mhz))
+				c.setUserspaceFreq(units.MHz(op.mhz))
 			}
 			if msg := planBookkeeping(c); msg != "" && out.broken == "" {
 				out.broken = fmt.Sprintf("after op %d at %v: %s", i, s.Now(), msg)

@@ -203,7 +203,6 @@ type core struct {
 // Thread is a schedulable FIFO queue of tasks. Create with NewThread.
 type Thread struct {
 	cpu        *CPU
-	name       string
 	foreground bool
 	weight     float64 // scheduling weight (1 = CFS default)
 	queue      []*task
@@ -470,20 +469,6 @@ func (cl *cluster) stepToward(want units.Freq) units.Freq {
 
 // ----- public controls -----
 
-// SetUserspaceFreq retargets the userspace governor. It is the mechanism of
-// the paper's clock sweeps ("we change the clock using ADB on a rooted
-// phone"). Panics when the configured governor is not Userspace.
-func (c *CPU) SetUserspaceFreq(f units.Freq) {
-	if c.cfg.Governor != Userspace {
-		panic("cpu: SetUserspaceFreq requires the userspace governor")
-	}
-	c.cfg.UserspaceFreq = f
-	for _, cl := range c.clusters {
-		c.setFreq(cl, cl.snap(f))
-	}
-	c.reschedule()
-}
-
 // SetOnlineCores hot-(un)plugs cores so that exactly n remain online,
 // keeping big-cluster cores first. n is clamped to [1, total].
 func (c *CPU) SetOnlineCores(n int) {
@@ -528,16 +513,6 @@ func (c *CPU) SetOnlineCores(n int) {
 // OnlineCores returns the number of online cores.
 func (c *CPU) OnlineCores() int { return c.online }
 
-// Freq returns the current big-cluster frequency.
-func (c *CPU) Freq() units.Freq { return c.clusters[0].freq }
-
-// EffectiveRate returns the cycles/second a lone thread of the given kind
-// would currently receive; used by closed-form estimators.
-func (c *CPU) EffectiveRate(foreground bool) float64 {
-	cl := c.clusterFor(foreground)
-	return cl.freq.Hz() * cl.spec.IPC
-}
-
 // CoreBusy returns each core's accumulated busy time.
 func (c *CPU) CoreBusy() []time.Duration {
 	c.syncBusy()
@@ -562,11 +537,11 @@ func (c *CPU) syncBusy() {
 
 // ----- threads & scheduling -----
 
-// NewThread creates an idle thread. Foreground threads follow the device's
-// big.LITTLE foreground placement policy; background threads fill the least
-// loaded cores.
+// NewThread creates an idle thread; name labels its trace lane. Foreground
+// threads follow the device's big.LITTLE foreground placement policy;
+// background threads fill the least loaded cores.
 func (c *CPU) NewThread(name string, foreground bool) *Thread {
-	t := &Thread{cpu: c, name: name, foreground: foreground, weight: 1}
+	t := &Thread{cpu: c, foreground: foreground, weight: 1}
 	t.completeFn = func() { c.onCompletion(t) }
 	if tr := c.cfg.Obs.Trace; tr != nil {
 		t.tid = tr.Thread(c.cfg.Obs.Pid, "cpu:"+name)
@@ -646,9 +621,6 @@ func (t *Thread) reanchor() {
 	t.executed += work
 	cur.anchor = t.cpu.s.Now()
 }
-
-// Name returns the thread's name.
-func (t *Thread) Name() string { return t.name }
 
 func (c *CPU) clusterFor(foreground bool) *cluster {
 	if len(c.clusters) == 1 {

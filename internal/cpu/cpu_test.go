@@ -78,23 +78,12 @@ func TestSetUserspaceFreqMidRun(t *testing.T) {
 	// 1512e6 cycles; halve frequency halfway: 0.5s at 1512MHz does 756e6,
 	// the remaining 756e6 at 756->snap(810) MHz.
 	th.Exec("work", 1512e6, func() { doneAt = s.Now(); c.Stop() })
-	s.At(500*time.Millisecond, func() { c.SetUserspaceFreq(units.MHz(810)) })
+	s.At(500*time.Millisecond, func() { c.setUserspaceFreq(units.MHz(810)) })
 	s.Run()
 	want := 500*time.Millisecond + units.DurationFor(756e6, units.MHz(810))
 	if diff := (doneAt - want).Abs(); diff > 10*time.Microsecond {
 		t.Fatalf("doneAt = %v, want %v", doneAt, want)
 	}
-}
-
-func TestUserspacePanicsUnderOtherGovernor(t *testing.T) {
-	s := sim.New()
-	c := New(s, singleCluster(Performance))
-	defer func() {
-		if recover() == nil {
-			t.Error("SetUserspaceFreq under performance governor did not panic")
-		}
-	}()
-	c.SetUserspaceFreq(units.MHz(810))
 }
 
 func TestParallelThreadsUseMultipleCores(t *testing.T) {
@@ -290,8 +279,8 @@ func TestSaturatedDurationStalls(t *testing.T) {
 func TestOndemandRampsUpUnderLoad(t *testing.T) {
 	s := sim.New()
 	c := New(s, singleCluster(Ondemand))
-	if c.Freq() != units.MHz(384) {
-		t.Fatalf("ondemand should start at fmin, got %v", c.Freq())
+	if c.clusters[0].freq != units.MHz(384) {
+		t.Fatalf("ondemand should start at fmin, got %v", c.clusters[0].freq)
 	}
 	th := c.NewThread("main", true)
 	var doneAt time.Duration
@@ -314,8 +303,8 @@ func TestOndemandIdlesBackDown(t *testing.T) {
 	th := c.NewThread("main", true)
 	th.Exec("work", 1e9, nil)
 	s.RunUntil(5 * time.Second)
-	if c.Freq() != units.MHz(384) {
-		t.Fatalf("idle ondemand freq = %v, want fmin", c.Freq())
+	if c.clusters[0].freq != units.MHz(384) {
+		t.Fatalf("idle ondemand freq = %v, want fmin", c.clusters[0].freq)
 	}
 	c.Stop()
 }
@@ -346,7 +335,7 @@ func TestGovernorFreqWithinBounds(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			s.RunUntil(time.Duration(i+1) * 40 * time.Millisecond)
-			f := c.Freq()
+			f := c.clusters[0].freq
 			if f < units.MHz(384) || f > units.MHz(1512) {
 				t.Fatalf("%s freq %v out of bounds", gov, f)
 			}
@@ -424,14 +413,6 @@ func TestEnergyAccountingHigherAtHighClock(t *testing.T) {
 	}
 	if high/low < 3 {
 		t.Fatalf("f·V² scaling too weak: %v/%v", high, low)
-	}
-}
-
-func TestEffectiveRate(t *testing.T) {
-	s := sim.New()
-	c := New(s, singleCluster(Performance))
-	if r := c.EffectiveRate(true); math.Abs(r-1512e6) > 1 {
-		t.Fatalf("EffectiveRate = %v", r)
 	}
 }
 

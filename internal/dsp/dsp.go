@@ -77,8 +77,6 @@ type DSP struct {
 	s         *sim.Sim
 	cfg       Config
 	busyUntil time.Duration
-	calls     int64
-	busyTotal time.Duration
 	tid       int // trace lane, 0 when tracing is off
 
 	mCalls      *trace.Counter
@@ -105,15 +103,6 @@ func New(s *sim.Sim, cfg Config) *DSP {
 	}
 	return d
 }
-
-// Config returns the effective configuration.
-func (d *DSP) Config() Config { return d.cfg }
-
-// Calls returns the number of served calls.
-func (d *DSP) Calls() int64 { return d.calls }
-
-// BusyTime returns total service time so far.
-func (d *DSP) BusyTime() time.Duration { return d.busyTotal }
 
 // ServiceTime returns the execution-only time for a call of the given Pike
 // step count (no RPC or queueing).
@@ -163,8 +152,6 @@ func (d *DSP) Call(pikeSteps int64, inputBytes int, done func()) {
 	}
 	service := d.ServiceTime(pikeSteps)
 	d.busyUntil = start + service
-	d.calls++
-	d.busyTotal += service
 	if d.cfg.Obs.Meter != nil {
 		m := d.cfg.Obs.Meter
 		d.s.PostAt(start, func() { m.SetPower("dsp", ActiveWatts) })

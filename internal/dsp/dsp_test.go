@@ -1,12 +1,14 @@
 package dsp
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"mobileqoe/internal/energy"
 	"mobileqoe/internal/obs"
 	"mobileqoe/internal/sim"
+	"mobileqoe/internal/trace"
 	"mobileqoe/internal/units"
 )
 
@@ -27,7 +29,8 @@ func TestServiceTimeScalesWithSteps(t *testing.T) {
 
 func TestCallCompletesWithRPCOverhead(t *testing.T) {
 	s := sim.New()
-	d := New(s, Config{})
+	m := trace.NewMetrics()
+	d := New(s, Config{Obs: obs.Ctx{Metrics: m}})
 	var doneAt time.Duration
 	d.Call(1_000_000, 2048, func() { doneAt = s.Now() })
 	s.Run()
@@ -37,8 +40,8 @@ func TestCallCompletesWithRPCOverhead(t *testing.T) {
 	if doneAt < min || doneAt > max {
 		t.Fatalf("call latency = %v, want in [%v, %v]", doneAt, min, max)
 	}
-	if d.Calls() != 1 {
-		t.Fatal("call not counted")
+	if n := m.Counter("dsp.calls").Value(); n != 1 {
+		t.Fatalf("dsp.calls = %v, want 1", n)
 	}
 }
 
@@ -78,7 +81,7 @@ func TestEnergyModelFourXCheaperThanCore(t *testing.T) {
 	d := New(s, Config{Obs: obs.Ctx{Meter: m}})
 	var during float64
 	d.Call(100_000_000, 0, nil) // ~68.75 ms of service
-	s.At(20*time.Millisecond, func() { during = m.Power("dsp") })
+	s.At(20*time.Millisecond, func() { during = m.TotalPower() })
 	s.Run()
 	if during != ActiveWatts {
 		t.Fatalf("active power = %v, want %v", during, ActiveWatts)
@@ -89,7 +92,7 @@ func TestEnergyModelFourXCheaperThanCore(t *testing.T) {
 		t.Fatalf("core/DSP power ratio = %.1f, want ~4-6x", ratio)
 	}
 	// After the burst the meter returns to idle.
-	if p := m.Power("dsp"); p != idleWatts {
+	if p := m.TotalPower(); p != idleWatts {
 		t.Fatalf("post-burst power = %v, want idle", p)
 	}
 }
@@ -102,7 +105,7 @@ func TestBusyWindowExtension(t *testing.T) {
 	d.Call(10_000_000, 0, nil) // ~6.9ms
 	d.Call(10_000_000, 0, nil) // queued, +6.9ms
 	var mid float64
-	s.At(9*time.Millisecond, func() { mid = m.Power("dsp") })
+	s.At(9*time.Millisecond, func() { mid = m.TotalPower() })
 	s.Run()
 	if mid != ActiveWatts {
 		t.Fatalf("power dipped to %v between queued calls", mid)
@@ -118,22 +121,25 @@ func TestCPUCyclesMapping(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	s := sim.New()
 	d := New(s, Config{})
-	if Freq != units.MHz(800) || d.Config().RPCOverhead != 100*time.Microsecond {
-		t.Fatalf("defaults wrong: %v, %+v", Freq, d.Config())
+	if Freq != units.MHz(800) || d.cfg.RPCOverhead != 100*time.Microsecond {
+		t.Fatalf("defaults wrong: %v, %+v", Freq, d.cfg)
 	}
 	if ActiveWatts <= idleWatts {
 		t.Fatal("active must exceed idle")
 	}
 }
 
+// TestBusyTimeAccounting: the dsp.service_us histogram sums the DSP's
+// service time over its calls.
 func TestBusyTimeAccounting(t *testing.T) {
 	s := sim.New()
-	d := New(s, Config{})
+	m := trace.NewMetrics()
+	d := New(s, Config{Obs: obs.Ctx{Metrics: m}})
 	d.Call(1_000_000, 0, nil)
 	d.Call(2_000_000, 0, nil)
 	s.Run()
-	want := time.Duration(3_000_000 * 0.55 / 800e6 * 1e9)
-	if diff := (d.BusyTime() - want).Abs(); diff > 10*time.Microsecond {
-		t.Fatalf("busy time = %v, want %v", d.BusyTime(), want)
+	want := 3_000_000 * 0.55 / 800e6 * 1e6
+	if got := m.Histogram("dsp.service_us").Sum(); math.Abs(got-want) > 10 {
+		t.Fatalf("busy time = %vµs, want %vµs", got, want)
 	}
 }

@@ -96,14 +96,6 @@ func (c *Component) SetPower(watts float64) {
 	c.watts = watts
 }
 
-// Power returns the current power draw of a component (0 if never set).
-func (m *Meter) Power(name string) float64 {
-	if c, ok := m.comps[name]; ok {
-		return c.watts
-	}
-	return 0
-}
-
 // TotalPower returns the current total power across all components,
 // summed in name order so the float result does not depend on map order.
 func (m *Meter) TotalPower() float64 {
@@ -121,21 +113,6 @@ func (m *Meter) Energy(name string) float64 {
 		return 0
 	}
 	return c.joules + c.watts*(m.now()-c.since).Seconds()
-}
-
-// TotalEnergy returns the total energy in joules across all components,
-// summed in name order like TotalPower.
-func (m *Meter) TotalEnergy() float64 {
-	t := 0.0
-	for _, name := range m.names {
-		t += m.Energy(name)
-	}
-	return t
-}
-
-// Components returns the known component names in sorted order.
-func (m *Meter) Components() []string {
-	return append([]string(nil), m.names...)
 }
 
 // VoltageCurve maps core clock frequency to supply voltage. Mobile SoCs run

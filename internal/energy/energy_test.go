@@ -36,15 +36,14 @@ func TestMeterMultipleComponents(t *testing.T) {
 	m.SetPower("cpu", 1)
 	m.SetPower("dsp", 0.25)
 	c.t = 4 * time.Second
-	if e := m.TotalEnergy(); math.Abs(e-5) > 1e-9 {
-		t.Fatalf("total = %v, want 5 J", e)
+	if e := m.Energy("cpu"); math.Abs(e-4) > 1e-9 {
+		t.Fatalf("cpu = %v, want 4 J", e)
+	}
+	if e := m.Energy("dsp"); math.Abs(e-1) > 1e-9 {
+		t.Fatalf("dsp = %v, want 1 J", e)
 	}
 	if p := m.TotalPower(); math.Abs(p-1.25) > 1e-9 {
 		t.Fatalf("power = %v, want 1.25 W", p)
-	}
-	comps := m.Components()
-	if len(comps) != 2 || comps[0] != "cpu" || comps[1] != "dsp" {
-		t.Fatalf("components = %v", comps)
 	}
 }
 
@@ -65,15 +64,14 @@ func TestComponentHandleMatchesByName(t *testing.T) {
 		h.SetPower(w)
 		byName.SetPower("dsp", w/2)
 		byHandle.SetPower("dsp", w/2)
-		if a, b := byName.TotalEnergy(), byHandle.TotalEnergy(); a != b {
-			t.Fatalf("step %d: energy %v by name, %v by handle", i, a, b)
+		for _, name := range []string{"cpu", "dsp"} {
+			if a, b := byName.Energy(name), byHandle.Energy(name); a != b {
+				t.Fatalf("step %d: %s energy %v by name, %v by handle", i, name, a, b)
+			}
 		}
-		if a, b := byName.Power("cpu"), byHandle.Power("cpu"); a != b {
+		if a, b := byName.TotalPower(), byHandle.TotalPower(); a != b {
 			t.Fatalf("step %d: power %v by name, %v by handle", i, a, b)
 		}
-	}
-	if a, b := byName.Components(), byHandle.Components(); !slices.Equal(a, b) {
-		t.Fatalf("components %v by name, %v by handle", a, b)
 	}
 }
 
@@ -142,15 +140,12 @@ func TestMeterTotalsSumInNameOrder(t *testing.T) {
 		if p := m.TotalPower(); p != 1e16+2 {
 			t.Fatalf("power = %v, want %v", p, 1e16+2)
 		}
-		if e := m.TotalEnergy(); e != 1e16+2 {
-			t.Fatalf("energy = %v, want %v", e, 1e16+2)
-		}
 	}
 }
 
 func TestMeterUnknownComponent(t *testing.T) {
 	m := NewMeter((&fakeClock{}).now)
-	if m.Energy("nope") != 0 || m.Power("nope") != 0 {
+	if m.Energy("nope") != 0 || m.TotalPower() != 0 {
 		t.Fatal("unknown component should read zero")
 	}
 }

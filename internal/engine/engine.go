@@ -40,7 +40,7 @@ import (
 // the fleet supervisor); passing one here is an error.
 func ExecutePlan(ctx context.Context, p *Plan, opts runner.Options) ([]runner.Result, error) {
 	if p.Kind == "fleet" {
-		return nil, errors.New("engine: fleet plans execute through Engine.Run, not ExecutePlan")
+		return nil, errors.New("engine: fleet plans execute through Engine.Submit, not ExecutePlan")
 	}
 	opts.Resolve = p.Resolve
 	return runner.Run(ctx, p.IDs, p.Cfg, opts)
@@ -363,19 +363,6 @@ func requestTimeout(secs float64, limit time.Duration) time.Duration {
 		return time.Duration(ns)
 	}
 	return math.MaxInt64
-}
-
-// Run submits req and waits for the result — the synchronous convenience
-// used by tests and one-shot callers.
-func (e *Engine) Run(ctx context.Context, req Request) (*Job, error) {
-	j, err := e.Submit(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := j.Wait(ctx); err != nil {
-		return j, err
-	}
-	return j, nil
 }
 
 func (e *Engine) newJobLocked(p *Plan, req Request, timeout time.Duration) *Job {

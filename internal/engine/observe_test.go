@@ -84,7 +84,7 @@ func TestMeterRestoredCells(t *testing.T) {
 // type, decoded.
 func jobLog(t *testing.T, j *Job, typ string) (runlog.Counts, []map[string]any) {
 	t.Helper()
-	data := j.Log().Bytes()
+	data := logBytes(j)
 	counts, err := runlog.Validate(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("job log invalid: %v\n%s", err, data)
@@ -149,7 +149,7 @@ func TestServedSLOMatchesCLI(t *testing.T) {
 	}
 
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 4, Parallel: 2})
-	j, err := e.Run(context.Background(), Request{Scenario: doc, Pages: 2})
+	j, err := runJob(context.Background(), e, Request{Scenario: doc, Pages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestServedSLOMatchesCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := e.Run(context.Background(), Request{Scenario: plain, Pages: 2})
+	pj, err := runJob(context.Background(), e, Request{Scenario: plain, Pages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

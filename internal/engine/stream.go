@@ -48,13 +48,6 @@ func (b *FollowBuf) wakeLocked() {
 	b.changed = make(chan struct{})
 }
 
-// Bytes snapshots the current contents.
-func (b *FollowBuf) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]byte(nil), b.buf...)
-}
-
 // next returns the bytes past off, whether the buffer is closed, and a
 // channel that is closed on the next append or Close.
 func (b *FollowBuf) next(off int) (data []byte, closed bool, changed <-chan struct{}) {

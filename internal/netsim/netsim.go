@@ -625,14 +625,6 @@ func (c *Conn) Abort() {
 	c.acksSinceACK = 0
 }
 
-// Established reports whether the handshake has completed.
-func (c *Conn) Established() bool { return c.established }
-
-// PendingRequests returns the number of queued plus active requests.
-func (c *Conn) PendingRequests() int {
-	return len(c.pending) + len(c.actives)
-}
-
 // ----- datagram flows (telephony media path) -----
 
 // Datagram delivery state for interactive media: no retransmission, no

@@ -32,8 +32,10 @@ func TestConnectTakesAboutOneRTT(t *testing.T) {
 	if at < 10*time.Millisecond || at > 12*time.Millisecond {
 		t.Fatalf("handshake took %v, want ~RTT", at)
 	}
-	if !conn.Established() {
-		t.Fatal("not established")
+	fired := false
+	conn.Connect(func() { fired = true })
+	if !fired {
+		t.Fatal("not established: a second Connect waited")
 	}
 }
 
@@ -85,7 +87,7 @@ func TestRequestsAreFIFO(t *testing.T) {
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
 	}
-	if conn.PendingRequests() != 0 {
+	if len(conn.pending)+len(conn.actives) != 0 {
 		t.Fatal("requests left over")
 	}
 }

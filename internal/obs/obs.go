@@ -45,11 +45,6 @@ type Ctx struct {
 	Meter *energy.Meter
 }
 
-// Tracing reports whether a tracer is attached. Prefer guarding span
-// emission (and its argument construction) behind this so the tracing-off
-// path allocates nothing.
-func (o Ctx) Tracing() bool { return o.Trace != nil }
-
 // Lane allocates a trace thread lane under the context's process and
 // returns its id, or 0 when tracing is off. Subsystems call it once at
 // construction for each execution lane they emit spans onto.

@@ -12,8 +12,8 @@ import (
 // thread one Ctx unconditionally instead of nil-checking five fields.
 func TestZeroCtxIsNilSafe(t *testing.T) {
 	var o obs.Ctx
-	if o.Tracing() {
-		t.Error("zero Ctx reports Tracing() = true")
+	if o.Trace != nil {
+		t.Error("zero Ctx has a tracer")
 	}
 	if id := o.Lane("net.rx"); id != 0 {
 		t.Errorf("zero Ctx allocated lane %d", id)
@@ -41,7 +41,7 @@ func TestZeroCtxZeroAllocs(t *testing.T) {
 	tasks := o.Counter("cpu.tasks")
 	cycles := o.Histogram("cpu.task_cycles")
 	avg := testing.AllocsPerRun(1000, func() {
-		if o.Tracing() {
+		if o.Trace != nil {
 			panic("unreachable: zero Ctx never traces")
 		}
 		tasks.Add(1)

@@ -196,6 +196,3 @@ func (d *DFA) Match(s string) (bool, int64) {
 	}
 	return st.match || st.endMatch, steps
 }
-
-// StateCount returns the number of memoized DFA states (a size proxy).
-func (d *DFA) StateCount() int { return len(d.states) }

@@ -48,7 +48,7 @@ func TestDFAReuseAcrossInputs(t *testing.T) {
 	if later >= first {
 		t.Logf("warm steps %d vs cold %d (cache growth across inputs is allowed)", later, first)
 	}
-	if d.StateCount() == 0 {
+	if len(d.states) == 0 {
 		t.Fatal("no states memoized")
 	}
 }
@@ -92,8 +92,8 @@ func TestDFAStateBound(t *testing.T) {
 		}
 		d.Match(b.String())
 	}
-	if d.StateCount() > maxDFAStates {
-		t.Fatalf("state table exceeded bound: %d", d.StateCount())
+	if len(d.states) > maxDFAStates {
+		t.Fatalf("state table exceeded bound: %d", len(d.states))
 	}
 }
 

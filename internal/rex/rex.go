@@ -46,10 +46,6 @@ type Prog struct {
 	anchoredStart bool
 }
 
-// NumInst returns the compiled program length (a size proxy for RPC
-// marshaling cost in the offload model).
-func (p *Prog) NumInst() int { return len(p.insts) }
-
 func (p *Prog) String() string {
 	return fmt.Sprintf("rex.Prog(%q, %d insts)", p.pattern, len(p.insts))
 }

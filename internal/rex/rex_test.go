@@ -202,10 +202,10 @@ func TestBacktrackLimitZeroUsesDefault(t *testing.T) {
 }
 
 func TestNumInst(t *testing.T) {
-	if MustCompile("abc").NumInst() != 4 { // 3 chars + match
+	if len(MustCompile("abc").insts) != 4 { // 3 chars + match
 		t.Fatal("unexpected program size")
 	}
-	if MustCompile("").NumInst() != 1 {
+	if len(MustCompile("").insts) != 1 {
 		t.Fatal("empty pattern should compile to bare match")
 	}
 }

@@ -98,14 +98,12 @@ func validateSLO(name string, slo map[string]Rule) error {
 // metrics evaluate in sorted name order. Two runs of the same configuration
 // therefore emit byte-identical alert records.
 //
-// A nil *Watchdog (no slo: block) is inert: ObserveCell returns nil and
-// Violations reports 0.
+// A nil *Watchdog (no slo: block) is inert: ObserveCell returns nil.
 type Watchdog struct {
 	rules   map[string]Rule
 	metrics []string // sorted watch list
 	agg     map[string]*stats.HistSketch
 	tripped map[string]bool
-	trips   int
 }
 
 // NewWatchdog builds a watchdog for a validated slo: block; nil when the
@@ -143,7 +141,6 @@ func (w *Watchdog) ObserveCell(index int, id string, trial int, m *trace.Metrics
 			return
 		}
 		w.tripped[key] = true
-		w.trips++
 		out = append(out, runlog.Alert{
 			Metric: metric, Rule: rule, Threshold: threshold, Value: value,
 			CellIndex: index, CellID: id, Trial: trial, N: n,
@@ -190,13 +187,4 @@ func (w *Watchdog) ObserveCell(index int, id string, trial int, m *trace.Metrics
 		}
 	}
 	return out
-}
-
-// Violations counts the distinct (metric, rule) pairs that have tripped —
-// the summary.slo_violations value and the -slo-exit decision.
-func (w *Watchdog) Violations() int {
-	if w == nil {
-		return 0
-	}
-	return w.trips
 }

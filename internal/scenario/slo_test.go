@@ -65,10 +65,12 @@ func TestWatchdogTripsOncePerRule(t *testing.T) {
 	// trips immediately, but with 2 samples the p99 rank estimate still sits
 	// in the fast bucket. Cell 2: slow again — the p99 estimate crosses.
 	// Cell 3: same — every rule already tripped, so no further alerts.
+	alerts := 0
 	if got := w.ObserveCell(0, "fig3a", 0, cellReg(100, 1, 1)); len(got) != 0 {
 		t.Fatalf("healthy cell alerted: %+v", got)
 	}
 	got := w.ObserveCell(1, "fig3a", 1, cellReg(30000, 2, 1))
+	alerts += len(got)
 	if len(got) != 1 {
 		t.Fatalf("alerts = %+v, want eq_injected only", got)
 	}
@@ -77,6 +79,7 @@ func TestWatchdogTripsOncePerRule(t *testing.T) {
 		t.Fatalf("eq alert = %+v", got[0])
 	}
 	got = w.ObserveCell(2, "fig3a", 0, cellReg(30000, 2, 1))
+	alerts += len(got)
 	if len(got) != 1 {
 		t.Fatalf("alerts = %+v, want p99 only (eq already tripped)", got)
 	}
@@ -88,8 +91,8 @@ func TestWatchdogTripsOncePerRule(t *testing.T) {
 	if got := w.ObserveCell(3, "fig3a", 1, cellReg(30000, 2, 1)); len(got) != 0 {
 		t.Fatalf("re-alerted: %+v", got)
 	}
-	if w.Violations() != 2 {
-		t.Fatalf("Violations = %d, want 2", w.Violations())
+	if alerts != 2 {
+		t.Fatalf("%d alerts, want 2", alerts)
 	}
 }
 
@@ -117,9 +120,6 @@ func TestWatchdogNilAndAbsent(t *testing.T) {
 	var w *Watchdog
 	if got := w.ObserveCell(0, "x", 0, cellReg(1, 0, 0)); got != nil {
 		t.Fatalf("nil watchdog alerted: %+v", got)
-	}
-	if w.Violations() != 0 {
-		t.Fatal("nil watchdog has violations")
 	}
 	// A watched metric absent from every registry never alerts.
 	thr := 1.0

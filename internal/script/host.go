@@ -40,16 +40,6 @@ var regexMemo = cache.New[regexKey, regexPrice](cache.Config{
 	MaxBytes:   16 << 20,
 })
 
-// SwapRegexMemo replaces the regex memo with an unregistered one holding
-// at most maxEntries, so tests can force cold re-pricing. It returns the
-// new memo's stats and a function restoring the original. Not safe while
-// scripts run.
-func SwapRegexMemo(maxEntries int) (stats func() cache.Stats, restore func()) {
-	old := regexMemo
-	regexMemo = cache.New[regexKey, regexPrice](cache.Config{MaxEntries: maxEntries})
-	return regexMemo.Stats, func() { regexMemo = old }
-}
-
 // priceRegex runs pattern over input on the Pike VM and on the
 // backtracker (bounded by limit; 0 means rex's default), through the memo.
 func priceRegex(pattern, input string, limit int64) (regexPrice, error) {

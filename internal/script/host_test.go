@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"mobileqoe/internal/cache"
 	"mobileqoe/internal/rex"
 )
 
@@ -163,8 +164,9 @@ func TestRegexMemoConcurrent(t *testing.T) {
 		return out
 	}
 	want := profile()
-	_, restore := SwapRegexMemo(8)
-	defer restore()
+	old := regexMemo
+	regexMemo = cache.New[regexKey, regexPrice](cache.Config{MaxEntries: 8})
+	defer func() { regexMemo = old }()
 	var wg sync.WaitGroup
 	got := make([][][]RegexCall, 8)
 	for g := range got {

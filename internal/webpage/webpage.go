@@ -54,7 +54,6 @@ type ResourceType string
 
 // Resource types.
 const (
-	HTML  ResourceType = "html"
 	CSS   ResourceType = "css"
 	JS    ResourceType = "js"
 	Image ResourceType = "img"

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"mobileqoe/internal/cache"
-
 	"mobileqoe/internal/dsp"
 	"mobileqoe/internal/script"
 	"mobileqoe/internal/sim"
+	"mobileqoe/internal/trace"
 	"mobileqoe/internal/units"
 )
 
@@ -252,10 +252,11 @@ func TestUnknownCategoryPanics(t *testing.T) {
 // TestCorpusIdenticalAcrossEviction pins the cache determinism guarantee:
 // a corpus rebuilt after being evicted is identical — page bytes, resource
 // plans, and script profiles down to each regex call — to the one
-// originally served. The rebuild's profiles are loaded with one-entry
-// profile and regex-pricing caches, so it really re-runs its scripts and
-// regexes. Cache state (hit, miss, evict-and-rebuild) can never affect
-// simulation input.
+// originally served. The rebuild's profiles are loaded with a one-entry
+// profile cache, so it really re-runs its scripts; the regex memo they
+// price through is the shared one, whose hits FuzzCountingHost (script)
+// checks against direct pricing. Cache state (hit, miss, evict-and-rebuild)
+// can never affect simulation input.
 func TestCorpusIdenticalAcrossEviction(t *testing.T) {
 	oldCorpus, oldProfiles := corpusCache, profileCache
 	corpusCache = cache.New[corpusKey, []*Page](cache.Config{MaxEntries: 1})
@@ -268,15 +269,14 @@ func TestCorpusIdenticalAcrossEviction(t *testing.T) {
 		t.Fatalf("expected an eviction with MaxEntries=1, stats %+v", s)
 	}
 	profileCache = cache.New[string, *Profile](cache.Config{MaxEntries: 1})
-	regexStats, restoreRegex := script.SwapRegexMemo(1)
-	defer restoreRegex()
 	b := SportsTop20(7) // cold rebuild
 	if s := corpusCache.Stats(); s.Loads != 3 {
 		t.Fatalf("expected 3 cold builds, stats %+v", s)
 	}
+	before := regexLookups()
 	touchProfiles(b)
-	if s := regexStats(); s.Loads == 0 || s.Hits > s.Loads {
-		t.Fatalf("the rebuild did not re-price its regexes, memo stats %+v", s)
+	if n := regexLookups() - before; n == 0 {
+		t.Fatal("the rebuild's scripts priced no regex")
 	}
 
 	if len(a) != len(b) {
@@ -401,28 +401,33 @@ func touchProfiles(pages []*Page) {
 	}
 }
 
-// freshCaches gives the test empty corpus, profile and regex-pricing
-// caches, restored when it ends, and returns the profile and regex stats.
-func freshCaches(t *testing.T) (profiles, regexes func() cache.Stats) {
+// freshCaches gives the test empty corpus and profile caches, restored
+// when it ends, and returns the profile cache's stats.
+func freshCaches(t *testing.T) (profiles func() cache.Stats) {
 	oldCorpus, oldProfiles := corpusCache, profileCache
 	corpusCache = cache.New[corpusKey, []*Page](cache.Config{MaxEntries: 4})
 	profileCache = cache.New[string, *Profile](cache.Config{MaxEntries: 1 << 12})
-	regexStats, restoreRegex := script.SwapRegexMemo(1 << 16)
-	t.Cleanup(func() {
-		corpusCache, profileCache = oldCorpus, oldProfiles
-		restoreRegex()
-	})
-	return profileCache.Stats, regexStats
+	t.Cleanup(func() { corpusCache, profileCache = oldCorpus, oldProfiles })
+	return profileCache.Stats
+}
+
+// regexLookups counts the lookups of the process-wide script.regex memo,
+// read through cache.Publish like any registered cache.
+func regexLookups() float64 {
+	m := trace.NewMetrics()
+	cache.Publish(m)
+	return m.Counter("cache.script.regex.hits").Value() + m.Counter("cache.script.regex.misses").Value()
 }
 
 // TestCorpusBuildRunsNoScript: building a corpus profiles nothing and
 // prices no regex; a page's first profile use runs exactly its distinct
 // scripts, and a second use runs none.
 func TestCorpusBuildRunsNoScript(t *testing.T) {
-	profiles, regexes := freshCaches(t)
+	profiles := freshCaches(t)
+	lookups := regexLookups()
 	pages := Top50(4242)
-	if s, r := profiles(), regexes(); s.Misses != 0 || s.Loads != 0 || r.Misses != 0 || r.Entries != 0 {
-		t.Fatalf("Top50 build profiled scripts: profile cache %+v, regex memo %+v", s, r)
+	if s, r := profiles(), regexLookups()-lookups; s.Misses != 0 || s.Loads != 0 || r != 0 {
+		t.Fatalf("Top50 build profiled scripts: profile cache %+v, %v regex lookups", s, r)
 	}
 
 	page := pages[len(pages)/2]
@@ -436,8 +441,8 @@ func TestCorpusBuildRunsNoScript(t *testing.T) {
 	if s := profiles(); s.Loads != int64(len(srcs)) || s.Entries != len(srcs) {
 		t.Fatalf("touching %s (%d distinct scripts) gave profile cache %+v", page.Name, len(srcs), s)
 	}
-	if r := regexes(); r.Loads == 0 {
-		t.Fatalf("profiling %s priced no regex: %+v", page.Name, r)
+	if regexLookups() == lookups {
+		t.Fatalf("profiling %s priced no regex", page.Name)
 	}
 	before := profiles()
 	touchProfiles([]*Page{page})
@@ -449,7 +454,7 @@ func TestCorpusBuildRunsNoScript(t *testing.T) {
 // TestProfileConcurrentFirstUse: goroutines racing on one resource's first
 // Profile call share one execution and get the same pointer.
 func TestProfileConcurrentFirstUse(t *testing.T) {
-	profiles, _ := freshCaches(t)
+	profiles := freshCaches(t)
 	p := Generate("sports-race.example", Sports, 77)
 	var r *Resource
 	for i := range p.Resources {
