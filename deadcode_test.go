@@ -1,55 +1,65 @@
 package mobileqoe
 
-// The dead-code gate: a name-based scan of every non-test .go file in the
-// repository, perfbench, examples, scripts and cmd included. It lists
+// The dead-code gate type-checks every non-test package in the repository,
+// perfbench, examples, scripts and cmd included, and resolves each
+// identifier to the object it names. It lists
 //
-//   - a top-level func, method, const, var or type that no non-test file
-//     names outside its own declaration;
-//   - a field of a top-level struct type that no non-test file writes. A
-//     write is a keyed composite-literal key, an unkeyed literal of the
-//     field's type, an assignment or op=, ++/--, &x.f, an element write
-//     x.f[i] = …, or a method call on x.f. JSON-tagged fields are skipped,
-//     since the decoder writes them.
+//   - a package-level func, var, const or type that nothing uses outside
+//     its own declaration;
+//   - a method that nothing uses outside its own declaration, unless its
+//     name and signature match a method of some loaded interface type;
+//   - a field of a package-level struct type that nothing reads. The left
+//     side of =, op= and ++/-- and the key of a keyed literal only write a
+//     field; any other use reads it, &x.f, x.f[i] = … and x.f.M() included.
+//     The fields of a struct used as a map key or as a comparable type
+//     argument are read by every comparison. JSON-tagged fields are
+//     skipped, and so are embedded ones, which are read through what they
+//     promote.
 //
-// The scan matches names, not objects, so a dead method that shares its
-// name with a used one (Run, Name) passes. Every finding must be on
-// deadAllow with its reason, and every entry there must still be a finding.
+// Every finding must be on deadAllow with its reason, and every entry there
+// must still be a finding.
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// deadAllow holds what the scan finds on purpose. A reason is
-// "interface method" or "test probe: <test that needs it>".
+// deadAllow holds what the scan finds on purpose. A reason is "interface
+// method", "read by encoding/json" or "test probe: <test that needs it>".
 var deadAllow = map[string]string{
-	"cpu.CPU.OnlineCores":                "test probe: TestHotplugMigratesWork",
-	"cpu.CPU.reference":                  "test probe: TestIncrementalMatchesFullReschedule",
-	"cpu.Config.SwitchOverhead":          "test probe: TestSwitchOverheadSlowsSharedCore",
-	"cpu.NoSwitchOverhead":               "test probe: TestSwitchOverheadSlowsSharedCore",
-	"cpu.Thread.Executed":                "test probe: TestAccountingIndependentOfObservation",
-	"cpu.Thread.Idle":                    "test probe: TestFIFOWithinThread",
-	"obsflag.progressValue.IsBoolFlag":   "interface method",
-	"perfbench.figures.corrupt":          "test probe: TestFiguresCheckCatchesCorruption",
-	"perfbench.fleetBench.corrupt":       "test probe: TestFleetCheckCatchesCorruption",
-	"perfbench.serve.corrupt":            "test probe: TestServeCheckCatchesCorruption",
-	"qoesimd.server.ServeHTTP":           "interface method",
-	"script.CountingHost.BacktrackLimit": "test probe: FuzzScript, FuzzCountingHost",
-	"script.Interp.Global":               "test probe: TestCoreLanguage",
-	"sim.Event.Fired":                    "test probe: TestModelRandomSchedules",
-	"sim.Event.When":                     "test probe: TestRecycledEventFreshness",
-	"telemetry.Lint":                     "test probe: TestLintRejectsMalformed",
+	"cpu.CPU.OnlineCores":              "test probe: TestHotplugMigratesWork",
+	"cpu.NoSwitchOverhead":             "test probe: TestSwitchOverheadSlowsSharedCore",
+	"cpu.Thread.Executed":              "test probe: TestAccountingIndependentOfObservation",
+	"cpu.Thread.Idle":                  "test probe: TestFIFOWithinThread",
+	"engine.Job.Wait":                  "test probe: TestIdentityManifest",
+	"experiments.Run":                  "test probe: TestSingleTrialMatchesDirectRun",
+	"netsim.Network.packets":           "test probe: TestPacketPoolUnderFaults",
+	"obsflag.progressValue.IsBoolFlag": "interface method",
+	"script.Interp.Global":             "test probe: TestCoreLanguage",
+	"script.RegexCall.BTSteps":         "test probe: TestProfileTotalsMatchRecordedCalls",
+	"script.RegexCall.InputLen":        "test probe: TestProfileTotalsMatchRecordedCalls",
+	"script.RegexCall.Matched":         "test probe: TestRegexMemoParity",
+	"script.RegexCall.Pattern":         "test probe: TestRegexMemoParity",
+	"script.RegexCall.PikeSteps":       "test probe: TestProfileTotalsMatchRecordedCalls",
+	"sim.Event.Fired":                  "test probe: TestModelRandomSchedules",
+	"sim.Event.When":                   "test probe: TestRecycledEventFreshness",
+	"telemetry.Lint":                   "test probe: TestLintRejectsMalformed",
 }
 
 func TestDeadCode(t *testing.T) {
-	found, err := scanDead(".")
+	found, err := scanDead(".", "mobileqoe")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,21 +68,24 @@ func TestDeadCode(t *testing.T) {
 	}
 }
 
-// TestDeadCodeFixture checks the scan itself on a tree with one uncalled
-// exported function, one field nothing writes, and the uses a name-based
-// scan must still see: an interface method, a method value and an unkeyed
-// literal.
+// TestDeadCodeFixture checks the scan itself on a two-package tree. It must
+// report an uncalled function, an uncalled method named like a called one,
+// and fields that are only written. It must pass a method reached only
+// through an interface, the fields of a map key and of a comparable type
+// argument, and a JSON-tagged field.
 func TestDeadCodeFixture(t *testing.T) {
-	found, err := scanDead("testdata/deadcode")
+	found, err := scanDead("testdata/deadcode", "fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"fixture.Point.label", "fixture.Uncalled"}
+	want := []string{"fixture.Point.hits", "fixture.Point.label", "fixture.Uncalled", "fixture.size.Scale"}
 	if !reflect.DeepEqual(found, want) {
 		t.Fatalf("scan found %q, want %q", found, want)
 	}
 	got := deadProblems(found, map[string]string{
+		"fixture.Point.hits":  "read by encoding/json",
 		"fixture.Point.label": "test probe: TestDeadCodeFixture",
+		"fixture.size.Scale":  "interface method",
 		"fixture.Gone":        "interface method",
 	})
 	want = []string{
@@ -83,12 +96,14 @@ func TestDeadCodeFixture(t *testing.T) {
 		t.Fatalf("problems %q, want %q", got, want)
 	}
 	got = deadProblems(found, map[string]string{
+		"fixture.Point.hits":  "test probe: TestDeadCodeFixture",
 		"fixture.Point.label": "",
 		"fixture.Uncalled":    "kept",
+		"fixture.size.Scale":  "interface method",
 	})
 	want = []string{
-		`allowlist entry fixture.Point.label: reason "" is neither "interface method" nor "test probe: <test>"`,
-		`allowlist entry fixture.Uncalled: reason "kept" is neither "interface method" nor "test probe: <test>"`,
+		`allowlist entry fixture.Point.label: reason "" is not "interface method", "read by encoding/json" or "test probe: <test>"`,
+		`allowlist entry fixture.Uncalled: reason "kept" is not "interface method", "read by encoding/json" or "test probe: <test>"`,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("problems %q, want %q", got, want)
@@ -106,8 +121,9 @@ func deadProblems(found []string, allow map[string]string) []string {
 		}
 	}
 	for name, reason := range allow {
-		if test, ok := strings.CutPrefix(reason, "test probe: "); reason != "interface method" && (!ok || test == "") {
-			out = append(out, "allowlist entry "+name+`: reason "`+reason+`" is neither "interface method" nor "test probe: <test>"`)
+		test, probe := strings.CutPrefix(reason, "test probe: ")
+		if reason != "interface method" && reason != "read by encoding/json" && (!probe || test == "") {
+			out = append(out, "allowlist entry "+name+`: reason "`+reason+`" is not "interface method", "read by encoding/json" or "test probe: <test>"`)
 		}
 		if !isFound[name] {
 			out = append(out, "stale allowlist entry "+name+": the scan no longer finds it (now used, or gone)")
@@ -117,276 +133,299 @@ func deadProblems(found []string, allow map[string]string) []string {
 	return out
 }
 
-// deadDecl is one top-level name, method or struct field the scan checks.
-type deadDecl struct {
-	name       string    // qualified: pkg.Name, pkg.Recv.Method, pkg.Type.Field
-	ident      string    // the bare name uses are matched on
-	pos, end   token.Pos // a top-level declaration's own extent
-	field      bool
-	structType string // a field's struct type name
-}
-
-// scanDead parses every non-test .go file under root, skipping testdata,
-// hidden and underscore directories below it, and returns the sorted
-// qualified names of what nothing uses.
-func scanDead(root string) ([]string, error) {
+// scanDead type-checks every non-test package under root, skipping
+// testdata, hidden and underscore directories below it, with module as the
+// import path of root. It returns the sorted qualified names of what
+// nothing uses: pkg.Name, pkg.Type.Method or pkg.Type.Field, where a main
+// package is named after its directory.
+func scanDead(root, module string) ([]string, error) {
 	fset := token.NewFileSet()
-	var decls []deadDecl
-	uses := map[string][]token.Pos{} // name → positions of non-declaring idents
-	writtenField := map[string]bool{}
-	writtenType := map[string]bool{} // struct types built by an unkeyed literal
-
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	files := map[string][]*ast.File{} // import path → parsed files
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			base := d.Name()
-			if path != root && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+			if p != root && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); !ok || err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		pkg := f.Name.Name
-		if pkg == "main" {
-			pkg = filepath.Base(filepath.Dir(path))
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
 		}
-		decls = append(decls, topLevelDecls(f, pkg)...)
-		scanUses(f, uses, writtenField, writtenType)
+		ipath := path.Join(module, filepath.ToSlash(rel))
+		files[ipath] = append(files[ipath], f)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	var found []string
-	for _, d := range decls {
-		if d.field {
-			if !writtenField[d.ident] && !writtenType[d.structType] {
-				found = append(found, d.name)
+	// Check the packages in dependency order into one shared Info, so a use
+	// in any package resolves to the object its declaring package made.
+	info := &types.Info{
+		Types:     map[ast.Expr]types.TypeAndValue{},
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Instances: map[*ast.Ident]types.Instance{},
+	}
+	checked := map[string]*types.Package{}
+	std := importer.Default()
+	conf := types.Config{Importer: importerFunc(func(p string) (*types.Package, error) {
+		if pkg, ok := checked[p]; ok {
+			return pkg, nil
+		}
+		return std.Import(p)
+	})}
+	var check func(ipath string) error
+	check = func(ipath string) error {
+		if _, ok := checked[ipath]; ok {
+			return nil
+		}
+		for _, f := range files[ipath] {
+			for _, imp := range f.Imports {
+				dep, _ := strconv.Unquote(imp.Path.Value)
+				if _, ok := files[dep]; ok {
+					if err := check(dep); err != nil {
+						return err
+					}
+				}
 			}
+		}
+		pkg, err := conf.Check(ipath, fset, files[ipath], info)
+		checked[ipath] = pkg
+		return err
+	}
+	paths := make([]string, 0, len(files))
+	for ipath := range files {
+		paths = append(paths, ipath)
+	}
+	sort.Strings(paths)
+	for _, ipath := range paths {
+		if err := check(ipath); err != nil {
+			return nil, err
+		}
+	}
+
+	// The objects the scan checks, each with its qualified name and the
+	// extent of its own declaration.
+	type decl struct {
+		name     string
+		pos, end token.Pos
+	}
+	decls := map[types.Object]decl{}
+	for _, ipath := range paths {
+		pkg := checked[ipath]
+		prefix := pkg.Name() + "."
+		if pkg.Name() == "main" {
+			prefix = path.Base(ipath) + "."
+		}
+		add := func(id *ast.Ident, n ast.Node) {
+			obj := info.Defs[id]
+			if id.Name == "_" || id.Name == "init" || (id.Name == "main" && pkg.Name() == "main") {
+				return
+			}
+			name := prefix + id.Name
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				name = prefix + recvName(fn) + "." + id.Name
+			}
+			decls[obj] = decl{name, n.Pos(), n.End()}
+		}
+		for _, f := range files[ipath] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					add(d.Name, d)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								add(id, spec)
+							}
+						case *ast.TypeSpec:
+							add(spec.Name, spec)
+							if _, ok := spec.Type.(*ast.StructType); !ok || spec.Assign != 0 {
+								continue
+							}
+							st := info.Defs[spec.Name].Type().Underlying().(*types.Struct)
+							for i := 0; i < st.NumFields(); i++ {
+								fld := st.Field(i)
+								if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok || fld.Embedded() || fld.Name() == "_" {
+									continue
+								}
+								decls[fld] = decl{name: prefix + spec.Name.Name + "." + fld.Name()}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// A field is written, not read, where it is the whole left side of an
+	// assignment or ++/--, or the key of a keyed struct literal.
+	written := map[*ast.Ident]bool{}
+	writes := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	for _, ipath := range paths {
+		for _, f := range files[ipath] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						writes(lhs)
+					}
+				case *ast.IncDecStmt:
+					writes(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	used := map[types.Object]bool{}
+	for id, obj := range info.Uses {
+		obj = origin(obj)
+		if v, ok := obj.(*types.Var); ok && v.IsField() && written[id] {
 			continue
 		}
-		used := false
-		for _, p := range uses[d.ident] {
-			if p < d.pos || p >= d.end {
-				used = true
-				break
+		if d, ok := decls[obj]; ok && id.Pos() >= d.pos && id.Pos() < d.end {
+			continue
+		}
+		used[obj] = true
+	}
+
+	// Comparing a struct reads every field: mark those of map keys and of
+	// comparable type arguments.
+	var compared func(t types.Type)
+	compared = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				used[u.Field(i).Origin()] = true
+				compared(u.Field(i).Type())
+			}
+		case *types.Array:
+			compared(u.Elem())
+		}
+	}
+	ifaces := map[string][]*types.Signature{} // interface method name → signatures
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				ifaces[m.Name()] = append(ifaces[m.Name()], m.Type().(*types.Signature))
 			}
 		}
-		if !used {
-			found = append(found, d.name)
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			compared(m.Key())
 		}
+		addIface(tv.Type)
+	}
+	for id, inst := range info.Instances {
+		var tparams *types.TypeParamList
+		switch t := inst.Type.(type) {
+		case *types.Named:
+			tparams = t.Origin().TypeParams()
+		case *types.Signature:
+			if fn, ok := info.Uses[id].(*types.Func); ok {
+				tparams = fn.Origin().Type().(*types.Signature).TypeParams()
+			}
+		}
+		for i := 0; i < tparams.Len(); i++ {
+			if tparams.At(i).Constraint().Underlying().(*types.Interface).IsComparable() {
+				compared(inst.TypeArgs.At(i))
+			}
+		}
+	}
+	// Every named interface of every loaded package, the standard library
+	// included, can call a method it matches.
+	seen := map[*types.Package]bool{}
+	var visit func(pkg *types.Package)
+	visit = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range checked {
+		visit(pkg)
+	}
+	implements := func(fn *types.Func) bool {
+		for _, sig := range ifaces[fn.Name()] {
+			if types.Identical(sig, fn.Type()) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var found []string
+	for obj, d := range decls {
+		if used[obj] {
+			continue
+		}
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && implements(fn) {
+			continue
+		}
+		found = append(found, d.name)
 	}
 	sort.Strings(found)
 	return found, nil
 }
 
-// topLevelDecls lists a file's functions, methods, consts, vars, types and
-// the non-JSON fields of its struct types. main and init are entry points,
-// and _ is no name.
-func topLevelDecls(f *ast.File, pkg string) []deadDecl {
-	var out []deadDecl
-	add := func(name string, id *ast.Ident, n ast.Node) {
-		if id.Name == "_" || id.Name == "init" || (id.Name == "main" && name == pkg+".main") {
-			return
-		}
-		out = append(out, deadDecl{name: name, ident: id.Name, pos: n.Pos(), end: n.End()})
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// origin maps a use of an instantiated generic method or field to the
+// object its declaration made.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
 	}
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			name := pkg + "." + decl.Name.Name
-			if decl.Recv != nil && len(decl.Recv.List) == 1 {
-				name = pkg + "." + typeName(decl.Recv.List[0].Type) + "." + decl.Name.Name
-			}
-			add(name, decl.Name, decl)
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				switch spec := spec.(type) {
-				case *ast.ValueSpec:
-					for _, id := range spec.Names {
-						add(pkg+"."+id.Name, id, spec)
-					}
-				case *ast.TypeSpec:
-					add(pkg+"."+spec.Name.Name, spec.Name, spec)
-					st, ok := spec.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, fld := range st.Fields.List {
-						if fld.Tag != nil && strings.Contains(fld.Tag.Value, `json:"`) {
-							continue
-						}
-						for _, id := range fld.Names {
-							if id.Name == "_" {
-								continue
-							}
-							out = append(out, deadDecl{
-								name:       pkg + "." + spec.Name.Name + "." + id.Name,
-								ident:      id.Name,
-								field:      true,
-								structType: spec.Name.Name,
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
+	return obj
 }
 
-// scanUses records every identifier of f that is not itself a declaration,
-// and the field names and struct types f writes.
-func scanUses(f *ast.File, uses map[string][]token.Pos, writtenField, writtenType map[string]bool) {
-	declaring := map[*ast.Ident]bool{f.Name: true}
-	declareFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			for _, id := range fld.Names {
-				declaring[id] = true
-			}
-		}
+// recvName is the name of a method's receiver type: T for *T and T[K].
+func recvName(fn *types.Func) string {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	// writes marks the fields along an addressed operand: x.f, x.f[i],
-	// x.f.g, (*x.f).
-	writes := func(e ast.Expr) {
-		for {
-			switch x := e.(type) {
-			case *ast.SelectorExpr:
-				writtenField[x.Sel.Name] = true
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.StarExpr:
-				e = x.X
-			default:
-				return
-			}
-		}
-	}
-	elided := map[*ast.CompositeLit]ast.Expr{} // a literal's type left out by its parent
-
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if !declaring[n] {
-				uses[n.Name] = append(uses[n.Name], n.Pos())
-			}
-		case *ast.ImportSpec:
-			if n.Name != nil {
-				declaring[n.Name] = true
-			}
-		case *ast.FuncDecl:
-			declaring[n.Name] = true
-			declareFields(n.Recv)
-		case *ast.FuncType:
-			declareFields(n.TypeParams)
-			declareFields(n.Params)
-			declareFields(n.Results)
-		case *ast.TypeSpec:
-			declaring[n.Name] = true
-			declareFields(n.TypeParams)
-		case *ast.ValueSpec:
-			for _, id := range n.Names {
-				declaring[id] = true
-			}
-		case *ast.StructType:
-			declareFields(n.Fields)
-		case *ast.LabeledStmt:
-			declaring[n.Label] = true
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && n.Tok == token.DEFINE {
-					declaring[id] = true
-				}
-				writes(lhs)
-			}
-		case *ast.RangeStmt:
-			for _, e := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := e.(*ast.Ident); ok && n.Tok == token.DEFINE {
-					declaring[id] = true
-				}
-			}
-		case *ast.IncDecStmt:
-			writes(n.X)
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				writes(n.X)
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				writes(sel.X)
-			}
-		case *ast.CompositeLit:
-			typ := n.Type
-			if typ == nil {
-				typ = elided[n]
-			}
-			var elem, key ast.Expr
-			switch t := typ.(type) {
-			case *ast.ArrayType:
-				elem = t.Elt
-			case *ast.MapType:
-				key, elem = t.Key, t.Value
-			}
-			structLit := elem == nil // neither an array, slice nor map literal
-			elide := func(e, t ast.Expr) {
-				if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil {
-					elided[lit] = t
-				}
-			}
-			for _, e := range n.Elts {
-				kv, ok := e.(*ast.KeyValueExpr)
-				if !ok {
-					elide(e, elem)
-					if structLit && typ != nil {
-						writtenType[typeName(typ)] = true
-					}
-					continue
-				}
-				if id, ok := kv.Key.(*ast.Ident); ok && structLit {
-					writtenField[id.Name] = true
-				}
-				elide(kv.Key, key)
-				elide(kv.Value, elem)
-			}
-		}
-		return true
-	})
-}
-
-// typeName strips pointers, packages and type arguments from a type
-// expression: *pkg.T[K] is T.
-func typeName(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.SelectorExpr:
-			return t.Sel.Name
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.Ident:
-			return t.Name
-		default:
-			return ""
-		}
-	}
+	return t.(*types.Named).Obj().Name()
 }

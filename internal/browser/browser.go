@@ -73,13 +73,12 @@ func (k ActivityKind) IsCompute() bool { return k != Fetch }
 
 // Activity is one recorded unit of page-load work.
 type Activity struct {
-	ID       int
-	Kind     ActivityKind
-	Name     string
-	Resource int // webpage resource ID, -1 for document-level work
-	Start    time.Duration
-	End      time.Duration
-	Deps     []int // activity IDs that gated this activity's start
+	ID    int
+	Kind  ActivityKind
+	Name  string
+	Start time.Duration
+	End   time.Duration
+	Deps  []int // activity IDs that gated this activity's start
 	// Cycles is the reference-cycle cost for compute activities (before the
 	// memory slowdown factor); 0 for fetches.
 	Cycles float64
@@ -99,7 +98,6 @@ func (a Activity) Duration() time.Duration { return a.End - a.Start }
 
 // Result of a page load.
 type Result struct {
-	Page       *webpage.Page
 	PLT        time.Duration // load event (paper's DOMLoad)
 	Activities []Activity
 	// StartedAt is the virtual time the load began (PLT is relative to it).
@@ -277,7 +275,6 @@ func (l *loader) fireLoad() {
 	}
 	l.finished = true
 	res := Result{
-		Page:            l.page,
 		PLT:             l.now() - l.started,
 		Activities:      l.acts,
 		StartedAt:       l.started,
@@ -314,7 +311,7 @@ func (l *loader) fetchAttempt(name, domain string, size units.ByteSize, resID in
 		l.degraded = true
 		l.failed = append(l.failed, resID)
 		l.record(Activity{
-			Kind: Fetch, Name: name, Resource: resID,
+			Kind: Fetch, Name: name,
 			Start: start, End: l.now(), Deps: deps, Failed: true,
 		})
 		cb(-1)
@@ -342,7 +339,7 @@ func (l *loader) fetchAttempt(name, domain string, size units.ByteSize, resID in
 			return
 		}
 		id := l.record(Activity{
-			Kind: Fetch, Name: name, Resource: resID,
+			Kind: Fetch, Name: name,
 			Start: start, End: l.now(), Deps: deps, Bytes: size,
 		})
 		cb(id)
@@ -352,7 +349,7 @@ func (l *loader) fetchAttempt(name, domain string, size units.ByteSize, resID in
 
 // exec runs a compute activity on a thread, applying the memory factor.
 func (l *loader) exec(th *cpu.Thread, kind ActivityKind, name string, cycles float64,
-	resID int, deps []int, profile *webpage.Profile, cb func(actID int)) {
+	deps []int, profile *webpage.Profile, cb func(actID int)) {
 	cycles *= l.engineScale(kind)
 	l.begin()
 	start := l.now()
@@ -362,7 +359,7 @@ func (l *loader) exec(th *cpu.Thread, kind ActivityKind, name string, cycles flo
 			return // queued work from before a memory-kill restart
 		}
 		id := l.record(Activity{
-			Kind: kind, Name: name, Resource: resID,
+			Kind: kind, Name: name,
 			Start: start, End: l.now(), Deps: deps, Cycles: cycles,
 			Profile: profile, MainThread: th == l.main,
 		})
@@ -419,7 +416,7 @@ func (l *loader) parseSegment(idx int, gate int) {
 	}
 	seg := l.page.Segments[idx]
 	cycles := float64(seg.Bytes) * ParseCyclesPerByte
-	l.exec(l.main, Parse, fmt.Sprintf("parse-seg%d", idx), cycles, -1, []int{gate}, nil, func(parseID int) {
+	l.exec(l.main, Parse, fmt.Sprintf("parse-seg%d", idx), cycles, []int{gate}, nil, func(parseID int) {
 		l.discover(idx, parseID)
 	})
 }
@@ -504,7 +501,7 @@ func (l *loader) fetchCSS(r *webpage.Resource, parseID int) {
 			return
 		}
 		cycles := float64(r.Size) * StyleCyclesPerByte
-		l.exec(l.main, Style, "style:"+r.URL, cycles, r.ID, []int{fetchID}, nil, func(int) {
+		l.exec(l.main, Style, "style:"+r.URL, cycles, []int{fetchID}, nil, func(int) {
 			l.cssDone()
 		})
 	})
@@ -516,7 +513,7 @@ func (l *loader) fetchImage(r *webpage.Resource, depID int) {
 			return // abandoned image: the page renders without it
 		}
 		cycles := float64(r.Size) * DecodeCyclesPerByte
-		l.exec(l.raster, Decode, "decode:"+r.URL, cycles, r.ID, []int{fetchID}, nil, func(int) {})
+		l.exec(l.raster, Decode, "decode:"+r.URL, cycles, []int{fetchID}, nil, func(int) {})
 	})
 }
 
@@ -537,15 +534,15 @@ func (l *loader) fetchScript(r *webpage.Resource, parseID int, next func(scriptI
 			// JS source must be parsed and compiled on the main thread before
 			// it executes.
 			compileCycles := float64(r.Size) * CompileCyclesPerByte
-			l.exec(l.main, Parse, "compile:"+r.URL, compileCycles, r.ID, []int{fetchID}, nil, func(compileID int) {
+			l.exec(l.main, Parse, "compile:"+r.URL, compileCycles, []int{fetchID}, nil, func(compileID int) {
 				prof := r.Profile()
-				l.exec(l.main, Script, "script:"+r.URL, prof.TotalCPUCycles(), r.ID, []int{compileID}, prof, func(scriptID int) {
+				l.exec(l.main, Script, "script:"+r.URL, prof.TotalCPUCycles(), []int{compileID}, prof, func(scriptID int) {
 					l.injectFrom(r.ID, scriptID)
 					if r.Blocking {
 						// Scripts that touched the DOM force an incremental
 						// reflow; it queues on the main thread.
 						reflow := float64(l.page.HTMLSize) * LayoutCyclesPerByte * ReflowFraction
-						l.exec(l.main, Layout, "reflow:"+r.URL, reflow, r.ID, []int{scriptID}, nil, func(int) {})
+						l.exec(l.main, Layout, "reflow:"+r.URL, reflow, []int{scriptID}, nil, func(int) {})
 					}
 					if next != nil {
 						next(scriptID)
@@ -585,8 +582,8 @@ func (l *loader) injectFrom(scriptResID, scriptActID int) {
 func (l *loader) finalLayout() {
 	layoutCycles := float64(l.page.HTMLSize) * LayoutCyclesPerByte
 	deps := l.lastActIDs()
-	l.exec(l.main, Layout, "layout", layoutCycles, -1, deps, nil, func(layoutID int) {
-		l.exec(l.main, Paint, "paint", PaintCycles, -1, []int{layoutID}, nil, func(int) {})
+	l.exec(l.main, Layout, "layout", layoutCycles, deps, nil, func(layoutID int) {
+		l.exec(l.main, Paint, "paint", PaintCycles, []int{layoutID}, nil, func(int) {})
 	})
 }
 

@@ -179,7 +179,8 @@ func TestNewsSlowerThanHealth(t *testing.T) {
 }
 
 func TestActivitiesWellFormed(t *testing.T) {
-	res, _ := load(t, newsPage(), nexus4At(810))
+	page := newsPage()
+	res, _ := load(t, page, nexus4At(810))
 	kinds := map[ActivityKind]int{}
 	for i, a := range res.Activities {
 		if a.ID != i {
@@ -207,8 +208,8 @@ func TestActivitiesWellFormed(t *testing.T) {
 		t.Fatalf("need reflows/layout and exactly one paint: %v", kinds)
 	}
 	// All page resources were fetched.
-	if kinds[Fetch] != len(res.Page.Resources)+1 {
-		t.Fatalf("fetched %d, want %d resources + document", kinds[Fetch], len(res.Page.Resources))
+	if kinds[Fetch] != len(page.Resources)+1 {
+		t.Fatalf("fetched %d, want %d resources + document", kinds[Fetch], len(page.Resources))
 	}
 }
 

@@ -132,7 +132,6 @@ type System struct {
 	Net   *netsim.Network
 	Mem   *mem.Memory
 	Meter *energy.Meter
-	DSP   *dsp.DSP
 	// Obs is the system's observability/fault context, shared by every
 	// subsystem: tracer + trace pid, metrics registry, the fault injector
 	// attached via WithFaultPlan (nil when the system runs fault-free), and
@@ -218,7 +217,10 @@ func build(spec device.Spec, o options) *System {
 		opts:  o,
 	}
 	if spec.Has(device.DSP) {
-		sys.DSP = dsp.New(s, dsp.Config{Obs: oc})
+		// The system keeps no handle on the DSP; New still gives the
+		// device its FastRPC trace lane, dsp.* registry families and idle
+		// power draw.
+		dsp.New(s, dsp.Config{Obs: oc})
 	}
 	return sys
 }

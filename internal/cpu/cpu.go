@@ -176,7 +176,6 @@ type CPU struct {
 }
 
 type cluster struct {
-	cpu   *CPU
 	id    int
 	spec  device.Cluster
 	steps []units.Freq
@@ -320,7 +319,6 @@ func (cl *cluster) updateWatts() {
 
 func (c *CPU) addCluster(spec device.Cluster, ceffScale float64) {
 	cl := &cluster{
-		cpu:   c,
 		id:    len(c.clusters),
 		spec:  spec,
 		steps: spec.FreqTable(),

@@ -287,8 +287,9 @@ func RunTrialAttemptFn(id string, fn Runner, cfg Config, trial, attempt int) (*T
 }
 
 // Run executes one experiment. With cfg.Trials > 1 it runs every trial
-// sequentially and returns the MergeTrials result; internal/runner produces
-// byte-identical output by fanning the same trials across a worker pool.
+// sequentially and returns the MergeTrials result. It is the sequential
+// reference tests hold runner.Run to: runner.Run produces byte-identical
+// output by fanning the same trials across a worker pool.
 func Run(id string, cfg Config) (*Table, error) {
 	if _, ok := registry[id]; !ok {
 		return nil, unknownErr(id)

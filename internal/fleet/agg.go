@@ -62,8 +62,6 @@ type ShardResult struct {
 	// never enter the merged aggregates.
 	Attempts int
 	WallMS   float64
-	// Restored marks a result loaded from a checkpoint, not executed here.
-	Restored bool
 
 	Tuples       int
 	TuplesFailed int

@@ -216,7 +216,6 @@ func Open(dir string, spec *Spec) (*Checkpoint, map[int]*ShardResult, []string, 
 			warnings = append(warnings, fmt.Sprintf("%s: %v (will re-run shard %d)", path, err, k))
 			continue
 		}
-		r.Restored = true
 		restored[k] = r
 	}
 	return c, restored, warnings, nil

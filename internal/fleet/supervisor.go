@@ -53,18 +53,16 @@ type Event struct {
 	// Attempt is the attempt the outcome came from (0 = first try, and for
 	// restored, skipped and unstarted shards), as in runner.Event.
 	Attempt int
-	// Restored: loaded from a checkpoint. Skipped: breaker was open.
+	// Restored: loaded from a checkpoint.
 	Restored bool
-	Skipped  bool
 	// Err is set for failed, skipped, and aborted shards.
 	Err error
 	// Done/Total: progress numbering. In Progress events Done counts
 	// completion order; in Stream events it is the contiguous flushed
 	// prefix.
-	Done, Total  int
-	Tuples       int
-	TuplesFailed int
-	Elapsed      time.Duration
+	Done, Total int
+	Tuples      int
+	Elapsed     time.Duration
 	// Result is set for restored and completed shards.
 	Result *ShardResult
 }
@@ -152,10 +150,10 @@ func Run(parent context.Context, r *Runner, restored map[int]*ShardResult, opts 
 	event := func(o runner.Outcome[*ShardResult]) Event {
 		start, end := ShardRange(spec.Population, spec.Shards, o.Index)
 		ev := Event{Shard: o.Index, Start: start, End: end, Attempt: o.Attempt,
-			Restored: o.Status == runner.CellRestored, Skipped: o.Status == runner.CellSkipped,
-			Err: o.Err, Done: o.Done, Total: o.Total, Elapsed: o.Elapsed, Result: o.Value}
+			Restored: o.Status == runner.CellRestored, Err: o.Err,
+			Done: o.Done, Total: o.Total, Elapsed: o.Elapsed, Result: o.Value}
 		if o.Value != nil {
-			ev.Tuples, ev.TuplesFailed = o.Value.Tuples, o.Value.TuplesFailed
+			ev.Tuples = o.Value.Tuples
 		}
 		return ev
 	}

@@ -34,7 +34,6 @@ type DeviceRecord struct {
 // YearStats aggregates one year of Fig. 1's series.
 type YearStats struct {
 	Year      int
-	Devices   int
 	AvgClock  units.Freq
 	AvgCores  float64
 	AvgRAMGB  float64
@@ -162,7 +161,6 @@ func Evolution(seed uint64, devices int) []YearStats {
 		}
 		out = append(out, YearStats{
 			Year:      year,
-			Devices:   len(rs),
 			AvgClock:  units.GHz(clock.Mean()),
 			AvgCores:  cores.Mean(),
 			AvgRAMGB:  ram.Mean(),

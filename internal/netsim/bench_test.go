@@ -23,7 +23,7 @@ func BenchmarkIperf(b *testing.B) {
 		s.Run()
 		steps += s.Steps()
 	}
-	if got.Bytes == 0 {
+	if got.Throughput == 0 {
 		b.Fatal("iperf moved no bytes")
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "events/op")

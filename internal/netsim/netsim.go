@@ -135,7 +135,6 @@ func (c *Config) setDefaults() {
 type Network struct {
 	s       *sim.Sim
 	cfg     Config
-	cpu     *cpu.CPU
 	softirq *cpu.Thread
 	down    *link      // AP -> device
 	up      *link      // device -> AP
@@ -165,7 +164,7 @@ func New(s *sim.Sim, c *cpu.CPU, cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic("netsim: invalid config: " + err.Error())
 	}
-	n := &Network{s: s, cfg: cfg, cpu: c, rng: stats.NewRNG(0xC0FFEE)}
+	n := &Network{s: s, cfg: cfg, rng: stats.NewRNG(0xC0FFEE)}
 	eff := units.BitRate(float64(cfg.Rate) * cfg.MACEfficiency)
 	n.down = &link{s: s, lane: s.NewFIFO(), rate: eff, oneWay: cfg.RTT / 2, inj: cfg.Obs.Faults}
 	n.up = &link{s: s, lane: s.NewFIFO(), rate: eff, oneWay: cfg.RTT / 2, inj: cfg.Obs.Faults}
@@ -743,8 +742,6 @@ func (p *packet) deliverDatagram() {
 
 // IperfResult reports a bulk-transfer measurement.
 type IperfResult struct {
-	Duration   time.Duration
-	Bytes      units.ByteSize
 	Throughput units.BitRate
 }
 
@@ -767,7 +764,7 @@ func (n *Network) Iperf(duration time.Duration, fn func(IperfResult)) {
 		conn.Abort()
 		got := units.ByteSize(n.delivered - startBytes)
 		el := n.s.Now() - start
-		res := IperfResult{Duration: el, Bytes: got}
+		var res IperfResult
 		if el > 0 {
 			res.Throughput = units.BitRate(float64(got) * 8 / el.Seconds())
 		}

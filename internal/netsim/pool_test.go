@@ -218,7 +218,7 @@ func TestIperfAllocations(t *testing.T) {
 		var got IperfResult
 		n.Iperf(time.Second, func(r IperfResult) { got = r })
 		s.RunUntil(s.Now() + 2*time.Second)
-		if got.Bytes == 0 {
+		if got.Throughput == 0 {
 			t.Fatal("iperf moved no bytes")
 		}
 	}

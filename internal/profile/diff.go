@@ -27,7 +27,6 @@ type DiffEntry struct {
 	Lane, Name       string
 	CountA, CountB   int
 	TotalA, TotalB   time.Duration
-	SelfA, SelfB     time.Duration
 	CritMsA, CritMsB float64
 	Network          bool // lane classified as network transfer time
 }
@@ -79,14 +78,12 @@ func Compare(a, b *Profile) *Diff {
 		d := get(key{e.Lane, e.Name})
 		d.CountA += e.Count
 		d.TotalA += e.Total
-		d.SelfA += e.Self
 		d.CritMsA += e.CritMs
 	}
 	for _, e := range b.Entries {
 		d := get(key{e.Lane, e.Name})
 		d.CountB += e.Count
 		d.TotalB += e.Total
-		d.SelfB += e.Self
 		d.CritMsB += e.CritMs
 	}
 	diff := &Diff{EPLTmsA: a.EPLTms, EPLTmsB: b.EPLTms}

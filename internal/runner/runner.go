@@ -122,9 +122,8 @@ type Result struct {
 	// Table merges the trials that completed; failed trials appear as
 	// explicit "ERROR: trial N ..." notes on it. It is nil only when every
 	// trial failed.
-	Table   *experiments.Table
-	Err     error         // first per-trial error, in trial order
-	Elapsed time.Duration // summed wall-clock of the experiment's cells
+	Table *experiments.Table
+	Err   error // first per-trial error, in trial order
 }
 
 // cellFn executes one attempt of one cell. It is a variable so crash tests
@@ -154,7 +153,7 @@ func Run(ctx context.Context, ids []string, cfg experiments.Config, opts Options
 	pool := Pool[*experiments.Table]{N: len(tracers), Workers: opts.Parallel, Retries: opts.Retries,
 		// Each attempt runs under its derived attempt seed and, when traced,
 		// on a fresh tracer. Pass the caller's un-normalized cfg:
-		// RunTrialAttempt normalizes once, exactly like experiments.Run.
+		// RunTrialAttempt normalizes it once.
 		Attempt: func(_ context.Context, i, attempt int) (*experiments.Table, error) {
 			id, t := ids[i/trials], i%trials
 			var fn experiments.Runner
@@ -201,7 +200,6 @@ func Run(ctx context.Context, ids []string, cfg experiments.Config, opts Options
 		per := make([]*experiments.Table, 0, trials)
 		var failNotes []string
 		for _, o := range outs[k*trials : (k+1)*trials] {
-			r.Elapsed += o.Elapsed
 			if o.Err != nil {
 				if r.Err == nil {
 					r.Err = o.Err

@@ -11,7 +11,8 @@ import "time"
 // the head fires the lane re-queues its event under the next entry's
 // (at, seq). Because (at, seq) is a total order and each lane is sorted by
 // it, events fire in exactly the order PostAt would have given them, and
-// Pending, Steps and the Hook's StepInfo count every entry as one event.
+// the pending count, Steps and the Hook's StepInfo count every entry as one
+// event.
 type FIFO struct {
 	s    *Sim
 	ev   *Event      // the head's heap entry; queued iff the lane is non-empty

@@ -36,8 +36,8 @@
 //     sits in the heap, as one kernel-owned event re-queued under the next
 //     entry each time an entry fires. Entries keep the sequence numbers
 //     they were posted with and each counts as one pending event and one
-//     step, so fire order, Pending, Steps and StepInfo are exactly as with
-//     PostAt.
+//     step, so fire order, the pending count, Steps and StepInfo are
+//     exactly as with PostAt.
 //
 // Events obtained from At/After and never Reset behave exactly as
 // before: the kernel never reclaims an event a caller may still reference,
@@ -65,13 +65,8 @@ type Event struct {
 // fired, if canceled).
 func (e *Event) When() time.Duration { return e.at }
 
-// Canceled reports whether Cancel removed the event before it fired. A
-// fired event is never canceled (see Cancel).
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Fired reports whether the event's callback has executed. Exactly one of
-// Fired and Canceled becomes true over an event's lifetime; while queued,
-// both are false.
+// Fired reports whether the event's callback has executed. A fired event
+// is never canceled (see Cancel); while queued, it is neither.
 func (e *Event) Fired() bool { return e.fired }
 
 // Queued reports whether the event is currently in the queue awaiting its
@@ -84,10 +79,8 @@ type StepInfo struct {
 	// At is the event's fire time (== Now during the hook), read before
 	// the callback ran: a callback that re-arms its own event with Reset,
 	// or a FIFO lane re-queued under its next entry, does not move it.
-	At        time.Duration
-	Step      uint64 // 1-based ordinal of the event in this run
-	Scheduled int    // events the callback itself scheduled
-	Pending   int    // queue depth after the callback ran
+	At      time.Duration
+	Pending int // queue depth after the callback ran
 }
 
 // Hook observes kernel activity. It runs synchronously after every event
@@ -218,8 +211,8 @@ func (s *Sim) Reset(e *Event, t time.Duration) {
 }
 
 // Cancel removes an event from the queue. Canceling an already-fired event
-// is a no-op that leaves Fired() true and Canceled() false — the callback
-// ran, and pretending otherwise would corrupt any accounting keyed on it.
+// is a no-op that leaves it fired and not canceled — the callback ran, and
+// pretending otherwise would corrupt any accounting keyed on it.
 // Canceling an already-canceled event is also a no-op.
 func (s *Sim) Cancel(e *Event) {
 	if e == nil || e.canceled || e.fired {
@@ -247,11 +240,10 @@ func (s *Sim) Step() bool {
 		if s.hook == nil {
 			e.fn()
 		} else {
-			pre, at := s.seq, e.at
+			at := e.at
 			e.fn()
 			s.inHook = true
-			s.hook(StepInfo{At: at, Step: s.steps,
-				Scheduled: int(s.seq - pre), Pending: s.pending})
+			s.hook(StepInfo{At: at, Pending: s.pending})
 			s.inHook = false
 		}
 		// An untracked event has no outstanding handle, so unless its own
@@ -282,11 +274,6 @@ func (s *Sim) RunUntil(t time.Duration) {
 		s.now = t
 	}
 }
-
-// Pending returns the number of queued (non-canceled) events. The count is
-// maintained live by At/Cancel/Step, so this is O(1) and cheap enough for
-// per-event instrumentation.
-func (s *Sim) Pending() int { return s.pending }
 
 // ----- event queue: hand-rolled 4-ary min-heap -----
 //

@@ -116,12 +116,9 @@ func (cc *CallConfig) setDefaults() {
 
 // Metrics are the paper's telephony QoE metrics.
 type Metrics struct {
-	SetupDelay      time.Duration // answer to first media flowing
-	FrameRate       float64       // displayed frames per second
-	SentFrameRate   float64       // capture-side achieved fps
-	Resolution      Resolution    // final ABR rung
-	FramesDisplayed int
-	FramesDropped   int
+	SetupDelay time.Duration // answer to first media flowing
+	FrameRate  float64       // displayed frames per second
+	Resolution Resolution    // final ABR rung
 }
 
 // Call places a call and reports metrics when it ends.
@@ -161,15 +158,14 @@ type call struct {
 	setupDelay time.Duration
 	mediaEnd   time.Duration
 
-	sent, displayed, dropped int
-	windowDisplayed          int
-	finished                 bool
-	tid                      int // trace lane, 0 when tracing is off
+	displayed       int
+	windowDisplayed int
+	finished        bool
+	tid             int // trace lane, 0 when tracing is off
 }
 
 // recordDrop accounts one dropped frame on the named pipeline stage.
 func (c *call) recordDrop(stage string) {
-	c.dropped++
 	c.cfg.Obs.Counter("telephony.frames_dropped").Add(1)
 	if tr := c.cfg.Obs.Trace; tr != nil {
 		tr.Instant("telephony", "frame-drop:"+stage, c.cfg.Obs.Pid, c.tid, c.now())
@@ -241,7 +237,6 @@ func (c *call) captureLoop() {
 	if c.ForceSW() {
 		cycles *= swCodecPenalty
 	}
-	c.sent++
 	c.cfg.Sim.PostAfter(encodeLatency, func() { // hardware encode
 		c.tx.Exec("packetize", cycles, func() {
 			size := units.ByteSize(float64(frameBytesAt720p) * scale)
@@ -312,14 +307,10 @@ func (c *call) finish() {
 	c.finished = true
 	// Let in-flight frames drain briefly before reporting.
 	c.cfg.Sim.PostAfter(200*time.Millisecond, func() {
-		secs := c.cc.Duration.Seconds()
 		m := Metrics{
-			SetupDelay:      c.setupDelay,
-			FrameRate:       float64(c.displayed) / secs,
-			SentFrameRate:   float64(c.sent) / secs,
-			Resolution:      c.res(),
-			FramesDisplayed: c.displayed,
-			FramesDropped:   c.dropped,
+			SetupDelay: c.setupDelay,
+			FrameRate:  float64(c.displayed) / c.cc.Duration.Seconds(),
+			Resolution: c.res(),
 		}
 		if c.done != nil {
 			c.done(m)

@@ -114,14 +114,11 @@ func (sc *StreamConfig) setDefaults() {
 	}
 }
 
-// Metrics are the paper's two streaming QoE metrics plus bookkeeping.
+// Metrics are the paper's two streaming QoE metrics and the rung served.
 type Metrics struct {
 	StartupLatency time.Duration // request to first displayed frame
 	StallRatio     float64       // stall time / played time
-	StallTime      time.Duration
-	Played         time.Duration
-	Rung           Rung // resolution served
-	Segments       int
+	Rung           Rung          // resolution served
 }
 
 // Stream plays the clip and calls done with the metrics when the clip ends.
@@ -464,10 +461,7 @@ func (p *player) finish() {
 	p.finished = true
 	m := Metrics{
 		StartupLatency: p.startupAt - p.started,
-		StallTime:      p.stallTime,
-		Played:         p.playedTime,
 		Rung:           p.rung,
-		Segments:       p.segments,
 	}
 	if p.playedTime > 0 {
 		m.StallRatio = float64(p.stallTime) / float64(p.playedTime)

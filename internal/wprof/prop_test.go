@@ -75,9 +75,6 @@ func TestCriticalPathDecompositionSumsExactly(t *testing.T) {
 				t.Fatalf("trial %d: segment %d node %d, want %d",
 					trial, i, seg.NodeID, st.NodeIDs[i])
 			}
-			if seg.Network != (g.Nodes[seg.NodeID].Kind == browser.Fetch) {
-				t.Fatalf("trial %d: segment %d network flag mismatch", trial, i)
-			}
 			sum += seg.Dur
 		}
 		// Segments telescope to last end − root start; node 0 starts at 0,

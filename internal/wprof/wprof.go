@@ -68,9 +68,8 @@ type PathStats struct {
 
 // Segment is one node's share of the critical path.
 type Segment struct {
-	NodeID  int
-	Dur     time.Duration
-	Network bool // fetch segment (vs compute)
+	NodeID int
+	Dur    time.Duration
 }
 
 // CriticalPath walks the measured trace backwards from the last-finishing
@@ -114,8 +113,7 @@ func (g *Graph) CriticalPath() PathStats {
 				st.Script += span
 			}
 		}
-		st.Segments = append(st.Segments, Segment{NodeID: cur, Dur: span,
-			Network: n.Kind == browser.Fetch})
+		st.Segments = append(st.Segments, Segment{NodeID: cur, Dur: span})
 		if bind < 0 {
 			break
 		}
